@@ -24,9 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .protocols import derive_ghz_correction
+from .protocols import _Register, derive_ghz_correction
 from .qudit import Basis, QuditState, canonical_ghz, fidelity, identity_op, pauli_x, tensor
-from .protocols import _Register
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -163,17 +162,18 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
             targets = [(q1, Basis.FOURIER), (q3, Basis.FOURIER),
                        (q5, Basis.FOURIER), (q2, Basis.COMPUTATIONAL),
                        (q4, Basis.COMPUTATIONAL), (q6, Basis.COMPUTATIONAL)]
-            post = _sample(reg, targets, rng)
+            _, post = reg.sample(targets, rng)
         else:
             i_op = identity_op(d)
             reg = reg.walk(q1, q2, i_op)
-            post = _sample(reg, [(q1, Basis.FOURIER), (q2, Basis.COMPUTATIONAL)], rng)
+            _, post = reg.sample([(q1, Basis.FOURIER), (q2, Basis.COMPUTATIONAL)], rng)
             post = post.walk(q4, q3, i_op).walk(q5, q6, i_op)
-            post = _sample(post, [(q4, Basis.FOURIER), (q5, Basis.FOURIER),
-                                  (q6, Basis.COMPUTATIONAL),
-                                  (q3, Basis.COMPUTATIONAL)], rng)
+            _, post = post.sample([(q4, Basis.FOURIER), (q5, Basis.FOURIER),
+                                   (q6, Basis.COMPUTATIONAL),
+                                   (q3, Basis.COMPUTATIONAL)], rng)
         # surviving labels are (a, b, c) in register order already
-        assert post.labels == (a, b, c)
+        if post.labels != (a, b, c):
+            raise AssertionError(f"merge at {step.pos} left sites {post.labels}")
         corr = derive_ghz_correction(post.state)
         fixed = corr.apply_to(post.state)
         fid = fidelity(fixed, canonical_ghz(d, 3))
@@ -185,13 +185,6 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     return MergeRunResult(
         iteration=n, d=d, merge_count=len(steps), final_corners=final_tri,
         fidelity=fidelity(final, canonical_ghz(d, 3)), final_state=final)
-
-
-def _sample(reg: _Register, targets, rng) -> _Register:
-    options = list(reg.measure(targets))
-    probs = np.array([p for _, p, _ in options])
-    pick = rng.choice(len(options), p=probs / probs.sum())
-    return options[pick][2]
 
 
 # ---------------------------------------------------------------------------

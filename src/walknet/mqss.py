@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .qudit import (
     fourier_inv_op,
     fourier_op,
     measure_all_branches,
+    sample_branch,
     tensor,
 )
 
@@ -120,84 +122,68 @@ class MqssTranscript:
 # Channel checking
 # ---------------------------------------------------------------------------
 
-def _measure_pair(state: QuditState, shared_fourier: bool,
-                  rng: np.random.Generator) -> tuple[int, int]:
-    """Measure both ends in the shared basis; participant's Fourier readout
-    uses the conjugate family (apply F, then read computationally)."""
-    if shared_fourier:
-        state = apply(state, fourier_op(state.d), [1])
-        targets = [(0, Basis.FOURIER), (1, Basis.COMPUTATIONAL)]
-    else:
-        targets = [(0, Basis.COMPUTATIONAL), (1, Basis.COMPUTATIONAL)]
-    branches = measure_all_branches(state, targets)
-    probs = np.array([b.probability for b in branches])
-    br = branches[rng.choice(len(branches), p=probs / probs.sum())]
-    return br.outcome[0][2], br.outcome[1][2]
+@lru_cache(maxsize=None)
+def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of one detecting pair: (leaf probabilities, disagree flags).
 
-
-def _detect_one_pair(d: int, eavesdrop: bool, rng: np.random.Generator) -> bool:
-    """True when the two readouts disagree (an error event)."""
-    state = canonical_bell(d, 0, 0)  # site 0 dealer, site 1 participant
+    A leaf is one (attacker basis, attacker outcome, shared basis, readout)
+    combination, enumerated by exhaustive branching with every basis choice
+    fair.  Both ends twirl the pair (Fourier on the dealer's qudit, inverse
+    Fourier on the participant's); the participant's Fourier readout uses the
+    conjugate family (apply F, then read computationally).
+    """
+    f = fourier_op(d)
     if eavesdrop:
-        eve_fourier = bool(rng.integers(2))
-        basis = Basis.FOURIER if eve_fourier else Basis.COMPUTATIONAL
-        branches = measure_all_branches(state, [(1, basis)])
-        probs = np.array([b.probability for b in branches])
-        br = branches[rng.choice(len(branches), p=probs / probs.sum())]
-        value = br.outcome[0][2]
-        resent = basis_state(d, [value])
-        if eve_fourier:
-            resent = apply(resent, fourier_op(d), [0])
-        state = tensor(br.post, resent)
-    state = apply(state, fourier_op(d), [0])
-    state = apply(state, fourier_inv_op(d), [1])
-    shared_fourier = bool(rng.integers(2))
-    a, b = _measure_pair(state, shared_fourier, rng)
-    return a != b
+        # the attacker measures the participant's particle and resends it
+        stages = []
+        for eve_fourier in (False, True):
+            basis = Basis.FOURIER if eve_fourier else Basis.COMPUTATIONAL
+            for br in measure_all_branches(canonical_bell(d, 0, 0), [(1, basis)]):
+                resent = basis_state(d, [br.outcome[0][2]])
+                if eve_fourier:
+                    resent = apply(resent, f, [0])
+                stages.append((0.5 * br.probability, tensor(br.post, resent)))
+    else:
+        stages = [(1.0, canonical_bell(d, 0, 0))]
+    probs, disagree = [], []
+    for weight, state in stages:
+        state = apply(apply(state, f, [0]), fourier_inv_op(d), [1])
+        for shared_fourier in (False, True):
+            if shared_fourier:
+                prepped = apply(state, f, [1])
+                targets = [(0, Basis.FOURIER), (1, Basis.COMPUTATIONAL)]
+            else:
+                prepped = state
+                targets = [(0, Basis.COMPUTATIONAL), (1, Basis.COMPUTATIONAL)]
+            for sub in measure_all_branches(prepped, targets):
+                probs.append(0.5 * weight * sub.probability)
+                disagree.append(sub.outcome[0][2] != sub.outcome[1][2])
+    law = np.array(probs) / sum(probs)
+    flags = np.array(disagree)
+    law.flags.writeable = flags.flags.writeable = False
+    return law, flags
 
 
 def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
                   seed: int = 0, threshold: float = 0.05) -> tuple[float, bool]:
-    """Sampled error rate over ``pairs`` detecting pairs, and the abort flag."""
+    """Sampled error rate over ``pairs`` detecting pairs, and the abort flag.
+
+    All pairs are drawn at once from the exact per-pair law."""
     if pairs < 1:
         raise ValueError("need at least one detecting pair")
     if eavesdropper not in (None, INTERCEPT_RESEND):
         raise ValueError(f"unknown eavesdropper model {eavesdropper!r}")
-    rng = np.random.default_rng(seed)
-    errors = sum(_detect_one_pair(d, eavesdropper is not None, rng)
-                 for _ in range(pairs))
-    rate = errors / pairs
+    law, disagree = _pair_law(d, eavesdropper is not None)
+    leaves = np.random.default_rng(seed).choice(len(law), size=pairs, p=law)
+    rate = int(np.count_nonzero(disagree[leaves])) / pairs
     return rate, rate > threshold
 
 
 def intercept_resend_error_rate(d: int) -> float:
-    """Exact per-pair error probability of the intercept-resend attack.
-
-    Enumerates every (attacker basis, attacker outcome, shared basis,
-    readout) combination by exhaustive branching; no sampling involved.
-    """
-    f = fourier_op(d)
-    total = 0.0
-    for eve_fourier in (False, True):
-        basis = Basis.FOURIER if eve_fourier else Basis.COMPUTATIONAL
-        for br in measure_all_branches(canonical_bell(d, 0, 0), [(1, basis)]):
-            resent = basis_state(d, [br.outcome[0][2]])
-            if eve_fourier:
-                resent = apply(resent, f, [0])
-            state = tensor(br.post, resent)
-            state = apply(state, f, [0])
-            state = apply(state, fourier_inv_op(d), [1])
-            for shared_fourier in (False, True):
-                if shared_fourier:
-                    prepped = apply(state, f, [1])
-                    targets = [(0, Basis.FOURIER), (1, Basis.COMPUTATIONAL)]
-                else:
-                    prepped = state
-                    targets = [(0, Basis.COMPUTATIONAL), (1, Basis.COMPUTATIONAL)]
-                for sub in measure_all_branches(prepped, targets):
-                    if sub.outcome[0][2] != sub.outcome[1][2]:
-                        total += 0.25 * br.probability * sub.probability
-    return total
+    """Exact per-pair error probability of the intercept-resend attack: the
+    disagreeing mass of the enumerated pair law; no sampling involved."""
+    law, disagree = _pair_law(d, True)
+    return float(law[disagree].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +210,9 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
         pair = _Register(canonical_bell(d, 0, 0), (f"p{k}", f"coin{k}"))
         reg = _Register(tensor(reg.state, pair.state), reg.labels + pair.labels)
         reg = reg.walk(f"coin{k}", "pos", f)
-        options = list(reg.measure([(f"coin{k}", Basis.FOURIER)]))
-        probs = np.array([p for _, p, _ in options])
-        vals, _, reg = options[rng.choice(len(options), p=probs / probs.sum())]
+        vals, reg = reg.sample([(f"coin{k}", Basis.FOURIER)], rng)
         coin_results.append(int(vals[0]))
-    options = list(reg.measure([("pos", Basis.COMPUTATIONAL)]))
-    probs = np.array([p for _, p, _ in options])
-    vals, _, reg = options[rng.choice(len(options), p=probs / probs.sum())]
+    vals, reg = reg.sample([("pos", Basis.COMPUTATIONAL)], rng)
     u0 = int(vals[0])
     reg = reg.apply(fourier_inv_op(d), ["dealer"])
     reg = reg.reorder([f"p{k}" for k in range(1, participants + 1)] + ["dealer"])
@@ -322,15 +304,14 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                     f"coin results known to dealer only")
 
     targets = [(i, Basis.COMPUTATIONAL) for i in range(state.n)]
-    branches = measure_all_branches(state, targets)
-    probs = np.array([b.probability for b in branches])
-    br = branches[rng.choice(len(branches), p=probs / probs.sum())]
-    values = [v for (_, _, v) in br.outcome]
+    values = [v for (_, _, v) in sample_branch(state, targets, rng).outcome]
     t.participant_results = values[:-1]
     t.dealer_result = values[-1]
     t.events.append("step4: all parties measured their GHZ particle")
     for k, v in enumerate(t.participant_results, start=1):
-        assert v == (t.dealer_result + coins[k - 1]) % config.d
+        if v != (t.dealer_result + coins[k - 1]) % config.d:
+            raise AssertionError(f"participant {k} result {v} does not match "
+                                 f"the dealer's {t.dealer_result} + q~_{k}")
 
     t.secret = config.secret
     p = encode_public(config.secret, coins, t.dealer_result, config.participants)
@@ -342,7 +323,8 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
     # aggregate identity M*p + sum(q~) + M*r0 = S rather than the share sum
     t.shares = [p + v for v in t.participant_results]
     recon = reconstruct(p, coins, t.dealer_result, config.participants)
-    assert recon == config.secret
+    if recon != config.secret:
+        raise AssertionError(f"reconstructed {recon}, not the shared secret")
     t.reconstructed = recon
     t.events.append("step5: shares combined, secret reconstructed")
     return t

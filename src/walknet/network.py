@@ -685,11 +685,7 @@ def _simulate_step(step: ScheduleStep, states: dict[str, tuple[tuple[int, ...], 
     else:
         raise NetworkError(f"unknown action {step.action}")
 
-    # sample one branch
-    options = list(reg.measure(targets))
-    probs = np.array([p for _, p, _ in options])
-    pick = rng.choice(len(options), p=probs / probs.sum())
-    values, _, post = options[pick]
+    values, post = reg.sample(targets, rng)
     if step.action == "star-merge":
         post = post.apply(fourier_inv_op(d), [ft_label])
 

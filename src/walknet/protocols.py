@@ -74,6 +74,7 @@ from .qudit import (
     measure_all_branches,
     pauli_x,
     pauli_z,
+    sample_branch,
     shift_op,
     tensor,
 )
@@ -289,15 +290,23 @@ class _Register:
         st = walk_step(self.state, self.idx(coin), self.idx(pos), coin_op)
         return _Register(st, self.labels)
 
-    def measure(self, targets: list[tuple[str, Basis]]):
-        """Yield (values, probability, post register) per nonzero branch."""
+    def measure(self, targets: list[tuple[str, Basis]], rng: np.random.Generator | None = None):
+        """Yield (values, probability, post register) per nonzero branch, or
+        for the one Born-sampled branch only when ``rng`` is given."""
         site_targets = [(self.idx(lab), basis) for lab, basis in targets]
         kept = tuple(lab for lab in self.labels
                      if lab not in {t[0] for t in targets})
-        for br in measure_all_branches(self.state, site_targets):
+        branches = (measure_all_branches(self.state, site_targets) if rng is None
+                    else [sample_branch(self.state, site_targets, rng)])
+        for br in branches:
             values = tuple(v for (_, _, v) in br.outcome)
             post = _Register(br.post, kept) if br.post is not None else None
             yield values, br.probability, post
+
+    def sample(self, targets: list[tuple[str, Basis]], rng: np.random.Generator):
+        """(values, post register) of one Born-sampled branch."""
+        ((values, _, post),) = self.measure(targets, rng)
+        return values, post
 
     def reorder(self, new_order: list) -> "_Register":
         new_order = tuple(new_order)

@@ -291,14 +291,13 @@ def fidelity(a: QuditState, b: QuditState) -> float:
 # Measurement
 # ---------------------------------------------------------------------------
 
-def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> list[Branch]:
-    """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
+def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
+    """Validate ``targets``; return (rows, probabilities, kept row indices).
 
-    Fourier-basis targets are realized by applying the inverse Fourier
-    transform to the site and then reading it out computationally, so the
-    reported value k corresponds to the basis element |k~>.  Branches with
-    probability below 1e-12 are pruned; the surviving probabilities sum to 1
-    within 1e-9.  Post-states have the measured sites removed.
+    Row r holds the unnormalized amplitudes of the unmeasured sites for the
+    outcome whose results, in target order, are the base-d digits of r.  Rows
+    below the pruning threshold are dropped; the kept ones must carry all the
+    probability mass.
     """
     if not targets:
         raise ValueError("no measurement targets given")
@@ -317,33 +316,39 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
             work = apply(work, finv, [s])
 
     t = len(sites)
-    rest = [i for i in range(n) if i not in sites]
     tens = np.moveaxis(work.tensor_view(), sites, range(t))
     rows = tens.reshape(d**t, d ** (n - t))
     probs = np.linalg.norm(rows, axis=1) ** 2
-
-    branches = []
-    for row_idx in np.nonzero(probs >= BRANCH_PRUNE)[0]:
-        p = float(probs[row_idx])
-        digits = []
-        r = int(row_idx)
-        for _ in range(t):
-            digits.append(r % d)
-            r //= d
-        digits.reverse()
-        outcome = tuple(
-            (site, basis, digits[i]) for i, (site, basis) in enumerate(targets)
-        )
-        if rest:
-            post = QuditState(d, len(rest), rows[row_idx] / np.sqrt(p))
-        else:
-            post = None
-        branches.append(Branch(outcome=outcome, probability=p, post=post))
-
-    total = sum(b.probability for b in branches)
+    kept = np.nonzero(probs >= BRANCH_PRUNE)[0]
+    total = float(probs[kept].sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise AssertionError(f"branch probabilities sum to {total}, not 1")
-    return branches
+    return rows, probs, kept
+
+
+def _branch(state: QuditState, targets: list[tuple[int, Basis]], row_idx: int,
+            p: float, post_amps: np.ndarray) -> Branch:
+    d, t, r = state.d, len(targets), int(row_idx)
+    outcome = tuple((site, basis, r // d ** (t - 1 - i) % d)
+                    for i, (site, basis) in enumerate(targets))
+    post = QuditState(d, state.n - t, post_amps) if state.n > t else None
+    return Branch(outcome=outcome, probability=float(p), post=post)
+
+
+def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> list[Branch]:
+    """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
+
+    Fourier-basis targets are realized by applying the inverse Fourier
+    transform to the site and then reading it out computationally, so the
+    reported value k corresponds to the basis element |k~>.  Branches with
+    probability below 1e-12 are pruned; the surviving probabilities sum to 1
+    within 1e-9.  Post-states have the measured sites removed.
+    """
+    rows, probs, kept = _outcome_rows(state, targets)
+    # one block for every post-state: one allocation, not one per branch
+    posts = rows[kept]
+    posts /= np.sqrt(probs[kept])[:, None]
+    return [_branch(state, targets, i, probs[i], post) for i, post in zip(kept, posts)]
 
 
 def sample_branch(
@@ -351,7 +356,13 @@ def sample_branch(
     targets: list[tuple[int, Basis]],
     rng: np.random.Generator,
 ) -> Branch:
-    """Draw a single measurement branch with Born-rule probability."""
-    branches = measure_all_branches(state, targets)
-    probs = np.array([b.probability for b in branches])
-    return branches[rng.choice(len(branches), p=probs / probs.sum())]
+    """Draw a single measurement branch with Born-rule probability.
+
+    Same pruning, checks and branch order as ``measure_all_branches``, and
+    one ``rng.choice`` over the kept branches, but only the drawn branch's
+    post-state is built.
+    """
+    rows, probs, kept = _outcome_rows(state, targets)
+    p = probs[kept]
+    i = kept[rng.choice(len(kept), p=p / p.sum())]
+    return _branch(state, targets, i, probs[i], rows[i] / np.sqrt(probs[i]))

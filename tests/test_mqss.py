@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from walknet import mqss
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
+    _pair_law,
     channel_check,
     encode_public,
     generate_shared_ghz,
@@ -34,11 +36,34 @@ def test_no_eavesdropper_error_rate_exactly_zero(d):
     assert not abort
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", range(2, 8))
 def test_intercept_resend_oracle_closed_form(d):
     # attacker guesses the right basis half the time; a wrong guess leaves
     # both readouts uniform, so the error probability is (1 - 1/d) / 2
     assert intercept_resend_error_rate(d) == pytest.approx((1 - 1 / d) / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("eavesdrop", [False, True])
+def test_pair_law_is_a_distribution(d, eavesdrop):
+    law, disagree = _pair_law(d, eavesdrop)
+    assert law.shape == disagree.shape
+    assert np.all(law > 0)
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_clean_law_puts_no_mass_on_disagreement(d):
+    law, disagree = _pair_law(d, False)
+    assert not disagree.any()
+    assert channel_check(d, pairs=100_000, seed=d) == (0.0, False)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_channel_check_is_seeded(d):
+    first = channel_check(d, pairs=2000, eavesdropper=INTERCEPT_RESEND, seed=11)
+    assert channel_check(d, pairs=2000, eavesdropper=INTERCEPT_RESEND, seed=11) == first
+    assert first[0] > 0
 
 
 def test_sampled_error_rate_matches_oracle_within_3_sigma():
@@ -156,3 +181,9 @@ def test_config_validation():
         MqssConfig(d=2, participants=2, secret=0, threshold=0.0).validate()
     with pytest.raises(ValueError):
         MqssConfig(d=2, participants=2, secret=0, eavesdrop_channel=5).validate()
+
+
+def test_run_mqss_wrong_reconstruction_raises(monkeypatch):
+    monkeypatch.setattr(mqss, "reconstruct", lambda *args: 12345)
+    with pytest.raises(AssertionError, match="reconstructed 12345"):
+        run_mqss(MqssConfig(d=2, participants=2, secret=1, detect_pairs=3, seed=9))

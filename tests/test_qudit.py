@@ -18,6 +18,7 @@ from walknet.qudit import (
     label_shift_op,
     measure_all_branches,
     pauli_ops,
+    sample_branch,
     shift_op,
     tensor,
 )
@@ -210,6 +211,49 @@ def test_branch_probabilities_sum_to_one():
 def test_measure_empty_targets_rejected():
     with pytest.raises(ValueError):
         measure_all_branches(canonical_bell(2, 0, 0), [])
+
+
+def _sampler_cases(d, rng):
+    """Random states plus states with pruned branches, each with random
+    mixed Fourier/computational targets over 1..n sites."""
+    n = 4 if d < 5 else 3
+    states = [canonical_ghz(d, n), basis_state(d, [1] * n)]
+    for _ in range(12):
+        amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+        states.append(QuditState(d, n, amps / np.linalg.norm(amps)))
+    for state in states:
+        sites = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        yield state, [(int(s), Basis.FOURIER if rng.random() < 0.5 else Basis.COMPUTATIONAL)
+                      for s in sites]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_sample_branch_matches_enumerate_then_choose(d):
+    rng = np.random.default_rng(40 + d)
+    for state, targets in _sampler_cases(d, rng):
+        seed = int(rng.integers(2**31))
+        ref_rng, rng_under_test = np.random.default_rng(seed), np.random.default_rng(seed)
+        branches = measure_all_branches(state, targets)
+        probs = np.array([b.probability for b in branches])
+        want = branches[ref_rng.choice(len(branches), p=probs / probs.sum())]
+        got = sample_branch(state, targets, rng_under_test)
+        assert got.outcome == want.outcome
+        assert got.probability == want.probability
+        if want.post is None:
+            assert got.post is None
+        else:
+            assert np.array_equal(got.post.amps, want.post.amps)
+        assert ref_rng.bit_generator.state == rng_under_test.bit_generator.state
+
+
+@pytest.mark.parametrize("targets", [
+    [],
+    [(0, Basis.COMPUTATIONAL), (0, Basis.FOURIER)],
+    [(2, Basis.COMPUTATIONAL)],
+])
+def test_sample_branch_validation(targets):
+    with pytest.raises(ValueError):
+        sample_branch(canonical_bell(2, 0, 0), targets, np.random.default_rng(0))
 
 
 def test_fidelity_properties():

@@ -1,0 +1,64 @@
+"""Golden outputs of the Born-sampled paths.
+
+Every sampled path draws one branch per measurement with the same
+``rng.choice`` over the same probability array, so these seeded outcomes
+must stay byte-identical when the sampler's internals change.
+"""
+
+import pytest
+
+from walknet import fractal
+from walknet.network import (
+    bundled_network_path,
+    distribute,
+    execute_schedule,
+    load_network,
+    plan_distribution,
+    random_tree_instance,
+)
+
+NETWORK_14 = {
+    2: [([0, 0], "I"), ([0, 1], "X@1"), ([1, 0], "Z@0"), ([0, 0, 0, 0], "I"),
+        ([0, 0, 1, 0], "X@2 X@3 X@4")],
+    3: [([0, 1], "U[0,1]@1"), ([1, 1], "U[0,1]@1 Z^1@0"),
+        ([1, 2], "U[0,2]@1 Z^1@0"), ([0, 0, 0, 2], "Z^2@0"),
+        ([0, 1, 0, 2], "U[0,1]@1 Z^2@0")],
+}
+
+
+def _trace(result):
+    return [(o["outcome"], o["correction"]) for o in result.outcomes]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_network14_outcomes(d):
+    net = load_network(bundled_network_path())
+    _, _, result = distribute(net, [1, 2, 5, 12, 13, 14], d=d, seed=11)
+    assert _trace(result) == NETWORK_14[d]
+
+
+def test_random_tree_outcomes():
+    net, tree = random_tree_instance(2, max_nodes=10, max_terminals=4, d=3)
+    result = execute_schedule(plan_distribution(tree, net), d=3, seed=5)
+    assert sorted(tree.terminals) == [5, 6, 7, 8]
+    assert [o["action"] for o in result.outcomes] == ["pair-merge"] * 4 + ["star-merge"]
+    assert _trace(result) == [
+        ([2, 1], "U[0,1]@1 Z^2@0"), ([2, 1], "U[0,1]@1 Z^2@0"),
+        ([1, 1], "U[0,1]@1 Z^1@0"), ([0, 2], "U[0,2]@1"),
+        ([0, 0, 1, 1], "U[0,1]@2 Z^1@0")]
+
+
+def test_gasket_merge_corrections(monkeypatch):
+    labels = []
+    derive = fractal.derive_ghz_correction
+
+    def recording(state):
+        corr = derive(state)
+        labels.append(corr.label)
+        return corr
+
+    monkeypatch.setattr(fractal, "derive_ghz_correction", recording)
+    result = fractal.execute_merge_schedule(2, d=3, seed=4)
+    assert result.fidelity >= 1 - 1e-9
+    assert labels == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,2]@1 U[0,1]@2 Z^2@0",
+                      "U[0,2]@1 U[0,2]@2 Z^2@0", "U[0,1]@1 U[0,2]@2"]
