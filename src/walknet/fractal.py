@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .protocols import _Register, derive_ghz_correction
-from .qudit import Basis, QuditState, canonical_ghz, fidelity, identity_op, pauli_x, tensor
+from .protocols import derive_ghz_correction, run_stages, triangle_merge_stages
+from .qudit import QuditState, canonical_ghz, fidelity
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -134,11 +134,11 @@ class MergeRunResult:
 def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     """Simulate the whole composition, one sampled branch per merge.
 
-    Each merge is a local nine-site event over three GHZ triples: the qubit
-    variant walks coin-X across each shared corner, the qudit variant is the
-    two-stage identity-coin merge.  Corrections are derived per branch, so
-    each output triangle is restored to the canonical GHZ before it feeds the
-    next level.
+    Each merge is a local nine-site event over three GHZ triples, run as the
+    triangle-merge stages of ``protocols``: coin-X walks across each shared
+    corner at d = 2, the two-stage identity-coin merge at d > 2.  Corrections
+    are derived per branch, so each output triangle is restored to the
+    canonical GHZ before it feeds the next level.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -148,31 +148,10 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
         tri: canonical_ghz(d, 3) for tri in gasket.triangles}
     steps = merge_schedule(n)
     for step in steps:
-        t1, t2, t3 = step.inputs
-        state = tensor(tensor(states.pop(t1), states.pop(t2)), states.pop(t3))
-        labels = tuple((i, j) for i in range(3) for j in range(3))
-        reg = _Register(state, labels)
-        # role map per the triangle-merge layout: (a,q1,q6),(q2,b,q3),(q4,q5,c)
-        a, q1, q6 = (0, 0), (0, 1), (0, 2)
-        q2, b, q3 = (1, 0), (1, 1), (1, 2)
-        q5, q4, c = (2, 0), (2, 1), (2, 2)
-        if d == 2:
-            x = pauli_x(2)
-            reg = reg.walk(q1, q2, x).walk(q3, q4, x).walk(q5, q6, x)
-            targets = [(q1, Basis.FOURIER), (q3, Basis.FOURIER),
-                       (q5, Basis.FOURIER), (q2, Basis.COMPUTATIONAL),
-                       (q4, Basis.COMPUTATIONAL), (q6, Basis.COMPUTATIONAL)]
-            _, post = reg.sample(targets, rng)
-        else:
-            i_op = identity_op(d)
-            reg = reg.walk(q1, q2, i_op)
-            _, post = reg.sample([(q1, Basis.FOURIER), (q2, Basis.COMPUTATIONAL)], rng)
-            post = post.walk(q4, q3, i_op).walk(q5, q6, i_op)
-            _, post = post.sample([(q4, Basis.FOURIER), (q5, Basis.FOURIER),
-                                   (q6, Basis.COMPUTATIONAL),
-                                   (q3, Basis.COMPUTATIONAL)], rng)
-        # surviving labels are (a, b, c) in register order already
-        if post.labels != (a, b, c):
+        stages = triangle_merge_stages(d, [states.pop(t) for t in step.inputs],
+                                       qubit=d == 2)
+        ((_, _, post),) = run_stages(stages, rng)
+        if post.labels != ("a", "b", "c"):
             raise AssertionError(f"merge at {step.pos} left sites {post.labels}")
         corr = derive_ghz_correction(post.state)
         fixed = corr.apply_to(post.state)

@@ -35,14 +35,13 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import _Register, _product_register
+from .protocols import Stage, run_stages
 from .qudit import (
     Basis,
     QuditState,
     apply,
     basis_state,
     canonical_bell,
-    fidelity,
     fourier_inv_op,
     fourier_op,
     measure_all_branches,
@@ -202,21 +201,18 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     """
     if participants < 1:
         raise ValueError("need at least one participant")
-    rng = np.random.default_rng(seed)
-    f = fourier_op(d)
-    reg = _product_register(d, [(canonical_bell(d, 0, 0), ["pos", "dealer"])])
-    coin_results: list[int] = []
+    bell = canonical_bell(d, 0, 0)
+    stages = []
     for k in range(1, participants + 1):
-        pair = _Register(canonical_bell(d, 0, 0), (f"p{k}", f"coin{k}"))
-        reg = _Register(tensor(reg.state, pair.state), reg.labels + pair.labels)
-        reg = reg.walk(f"coin{k}", "pos", f)
-        vals, reg = reg.sample([(f"coin{k}", Basis.FOURIER)], rng)
-        coin_results.append(int(vals[0]))
-    vals, reg = reg.sample([("pos", Basis.COMPUTATIONAL)], rng)
-    u0 = int(vals[0])
-    reg = reg.apply(fourier_inv_op(d), ["dealer"])
+        add = ((bell, ("pos", "dealer")),) if k == 1 else ()
+        stages.append(Stage(add=add + ((bell, (f"p{k}", f"coin{k}")),),
+                            gates=((f"coin{k}", "pos", fourier_op(d)),),
+                            targets=((f"coin{k}", Basis.FOURIER),)))
+    stages.append(Stage(targets=(("pos", Basis.COMPUTATIONAL),),
+                        after=(("dealer", fourier_inv_op(d)),)))
+    ((values, _, reg),) = run_stages(stages, np.random.default_rng(seed))
     reg = reg.reorder([f"p{k}" for k in range(1, participants + 1)] + ["dealer"])
-    return reg.state, coin_results, u0
+    return reg.state, list(values[:-1]), values[-1]
 
 
 def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditState:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import _Register, derive_ghz_correction
+from .protocols import Stage, derive_ghz_correction, run_stages, star_merge_stage
 from .qudit import (
     SIZE_CAP,
     Basis,
@@ -39,10 +39,7 @@ from .qudit import (
     canonical_bell,
     canonical_ghz,
     fidelity,
-    fourier_inv_op,
-    fourier_op,
     identity_op,
-    tensor,
 )
 
 FIDELITY_TOL = 1e-9
@@ -612,89 +609,47 @@ class DistributionResult:
         return out
 
 
-def _slot_of(parties: tuple[int, ...], node: int) -> int:
-    return parties.index(node)
-
-
 def _simulate_step(step: ScheduleStep, states: dict[str, tuple[tuple[int, ...], QuditState]],
                    d: int, rng: np.random.Generator) -> dict:
+    """Run one schedule step as a single stage on its input resources.
+
+    A particle is labeled (resource id, slot in the resource's party tuple).
+    """
     involved = list(step.coin_inputs)
     if step.position_input is not None:
         involved.append(step.position_input)
-
-    parts = []
-    labels_of: dict[str, list[tuple[str, int]]] = {}
-    total_sites = 0
-    for rid in involved:
-        parties, st = states[rid]
-        labels = [(rid, i) for i in range(len(parties))]
-        labels_of[rid] = labels
-        parts.append((st, labels))
-        total_sites += len(parties)
-    if step.local_pair is not None:
-        total_sites += 2
-    if d**total_sites > SIZE_CAP:
-        raise NetworkError(
-            f"step at node {step.node} needs {total_sites} live sites at d={d}; "
-            "over the dense cap -- use symbolic mode")
-    if step.local_pair is not None:
-        parts.append((canonical_bell(d, 0, 0),
-                      [(step.local_pair, 0), (step.local_pair, 1)]))
-        states[step.local_pair] = ((step.node, step.node), None)
-
-    state = parts[0][0]
-    labels = list(parts[0][1])
-    for st, labs in parts[1:]:
-        state = tensor(state, st)
-        labels.extend(labs)
-    reg = _Register(state, tuple(labels))
+    node_of = {(rid, i): p for rid in involved for i, p in enumerate(states[rid][0])}
+    add = [(states[rid][1], tuple((rid, i) for i in range(len(states[rid][0]))))
+           for rid in involved]
+    local = step.local_pair
+    if local is not None:
+        add.append((canonical_bell(d, 0, 0), ((local, 0), (local, 1))))
+        node_of[(local, 0)] = node_of[(local, 1)] = step.node
 
     def particle(rid: str) -> tuple[str, int]:
-        parties = states[rid][0]
-        return (rid, _slot_of(parties, step.node))
-
-    F = fourier_op(d)
-    I = identity_op(d)
-    targets: list[tuple[tuple[str, int], Basis]] = []
+        return (rid, states[rid][0].index(step.node))
 
     if step.action == "pair-merge":
-        coin = particle(step.coin_inputs[0])
-        pos = particle(step.position_input)
-        reg = reg.walk(coin, pos, I)
-        targets = [(coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)]
-        ft_label = None
+        coin, pos = particle(step.coin_inputs[0]), particle(step.position_input)
+        stage = Stage(tuple(add), gates=((coin, pos, identity_op(d)),),
+                      targets=((coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
     elif step.action == "star-merge":
+        coins = [particle(rid) for rid in step.coin_inputs]
         if step.local_role == "position":
-            pos = (step.local_pair, 0)
-            ft_label = (step.local_pair, 1)
+            pos, far = (local, 0), (local, 1)
         else:
             pos = particle(step.position_input)
-            pos_parties = states[step.position_input][0]
-            far = 1 - _slot_of(pos_parties, step.node)
-            ft_label = (step.position_input, far)
-        coin_particles = [particle(rid) for rid in step.coin_inputs]
+            far = (step.position_input, 1 - pos[1])
         if step.local_role == "coin":
-            coin_particles.append((step.local_pair, 0))
-        for cp in coin_particles:
-            reg = reg.walk(cp, pos, F)
-        targets = [(cp, Basis.FOURIER) for cp in coin_particles]
-        targets.append((pos, Basis.COMPUTATIONAL))
+            coins.append((local, 0))
+        stage = star_merge_stage(d, coins, pos, far, add)
     elif step.action == "release":
-        targets = [(particle(step.coin_inputs[0]), Basis.FOURIER)]
-        ft_label = None
+        stage = Stage(tuple(add), targets=((particle(step.coin_inputs[0]), Basis.FOURIER),))
     else:
         raise NetworkError(f"unknown action {step.action}")
-
-    values, post = reg.sample(targets, rng)
-    if step.action == "star-merge":
-        post = post.apply(fourier_inv_op(d), [ft_label])
+    ((values, _, post),) = run_stages([stage], rng)
 
     # reorder surviving sites to the step's documented output order
-    node_of = {}
-    for rid in involved + ([step.local_pair] if step.local_pair else []):
-        parties = (step.node, step.node) if rid == step.local_pair else states[rid][0]
-        for i, p in enumerate(parties):
-            node_of[(rid, i)] = p
     want: list[tuple[str, int]] = []
     remaining = list(post.labels)
     for party in step.output_parties:
@@ -710,12 +665,51 @@ def _simulate_step(step: ScheduleStep, states: dict[str, tuple[tuple[int, ...], 
     if fid < 1 - FIDELITY_TOL:
         raise NetworkError(f"step at node {step.node} failed to recover GHZ (fid={fid})")
 
-    for rid in involved + ([step.local_pair] if step.local_pair else []):
-        states.pop(rid, None)
+    for rid in involved:
+        del states[rid]
     states[step.output_id] = (step.output_parties, corrected)
     return {"node": step.node, "action": step.action,
             "outcome": [int(v) for v in values], "correction": corr.label,
             "step_fidelity": fid}
+
+
+def _ledger(schedule: SwapSchedule) -> tuple[list[dict], dict[str, tuple[int, ...]]]:
+    """Symbolic pass: party-set bookkeeping with site conservation per step.
+
+    Returns the per-step ledger and the resources left live at the end.
+    """
+    live: dict[str, tuple[int, ...]] = {
+        rid: res.parties for rid, res in schedule.initial.items()}
+    ledger = []
+    for step in schedule.steps:
+        inputs = list(step.coin_inputs)
+        if step.position_input is not None:
+            inputs.append(step.position_input)
+        sites_in = 0
+        for rid in inputs:
+            if rid not in live:
+                raise NetworkError(f"step consumes unknown resource {rid}")
+            if step.node not in live[rid]:
+                raise NetworkError(f"resource {rid} has no particle at node {step.node}")
+            sites_in += len(live[rid])
+        if step.local_pair is not None:
+            sites_in += 2
+        if step.action == "pair-merge":
+            measured = 2
+        elif step.action == "star-merge":
+            measured = len(step.coin_inputs) + 1 + (1 if step.local_role == "coin" else 0)
+        else:
+            measured = 1
+        if sites_in - measured != len(step.output_parties):
+            raise NetworkError("site conservation violated in schedule step")
+        for rid in inputs:
+            del live[rid]
+        live[step.output_id] = step.output_parties
+        ledger.append({"node": step.node, "action": step.action,
+                       "sites_in": sites_in, "measured": measured,
+                       "output": step.output_id,
+                       "parties": list(step.output_parties)})
+    return ledger, live
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
@@ -725,52 +719,26 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     simulated: state-vector execution; one Born-sampled branch per step, the
     derived correction applied, per-step and final canonical-GHZ fidelity
     checks.  Independent resources stay factored, so the cap applies per
-    merge event rather than to the whole network.
+    merge event rather than to the whole network; a schedule with any step
+    over the cap is refused before the first step is sampled.
     symbolic: party-set bookkeeping with site conservation per step.
     """
+    if mode not in ("symbolic", "simulated"):
+        raise NetworkError(f"unknown mode {mode!r}")
     terminals = schedule.terminals
+    consumed = len(schedule.initial) + sum(1 for s in schedule.steps if s.local_pair)
+    ledger, live = _ledger(schedule)
     if mode == "symbolic":
-        live: dict[str, tuple[int, ...]] = {
-            rid: res.parties for rid, res in schedule.initial.items()}
-        ledger = []
-        for step in schedule.steps:
-            inputs = list(step.coin_inputs)
-            if step.position_input is not None:
-                inputs.append(step.position_input)
-            sites_in = 0
-            for rid in inputs:
-                if rid not in live:
-                    raise NetworkError(f"step consumes unknown resource {rid}")
-                if step.node not in live[rid]:
-                    raise NetworkError(f"resource {rid} has no particle at node {step.node}")
-                sites_in += len(live[rid])
-            if step.local_pair is not None:
-                sites_in += 2
-            if step.action == "pair-merge":
-                measured = 2
-            elif step.action == "star-merge":
-                measured = len(step.coin_inputs) + 1 + (1 if step.local_role == "coin" else 0)
-            else:
-                measured = 1
-            if sites_in - measured != len(step.output_parties):
-                raise NetworkError("site conservation violated in schedule step")
-            for rid in inputs:
-                del live[rid]
-            live[step.output_id] = step.output_parties
-            ledger.append({"node": step.node, "action": step.action,
-                           "sites_in": sites_in, "measured": measured,
-                           "output": step.output_id,
-                           "parties": list(step.output_parties)})
-        final_parties = _final_parties(live, terminals)
         return DistributionResult(
             mode="symbolic", terminals=terminals, step_count=len(schedule.steps),
-            resources_consumed=len(schedule.initial) + sum(
-                1 for s in schedule.steps if s.local_pair),
-            final_parties=final_parties, ledger=ledger)
+            resources_consumed=consumed,
+            final_parties=_final_parties(live, terminals), ledger=ledger)
 
-    if mode != "simulated":
-        raise NetworkError(f"unknown mode {mode!r}")
-
+    for step, entry in zip(schedule.steps, ledger):
+        if d ** entry["sites_in"] > SIZE_CAP:
+            raise NetworkError(
+                f"step at node {step.node} needs {entry['sites_in']} live sites at "
+                f"d={d}; over the dense cap -- use symbolic mode")
     rng = np.random.default_rng(seed)
     states: dict[str, tuple[tuple[int, ...], QuditState]] = {}
     for rid, res in schedule.initial.items():
@@ -793,10 +761,8 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     fid = fidelity(final_state, canonical_ghz(d, len(terminals)))
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
-        resources_consumed=len(schedule.initial) + sum(
-            1 for s in schedule.steps if s.local_pair),
-        final_parties=final_parties, fidelity=fid, final_state=final_state,
-        outcomes=outcomes)
+        resources_consumed=consumed, final_parties=final_parties, fidelity=fid,
+        final_state=final_state, outcomes=outcomes)
 
 
 def _final_parties(live: dict[str, tuple[int, ...]], terminals: tuple[int, ...]):

@@ -49,6 +49,16 @@ triangle-merge-d  same triple layout; coin-I walk q1->q2 measured first
                   (results p1,u1), then coin-I walks q4->q3 and q5->q6
                   measured (p2,p3,u2,u3); the position values satisfy
                   u1 + u2 = u3 (mod d) on every nonzero branch; output (a,b,c).
+                  The gasket merges in ``fractal`` run these same stages, in
+                  the same triple layout, on their stored triangle states.
+
+Circuits as data
+----------------
+Each circuit is a tuple of ``Stage`` records (resources to add, walks and
+single-site gates, measurement targets, post-measurement gates) run by one
+interpreter, ``run_stages``: exhaustively here, one Born-sampled branch per
+stage for the gasket merges, the network merge steps (``star_merge_stage``
+also serves ghz-from-bells-d) and the secret-sharing GHZ generation.
 """
 
 from __future__ import annotations
@@ -67,6 +77,7 @@ from .qudit import (
     canonical_bell,
     canonical_ghz,
     clock_power_op,
+    fidelity,
     fourier_inv_op,
     fourier_op,
     identity_op,
@@ -268,29 +279,33 @@ def outcome_parity(bits) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Labeled-register helper
+# Labeled register and the stage interpreter
 # ---------------------------------------------------------------------------
 
-class _Register:
+class Register:
     """A state plus the particle label of each live site."""
 
-    def __init__(self, state: QuditState, labels: tuple[str, ...]):
-        assert state.n == len(labels)
+    def __init__(self, state: QuditState, labels: tuple):
+        if state.n != len(labels):
+            raise ValueError(f"{len(labels)} labels for a state of {state.n} sites")
         self.state = state
-        self.labels = labels
+        self.labels = tuple(labels)
 
-    def idx(self, label: str) -> int:
+    def idx(self, label) -> int:
         return self.labels.index(label)
 
-    def apply(self, op: OperatorMatrix, labels: list[str]) -> "_Register":
+    def add(self, state: QuditState, labels: tuple) -> "Register":
+        return Register(tensor(self.state, state), self.labels + tuple(labels))
+
+    def apply(self, op: OperatorMatrix, labels: list) -> "Register":
         sites = [self.idx(x) for x in labels]
-        return _Register(apply(self.state, op, sites), self.labels)
+        return Register(apply(self.state, op, sites), self.labels)
 
-    def walk(self, coin: str, pos: str, coin_op: OperatorMatrix) -> "_Register":
+    def walk(self, coin, pos, coin_op: OperatorMatrix) -> "Register":
         st = walk_step(self.state, self.idx(coin), self.idx(pos), coin_op)
-        return _Register(st, self.labels)
+        return Register(st, self.labels)
 
-    def measure(self, targets: list[tuple[str, Basis]], rng: np.random.Generator | None = None):
+    def measure(self, targets, rng: np.random.Generator | None = None):
         """Yield (values, probability, post register) per nonzero branch, or
         for the one Born-sampled branch only when ``rng`` is given."""
         site_targets = [(self.idx(lab), basis) for lab, basis in targets]
@@ -300,15 +315,10 @@ class _Register:
                     else [sample_branch(self.state, site_targets, rng)])
         for br in branches:
             values = tuple(v for (_, _, v) in br.outcome)
-            post = _Register(br.post, kept) if br.post is not None else None
+            post = Register(br.post, kept) if br.post is not None else None
             yield values, br.probability, post
 
-    def sample(self, targets: list[tuple[str, Basis]], rng: np.random.Generator):
-        """(values, post register) of one Born-sampled branch."""
-        ((values, _, post),) = self.measure(targets, rng)
-        return values, post
-
-    def reorder(self, new_order: list) -> "_Register":
+    def reorder(self, new_order: list) -> "Register":
         new_order = tuple(new_order)
         if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
             raise ValueError("reorder must permute the existing labels")
@@ -316,15 +326,87 @@ class _Register:
         tens = np.moveaxis(self.state.tensor_view(), perm, range(len(perm)))
         state = QuditState(self.state.d, self.state.n,
                            np.ascontiguousarray(tens.reshape(-1)))
-        return _Register(state, new_order)
+        return Register(state, new_order)
 
 
-def _product_register(d: int, parts: list[tuple[QuditState, list[str]]]) -> _Register:
-    state, labels = parts[0][0], list(parts[0][1])
-    for st, labs in parts[1:]:
-        state = tensor(state, st)
-        labels.extend(labs)
-    return _Register(state, tuple(labels))
+@dataclass(frozen=True)
+class Stage:
+    """One round of a walk circuit, run in field order.
+
+    ``add`` tensors (state, labels) resources onto the register; ``gates``
+    runs walks, written (coin, position, coin op), and single-site unitaries,
+    written (label, op); ``targets`` lists the (label, basis) measurements;
+    ``after`` applies (label, op) unitaries to the post-measurement register.
+    """
+
+    add: tuple = ()
+    gates: tuple = ()
+    targets: tuple = ()
+    after: tuple = ()
+
+
+def run_stages(stages, rng: np.random.Generator | None = None):
+    """Run a walk circuit; yield (values, probability, register) per branch.
+
+    Without ``rng`` every nonzero branch comes out, in outcome order; values
+    are the results of all stages' targets in order and the probability is
+    their product.  With ``rng`` each stage draws its one Born-sampled branch
+    (one draw per stage), so exactly one branch comes out.
+    """
+    yield from _run(tuple(stages), (), 1.0, None, rng)
+
+
+def _run(stages, values, prob, reg, rng):
+    if not stages:
+        yield values, prob, reg
+        return
+    stage = stages[0]
+    for state, labels in stage.add:
+        reg = Register(state, labels) if reg is None else reg.add(state, labels)
+    for gate in stage.gates:
+        reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
+    branches = []
+    for vals, p, post in reg.measure(stage.targets, rng):
+        for label, op in stage.after:
+            post = post.apply(op, [label])
+        branches.append((vals, p, post))
+    del reg  # hold no pre-measurement state while later stages run
+    for vals, p, post in branches:
+        yield from _run(stages[1:], values + vals, prob * p, post, rng)
+
+
+def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
+    """Multi-coin star merge: every coin particle walks onto ``pos`` with a
+    Fourier coin; the coins are read in the Fourier basis, ``pos``
+    computationally, and the inverse Fourier lands on ``far``, the other
+    particle of the position pair."""
+    f = fourier_op(d)
+    return Stage(add=tuple(add), gates=tuple((c, pos, f) for c in coins),
+                 targets=tuple((c, Basis.FOURIER) for c in coins)
+                 + ((pos, Basis.COMPUTATIONAL),),
+                 after=((far, fourier_inv_op(d)),))
+
+
+TRIANGLE_LAYOUT = (("a", "q1", "q6"), ("q2", "b", "q3"), ("q4", "q5", "c"))
+
+
+def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
+    """Triangle merge of three GHZ triples laid out as TRIANGLE_LAYOUT.
+
+    The qubit variant walks coin X across each shared corner in one stage;
+    the qudit variant is the two-stage identity-coin merge.
+    """
+    add = tuple(zip(triples, TRIANGLE_LAYOUT))
+    f, c = Basis.FOURIER, Basis.COMPUTATIONAL
+    if qubit:
+        x = pauli_x(2)
+        return (Stage(add, gates=(("q1", "q2", x), ("q3", "q4", x), ("q5", "q6", x)),
+                      targets=(("q1", f), ("q3", f), ("q5", f),
+                               ("q2", c), ("q4", c), ("q6", c))),)
+    i = identity_op(d)
+    return (Stage(add, gates=(("q1", "q2", i),), targets=(("q1", f), ("q2", c))),
+            Stage(gates=(("q4", "q3", i), ("q5", "q6", i)),
+                  targets=(("q4", f), ("q5", f), ("q6", c), ("q3", c))))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +463,8 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
                         label=" ".join(names) if names else "I")
 
 
-def _shift_phase_correction(d: int, n_out: int, shifts: dict[int, int],
-                            t: int, phase_site: int = 0) -> CorrectionOp:
+def _shift_phase_correction(d: int, shifts: dict[int, int], t: int,
+                            phase_site: int = 0) -> CorrectionOp:
     """Correction made of label shifts per site plus one clock power."""
     ops = []
     names = []
@@ -402,39 +484,35 @@ def _shift_phase_correction(d: int, n_out: int, shifts: dict[int, int],
 # Table-rule corrections for the qubit protocols
 # ---------------------------------------------------------------------------
 
-def _op_product(d: int, site_ops: list[tuple[int, str]], sign: int) -> CorrectionOp:
+def qubit_correction(site_ops: list[tuple[int, str]], sign: int) -> CorrectionOp:
     """Build a qubit correction from (site, 'X'|'Z') factors applied in order."""
-    mats = {"X": pauli_x(d), "Z": pauli_z(d)}
+    mats = {"X": pauli_x(2), "Z": pauli_z(2)}
     ops = tuple((site, name, mats[name]) for site, name in site_ops)
     label = ("-" if sign < 0 else "") + (
         "".join(f"{name}{site + 1}" for site, name in reversed(site_ops)) or "I")
     return CorrectionOp(ops=ops, global_phase=complex(sign), label=label)
 
 
-def _bell_swap_2d_correction(outcome: tuple[int, int]) -> CorrectionOp:
-    table = {
-        (0, 0): ([(0, "X")], +1),
-        (0, 1): ([], +1),
-        (1, 0): ([(0, "X"), (0, "Z")], +1),   # Z1 X1
-        (1, 1): ([(0, "Z")], -1),             # -Z1
-    }
-    site_ops, sign = table[outcome]
-    return _op_product(2, site_ops, sign)
+# Reference rows of the two qubit swaps, the corrections' single source:
+# outcome -> (residual state terms over the outputs, [(site, op)...], sign,
+# listed label).  tables.verify_table checks every row against the simulator.
+TABLE_1 = {
+    (0, 0): ([(1, "01"), (1, "10")], [(0, "X")], +1, "X1"),
+    (0, 1): ([(1, "00"), (1, "11")], [], +1, "I1"),
+    (1, 0): ([(1, "10"), (-1, "01")], [(0, "X"), (0, "Z")], +1, "Z1X1"),
+    (1, 1): ([(1, "11"), (-1, "00")], [(0, "Z")], -1, "-Z1"),
+}
 
-
-def _ghz_swap_2d_correction(outcome: tuple[int, int, int]) -> CorrectionOp:
-    table = {
-        (0, 0, 0): ([(0, "X")], +1),
-        (0, 0, 1): ([], +1),
-        (0, 1, 0): ([(0, "Z")], +1),
-        (0, 1, 1): ([(0, "Z"), (0, "X")], +1),  # X1 Z1
-        (1, 0, 0): ([(0, "X"), (0, "Z")], +1),  # Z1 X1
-        (1, 0, 1): ([(0, "Z")], -1),
-        (1, 1, 0): ([], -1),
-        (1, 1, 1): ([(0, "X")], -1),
-    }
-    site_ops, sign = table[outcome]
-    return _op_product(2, site_ops, sign)
+TABLE_2 = {
+    (0, 0, 0): ([(1, "011"), (1, "100")], [(0, "X")], +1, "X1"),
+    (0, 0, 1): ([(1, "000"), (1, "111")], [], +1, "I1"),
+    (0, 1, 0): ([(1, "000"), (-1, "111")], [(0, "Z")], +1, "Z1"),
+    (0, 1, 1): ([(1, "011"), (-1, "100")], [(0, "Z"), (0, "X")], +1, "X1Z1"),
+    (1, 0, 0): ([(-1, "011"), (1, "100")], [(0, "X"), (0, "Z")], +1, "Z1X1"),
+    (1, 0, 1): ([(-1, "000"), (1, "111")], [(0, "Z")], -1, "-Z1"),
+    (1, 1, 0): ([(-1, "000"), (-1, "111")], [], -1, "-I1"),
+    (1, 1, 1): ([(-1, "011"), (-1, "100")], [(0, "X")], -1, "-X1"),
+}
 
 
 def _method1_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionOp:
@@ -445,11 +523,11 @@ def _method1_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionO
     flips = [(j, "X") for j in range(a_out)]
     if b1 == y:
         if a1 == 0:
-            return _op_product(2, flips + ([(0, "Z")] if y else []), +1)
-        return _op_product(2, flips + ([(0, "Z")] if (y + 1) % 2 else []), -1)
+            return qubit_correction(flips + ([(0, "Z")] if y else []), +1)
+        return qubit_correction(flips + ([(0, "Z")] if (y + 1) % 2 else []), -1)
     if a1 == 0:
-        return _op_product(2, [(0, "Z")] if y else [], +1)
-    return _op_product(2, [(0, "Z")] if (y + 1) % 2 else [], -1)
+        return qubit_correction([(0, "Z")] if y else [], +1)
+    return qubit_correction([(0, "Z")] if (y + 1) % 2 else [], -1)
 
 
 def _method2_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionOp:
@@ -468,188 +546,78 @@ def _method2_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionO
     sign = -1 if n_parity else +1  # (-Z)^N carries the sign
     z = [(0, "Z")] if n_parity else []
     if b == 0:
-        return _op_product(2, [(j, "X") for j in range(a_out)] + z, sign)
-    return _op_product(2, z, sign)
+        return qubit_correction([(j, "X") for j in range(a_out)] + z, sign)
+    return qubit_correction(z, sign)
 
 
 # ---------------------------------------------------------------------------
-# Protocol construction
+# Protocol circuits
 # ---------------------------------------------------------------------------
 
-def _a_labels(m):
-    return [f"a{i}" for i in range(1, m + 1)]
-
-def _b_labels(n):
-    return [f"b{i}" for i in range(1, n + 1)]
+def _labels(prefix: str, count: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def _enumerate_single_stage(reg: _Register, targets: list[tuple[str, Basis]]):
-    return [(vals, p, post) for vals, p, post in reg.measure(targets)]
+def _circuit(spec: ProtocolSpec) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
+    """The protocol's stages and the labels of its output particles."""
+    d, kd, K = spec.d, spec.kind, ProtocolKind
+    fb, cb = Basis.FOURIER, Basis.COMPUTATIONAL
+    x2 = pauli_x(2)
 
+    if kd in (K.BELL_SWAP_2D, K.BELL_SWAP_D):
+        bm, bn, bp, bq = spec.bell_labels if kd is K.BELL_SWAP_D else (0, 0, 0, 0)
+        coin = x2 if kd is K.BELL_SWAP_2D else identity_op(d)
+        stage = Stage(add=((canonical_bell(d, bm, bn), ("1", "2")),
+                           (canonical_bell(d, bp, bq), ("3", "4"))),
+                      gates=(("2", "3", coin),), targets=(("2", fb), ("3", cb)))
+        return (stage,), ("1", "4")
 
-def _build_branches(spec: ProtocolSpec):
-    """Run the protocol circuit; return (measured, output_labels, raw branches).
+    if kd in (K.GHZ_SWAP_2D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D):
+        # coins a2..am walk onto b1; the qudit kinds then inverse-Fourier a1
+        if kd is K.GHZ_MULTI_COIN_D:
+            a, b = _labels("a", spec.m), _labels("b", spec.n)
+        else:
+            a, b = ("1", "2", "3"), ("4", "5", "6")
+        if kd is K.GHZ_SWAP_2D:
+            coins, fix = ((a[1], x2, fb), (a[2], fourier_op(2), cb)), ()
+        else:
+            coins = tuple((c, fourier_op(d), fb) for c in a[1:])
+            fix = ((a[0], fourier_inv_op(d)),)
+        stage = Stage(add=((canonical_ghz(d, len(a)), a), (canonical_ghz(d, len(b)), b)),
+                      gates=tuple((c, b[0], op) for c, op, _ in coins) + fix,
+                      targets=tuple((c, basis) for c, _, basis in coins) + ((b[0], cb),))
+        return (stage,), a[:1] + b[1:]
 
-    Raw branches are (outcome values, probability, post register).
-    """
-    d = spec.d
-    kd = spec.kind
-    F = fourier_op(d)
-    H = fourier_op(2)
-    X2 = pauli_x(2)
-    I = identity_op(d)
+    if kd in (K.MERGE_METHOD_1, K.MERGE_COMBINED,
+              K.MERGE_METHOD_2, K.GHZ_PARALLEL_D):
+        # a_i walks onto b_i for i = 1..l (coin X; I for ghz-parallel-d), then
+        # coins H a_{l+1}..a_k walk onto b_l: method 1 is l = 1, the parallel
+        # merges l = k.  a_1..a_l are read in the Fourier basis unless retained.
+        a, b, k = _labels("a", spec.m), _labels("b", spec.n), spec.k
+        l = {K.MERGE_METHOD_1: 1, K.MERGE_COMBINED: spec.l}.get(kd, k)
+        coin = identity_op(d) if kd is K.GHZ_PARALLEL_D else x2
+        gates = (tuple((a[i], b[i], coin) for i in range(l))
+                 + tuple((a[i], b[l - 1], fourier_op(2)) for i in range(l, k)))
+        targets = (tuple((a[i], cb) for i in range(l, k))
+                   + tuple((b[i], cb) for i in range(l)))
+        retained = a[:l] if spec.retain_coins else ()
+        if not retained:
+            targets = tuple((a[i], fb) for i in range(l)) + targets
+        stage = Stage(add=((canonical_ghz(d, spec.m), a), (canonical_ghz(d, spec.n), b)),
+                      gates=gates, targets=targets)
+        return (stage,), retained + a[k:] + b[l:]
 
-    if kd is ProtocolKind.BELL_SWAP_2D:
-        reg = _product_register(2, [
-            (canonical_bell(2, 0, 0), ["1", "2"]),
-            (canonical_bell(2, 0, 0), ["3", "4"]),
-        ])
-        reg = reg.walk("2", "3", X2)
-        measured = [("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)]
-        return measured, ("1", "4"), _enumerate_single_stage(reg, measured)
+    if kd is K.GHZ_FROM_BELLS_D:
+        pairs = [(str(2 * j - 1), str(2 * j)) for j in range(1, spec.bells + 2)]
+        (pos, far) = pairs[-1]
+        stage = star_merge_stage(d, [coin for _, coin in pairs[:-1]], pos, far,
+                                 [(canonical_bell(d, 0, 0), p) for p in pairs])
+        return (stage,), tuple(p for p, _ in pairs[:-1]) + (far,)
 
-    if kd is ProtocolKind.GHZ_SWAP_2D:
-        reg = _product_register(2, [
-            (canonical_ghz(2, 3), ["1", "2", "3"]),
-            (canonical_ghz(2, 3), ["4", "5", "6"]),
-        ])
-        reg = reg.walk("2", "4", X2)
-        reg = reg.walk("3", "4", H)
-        measured = [("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL),
-                    ("4", Basis.COMPUTATIONAL)]
-        return measured, ("1", "5", "6"), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.MERGE_METHOD_1:
-        m, n, k = spec.m, spec.n, spec.k
-        a, b = _a_labels(m), _b_labels(n)
-        reg = _product_register(2, [
-            (canonical_ghz(2, m), a), (canonical_ghz(2, n), b)])
-        reg = reg.walk(a[0], b[0], X2)
-        for i in range(1, k):
-            reg = reg.walk(a[i], b[0], H)
-        measured = [(a[i], Basis.COMPUTATIONAL) for i in range(1, k)]
-        if not spec.retain_coins:
-            measured = [(a[0], Basis.FOURIER)] + measured
-        measured += [(b[0], Basis.COMPUTATIONAL)]
-        outputs = ([a[0]] if spec.retain_coins else []) + a[k:] + b[1:]
-        return measured, tuple(outputs), _enumerate_single_stage(reg, measured)
-
-    if kd in (ProtocolKind.MERGE_METHOD_2, ProtocolKind.GHZ_PARALLEL_D):
-        m, n, k = spec.m, spec.n, spec.k
-        coin = X2 if kd is ProtocolKind.MERGE_METHOD_2 else I
-        a, b = _a_labels(m), _b_labels(n)
-        reg = _product_register(d, [
-            (canonical_ghz(d, m), a), (canonical_ghz(d, n), b)])
-        for i in range(k):
-            reg = reg.walk(a[i], b[i], coin)
-        measured = []
-        if not spec.retain_coins:
-            measured += [(a[i], Basis.FOURIER) for i in range(k)]
-        measured += [(b[i], Basis.COMPUTATIONAL) for i in range(k)]
-        outputs = (a if spec.retain_coins else a[k:]) + b[k:]
-        return measured, tuple(outputs), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.MERGE_COMBINED:
-        m, n, k, l = spec.m, spec.n, spec.k, spec.l
-        a, b = _a_labels(m), _b_labels(n)
-        reg = _product_register(2, [
-            (canonical_ghz(2, m), a), (canonical_ghz(2, n), b)])
-        for i in range(l - 1):                 # method-2 part
-            reg = reg.walk(a[i], b[i], X2)
-        reg = reg.walk(a[l - 1], b[l - 1], X2)  # method-1 part: coins a_l..a_k
-        for i in range(l, k):
-            reg = reg.walk(a[i], b[l - 1], H)
-        measured = ([(a[i], Basis.FOURIER) for i in range(l - 1)]
-                    + [(a[l - 1], Basis.FOURIER)]
-                    + [(a[i], Basis.COMPUTATIONAL) for i in range(l, k)]
-                    + [(b[i], Basis.COMPUTATIONAL) for i in range(l)])
-        outputs = a[k:] + b[l:]
-        return measured, tuple(outputs), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.BELL_SWAP_D:
-        bm, bn, bp, bq = spec.bell_labels
-        reg = _product_register(d, [
-            (canonical_bell(d, bm, bn), ["1", "2"]),
-            (canonical_bell(d, bp, bq), ["3", "4"]),
-        ])
-        reg = reg.walk("2", "3", I)
-        measured = [("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)]
-        return measured, ("1", "4"), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.GHZ_SWAP_D:
-        reg = _product_register(d, [
-            (canonical_ghz(d, 3), ["1", "2", "3"]),
-            (canonical_ghz(d, 3), ["4", "5", "6"]),
-        ])
-        reg = reg.walk("2", "4", F)
-        reg = reg.walk("3", "4", F)
-        reg = reg.apply(fourier_inv_op(d), ["1"])
-        measured = [("2", Basis.FOURIER), ("3", Basis.FOURIER),
-                    ("4", Basis.COMPUTATIONAL)]
-        return measured, ("1", "5", "6"), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.GHZ_MULTI_COIN_D:
-        m, n = spec.m, spec.n
-        a, b = _a_labels(m), _b_labels(n)
-        reg = _product_register(d, [
-            (canonical_ghz(d, m), a), (canonical_ghz(d, n), b)])
-        for i in range(1, m):
-            reg = reg.walk(a[i], b[0], F)
-        reg = reg.apply(fourier_inv_op(d), [a[0]])
-        measured = ([(a[i], Basis.FOURIER) for i in range(1, m)]
-                    + [(b[0], Basis.COMPUTATIONAL)])
-        outputs = [a[0]] + b[1:]
-        return measured, tuple(outputs), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.GHZ_FROM_BELLS_D:
-        M = spec.bells
-        parts = []
-        for j in range(1, M + 2):
-            parts.append((canonical_bell(d, 0, 0), [str(2 * j - 1), str(2 * j)]))
-        reg = _product_register(d, parts)
-        pos = str(2 * M + 1)
-        for j in range(1, M + 1):
-            reg = reg.walk(str(2 * j), pos, F)
-        measured = ([(str(2 * j), Basis.FOURIER) for j in range(1, M + 1)]
-                    + [(pos, Basis.COMPUTATIONAL)])
-        outputs = tuple([str(2 * j - 1) for j in range(1, M + 1)] + [str(2 * M + 2)])
-        branches = []
-        finv = fourier_inv_op(d)
-        for vals, p, post in reg.measure(measured):
-            post = post.apply(finv, [str(2 * M + 2)])
-            branches.append((vals, p, post))
-        return measured, outputs, branches
-
-    if kd is ProtocolKind.TRIANGLE_MERGE_2D:
-        reg = _product_register(2, [
-            (canonical_ghz(2, 3), ["a", "q1", "q6"]),
-            (canonical_ghz(2, 3), ["q2", "b", "q3"]),
-            (canonical_ghz(2, 3), ["q4", "q5", "c"]),
-        ])
-        reg = reg.walk("q1", "q2", X2)
-        reg = reg.walk("q3", "q4", X2)
-        reg = reg.walk("q5", "q6", X2)
-        measured = [("q1", Basis.FOURIER), ("q3", Basis.FOURIER),
-                    ("q5", Basis.FOURIER), ("q2", Basis.COMPUTATIONAL),
-                    ("q4", Basis.COMPUTATIONAL), ("q6", Basis.COMPUTATIONAL)]
-        return measured, ("a", "b", "c"), _enumerate_single_stage(reg, measured)
-
-    if kd is ProtocolKind.TRIANGLE_MERGE_D:
-        reg = _product_register(d, [
-            (canonical_ghz(d, 3), ["a", "q1", "q6"]),
-            (canonical_ghz(d, 3), ["q2", "b", "q3"]),
-            (canonical_ghz(d, 3), ["q4", "q5", "c"]),
-        ])
-        reg = reg.walk("q1", "q2", I)
-        stage1 = [("q1", Basis.FOURIER), ("q2", Basis.COMPUTATIONAL)]
-        stage2 = [("q4", Basis.FOURIER), ("q5", Basis.FOURIER),
-                  ("q6", Basis.COMPUTATIONAL), ("q3", Basis.COMPUTATIONAL)]
-        branches = []
-        for vals1, p1, post1 in reg.measure(stage1):
-            walked = post1.walk("q4", "q3", I).walk("q5", "q6", I)
-            for vals2, p2, post2 in walked.measure(stage2):
-                branches.append((vals1 + vals2, p1 * p2, post2))
-        return stage1 + stage2, ("a", "b", "c"), branches
+    if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
+        stages = triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3,
+                                       qubit=kd is K.TRIANGLE_MERGE_2D)
+        return stages, ("a", "b", "c")
 
     raise ValueError(f"unknown protocol kind {kd}")
 
@@ -663,9 +631,9 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
     d, kd = spec.d, spec.kind
 
     if kd is ProtocolKind.BELL_SWAP_2D:
-        return _bell_swap_2d_correction(outcome)
+        return qubit_correction(*TABLE_1[outcome][1:3])
     if kd is ProtocolKind.GHZ_SWAP_2D:
-        return _ghz_swap_2d_correction(outcome)
+        return qubit_correction(*TABLE_2[outcome][1:3])
     if kd is ProtocolKind.MERGE_METHOD_1 and not spec.retain_coins:
         return _method1_correction(outcome, spec.m, spec.k)
     if kd is ProtocolKind.MERGE_METHOD_2 and not spec.retain_coins:
@@ -690,51 +658,30 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
             t = sum(outcome[:k]) % d
             u0 = outcome[k]
             b_sites = range(spec.m - k, spec.m - k + spec.n - k)
-        return _shift_phase_correction(d, 0, {s: u0 for s in b_sites}, t)
+        return _shift_phase_correction(d, {s: u0 for s in b_sites}, t)
 
     if kd in (ProtocolKind.GHZ_SWAP_D, ProtocolKind.GHZ_MULTI_COIN_D):
         coins, u0 = outcome[:-1], outcome[-1]
         t = coins[0] if coins else 0
         n_out = 3 if kd is ProtocolKind.GHZ_SWAP_D else spec.n
-        return _shift_phase_correction(d, n_out,
-                                       {s: u0 for s in range(1, n_out)}, t)
+        return _shift_phase_correction(d, {s: u0 for s in range(1, n_out)}, t)
 
     if kd is ProtocolKind.GHZ_FROM_BELLS_D:
         M = spec.bells
         shifts = {j: outcome[j] for j in range(M)}
-        return _shift_phase_correction(d, M + 1, shifts, outcome[M],
-                                       phase_site=M)
+        return _shift_phase_correction(d, shifts, outcome[M], phase_site=M)
 
     if kd is ProtocolKind.TRIANGLE_MERGE_D:
         p1, u1, p2, p3, u2, u3 = outcome
-        return _shift_phase_correction(
-            d, 3, {1: u1, 2: (-u2) % d}, (p1 + p2 + p3) % d)
+        return _shift_phase_correction(d, {1: u1, 2: (-u2) % d}, (p1 + p2 + p3) % d)
 
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
 
 
-def _expected_outcome_len(spec: ProtocolSpec) -> int:
-    kd = spec.kind
-    if kd in (ProtocolKind.BELL_SWAP_2D, ProtocolKind.BELL_SWAP_D):
-        return 2
-    if kd in (ProtocolKind.GHZ_SWAP_2D, ProtocolKind.GHZ_SWAP_D):
-        return 3
-    if kd is ProtocolKind.MERGE_METHOD_1:
-        return spec.k if spec.retain_coins else spec.k + 1
-    if kd in (ProtocolKind.MERGE_METHOD_2, ProtocolKind.GHZ_PARALLEL_D):
-        return spec.k if spec.retain_coins else 2 * spec.k
-    if kd is ProtocolKind.MERGE_COMBINED:
-        return spec.k + spec.l
-    if kd is ProtocolKind.GHZ_MULTI_COIN_D:
-        return spec.m
-    if kd is ProtocolKind.GHZ_FROM_BELLS_D:
-        return spec.bells + 1
-    return 6  # triangle merges
-
-
 def _validate_outcome(spec: ProtocolSpec, outcome: tuple[int, ...]) -> None:
     d, kd = spec.d, spec.kind
-    if len(outcome) != _expected_outcome_len(spec):
+    stages, _ = _circuit(spec)
+    if len(outcome) != sum(len(stage.targets) for stage in stages):
         raise ValueError(f"outcome length {len(outcome)} wrong for {kd.value}")
     if any(not 0 <= v < d for v in outcome):
         raise ValueError("outcome digit out of range")
@@ -791,29 +738,26 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """
     spec.validate()
     d = spec.d
-    measured, outputs, raw = _build_branches(spec)
-    result = ProtocolResult(spec=spec,
-                            measured=tuple((lab, basis) for lab, basis in measured),
-                            output_labels=outputs)
-    n_out = len(outputs)
-    target = canonical_ghz(d, n_out)
+    stages, outputs = _circuit(spec)
+    result = ProtocolResult(
+        spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
+        output_labels=outputs)
+    target = canonical_ghz(d, len(outputs))
 
-    from .qudit import fidelity as _fid
-
-    for vals, prob, post in raw:
+    for vals, prob, post in run_stages(stages):
         state = post.state
         corr = _closed_form_correction(spec, vals)
         if corr is None:
             corr = derive_ghz_correction(state)
         corrected = corr.apply_to(state)
-        fid = _fid(corrected, target)
+        fid = fidelity(corrected, target)
         bell_label = None
         label_fid = None
         if spec.kind is ProtocolKind.BELL_SWAP_D:
             bm, bn, bp, bq = spec.bell_labels
             k0, u0 = vals
             bell_label = ((bm + bp - k0) % d, (bn + bq - u0) % d)
-            label_fid = _fid(state, canonical_bell(d, *bell_label))
+            label_fid = fidelity(state, canonical_bell(d, *bell_label))
         result.branches.append(BranchResult(
             outcome=vals, probability=prob, post=state, correction=corr,
             fidelity=fid, bell_label=bell_label, label_fidelity=label_fid))

@@ -34,12 +34,15 @@ import numpy as np
 
 from .protocols import (
     FIDELITY_TOL,
+    TABLE_1,
+    TABLE_2,
     ProtocolKind,
     ProtocolSpec,
-    _op_product,
-    _product_register,
+    Stage,
     outcome_parity,
+    qubit_correction,
     run_protocol,
+    run_stages,
 )
 from .qudit import (
     Basis,
@@ -47,6 +50,7 @@ from .qudit import (
     canonical_bell,
     canonical_ghz,
     fidelity,
+    fourier_inv_op,
     fourier_op,
 )
 
@@ -107,25 +111,8 @@ class TableReport:
         }
 
 
-# (outcome) -> (state terms over outputs, [(site, op)...], sign, label)
-TABLE_1 = {
-    (0, 0): ([(1, "01"), (1, "10")], [(0, "X")], +1, "X1"),
-    (0, 1): ([(1, "00"), (1, "11")], [], +1, "I1"),
-    (1, 0): ([(1, "10"), (-1, "01")], [(0, "X"), (0, "Z")], +1, "Z1X1"),
-    (1, 1): ([(1, "11"), (-1, "00")], [(0, "Z")], -1, "-Z1"),
-}
-
-TABLE_2 = {
-    (0, 0, 0): ([(1, "011"), (1, "100")], [(0, "X")], +1, "X1"),
-    (0, 0, 1): ([(1, "000"), (1, "111")], [], +1, "I1"),
-    (0, 1, 0): ([(1, "000"), (-1, "111")], [(0, "Z")], +1, "Z1"),
-    (0, 1, 1): ([(1, "011"), (-1, "100")], [(0, "Z"), (0, "X")], +1, "X1Z1"),
-    (1, 0, 0): ([(-1, "011"), (1, "100")], [(0, "X"), (0, "Z")], +1, "Z1X1"),
-    (1, 0, 1): ([(-1, "000"), (1, "111")], [(0, "Z")], -1, "-Z1"),
-    (1, 1, 0): ([(-1, "000"), (-1, "111")], [], -1, "-I1"),
-    (1, 1, 1): ([(-1, "011"), (-1, "100")], [(0, "X")], -1, "-X1"),
-}
-
+# (outcome) -> (state terms over outputs, [(site, op)...], sign, label); tables
+# 1 and 2 live in protocols, where they drive the qubit swap corrections
 TABLE_5 = {
     (0, 0, 0): ([(1, "000"), (1, "111")], [], +1, "I1"),
     (0, 0, 1): ([(1, "011"), (1, "100")], [(0, "X")], +1, "X1"),
@@ -187,24 +174,25 @@ def _table4_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
     return terms, z, sgn, "(-Z)^N", "X(k+1..m)(-Z)^N"
 
 
-def _check_rows(report, result, rows, target, params=None):
+def _check_rows(report, branches, rows, target, params=None):
+    """Check (outcome, probability, residual state) branches against rows."""
     seen = set()
-    for br in result.branches:
-        entry = rows.get(br.outcome)
+    for outcome, probability, post in branches:
+        entry = rows.get(outcome)
         if entry is None:
             report.notes.append(
-                f"unlisted outcome {br.outcome} with probability {br.probability:.3g}")
+                f"unlisted outcome {outcome} with probability {probability:.3g}")
             continue
-        seen.add(br.outcome)
+        seen.add(outcome)
         terms, site_ops, sign, label = entry
         listed = _ket_state(terms)
-        corr = _op_product(2, site_ops, sign)
+        corr = qubit_correction(site_ops, sign)
         report.rows.append(RowReport(
-            outcome=br.outcome,
+            outcome=outcome,
             listed_correction=label,
-            state_fidelity=fidelity(br.post, listed),
-            corrected_fidelity=fidelity(corr.apply_to(br.post), target),
-            probability=br.probability,
+            state_fidelity=fidelity(post, listed),
+            corrected_fidelity=fidelity(corr.apply_to(post), target),
+            probability=probability,
             params=params or {},
         ))
     for outcome in rows:
@@ -214,35 +202,8 @@ def _check_rows(report, result, rows, target, params=None):
                                          params or {}))
 
 
-def _verify_table_6() -> TableReport:
-    report = TableReport(6)
-    h = fourier_op(2)
-    reg = _product_register(2, [
-        (canonical_bell(2, 0, 0), ["q0", "q1"]),
-        (canonical_bell(2, 0, 0), ["q2", "q3"]),
-        (canonical_bell(2, 0, 0), ["q4", "q5"]),
-    ])
-    reg = reg.walk("q1", "q2", h)
-    reg = reg.walk("q4", "q2", h)
-    measured = [("q1", Basis.FOURIER), ("q2", Basis.COMPUTATIONAL),
-                ("q4", Basis.FOURIER)]
-    target = canonical_ghz(2, 3)
-    for vals, prob, post in reg.measure(measured):
-        post = post.apply(h.dagger(), ["q3"])
-        entry = TABLE_6.get(vals)
-        if entry is None:
-            report.notes.append(f"unlisted outcome {vals} with probability {prob:.3g}")
-            continue
-        terms, site_ops, sign, label = entry
-        corr = _op_product(2, site_ops, sign)
-        report.rows.append(RowReport(
-            outcome=vals,
-            listed_correction=label,
-            state_fidelity=fidelity(post.state, _ket_state(terms)),
-            corrected_fidelity=fidelity(corr.apply_to(post.state), target),
-            probability=prob,
-        ))
-    return report
+def _branches(result):
+    return [(br.outcome, br.probability, br.post) for br in result.branches]
 
 
 def verify_table(table_id: int) -> TableReport:
@@ -254,13 +215,13 @@ def verify_table(table_id: int) -> TableReport:
     if table_id == 1:
         report = TableReport(1)
         result = run_protocol(ProtocolSpec(ProtocolKind.BELL_SWAP_2D))
-        _check_rows(report, result, TABLE_1, canonical_bell(2, 0, 0))
+        _check_rows(report, _branches(result), TABLE_1, canonical_bell(2, 0, 0))
         return report
 
     if table_id == 2:
         report = TableReport(2)
         result = run_protocol(ProtocolSpec(ProtocolKind.GHZ_SWAP_2D))
-        _check_rows(report, result, TABLE_2, canonical_ghz(2, 3))
+        _check_rows(report, _branches(result), TABLE_2, canonical_ghz(2, 3))
         return report
 
     if table_id == 3:
@@ -269,7 +230,7 @@ def verify_table(table_id: int) -> TableReport:
             result = run_protocol(ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=m, n=n, k=k))
             rows = {br.outcome: _table3_row(m, n, k, br.outcome)
                     for br in result.branches}
-            _check_rows(report, result, rows, canonical_ghz(2, m + n - k - 1),
+            _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - k - 1),
                         params={"m": m, "n": n, "k": k})
         return report
 
@@ -284,18 +245,29 @@ def verify_table(table_id: int) -> TableReport:
             for br in result.branches:
                 terms, ops, sign, label, conventional = _table4_row(m, n, k, br.outcome)
                 rows[br.outcome] = (terms, ops, sign, f"{label} (conventional: {conventional})")
-            _check_rows(report, result, rows, canonical_ghz(2, m + n - 2 * k),
+            _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - 2 * k),
                         params={"m": m, "n": n, "k": k})
         return report
 
     if table_id == 5:
         report = TableReport(5)
         result = run_protocol(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=2))
-        _check_rows(report, result, TABLE_5, canonical_ghz(2, 3))
+        _check_rows(report, _branches(result), TABLE_5, canonical_ghz(2, 3))
         return report
 
     if table_id == 6:
-        return _verify_table_6()
+        # the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is un-Fouriered
+        report = TableReport(6)
+        bell, h = canonical_bell(2, 0, 0), fourier_op(2)
+        stage = Stage(
+            add=((bell, ("q0", "q1")), (bell, ("q2", "q3")), (bell, ("q4", "q5"))),
+            gates=(("q1", "q2", h), ("q4", "q2", h)),
+            targets=(("q1", Basis.FOURIER), ("q2", Basis.COMPUTATIONAL),
+                     ("q4", Basis.FOURIER)),
+            after=(("q3", fourier_inv_op(2)),))
+        branches = [(vals, p, post.state) for vals, p, post in run_stages([stage])]
+        _check_rows(report, branches, TABLE_6, canonical_ghz(2, 3))
+        return report
 
     raise ValueError(f"no table {table_id}")
 

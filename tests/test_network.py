@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from walknet import network
 from walknet.network import (
     NetworkError,
     Resource,
@@ -236,6 +237,32 @@ def test_cap_guard_suggests_symbolic():
         execute_schedule(sched, "simulated", d=5, seed=0)
     res = execute_schedule(sched, "symbolic", d=5)
     assert set(res.final_parties) == set(range(n))
+
+
+def _arms_schedule(arms: int, d: int):
+    """Leaf-relay-hub arms: one relay swap per arm, then the hub's star merge."""
+    nodes = {i: str(i) for i in range(2 * arms + 1)}
+    resources = ([Resource("bell", (0, r)) for r in range(1, arms + 1)]
+                 + [Resource("bell", (r, r + arms)) for r in range(1, arms + 1)])
+    net = ResourceNetwork(d, nodes, resources)
+    sched = plan_distribution(steiner_tree(net, range(arms + 1, 2 * arms + 1)), net)
+    assert [s.action for s in sched.steps] == ["pair-merge"] * arms + ["star-merge"]
+    return sched
+
+
+def test_over_cap_step_refused_before_any_sampling(monkeypatch):
+    # at d=5 the 12 relay swaps fit the cap but the hub's star merge (24 live
+    # sites) does not; nothing may be sampled before the refusal
+    calls = []
+    simulate = network._simulate_step
+    monkeypatch.setattr(network, "_simulate_step",
+                        lambda *a: calls.append(a) or simulate(*a))
+    with pytest.raises(NetworkError, match="over the dense cap -- use symbolic"):
+        execute_schedule(_arms_schedule(12, 5), "simulated", d=5, seed=0)
+    assert calls == []
+    res = execute_schedule(_arms_schedule(3, 5), "simulated", d=5, seed=0)
+    assert len(calls) == 4 and res.fidelity > 1 - 1e-9
+    assert not res.ledger
 
 
 def test_load_rejects_duplicate_node_ids(tmp_path):

@@ -1,19 +1,29 @@
 """Walk-protocol behavior: walk steps, corrections, reductions, invariants."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import walknet
+from walknet import protocols, tables
 from walknet.protocols import (
     CorrectionError,
     ProtocolKind,
     ProtocolSpec,
+    Register,
+    Stage,
     correction_for,
     derive_ghz_correction,
     outcome_parity,
     run_protocol,
+    run_stages,
+    triangle_merge_stages,
     walk_step,
 )
 from walknet.qudit import (
+    Basis,
     QuditState,
     apply,
     basis_state,
@@ -372,3 +382,55 @@ def test_exhaustive_small_parameter_soundness(d):
                         spec = ProtocolSpec(ProtocolKind.MERGE_METHOD_1,
                                             m=m, n=n, k=k, retain_coins=retain)
                         assert run_protocol(spec).all_recovered(), spec
+
+
+def test_register_rejects_label_count_mismatch():
+    with pytest.raises(ValueError, match="3 labels for a state of 2 sites"):
+        Register(canonical_bell(2, 0, 0), ("a", "b", "c"))
+
+
+def test_run_stages_exhaustive_branches_and_after_ops():
+    stage = Stage(add=((canonical_bell(3, 0, 0), ("1", "2")),
+                       (canonical_bell(3, 0, 0), ("3", "4"))),
+                  gates=(("2", "3", identity_op(3)),),
+                  targets=(("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)),
+                  after=(("4", fourier_op(3)),))
+    branches = list(run_stages([stage]))
+    assert [vals for vals, _, _ in branches] == [(k, u) for k in range(3) for u in range(3)]
+    assert abs(sum(p for _, p, _ in branches) - 1) < TOL
+    for _, _, post in branches:
+        assert post.labels == ("1", "4")
+    # the after op ran: undoing it leaves the swapped Bell pair
+    vals, _, post = branches[0]
+    undone = apply(post.state, fourier_op(3).dagger(), [1])
+    assert fidelity(undone, canonical_bell(3, 0, 0)) > 1 - TOL
+
+
+def test_run_stages_sampling_draws_once_per_stage():
+    stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
+    rng = np.random.default_rng(9)
+    ((vals, prob, post),) = run_stages(stages, rng)
+    exhaustive = {v: p for v, p, _ in run_stages(stages)}
+    assert vals in exhaustive and post.labels == ("a", "b", "c")
+    # two stages, two draws: a fresh generator advanced twice is in step
+    ref = np.random.default_rng(9)
+    ref.random(2)
+    assert rng.random() == ref.random()
+
+
+def test_qubit_swap_tables_are_the_correction_source():
+    assert tables.TABLE_1 is protocols.TABLE_1 and tables.TABLE_2 is protocols.TABLE_2
+    for kind, table in ((ProtocolKind.BELL_SWAP_2D, tables.TABLE_1),
+                        (ProtocolKind.GHZ_SWAP_2D, tables.TABLE_2)):
+        for outcome, (_, site_ops, sign, _) in table.items():
+            corr = correction_for(kind, 2, outcome)
+            assert [(s, name) for s, name, _ in corr.ops] == site_ops
+            assert corr.global_phase == sign
+
+
+def test_no_module_imports_a_private_name_from_another():
+    for path in Path(walknet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private}"

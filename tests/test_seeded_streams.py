@@ -7,7 +7,7 @@ must stay byte-identical when the sampler's internals change.
 
 import pytest
 
-from walknet import fractal
+from walknet import fractal, mqss
 from walknet.network import (
     bundled_network_path,
     distribute,
@@ -62,3 +62,13 @@ def test_gasket_merge_corrections(monkeypatch):
     assert result.fidelity >= 1 - 1e-9
     assert labels == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,2]@1 U[0,1]@2 Z^2@0",
                       "U[0,2]@1 U[0,2]@2 Z^2@0", "U[0,1]@1 U[0,2]@2"]
+
+
+@pytest.mark.parametrize("seed, coins, u0", [
+    (0, [1, 0, 0, 0], 2), (1, [1, 2, 0, 2], 0), (2, [0, 0, 2, 0], 1)])
+def test_shared_ghz_outcomes(seed, coins, u0):
+    state, got_coins, got_u0 = mqss.generate_shared_ghz(3, 4, seed=seed)
+    assert (got_coins, got_u0) == (coins, u0)
+    assert all(type(v) is int for v in got_coins + [got_u0])
+    expected = mqss.shared_ghz_closed_form(3, coins, u0)
+    assert abs(abs(complex(expected.amps.conj() @ state.amps)) - 1) < 1e-9
