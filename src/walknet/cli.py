@@ -25,7 +25,7 @@ from .network import (
     plan_distribution,
     steiner_tree,
 )
-from .protocols import FIDELITY_TOL, ProtocolKind, ProtocolSpec, run_protocol
+from .protocols import FIDELITY_TOL, SPEC_FIELDS, ProtocolKind, ProtocolSpec, run_protocol
 
 DEFAULT_SEED = 1729
 
@@ -73,9 +73,12 @@ def _cmd_swap(args) -> int:
     labels = tuple(_parse_int_list(args.labels)) if args.labels else (0, 0, 0, 0)
     if len(labels) != 4:
         raise ValueError("--labels needs four comma-separated integers m,n,p,q")
-    spec = ProtocolSpec(kind=kind, d=args.d, m=args.m, n=args.n, k=args.k,
-                        l=args.l, bells=args.bells, bell_labels=labels,
-                        retain_coins=args.retain_coins)
+    given = {"m": args.m, "n": args.n, "k": args.k, "l": args.l,
+             "bells": args.bells, "bell_labels": labels}
+    # only the fields the kind reads; retain_coins always, so validate refuses
+    # it for the kinds that ignore it
+    spec = ProtocolSpec(kind=kind, d=args.d, retain_coins=args.retain_coins,
+                        **{f: given[f] for f in SPEC_FIELDS[kind] if f in given})
     spec.validate()
     result = run_protocol(spec)
     ok = result.all_recovered(FIDELITY_TOL)

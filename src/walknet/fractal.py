@@ -24,7 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .protocols import derive_ghz_correction, run_stages, triangle_merge_stages
+from .protocols import (
+    FIDELITY_TOL,
+    derive_ghz_correction,
+    run_stages,
+    triangle_merge_stages,
+)
 from .qudit import QuditState, canonical_ghz, fidelity
 
 Vertex = tuple[int, int]
@@ -36,17 +41,6 @@ MAX_ITERATION = 10
 def _corners(pos: Vertex, size: int) -> Triangle:
     x, y = pos
     return ((x, y), (x + size, y), (x, y + size))
-
-
-def _elementary_positions(n: int) -> list[Vertex]:
-    if n == 0:
-        return [(0, 0)]
-    half = 2 ** (n - 1)
-    prev = _elementary_positions(n - 1)
-    out = []
-    for dx, dy in ((0, 0), (half, 0), (0, half)):
-        out.extend((x + dx, y + dy) for x, y in prev)
-    return out
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ def build_gasket(n: int) -> SierpinskiGasket:
     """G(n): 3^n elementary triangles with shared corners deduplicated."""
     if not 0 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [0, {MAX_ITERATION}]")
-    triangles = tuple(sorted(_corners(p, 1) for p in _elementary_positions(n)))
+    triangles = tuple(sorted(_corners(p, 1) for p in _composite_positions(n, 0)))
     vertices = tuple(sorted({v for tri in triangles for v in tri}))
     return SierpinskiGasket(iteration=n, triangles=triangles, vertices=vertices)
 
@@ -156,7 +150,7 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
         corr = derive_ghz_correction(post.state)
         fixed = corr.apply_to(post.state)
         fid = fidelity(fixed, canonical_ghz(d, 3))
-        if fid < 1 - 1e-9:
+        if fid < 1 - FIDELITY_TOL:
             raise AssertionError(f"merge at {step.pos} level {step.level} failed")
         states[step.output] = fixed
     (final_tri,) = states
@@ -214,7 +208,7 @@ def build_quantum_network(t: int) -> FractalNetwork:
     channels: list[Triangle] = []
     for s in range(t + 1):
         size = 2**s
-        for pos in _composite_positions(t, s) if s else _elementary_positions(t):
+        for pos in _composite_positions(t, s):
             channels.append(_corners(pos, size))
     vertices = tuple(sorted({v for tri in channels for v in tri}))
     adjacency: dict[Vertex, set[Vertex]] = {v: set() for v in vertices}

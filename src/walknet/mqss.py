@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import Stage, run_stages
+from .protocols import FIDELITY_TOL, Stage, run_stages
 from .qudit import (
     Basis,
     QuditState,
@@ -273,7 +273,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
 
     for k in range(1, config.participants + 1):
         fid = _build_repeater_pair(config.d, int(rng.integers(2**31)))
-        if fid < 1 - 1e-9:
+        if fid < 1 - FIDELITY_TOL:
             raise AssertionError("repeater pair generation failed")
         t.events.append(f"step1: channel {k} working pair ready (fidelity {fid:.3f})")
 

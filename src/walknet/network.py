@@ -31,7 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import Stage, derive_ghz_correction, run_stages, star_merge_stage
+from .protocols import (
+    FIDELITY_TOL,
+    Stage,
+    derive_ghz_correction,
+    run_stages,
+    star_merge_stage,
+)
 from .qudit import (
     SIZE_CAP,
     Basis,
@@ -41,8 +47,6 @@ from .qudit import (
     fidelity,
     identity_op,
 )
-
-FIDELITY_TOL = 1e-9
 
 
 class NetworkError(ValueError):
@@ -82,12 +86,8 @@ class ResourceNetwork:
                     raise NetworkError(f"resource references unknown node {p}")
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj = {v: set() for v in self.nodes}
-        for res in self.resources:
-            for u, v in itertools.combinations(res.parties, 2):
-                adj[u].add(v)
-                adj[v].add(u)
-        return adj
+        return _adjacency(self.nodes, (pair for res in self.resources
+                                       for pair in itertools.combinations(res.parties, 2)))
 
     def bell_edge_pool(self) -> dict[tuple[int, int], list[int]]:
         pool: dict[tuple[int, int], list[int]] = {}
@@ -151,11 +151,7 @@ class SteinerTree:
         return self.nodes - self.terminals
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj = {v: set() for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return _adjacency(self.nodes, self.edges)
 
     def check(self) -> None:
         nodes = self.nodes
@@ -168,24 +164,19 @@ class SteinerTree:
         if len(self.edges) != len(nodes) - 1:
             raise NetworkError("edge count is not |nodes|-1 (not a tree)")
         adj = self.adjacency()
-        seen = _component(adj, min(nodes))
-        if seen != nodes:
+        if _bfs_dist(adj, min(nodes)).keys() != nodes:
             raise NetworkError("tree is not connected")
         for v, nbrs in adj.items():
             if len(nbrs) == 1 and v not in self.terminals:
                 raise NetworkError(f"non-terminal leaf {v}")
 
 
-def _component(adj: dict[int, set[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _adjacency(nodes, pairs) -> dict[int, set[int]]:
+    adj = {v: set() for v in nodes}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def _bfs_dist(adj: dict[int, set[int]], src: int) -> dict[int, int]:
@@ -276,8 +267,8 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
         return SteinerTree(frozenset(terminals), frozenset())
 
     adj = net.adjacency()
-    reach = _component(adj, terminals[0])
-    if not set(terminals) <= reach:
+    reach = _bfs_dist(adj, terminals[0])
+    if any(t not in reach for t in terminals):
         raise NetworkError("terminals are not connected in the network")
 
     if exact:
@@ -288,14 +279,9 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
             for extra in itertools.combinations(others, size):
                 chosen = set(terminals) | set(extra)
                 sub = {v: adj[v] & chosen for v in chosen}
-                if _component(sub, terminals[0]) != chosen:
+                if _bfs_dist(sub, terminals[0]).keys() != chosen:
                     continue
-                edges = set()
-                uf = _UnionFind(chosen)
-                for u in sorted(chosen):
-                    for w in sorted(sub[u]):
-                        if u < w and uf.union(u, w):
-                            edges.add((u, w))
+                edges = {(u, w) for u in chosen for w in sub[u] if u < w}
                 tree = SteinerTree(frozenset(terminals), _prune_to_tree(edges, set(terminals)))
                 tree.check()
                 return tree
@@ -390,17 +376,32 @@ class SwapSchedule:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _eccentricity_root(adj: dict[int, set[int]], nodes: set[int]) -> int:
-    best = None
-    for v in sorted(nodes):
-        ecc = max(_bfs_dist(adj, v).values())
-        if best is None or ecc < best[0]:
-            best = (ecc, v)
-    return best[1]
+def _tree_center(adj: dict[int, set[int]]) -> int:
+    """The tree's least-eccentricity node, smaller id on a tie: the middle of
+    a longest path, found from a sweep to one end and a sweep back."""
+    first = _bfs_dist(adj, min(adj))
+    end = max(first, key=first.get)
+    dist = _bfs_dist(adj, end)
+    v = max(dist, key=dist.get)
+    path = [v]
+    while dist[v]:
+        v = next(w for w in adj[v] if dist[w] == dist[v] - 1)
+        path.append(v)
+    return min(path[len(path) // 2], path[(len(path) - 1) // 2])
+
+
+_ACTION_PROTOCOL = {"pair-merge": "ghz-parallel-d", "star-merge": "ghz-from-bells-d",
+                    "release": "fourier-release"}
 
 
 def plan_distribution(tree: SteinerTree, net: ResourceNetwork) -> SwapSchedule:
     """Merge plan turning per-edge Bell resources into a terminal-set GHZ.
+
+    Stage 1 contracts every non-terminal node of tree degree 2, deepest first,
+    with a pair merge of its two Bell pairs; the result is again a tree of
+    Bell pairs.  Stage 2 walks that tree bottom-up from its centre: each
+    branching node star-merges its children's resources onto the Bell pair
+    to its parent, and the root joins what arrives.
 
     Raises NetworkError when some tree edge has no Bell resource available.
     """
@@ -411,161 +412,82 @@ def plan_distribution(tree: SteinerTree, net: ResourceNetwork) -> SwapSchedule:
 
     pool = net.bell_edge_pool()
     initial: dict[str, Resource] = {}
-    live: dict[str, tuple[int, ...]] = {}    # id -> parties
-    edge_res: dict[tuple[int, int], str] = {}
+    live: dict[str, tuple[int, ...]] = {}        # id -> parties
+    at: dict[int, set[str]] = {v: set() for v in tree.nodes}   # node -> live ids
     for i, edge in enumerate(sorted(tree.edges)):
         avail = pool.get(edge, [])
         if not avail:
             raise NetworkError(f"no elementary Bell resource on tree edge {edge}")
-        res = net.resources[avail.pop(0)]
         rid = f"r{i}"
-        initial[rid] = res
-        live[rid] = res.parties
-        edge_res[edge] = rid
+        initial[rid] = net.resources[avail.pop(0)]
+        live[rid] = initial[rid].parties
+        for v in edge:
+            at[v].add(rid)
 
-    counters = {"m": 0, "l": 0}
     steps: list[ScheduleStep] = []
+    local_ids = (f"l{i}" for i in itertools.count())
     term_set = set(terminals)
 
-    def fresh(prefix: str) -> str:
-        counters[prefix] += 1
-        return f"{prefix}{counters[prefix] - 1}"
-
-    def incident(v: int) -> list[str]:
-        return sorted(rid for rid, parties in live.items() if v in parties)
-
-    def rest(rid: str, v: int) -> tuple[int, ...]:
-        return tuple(p for p in live[rid] if p != v)
-
-    def add_pair_merge(v: int, r1: str, r2: str) -> str:
-        out = fresh("m")
-        parties = rest(r1, v) + rest(r2, v)
-        steps.append(ScheduleStep(
-            node=v, action="pair-merge", protocol="ghz-parallel-d",
-            coin_inputs=(r1,), position_input=r2, local_pair=None,
-            local_role=None, output_id=out, output_parties=parties))
-        del live[r1], live[r2]
-        live[out] = parties
-        return out
-
-    def add_star_merge(v: int, coins: list[str], position: str | None,
-                       retain: bool) -> str:
-        out = fresh("m")
-        local = None
-        local_role = None
-        if position is None:
-            local = fresh("l")
-            local_role = "position"
-        elif retain:
-            local = fresh("l")
-            local_role = "coin"
-        parties: list[int] = []
-        for rid in coins:
-            parties.extend(rest(rid, v))
-        if local_role == "coin":
+    def add(v: int, action: str, coins, position: str | None = None,
+            local_role: str | None = None) -> str:
+        """Append one step at node v; its output replaces its inputs in live and at."""
+        inputs = list(coins) + ([position] if position is not None else [])
+        parties = [p for rid in coins for p in live[rid] if p != v]
+        if local_role is not None:
             parties.append(v)
-        if local_role == "position":
-            parties.append(v)
-        else:
-            parties.extend(rest(position, v))
-        steps.append(ScheduleStep(
-            node=v, action="star-merge", protocol="ghz-from-bells-d",
-            coin_inputs=tuple(coins), position_input=position,
-            local_pair=local, local_role=local_role,
-            output_id=out, output_parties=tuple(parties)))
-        for rid in coins:
-            del live[rid]
         if position is not None:
-            del live[position]
-        live[out] = tuple(parties)
-        return out
-
-    def add_release(v: int, rid: str) -> str:
-        out = fresh("m")
-        parties = rest(rid, v)
+            parties.extend(p for p in live[position] if p != v)
+        out = f"m{len(steps)}"
         steps.append(ScheduleStep(
-            node=v, action="release", protocol="fourier-release",
-            coin_inputs=(rid,), position_input=None, local_pair=None,
-            local_role=None, output_id=out, output_parties=parties))
-        del live[rid]
-        live[out] = parties
+            node=v, action=action, protocol=_ACTION_PROTOCOL[action],
+            coin_inputs=tuple(coins), position_input=position,
+            local_pair=next(local_ids) if local_role is not None else None,
+            local_role=local_role, output_id=out, output_parties=tuple(parties)))
+        for rid in inputs:
+            for p in live.pop(rid):
+                at[p].discard(rid)
+        live[out] = tuple(parties)
+        for p in parties:
+            at[p].add(out)
         return out
 
-    # stage 1: contract non-terminal relay nodes (two Bell resources meeting)
+    # stage 1: contract the non-terminal relays, deepest first
     adj = tree.adjacency()
-    root0 = _eccentricity_root(adj, tree.nodes)
-    depth0 = _bfs_dist(adj, root0)
-    while True:
-        eligible = []
-        for v in tree.nodes:
-            if v in term_set:
-                continue
-            inc = incident(v)
-            if len(inc) == 2 and all(len(live[r]) == 2 for r in inc):
-                eligible.append(v)
-        if not eligible:
-            break
-        v = sorted(eligible, key=lambda x: (-depth0[x], x))[0]
-        r1, r2 = incident(v)
-        add_pair_merge(v, r1, r2)
+    depth = _bfs_dist(adj, _tree_center(adj))
+    relays = [v for v in adj if len(adj[v]) == 2 and v not in term_set]
+    for v in sorted(relays, key=lambda x: (-depth[x], x)):
+        r1, r2 = sorted(at[v])
+        add(v, "pair-merge", (r1,), r2)
 
     # stage 2: bottom-up gathering on the contracted tree
-    cadj: dict[int, set[int]] = {}
-    for parties in live.values():
-        for u, w in itertools.combinations(parties, 2):
-            cadj.setdefault(u, set()).add(w)
-            cadj.setdefault(w, set()).add(u)
-    if cadj:
-        cnodes = set(cadj)
-        root = _eccentricity_root(cadj, cnodes)
-        depth = _bfs_dist(cadj, root)
-        parent = {root: None}
-        for v in sorted(cnodes, key=lambda x: (depth[x], x)):
-            for w in cadj[v]:
-                if depth[w] == depth[v] + 1 and w not in parent:
-                    parent[w] = v
-        children: dict[int, list[int]] = {v: [] for v in cnodes}
-        for w, p in parent.items():
-            if p is not None:
-                children[p].append(w)
-
-        def resource_between(v: int, w: int) -> str:
-            for rid in incident(v):
-                if w in live[rid]:
-                    return rid
-            raise NetworkError(f"no live resource between {v} and {w}")
-
-        # the resource carrying each processed subtree up to its parent
-        up_res: dict[int, str] = {}
-        for v in cnodes:
-            if not children[v] and parent[v] is not None:
-                up_res[v] = resource_between(v, parent[v])
-
-        for v in sorted((x for x in cnodes if children[x]),
-                        key=lambda x: (-depth[x], x)):
-            kid_res = [up_res[c] for c in sorted(children[v])]
-            retain = v in term_set
-            if parent[v] is not None:
-                up_res[v] = add_star_merge(
-                    v, kid_res, resource_between(v, parent[v]), retain)
-                continue
-            # root handling
-            if len(kid_res) == 1:
-                if not retain:
-                    add_release(v, kid_res[0])
-                continue
-            if len(kid_res) == 2 and not retain:
-                add_pair_merge(v, kid_res[0], kid_res[1])
-                continue
-            bells = [r for r in kid_res if len(live[r]) == 2]
-            if bells:
-                position = bells[0]
-                coins = [r for r in kid_res if r != position]
-                add_star_merge(v, coins, position, retain)
+    cadj = _adjacency([v for v, ids in at.items() if ids], live.values())
+    bell = {frozenset(parties): rid for rid, parties in live.items()}
+    depth = _bfs_dist(cadj, _tree_center(cadj))
+    up: dict[int, str] = {}      # the resource carrying a subtree to its parent
+    for v in sorted(cadj, key=lambda x: (-depth[x], x)):
+        kids = sorted(w for w in cadj[v] if depth[w] > depth[v])
+        if not kids:
+            continue
+        kid_res = [up[c] if c in up else bell[frozenset((c, v))] for c in kids]
+        retain = v in term_set
+        if depth[v]:
+            (p,) = (w for w in cadj[v] if depth[w] < depth[v])
+            up[v] = add(v, "star-merge", kid_res, bell[frozenset((v, p))],
+                        "coin" if retain else None)
+        elif len(kid_res) == 1:
+            if not retain:
+                add(v, "release", kid_res)
+        elif len(kid_res) == 2 and not retain:
+            add(v, "pair-merge", kid_res[:1], kid_res[1])
+        else:
+            position = next((r for r in kid_res if len(live[r]) == 2), None)
+            if position is not None:
+                add(v, "star-merge", [r for r in kid_res if r != position], position,
+                    "coin" if retain else None)
             else:
-                out = add_star_merge(v, kid_res, None, retain)
+                out = add(v, "star-merge", kid_res, None, "position")
                 if not retain:
-                    add_release(v, out)
+                    add(v, "release", (out,))
 
     if len(live) != 1:
         raise NetworkError(f"planning left {len(live)} resources, expected 1")
@@ -728,11 +650,11 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     terminals = schedule.terminals
     consumed = len(schedule.initial) + sum(1 for s in schedule.steps if s.local_pair)
     ledger, live = _ledger(schedule)
+    final_parties = _final_parties(live, terminals)
     if mode == "symbolic":
         return DistributionResult(
             mode="symbolic", terminals=terminals, step_count=len(schedule.steps),
-            resources_consumed=consumed,
-            final_parties=_final_parties(live, terminals), ledger=ledger)
+            resources_consumed=consumed, final_parties=final_parties, ledger=ledger)
 
     for step, entry in zip(schedule.steps, ledger):
         if d ** entry["sites_in"] > SIZE_CAP:
@@ -749,14 +671,11 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     for step in schedule.steps:
         outcomes.append(_simulate_step(step, states, d, rng))
 
-    live = {rid: parties for rid, (parties, _) in states.items()}
-    final_parties = _final_parties(live, terminals)
     if len(terminals) == 1:
         return DistributionResult(
             mode="simulated", terminals=terminals, step_count=0,
             resources_consumed=0, final_parties=terminals, fidelity=1.0)
-    (final_rid,) = [rid for rid, parties in live.items()
-                    if set(parties) == set(terminals)]
+    (final_rid,) = live
     final_state = states[final_rid][1]
     fid = fidelity(final_state, canonical_ghz(d, len(terminals)))
     return DistributionResult(
@@ -803,10 +722,7 @@ def random_tree_instance(seed: int, max_nodes: int = 10, max_terminals: int = 4,
             edges = [(0, 1)]
         else:
             edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
-        adj: dict[int, set[int]] = {v: set() for v in range(n)}
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = _adjacency(range(n), edges)
         leaves = sorted(v for v in adj if len(adj[v]) == 1)
         if len(leaves) > max_terminals:
             seed = int(rng.integers(0, 2**31))

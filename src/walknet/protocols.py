@@ -160,11 +160,25 @@ class ProtocolSpec:
         if kd is ProtocolKind.GHZ_FROM_BELLS_D:
             if self.bells < 1:
                 raise ValueError("need at least one coin Bell pair")
-        if self.retain_coins and kd not in (
-            ProtocolKind.MERGE_METHOD_1, ProtocolKind.MERGE_METHOD_2,
-            ProtocolKind.GHZ_PARALLEL_D,
-        ):
+        if self.retain_coins and "retain_coins" not in SPEC_FIELDS[kd]:
             raise ValueError("retain_coins applies to the merge methods only")
+
+
+# the ProtocolSpec fields besides kind and d that each kind reads
+SPEC_FIELDS: dict[ProtocolKind, tuple[str, ...]] = {
+    ProtocolKind.BELL_SWAP_2D: (),
+    ProtocolKind.GHZ_SWAP_2D: (),
+    ProtocolKind.MERGE_METHOD_1: ("m", "n", "k", "retain_coins"),
+    ProtocolKind.MERGE_METHOD_2: ("m", "n", "k", "retain_coins"),
+    ProtocolKind.MERGE_COMBINED: ("m", "n", "k", "l"),
+    ProtocolKind.BELL_SWAP_D: ("bell_labels",),
+    ProtocolKind.GHZ_PARALLEL_D: ("m", "n", "k", "retain_coins"),
+    ProtocolKind.GHZ_SWAP_D: (),
+    ProtocolKind.GHZ_MULTI_COIN_D: ("m", "n"),
+    ProtocolKind.GHZ_FROM_BELLS_D: ("bells",),
+    ProtocolKind.TRIANGLE_MERGE_2D: (),
+    ProtocolKind.TRIANGLE_MERGE_D: (),
+}
 
 
 @dataclass(frozen=True)

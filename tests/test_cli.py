@@ -28,6 +28,17 @@ def test_swap_ghz_d_qutrit_nine_rows(capsys):
     assert len(json.loads(out)["branches"]) == 9
 
 
+@pytest.mark.parametrize("argv, params", [
+    (("bell2d",), {}),
+    (("ghz-d", "--d", "3"), {}),
+    (("merge1", "--m", "4", "--n", "3", "--k", "2"), {"k": 2, "m": 4, "n": 3}),
+])
+def test_swap_lists_only_parameters_the_kind_reads(capsys, argv, params):
+    code, out, _ = run_cli(capsys, "swap", *argv)
+    assert code == 0
+    assert json.loads(out)["params"] == params
+
+
 def test_swap_bad_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "swap", "bell2d", "--d", "7", "--k", "-1")
     assert code == 2

@@ -9,7 +9,9 @@ from walknet.network import (
     NetworkError,
     Resource,
     ResourceNetwork,
+    ScheduleStep,
     SteinerTree,
+    SwapSchedule,
     bundled_network_path,
     distribute,
     execute_schedule,
@@ -263,6 +265,24 @@ def test_over_cap_step_refused_before_any_sampling(monkeypatch):
     res = execute_schedule(_arms_schedule(3, 5), "simulated", d=5, seed=0)
     assert len(calls) == 4 and res.fidelity > 1 - 1e-9
     assert not res.ledger
+
+
+def test_unfinished_schedule_refused_before_any_sampling(monkeypatch):
+    # one pair merge on a 4-node chain leaves (0, 2) and (2, 3), not a single
+    # resource over the terminals; nothing may be sampled before the refusal
+    sched = SwapSchedule(
+        terminals=(0, 3),
+        initial={f"r{i}": Resource("bell", (i, i + 1)) for i in range(3)},
+        steps=[ScheduleStep(node=1, action="pair-merge", protocol="ghz-parallel-d",
+                            coin_inputs=("r0",), position_input="r1", local_pair=None,
+                            local_role=None, output_id="m0", output_parties=(0, 2))])
+    calls = []
+    simulate = network._simulate_step
+    monkeypatch.setattr(network, "_simulate_step",
+                        lambda *a: calls.append(a) or simulate(*a))
+    with pytest.raises(NetworkError, match="expected a single one over"):
+        execute_schedule(sched, "simulated", d=2, seed=0)
+    assert calls == []
 
 
 def test_load_rejects_duplicate_node_ids(tmp_path):
