@@ -82,11 +82,6 @@ class TriangleMergeStep:
     inputs: tuple[Triangle, Triangle, Triangle]
     output: Triangle
 
-    def shared_vertices(self) -> tuple[Vertex, Vertex, Vertex]:
-        h = 2 ** (self.level - 1)
-        x, y = self.pos
-        return ((x + h, y), (x + h, y + h), (x, y + h))
-
 
 def merge_schedule(n: int) -> list[TriangleMergeStep]:
     """Bottom-up composition plan for G(n): exactly (3^n - 1)/2 merges."""

@@ -37,8 +37,10 @@ import numpy as np
 from .network import Resource, ResourceNetwork, distribute
 from .protocols import FIDELITY_TOL, Stage, run_stages
 from .qudit import (
+    SIZE_CAP,
     Basis,
     QuditState,
+    SizeCapError,
     apply,
     basis_state,
     canonical_bell,
@@ -74,6 +76,15 @@ class MqssConfig:
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
+        _check_register_cap(self.d, self.participants)
+
+
+def _check_register_cap(d: int, participants: int) -> None:
+    """Refuse up front what step 3 cannot hold: its live register peaks at
+    M+3 sites (the position pair, the participants' sites, one coin pair)."""
+    if d ** (participants + 3) > SIZE_CAP:
+        raise SizeCapError(f"{participants} participants at d={d} need a register of "
+                           f"{participants + 3} sites, over the size cap")
 
 
 @dataclass
@@ -201,6 +212,7 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     """
     if participants < 1:
         raise ValueError("need at least one participant")
+    _check_register_cap(d, participants)
     bell = canonical_bell(d, 0, 0)
     stages = []
     for k in range(1, participants + 1):

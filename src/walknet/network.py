@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -139,32 +140,28 @@ class SteinerTree:
     terminals: frozenset[int]
     edges: frozenset[tuple[int, int]]
 
-    @property
-    def nodes(self) -> set[int]:
-        out = set(self.terminals)
-        for u, v in self.edges:
-            out.update((u, v))
-        return out
+    @cached_property
+    def nodes(self) -> frozenset[int]:
+        return frozenset(self.terminals).union(*self.edges)
 
     @property
-    def steiner_nodes(self) -> set[int]:
+    def steiner_nodes(self) -> frozenset[int]:
         return self.nodes - self.terminals
 
     def adjacency(self) -> dict[int, set[int]]:
         return _adjacency(self.nodes, self.edges)
 
     def check(self) -> None:
-        nodes = self.nodes
         if not self.terminals:
             raise NetworkError("no terminals")
         if not self.edges:
-            if len(nodes) != 1:
+            if len(self.nodes) != 1:
                 raise NetworkError("empty edge set with several nodes")
             return
-        if len(self.edges) != len(nodes) - 1:
+        if len(self.edges) != len(self.nodes) - 1:
             raise NetworkError("edge count is not |nodes|-1 (not a tree)")
         adj = self.adjacency()
-        if _bfs_dist(adj, min(nodes)).keys() != nodes:
+        if _bfs_dist(adj, min(self.nodes)).keys() != self.nodes:
             raise NetworkError("tree is not connected")
         for v, nbrs in adj.items():
             if len(nbrs) == 1 and v not in self.terminals:
@@ -179,7 +176,10 @@ def _adjacency(nodes, pairs) -> dict[int, set[int]]:
     return adj
 
 
-def _bfs_dist(adj: dict[int, set[int]], src: int) -> dict[int, int]:
+def _bfs_dist(adj: dict[int, set[int]], src: int, parent: dict | None = None) -> dict[int, int]:
+    """Hop distance from src to every reachable node; ``parent``, if given,
+    receives each node's BFS parent.  Neighbours are visited in id order, so
+    the parents spell out each node's lexicographically least shortest path."""
     dist = {src: 0}
     frontier = [src]
     while frontier:
@@ -188,24 +188,11 @@ def _bfs_dist(adj: dict[int, set[int]], src: int) -> dict[int, int]:
             for w in sorted(adj[u]):
                 if w not in dist:
                     dist[w] = dist[u] + 1
+                    if parent is not None:
+                        parent[w] = u
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def _lex_shortest_path(adj: dict[int, set[int]], src: int, dst: int) -> tuple[int, ...]:
-    """Among all shortest src->dst paths, the lexicographically least node tuple."""
-    dist = _bfs_dist(adj, src)
-    if dst not in dist:
-        raise NetworkError(f"nodes {src} and {dst} are disconnected")
-    best: dict[int, tuple[int, ...]] = {src: (src,)}
-    order = sorted(dist, key=lambda v: (dist[v], v))
-    for v in order:
-        if v == src:
-            continue
-        cands = [best[u] + (v,) for u in adj[v] if dist.get(u) == dist[v] - 1 and u in best]
-        best[v] = min(cands)
-    return best[dst]
 
 
 class _UnionFind:
@@ -231,21 +218,17 @@ def _prune_to_tree(edges: set[tuple[int, int]], terminals: set[int]) -> frozense
     nodes = {v for e in edges for v in e}
     uf = _UnionFind(nodes)
     tree = {e for e in sorted(edges) if uf.union(*e)}
-    changed = True
-    while changed:
-        changed = False
-        degree: dict[int, int] = {}
-        for u, v in tree:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        for u, v in sorted(tree):
-            for leaf in (u, v):
-                if degree[leaf] == 1 and leaf not in terminals:
-                    tree.discard((u, v))
-                    changed = True
-                    break
-            if changed:
-                break
+    adj = _adjacency(nodes, tree)
+    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1 and v not in terminals]
+    while leaves:  # the order leaves go in does not change the result
+        v = leaves.pop()
+        if not adj[v]:  # its last edge went with its neighbour
+            continue
+        (w,) = adj[v]
+        adj[w].remove(v)
+        tree.remove((v, w) if v < w else (w, v))
+        if len(adj[w]) == 1 and w not in terminals:
+            leaves.append(w)
     return frozenset(tree)
 
 
@@ -267,7 +250,8 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
         return SteinerTree(frozenset(terminals), frozenset())
 
     adj = net.adjacency()
-    reach = _bfs_dist(adj, terminals[0])
+    parents = {terminals[0]: {}}
+    reach = _bfs_dist(adj, terminals[0], parents[terminals[0]])
     if any(t not in reach for t in terminals):
         raise NetworkError("terminals are not connected in the network")
 
@@ -287,21 +271,22 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
                 return tree
         raise NetworkError("no connecting tree found")  # unreachable if connected
 
-    # metric closure over terminals
-    closure = []
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for u, v in itertools.combinations(terminals, 2):
-        path = _lex_shortest_path(adj, u, v)
-        paths[(u, v)] = path
-        closure.append((len(path) - 1, u, v))
+    # metric closure over terminals: one BFS per terminal; each closure edge
+    # the MST keeps is the BFS-parent path, the lexicographically least one
+    closure = [(reach[t], terminals[0], t) for t in terminals[1:]]
+    for i, u in enumerate(terminals[1:-1], start=1):
+        parents[u] = {}
+        dist = _bfs_dist(adj, u, parents[u])
+        closure.extend((dist[v], u, v) for v in terminals[i + 1:])
     closure.sort()
     uf = _UnionFind(terminals)
     union_edges: set[tuple[int, int]] = set()
     for _, u, v in closure:
         if uf.union(u, v):
-            path = paths[(u, v)]
-            for a, b in zip(path, path[1:]):
-                union_edges.add((min(a, b), max(a, b)))
+            while v != u:
+                w = parents[u][v]
+                union_edges.add((w, v) if w < v else (v, w))
+                v = w
     tree = SteinerTree(frozenset(terminals), _prune_to_tree(union_edges, set(terminals)))
     tree.check()
     return tree
@@ -381,13 +366,13 @@ def _tree_center(adj: dict[int, set[int]]) -> int:
     a longest path, found from a sweep to one end and a sweep back."""
     first = _bfs_dist(adj, min(adj))
     end = max(first, key=first.get)
-    dist = _bfs_dist(adj, end)
+    parent: dict[int, int] = {}
+    dist = _bfs_dist(adj, end, parent)
     v = max(dist, key=dist.get)
-    path = [v]
-    while dist[v]:
-        v = next(w for w in adj[v] if dist[w] == dist[v] - 1)
-        path.append(v)
-    return min(path[len(path) // 2], path[(len(path) - 1) // 2])
+    length = dist[v]
+    for _ in range(length // 2):
+        v = parent[v]
+    return min(v, parent[v]) if length % 2 else v
 
 
 _ACTION_PROTOCOL = {"pair-merge": "ghz-parallel-d", "star-merge": "ghz-from-bells-d",

@@ -442,7 +442,7 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
     correction is a label shift per offset site plus a clock power on the
     reference site, with g folded into the global phase.
     """
-    d, n = state.d, state.n
+    d = state.d
     tens = state.tensor_view()
     nz = np.argwhere(np.abs(tens) > atol)
     if len(nz) != d:
@@ -462,23 +462,14 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
     if not np.allclose(rel, w ** (-t * np.arange(d)), atol=atol):
         raise CorrectionError("phases are not linear in the GHZ index")
 
-    ops = []
-    names = []
-    for j, s in enumerate(offsets):
-        if s:
-            ops.append((j, _shift_name(d, s), label_shift_op(d, 0, s)))
-            names.append(f"{_shift_name(d, s)}@{j}")
-    if t:
-        ops.append((0, _phase_name(d, t), clock_power_op(d, t)))
-        names.append(f"{_phase_name(d, t)}@0")
     g = coeffs[0] * np.sqrt(d)  # unit-modulus residue; cancel it exactly
     phase = np.conj(g) if abs(abs(g) - 1) < atol else 1.0
-    return CorrectionOp(ops=tuple(ops), global_phase=complex(phase),
-                        label=" ".join(names) if names else "I")
+    return _shift_phase_correction(d, dict(enumerate(offsets)), t,
+                                   global_phase=complex(phase))
 
 
 def _shift_phase_correction(d: int, shifts: dict[int, int], t: int,
-                            phase_site: int = 0) -> CorrectionOp:
+                            phase_site: int = 0, global_phase: complex = 1.0) -> CorrectionOp:
     """Correction made of label shifts per site plus one clock power."""
     ops = []
     names = []
@@ -491,7 +482,8 @@ def _shift_phase_correction(d: int, shifts: dict[int, int], t: int,
     if t:
         ops.append((phase_site, _phase_name(d, t), clock_power_op(d, t)))
         names.append(f"{_phase_name(d, t)}@{phase_site}")
-    return CorrectionOp(ops=tuple(ops), label=" ".join(names) if names else "I")
+    return CorrectionOp(ops=tuple(ops), global_phase=global_phase,
+                        label=" ".join(names) if names else "I")
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +499,9 @@ def qubit_correction(site_ops: list[tuple[int, str]], sign: int) -> CorrectionOp
     return CorrectionOp(ops=ops, global_phase=complex(sign), label=label)
 
 
-# Reference rows of the two qubit swaps, the corrections' single source:
-# outcome -> (residual state terms over the outputs, [(site, op)...], sign,
-# listed label).  tables.verify_table checks every row against the simulator.
+# Reference rows of the qubit swaps (tables 1, 2) and merges (table3_row,
+# table4_row), the corrections' single source: outcome -> (residual terms over
+# the outputs, [(site, op)...], sign, label); tables.verify_table checks them.
 TABLE_1 = {
     (0, 0): ([(1, "01"), (1, "10")], [(0, "X")], +1, "X1"),
     (0, 1): ([(1, "00"), (1, "11")], [], +1, "I1"),
@@ -529,39 +521,46 @@ TABLE_2 = {
 }
 
 
-def _method1_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionOp:
-    """Measured-result rule: outcome = (a1, x2..xk, b1), parity y of the x's."""
+def table3_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
+    """Table 3 (merge-method-1) row for outcome = (a1, x2..xk, b1), symbolic in
+    the parity y of the x's: (residual terms, [(site, op)...], sign, label)."""
     a1, xs, b1 = outcome[0], outcome[1:-1], outcome[-1]
     y = outcome_parity(xs)
-    a_out = m - k  # output sites 0..a_out-1 hold a_{k+1}..a_m
-    flips = [(j, "X") for j in range(a_out)]
-    if b1 == y:
-        if a1 == 0:
-            return qubit_correction(flips + ([(0, "Z")] if y else []), +1)
-        return qubit_correction(flips + ([(0, "Z")] if (y + 1) % 2 else []), -1)
-    if a1 == 0:
-        return qubit_correction([(0, "Z")] if y else [], +1)
-    return qubit_correction([(0, "Z")] if (y + 1) % 2 else [], -1)
+    sgn_y = -1 if y else 1
+    flip_block = "0" * (m - k) + "1" * (n - 1)
+    same_block = "0" * (m - k) + "0" * (n - 1)
+    flips = [(j, "X") for j in range(m - k)]  # output sites of a_{k+1}..a_m
+    zy = [(0, "Z")] if y else []
+    zy1 = [(0, "Z")] if (y + 1) % 2 else []
+    if a1 == 0 and b1 == y:
+        return ([(1, flip_block), (sgn_y, _invert(flip_block))], flips + zy, +1,
+                "X(k+1..m)Z^y")
+    if a1 == 0 and b1 != y:
+        return ([(1, same_block), (sgn_y, _invert(same_block))], zy, +1, "Z^y")
+    if a1 == 1 and b1 == y:
+        return ([(-1, flip_block), (sgn_y, _invert(flip_block))], flips + zy1, -1,
+                "-X(k+1..m)Z^(y+1)")
+    return ([(-1, same_block), (sgn_y, _invert(same_block))], zy1, -1, "-Z^(y+1)")
 
 
-def _method2_correction(outcome: tuple[int, ...], m: int, k: int) -> CorrectionOp:
-    """Measured-result rule: outcome = (x1..xk, b...b); all b values agree.
+def _invert(bits: str) -> str:
+    return "".join("1" if c == "0" else "0" for c in bits)
 
-    The conventional layout of the matching reference table pairs the
-    position value 0...0 with the flip-free entry, which cannot map that
-    branch's |0..01..1>-type residual onto the GHZ target with single-site
-    phases alone; the two entries are applied here with the roles exchanged
-    (flips on the b=0...0 branch), which is the assignment the residuals
-    demand.  verify_table reports the transposition.
-    """
+
+def table4_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
+    """Table 4 (merge-method-2) row for outcome = (x1..xk, b...b), symbolic in the
+    parity N of the x's: (terms, ops, sign, label, conventional label).  The X
+    flips go with b = 0...0, the transposed conventional layout (see ``tables``)."""
     xs, b = outcome[:k], outcome[-1]
-    n_parity = outcome_parity(xs)
-    a_out = m - k
-    sign = -1 if n_parity else +1  # (-Z)^N carries the sign
-    z = [(0, "Z")] if n_parity else []
+    nn = outcome_parity(xs)
+    sgn = -1 if nn else 1
+    z = [(0, "Z")] if nn else []
+    flips = [(j, "X") for j in range(m - k)]
     if b == 0:
-        return qubit_correction([(j, "X") for j in range(a_out)] + z, sign)
-    return qubit_correction(z, sign)
+        terms = [(sgn, "0" * (m - k) + "1" * (n - k)), (1, "1" * (m - k) + "0" * (n - k))]
+        return terms, flips + z, sgn, "X(k+1..m)(-Z)^N", "(-Z)^N"
+    terms = [(sgn, "0" * (m + n - 2 * k)), (1, "1" * (m + n - 2 * k))]
+    return terms, z, sgn, "(-Z)^N", "X(k+1..m)(-Z)^N"
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +648,9 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
     if kd is ProtocolKind.GHZ_SWAP_2D:
         return qubit_correction(*TABLE_2[outcome][1:3])
     if kd is ProtocolKind.MERGE_METHOD_1 and not spec.retain_coins:
-        return _method1_correction(outcome, spec.m, spec.k)
+        return qubit_correction(*table3_row(spec.m, spec.n, spec.k, outcome)[1:3])
     if kd is ProtocolKind.MERGE_METHOD_2 and not spec.retain_coins:
-        return _method2_correction(outcome, spec.m, spec.k)
+        return qubit_correction(*table4_row(spec.m, spec.n, spec.k, outcome)[1:3])
 
     if kd is ProtocolKind.BELL_SWAP_D:
         bm, bn, bp, bq = spec.bell_labels
@@ -692,9 +691,8 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
 
 
-def _validate_outcome(spec: ProtocolSpec, outcome: tuple[int, ...]) -> None:
+def _validate_outcome(spec: ProtocolSpec, stages, outcome: tuple[int, ...]) -> None:
     d, kd = spec.d, spec.kind
-    stages, _ = _circuit(spec)
     if len(outcome) != sum(len(stage.targets) for stage in stages):
         raise ValueError(f"outcome length {len(outcome)} wrong for {kd.value}")
     if any(not 0 <= v < d for v in outcome):
@@ -721,20 +719,21 @@ def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
     Qubit table kinds return the tabulated operator; d-dimensional kinds
     return the shift/clock correction read off the closed-form residual.
     Kinds without either (combined merge, qubit triangle merge, method-1
-    coin retention) derive the correction from the simulated residual state.
+    coin retention) derive it from that outcome's simulated residual state.
     """
     spec = spec or ProtocolSpec(kind=kind, d=d)
     if spec.kind is not kind or spec.d != d:
         raise ValueError("spec disagrees with kind/d arguments")
     spec.validate()
     outcome = tuple(outcome)
-    _validate_outcome(spec, outcome)
+    stages, _ = _circuit(spec)
+    _validate_outcome(spec, stages, outcome)
     corr = _closed_form_correction(spec, outcome)
     if corr is not None:
         return corr
-    for br in run_protocol(spec).branches:
-        if br.outcome == tuple(outcome):
-            return br.correction
+    for values, _, post in run_stages(stages):
+        if values == outcome:
+            return derive_ghz_correction(post.state)
     raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
 
 

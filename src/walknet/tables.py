@@ -39,10 +39,11 @@ from .protocols import (
     ProtocolKind,
     ProtocolSpec,
     Stage,
-    outcome_parity,
     qubit_correction,
     run_protocol,
     run_stages,
+    table3_row,
+    table4_row,
 )
 from .qudit import (
     Basis,
@@ -112,7 +113,7 @@ class TableReport:
 
 
 # (outcome) -> (state terms over outputs, [(site, op)...], sign, label); tables
-# 1 and 2 live in protocols, where they drive the qubit swap corrections
+# 1 to 4 live in protocols, where they drive the qubit swap and merge corrections
 TABLE_5 = {
     (0, 0, 0): ([(1, "000"), (1, "111")], [], +1, "I1"),
     (0, 0, 1): ([(1, "011"), (1, "100")], [(0, "X")], +1, "X1"),
@@ -135,43 +136,6 @@ TABLE_6 = {
 # Default parameter sets at which the symbolic tables 3 and 4 are expanded.
 TABLE_3_PARAMS = ((3, 3, 2), (4, 4, 3), (5, 3, 2))
 TABLE_4_PARAMS = ((3, 3, 2), (4, 4, 3), (4, 3, 2))
-
-
-def _table3_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
-    a1, xs, b1 = outcome[0], outcome[1:-1], outcome[-1]
-    y = outcome_parity(xs)
-    sgn_y = -1 if y else 1
-    flip_block = "0" * (m - k) + "1" * (n - 1)
-    same_block = "0" * (m - k) + "0" * (n - 1)
-    flips = [(j, "X") for j in range(m - k)]
-    zy = [(0, "Z")] if y else []
-    zy1 = [(0, "Z")] if (y + 1) % 2 else []
-    if a1 == 0 and b1 == y:
-        return ([(1, flip_block), (sgn_y, _invert(flip_block))], flips + zy, +1,
-                "X(k+1..m)Z^y")
-    if a1 == 0 and b1 != y:
-        return ([(1, same_block), (sgn_y, _invert(same_block))], zy, +1, "Z^y")
-    if a1 == 1 and b1 == y:
-        return ([(-1, flip_block), (sgn_y, _invert(flip_block))], flips + zy1, -1,
-                "-X(k+1..m)Z^(y+1)")
-    return ([(-1, same_block), (sgn_y, _invert(same_block))], zy1, -1, "-Z^(y+1)")
-
-
-def _invert(bits: str) -> str:
-    return "".join("1" if c == "0" else "0" for c in bits)
-
-
-def _table4_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
-    xs, b = outcome[:k], outcome[-1]
-    nn = outcome_parity(xs)
-    sgn = -1 if nn else 1
-    z = [(0, "Z")] if nn else []
-    flips = [(j, "X") for j in range(m - k)]
-    if b == 0:
-        terms = [(sgn, "0" * (m - k) + "1" * (n - k)), (1, "1" * (m - k) + "0" * (n - k))]
-        return terms, flips + z, sgn, "X(k+1..m)(-Z)^N", "(-Z)^N"
-    terms = [(sgn, "0" * (m + n - 2 * k)), (1, "1" * (m + n - 2 * k))]
-    return terms, z, sgn, "(-Z)^N", "X(k+1..m)(-Z)^N"
 
 
 def _check_rows(report, branches, rows, target, params=None):
@@ -228,7 +192,7 @@ def verify_table(table_id: int) -> TableReport:
         report = TableReport(3)
         for m, n, k in TABLE_3_PARAMS:
             result = run_protocol(ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=m, n=n, k=k))
-            rows = {br.outcome: _table3_row(m, n, k, br.outcome)
+            rows = {br.outcome: table3_row(m, n, k, br.outcome)
                     for br in result.branches}
             _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - k - 1),
                         params={"m": m, "n": n, "k": k})
@@ -243,7 +207,7 @@ def verify_table(table_id: int) -> TableReport:
             result = run_protocol(ProtocolSpec(ProtocolKind.MERGE_METHOD_2, m=m, n=n, k=k))
             rows = {}
             for br in result.branches:
-                terms, ops, sign, label, conventional = _table4_row(m, n, k, br.outcome)
+                terms, ops, sign, label, conventional = table4_row(m, n, k, br.outcome)
                 rows[br.outcome] = (terms, ops, sign, f"{label} (conventional: {conventional})")
             _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - 2 * k),
                         params={"m": m, "n": n, "k": k})

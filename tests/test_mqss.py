@@ -18,7 +18,14 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
-from walknet.qudit import apply, canonical_bell, canonical_ghz, fidelity, fourier_op
+from walknet.qudit import (
+    SizeCapError,
+    apply,
+    canonical_bell,
+    canonical_ghz,
+    fidelity,
+    fourier_op,
+)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -187,3 +194,21 @@ def test_run_mqss_wrong_reconstruction_raises(monkeypatch):
     monkeypatch.setattr(mqss, "reconstruct", lambda *args: 12345)
     with pytest.raises(AssertionError, match="reconstructed 12345"):
         run_mqss(MqssConfig(d=2, participants=2, secret=1, detect_pairs=3, seed=9))
+
+
+def test_over_cap_session_refused_before_any_work(monkeypatch):
+    # step 3's register peaks at M+3 sites: 7**8 is over the cap, 7**7 is not
+    calls = []
+    real = mqss.distribute
+    monkeypatch.setattr(mqss, "distribute", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    with pytest.raises(SizeCapError, match="5 participants at d=7"):
+        run_mqss(MqssConfig(d=7, participants=5, secret=1))
+    assert calls == []
+    with pytest.raises(SizeCapError):
+        MqssConfig(d=5, participants=7, secret=1).validate()
+    with monkeypatch.context() as mp:
+        mp.setattr(mqss, "run_stages", lambda *a, **kw: pytest.fail("ran a stage"))
+        with pytest.raises(SizeCapError):
+            generate_shared_ghz(7, 5)
+    t = run_mqss(MqssConfig(d=7, participants=4, secret=1))
+    assert t.reconstructed == 1 and len(calls) == 4

@@ -434,3 +434,35 @@ def test_no_module_imports_a_private_name_from_another():
             if isinstance(node, ast.ImportFrom) and node.level:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name} imports {private}"
+
+
+def test_correction_for_derives_the_requested_branch_only(monkeypatch):
+    specs = [ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D),
+             ProtocolSpec(ProtocolKind.MERGE_COMBINED, m=4, n=3, k=3, l=2),
+             ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3, n=2, k=2, retain_coins=True)]
+    expected = [{b.outcome: b.correction for b in run_protocol(spec).branches}
+                for spec in specs]
+    calls = []
+    real = protocols.derive_ghz_correction
+    monkeypatch.setattr(protocols, "derive_ghz_correction",
+                        lambda state, **kw: calls.append(state) or real(state, **kw))
+    with pytest.raises(ValueError, match="zero probability"):
+        correction_for(ProtocolKind.TRIANGLE_MERGE_2D, 2, (0,) * 6)
+    assert calls == []
+    for spec, branches in zip(specs, expected):
+        for outcome, want in list(branches.items())[::5]:
+            calls.clear()
+            corr = correction_for(spec.kind, 2, outcome, spec)
+            assert len(calls) == 1
+            assert (corr.label, corr.global_phase) == (want.label, want.global_phase)
+
+
+def test_merge_method_corrections_are_the_table_rows():
+    for m, n, k in ((3, 3, 2), (4, 4, 3), (5, 3, 2), (4, 3, 2), (2, 2, 1)):
+        for kind, row in ((ProtocolKind.MERGE_METHOD_1, protocols.table3_row),
+                          (ProtocolKind.MERGE_METHOD_2, protocols.table4_row)):
+            spec = ProtocolSpec(kind, m=m, n=n, k=k)
+            for b in run_protocol(spec).branches:
+                site_ops, sign = row(m, n, k, b.outcome)[1:3]
+                assert [(s, name) for s, name, _ in b.correction.ops] == site_ops
+                assert b.correction.global_phase == sign
