@@ -21,16 +21,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .protocols import (
-    FIDELITY_TOL,
-    derive_ghz_correction,
-    run_stages,
-    triangle_merge_stages,
-)
-from .qudit import QuditState, canonical_ghz, fidelity
+from .protocols import StepLaw, compile_law, triangle_merge_stages
+from .qudit import QuditState, canonical_ghz
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -118,41 +114,44 @@ class MergeRunResult:
     final_corners: Triangle
     fidelity: float
     final_state: QuditState
+    corrections: list[str] = field(default_factory=list)   # per merge, schedule order
+
+
+@lru_cache(maxsize=None)
+def _merge_law(d: int) -> StepLaw:
+    """The triangle merge's compiled law on three canonical GHZ triples."""
+    def settle(post):
+        if post.labels != ("a", "b", "c"):
+            raise AssertionError(f"triangle merge left sites {post.labels}")
+        return post.state
+
+    return compile_law(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2),
+                       settle)
 
 
 def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
-    """Simulate the whole composition, one sampled branch per merge.
+    """Sample the whole composition, one branch per merge.
 
     Each merge is a local nine-site event over three GHZ triples, run as the
     triangle-merge stages of ``protocols``: coin-X walks across each shared
-    corner at d = 2, the two-stage identity-coin merge at d > 2.  Corrections
-    are derived per branch, so each output triangle is restored to the
-    canonical GHZ before it feeds the next level.
+    corner at d = 2, the two-stage identity-coin merge at d > 2.  Every input
+    triple is the canonical GHZ that the previous correction restored, so all
+    merges share one law, compiled once per d: each merge draws its outcome
+    stage by stage and looks up its correction.  ``fidelity`` is the last
+    merge's compile-time fidelity and ``final_state`` the canonical apex GHZ.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = np.random.default_rng(seed)
-    gasket = build_gasket(n)
-    states: dict[Triangle, QuditState] = {
-        tri: canonical_ghz(d, 3) for tri in gasket.triangles}
     steps = merge_schedule(n)
-    for step in steps:
-        stages = triangle_merge_stages(d, [states.pop(t) for t in step.inputs],
-                                       qubit=d == 2)
-        ((_, _, post),) = run_stages(stages, rng)
-        if post.labels != ("a", "b", "c"):
-            raise AssertionError(f"merge at {step.pos} left sites {post.labels}")
-        corr = derive_ghz_correction(post.state)
-        fixed = corr.apply_to(post.state)
-        fid = fidelity(fixed, canonical_ghz(d, 3))
-        if fid < 1 - FIDELITY_TOL:
-            raise AssertionError(f"merge at {step.pos} level {step.level} failed")
-        states[step.output] = fixed
-    (final_tri,) = states
-    final = states[final_tri]
+    law = _merge_law(d)
+    corrections = []
+    for _ in steps:
+        _, corr, fid = law.sample(rng)
+        corrections.append(corr.label)
     return MergeRunResult(
-        iteration=n, d=d, merge_count=len(steps), final_corners=final_tri,
-        fidelity=fidelity(final, canonical_ghz(d, 3)), final_state=final)
+        iteration=n, d=d, merge_count=len(steps), final_corners=steps[-1].output,
+        fidelity=fid, final_state=canonical_ghz(d, 3), corrections=corrections)
 
 
 # ---------------------------------------------------------------------------

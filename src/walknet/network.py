@@ -12,11 +12,15 @@ chosen terminal set proceeds in three stages:
                        resources bottom-up with multi-coin star merges, and the
                        final pair of resources is joined by a coin-free
                        parallel-walk merge.
-3. execute_schedule -- runs the plan against the state-vector simulator
-                       (sampling one measurement branch per step, applying the
-                       derived correction, and checking the canonical-GHZ
-                       fidelity), or as a symbolic resource ledger that only
-                       tracks party sets and site conservation.
+3. execute_schedule -- runs the plan as a symbolic resource ledger that only
+                       tracks party sets and site conservation, or samples it:
+                       each step draws its outcome from the compiled law of
+                       its shape and looks up that outcome's correction.  A
+                       shape's law is compiled on first use, by running its
+                       stage exhaustively on canonical inputs with the dense
+                       simulator and checking every branch's correction, and
+                       is cached for the life of the process.  Between steps
+                       only party tuples are kept.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -27,16 +31,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .protocols import (
-    FIDELITY_TOL,
     Stage,
-    derive_ghz_correction,
-    run_stages,
+    StepLaw,
+    compile_law,
     star_merge_stage,
 )
 from .qudit import (
@@ -45,7 +48,6 @@ from .qudit import (
     QuditState,
     canonical_bell,
     canonical_ghz,
-    fidelity,
     identity_op,
 )
 
@@ -323,6 +325,11 @@ class ScheduleStep:
     output_id: str
     output_parties: tuple[int, ...]
 
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """The consumed resource ids: the coins, then the position."""
+        return self.coin_inputs + (() if self.position_input is None else (self.position_input,))
+
     def to_dict(self) -> dict:
         return {
             "node": self.node,
@@ -516,68 +523,84 @@ class DistributionResult:
         return out
 
 
-def _simulate_step(step: ScheduleStep, states: dict[str, tuple[tuple[int, ...], QuditState]],
+def _simulate_step(step: ScheduleStep, states: dict[str, tuple[int, ...]],
                    d: int, rng: np.random.Generator) -> dict:
-    """Run one schedule step as a single stage on its input resources.
+    """Draw one schedule step's outcome from its shape's compiled law.
 
-    A particle is labeled (resource id, slot in the resource's party tuple).
+    ``states`` maps each live resource id to its party tuple; the step's
+    inputs make way for its output.
     """
-    involved = list(step.coin_inputs)
-    if step.position_input is not None:
-        involved.append(step.position_input)
-    node_of = {(rid, i): p for rid in involved for i, p in enumerate(states[rid][0])}
-    add = [(states[rid][1], tuple((rid, i) for i in range(len(states[rid][0]))))
-           for rid in involved]
-    local = step.local_pair
-    if local is not None:
-        add.append((canonical_bell(d, 0, 0), ((local, 0), (local, 1))))
-        node_of[(local, 0)] = node_of[(local, 1)] = step.node
-
-    def particle(rid: str) -> tuple[str, int]:
-        return (rid, states[rid][0].index(step.node))
-
-    if step.action == "pair-merge":
-        coin, pos = particle(step.coin_inputs[0]), particle(step.position_input)
-        stage = Stage(tuple(add), gates=((coin, pos, identity_op(d)),),
-                      targets=((coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
-    elif step.action == "star-merge":
-        coins = [particle(rid) for rid in step.coin_inputs]
-        if step.local_role == "position":
-            pos, far = (local, 0), (local, 1)
-        else:
-            pos = particle(step.position_input)
-            far = (step.position_input, 1 - pos[1])
-        if step.local_role == "coin":
-            coins.append((local, 0))
-        stage = star_merge_stage(d, coins, pos, far, add)
-    elif step.action == "release":
-        stage = Stage(tuple(add), targets=((particle(step.coin_inputs[0]), Basis.FOURIER),))
-    else:
-        raise NetworkError(f"unknown action {step.action}")
-    ((values, _, post),) = run_stages([stage], rng)
-
-    # reorder surviving sites to the step's documented output order
-    want: list[tuple[str, int]] = []
-    remaining = list(post.labels)
-    for party in step.output_parties:
-        pick_lab = next(lab for lab in remaining if node_of[lab] == party)
-        remaining.remove(pick_lab)
-        want.append(pick_lab)
-    ordered = post.reorder(want).state
-
-    corr = derive_ghz_correction(ordered)
-    corrected = corr.apply_to(ordered)
-    target = canonical_ghz(d, len(step.output_parties))
-    fid = fidelity(corrected, target)
-    if fid < 1 - FIDELITY_TOL:
-        raise NetworkError(f"step at node {step.node} failed to recover GHZ (fid={fid})")
-
-    for rid in involved:
+    values, corr, fid = _shape_law(step, states, d).sample(rng)
+    for rid in step.inputs:
         del states[rid]
-    states[step.output_id] = (step.output_parties, corrected)
+    states[step.output_id] = step.output_parties
     return {"node": step.node, "action": step.action,
             "outcome": [int(v) for v in values], "correction": corr.label,
             "step_fidelity": fid}
+
+
+def _shape_law(step: ScheduleStep, states: dict[str, tuple[int, ...]], d: int) -> StepLaw:
+    """The compiled law of the step's shape: its inputs' parties recoded as
+    their index in the output parties, so the output order is part of it."""
+    slot = {p: k for k, p in enumerate(step.output_parties)}
+    node_slot = slot.pop(step.node, -1)
+    slot[step.node] = -1
+    try:
+        codes = tuple(tuple(slot[p] for p in states[rid]) for rid in step.inputs)
+    except KeyError as exc:
+        raise NetworkError(f"step at node {step.node}: party {exc} is neither the "
+                           f"acting node nor an output party") from None
+    return _step_law(d, step.action, step.local_role, node_slot, len(step.coin_inputs), codes)
+
+
+@lru_cache(maxsize=None)
+def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
+              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> StepLaw:
+    """Compiled law of one step shape, run as a single stage on canonical inputs.
+
+    ``codes`` holds one tuple per input resource (coins, then the position):
+    each party's index in the step's output parties, -1 for the acting node.
+    Particle j of input i is labeled (i, j).  The local pair, if any, is
+    ("l", 0), ("l", 1); its partner particle stays at the acting node, whose
+    index in the output parties is ``node_slot``.
+    """
+    add = [(canonical_ghz(d, len(code)), tuple((i, j) for j in range(len(code))))
+           for i, code in enumerate(codes)]
+    code_of = {(i, j): c for i, code in enumerate(codes) for j, c in enumerate(code)}
+    if local_role is not None:
+        add.append((canonical_bell(d, 0, 0), (("l", 0), ("l", 1))))
+        code_of[("l", 0)], code_of[("l", 1)] = -1, node_slot
+
+    def particle(i: int) -> tuple[int, int]:
+        return (i, codes[i].index(-1))
+
+    if action == "pair-merge":
+        coin, pos = particle(0), particle(1)
+        stage = Stage(tuple(add), gates=((coin, pos, identity_op(d)),),
+                      targets=((coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
+    elif action == "star-merge":
+        coins = [particle(i) for i in range(n_coins)]
+        if local_role == "position":
+            pos, far = ("l", 0), ("l", 1)
+        else:
+            pos = particle(n_coins)
+            far = (n_coins, 1 - pos[1])
+        if local_role == "coin":
+            coins.append(("l", 0))
+        stage = star_merge_stage(d, coins, pos, far, add)
+    elif action == "release":
+        stage = Stage(tuple(add), targets=((particle(0), Basis.FOURIER),))
+    else:
+        raise NetworkError(f"unknown action {action}")
+
+    def settle(post):
+        want = sorted(post.labels, key=code_of.get)
+        if [code_of[lab] for lab in want] != list(range(len(want))):
+            raise NetworkError(f"{action} leaves particles that do not match its "
+                               f"output parties")
+        return post.reorder(want).state
+
+    return compile_law([stage], settle)
 
 
 def _ledger(schedule: SwapSchedule) -> tuple[list[dict], dict[str, tuple[int, ...]]]:
@@ -589,11 +612,8 @@ def _ledger(schedule: SwapSchedule) -> tuple[list[dict], dict[str, tuple[int, ..
         rid: res.parties for rid, res in schedule.initial.items()}
     ledger = []
     for step in schedule.steps:
-        inputs = list(step.coin_inputs)
-        if step.position_input is not None:
-            inputs.append(step.position_input)
         sites_in = 0
-        for rid in inputs:
+        for rid in step.inputs:
             if rid not in live:
                 raise NetworkError(f"step consumes unknown resource {rid}")
             if step.node not in live[rid]:
@@ -609,7 +629,7 @@ def _ledger(schedule: SwapSchedule) -> tuple[list[dict], dict[str, tuple[int, ..
             measured = 1
         if sites_in - measured != len(step.output_parties):
             raise NetworkError("site conservation violated in schedule step")
-        for rid in inputs:
+        for rid in step.inputs:
             del live[rid]
         live[step.output_id] = step.output_parties
         ledger.append({"node": step.node, "action": step.action,
@@ -623,11 +643,14 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                      d: int = 2, seed: int = 0) -> DistributionResult:
     """Run a schedule to completion.
 
-    simulated: state-vector execution; one Born-sampled branch per step, the
-    derived correction applied, per-step and final canonical-GHZ fidelity
-    checks.  Independent resources stay factored, so the cap applies per
-    merge event rather than to the whole network; a schedule with any step
-    over the cap is refused before the first step is sampled.
+    simulated: one sampled branch per step, drawn from the compiled law of
+    the step's shape with the dense sampler's outcome order and probability
+    array, and its correction looked up.  ``step_fidelity`` is the drawn
+    branch's compile-time dense fidelity, and ``fidelity`` the last step's;
+    ``final_state`` is the canonical GHZ that the last correction restores.
+    Compiling a shape is dense, so the cap applies per merge event rather
+    than to the whole network; a schedule with any step over the cap is
+    refused before the first step is sampled.
     symbolic: party-set bookkeeping with site conservation per step.
     """
     if mode not in ("symbolic", "simulated"):
@@ -647,26 +670,19 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                 f"step at node {step.node} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
     rng = np.random.default_rng(seed)
-    states: dict[str, tuple[tuple[int, ...], QuditState]] = {}
-    for rid, res in schedule.initial.items():
-        st = (canonical_bell(d, 0, 0) if res.kind == "bell"
-              else canonical_ghz(d, len(res.parties)))
-        states[rid] = (res.parties, st)
-    outcomes = []
-    for step in schedule.steps:
-        outcomes.append(_simulate_step(step, states, d, rng))
+    states = {rid: res.parties for rid, res in schedule.initial.items()}
+    outcomes = [_simulate_step(step, states, d, rng) for step in schedule.steps]
 
     if len(terminals) == 1:
         return DistributionResult(
             mode="simulated", terminals=terminals, step_count=0,
             resources_consumed=0, final_parties=terminals, fidelity=1.0)
-    (final_rid,) = live
-    final_state = states[final_rid][1]
-    fid = fidelity(final_state, canonical_ghz(d, len(terminals)))
+    # with no steps, the final resource is an untouched canonical Bell pair
+    fid = outcomes[-1]["step_fidelity"] if outcomes else 1.0
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
         resources_consumed=consumed, final_parties=final_parties, fidelity=fid,
-        final_state=final_state, outcomes=outcomes)
+        final_state=canonical_ghz(d, len(terminals)), outcomes=outcomes)
 
 
 def _final_parties(live: dict[str, tuple[int, ...]], terminals: tuple[int, ...]):

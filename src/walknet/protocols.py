@@ -57,13 +57,17 @@ Circuits as data
 Each circuit is a tuple of ``Stage`` records (resources to add, walks and
 single-site gates, measurement targets, post-measurement gates) run by one
 interpreter, ``run_stages``: exhaustively here, one Born-sampled branch per
-stage for the gasket merges, the network merge steps (``star_merge_stage``
-also serves ghz-from-bells-d) and the secret-sharing GHZ generation.
+stage for the secret-sharing GHZ generation.  ``compile_law`` runs a circuit
+exhaustively once and tabulates every kept outcome's correction; the gasket
+merges and the network merge steps (``star_merge_stage`` also serves
+ghz-from-bells-d) sample these ``StepLaw`` tables instead of amplitudes.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -190,12 +194,20 @@ class CorrectionOp:
     label: str = "I"
 
     def apply_to(self, state: QuditState) -> QuditState:
-        out = state
-        for site, _, mat in self.ops:
-            out = apply(out, mat, [site])
+        """Every op is monomial, so each is an index move and a phase
+        multiply along its site's axis instead of a matmul."""
+        tens = state.tensor_view()
+        for site, name, op in self.ops:
+            if op.monomial is None:
+                raise ValueError(f"correction op {name} is not monomial")
+            src, phase = op.monomial
+            tens = tens.take(src, axis=site)
+            if phase is not None:
+                tens = tens * phase.reshape((-1,) + (1,) * (state.n - 1 - site))
+        amps = tens.reshape(-1)
         if self.global_phase != 1.0:
-            out = QuditState(out.d, out.n, self.global_phase * out.amps)
-        return out
+            amps = self.global_phase * amps
+        return QuditState(state.d, state.n, amps)
 
     def to_dict(self) -> dict:
         return {"label": self.label,
@@ -336,6 +348,8 @@ class Register:
         new_order = tuple(new_order)
         if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
             raise ValueError("reorder must permute the existing labels")
+        if new_order == self.labels:
+            return self
         perm = [self.labels.index(lab) for lab in new_order]
         tens = np.moveaxis(self.state.tensor_view(), perm, range(len(perm)))
         state = QuditState(self.state.d, self.state.n,
@@ -359,18 +373,21 @@ class Stage:
     after: tuple = ()
 
 
-def run_stages(stages, rng: np.random.Generator | None = None):
+def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None = None):
     """Run a walk circuit; yield (values, probability, register) per branch.
 
     Without ``rng`` every nonzero branch comes out, in outcome order; values
     are the results of all stages' targets in order and the probability is
     their product.  With ``rng`` each stage draws its one Born-sampled branch
-    (one draw per stage), so exactly one branch comes out.
+    (one draw per stage), so exactly one branch comes out.  A ``law`` dict
+    receives every stage's branch point, keyed by the values before it: the
+    stage's kept values and their probabilities, the outcomes and the array
+    a sampled run draws from.
     """
-    yield from _run(tuple(stages), (), 1.0, None, rng)
+    yield from _run(tuple(stages), (), 1.0, None, rng, law)
 
 
-def _run(stages, values, prob, reg, rng):
+def _run(stages, values, prob, reg, rng, law):
     if not stages:
         yield values, prob, reg
         return
@@ -379,14 +396,15 @@ def _run(stages, values, prob, reg, rng):
         reg = Register(state, labels) if reg is None else reg.add(state, labels)
     for gate in stage.gates:
         reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
-    branches = []
-    for vals, p, post in reg.measure(stage.targets, rng):
+    branches = list(reg.measure(stage.targets, rng))
+    del reg  # hold no pre-measurement state while later stages run
+    if law is not None:
+        law[values] = (tuple(v for v, _, _ in branches),
+                       np.array([p for _, p, _ in branches]))
+    for vals, p, post in branches:
         for label, op in stage.after:
             post = post.apply(op, [label])
-        branches.append((vals, p, post))
-    del reg  # hold no pre-measurement state while later stages run
-    for vals, p, post in branches:
-        yield from _run(stages[1:], values + vals, prob * p, post, rng)
+        yield from _run(stages[1:], values + vals, prob * p, post, rng, law)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -442,28 +460,28 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
     correction is a label shift per offset site plus a clock power on the
     reference site, with g folded into the global phase.
     """
-    d = state.d
-    tens = state.tensor_view()
-    nz = np.argwhere(np.abs(tens) > atol)
+    d, n = state.d, state.n
+    nz = np.flatnonzero(np.abs(state.amps) > atol)
     if len(nz) != d:
         raise CorrectionError(f"support size {len(nz)} != d")
-    ref = nz[0]
-    offsets = [(int(v) - int(ref[0])) % d for v in ref]
-    coeffs = []
-    for r in range(d):
-        idx = tuple((r + s) % d for s in offsets)
-        c = complex(tens[idx])
-        if abs(abs(c) - 1 / np.sqrt(d)) > atol:
-            raise CorrectionError("support magnitudes are not uniform")
-        coeffs.append(c)
-    rel = np.array(coeffs) / coeffs[0]
-    w = np.exp(2j * np.pi / d)
-    t = int(round((-np.angle(rel[1]) / (2 * np.pi / d)))) % d if d > 1 else 0
-    if not np.allclose(rel, w ** (-t * np.arange(d)), atol=atol):
+    # d values, a few sites: plain Python scalars beat numpy's per-call cost
+    place = [d ** (n - 1 - i) for i in range(n)]
+    ref = [int(nz[0]) // p % d for p in place]
+    offsets = [(v - ref[0]) % d for v in ref]
+    coeffs = [complex(state.amps[sum((r + s) % d * p for s, p in zip(offsets, place))])
+              for r in range(d)]
+    if any(abs(abs(c) - 1 / math.sqrt(d)) > atol for c in coeffs):
+        raise CorrectionError("support magnitudes are not uniform")
+    rel = [c / coeffs[0] for c in coeffs]
+    t = int(round(-cmath.phase(rel[1]) / (2 * math.pi / d))) % d
+    w = cmath.exp(2j * math.pi / d)
+    # np.allclose against the linear phases w^{-t r}
+    if any(abs(c - w ** (-t * r)) > atol + 1e-5 * abs(w ** (-t * r))
+           for r, c in enumerate(rel)):
         raise CorrectionError("phases are not linear in the GHZ index")
 
-    g = coeffs[0] * np.sqrt(d)  # unit-modulus residue; cancel it exactly
-    phase = np.conj(g) if abs(abs(g) - 1) < atol else 1.0
+    g = coeffs[0] * math.sqrt(d)  # unit-modulus residue; cancel it exactly
+    phase = g.conjugate() if abs(abs(g) - 1) < atol else 1.0
     return _shift_phase_correction(d, dict(enumerate(offsets)), t,
                                    global_phase=complex(phase))
 
@@ -484,6 +502,54 @@ def _shift_phase_correction(d: int, shifts: dict[int, int], t: int,
         names.append(f"{_phase_name(d, t)}@{phase_site}")
     return CorrectionOp(ops=tuple(ops), global_phase=global_phase,
                         label=" ".join(names) if names else "I")
+
+
+# ---------------------------------------------------------------------------
+# Compiled step laws
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StepLaw:
+    """A walk circuit's outcome law and corrections, compiled once.
+
+    ``draws`` maps the values drawn so far to the next stage's kept values
+    and their normalized probabilities; ``rows`` maps every kept outcome to
+    its GHZ correction and the corrected state's fidelity.
+    """
+
+    draws: dict
+    rows: dict
+
+    def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], CorrectionOp, float]:
+        """(outcome, correction, fidelity) of one branch drawn stage by stage
+        with the ``rng.choice`` calls a sampled ``run_stages`` makes."""
+        values = ()
+        while values in self.draws:
+            kept, p = self.draws[values]
+            values += kept[rng.choice(len(kept), p=p)]
+        return (values, *self.rows[values])
+
+
+def compile_law(stages, settle) -> StepLaw:
+    """Run ``stages`` exhaustively once and tabulate every kept outcome.
+
+    ``settle(register)`` returns a leaf's state over the output sites, in
+    output order.  Each leaf's correction is derived there and must restore
+    the canonical GHZ at fidelity >= 1 - FIDELITY_TOL.
+    """
+    draws: dict = {}
+    rows = {}
+    target = None
+    for values, _, post in run_stages(stages, law=draws):
+        state = settle(post)
+        if target is None:
+            target = canonical_ghz(state.d, state.n)
+        corr = derive_ghz_correction(state)
+        fid = fidelity(corr.apply_to(state), target)
+        if fid < 1 - FIDELITY_TOL:
+            raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
+        rows[values] = (corr, fid)
+    return StepLaw({k: (kept, p / p.sum()) for k, (kept, p) in draws.items()}, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,6 +99,17 @@ class OperatorMatrix:
 
     def dagger(self) -> "OperatorMatrix":
         return OperatorMatrix(self.d, self.arity, self.mat.conj().T)
+
+    @cached_property
+    def monomial(self) -> tuple[np.ndarray, np.ndarray | None] | None:
+        """(source, phase) with (op @ v)[i] = phase[i] * v[source[i]] when
+        each row holds one nonzero entry (a permutation with phases), else
+        None; phase is None when every entry is 1."""
+        if np.count_nonzero(self.mat) != len(self.mat):
+            return None
+        src = np.argmax(self.mat != 0, axis=1)
+        phase = self.mat[np.arange(len(src)), src]
+        return src, None if (phase == 1).all() else phase
 
 
 @dataclass(frozen=True)
@@ -268,10 +279,11 @@ def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState
         if not 0 <= s < state.n:
             raise ValueError(f"site {s} out of range")
     d, n, k = state.d, state.n, len(sites)
-    tens = np.moveaxis(state.tensor_view(), sites, range(k))
-    shaped = tens.reshape(d**k, d ** (n - k))
+    # the op's sites first, the rest in order: np.moveaxis without its overhead
+    perm = list(sites) + [s for s in range(n) if s not in sites]
+    shaped = state.tensor_view().transpose(perm).reshape(d**k, d ** (n - k))
     shaped = op.mat @ shaped
-    tens = np.moveaxis(shaped.reshape([d] * n), range(k), sites)
+    tens = shaped.reshape([d] * n).transpose(np.argsort(perm))
     new = QuditState.__new__(QuditState)
     # bypass the normalization re-check; unitarity preserves the norm
     object.__setattr__(new, "d", d)

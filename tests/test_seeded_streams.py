@@ -48,20 +48,11 @@ def test_random_tree_outcomes():
         ([0, 0, 1, 1], "U[0,1]@2 Z^1@0")]
 
 
-def test_gasket_merge_corrections(monkeypatch):
-    labels = []
-    derive = fractal.derive_ghz_correction
-
-    def recording(state):
-        corr = derive(state)
-        labels.append(corr.label)
-        return corr
-
-    monkeypatch.setattr(fractal, "derive_ghz_correction", recording)
+def test_gasket_merge_corrections():
     result = fractal.execute_merge_schedule(2, d=3, seed=4)
     assert result.fidelity >= 1 - 1e-9
-    assert labels == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,2]@1 U[0,1]@2 Z^2@0",
-                      "U[0,2]@1 U[0,2]@2 Z^2@0", "U[0,1]@1 U[0,2]@2"]
+    assert result.corrections == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,2]@1 U[0,1]@2 Z^2@0",
+                                  "U[0,2]@1 U[0,2]@2 Z^2@0", "U[0,1]@1 U[0,2]@2"]
 
 
 @pytest.mark.parametrize("seed, coins, u0", [
