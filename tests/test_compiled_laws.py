@@ -158,8 +158,8 @@ def _check_schedule(monkeypatch, schedule, d, seed):
     assert all(o["step_fidelity"] >= 1 - TOL for o in result.outcomes)
 
 
-def _net(d, edges, n=None):
-    n = n if n is not None else 1 + max(max(e) for e in edges)
+def _net(d, edges):
+    n = 1 + max(max(e) for e in edges)
     return ResourceNetwork(d, {v: f"n{v}" for v in range(n)},
                            [Resource("bell", e) for e in edges])
 
