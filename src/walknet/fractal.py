@@ -142,15 +142,17 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    if not 1 <= n <= MAX_ITERATION:
+        raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
     rng = np.random.default_rng(seed)
-    steps = merge_schedule(n)
     law = _merge_law(d)
+    count = (3**n - 1) // 2   # the length of merge_schedule(n)
     corrections = []
-    for _ in steps:
+    for _ in range(count):
         _, corr, fid = law.sample(rng)
         corrections.append(corr.label)
     return MergeRunResult(
-        iteration=n, d=d, merge_count=len(steps), final_corners=steps[-1].output,
+        iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
         fidelity=fid, final_state=canonical_ghz(d, 3), corrections=corrections)
 
 

@@ -76,7 +76,9 @@ import numpy as np
 from .qudit import (
     Basis,
     OperatorMatrix,
+    SIZE_CAP,
     QuditState,
+    SizeCapError,
     apply,
     canonical_bell,
     canonical_ghz,
@@ -309,39 +311,73 @@ def outcome_parity(bits) -> int:
 # ---------------------------------------------------------------------------
 
 class Register:
-    """A state plus the particle label of each live site."""
+    """A state plus the particle label of each live site.
+
+    A site may stand for idle parties of one canonical GHZ: ``copies`` maps
+    its label to theirs, its own first, and the copy isometry
+    V: |r> -> |r>^k, which commutes with every operation on other sites,
+    restores them.  ``idx``, ``apply``, ``walk`` and ``measure`` act on the
+    compact ``sites``; ``labels`` holds every particle in the dense run's
+    order, in which ``state`` expands through V; ``reorder`` changes
+    only that order.  With no copies, ``sites`` and ``labels`` coincide.
+    """
 
     def __init__(self, state: QuditState, labels: tuple):
         if state.n != len(labels):
             raise ValueError(f"{len(labels)} labels for a state of {state.n} sites")
-        self.state = state
-        self.labels = tuple(labels)
+        self.compact, self.copies = state, {}
+        self.sites = self.labels = tuple(labels)
+
+    def _like(self, state: QuditState, sites: tuple, labels: tuple,
+              copies: dict | None = None) -> "Register":
+        reg = Register(state, sites)
+        reg.labels, reg.copies = labels, self.copies if copies is None else copies
+        return reg
+
+    @property
+    def state(self) -> QuditState:
+        """The register over ``labels``, built on each read: one strided write
+        of the compact amplitudes onto the dense sites they stand for."""
+        if self.labels == self.sites:
+            return self.compact
+        d, n = self.compact.d, len(self.labels)
+        amps = np.zeros(d**n, dtype=complex)
+        place = {lab: amps.itemsize * d ** (n - 1 - i) for i, lab in enumerate(self.labels)}
+        strides = [sum(place[c] for c in self.copies.get(s, (s,))) for s in self.sites]
+        np.ndarray((d,) * len(self.sites), complex, amps, 0, strides)[...] = \
+            self.compact.tensor_view()
+        return QuditState(d, n, amps)
 
     def idx(self, label) -> int:
-        return self.labels.index(label)
+        return self.sites.index(label)
 
-    def add(self, state: QuditState, labels: tuple) -> "Register":
-        return Register(tensor(self.state, state), self.labels + tuple(labels))
+    def add(self, other: "Register") -> "Register":
+        d, n = self.compact.d, len(self.labels) + len(other.labels)
+        if d**n > SIZE_CAP:   # the cap counts every party, as a dense run would
+            raise SizeCapError(f"state of {n} sites at d={d} exceeds the size cap")
+        return self._like(tensor(self.compact, other.compact), self.sites + other.sites,
+                          self.labels + other.labels, {**self.copies, **other.copies})
 
     def apply(self, op: OperatorMatrix, labels: list) -> "Register":
         sites = [self.idx(x) for x in labels]
-        return Register(apply(self.state, op, sites), self.labels)
+        return self._like(apply(self.compact, op, sites), self.sites, self.labels)
 
     def walk(self, coin, pos, coin_op: OperatorMatrix) -> "Register":
-        st = walk_step(self.state, self.idx(coin), self.idx(pos), coin_op)
-        return Register(st, self.labels)
+        st = walk_step(self.compact, self.idx(coin), self.idx(pos), coin_op)
+        return self._like(st, self.sites, self.labels)
 
     def measure(self, targets, rng: np.random.Generator | None = None):
         """Yield (values, probability, post register) per nonzero branch, or
         for the one Born-sampled branch only when ``rng`` is given."""
         site_targets = [(self.idx(lab), basis) for lab, basis in targets]
-        kept = tuple(lab for lab in self.labels
-                     if lab not in {t[0] for t in targets})
-        branches = (measure_all_branches(self.state, site_targets) if rng is None
-                    else [sample_branch(self.state, site_targets, rng)])
+        measured = {t[0] for t in targets}
+        sites = tuple(lab for lab in self.sites if lab not in measured)
+        labels = tuple(lab for lab in self.labels if lab not in measured)
+        branches = (measure_all_branches(self.compact, site_targets) if rng is None
+                    else [sample_branch(self.compact, site_targets, rng)])
         for br in branches:
             values = tuple(v for (_, _, v) in br.outcome)
-            post = Register(br.post, kept) if br.post is not None else None
+            post = self._like(br.post, sites, labels) if br.post is not None else None
             yield values, br.probability, post
 
     def reorder(self, new_order: list) -> "Register":
@@ -350,11 +386,20 @@ class Register:
             raise ValueError("reorder must permute the existing labels")
         if new_order == self.labels:
             return self
-        perm = [self.labels.index(lab) for lab in new_order]
-        tens = np.moveaxis(self.state.tensor_view(), perm, range(len(perm)))
-        state = QuditState(self.state.d, self.state.n,
-                           np.ascontiguousarray(tens.reshape(-1)))
-        return Register(state, new_order)
+        return self._like(self.compact, self.sites, new_order)
+
+
+def _compact(state: QuditState, labels: tuple, touched: set) -> Register:
+    """The resource as a register; a canonical GHZ with two or more parties
+    outside ``touched`` keeps one of them as the site standing for all."""
+    reg = Register(state, labels)
+    idle = tuple(lab for lab in labels if lab not in touched)
+    if len(idle) < 2 or not np.array_equal(state.amps, canonical_ghz(state.d, state.n).amps):
+        return reg
+    sites, d = tuple(lab for lab in labels if lab not in idle[1:]), state.d
+    compact = (canonical_ghz(d, len(sites)) if len(sites) > 1
+               else QuditState(d, 1, np.ones(d, dtype=complex) / np.sqrt(d)))
+    return reg._like(compact, sites, labels, {idle[0]: idle})
 
 
 @dataclass(frozen=True)
@@ -383,17 +428,28 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     receives every stage's branch point, keyed by the values before it: the
     stage's kept values and their probabilities, the outcomes and the array
     a sampled run draws from.
+
+    A party that no walk, gate, target or ``after`` op touches is idle: an
+    added resource equal to ``canonical_ghz`` with two or more idle parties
+    enters as the GHZ over its touched parties plus one ``Register`` site
+    standing for the idle ones, so gates and measurements never sweep them.
+    Other resources enter as given.  A yielded register's ``state`` and
+    ``labels`` are those of the fully dense run.
     """
-    yield from _run(tuple(stages), (), 1.0, None, rng, law)
+    stages = tuple(stages)
+    touched = {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
+    touched.update(lab for stage in stages for lab, _ in stage.targets + stage.after)
+    yield from _run(stages, (), 1.0, None, rng, law, touched)
 
 
-def _run(stages, values, prob, reg, rng, law):
+def _run(stages, values, prob, reg, rng, law, touched):
     if not stages:
         yield values, prob, reg
         return
     stage = stages[0]
     for state, labels in stage.add:
-        reg = Register(state, labels) if reg is None else reg.add(state, labels)
+        part = _compact(state, tuple(labels), touched)
+        reg = part if reg is None else reg.add(part)
     for gate in stage.gates:
         reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
     branches = list(reg.measure(stage.targets, rng))
@@ -404,7 +460,7 @@ def _run(stages, values, prob, reg, rng, law):
     for vals, p, post in branches:
         for label, op in stage.after:
             post = post.apply(op, [label])
-        yield from _run(stages[1:], values + vals, prob * p, post, rng, law)
+        yield from _run(stages[1:], values + vals, prob * p, post, rng, law, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:

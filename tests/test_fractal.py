@@ -81,6 +81,20 @@ def test_execute_merge_schedule_reaches_apex_ghz(n, d):
     assert res.final_corners == ((0, 0), (side, 0), (0, side))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_executed_merges_follow_the_schedule(n):
+    res = execute_merge_schedule(n, d=2, seed=n)
+    steps = merge_schedule(n)
+    assert res.merge_count == len(steps) == len(res.corrections)
+    assert res.final_corners == steps[-1].output
+
+
+@pytest.mark.parametrize("n", [0, 11])
+def test_execute_merge_schedule_range_check(n):
+    with pytest.raises(ValueError):
+        execute_merge_schedule(n)
+
+
 def test_merge_execution_seeded_determinism():
     a = execute_merge_schedule(2, d=3, seed=21)
     b = execute_merge_schedule(2, d=3, seed=21)

@@ -1,0 +1,284 @@
+"""Representative sites against the fully dense interpreter.
+
+``run_stages`` carries the idle parties of each canonical GHZ input as one
+representative site and expands them through the copy isometry only when a
+caller reads a register.  The reference here is a test-local copy of the
+dense interpreter, which carries every particle as a site: for each circuit
+both runs must yield the same values in the same order, probabilities and
+post amplitudes within 1e-12, the same output labels in the same order, and
+equal ``law`` dicts.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from walknet import network, protocols
+from walknet.network import NetworkError, bundled_network_path, load_network
+from walknet.protocols import ProtocolKind as K
+from walknet.protocols import ProtocolSpec, Stage, run_stages
+from walknet.qudit import (
+    Basis,
+    SIZE_CAP,
+    QuditState,
+    SizeCapError,
+    apply,
+    canonical_bell,
+    canonical_ghz,
+    fourier_inv_op,
+    fourier_op,
+    label_shift_op,
+    measure_all_branches,
+    pauli_x,
+    sample_branch,
+    tensor,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the dense reference: every particle is a site
+# ---------------------------------------------------------------------------
+
+class DenseRegister:
+    def __init__(self, state, labels):
+        assert state.n == len(labels)
+        self.state, self.labels = state, tuple(labels)
+
+    def idx(self, label):
+        return self.labels.index(label)
+
+    def add(self, state, labels):
+        return DenseRegister(tensor(self.state, state), self.labels + tuple(labels))
+
+    def apply(self, op, labels):
+        return DenseRegister(apply(self.state, op, [self.idx(x) for x in labels]),
+                             self.labels)
+
+    def walk(self, coin, pos, coin_op):
+        return DenseRegister(protocols.walk_step(self.state, self.idx(coin),
+                                                 self.idx(pos), coin_op), self.labels)
+
+    def measure(self, targets, rng=None):
+        site_targets = [(self.idx(lab), basis) for lab, basis in targets]
+        kept = tuple(lab for lab in self.labels if lab not in {t[0] for t in targets})
+        branches = (measure_all_branches(self.state, site_targets) if rng is None
+                    else [sample_branch(self.state, site_targets, rng)])
+        for br in branches:
+            post = DenseRegister(br.post, kept) if br.post is not None else None
+            yield tuple(v for (_, _, v) in br.outcome), br.probability, post
+
+
+def dense_run(stages, rng=None, law=None):
+    def run(stages, values, prob, reg):
+        if not stages:
+            yield values, prob, reg
+            return
+        stage = stages[0]
+        for state, labels in stage.add:
+            reg = DenseRegister(state, labels) if reg is None else reg.add(state, labels)
+        for gate in stage.gates:
+            reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
+        branches = list(reg.measure(stage.targets, rng))
+        if law is not None:
+            law[values] = (tuple(v for v, _, _ in branches),
+                           np.array([p for _, p, _ in branches]))
+        for vals, p, post in branches:
+            for label, op in stage.after:
+                post = post.apply(op, [label])
+            yield from run(stages[1:], values + vals, prob * p, post)
+
+    yield from run(tuple(stages), (), 1.0, None)
+
+
+def assert_same_run(stages):
+    """Compare the two interpreters on ``stages``; return the compact posts."""
+    law, ref_law = {}, {}
+    got = list(run_stages(stages, law=law))
+    want = list(dense_run(stages, law=ref_law))
+    assert [v for v, _, _ in got] == [v for v, _, _ in want]
+    for (_, p, post), (_, q, ref) in zip(got, want):
+        assert abs(p - q) <= TOL
+        if ref is None:
+            assert post is None
+            continue
+        assert post.labels == ref.labels
+        assert np.abs(post.state.amps - ref.state.amps).max() <= TOL
+    assert law.keys() == ref_law.keys()
+    for key, (kept, probs) in law.items():
+        assert kept == ref_law[key][0]
+        assert np.abs(probs - ref_law[key][1]).max() <= TOL
+    return [post for _, _, post in got]
+
+
+def collapsed(posts) -> bool:
+    return any(post is not None and post.compact.n < len(post.labels) for post in posts)
+
+
+# ---------------------------------------------------------------------------
+# the protocol catalog
+# ---------------------------------------------------------------------------
+
+def _stages(spec):
+    return protocols._circuit(spec)[0]
+
+
+GRID = workloads.protocol_grid(small=True)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_protocol_grid(block):
+    for spec in GRID[block::4]:
+        assert_same_run(_stages(spec))
+
+
+def test_grid_collapses_the_idle_ghz_parties():
+    kinds = {spec.kind for spec in GRID if collapsed(assert_same_run(_stages(spec)))}
+    assert {K.GHZ_SWAP_2D, K.GHZ_SWAP_D, K.MERGE_METHOD_1, K.GHZ_MULTI_COIN_D} <= kinds
+    assert not kinds & {K.BELL_SWAP_2D, K.BELL_SWAP_D, K.GHZ_FROM_BELLS_D,
+                        K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D}
+
+
+@pytest.mark.parametrize("spec", [
+    ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=4),
+    ProtocolSpec(K.GHZ_PARALLEL_D, d=5, m=4, n=5, k=3),
+    ProtocolSpec(K.GHZ_PARALLEL_D, d=5, m=5, n=4, k=2, retain_coins=True),
+], ids=str)
+def test_nine_site_d5_merges(spec):
+    assert collapsed(assert_same_run(_stages(spec)))
+
+
+def test_sampled_run_draws_as_the_dense_run():
+    stages = _stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=4, n=4))
+    for seed in range(5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ((values, p, post),) = run_stages(stages, rng)
+        ((ref_values, q, ref),) = dense_run(stages, ref_rng)
+        assert values == ref_values and abs(p - q) <= TOL
+        assert post.labels == ref.labels
+        assert np.abs(post.state.amps - ref.state.amps).max() <= TOL
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# network step laws
+# ---------------------------------------------------------------------------
+
+def _network14_stages(d):
+    """The stages of every step-law shape the 14-node network reaches."""
+    net = load_network(bundled_network_path())
+    rng = np.random.default_rng(d)
+    nodes = sorted(net.nodes)
+    terminal_sets = [[1, 2, 5, 12, 13, 14]] + [
+        sorted(int(v) for v in rng.choice(nodes, size=k, replace=False))
+        for k in (2, 3, 4, 5, 6, 8, 10, 14) for _ in range(3)]
+    seen = {}
+
+    def shape(*key):
+        codes, local_role = key[-1], key[2]
+        sites = sum(map(len, codes)) + 2 * (local_role is not None)
+        if d**sites <= SIZE_CAP:   # a schedule with a larger step is refused
+            seen[key] = None
+
+    for terminals in terminal_sets:
+        try:
+            schedule = network.plan_distribution(network.steiner_tree(net, terminals), net)
+        except NetworkError:
+            continue
+        parties = {rid: res.parties for rid, res in schedule.initial.items()}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(network, "_step_law", shape)
+            for step in schedule.steps:
+                network._shape_law(step, parties, d)
+                for rid in step.inputs:
+                    del parties[rid]
+                parties[step.output_id] = step.output_parties
+    stages = []
+
+    def record(steps, settle):
+        stages.append(tuple(steps))
+        return protocols.compile_law(steps, settle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "compile_law", record)
+        for key in seen:
+            network._step_law.__wrapped__(*key)
+    return stages
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_network14_step_laws(d):
+    shapes = _network14_stages(d)
+    assert len(shapes) >= 5
+    posts = [assert_same_run(stages) for stages in shapes]
+    assert any(collapsed(p) for p in posts)
+
+
+# ---------------------------------------------------------------------------
+# guard cases
+# ---------------------------------------------------------------------------
+
+def test_phased_and_shifted_ghz_stay_dense():
+    d = 3
+    ghz = canonical_ghz(d, 4)
+    phased = apply(ghz, label_shift_op(d, 1, 0), [2])
+    shifted = apply(ghz, label_shift_op(d, 0, 2), [3])
+    for state in (phased, shifted):
+        stage = Stage(add=((state, ("a1", "a2", "a3", "a4")), (canonical_ghz(d, 3), ("b1", "b2", "b3"))),
+                      gates=(("a1", "b1", fourier_op(d)),),
+                      targets=(("a1", Basis.FOURIER), ("b1", Basis.COMPUTATIONAL)))
+        posts = assert_same_run((stage,))
+        # the canonical b triple collapses, the altered a quadruple does not
+        assert all(post.compact.n == len(post.labels) - 1 for post in posts)
+
+
+def test_labelled_bell_pair_stays_dense():
+    stage = Stage(add=((canonical_bell(3, 1, 2), ("x", "y")),),
+                  targets=(("x", Basis.FOURIER),))
+    assert not collapsed(assert_same_run((stage,)))
+
+
+def test_idle_parties_apart_come_back_in_dense_order():
+    d = 3
+    stage = Stage(add=((canonical_ghz(d, 3), ("a1", "a2", "a3")),
+                       (canonical_ghz(d, 2), ("b1", "b2"))),
+                  gates=(("a2", "b1", fourier_op(d)),),
+                  targets=(("a2", Basis.FOURIER), ("b1", Basis.COMPUTATIONAL)))
+    posts = assert_same_run((stage,))
+    assert collapsed(posts)
+    assert all(post.labels == ("a1", "a3", "b2") for post in posts)
+    reordered = posts[0].reorder(["b2", "a3", "a1"])
+    ref = np.moveaxis(posts[0].state.tensor_view(), [2, 1, 0], [0, 1, 2]).reshape(-1)
+    assert np.array_equal(reordered.state.amps, ref)
+
+
+def test_untouched_resource_rides_as_one_site():
+    d = 2
+    stage = Stage(add=((canonical_bell(d, 0, 0), ("p", "q")),
+                       (canonical_ghz(d, 3), ("x1", "x2", "x3"))),
+                  gates=(("p", pauli_x(d)),), targets=(("q", Basis.COMPUTATIONAL),))
+    posts = assert_same_run((stage,))
+    assert all(post.compact.n == 2 and post.labels == ("p", "x1", "x2", "x3")
+               for post in posts)
+    assert isinstance(posts[0].state, QuditState)
+
+
+def test_after_ops_touch_their_party():
+    # a gate on a representative site would act on every party it stands for
+    stage = Stage(add=((canonical_ghz(3, 4), ("a1", "a2", "a3", "a4")),),
+                  targets=(("a1", Basis.FOURIER),), after=(("a2", fourier_inv_op(3)),))
+    posts = assert_same_run((stage,))
+    assert all(post.compact.n == 2 and post.copies == {"a3": ("a3", "a4")}
+               for post in posts)
+
+
+def test_the_size_cap_counts_every_party():
+    # 5^10 amplitudes are over the cap, though the compact register holds 5^7
+    with pytest.raises(SizeCapError, match="10 sites at d=5"):
+        list(run_stages(_stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5))))
