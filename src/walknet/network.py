@@ -12,15 +12,17 @@ chosen terminal set proceeds in three stages:
                        resources bottom-up with multi-coin star merges, and the
                        final pair of resources is joined by a coin-free
                        parallel-walk merge.
-3. execute_schedule -- runs the plan as a symbolic resource ledger that only
-                       tracks party sets and site conservation, or samples it:
-                       each step draws its outcome from the compiled law of
-                       its shape and looks up that outcome's correction.  A
-                       shape's law is compiled on first use, by running its
-                       stage exhaustively on canonical inputs with the dense
+3. execute_schedule -- one pass over the plan checks every step's inputs,
+                       site conservation and parties, keys its shape, and
+                       checks that a single resource over the terminals is
+                       left; symbolic mode returns that pass's ledger of party
+                       sets.  Simulated mode then samples the plan: each step
+                       draws its outcome from the compiled law of its shape
+                       and looks up that outcome's correction.  A shape's law
+                       is compiled on first use, by running its stage
+                       exhaustively on canonical inputs with the dense
                        simulator and checking every branch's correction, and
-                       is cached for the life of the process.  Between steps
-                       only party tuples are kept.
+                       is cached for the life of the process.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -523,34 +525,19 @@ class DistributionResult:
         return out
 
 
-def _simulate_step(step: ScheduleStep, states: dict[str, tuple[int, ...]],
-                   d: int, rng: np.random.Generator) -> dict:
-    """Draw one schedule step's outcome from its shape's compiled law.
-
-    ``states`` maps each live resource id to its party tuple; the step's
-    inputs make way for its output.
-    """
-    values, corr, fid = _shape_law(step, states, d).sample(rng)
-    for rid in step.inputs:
-        del states[rid]
-    states[step.output_id] = step.output_parties
-    return {"node": step.node, "action": step.action,
-            "outcome": [int(v) for v in values], "correction": corr.label,
-            "step_fidelity": fid}
-
-
-def _shape_law(step: ScheduleStep, states: dict[str, tuple[int, ...]], d: int) -> StepLaw:
-    """The compiled law of the step's shape: its inputs' parties recoded as
-    their index in the output parties, so the output order is part of it."""
+def _shape(step: ScheduleStep, live: dict[str, tuple[int, ...]]) -> tuple:
+    """The key of the step's compiled law, ``_step_law``'s arguments after d:
+    its inputs' parties recoded as their index in the output parties, so the
+    output order is part of it.  ``live`` maps resource ids to party tuples."""
     slot = {p: k for k, p in enumerate(step.output_parties)}
     node_slot = slot.pop(step.node, -1)
     slot[step.node] = -1
     try:
-        codes = tuple(tuple(slot[p] for p in states[rid]) for rid in step.inputs)
+        codes = tuple(tuple(slot[p] for p in live[rid]) for rid in step.inputs)
     except KeyError as exc:
         raise NetworkError(f"step at node {step.node}: party {exc} is neither the "
                            f"acting node nor an output party") from None
-    return _step_law(d, step.action, step.local_role, node_slot, len(step.coin_inputs), codes)
+    return step.action, step.local_role, node_slot, len(step.coin_inputs), codes
 
 
 @lru_cache(maxsize=None)
@@ -603,46 +590,15 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     return compile_law([stage], settle)
 
 
-def _ledger(schedule: SwapSchedule) -> tuple[list[dict], dict[str, tuple[int, ...]]]:
-    """Symbolic pass: party-set bookkeeping with site conservation per step.
-
-    Returns the per-step ledger and the resources left live at the end.
-    """
-    live: dict[str, tuple[int, ...]] = {
-        rid: res.parties for rid, res in schedule.initial.items()}
-    ledger = []
-    for step in schedule.steps:
-        sites_in = 0
-        for rid in step.inputs:
-            if rid not in live:
-                raise NetworkError(f"step consumes unknown resource {rid}")
-            if step.node not in live[rid]:
-                raise NetworkError(f"resource {rid} has no particle at node {step.node}")
-            sites_in += len(live[rid])
-        if step.local_pair is not None:
-            sites_in += 2
-        if step.action == "pair-merge":
-            measured = 2
-        elif step.action == "star-merge":
-            measured = len(step.coin_inputs) + 1 + (1 if step.local_role == "coin" else 0)
-        else:
-            measured = 1
-        if sites_in - measured != len(step.output_parties):
-            raise NetworkError("site conservation violated in schedule step")
-        for rid in step.inputs:
-            del live[rid]
-        live[step.output_id] = step.output_parties
-        ledger.append({"node": step.node, "action": step.action,
-                       "sites_in": sites_in, "measured": measured,
-                       "output": step.output_id,
-                       "parties": list(step.output_parties)})
-    return ledger, live
-
-
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                      d: int = 2, seed: int = 0) -> DistributionResult:
     """Run a schedule to completion.
 
+    One pass over the steps checks each step's inputs, site conservation and
+    parties, records its ledger entry and keys its shape; the schedule must
+    end in a single resource over the terminals.  A bad schedule is refused
+    there in either mode, before anything is sampled.
+    symbolic: returns the ledger of that pass.
     simulated: one sampled branch per step, drawn from the compiled law of
     the step's shape with the dense sampler's outcome order and probability
     array, and its correction looked up.  ``step_fidelity`` is the drawn
@@ -651,27 +607,61 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     Compiling a shape is dense, so the cap applies per merge event rather
     than to the whole network; a schedule with any step over the cap is
     refused before the first step is sampled.
-    symbolic: party-set bookkeeping with site conservation per step.
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
     terminals = schedule.terminals
     consumed = len(schedule.initial) + sum(1 for s in schedule.steps if s.local_pair)
-    ledger, live = _ledger(schedule)
-    final_parties = _final_parties(live, terminals)
+    live = {rid: res.parties for rid, res in schedule.initial.items()}
+    ledger, shapes = [], []
+    for step in schedule.steps:
+        for rid in step.inputs:
+            if rid not in live:
+                raise NetworkError(f"step consumes unknown resource {rid}")
+            if step.node not in live[rid]:
+                raise NetworkError(f"resource {rid} has no particle at node {step.node}")
+        sites_in = sum(len(live[rid]) for rid in step.inputs) + 2 * (step.local_pair is not None)
+        if step.action == "pair-merge":
+            measured = 2
+        elif step.action == "star-merge":
+            measured = len(step.coin_inputs) + 1 + (step.local_role == "coin")
+        else:
+            measured = 1
+        if sites_in - measured != len(step.output_parties):
+            raise NetworkError("site conservation violated in schedule step")
+        shapes.append(_shape(step, live))
+        for rid in step.inputs:
+            del live[rid]
+        live[step.output_id] = step.output_parties
+        ledger.append({"node": step.node, "action": step.action,
+                       "sites_in": sites_in, "measured": measured,
+                       "output": step.output_id,
+                       "parties": list(step.output_parties)})
+    if len(terminals) == 1:
+        final_parties = terminals
+    elif len(live) == 1 and set(*live.values()) == set(terminals):
+        (final_parties,) = live.values()
+    else:
+        raise NetworkError(
+            f"execution finished with resources {sorted(live.values())}, "
+            f"expected a single one over {list(terminals)}")
     if mode == "symbolic":
         return DistributionResult(
             mode="symbolic", terminals=terminals, step_count=len(schedule.steps),
             resources_consumed=consumed, final_parties=final_parties, ledger=ledger)
 
-    for step, entry in zip(schedule.steps, ledger):
+    for entry in ledger:
         if d ** entry["sites_in"] > SIZE_CAP:
             raise NetworkError(
-                f"step at node {step.node} needs {entry['sites_in']} live sites at "
+                f"step at node {entry['node']} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
     rng = np.random.default_rng(seed)
-    states = {rid: res.parties for rid, res in schedule.initial.items()}
-    outcomes = [_simulate_step(step, states, d, rng) for step in schedule.steps]
+    outcomes = []
+    for step, shape in zip(schedule.steps, shapes):
+        values, corr, fid = _step_law(d, *shape).sample(rng)
+        outcomes.append({"node": step.node, "action": step.action,
+                         "outcome": [int(v) for v in values], "correction": corr.label,
+                         "step_fidelity": fid})
 
     if len(terminals) == 1:
         return DistributionResult(
@@ -683,18 +673,6 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
         resources_consumed=consumed, final_parties=final_parties, fidelity=fid,
         final_state=canonical_ghz(d, len(terminals)), outcomes=outcomes)
-
-
-def _final_parties(live: dict[str, tuple[int, ...]], terminals: tuple[int, ...]):
-    if len(terminals) == 1:
-        return terminals
-    spanning = [parties for parties in live.values()
-                if set(parties) == set(terminals)]
-    if len(spanning) != 1 or len(live) != 1:
-        raise NetworkError(
-            f"execution finished with resources {sorted(live.values())}, "
-            f"expected a single one over {list(terminals)}")
-    return spanning[0]
 
 
 def distribute(net: ResourceNetwork, terminals, mode: str = "simulated",

@@ -216,9 +216,6 @@ class CorrectionOp:
                 "ops": [{"site": s, "op": name} for s, name, _ in self.ops]}
 
 
-IDENTITY_CORRECTION = CorrectionOp(ops=(), label="I")
-
-
 class CorrectionError(ValueError):
     """Raised when a residual state is not a shifted, phased GHZ pattern."""
 

@@ -125,7 +125,7 @@ def _compare_step(step, states, d):
     dense = [(values, prob, derive_ghz_correction(ordered(post)))
              for values, prob, post in run_stages([stage])]
     parties = {rid: st[0] for rid, st in states.items()}
-    _assert_same_law(network._shape_law(step, parties, d), dense)
+    _assert_same_law(network._step_law(d, *network._shape(step, parties)), dense)
     return stage, ordered
 
 

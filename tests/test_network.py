@@ -252,13 +252,19 @@ def _arms_schedule(arms: int, d: int):
     return sched
 
 
+def _spy_on_draws(monkeypatch) -> list:
+    """Record every step-law draw; returns the list the draws go into."""
+    calls = []
+    sample = network.StepLaw.sample
+    monkeypatch.setattr(network.StepLaw, "sample",
+                        lambda law, rng: calls.append(law) or sample(law, rng))
+    return calls
+
+
 def test_over_cap_step_refused_before_any_sampling(monkeypatch):
     # at d=5 the 12 relay swaps fit the cap but the hub's star merge (24 live
     # sites) does not; nothing may be sampled before the refusal
-    calls = []
-    simulate = network._simulate_step
-    monkeypatch.setattr(network, "_simulate_step",
-                        lambda *a: calls.append(a) or simulate(*a))
+    calls = _spy_on_draws(monkeypatch)
     with pytest.raises(NetworkError, match="over the dense cap -- use symbolic"):
         execute_schedule(_arms_schedule(12, 5), "simulated", d=5, seed=0)
     assert calls == []
@@ -276,12 +282,32 @@ def test_unfinished_schedule_refused_before_any_sampling(monkeypatch):
         steps=[ScheduleStep(node=1, action="pair-merge", protocol="ghz-parallel-d",
                             coin_inputs=("r0",), position_input="r1", local_pair=None,
                             local_role=None, output_id="m0", output_parties=(0, 2))])
-    calls = []
-    simulate = network._simulate_step
-    monkeypatch.setattr(network, "_simulate_step",
-                        lambda *a: calls.append(a) or simulate(*a))
+    calls = _spy_on_draws(monkeypatch)
     with pytest.raises(NetworkError, match="expected a single one over"):
         execute_schedule(sched, "simulated", d=2, seed=0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("terminals", [(0, 3), (0, 9)])
+def test_step_with_a_foreign_output_party_refused_before_any_sampling(
+        monkeypatch, mode, terminals):
+    # on the chain 0-1-2-3 the second swap outputs (0, 9), although node 9
+    # never held a particle and party 3 goes nowhere; site counts still add
+    # up, so only the parties give it away, in both modes and before a draw
+    pair = dict(action="pair-merge", protocol="ghz-parallel-d", local_pair=None,
+                local_role=None)
+    sched = SwapSchedule(
+        terminals=terminals,
+        initial={f"r{i}": Resource("bell", (i, i + 1)) for i in range(3)},
+        steps=[ScheduleStep(node=1, coin_inputs=("r0",), position_input="r1",
+                            output_id="m0", output_parties=(0, 2), **pair),
+               ScheduleStep(node=2, coin_inputs=("m0",), position_input="r2",
+                            output_id="m1", output_parties=(0, 9), **pair)])
+    calls = _spy_on_draws(monkeypatch)
+    with pytest.raises(NetworkError,
+                       match="party 3 is neither the acting node nor an output party"):
+        execute_schedule(sched, mode, d=2, seed=0)
     assert calls == []
 
 

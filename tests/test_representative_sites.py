@@ -195,7 +195,7 @@ def _network14_stages(d):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(network, "_step_law", shape)
             for step in schedule.steps:
-                network._shape_law(step, parties, d)
+                network._step_law(d, *network._shape(step, parties))
                 for rid in step.inputs:
                     del parties[rid]
                 parties[step.output_id] = step.output_parties

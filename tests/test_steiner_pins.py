@@ -7,8 +7,9 @@ paths off BFS parents.  The instances, each in approximate and exact Steiner
 mode: seeded random graphs on scattered node ids, grids with holes (many tied
 shortest paths), and random graphs with some GHZ hyperedges.  A second test
 checks that the path read off the BFS parents is the lexicographically least
-shortest path that a DP over all shortest paths finds, and a third that the
-one-sweep leaf stripping gives the edge set the old rescan loop gave.
+shortest path that a DP over all shortest paths finds, a third that the
+one-sweep leaf stripping gives the edge set the old rescan loop gave, and a
+fourth pins an instance whose path union needs that stripping.
 """
 
 import hashlib
@@ -152,8 +153,9 @@ def _prune_by_rescans(edges, terminals) -> frozenset:
 
 
 def test_one_sweep_leaf_stripping_matches_rescans():
-    # no pinned instance leaves a non-terminal leaf, so compare directly on
-    # graphs with long dangling branches and terminal-free components
+    # few Steiner inputs leave a non-terminal leaf (the cycle test below pins
+    # one), so compare directly on graphs with long dangling branches and
+    # terminal-free components
     rng = random.Random(2)
     stripped = 0
     for _ in range(1500):
@@ -165,3 +167,22 @@ def test_one_sweep_leaf_stripping_matches_rescans():
         assert network._prune_to_tree(edges, terminals) == want
         stripped += len(want) < len(_prune_by_rescans(edges, set(range(n))))
     assert stripped > 1000
+
+
+def test_leaf_sweep_strips_what_a_cycle_of_shortest_paths_leaves(monkeypatch):
+    # the least shortest paths from 0, 5 and 12 use every edge, among them
+    # the 6-cycle 1-8-7-13-6-14; the spanning tree drops (7, 13), which
+    # leaves the non-terminal leaf 7, and then 8, for the sweep to strip
+    edges = {(0, 2), (1, 3), (1, 8), (1, 10), (1, 14), (2, 4), (3, 9), (4, 11),
+             (5, 13), (6, 13), (6, 14), (7, 8), (7, 13), (9, 15), (10, 11), (12, 15)}
+    net = ResourceNetwork(2, {v: str(v) for v in range(16)},
+                          [Resource("bell", e) for e in sorted(edges)])
+    unions = []
+    prune = network._prune_to_tree
+    monkeypatch.setattr(network, "_prune_to_tree",
+                        lambda union, terminals: unions.append(union) or prune(union, terminals))
+    tree = steiner_tree(net, [0, 5, 12])
+    assert unions == [edges]
+    assert len(tree.edges) == 13
+    assert tree.edges == edges - {(1, 8), (7, 8), (7, 13)}
+    assert prune(edges, {0, 5, 7, 12}) == edges - {(7, 13)}
