@@ -14,15 +14,15 @@ chosen terminal set proceeds in three stages:
                        parallel-walk merge.
 3. execute_schedule -- one pass over the plan checks every step's inputs,
                        site conservation and parties, keys its shape, and
-                       checks that a single resource over the terminals is
-                       left; symbolic mode returns that pass's ledger of party
-                       sets.  Simulated mode then samples the plan: each step
-                       draws its outcome from the compiled law of its shape
-                       and looks up that outcome's correction.  A shape's law
-                       is compiled on first use, by running its stage
-                       exhaustively on canonical inputs with the dense
-                       simulator and checking every branch's correction, and
-                       is cached for the life of the process.
+                       checks that a single resource over the terminals (none
+                       for a lone terminal) is left; symbolic mode returns
+                       that pass's ledger of party sets.  Simulated mode then
+                       samples the plan: each step draws its outcome from the
+                       compiled law of its shape and looks up that outcome's
+                       correction.  A shape's law is compiled on first use,
+                       by running its stage exhaustively on canonical inputs
+                       with the dense simulator and checking every branch's
+                       correction, and is cached for the life of the process.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -595,8 +595,9 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     """Run a schedule to completion.
 
     One pass over the steps checks each step's inputs, site conservation and
-    parties, records its ledger entry and keys its shape; the schedule must
-    end in a single resource over the terminals.  A bad schedule is refused
+    parties, records its ledger entry and keys its shape; every step must
+    leave two or more parties, and the schedule must end in a single resource
+    over the terminals (none for a lone terminal).  A bad schedule is refused
     there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
     simulated: one sampled branch per step, drawn from the compiled law of
@@ -629,6 +630,8 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
             measured = 1
         if sites_in - measured != len(step.output_parties):
             raise NetworkError("site conservation violated in schedule step")
+        if len(step.output_parties) < 2:
+            raise NetworkError(f"step at node {step.node} leaves a one-party resource")
         shapes.append(_shape(step, live))
         for rid in step.inputs:
             del live[rid]
@@ -637,11 +640,9 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                        "sites_in": sites_in, "measured": measured,
                        "output": step.output_id,
                        "parties": list(step.output_parties)})
-    if len(terminals) == 1:
-        final_parties = terminals
-    elif len(live) == 1 and set(*live.values()) == set(terminals):
-        (final_parties,) = live.values()
-    else:
+    # nothing live reads as the first terminal alone: right for a lone terminal only
+    (final_parties, *rest) = list(live.values()) or [terminals[:1]]
+    if rest or set(final_parties) != set(terminals):
         raise NetworkError(
             f"execution finished with resources {sorted(live.values())}, "
             f"expected a single one over {list(terminals)}")
@@ -663,16 +664,12 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                          "outcome": [int(v) for v in values], "correction": corr.label,
                          "step_fidelity": fid})
 
-    if len(terminals) == 1:
-        return DistributionResult(
-            mode="simulated", terminals=terminals, step_count=0,
-            resources_consumed=0, final_parties=terminals, fidelity=1.0)
     # with no steps, the final resource is an untouched canonical Bell pair
     fid = outcomes[-1]["step_fidelity"] if outcomes else 1.0
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
         resources_consumed=consumed, final_parties=final_parties, fidelity=fid,
-        final_state=canonical_ghz(d, len(terminals)), outcomes=outcomes)
+        final_state=canonical_ghz(d, len(terminals)) if live else None, outcomes=outcomes)
 
 
 def distribute(net: ResourceNetwork, terminals, mode: str = "simulated",

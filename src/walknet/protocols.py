@@ -68,20 +68,20 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .qudit import (
     Basis,
     OperatorMatrix,
-    SIZE_CAP,
     QuditState,
-    SizeCapError,
     apply,
     canonical_bell,
     canonical_ghz,
+    check_cap,
     clock_power_op,
     fidelity,
     fourier_inv_op,
@@ -349,9 +349,8 @@ class Register:
         return self.sites.index(label)
 
     def add(self, other: "Register") -> "Register":
-        d, n = self.compact.d, len(self.labels) + len(other.labels)
-        if d**n > SIZE_CAP:   # the cap counts every party, as a dense run would
-            raise SizeCapError(f"state of {n} sites at d={d} exceeds the size cap")
+        # the cap counts every party, as a dense run would
+        check_cap(self.compact.d, len(self.labels) + len(other.labels))
         return self._like(tensor(self.compact, other.compact), self.sites + other.sites,
                           self.labels + other.labels, {**self.copies, **other.copies})
 
@@ -810,50 +809,33 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
 
 
-def _validate_outcome(spec: ProtocolSpec, stages, outcome: tuple[int, ...]) -> None:
-    d, kd = spec.d, spec.kind
-    if len(outcome) != sum(len(stage.targets) for stage in stages):
-        raise ValueError(f"outcome length {len(outcome)} wrong for {kd.value}")
-    if any(not 0 <= v < d for v in outcome):
-        raise ValueError("outcome digit out of range")
-    # structural zero-probability patterns
-    if kd is ProtocolKind.GHZ_SWAP_D and outcome[0] != outcome[1]:
-        raise ValueError("coin results always coincide; outcome impossible")
-    if kd is ProtocolKind.GHZ_MULTI_COIN_D and len(set(outcome[:-1])) > 1:
-        raise ValueError("coin results always coincide; outcome impossible")
-    if kd in (ProtocolKind.MERGE_METHOD_2, ProtocolKind.GHZ_PARALLEL_D):
-        b_vals = outcome if spec.retain_coins else outcome[spec.k:]
-        if len(set(b_vals)) > 1:
-            raise ValueError("position results always coincide; outcome impossible")
-    if kd is ProtocolKind.TRIANGLE_MERGE_D:
-        _, u1, _, _, u2, u3 = outcome
-        if (u1 + u2 - u3) % d:
-            raise ValueError("position results violate u1+u2=u3; outcome impossible")
+@lru_cache(maxsize=None)
+def _corrections(spec: ProtocolSpec) -> dict:
+    """{outcome: correction} over every branch of one exhaustive run."""
+    return {b.outcome: b.correction for b in run_protocol(spec).branches}
 
 
 def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
                    spec: ProtocolSpec | None = None) -> CorrectionOp:
-    """Correction for one protocol outcome.
+    """Correction for one protocol outcome: the one ``run_protocol`` applies
+    to that branch, the closed form where one exists and otherwise the one
+    derived from the residual state.
 
-    Qubit table kinds return the tabulated operator; d-dimensional kinds
-    return the shift/clock correction read off the closed-form residual.
-    Kinds without either (combined merge, qubit triangle merge, method-1
-    coin retention) derive it from that outcome's simulated residual state.
+    The first lookup of a spec runs the protocol once and keeps every
+    branch's correction; later lookups read that table.  An outcome outside
+    the support (wrong length, digit out of range, zero probability) raises
+    ValueError.
     """
     spec = spec or ProtocolSpec(kind=kind, d=d)
     if spec.kind is not kind or spec.d != d:
         raise ValueError("spec disagrees with kind/d arguments")
     spec.validate()
+    # the table is keyed by spec, so list-valued labels become a tuple
+    table = _corrections(replace(spec, bell_labels=tuple(spec.bell_labels)))
     outcome = tuple(outcome)
-    stages, _ = _circuit(spec)
-    _validate_outcome(spec, stages, outcome)
-    corr = _closed_form_correction(spec, outcome)
-    if corr is not None:
-        return corr
-    for values, _, post in run_stages(stages):
-        if values == outcome:
-            return derive_ghz_correction(post.state)
-    raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
+    if outcome not in table:
+        raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
+    return table[outcome]
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ class SizeCapError(ValueError):
     """Raised when a construction would exceed the d**n <= 2**22 cap."""
 
 
-def _check_cap(d: int, n: int) -> None:
+def check_cap(d: int, n: int) -> None:
+    """Refuse a dense state of n sites at d over SIZE_CAP."""
     if d**n > SIZE_CAP:
         raise SizeCapError(f"state of {n} sites at d={d} exceeds the size cap")
 
@@ -61,7 +62,7 @@ class QuditState:
             raise ValueError("local dimension must be >= 2")
         if self.n < 1:
             raise ValueError("site count must be >= 1")
-        _check_cap(self.d, self.n)
+        check_cap(self.d, self.n)
         if self.amps.shape != (self.d**self.n,):
             raise ValueError("amplitude vector has wrong length")
         nrm = float(np.linalg.norm(self.amps))
@@ -138,7 +139,7 @@ def basis_state(d: int, values: list[int]) -> QuditState:
     for v in values:
         if not 0 <= v < d:
             raise ValueError(f"site value {v} out of range for d={d}")
-    _check_cap(d, n)
+    check_cap(d, n)
     amps = np.zeros(d**n, dtype=complex)
     idx = 0
     for v in values:
@@ -165,7 +166,7 @@ def canonical_ghz(d: int, n_sites: int) -> QuditState:
     """(1/sqrt d) sum_i |i, i, ..., i> over n_sites parties (n_sites >= 2)."""
     if n_sites < 2:
         raise ValueError("GHZ state needs at least 2 sites")
-    _check_cap(d, n_sites)
+    check_cap(d, n_sites)
     amps = np.zeros(d**n_sites, dtype=complex)
     step = (d**n_sites - 1) // (d - 1)  # index of |i,i,...,i> is i * step
     for i in range(d):
@@ -263,7 +264,7 @@ def tensor(a: QuditState, b: QuditState) -> QuditState:
     """Product state with the sites of ``a`` preceding the sites of ``b``."""
     if a.d != b.d:
         raise ValueError("local dimensions differ")
-    _check_cap(a.d, a.n + b.n)
+    check_cap(a.d, a.n + b.n)
     return QuditState(a.d, a.n + b.n, np.kron(a.amps, b.amps))
 
 

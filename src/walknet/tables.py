@@ -38,22 +38,14 @@ from .protocols import (
     TABLE_2,
     ProtocolKind,
     ProtocolSpec,
-    Stage,
     qubit_correction,
     run_protocol,
     run_stages,
+    star_merge_stage,
     table3_row,
     table4_row,
 )
-from .qudit import (
-    Basis,
-    QuditState,
-    canonical_bell,
-    canonical_ghz,
-    fidelity,
-    fourier_inv_op,
-    fourier_op,
-)
+from .qudit import QuditState, canonical_bell, canonical_ghz, fidelity
 
 TABLE_IDS = (1, 2, 3, 4, 5, 6)
 
@@ -220,16 +212,14 @@ def verify_table(table_id: int) -> TableReport:
         return report
 
     if table_id == 6:
-        # the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is un-Fouriered
+        # the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is un-Fouriered;
+        # the stage reads (q1, q4, q2), the table (q1, q2, q4)
         report = TableReport(6)
-        bell, h = canonical_bell(2, 0, 0), fourier_op(2)
-        stage = Stage(
-            add=((bell, ("q0", "q1")), (bell, ("q2", "q3")), (bell, ("q4", "q5"))),
-            gates=(("q1", "q2", h), ("q4", "q2", h)),
-            targets=(("q1", Basis.FOURIER), ("q2", Basis.COMPUTATIONAL),
-                     ("q4", Basis.FOURIER)),
-            after=(("q3", fourier_inv_op(2)),))
-        branches = [(vals, p, post.state) for vals, p, post in run_stages([stage])]
+        pairs = (("q0", "q1"), ("q2", "q3"), ("q4", "q5"))
+        stage = star_merge_stage(2, ("q1", "q4"), "q2", "q3",
+                                 [(canonical_bell(2, 0, 0), pair) for pair in pairs])
+        branches = sorted(((v1, v2, v4), p, post.state)
+                          for (v1, v4, v2), p, post in run_stages([stage]))
         _check_rows(report, branches, TABLE_6, canonical_ghz(2, 3))
         return report
 

@@ -156,6 +156,9 @@ def test_empty_schedule_trivial_success(net14):
     assert sched.steps == []
     res = execute_schedule(sched, "simulated", d=2, seed=0)
     assert res.fidelity == 1.0
+    for res in (res, execute_schedule(sched, "symbolic")):
+        assert (res.step_count, res.resources_consumed, res.final_parties) == (0, 0, (5,))
+        assert res.final_state is None
 
 
 def test_two_terminal_adjacent_noop(net14):
@@ -308,6 +311,45 @@ def test_step_with_a_foreign_output_party_refused_before_any_sampling(
     with pytest.raises(NetworkError,
                        match="party 3 is neither the acting node nor an output party"):
         execute_schedule(sched, mode, d=2, seed=0)
+    assert calls == []
+
+
+def _lone_terminal_with_leftovers():
+    # no steps, two Bell pairs that nothing consumes
+    return SwapSchedule(terminals=(0,),
+                        initial={"r0": Resource("bell", (0, 1)),
+                                 "r1": Resource("bell", (1, 2))})
+
+
+def _one_party_release():
+    # on edges 0-1, 1-2, 1-3, 2-4 the release at 3 leaves (1,), which the
+    # star merge at 1 then takes as a coin; site counts and parties add up
+    edges = ((0, 1), (1, 2), (1, 3), (2, 4))
+    step = dict(protocol="ghz-parallel-d", local_pair=None, local_role=None)
+    return SwapSchedule(
+        terminals=(0, 4),
+        initial={f"r{i}": Resource("bell", e) for i, e in enumerate(edges)},
+        steps=[ScheduleStep(node=2, action="pair-merge", coin_inputs=("r1",),
+                            position_input="r3", output_id="m0",
+                            output_parties=(1, 4), **step),
+               ScheduleStep(node=3, action="release", coin_inputs=("r2",),
+                            position_input=None, output_id="m1",
+                            output_parties=(1,), **step),
+               ScheduleStep(node=1, action="star-merge", coin_inputs=("m0", "m1"),
+                            position_input="r0", output_id="m2",
+                            output_parties=(0, 4), **step)])
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("schedule, match", [
+    (_lone_terminal_with_leftovers, "expected a single one over"),
+    (_one_party_release, "step at node 3 leaves a one-party resource"),
+    (lambda: SwapSchedule(terminals=(0, 3), initial={}), "expected a single one over")])
+def test_leftover_or_one_party_resource_refused_before_any_sampling(
+        monkeypatch, mode, schedule, match):
+    calls = _spy_on_draws(monkeypatch)
+    with pytest.raises(NetworkError, match=match):
+        execute_schedule(schedule(), mode, d=2, seed=0)
     assert calls == []
 
 

@@ -1,6 +1,8 @@
 """Walk-protocol behavior: walk steps, corrections, reductions, invariants."""
 
 import ast
+import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,9 @@ from walknet.qudit import (
     pauli_x,
     tensor,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 TOL = 1e-9
 
@@ -436,25 +441,68 @@ def test_no_module_imports_a_private_name_from_another():
                 assert not private, f"{path.name} imports {private}"
 
 
-def test_correction_for_derives_the_requested_branch_only(monkeypatch):
+def test_correction_for_runs_each_spec_once(monkeypatch):
     specs = [ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D),
              ProtocolSpec(ProtocolKind.MERGE_COMBINED, m=4, n=3, k=3, l=2),
              ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3, n=2, k=2, retain_coins=True)]
     expected = [{b.outcome: b.correction for b in run_protocol(spec).branches}
                 for spec in specs]
+    protocols._corrections.cache_clear()
     calls = []
     real = protocols.derive_ghz_correction
     monkeypatch.setattr(protocols, "derive_ghz_correction",
                         lambda state, **kw: calls.append(state) or real(state, **kw))
     with pytest.raises(ValueError, match="zero probability"):
         correction_for(ProtocolKind.TRIANGLE_MERGE_2D, 2, (0,) * 6)
-    assert calls == []
+    assert len(calls) == len(expected[0])   # the refusal built the table
     for spec, branches in zip(specs, expected):
-        for outcome, want in list(branches.items())[::5]:
+        counts = []
+        for outcome, want in branches.items():
             calls.clear()
             corr = correction_for(spec.kind, 2, outcome, spec)
-            assert len(calls) == 1
+            counts.append(len(calls))
             assert (corr.label, corr.global_phase) == (want.label, want.global_phase)
+        # one exhaustive pass on a spec's first lookup, a table read after it
+        first = 0 if spec is specs[0] else len(branches)
+        assert counts == [first] + [0] * (len(branches) - 1)
+
+
+def _support_cases():
+    for spec in workloads.protocol_grid(small=True):
+        stages, _ = protocols._circuit(spec)
+        length = sum(len(stage.targets) for stage in stages)
+        if spec.d ** length <= 4096:
+            yield spec, length
+
+
+def test_correction_for_answers_exactly_on_the_support():
+    cases = list(_support_cases())
+    assert len(cases) == 160
+    tuples = 0
+    for spec, length in cases:
+        branches = {b.outcome: b.correction for b in run_protocol(spec).branches}
+        for outcome in itertools.product(range(spec.d), repeat=length):
+            tuples += 1
+            if outcome not in branches:
+                with pytest.raises(ValueError, match="zero probability"):
+                    correction_for(spec.kind, spec.d, outcome, spec)
+                continue
+            corr, want = correction_for(spec.kind, spec.d, outcome, spec), branches[outcome]
+            assert (corr.label, corr.global_phase) == (want.label, want.global_phase)
+            assert [op[:2] for op in corr.ops] == [op[:2] for op in want.ops]
+    assert tuples == 2212
+    # a wrong length or an out-of-range digit is outside the support too
+    for outcome in ((0,), (0, 0, 0), (0, 2)):
+        with pytest.raises(ValueError, match="zero probability"):
+            correction_for(ProtocolKind.BELL_SWAP_2D, 2, outcome)
+
+
+def test_correction_for_takes_list_valued_bell_labels():
+    spec = ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=[1, 2, 0, 1])
+    for b in run_protocol(spec).branches:
+        corr = correction_for(spec.kind, 3, b.outcome, spec)
+        assert corr.label == b.correction.label
+        assert fidelity(corr.apply_to(b.post), canonical_bell(3, 0, 0)) >= 1 - TOL
 
 
 def test_merge_method_corrections_are_the_table_rows():
