@@ -580,14 +580,12 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     else:
         raise NetworkError(f"unknown action {action}")
 
-    def settle(post):
-        want = sorted(post.labels, key=code_of.get)
-        if [code_of[lab] for lab in want] != list(range(len(want))):
-            raise NetworkError(f"{action} leaves particles that do not match its "
-                               f"output parties")
-        return post.reorder(want).state
-
-    return compile_law([stage], settle)
+    measured = {lab for lab, _ in stage.targets}
+    outputs = sorted((lab for lab in code_of if lab not in measured), key=code_of.get)
+    if [code_of[lab] for lab in outputs] != list(range(len(outputs))):
+        raise NetworkError(f"{action} leaves particles that do not match its "
+                           f"output parties")
+    return compile_law([stage], outputs)
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",

@@ -54,13 +54,14 @@ triangle-merge-d  same triple layout; coin-I walk q1->q2 measured first
 
 Circuits as data
 ----------------
-Each circuit is a tuple of ``Stage`` records (resources to add, walks and
-single-site gates, measurement targets, post-measurement gates) run by one
-interpreter, ``run_stages``: exhaustively here, one Born-sampled branch per
-stage for the secret-sharing GHZ generation.  ``compile_law`` runs a circuit
-exhaustively once and tabulates every kept outcome's correction; the gasket
-merges and the network merge steps (``star_merge_stage`` also serves
-ghz-from-bells-d) sample these ``StepLaw`` tables instead of amplitudes.
+A circuit is a tuple of ``Stage`` records (resources to add, walks and
+single-site gates, measurement targets, post-measurement gates) plus its named
+output particles.  ``run_stages`` interprets the stages: exhaustively here, one
+Born-sampled branch per stage for the secret-sharing GHZ generation.  One loop
+corrects and scores every exhaustive branch's residual over the outputs, for
+``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
+and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
+instead of amplitudes.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -97,6 +98,7 @@ from .qudit import (
 )
 
 FIDELITY_TOL = 1e-9
+SUPPORT_TOL = 1e-8  # amplitude and phase tolerance of derive_ghz_correction
 
 
 class ProtocolKind(Enum):
@@ -250,15 +252,8 @@ class ProtocolResult:
         return self.min_fidelity >= 1 - tol and abs(self.total_probability - 1) <= 1e-9
 
     def to_dict(self) -> dict:
-        params = {}
-        for name in ("m", "n", "k", "l", "bells"):
-            v = getattr(self.spec, name)
-            if v:
-                params[name] = v
-        if self.spec.kind is ProtocolKind.BELL_SWAP_D:
-            params["bell_labels"] = list(self.spec.bell_labels)
-        if self.spec.retain_coins:
-            params["retain_coins"] = True
+        params = {name: list(v) if name == "bell_labels" else v
+                  for name in SPEC_FIELDS[self.spec.kind] if (v := getattr(self.spec, name))}
         return {
             "protocol": self.spec.kind.value,
             "d": self.spec.d,
@@ -378,10 +373,10 @@ class Register:
 
     def reorder(self, new_order: list) -> "Register":
         new_order = tuple(new_order)
-        if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
-            raise ValueError("reorder must permute the existing labels")
         if new_order == self.labels:
             return self
+        if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
+            raise ValueError("reorder must permute the existing labels")
         return self._like(self.compact, self.sites, new_order)
 
 
@@ -478,7 +473,7 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
     """Triangle merge of three GHZ triples laid out as TRIANGLE_LAYOUT.
 
     The qubit variant walks coin X across each shared corner in one stage;
-    the qudit variant is the two-stage identity-coin merge.
+    the qudit variant is the two-stage identity-coin merge (triple 3 joins in stage 2).
     """
     add = tuple(zip(triples, TRIANGLE_LAYOUT))
     f, c = Basis.FOURIER, Basis.COMPUTATIONAL
@@ -488,8 +483,8 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
                       targets=(("q1", f), ("q3", f), ("q5", f),
                                ("q2", c), ("q4", c), ("q6", c))),)
     i = identity_op(d)
-    return (Stage(add, gates=(("q1", "q2", i),), targets=(("q1", f), ("q2", c))),
-            Stage(gates=(("q4", "q3", i), ("q5", "q6", i)),
+    return (Stage(add[:2], gates=(("q1", "q2", i),), targets=(("q1", f), ("q2", c))),
+            Stage(add[2:], gates=(("q4", "q3", i), ("q5", "q6", i)),
                   targets=(("q4", f), ("q5", f), ("q6", c), ("q3", c))))
 
 
@@ -504,7 +499,7 @@ def _phase_name(d: int, t: int) -> str:
     return "Z" if (d == 2 and t == 1) else f"Z^{t}"
 
 
-def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp:
+def derive_ghz_correction(state: QuditState) -> CorrectionOp:
     """Read site offsets and the linear phase off a shifted GHZ residual.
 
     Every residual state these protocols produce has the form
@@ -513,7 +508,7 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
     reference site, with g folded into the global phase.
     """
     d, n = state.d, state.n
-    nz = np.flatnonzero(np.abs(state.amps) > atol)
+    nz = np.flatnonzero(np.abs(state.amps) > SUPPORT_TOL)
     if len(nz) != d:
         raise CorrectionError(f"support size {len(nz)} != d")
     # d values, a few sites: plain Python scalars beat numpy's per-call cost
@@ -522,18 +517,18 @@ def derive_ghz_correction(state: QuditState, atol: float = 1e-8) -> CorrectionOp
     offsets = [(v - ref[0]) % d for v in ref]
     coeffs = [complex(state.amps[sum((r + s) % d * p for s, p in zip(offsets, place))])
               for r in range(d)]
-    if any(abs(abs(c) - 1 / math.sqrt(d)) > atol for c in coeffs):
+    if any(abs(abs(c) - 1 / math.sqrt(d)) > SUPPORT_TOL for c in coeffs):
         raise CorrectionError("support magnitudes are not uniform")
     rel = [c / coeffs[0] for c in coeffs]
     t = int(round(-cmath.phase(rel[1]) / (2 * math.pi / d))) % d
     w = cmath.exp(2j * math.pi / d)
     # np.allclose against the linear phases w^{-t r}
-    if any(abs(c - w ** (-t * r)) > atol + 1e-5 * abs(w ** (-t * r))
+    if any(abs(c - w ** (-t * r)) > SUPPORT_TOL + 1e-5 * abs(w ** (-t * r))
            for r, c in enumerate(rel)):
         raise CorrectionError("phases are not linear in the GHZ index")
 
     g = coeffs[0] * math.sqrt(d)  # unit-modulus residue; cancel it exactly
-    phase = g.conjugate() if abs(abs(g) - 1) < atol else 1.0
+    phase = g.conjugate() if abs(abs(g) - 1) < SUPPORT_TOL else 1.0
     return _shift_phase_correction(d, dict(enumerate(offsets)), t,
                                    global_phase=complex(phase))
 
@@ -582,22 +577,26 @@ class StepLaw:
         return (values, *self.rows[values])
 
 
-def compile_law(stages, settle) -> StepLaw:
-    """Run ``stages`` exhaustively once and tabulate every kept outcome.
-
-    ``settle(register)`` returns a leaf's state over the output sites, in
-    output order.  Each leaf's correction is derived there and must restore
-    the canonical GHZ at fidelity >= 1 - FIDELITY_TOL.
-    """
-    draws: dict = {}
-    rows = {}
+def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = None):
+    """Yield (values, probability, residual over ``outputs``, correction,
+    fidelity) per exhaustive branch: ``closed(values)`` where that gives a
+    correction, else the derived one, scored against the canonical GHZ."""
     target = None
-    for values, _, post in run_stages(stages, law=draws):
-        state = settle(post)
+    for values, prob, post in run_stages(stages, law=law):
+        state = post.reorder(outputs).state
         if target is None:
             target = canonical_ghz(state.d, state.n)
-        corr = derive_ghz_correction(state)
-        fid = fidelity(corr.apply_to(state), target)
+        corr = closed(values) or derive_ghz_correction(state)
+        yield values, prob, state, corr, fidelity(corr.apply_to(state), target)
+
+
+def compile_law(stages, outputs) -> StepLaw:
+    """Run ``stages`` exhaustively once and tabulate every kept outcome; each
+    leaf's derived correction must restore the canonical GHZ over ``outputs``
+    at fidelity >= 1 - FIDELITY_TOL."""
+    draws: dict = {}
+    rows = {}
+    for values, _, _, corr, fid in _corrected(stages, outputs, law=draws):
         if fid < 1 - FIDELITY_TOL:
             raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
         rows[values] = (corr, fid)
@@ -771,10 +770,7 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
         return qubit_correction(*table4_row(spec.m, spec.n, spec.k, outcome)[1:3])
 
     if kd is ProtocolKind.BELL_SWAP_D:
-        bm, bn, bp, bq = spec.bell_labels
-        k0, u0 = outcome
-        mm = (bm + bp - k0) % d
-        nn = (bn + bq - u0) % d
+        mm, nn = _bell_label(spec, outcome)
         op = label_shift_op(d, mm, nn)
         return CorrectionOp(ops=((0, f"U[{mm},{nn}]", op),),
                             label=f"U[{mm},{nn}]@0")
@@ -807,6 +803,13 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
         return _shift_phase_correction(d, {1: u1, 2: (-u2) % d}, (p1 + p2 + p3) % d)
 
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
+
+
+def _bell_label(spec: ProtocolSpec, outcome: tuple[int, int]) -> tuple[int, int]:
+    """The Bell label bell-swap-d leaves on (1,4) after outcome (k0, u0)."""
+    bm, bn, bp, bq = spec.bell_labels
+    k0, u0 = outcome
+    return (bm + bp - k0) % spec.d, (bn + bq - u0) % spec.d
 
 
 @lru_cache(maxsize=None)
@@ -851,27 +854,16 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     reported through bell_label / label_fidelity).
     """
     spec.validate()
-    d = spec.d
     stages, outputs = _circuit(spec)
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)
-    target = canonical_ghz(d, len(outputs))
-
-    for vals, prob, post in run_stages(stages):
-        state = post.state
-        corr = _closed_form_correction(spec, vals)
-        if corr is None:
-            corr = derive_ghz_correction(state)
-        corrected = corr.apply_to(state)
-        fid = fidelity(corrected, target)
-        bell_label = None
-        label_fid = None
+    closed = partial(_closed_form_correction, spec)
+    for vals, prob, state, corr, fid in _corrected(stages, outputs, closed):
+        bell_label = label_fid = None
         if spec.kind is ProtocolKind.BELL_SWAP_D:
-            bm, bn, bp, bq = spec.bell_labels
-            k0, u0 = vals
-            bell_label = ((bm + bp - k0) % d, (bn + bq - u0) % d)
-            label_fid = fidelity(state, canonical_bell(d, *bell_label))
+            bell_label = _bell_label(spec, vals)
+            label_fid = fidelity(state, canonical_bell(spec.d, *bell_label))
         result.branches.append(BranchResult(
             outcome=vals, probability=prob, post=state, correction=corr,
             fidelity=fid, bell_label=bell_label, label_fidelity=label_fid))

@@ -130,7 +130,21 @@ TABLE_3_PARAMS = ((3, 3, 2), (4, 4, 3), (5, 3, 2))
 TABLE_4_PARAMS = ((3, 3, 2), (4, 4, 3), (4, 3, 2))
 
 
-def _check_rows(report, branches, rows, target, params=None):
+def _table4_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
+    terms, ops, sign, label, conventional = table4_row(m, n, k, outcome)
+    return terms, ops, sign, f"{label} (conventional: {conventional})"
+
+
+# tables 1, 2 and 5: (kind, listed rows)
+LISTED_TABLES = {1: (ProtocolKind.BELL_SWAP_2D, TABLE_1),
+                 2: (ProtocolKind.GHZ_SWAP_2D, TABLE_2),
+                 5: (ProtocolKind.GHZ_SWAP_D, TABLE_5)}
+# tables 3 and 4: (kind, (m, n, k) parameter sets, row function)
+SYMBOLIC_TABLES = {3: (ProtocolKind.MERGE_METHOD_1, TABLE_3_PARAMS, table3_row),
+                   4: (ProtocolKind.MERGE_METHOD_2, TABLE_4_PARAMS, _table4_row)}
+
+
+def _check_rows(report, branches, rows, params=None):
     """Check (outcome, probability, residual state) branches against rows."""
     seen = set()
     for outcome, probability, post in branches:
@@ -147,7 +161,7 @@ def _check_rows(report, branches, rows, target, params=None):
             outcome=outcome,
             listed_correction=label,
             state_fidelity=fidelity(post, listed),
-            corrected_fidelity=fidelity(corr.apply_to(post), target),
+            corrected_fidelity=fidelity(corr.apply_to(post), canonical_ghz(2, post.n)),
             probability=probability,
             params=params or {},
         ))
@@ -158,72 +172,40 @@ def _check_rows(report, branches, rows, target, params=None):
                                          params or {}))
 
 
-def _branches(result):
-    return [(br.outcome, br.probability, br.post) for br in result.branches]
-
-
 def verify_table(table_id: int) -> TableReport:
     """Simulate the protocol behind one reference table and check every row.
 
     Mismatches land in the report (rows with ok=False plus notes); the call
     itself never raises on content.
     """
-    if table_id == 1:
-        report = TableReport(1)
-        result = run_protocol(ProtocolSpec(ProtocolKind.BELL_SWAP_2D))
-        _check_rows(report, _branches(result), TABLE_1, canonical_bell(2, 0, 0))
-        return report
-
-    if table_id == 2:
-        report = TableReport(2)
-        result = run_protocol(ProtocolSpec(ProtocolKind.GHZ_SWAP_2D))
-        _check_rows(report, _branches(result), TABLE_2, canonical_ghz(2, 3))
-        return report
-
-    if table_id == 3:
-        report = TableReport(3)
-        for m, n, k in TABLE_3_PARAMS:
-            result = run_protocol(ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=m, n=n, k=k))
-            rows = {br.outcome: table3_row(m, n, k, br.outcome)
-                    for br in result.branches}
-            _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - k - 1),
+    if table_id not in TABLE_IDS:
+        raise ValueError(f"no table {table_id}")
+    report = TableReport(table_id)
+    if table_id in LISTED_TABLES:
+        kind, rows = LISTED_TABLES[table_id]
+        branches = run_protocol(ProtocolSpec(kind)).branches
+        _check_rows(report, [(b.outcome, b.probability, b.post) for b in branches], rows)
+    elif table_id in SYMBOLIC_TABLES:
+        if table_id == 4:
+            report.notes.append(
+                "correction column entries verified with their row association "
+                "transposed relative to the conventional layout (see module docstring)")
+        kind, param_sets, row = SYMBOLIC_TABLES[table_id]
+        for m, n, k in param_sets:
+            branches = run_protocol(ProtocolSpec(kind, m=m, n=n, k=k)).branches
+            _check_rows(report, [(b.outcome, b.probability, b.post) for b in branches],
+                        {b.outcome: row(m, n, k, b.outcome) for b in branches},
                         params={"m": m, "n": n, "k": k})
-        return report
-
-    if table_id == 4:
-        report = TableReport(4)
-        report.notes.append(
-            "correction column entries verified with their row association "
-            "transposed relative to the conventional layout (see module docstring)")
-        for m, n, k in TABLE_4_PARAMS:
-            result = run_protocol(ProtocolSpec(ProtocolKind.MERGE_METHOD_2, m=m, n=n, k=k))
-            rows = {}
-            for br in result.branches:
-                terms, ops, sign, label, conventional = table4_row(m, n, k, br.outcome)
-                rows[br.outcome] = (terms, ops, sign, f"{label} (conventional: {conventional})")
-            _check_rows(report, _branches(result), rows, canonical_ghz(2, m + n - 2 * k),
-                        params={"m": m, "n": n, "k": k})
-        return report
-
-    if table_id == 5:
-        report = TableReport(5)
-        result = run_protocol(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=2))
-        _check_rows(report, _branches(result), TABLE_5, canonical_ghz(2, 3))
-        return report
-
-    if table_id == 6:
-        # the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is un-Fouriered;
-        # the stage reads (q1, q4, q2), the table (q1, q2, q4)
-        report = TableReport(6)
+    else:
+        # table 6, the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is
+        # un-Fouriered; the stage reads (q1, q4, q2), the table (q1, q2, q4)
         pairs = (("q0", "q1"), ("q2", "q3"), ("q4", "q5"))
         stage = star_merge_stage(2, ("q1", "q4"), "q2", "q3",
                                  [(canonical_bell(2, 0, 0), pair) for pair in pairs])
-        branches = sorted(((v1, v2, v4), p, post.state)
-                          for (v1, v4, v2), p, post in run_stages([stage]))
-        _check_rows(report, branches, TABLE_6, canonical_ghz(2, 3))
-        return report
-
-    raise ValueError(f"no table {table_id}")
+        _check_rows(report, sorted(((v1, v2, v4), p, post.state)
+                                   for (v1, v4, v2), p, post in run_stages([stage])),
+                    TABLE_6)
+    return report
 
 
 def verify_all_tables() -> dict[int, TableReport]:

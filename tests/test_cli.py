@@ -32,6 +32,12 @@ def test_swap_ghz_d_qutrit_nine_rows(capsys):
     (("bell2d",), {}),
     (("ghz-d", "--d", "3"), {}),
     (("merge1", "--m", "4", "--n", "3", "--k", "2"), {"k": 2, "m": 4, "n": 3}),
+    (("bell-d", "--d", "3", "--labels", "1,2,0,1"), {"bell_labels": [1, 2, 0, 1]}),
+    (("from-bells", "--bells", "2"), {"bells": 2}),
+    (("combined", "--m", "5", "--n", "4", "--k", "3", "--l", "2"),
+     {"k": 3, "l": 2, "m": 5, "n": 4}),
+    (("merge1", "--m", "3", "--n", "2", "--k", "2", "--retain-coins"),
+     {"k": 2, "m": 3, "n": 2, "retain_coins": True}),
 ])
 def test_swap_lists_only_parameters_the_kind_reads(capsys, argv, params):
     code, out, _ = run_cli(capsys, "swap", *argv)

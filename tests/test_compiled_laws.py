@@ -12,8 +12,9 @@ the dense run leaves it, with the same outcomes and corrections.
 import numpy as np
 import pytest
 
-from walknet import fractal, network
+from walknet import fractal, network, protocols
 from walknet.network import (
+    NetworkError,
     Resource,
     ResourceNetwork,
     bundled_network_path,
@@ -24,6 +25,7 @@ from walknet.network import (
 )
 from walknet.protocols import (
     Stage,
+    compile_law,
     derive_ghz_correction,
     run_stages,
     star_merge_stage,
@@ -254,3 +256,30 @@ def test_gasket(monkeypatch, d):
     assert result.corrections == labels
     assert compiled_state == state
     assert result.fidelity >= 1 - TOL
+
+
+# ---------------------------------------------------------------------------
+# named outputs
+# ---------------------------------------------------------------------------
+
+def test_unmatched_outputs_are_refused_before_any_dense_work(monkeypatch):
+    # both inputs put their node-free particle in output slot 0: a pair merge
+    # of this shape leaves two particles for one output party
+    def run_stages(*args, **kwargs):
+        raise AssertionError("the circuit ran before its outputs were checked")
+
+    monkeypatch.setattr(protocols, "run_stages", run_stages)
+    with pytest.raises(NetworkError, match="do not match its output parties"):
+        network._step_law.__wrapped__(2, "pair-merge", None, -1, 1, ((-1, 0), (-1, 0)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_compiled_corrections_follow_the_named_output_order(d):
+    stages = triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2)
+    outputs = ("c", "a", "b")
+    dense = [(values, prob, derive_ghz_correction(post.reorder(outputs).state))
+             for values, prob, post in run_stages(stages)]
+    _assert_same_law(compile_law(stages, outputs), dense)
+    # the order is not a relabeling the corrections ignore
+    natural = _leaves(fractal._merge_law(d))
+    assert [c.label for _, _, c in dense] != [c.label for _, _, c in natural]

@@ -201,9 +201,9 @@ def _network14_stages(d):
                 parties[step.output_id] = step.output_parties
     stages = []
 
-    def record(steps, settle):
+    def record(steps, outputs):
         stages.append(tuple(steps))
-        return protocols.compile_law(steps, settle)
+        return protocols.compile_law(steps, outputs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "compile_law", record)
