@@ -83,7 +83,6 @@ from .qudit import (
     canonical_bell,
     canonical_ghz,
     check_cap,
-    clock_power_op,
     fidelity,
     fourier_inv_op,
     fourier_op,
@@ -289,8 +288,9 @@ def walk_step(state: QuditState, coin_site: int, pos_site: int,
         raise ValueError("coin and position sites must differ")
     if coin_op.arity != 1:
         raise ValueError("coin operator must act on one site")
-    out = apply(state, coin_op, [coin_site])
-    return apply(out, shift_op(state.d), [coin_site, pos_site])
+    if coin_op.monomial is None or not np.array_equal(coin_op.mat, np.eye(state.d)):
+        state = apply(state, coin_op, [coin_site])  # coin I leaves the shift alone
+    return apply(state, shift_op(state.d), [coin_site, pos_site])
 
 
 def outcome_parity(bits) -> int:
@@ -338,7 +338,7 @@ class Register:
         strides = [sum(place[c] for c in self.copies.get(s, (s,))) for s in self.sites]
         np.ndarray((d,) * len(self.sites), complex, amps, 0, strides)[...] = \
             self.compact.tensor_view()
-        return QuditState(d, n, amps)
+        return QuditState.unchecked(d, n, amps)  # V is an isometry
 
     def idx(self, label) -> int:
         return self.sites.index(label)
@@ -529,26 +529,20 @@ def derive_ghz_correction(state: QuditState) -> CorrectionOp:
 
     g = coeffs[0] * math.sqrt(d)  # unit-modulus residue; cancel it exactly
     phase = g.conjugate() if abs(abs(g) - 1) < SUPPORT_TOL else 1.0
-    return _shift_phase_correction(d, dict(enumerate(offsets)), t,
+    return _shift_phase_correction(d, tuple(enumerate(offsets)), t,
                                    global_phase=complex(phase))
 
 
-def _shift_phase_correction(d: int, shifts: dict[int, int], t: int,
+@lru_cache(maxsize=None)
+def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
                             phase_site: int = 0, global_phase: complex = 1.0) -> CorrectionOp:
-    """Correction made of label shifts per site plus one clock power."""
-    ops = []
-    names = []
-    for site in sorted(shifts):
-        s = shifts[site] % d
-        if s:
-            ops.append((site, _shift_name(d, s), label_shift_op(d, 0, s)))
-            names.append(f"{_shift_name(d, s)}@{site}")
-    t %= d
-    if t:
-        ops.append((phase_site, _phase_name(d, t), clock_power_op(d, t)))
-        names.append(f"{_phase_name(d, t)}@{phase_site}")
+    """Label shifts per (site, shift) plus one clock power; one shared object."""
+    ops = [(site, _shift_name(d, s % d), label_shift_op(d, 0, s % d))
+           for site, s in sorted(shifts) if s % d]
+    if t % d:
+        ops.append((phase_site, _phase_name(d, t % d), label_shift_op(d, -t % d, 0)))
     return CorrectionOp(ops=tuple(ops), global_phase=global_phase,
-                        label=" ".join(names) if names else "I")
+                        label=" ".join(f"{name}@{site}" for site, name, _ in ops) or "I")
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +574,30 @@ class StepLaw:
 def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = None):
     """Yield (values, probability, residual over ``outputs``, correction,
     fidelity) per exhaustive branch: ``closed(values)`` where that gives a
-    correction, else the derived one, scored against the canonical GHZ."""
-    target = None
+    correction, else the derived one, scored against the canonical GHZ on
+    the d residual amplitudes the correction maps onto its support."""
     for values, prob, post in run_stages(stages, law=law):
         state = post.reorder(outputs).state
-        if target is None:
-            target = canonical_ghz(state.d, state.n)
         corr = closed(values) or derive_ghz_correction(state)
-        yield values, prob, state, corr, fidelity(corr.apply_to(state), target)
+        src, phase, ghz = _support_map(state.d, state.n, corr.ops)
+        yield (values, prob, state, corr,
+               float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
+
+
+@lru_cache(maxsize=None)
+def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, phase, ghz): (ops[-1] ... ops[0] psi)[r (d^n - 1)/(d - 1)] =
+    phase[r] psi[src[r]], each GHZ support index |r...r> walked back through
+    the ops, and ghz the canonical GHZ's amplitudes there."""
+    digits = np.tile(np.arange(d)[:, None], n)  # row r: the digits of |r...r>
+    phase = np.ones(d, dtype=complex)
+    for site, name, op in reversed(ops):
+        if op.monomial is None:
+            raise ValueError(f"correction op {name} is not monomial")
+        src, ph = op.monomial
+        phase *= 1 if ph is None else ph[digits[:, site]]
+        digits[:, site] = src[digits[:, site]]
+    return digits @ d ** np.arange(n - 1, -1, -1), phase, np.full(d, 1 / np.sqrt(d))
 
 
 def compile_law(stages, outputs) -> StepLaw:
@@ -608,7 +618,13 @@ def compile_law(stages, outputs) -> StepLaw:
 # ---------------------------------------------------------------------------
 
 def qubit_correction(site_ops: list[tuple[int, str]], sign: int) -> CorrectionOp:
-    """Build a qubit correction from (site, 'X'|'Z') factors applied in order."""
+    """Build a qubit correction from (site, 'X'|'Z') factors applied in order;
+    one shared object per (factors, sign)."""
+    return _qubit_correction(tuple(site_ops), sign)
+
+
+@lru_cache(maxsize=None)
+def _qubit_correction(site_ops: tuple[tuple[int, str], ...], sign: int) -> CorrectionOp:
     mats = {"X": pauli_x(2), "Z": pauli_z(2)}
     ops = tuple((site, name, mats[name]) for site, name in site_ops)
     label = ("-" if sign < 0 else "") + (
@@ -785,22 +801,22 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
             t = sum(outcome[:k]) % d
             u0 = outcome[k]
             b_sites = range(spec.m - k, spec.m - k + spec.n - k)
-        return _shift_phase_correction(d, {s: u0 for s in b_sites}, t)
+        return _shift_phase_correction(d, tuple((s, u0) for s in b_sites), t)
 
     if kd in (ProtocolKind.GHZ_SWAP_D, ProtocolKind.GHZ_MULTI_COIN_D):
         coins, u0 = outcome[:-1], outcome[-1]
         t = coins[0] if coins else 0
         n_out = 3 if kd is ProtocolKind.GHZ_SWAP_D else spec.n
-        return _shift_phase_correction(d, {s: u0 for s in range(1, n_out)}, t)
+        return _shift_phase_correction(d, tuple((s, u0) for s in range(1, n_out)), t)
 
     if kd is ProtocolKind.GHZ_FROM_BELLS_D:
         M = spec.bells
-        shifts = {j: outcome[j] for j in range(M)}
-        return _shift_phase_correction(d, shifts, outcome[M], phase_site=M)
+        return _shift_phase_correction(d, tuple(enumerate(outcome[:M])), outcome[M],
+                                       phase_site=M)
 
     if kd is ProtocolKind.TRIANGLE_MERGE_D:
         p1, u1, p2, p3, u2, u3 = outcome
-        return _shift_phase_correction(d, {1: u1, 2: (-u2) % d}, (p1 + p2 + p3) % d)
+        return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
 
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
 

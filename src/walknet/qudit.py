@@ -69,6 +69,13 @@ class QuditState:
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (|norm-1| = {abs(nrm - 1.0):.3e})")
 
+    @classmethod
+    def unchecked(cls, d: int, n: int, amps: np.ndarray) -> "QuditState":
+        """Wrap amplitudes known to be normalized, skipping the norm check."""
+        state = cls.__new__(cls)
+        state.__dict__.update(d=d, n=n, amps=amps)
+        return state
+
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to an n-axis tensor, one axis per site."""
         return self.amps.reshape([self.d] * self.n)
@@ -83,9 +90,9 @@ class QuditState:
         return cls(d, n, amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Unitary acting on ``arity`` sites of local dimension ``d``."""
+    """Unitary on ``arity`` sites of dimension ``d``; equal and hashed by identity."""
 
     d: int
     arity: int
@@ -148,30 +155,34 @@ def basis_state(d: int, values: list[int]) -> QuditState:
     return QuditState(d, n, amps)
 
 
+@lru_cache(maxsize=None)
 def canonical_bell(d: int, m: int, n: int) -> QuditState:
     """Maximally entangled two-site state (1/sqrt d) sum_i w^{mi} |i, i-n>.
 
     Index arithmetic is mod d; (m, n) = (0, 0) gives (1/sqrt d) sum |i, i>.
+    Cached and read-only, like ``canonical_ghz``.
     """
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError("bell labels out of range")
-    w = np.exp(2j * np.pi / d)
+    w, i = np.exp(2j * np.pi / d), np.arange(d)
     amps = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        amps[i * d + (i - n) % d] = w ** (m * i)
-    return QuditState(d, 2, amps / np.sqrt(d))
+    amps[i * d + (i - n) % d] = w ** (m * i) / np.sqrt(d)
+    amps.flags.writeable = False
+    return QuditState(d, 2, amps)
 
 
+@lru_cache(maxsize=None)
 def canonical_ghz(d: int, n_sites: int) -> QuditState:
-    """(1/sqrt d) sum_i |i, i, ..., i> over n_sites parties (n_sites >= 2)."""
+    """(1/sqrt d) sum_i |i, i, ..., i> over n_sites parties (n_sites >= 2);
+    one cached, read-only state per argument pair."""
     if n_sites < 2:
         raise ValueError("GHZ state needs at least 2 sites")
     check_cap(d, n_sites)
     amps = np.zeros(d**n_sites, dtype=complex)
     step = (d**n_sites - 1) // (d - 1)  # index of |i,i,...,i> is i * step
-    for i in range(d):
-        amps[i * step] = 1.0
-    return QuditState(d, n_sites, amps / np.sqrt(d))
+    amps[::step] = 1 / np.sqrt(d)
+    amps.flags.writeable = False
+    return QuditState(d, n_sites, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +242,6 @@ def label_shift_op(d: int, m: int, n: int) -> OperatorMatrix:
     return OperatorMatrix(d, 1, mat)
 
 
-@lru_cache(maxsize=None)
-def clock_power_op(d: int, t: int) -> OperatorMatrix:
-    """Z_d ** t, cached."""
-    return matrix_power_op(pauli_z(d), t % d)
-
-
 def pauli_x(d: int) -> OperatorMatrix:
     """Cyclic raise operator |i> -> |i+1 mod d>; the Pauli X for d = 2."""
     return label_shift_op(d, 0, d - 1)
@@ -250,10 +255,6 @@ def pauli_z(d: int) -> OperatorMatrix:
 def pauli_ops(d: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(X_d, Z_d) pair; the full family is available via label_shift_op."""
     return pauli_x(d), pauli_z(d)
-
-
-def matrix_power_op(op: OperatorMatrix, t: int) -> OperatorMatrix:
-    return OperatorMatrix(op.d, op.arity, np.linalg.matrix_power(op.mat, t))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +286,7 @@ def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState
     shaped = state.tensor_view().transpose(perm).reshape(d**k, d ** (n - k))
     shaped = op.mat @ shaped
     tens = shaped.reshape([d] * n).transpose(np.argsort(perm))
-    new = QuditState.__new__(QuditState)
-    # bypass the normalization re-check; unitarity preserves the norm
-    object.__setattr__(new, "d", d)
-    object.__setattr__(new, "n", n)
-    object.__setattr__(new, "amps", np.ascontiguousarray(tens.reshape(-1)))
-    return new
+    return QuditState.unchecked(d, n, np.ascontiguousarray(tens.reshape(-1)))
 
 
 def fidelity(a: QuditState, b: QuditState) -> float:
@@ -340,11 +336,11 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
 
 
 def _branch(state: QuditState, targets: list[tuple[int, Basis]], row_idx: int,
-            p: float, post_amps: np.ndarray) -> Branch:
+            p: float, post_amps: np.ndarray, wrap=QuditState) -> Branch:
     d, t, r = state.d, len(targets), int(row_idx)
     outcome = tuple((site, basis, r // d ** (t - 1 - i) % d)
                     for i, (site, basis) in enumerate(targets))
-    post = QuditState(d, state.n - t, post_amps) if state.n > t else None
+    post = wrap(d, state.n - t, post_amps) if state.n > t else None
     return Branch(outcome=outcome, probability=float(p), post=post)
 
 
@@ -358,10 +354,18 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
     within 1e-9.  Post-states have the measured sites removed.
     """
     rows, probs, kept = _outcome_rows(state, targets)
-    # one block for every post-state: one allocation, not one per branch
-    posts = rows[kept]
-    posts /= np.sqrt(probs[kept])[:, None]
-    return [_branch(state, targets, i, probs[i], post) for i, post in zip(kept, posts)]
+    # one block of post-states, out of place if it is every row: rows may view state.amps
+    if len(kept) == len(rows):
+        posts = np.divide(rows, np.sqrt(probs)[:, None], order="C")
+    else:
+        posts = rows[kept]
+        posts /= np.sqrt(probs[kept])[:, None]
+    flat = posts.view(np.float64)
+    err = float(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0).max())
+    if err > NORM_TOL:
+        raise ValueError(f"post-state is not normalized (|norm-1| = {err:.3e})")
+    return [_branch(state, targets, i, probs[i], post, QuditState.unchecked)
+            for i, post in zip(kept, posts)]
 
 
 def sample_branch(

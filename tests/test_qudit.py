@@ -289,3 +289,50 @@ def test_state_json_roundtrip():
     s = canonical_bell(3, 2, 1)
     back = QuditState.from_json(3, 2, s.to_json())
     assert np.allclose(back.amps, s.amps)
+
+
+def test_canonical_states_are_shared_and_read_only():
+    for make, args in ((canonical_bell, (3, 1, 2)), (canonical_ghz, (3, 4))):
+        state = make(*args)
+        assert make(*args) is state
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps *= 2
+    # bad arguments raise on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(ValueError, match="out of range"):
+            canonical_bell(3, 3, 0)
+        with pytest.raises(SizeCapError):
+            canonical_ghz(2, 23)
+        with pytest.raises(ValueError, match="at least 2"):
+            canonical_ghz(3, 1)
+
+
+def _measured_cases():
+    """(state, targets): leading computational targets, whose outcome rows
+    are a view of the state's amplitudes, with every row kept and with
+    pruned rows, plus Fourier and trailing targets."""
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=27) + 1j * rng.normal(size=27)
+    dense = QuditState(3, 3, amps / np.linalg.norm(amps))
+    c, f = Basis.COMPUTATIONAL, Basis.FOURIER
+    yield canonical_ghz(3, 3), [(0, c)]               # every row kept
+    yield canonical_ghz(3, 3), [(0, c), (1, c)]       # pruned rows
+    yield canonical_bell(2, 0, 0), [(0, c), (1, c)]   # every site measured
+    yield dense, [(0, c)]
+    yield dense, [(0, c), (1, c), (2, c)]
+    yield dense, [(2, f), (0, c)]
+    yield basis_state(3, [1, 2, 0]), [(1, c)]
+
+
+def test_measurement_leaves_the_measured_state_unchanged():
+    for state, targets in _measured_cases():
+        before = state.amps.copy()
+        branches = measure_all_branches(state, targets)
+        sample_branch(state, targets, np.random.default_rng(0))
+        assert np.array_equal(state.amps, before)
+        for b in branches:
+            if b.post is not None:
+                assert abs(np.linalg.norm(b.post.amps) - 1) < 1e-12
+                assert not np.shares_memory(b.post.amps, state.amps)

@@ -282,3 +282,15 @@ def test_the_size_cap_counts_every_party():
     # 5^10 amplitudes are over the cap, though the compact register holds 5^7
     with pytest.raises(SizeCapError, match="10 sites at d=5"):
         list(run_stages(_stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5))))
+
+
+def test_a_fresh_copy_of_the_canonical_ghz_collapses_too():
+    # the match is by value: a writable copy of the cached, read-only state
+    d = 3
+    fresh = QuditState(d, 4, canonical_ghz(d, 4).amps.copy())
+    assert fresh.amps.flags.writeable and fresh is not canonical_ghz(d, 4)
+    stage = Stage(add=((fresh, ("a1", "a2", "a3", "a4")),),
+                  targets=(("a1", Basis.FOURIER),))
+    posts = assert_same_run((stage,))
+    assert all(post.compact.n == 1 and post.copies == {"a2": ("a2", "a3", "a4")}
+               for post in posts)
