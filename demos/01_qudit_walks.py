@@ -43,7 +43,7 @@ for i, a in enumerate(state.amps):
 print("\n== exhaustive measurement branching ==")
 branches = measure_all_branches(state, [(1, Basis.FOURIER), (2, Basis.COMPUTATIONAL)])
 for br in branches:
-    values = "".join(str(v) for (_, _, v) in br.outcome)
+    values = "".join(map(str, br.outcome))
     kets = [f"{a.real:+.2f}|{i:02b}>" for i, a in enumerate(br.post.amps) if abs(a) > 1e-9]
     print(f"  outcome {values}: p = {br.probability:.2f}, post state {' '.join(kets)}")
 print("total probability:", sum(b.probability for b in branches))

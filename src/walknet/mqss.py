@@ -149,7 +149,7 @@ def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
         for eve_fourier in (False, True):
             basis = Basis.FOURIER if eve_fourier else Basis.COMPUTATIONAL
             for br in measure_all_branches(canonical_bell(d, 0, 0), [(1, basis)]):
-                resent = basis_state(d, [br.outcome[0][2]])
+                resent = basis_state(d, [br.outcome[0]])
                 if eve_fourier:
                     resent = apply(resent, f, [0])
                 stages.append((0.5 * br.probability, tensor(br.post, resent)))
@@ -167,7 +167,7 @@ def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
                 targets = [(0, Basis.COMPUTATIONAL), (1, Basis.COMPUTATIONAL)]
             for sub in measure_all_branches(prepped, targets):
                 probs.append(0.5 * weight * sub.probability)
-                disagree.append(sub.outcome[0][2] != sub.outcome[1][2])
+                disagree.append(sub.outcome[0] != sub.outcome[1])
     law = np.array(probs) / sum(probs)
     flags = np.array(disagree)
     law.flags.writeable = flags.flags.writeable = False
@@ -208,7 +208,9 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     ordered (participant 1, ..., participant M, dealer) and equals
     (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r> for the sampled
     outcomes.  Pairs are walked one at a time and each coin is measured as
-    soon as its step is done, so the live register stays at M+3 sites.
+    soon as its step is done, so the live register stays at M+3 sites.  No
+    one measures the dealer's particle, so its inverse Fourier commutes with
+    every readout and runs in the first stage, on the smallest register.
     """
     if participants < 1:
         raise ValueError("need at least one participant")
@@ -217,11 +219,11 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     stages = []
     for k in range(1, participants + 1):
         add = ((bell, ("pos", "dealer")),) if k == 1 else ()
+        fix = (("dealer", fourier_inv_op(d)),) if k == 1 else ()
         stages.append(Stage(add=add + ((bell, (f"p{k}", f"coin{k}")),),
-                            gates=((f"coin{k}", "pos", fourier_op(d)),),
+                            gates=((f"coin{k}", "pos", fourier_op(d)),) + fix,
                             targets=((f"coin{k}", Basis.FOURIER),)))
-    stages.append(Stage(targets=(("pos", Basis.COMPUTATIONAL),),
-                        after=(("dealer", fourier_inv_op(d)),)))
+    stages.append(Stage(targets=(("pos", Basis.COMPUTATIONAL),)))
     ((values, _, reg),) = run_stages(stages, np.random.default_rng(seed))
     reg = reg.reorder([f"p{k}" for k in range(1, participants + 1)] + ["dealer"])
     return reg.state, list(values[:-1]), values[-1]
@@ -318,9 +320,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                     f"coin results known to dealer only")
 
     targets = [(i, Basis.COMPUTATIONAL) for i in range(state.n)]
-    values = [v for (_, _, v) in sample_branch(state, targets, rng).outcome]
-    t.participant_results = values[:-1]
-    t.dealer_result = values[-1]
+    *t.participant_results, t.dealer_result = sample_branch(state, targets, rng).outcome
     t.events.append("step4: all parties measured their GHZ particle")
     for k, v in enumerate(t.participant_results, start=1):
         if v != (t.dealer_result + coins[k - 1]) % config.d:

@@ -112,6 +112,8 @@ def load_network(path: str | Path) -> ResourceNetwork:
     """
     with open(path) as fh:
         blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise NetworkError("network file must hold a JSON object")
     extra = set(blob) - {"local_dim", "nodes", "resources", "comment"}
     if extra:
         raise NetworkError(f"unknown fields in network file: {sorted(extra)}")
@@ -609,6 +611,8 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
+    if d < 2:
+        raise NetworkError("d must be >= 2")
     terminals = schedule.terminals
     consumed = len(schedule.initial) + sum(1 for s in schedule.steps if s.local_pair)
     live = {rid: res.parties for rid, res in schedule.initial.items()}

@@ -40,8 +40,8 @@ ghz-multi-coin-d  coins F on a2..am shifting onto b1, inverse Fourier on a1;
                   output (a1, b2..bn).
 ghz-from-bells-d  bells+1 Bell pairs (2k-1,2k); pair k's particle 2k is the
                   k-th coin (F), particle 2*bells+1 is the shared position;
-                  after measuring, inverse Fourier on 2*bells+2; output
-                  (1,3,...,2*bells-1, 2*bells+2).
+                  inverse Fourier on 2*bells+2, which no one measures;
+                  output (1,3,...,2*bells-1, 2*bells+2).
 triangle-merge-2d three qubit GHZ triples (a,q1,q6),(q2,b,q3),(q4,q5,c);
                   coin-X walks q1->q2, q3->q4, q5->q6; measure q1,q3,q5
                   Fourier and q2,q4,q6 computationally; output (a,b,c).
@@ -55,10 +55,10 @@ triangle-merge-d  same triple layout; coin-I walk q1->q2 measured first
 Circuits as data
 ----------------
 A circuit is a tuple of ``Stage`` records (resources to add, walks and
-single-site gates, measurement targets, post-measurement gates) plus its named
-output particles.  ``run_stages`` interprets the stages: exhaustively here, one
-Born-sampled branch per stage for the secret-sharing GHZ generation.  One loop
-corrects and scores every exhaustive branch's residual over the outputs, for
+single-site gates, measurement targets) plus its named output particles.
+``run_stages`` interprets the stages: exhaustively here, one Born-sampled
+branch per stage for the secret-sharing GHZ generation.  One loop corrects
+and scores every exhaustive branch's residual over the outputs, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
 instead of amplitudes.
@@ -367,9 +367,8 @@ class Register:
         branches = (measure_all_branches(self.compact, site_targets) if rng is None
                     else [sample_branch(self.compact, site_targets, rng)])
         for br in branches:
-            values = tuple(v for (_, _, v) in br.outcome)
             post = self._like(br.post, sites, labels) if br.post is not None else None
-            yield values, br.probability, post
+            yield br.outcome, br.probability, post
 
     def reorder(self, new_order: list) -> "Register":
         new_order = tuple(new_order)
@@ -399,14 +398,15 @@ class Stage:
 
     ``add`` tensors (state, labels) resources onto the register; ``gates``
     runs walks, written (coin, position, coin op), and single-site unitaries,
-    written (label, op); ``targets`` lists the (label, basis) measurements;
-    ``after`` applies (label, op) unitaries to the post-measurement register.
+    written (label, op); ``targets`` lists the (label, basis) measurements.
+    A unitary on a particle that no target reads commutes with the readouts,
+    so one that the circuit applies after measuring (a star merge's inverse
+    Fourier on ``far``) is a gate too.
     """
 
     add: tuple = ()
     gates: tuple = ()
     targets: tuple = ()
-    after: tuple = ()
 
 
 def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None = None):
@@ -420,7 +420,7 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     stage's kept values and their probabilities, the outcomes and the array
     a sampled run draws from.
 
-    A party that no walk, gate, target or ``after`` op touches is idle: an
+    A party that no walk, gate or target touches is idle: an
     added resource equal to ``canonical_ghz`` with two or more idle parties
     enters as the GHZ over its touched parties plus one ``Register`` site
     standing for the idle ones, so gates and measurements never sweep them.
@@ -429,7 +429,7 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     """
     stages = tuple(stages)
     touched = {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
-    touched.update(lab for stage in stages for lab, _ in stage.targets + stage.after)
+    touched.update(lab for stage in stages for lab, _ in stage.targets)
     yield from _run(stages, (), 1.0, None, rng, law, touched)
 
 
@@ -449,8 +449,6 @@ def _run(stages, values, prob, reg, rng, law, touched):
         law[values] = (tuple(v for v, _, _ in branches),
                        np.array([p for _, p, _ in branches]))
     for vals, p, post in branches:
-        for label, op in stage.after:
-            post = post.apply(op, [label])
         yield from _run(stages[1:], values + vals, prob * p, post, rng, law, touched)
 
 
@@ -458,12 +456,12 @@ def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
     """Multi-coin star merge: every coin particle walks onto ``pos`` with a
     Fourier coin; the coins are read in the Fourier basis, ``pos``
     computationally, and the inverse Fourier lands on ``far``, the other
-    particle of the position pair."""
+    particle of the position pair (a gate: nothing reads ``far``)."""
     f = fourier_op(d)
-    return Stage(add=tuple(add), gates=tuple((c, pos, f) for c in coins),
+    return Stage(add=tuple(add),
+                 gates=tuple((c, pos, f) for c in coins) + ((far, fourier_inv_op(d)),),
                  targets=tuple((c, Basis.FOURIER) for c in coins)
-                 + ((pos, Basis.COMPUTATIONAL),),
-                 after=((far, fourier_inv_op(d)),))
+                 + ((pos, Basis.COMPUTATIONAL),))
 
 
 TRIANGLE_LAYOUT = (("a", "q1", "q6"), ("q2", "b", "q3"), ("q4", "q5", "c"))

@@ -124,12 +124,12 @@ class OperatorMatrix:
 class Branch:
     """One outcome of an exhaustive measurement.
 
-    ``outcome`` lists (site, basis, result) in measurement order; ``post`` is
-    the renormalized state over the unmeasured sites (in their original
-    relative order), or None when every site was measured.
+    ``outcome`` holds the measured values as Python ints, in target order;
+    ``post`` is the renormalized state over the unmeasured sites (in their
+    original relative order), or None when every site was measured.
     """
 
-    outcome: tuple
+    outcome: tuple[int, ...]
     probability: float
     post: QuditState | None
 
@@ -175,8 +175,8 @@ def canonical_bell(d: int, m: int, n: int) -> QuditState:
 def canonical_ghz(d: int, n_sites: int) -> QuditState:
     """(1/sqrt d) sum_i |i, i, ..., i> over n_sites parties (n_sites >= 2);
     one cached, read-only state per argument pair."""
-    if n_sites < 2:
-        raise ValueError("GHZ state needs at least 2 sites")
+    if n_sites < 2 or d < 2:
+        raise ValueError("GHZ state needs d >= 2 and at least 2 sites")
     check_cap(d, n_sites)
     amps = np.zeros(d**n_sites, dtype=complex)
     step = (d**n_sites - 1) // (d - 1)  # index of |i,i,...,i> is i * step
@@ -335,15 +335,6 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
     return rows, probs, kept
 
 
-def _branch(state: QuditState, targets: list[tuple[int, Basis]], row_idx: int,
-            p: float, post_amps: np.ndarray, wrap=QuditState) -> Branch:
-    d, t, r = state.d, len(targets), int(row_idx)
-    outcome = tuple((site, basis, r // d ** (t - 1 - i) % d)
-                    for i, (site, basis) in enumerate(targets))
-    post = wrap(d, state.n - t, post_amps) if state.n > t else None
-    return Branch(outcome=outcome, probability=float(p), post=post)
-
-
 def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> list[Branch]:
     """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
 
@@ -364,8 +355,10 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
     err = float(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0).max())
     if err > NORM_TOL:
         raise ValueError(f"post-state is not normalized (|norm-1| = {err:.3e})")
-    return [_branch(state, targets, i, probs[i], post, QuditState.unchecked)
-            for i, post in zip(kept, posts)]
+    d, n, t = state.d, state.n, len(targets)
+    values = (kept[:, None] // d ** np.arange(t - 1, -1, -1) % d).tolist()
+    return [Branch(tuple(v), p, QuditState.unchecked(d, n - t, post) if n > t else None)
+            for v, p, post in zip(values, probs[kept].tolist(), posts)]
 
 
 def sample_branch(
@@ -381,5 +374,7 @@ def sample_branch(
     """
     rows, probs, kept = _outcome_rows(state, targets)
     p = probs[kept]
-    i = kept[rng.choice(len(kept), p=p / p.sum())]
-    return _branch(state, targets, i, probs[i], rows[i] / np.sqrt(probs[i]))
+    i = int(kept[rng.choice(len(kept), p=p / p.sum())])
+    d, n, t = state.d, state.n, len(targets)
+    post = QuditState(d, n - t, rows[i] / np.sqrt(probs[i])) if n > t else None
+    return Branch(tuple(i // d ** (t - 1 - j) % d for j in range(t)), float(probs[i]), post)

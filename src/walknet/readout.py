@@ -101,8 +101,8 @@ class CountVector:
 
     @classmethod
     def from_dict(cls, mapping: dict[str, int]) -> "CountVector":
-        if not mapping:
-            raise ValueError("empty count dictionary")
+        if not isinstance(mapping, dict) or not mapping:
+            raise ValueError("counts must be a non-empty JSON object of bitstring: count")
         n = len(next(iter(mapping)))
         counts = np.zeros(2**n, dtype=np.int64)
         for bits, c in mapping.items():
@@ -134,6 +134,8 @@ def load_device_records(path: str | Path) -> list[DeviceRecord]:
             rows = list(csv.DictReader(fh))
     records = []
     for row in rows:
+        if not isinstance(row, dict) or any(row.get(k) is None for k in ("qubit", "f0", "f1")):
+            raise ValueError(f"device record {row!r} needs qubit, f0 and f1")
         extras = {k: v for k, v in row.items() if k not in ("qubit", "f0", "f1")}
         records.append(DeviceRecord(qubit=str(row["qubit"]), f0=float(row["f0"]),
                                     f1=float(row["f1"]), extras=extras))

@@ -168,6 +168,26 @@ def test_readout_bad_counts_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, files", [
+    (("distribute", "--terminals", "1,2,5", "--d", "1"), {}),
+    (("distribute", "--terminals", "1,2,5", "--d", "1", "--mode", "symbolic"), {}),
+    (("distribute", "--network", "{net}", "--terminals", "0,1"),
+     {"net": json.dumps([{"local_dim": 2, "nodes": [], "resources": []}])}),
+    (("readout", "--counts", "{counts}"), {"counts": json.dumps([["00", 5]])}),
+    (("readout", "--counts", "{counts}", "--device", "{dev}"),
+     {"counts": json.dumps({"00": 5, "11": 5}), "dev": "qubit,f1\nq0,0.9\nq1,0.9\n"}),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
+    # exit 1 is kept for invariant failures
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_byte_identical_output_for_same_seed(capsys):
     _, out1, _ = run_cli(capsys, "--seed", "5", "mqss", "--secret", "9",
                          "--participants", "2", "--pairs", "4")

@@ -1,0 +1,93 @@
+"""The inverse Fourier on a star merge's far particle, written as a gate.
+
+No one measures the far particle of the position pair, so its inverse
+Fourier commutes with the readouts.  ``star_merge_stage`` writes it as an
+ordinary gate, run once before the readouts.  The reference here runs only
+the stage's walks, reads every branch with ``measure_all_branches`` and then
+applies the inverse Fourier to each post-state.  Both must give the same
+values in the same order, the same probabilities and the same post
+amplitudes.
+"""
+
+import numpy as np
+import pytest
+
+from walknet import network, protocols
+from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
+from walknet.protocols import ProtocolKind, ProtocolSpec, run_stages, star_merge_stage
+from walknet.qudit import apply, fourier_inv_op, measure_all_branches, tensor
+
+TOL = 1e-12
+
+
+def _measure_then_apply(stage, far):
+    """(values, probability, post amplitudes) per branch, and the kept labels."""
+    state, labels = None, ()
+    for st, labs in stage.add:
+        state = st if state is None else tensor(state, st)
+        labels += tuple(labs)
+    for gate in stage.gates:
+        if len(gate) == 3:  # the walks; the gate on ``far`` runs after the readouts
+            coin, pos, op = gate
+            state = protocols.walk_step(state, labels.index(coin), labels.index(pos), op)
+    measured = {lab for lab, _ in stage.targets}
+    kept = tuple(lab for lab in labels if lab not in measured)
+    targets = [(labels.index(lab), basis) for lab, basis in stage.targets]
+    finv = fourier_inv_op(state.d)
+    return kept, [(br.outcome, br.probability, apply(br.post, finv, [kept.index(far)]).amps)
+                  for br in measure_all_branches(state, targets)]
+
+
+def _assert_folded_gate_matches(stage, far):
+    kept, want = _measure_then_apply(stage, far)
+    got = list(run_stages([stage]))
+    assert [v for v, _, _ in got] == [v for v, _, _ in want]
+    for (_, p, reg), (_, q, ref) in zip(got, want):
+        assert abs(p - q) <= TOL
+        assert reg.labels == kept
+        assert np.abs(reg.state.amps - ref).max() <= TOL
+
+
+@pytest.mark.parametrize("d, bells", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                      (5, 1), (5, 2)])
+def test_from_bells(d, bells):
+    (stage,), outputs = protocols._circuit(
+        ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=d, bells=bells))
+    _assert_folded_gate_matches(stage, outputs[-1])
+
+
+def _star_merges(monkeypatch, d, edges, terminals):
+    """(local role, star_merge_stage arguments) of every star merge that the
+    schedule's step laws build."""
+    net = ResourceNetwork(d, {v: f"n{v}" for v in range(1 + max(map(max, edges)))},
+                          [Resource("bell", e) for e in edges])
+    schedule = plan_distribution(steiner_tree(net, terminals), net)
+    built = []
+    monkeypatch.setattr(network, "star_merge_stage",
+                        lambda *args: built.append(args) or star_merge_stage(*args))
+    live = {rid: res.parties for rid, res in schedule.initial.items()}
+    roles = []
+    for step in schedule.steps:
+        key = network._shape(step, live)
+        live[step.output_id] = step.output_parties
+        if step.action == "star-merge":
+            network._step_law.__wrapped__(d, *key)  # uncached: the spy sees it
+            roles.append(step.local_role)
+    assert len(built) == len(roles)
+    return list(zip(roles, built))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("edges, terminals, role", [
+    # a terminal root merges its children with a local coin pair
+    ([(0, 1), (0, 2)], [0, 1, 2], "coin"),
+    # GHZ-only children force a local position pair
+    ([(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)], [1, 2, 3, 4, 5, 6], "position"),
+    # a plain hub: the position is one of the inputs
+    ([(0, 1), (0, 2), (0, 3)], [1, 2, 3], None),
+])
+def test_network_star_merges(monkeypatch, d, edges, terminals, role):
+    merges = _star_merges(monkeypatch, d, edges, terminals)
+    assert role in [r for r, _ in merges]
+    for _, (dd, coins, pos, far, add) in merges:
+        _assert_folded_gate_matches(star_merge_stage(dd, coins, pos, far, add), far)

@@ -353,6 +353,24 @@ def test_leftover_or_one_party_resource_refused_before_any_sampling(
     assert calls == []
 
 
+@pytest.mark.parametrize("blob", [5, [{"local_dim": 2, "nodes": [], "resources": []}]])
+def test_load_rejects_a_top_level_that_is_not_an_object(tmp_path, blob):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(blob))
+    with pytest.raises(NetworkError, match="JSON object"):
+        load_network(p)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("d", [1, 0])
+def test_dimension_below_two_refused_in_both_modes(monkeypatch, net14, mode, d):
+    schedule = plan_distribution(steiner_tree(net14, [1, 2, 5]), net14)
+    calls = _spy_on_draws(monkeypatch)
+    with pytest.raises(NetworkError, match="d must be >= 2"):
+        execute_schedule(schedule, mode, d=d, seed=0)
+    assert calls == []
+
+
 def test_load_rejects_duplicate_node_ids(tmp_path):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps({

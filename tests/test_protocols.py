@@ -397,15 +397,14 @@ def test_register_rejects_label_count_mismatch():
 def test_run_stages_exhaustive_branches_and_after_ops():
     stage = Stage(add=((canonical_bell(3, 0, 0), ("1", "2")),
                        (canonical_bell(3, 0, 0), ("3", "4"))),
-                  gates=(("2", "3", identity_op(3)),),
-                  targets=(("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)),
-                  after=(("4", fourier_op(3)),))
+                  gates=(("2", "3", identity_op(3)), ("4", fourier_op(3))),
+                  targets=(("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)))
     branches = list(run_stages([stage]))
     assert [vals for vals, _, _ in branches] == [(k, u) for k in range(3) for u in range(3)]
     assert abs(sum(p for _, p, _ in branches) - 1) < TOL
     for _, _, post in branches:
         assert post.labels == ("1", "4")
-    # the after op ran: undoing it leaves the swapped Bell pair
+    # the gate on 4 ran: undoing it leaves the swapped Bell pair
     vals, _, post = branches[0]
     undone = apply(post.state, fourier_op(3).dagger(), [1])
     assert fidelity(undone, canonical_bell(3, 0, 0)) > 1 - TOL

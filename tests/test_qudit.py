@@ -1,5 +1,7 @@
 """Core state/operator behavior, including frozen oracle values."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def test_canonical_ghz():
     s3 = canonical_ghz(3, 3)
     idx = np.nonzero(s3.amps)[0]
     assert list(idx) == [0, 13, 26]
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_canonical_ghz_refuses_d_below_two(d):
+    # refused before the support step divides by d - 1
+    with pytest.raises(ValueError, match="d >= 2"):
+        canonical_ghz(d, 3)
 
 
 def test_fourier_op_is_hadamard_at_d2():
@@ -174,7 +183,7 @@ def test_measure_bell_computational():
     assert len(branches) == 2
     for b in branches:
         assert b.probability == pytest.approx(0.5)
-        (site, basis, val) = b.outcome[0]
+        (val,) = b.outcome
         expect = basis_state(2, [val])
         assert fidelity(b.post, expect) == pytest.approx(1.0)
 
@@ -184,7 +193,7 @@ def test_measure_product_state_single_branch():
     branches = measure_all_branches(s, [(1, Basis.COMPUTATIONAL)])
     assert len(branches) == 1
     assert branches[0].probability == pytest.approx(1.0)
-    assert branches[0].outcome[0][2] == 1
+    assert branches[0].outcome[0] == 1
     assert np.allclose(branches[0].post.amps, basis_state(3, [2, 0]).amps)
 
 
@@ -192,9 +201,9 @@ def test_fourier_basis_labels_d2():
     plus = QuditState(2, 1, np.array([1, 1]) / np.sqrt(2))
     minus = QuditState(2, 1, np.array([1, -1]) / np.sqrt(2))
     (b,) = measure_all_branches(plus, [(0, Basis.FOURIER)])
-    assert b.outcome[0][2] == 0 and b.post is None
+    assert b.outcome[0] == 0 and b.post is None
     (b,) = measure_all_branches(minus, [(0, Basis.FOURIER)])
-    assert b.outcome[0][2] == 1
+    assert b.outcome[0] == 1
 
 
 def test_branch_probabilities_sum_to_one():
@@ -244,6 +253,21 @@ def test_sample_branch_matches_enumerate_then_choose(d):
         else:
             assert np.array_equal(got.post.amps, want.post.amps)
         assert ref_rng.bit_generator.state == rng_under_test.bit_generator.state
+
+
+@pytest.mark.parametrize("sites", [[1], [2, 0], [0, 1, 2]])
+def test_outcomes_are_python_ints(sites):
+    # an np.int64 value would break json.dumps, and with it ProtocolResult.to_json
+    state = canonical_ghz(3, 3)
+    targets = [(s, Basis.FOURIER if s == 0 else Basis.COMPUTATIONAL) for s in sites]
+    branches = measure_all_branches(state, targets)
+    branches.append(sample_branch(state, targets, np.random.default_rng(0)))
+    for br in branches:
+        assert type(br.outcome) is tuple and len(br.outcome) == len(sites)
+        assert all(type(v) is int for v in br.outcome)
+        assert type(br.probability) is float
+        assert json.loads(json.dumps(br.outcome)) == list(br.outcome)
+        assert (br.post is None) == (len(sites) == 3)
 
 
 @pytest.mark.parametrize("targets", [

@@ -77,6 +77,20 @@ def test_count_vector_roundtrip():
         CountVector(1, np.array([0, 0]))
 
 
+@pytest.mark.parametrize("mapping", [[["00", 5]], ["00"], {}])
+def test_count_vector_refuses_anything_but_a_nonempty_object(mapping):
+    with pytest.raises(ValueError, match="non-empty JSON object"):
+        CountVector.from_dict(mapping)
+
+
+@pytest.mark.parametrize("table", ["qubit,f1\nq0,0.9\n", "qubit,f0,f1\nq0,0.9\n"])
+def test_device_table_without_an_f0_or_f1_value_refused(tmp_path, table):
+    p = tmp_path / "dev.csv"
+    p.write_text(table)
+    with pytest.raises(ValueError, match="needs qubit, f0 and f1"):
+        load_device_records(p)
+
+
 def test_bundled_device_table():
     recs = load_device_records(bundled_device_path())
     assert len(recs) == 10

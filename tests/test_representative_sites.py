@@ -72,7 +72,7 @@ class DenseRegister:
                     else [sample_branch(self.state, site_targets, rng)])
         for br in branches:
             post = DenseRegister(br.post, kept) if br.post is not None else None
-            yield tuple(v for (_, _, v) in br.outcome), br.probability, post
+            yield br.outcome, br.probability, post
 
 
 def dense_run(stages, rng=None, law=None):
@@ -90,8 +90,6 @@ def dense_run(stages, rng=None, law=None):
             law[values] = (tuple(v for v, _, _ in branches),
                            np.array([p for _, p, _ in branches]))
         for vals, p, post in branches:
-            for label, op in stage.after:
-                post = post.apply(op, [label])
             yield from run(stages[1:], values + vals, prob * p, post)
 
     yield from run(tuple(stages), (), 1.0, None)
@@ -272,7 +270,7 @@ def test_untouched_resource_rides_as_one_site():
 def test_after_ops_touch_their_party():
     # a gate on a representative site would act on every party it stands for
     stage = Stage(add=((canonical_ghz(3, 4), ("a1", "a2", "a3", "a4")),),
-                  targets=(("a1", Basis.FOURIER),), after=(("a2", fourier_inv_op(3)),))
+                  gates=(("a2", fourier_inv_op(3)),), targets=(("a1", Basis.FOURIER),))
     posts = assert_same_run((stage,))
     assert all(post.compact.n == 2 and post.copies == {"a3": ("a3", "a4")}
                for post in posts)
