@@ -17,14 +17,7 @@ import os
 import sys
 
 from . import fractal, mqss, readout, tables
-from .network import (
-    NetworkError,
-    bundled_network_path,
-    execute_schedule,
-    load_network,
-    plan_distribution,
-    steiner_tree,
-)
+from .network import NetworkError, bundled_network_path, distribute, load_network
 from .protocols import FIDELITY_TOL, SPEC_FIELDS, ProtocolKind, ProtocolSpec, run_protocol
 
 DEFAULT_SEED = 1729
@@ -109,12 +102,9 @@ def _cmd_verify_tables(args) -> int:
 
 
 def _cmd_distribute(args) -> int:
-    net = load_network(args.network)
-    terminals = _parse_int_list(args.terminals)
-    tree = steiner_tree(net, terminals, exact=args.exact_steiner)
-    schedule = plan_distribution(tree, net)
-    d = args.d if args.d else net.local_dim
-    result = execute_schedule(schedule, mode=args.mode, d=d, seed=args.seed)
+    tree, schedule, result = distribute(
+        load_network(args.network), _parse_int_list(args.terminals), mode=args.mode,
+        d=args.d, seed=args.seed, exact_steiner=args.exact_steiner)
     payload = {
         "steiner": {
             "terminals": sorted(tree.terminals),
@@ -241,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", default=str(bundled_network_path()))
     p.add_argument("--terminals", required=True, help="comma-separated node ids")
     p.add_argument("--mode", choices=("simulated", "symbolic"), default="simulated")
-    p.add_argument("--d", type=int, default=0, help="override the file's local_dim")
+    p.add_argument("--d", type=int, help="override the file's local_dim")
     p.add_argument("--exact-steiner", action="store_true")
     p.set_defaults(func=_cmd_distribute)
 
@@ -278,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("WALKNET_LOG_LEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=os.environ.get("WALKNET_LOG_LEVEL", "WARNING"))
         return args.func(args)
     except (ValueError, NetworkError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

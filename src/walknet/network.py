@@ -13,7 +13,7 @@ chosen terminal set proceeds in three stages:
                        final pair of resources is joined by a coin-free
                        parallel-walk merge.
 3. execute_schedule -- one pass over the plan checks every step's inputs,
-                       site conservation and parties, keys its shape, and
+                       parties and circuit, keys its shape, and
                        checks that a single resource over the terminals (none
                        for a lone terminal) is left; symbolic mode returns
                        that pass's ledger of party sets.  Simulated mode then
@@ -48,7 +48,6 @@ from .qudit import (
     SIZE_CAP,
     Basis,
     QuditState,
-    canonical_bell,
     canonical_ghz,
     identity_op,
 )
@@ -543,50 +542,64 @@ def _shape(step: ScheduleStep, live: dict[str, tuple[int, ...]]) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
-              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> StepLaw:
-    """Compiled law of one step shape, run as a single stage on canonical inputs.
+def _step_circuit(action: str, local_role: str | None, node_slot: int, n_coins: int,
+                  codes: tuple[tuple[int, ...], ...]) -> tuple:
+    """One step shape's circuit as labels: (inputs, coins, pos, far, outputs).
 
     ``codes`` holds one tuple per input resource (coins, then the position):
     each party's index in the step's output parties, -1 for the acting node.
-    Particle j of input i is labeled (i, j).  The local pair, if any, is
-    ("l", 0), ("l", 1); its partner particle stays at the acting node, whose
-    index in the output parties is ``node_slot``.
+    Particle j of input i is (i, j); the local pair, if any, is ("l", 0),
+    ("l", 1), its partner staying at the node, output slot ``node_slot``.
+    ``inputs`` lists each added resource's labels; ``coins`` are read in the
+    Fourier basis, ``pos`` computationally, ``far`` takes a star merge's
+    inverse Fourier, and ``outputs`` are the rest in output-party order.
+    Refuses (NetworkError) all but a pair merge, a release and a star merge
+    onto a two-party position, and unread particles that do not map one to
+    one onto the output parties.
     """
-    add = [(canonical_ghz(d, len(code)), tuple((i, j) for j in range(len(code))))
-           for i, code in enumerate(codes)]
+    n_pos = len(codes) - n_coins
+    if not {"pair-merge": (n_coins, n_pos, local_role) == (1, 1, None),
+            "release": (n_coins, n_pos, local_role) == (1, 0, None),
+            "star-merge": n_pos == 1 and local_role in (None, "coin") and len(codes[-1]) == 2
+            or n_pos == 0 and local_role == "position"}.get(action):
+        raise NetworkError(f"{action} step with {n_coins} coins, {len(codes)} inputs and "
+                           f"local role {local_role} is not a pair merge, a release or "
+                           f"a star merge onto a two-party position")
+    inputs = tuple(tuple((i, j) for j in range(len(code))) for i, code in enumerate(codes))
     code_of = {(i, j): c for i, code in enumerate(codes) for j, c in enumerate(code)}
+    coins = [(i, code.index(-1)) for i, code in enumerate(codes)]  # the node's particles
+    pos = coins.pop() if n_pos else None
+    far = (n_coins, 1 - pos[1]) if n_pos else None
     if local_role is not None:
-        add.append((canonical_bell(d, 0, 0), (("l", 0), ("l", 1))))
+        inputs += ((("l", 0), ("l", 1)),)
         code_of[("l", 0)], code_of[("l", 1)] = -1, node_slot
-
-    def particle(i: int) -> tuple[int, int]:
-        return (i, codes[i].index(-1))
-
-    if action == "pair-merge":
-        coin, pos = particle(0), particle(1)
-        stage = Stage(tuple(add), gates=((coin, pos, identity_op(d)),),
-                      targets=((coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
-    elif action == "star-merge":
-        coins = [particle(i) for i in range(n_coins)]
-        if local_role == "position":
-            pos, far = ("l", 0), ("l", 1)
-        else:
-            pos = particle(n_coins)
-            far = (n_coins, 1 - pos[1])
         if local_role == "coin":
             coins.append(("l", 0))
-        stage = star_merge_stage(d, coins, pos, far, add)
-    elif action == "release":
-        stage = Stage(tuple(add), targets=((particle(0), Basis.FOURIER),))
-    else:
-        raise NetworkError(f"unknown action {action}")
-
-    measured = {lab for lab, _ in stage.targets}
-    outputs = sorted((lab for lab in code_of if lab not in measured), key=code_of.get)
+        else:
+            pos, far = ("l", 0), ("l", 1)
+    read = {*coins, pos}
+    outputs = sorted((lab for lab in code_of if lab not in read), key=code_of.get)
     if [code_of[lab] for lab in outputs] != list(range(len(outputs))):
         raise NetworkError(f"{action} leaves particles that do not match its "
                            f"output parties")
+    return inputs, tuple(coins), pos, far, tuple(outputs)
+
+
+@lru_cache(maxsize=None)
+def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
+              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> StepLaw:
+    """Compiled law of one step shape (``_step_circuit``'s arguments after d),
+    run as a single stage on canonical inputs."""
+    inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
+                                                     n_coins, codes)
+    add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
+    if action == "star-merge":
+        stage = star_merge_stage(d, coins, pos, far, add)
+    elif action == "pair-merge":
+        stage = Stage(add, gates=((coins[0], pos, identity_op(d)),),
+                      targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
+    else:
+        stage = Stage(add, targets=((coins[0], Basis.FOURIER),))
     return compile_law([stage], outputs)
 
 
@@ -594,11 +607,11 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                      d: int = 2, seed: int = 0) -> DistributionResult:
     """Run a schedule to completion.
 
-    One pass over the steps checks each step's inputs, site conservation and
-    parties, records its ledger entry and keys its shape; every step must
-    leave two or more parties, and the schedule must end in a single resource
-    over the terminals (none for a lone terminal).  A bad schedule is refused
-    there in either mode, before anything is sampled.
+    One pass over the steps checks each step's inputs, parties and circuit
+    (``_step_circuit``), keys its shape and records its ledger entry; every
+    step must leave two or more parties, and the schedule must end in a single
+    resource over the terminals (none for a lone terminal).  A bad schedule is
+    refused there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
     simulated: one sampled branch per step, drawn from the compiled law of
     the step's shape with the dense sampler's outcome order and probability
@@ -614,7 +627,7 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     if d < 2:
         raise NetworkError("d must be >= 2")
     terminals = schedule.terminals
-    consumed = len(schedule.initial) + sum(1 for s in schedule.steps if s.local_pair)
+    consumed = len(schedule.initial) + sum(s.local_role is not None for s in schedule.steps)
     live = {rid: res.parties for rid, res in schedule.initial.items()}
     ledger, shapes = [], []
     for step in schedule.steps:
@@ -623,23 +636,19 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                 raise NetworkError(f"step consumes unknown resource {rid}")
             if step.node not in live[rid]:
                 raise NetworkError(f"resource {rid} has no particle at node {step.node}")
-        sites_in = sum(len(live[rid]) for rid in step.inputs) + 2 * (step.local_pair is not None)
-        if step.action == "pair-merge":
-            measured = 2
-        elif step.action == "star-merge":
-            measured = len(step.coin_inputs) + 1 + (step.local_role == "coin")
-        else:
-            measured = 1
-        if sites_in - measured != len(step.output_parties):
-            raise NetworkError("site conservation violated in schedule step")
         if len(step.output_parties) < 2:
             raise NetworkError(f"step at node {step.node} leaves a one-party resource")
         shapes.append(_shape(step, live))
+        inputs, coins, pos, _, outputs = _step_circuit(*shapes[-1])
+        if len(outputs) != len(step.output_parties):
+            raise NetworkError(f"step at node {step.node} leaves {len(outputs)} particles "
+                               f"for {len(step.output_parties)} output parties")
         for rid in step.inputs:
             del live[rid]
         live[step.output_id] = step.output_parties
         ledger.append({"node": step.node, "action": step.action,
-                       "sites_in": sites_in, "measured": measured,
+                       "sites_in": sum(map(len, inputs)),
+                       "measured": len(coins) + (pos is not None),
                        "output": step.output_id,
                        "parties": list(step.output_parties)})
     # nothing live reads as the first terminal alone: right for a lone terminal only

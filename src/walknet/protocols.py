@@ -197,24 +197,10 @@ class CorrectionOp:
     label: str = "I"
 
     def apply_to(self, state: QuditState) -> QuditState:
-        """Every op is monomial, so each is an index move and a phase
-        multiply along its site's axis instead of a matmul."""
-        tens = state.tensor_view()
-        for site, name, op in self.ops:
-            if op.monomial is None:
-                raise ValueError(f"correction op {name} is not monomial")
-            src, phase = op.monomial
-            tens = tens.take(src, axis=site)
-            if phase is not None:
-                tens = tens * phase.reshape((-1,) + (1,) * (state.n - 1 - site))
-        amps = tens.reshape(-1)
-        if self.global_phase != 1.0:
-            amps = self.global_phase * amps
+        for site, _, op in self.ops:
+            state = apply(state, op, [site])
+        amps = state.amps if self.global_phase == 1.0 else self.global_phase * state.amps
         return QuditState(state.d, state.n, amps)
-
-    def to_dict(self) -> dict:
-        return {"label": self.label,
-                "ops": [{"site": s, "op": name} for s, name, _ in self.ops]}
 
 
 class CorrectionError(ValueError):
@@ -344,8 +330,6 @@ class Register:
         return self.sites.index(label)
 
     def add(self, other: "Register") -> "Register":
-        # the cap counts every party, as a dense run would
-        check_cap(self.compact.d, len(self.labels) + len(other.labels))
         return self._like(tensor(self.compact, other.compact), self.sites + other.sites,
                           self.labels + other.labels, {**self.copies, **other.copies})
 
@@ -425,9 +409,16 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     enters as the GHZ over its touched parties plus one ``Register`` site
     standing for the idle ones, so gates and measurements never sweep them.
     Other resources enter as given.  A yielded register's ``state`` and
-    ``labels`` are those of the fully dense run.
+    ``labels`` are those of the fully dense run, and the size cap counts
+    its peak live parties once, before the first resource is added.
     """
     stages = tuple(stages)
+    live = peak = 0
+    for stage in stages:
+        live += sum(len(labels) for _, labels in stage.add)
+        peak, live = max(peak, live), live - len(stage.targets)
+    if stages:
+        check_cap(stages[0].add[0][0].d, peak)
     touched = {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
     touched.update(lab for stage in stages for lab, _ in stage.targets)
     yield from _run(stages, (), 1.0, None, rng, law, touched)

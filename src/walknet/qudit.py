@@ -284,7 +284,11 @@ def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState
     # the op's sites first, the rest in order: np.moveaxis without its overhead
     perm = list(sites) + [s for s in range(n) if s not in sites]
     shaped = state.tensor_view().transpose(perm).reshape(d**k, d ** (n - k))
-    shaped = op.mat @ shaped
+    if op.monomial is None:
+        shaped = op.mat @ shaped
+    else:  # a permutation with phases: gather the source rows
+        src, phase = op.monomial
+        shaped = shaped[src] if phase is None else shaped[src] * phase[:, None]
     tens = shaped.reshape([d] * n).transpose(np.argsort(perm))
     return QuditState.unchecked(d, n, np.ascontiguousarray(tens.reshape(-1)))
 

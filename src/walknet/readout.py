@@ -108,7 +108,9 @@ class CountVector:
         for bits, c in mapping.items():
             if len(bits) != n or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad bitstring {bits!r}")
-            counts[int(bits, 2)] += int(c)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"count {c!r} for {bits!r} is not an integer")
+            counts[int(bits, 2)] += c
         return cls(n_qubits=n, counts=counts)
 
 
@@ -136,9 +138,12 @@ def load_device_records(path: str | Path) -> list[DeviceRecord]:
     for row in rows:
         if not isinstance(row, dict) or any(row.get(k) is None for k in ("qubit", "f0", "f1")):
             raise ValueError(f"device record {row!r} needs qubit, f0 and f1")
+        try:
+            f0, f1 = float(row["f0"]), float(row["f1"])
+        except (TypeError, ValueError):
+            raise ValueError(f"device record {row!r} has a non-numeric f0 or f1") from None
         extras = {k: v for k, v in row.items() if k not in ("qubit", "f0", "f1")}
-        records.append(DeviceRecord(qubit=str(row["qubit"]), f0=float(row["f0"]),
-                                    f1=float(row["f1"]), extras=extras))
+        records.append(DeviceRecord(qubit=str(row["qubit"]), f0=f0, f1=f1, extras=extras))
     if not records:
         raise ValueError("no device records found")
     return records

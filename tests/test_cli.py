@@ -1,6 +1,10 @@
 """CLI behavior: payloads, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,34 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
     code, _, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("distribute", "--terminals", "1,2,5", "--d", "0"),
+    ("readout", "--counts", "{tmp}/list.json"),
+    ("readout", "--counts", "{tmp}/float.json"),
+    ("readout", "--counts", "{tmp}/ok.json", "--device", "{tmp}/dev.json"),
+])
+def test_zero_dimension_and_non_numeric_readout_files_exit_2(capsys, tmp_path, argv):
+    for name, blob in (("list", {"00": [1], "11": 5}), ("float", {"00": 2.7, "11": "5"}),
+                       ("ok", {"00": 5, "11": 5}),
+                       ("dev", [{"qubit": "q0", "f0": [0.9], "f1": 0.9}])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(blob))
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unknown_log_level_is_one_error_line_and_exit_2():
+    # run as its own process: under pytest the root logger already has
+    # handlers, and logging.basicConfig then never reads the level
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "walknet.cli", "swap", "bell2d"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src),
+                               "WALKNET_LOG_LEVEL": "verbose"})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: Unknown level: 'verbose'\n"
 
 
 def test_byte_identical_output_for_same_seed(capsys):

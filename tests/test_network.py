@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from walknet import network
+from walknet import network, protocols
 from walknet.network import (
     NetworkError,
     Resource,
@@ -350,6 +350,49 @@ def test_leftover_or_one_party_resource_refused_before_any_sampling(
     calls = _spy_on_draws(monkeypatch)
     with pytest.raises(NetworkError, match=match):
         execute_schedule(schedule(), mode, d=2, seed=0)
+    assert calls == []
+
+
+def _one_step(resources, outputs, action="pair-merge", position=True, local_role=None):
+    """A schedule of one step at node 0 over ``resources`` (coins, then the
+    position when ``position``), ending over ``outputs``."""
+    ids = [f"r{i}" for i in range(len(resources))]
+    coins, pos = (ids[:-1], ids[-1]) if position else (ids, None)
+    return SwapSchedule(
+        terminals=tuple(sorted(outputs)),
+        initial={rid: Resource("bell" if len(p) == 2 else "ghz", p)
+                 for rid, p in zip(ids, resources)},
+        steps=[ScheduleStep(node=0, action=action, protocol="ghz-parallel-d",
+                            coin_inputs=tuple(coins), position_input=pos,
+                            local_pair="l0" if local_role else None,
+                            local_role=local_role, output_id="m0",
+                            output_parties=tuple(outputs))])
+
+
+NOT_A_STEP = "is not a pair merge, a release or a star merge onto a two-party position"
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("schedule, match", [
+    # site counts add up (5 in, 2 read, 3 out), but both inputs put their
+    # unread particle at party 5
+    (_one_step([(0, 5), (0, 5, 6)], (5, 6, 7)), "do not match its output parties"),
+    # a star merge whose position is a GHZ triple has no one far particle
+    (_one_step([(0, 1), (0, 2, 3)], (1, 2, 3), "star-merge"), NOT_A_STEP),
+    # a pair merge with no position input, and a local pair it cannot use
+    (_one_step([(0, 5)], (5, 0), position=False, local_role="coin"), NOT_A_STEP),
+    (_one_step([(0, 5, 6)], (5, 6), "teleport", position=False), NOT_A_STEP),
+    # party 7 holds no particle: two left for three output parties
+    (_one_step([(0, 5), (0, 6)], (5, 6, 7)), "leaves 2 particles for 3 output parties"),
+], ids=["shared-output-slot", "ghz-position", "no-position", "unknown-action",
+        "extra-output-party"])
+def test_malformed_step_refused_in_both_modes_before_any_stage(
+        monkeypatch, mode, schedule, match):
+    calls = _spy_on_draws(monkeypatch)
+    monkeypatch.setattr(protocols, "run_stages",
+                        lambda *a, **kw: pytest.fail("a stage ran before the refusal"))
+    with pytest.raises(NetworkError, match=match):
+        execute_schedule(schedule, mode, d=2, seed=0)
     assert calls == []
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import walknet
-from walknet import protocols, tables
+from walknet import fractal, protocols, tables
 from walknet.protocols import (
     CorrectionError,
     ProtocolKind,
@@ -27,6 +27,7 @@ from walknet.protocols import (
 from walknet.qudit import (
     Basis,
     QuditState,
+    SizeCapError,
     apply,
     basis_state,
     canonical_bell,
@@ -420,6 +421,18 @@ def test_run_stages_sampling_draws_once_per_stage():
     ref = np.random.default_rng(9)
     ref.random(2)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)),
+    lambda: fractal.execute_merge_schedule(1, d=9)], ids=["protocol", "gasket"])
+def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run):
+    # stage 1 of the qudit triangle merge fits at d=9 (6 sites), stage 2 peaks
+    # at 7: the whole circuit is refused before its first resource is added
+    for name in ("tensor", "apply", "measure_all_branches", "sample_branch"):
+        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    with pytest.raises(SizeCapError, match="7 sites at d=9"):
+        run()
 
 
 def test_qubit_swap_tables_are_the_correction_source():

@@ -155,6 +155,29 @@ def test_apply_then_dagger_roundtrip():
         assert np.allclose(back.amps, s.amps, atol=1e-10)
 
 
+def _dense_apply(state, op, sites):
+    """``op.mat`` on ``sites`` as one full matrix: the op's sites moved to
+    the front, op.mat ⊗ I, and the sites moved back."""
+    d, n = state.d, state.n
+    perm = list(sites) + [s for s in range(n) if s not in sites]
+    full = np.kron(op.mat, np.eye(d ** (n - len(sites))))
+    out = full @ state.tensor_view().transpose(perm).reshape(-1)
+    return out.reshape([d] * n).transpose(np.argsort(perm)).reshape(-1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_monomial_ops_gather_as_the_dense_matrix_multiplies(d):
+    rng = np.random.default_rng(d)
+    for op in (identity_op(d), *pauli_ops(d), label_shift_op(d, 1, d - 1),
+               label_shift_op(d, d - 1, 1), shift_op(d)):
+        assert op.monomial is not None
+        for sites in [[2], [0], [3]] if op.arity == 1 else [[3, 1], [0, 2], [2, 0]]:
+            amps = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
+            s = QuditState(d, 4, amps / np.linalg.norm(amps))
+            got = apply(s, op, sites).amps
+            assert np.abs(got - _dense_apply(s, op, sites)).max() <= 1e-15
+
+
 def test_apply_validation_errors():
     s = basis_state(2, [0, 0])
     x, _ = pauli_ops(2)

@@ -91,6 +91,22 @@ def test_device_table_without_an_f0_or_f1_value_refused(tmp_path, table):
         load_device_records(p)
 
 
+@pytest.mark.parametrize("mapping", [{"00": [1], "11": 5}, {"00": 2.7, "11": 5},
+                                     {"00": 2, "11": "5"}, {"00": True, "11": 5}])
+def test_count_vector_refuses_counts_that_are_not_integers(mapping):
+    with pytest.raises(ValueError, match="is not an integer"):
+        CountVector.from_dict(mapping)
+
+
+@pytest.mark.parametrize("row", ['{"qubit": "A", "f0": [0.9], "f1": 0.97}',
+                                 '{"qubit": "A", "f0": 0.9, "f1": "high"}'])
+def test_device_record_with_a_non_numeric_fidelity_refused(tmp_path, row):
+    p = tmp_path / "dev.json"
+    p.write_text(f"[{row}]")
+    with pytest.raises(ValueError, match="'qubit': 'A'.* non-numeric f0 or f1"):
+        load_device_records(p)
+
+
 def test_bundled_device_table():
     recs = load_device_records(bundled_device_path())
     assert len(recs) == 10
