@@ -10,6 +10,7 @@ protocol, and per-qubit readout-error correction.
 from .qudit import (
     Basis,
     Branch,
+    Branches,
     OperatorMatrix,
     QuditState,
     SizeCapError,

@@ -638,6 +638,9 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
                 raise NetworkError(f"resource {rid} has no particle at node {step.node}")
         if len(step.output_parties) < 2:
             raise NetworkError(f"step at node {step.node} leaves a one-party resource")
+        if (step.local_pair is None) != (step.local_role is None):
+            raise NetworkError(f"step at node {step.node} has local pair {step.local_pair} "
+                               f"but local role {step.local_role}")
         shapes.append(_shape(step, live))
         inputs, coins, pos, _, outputs = _step_circuit(*shapes[-1])
         if len(outputs) != len(step.output_parties):

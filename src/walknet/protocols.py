@@ -58,7 +58,7 @@ A circuit is a tuple of ``Stage`` records (resources to add, walks and
 single-site gates, measurement targets) plus its named output particles.
 ``run_stages`` interprets the stages: exhaustively here, one Born-sampled
 branch per stage for the secret-sharing GHZ generation.  One loop corrects
-and scores every exhaustive branch's residual over the outputs, for
+every exhaustive branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
 instead of amplitudes.
@@ -83,7 +83,6 @@ from .qudit import (
     canonical_bell,
     canonical_ghz,
     check_cap,
-    fidelity,
     fourier_inv_op,
     fourier_op,
     identity_op,
@@ -137,36 +136,26 @@ class ProtocolSpec:
     retain_coins: bool = False
 
     def validate(self) -> None:
-        kd = self.kind
+        kd, K, m, n, k, l = self.kind, ProtocolKind, self.m, self.n, self.k, self.l
         if self.d < 2:
             raise ValueError("d must be >= 2")
-        if kd in (ProtocolKind.BELL_SWAP_2D, ProtocolKind.GHZ_SWAP_2D,
-                  ProtocolKind.MERGE_METHOD_1, ProtocolKind.MERGE_METHOD_2,
-                  ProtocolKind.MERGE_COMBINED, ProtocolKind.TRIANGLE_MERGE_2D):
-            if self.d != 2:
-                raise ValueError(f"{kd.value} is defined for d=2 only")
-        if kd in (ProtocolKind.MERGE_METHOD_1,):
-            if self.m < 2 or self.n < 2 or not 1 <= self.k <= self.m - 1:
-                raise ValueError("method 1 needs m,n >= 2 and 1 <= k <= m-1")
-        if kd in (ProtocolKind.MERGE_METHOD_2, ProtocolKind.GHZ_PARALLEL_D):
-            if self.m < 2 or self.n < 2 or not 1 <= self.k <= min(self.m, self.n) - 1:
-                raise ValueError("parallel merge needs 1 <= k <= min(m,n)-1")
-        if kd is ProtocolKind.MERGE_COMBINED:
-            q = self.k + self.l
-            ok = (self.k > self.l >= 2 and q <= self.m + self.n - 2
-                  and self.k <= self.m - 1 and self.l <= self.n - 1)
-            if not ok:
-                raise ValueError("combined merge needs k > l >= 2, k+l <= m+n-2, "
-                                 "k <= m-1, l <= n-1")
-        if kd is ProtocolKind.BELL_SWAP_D:
-            if not all(0 <= x < self.d for x in self.bell_labels):
-                raise ValueError("bell labels out of range")
-        if kd is ProtocolKind.GHZ_MULTI_COIN_D:
-            if self.m < 2 or self.n < 2:
-                raise ValueError("multi-coin merge needs m,n >= 2")
-        if kd is ProtocolKind.GHZ_FROM_BELLS_D:
-            if self.bells < 1:
-                raise ValueError("need at least one coin Bell pair")
+        if self.d != 2 and kd in (K.BELL_SWAP_2D, K.GHZ_SWAP_2D, K.MERGE_METHOD_1,
+                                  K.MERGE_METHOD_2, K.MERGE_COMBINED, K.TRIANGLE_MERGE_2D):
+            raise ValueError(f"{kd.value} is defined for d=2 only")
+        if kd is K.MERGE_METHOD_1 and (m < 2 or n < 2 or not 1 <= k <= m - 1):
+            raise ValueError("method 1 needs m,n >= 2 and 1 <= k <= m-1")
+        if kd in (K.MERGE_METHOD_2, K.GHZ_PARALLEL_D) and not 1 <= k <= min(m, n) - 1:
+            raise ValueError("parallel merge needs 1 <= k <= min(m,n)-1")
+        if kd is K.MERGE_COMBINED and not (k > l >= 2 and k + l <= m + n - 2
+                                           and k <= m - 1 and l <= n - 1):
+            raise ValueError("combined merge needs k > l >= 2, k+l <= m+n-2, "
+                             "k <= m-1, l <= n-1")
+        if kd is K.BELL_SWAP_D and not all(0 <= x < self.d for x in self.bell_labels):
+            raise ValueError("bell labels out of range")
+        if kd is K.GHZ_MULTI_COIN_D and (m < 2 or n < 2):
+            raise ValueError("multi-coin merge needs m,n >= 2")
+        if kd is K.GHZ_FROM_BELLS_D and self.bells < 1:
+            raise ValueError("need at least one coin Bell pair")
         if self.retain_coins and "retain_coins" not in SPEC_FIELDS[kd]:
             raise ValueError("retain_coins applies to the merge methods only")
 
@@ -289,70 +278,31 @@ def outcome_parity(bits) -> int:
 # ---------------------------------------------------------------------------
 
 class Register:
-    """A state plus the particle label of each live site.
+    """A compact state plus the particle label of each party.
 
     A site may stand for idle parties of one canonical GHZ: ``copies`` maps
     its label to theirs, its own first, and the copy isometry
     V: |r> -> |r>^k, which commutes with every operation on other sites,
-    restores them.  ``idx``, ``apply``, ``walk`` and ``measure`` act on the
-    compact ``sites``; ``labels`` holds every particle in the dense run's
-    order, in which ``state`` expands through V; ``reorder`` changes
-    only that order.  With no copies, ``sites`` and ``labels`` coincide.
+    restores them.  The stage interpreter acts on the compact ``sites``;
+    ``labels`` holds every particle in the dense run's order, in which
+    ``state`` expands through V; ``reorder`` changes only that order.  With
+    no copies, ``sites`` and ``labels`` coincide.
     """
 
-    def __init__(self, state: QuditState, labels: tuple):
-        if state.n != len(labels):
-            raise ValueError(f"{len(labels)} labels for a state of {state.n} sites")
-        self.compact, self.copies = state, {}
-        self.sites = self.labels = tuple(labels)
-
-    def _like(self, state: QuditState, sites: tuple, labels: tuple,
-              copies: dict | None = None) -> "Register":
-        reg = Register(state, sites)
-        reg.labels, reg.copies = labels, self.copies if copies is None else copies
-        return reg
+    def __init__(self, state: QuditState, labels: tuple, sites=None, copies=None):
+        self.compact, self.labels, self.copies = state, tuple(labels), copies or {}
+        self.sites = self.labels if sites is None else sites
+        if state.n != len(self.sites):
+            raise ValueError(f"{len(self.sites)} labels for a state of {state.n} sites")
 
     @property
     def state(self) -> QuditState:
-        """The register over ``labels``, built on each read: one strided write
-        of the compact amplitudes onto the dense sites they stand for."""
+        """The register over ``labels``: V's image of ``compact``, built on each read."""
         if self.labels == self.sites:
             return self.compact
-        d, n = self.compact.d, len(self.labels)
-        amps = np.zeros(d**n, dtype=complex)
-        place = {lab: amps.itemsize * d ** (n - 1 - i) for i, lab in enumerate(self.labels)}
-        strides = [sum(place[c] for c in self.copies.get(s, (s,))) for s in self.sites]
-        np.ndarray((d,) * len(self.sites), complex, amps, 0, strides)[...] = \
-            self.compact.tensor_view()
-        return QuditState.unchecked(d, n, amps)  # V is an isometry
-
-    def idx(self, label) -> int:
-        return self.sites.index(label)
-
-    def add(self, other: "Register") -> "Register":
-        return self._like(tensor(self.compact, other.compact), self.sites + other.sites,
-                          self.labels + other.labels, {**self.copies, **other.copies})
-
-    def apply(self, op: OperatorMatrix, labels: list) -> "Register":
-        sites = [self.idx(x) for x in labels]
-        return self._like(apply(self.compact, op, sites), self.sites, self.labels)
-
-    def walk(self, coin, pos, coin_op: OperatorMatrix) -> "Register":
-        st = walk_step(self.compact, self.idx(coin), self.idx(pos), coin_op)
-        return self._like(st, self.sites, self.labels)
-
-    def measure(self, targets, rng: np.random.Generator | None = None):
-        """Yield (values, probability, post register) per nonzero branch, or
-        for the one Born-sampled branch only when ``rng`` is given."""
-        site_targets = [(self.idx(lab), basis) for lab, basis in targets]
-        measured = {t[0] for t in targets}
-        sites = tuple(lab for lab in self.sites if lab not in measured)
-        labels = tuple(lab for lab in self.labels if lab not in measured)
-        branches = (measure_all_branches(self.compact, site_targets) if rng is None
-                    else [sample_branch(self.compact, site_targets, rng)])
-        for br in branches:
-            post = self._like(br.post, sites, labels) if br.post is not None else None
-            yield br.outcome, br.probability, post
+        d, n = self.compact.d, len(self.labels)  # V is an isometry
+        return QuditState.unchecked(d, n, _spread(self.compact.amps, d, self.sites,
+                                                  self.labels, self.copies))
 
     def reorder(self, new_order: list) -> "Register":
         new_order = tuple(new_order)
@@ -360,7 +310,18 @@ class Register:
             return self
         if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
             raise ValueError("reorder must permute the existing labels")
-        return self._like(self.compact, self.sites, new_order)
+        return Register(self.compact, new_order, self.sites, self.copies)
+
+
+def _spread(compact: np.ndarray, d: int, sites: tuple, labels: tuple, copies: dict):
+    """V's image of entries over the compact ``sites``: one strided write of
+    each compact digit to every party of ``labels`` it stands for, zeros elsewhere."""
+    n, shape = len(labels), (d,) * len(sites)
+    place = {lab: d ** (n - 1 - i) for i, lab in enumerate(labels)}
+    dense = np.zeros(d**n, dtype=compact.dtype)
+    strides = [dense.itemsize * sum(place[c] for c in copies.get(s, (s,))) for s in sites]
+    np.ndarray(shape, dense.dtype, dense, 0, strides)[...] = compact.reshape(shape)
+    return dense
 
 
 def _compact(state: QuditState, labels: tuple, touched: set) -> Register:
@@ -373,7 +334,7 @@ def _compact(state: QuditState, labels: tuple, touched: set) -> Register:
     sites, d = tuple(lab for lab in labels if lab not in idle[1:]), state.d
     compact = (canonical_ghz(d, len(sites)) if len(sites) > 1
                else QuditState(d, 1, np.ones(d, dtype=complex) / np.sqrt(d)))
-    return reg._like(compact, sites, labels, {idle[0]: idle})
+    return Register(compact, labels, sites, {idle[0]: idle})
 
 
 @dataclass(frozen=True)
@@ -399,10 +360,10 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     Without ``rng`` every nonzero branch comes out, in outcome order; values
     are the results of all stages' targets in order and the probability is
     their product.  With ``rng`` each stage draws its one Born-sampled branch
-    (one draw per stage), so exactly one branch comes out.  A ``law`` dict
-    receives every stage's branch point, keyed by the values before it: the
-    stage's kept values and their probabilities, the outcomes and the array
-    a sampled run draws from.
+    (one draw per stage), so exactly one branch comes out.  An exhaustive
+    run's ``law`` dict receives every stage's branch point, keyed by the
+    values before it: the stage's kept values and their probabilities, the
+    outcomes and the array a sampled run draws from.
 
     A party that no walk, gate or target touches is idle: an
     added resource equal to ``canonical_ghz`` with two or more idle parties
@@ -412,6 +373,14 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     ``labels`` are those of the fully dense run, and the size cap counts
     its peak live parties once, before the first resource is added.
     """
+    for values, prob, branches, sites, labels, copies in _blocks(stages, rng, law):
+        for br in branches:
+            post = None if br.post is None else Register(br.post, labels, sites, copies)
+            yield values + br.outcome, prob * br.probability, post
+
+
+def _blocks(stages, rng, law):
+    """Per last stage: (values, probability, branches, live sites, labels, copies)."""
     stages = tuple(stages)
     live = peak = 0
     for stage in stages:
@@ -421,26 +390,35 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
         check_cap(stages[0].add[0][0].d, peak)
     touched = {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
     touched.update(lab for stage in stages for lab, _ in stage.targets)
-    yield from _run(stages, (), 1.0, None, rng, law, touched)
+    return _run(stages, (), 1.0, None, rng, law, touched)
 
 
 def _run(stages, values, prob, reg, rng, law, touched):
-    if not stages:
-        yield values, prob, reg
-        return
     stage = stages[0]
     for state, labels in stage.add:
         part = _compact(state, tuple(labels), touched)
-        reg = part if reg is None else reg.add(part)
+        reg = part if reg is None else Register(
+            tensor(reg.compact, part.compact), reg.labels + part.labels,
+            reg.sites + part.sites, {**reg.copies, **part.copies})
+    state, sites, labels, copies = reg.compact, reg.sites, reg.labels, reg.copies
+    del reg  # hold only the latest state, and none while later stages run
     for gate in stage.gates:
-        reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
-    branches = list(reg.measure(stage.targets, rng))
-    del reg  # hold no pre-measurement state while later stages run
+        state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
+                 if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
+    targets = [(sites.index(lab), basis) for lab, basis in stage.targets]
+    branches = (measure_all_branches(state, targets) if rng is None
+                else [sample_branch(state, targets, rng)])
+    del state
+    read = {lab for lab, _ in stage.targets}
+    sites, labels = (tuple(lab for lab in x if lab not in read) for x in (sites, labels))
     if law is not None:
-        law[values] = (tuple(v for v, _, _ in branches),
-                       np.array([p for _, p, _ in branches]))
-    for vals, p, post in branches:
-        yield from _run(stages[1:], values + vals, prob * p, post, rng, law, touched)
+        law[values] = tuple(map(tuple, branches.values.tolist())), branches.probs
+    if len(stages) == 1:
+        yield values, prob, branches, sites, labels, copies
+        return
+    for br in branches:
+        yield from _run(stages[1:], values + br.outcome, prob * br.probability,
+                        Register(br.post, labels, sites, copies), rng, law, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -564,13 +542,25 @@ def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = N
     """Yield (values, probability, residual over ``outputs``, correction,
     fidelity) per exhaustive branch: ``closed(values)`` where that gives a
     correction, else the derived one, scored against the canonical GHZ on
-    the d residual amplitudes the correction maps onto its support."""
-    for values, prob, post in run_stages(stages, law=law):
-        state = post.reorder(outputs).state
-        corr = closed(values) or derive_ghz_correction(state)
-        src, phase, ghz = _support_map(state.d, state.n, corr.ops)
-        yield (values, prob, state, corr,
-               float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
+    the d residual amplitudes the correction maps onto its support.  A last
+    stage's leaves are scored as one block, on its compact rows: V maps each
+    support index to its row entry, and one outside V's image reads 0."""
+    outputs = tuple(outputs)
+    for prefix, prob, block, sites, labels, copies in _blocks(stages, None, law):
+        if len(outputs) != len(labels) or set(outputs) != set(labels):
+            raise ValueError("reorder must permute the existing labels")
+        d, n, rows, same = block.d, len(outputs), block.posts, outputs == sites
+        states = [QuditState.unchecked(d, n, r if same else _spread(r, d, sites, outputs, copies))
+                  for r in rows]
+        values = [prefix + tuple(v) for v in block.values.tolist()]
+        corrs = [closed(v) or derive_ghz_correction(st) for v, st in zip(values, states)]
+        src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
+        if not same:  # each support index's row entry, or -1 outside V's image
+            src = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)[src] - 1
+        amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
+        phase *= np.array([corr.global_phase for corr in corrs])[:, None]
+        fids = np.abs(np.conj(phase * amps) @ ghz[0]) ** 2
+        yield from zip(values, (prob * block.probs).tolist(), states, corrs, fids.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -775,10 +765,7 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
         return qubit_correction(*table4_row(spec.m, spec.n, spec.k, outcome)[1:3])
 
     if kd is ProtocolKind.BELL_SWAP_D:
-        mm, nn = _bell_label(spec, outcome)
-        op = label_shift_op(d, mm, nn)
-        return CorrectionOp(ops=((0, f"U[{mm},{nn}]", op),),
-                            label=f"U[{mm},{nn}]@0")
+        return _label_correction(d, *_bell_label(spec, outcome))
 
     if kd is ProtocolKind.GHZ_PARALLEL_D:
         k = spec.k
@@ -810,11 +797,19 @@ def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> Cor
     return None  # combined merge, triangle-2d, method-1 retain: derive from state
 
 
-def _bell_label(spec: ProtocolSpec, outcome: tuple[int, int]) -> tuple[int, int]:
-    """The Bell label bell-swap-d leaves on (1,4) after outcome (k0, u0)."""
+def _bell_label(spec: ProtocolSpec, outcome):
+    """The Bell label bell-swap-d leaves on (1,4) after outcome (k0, u0); for
+    a (2, B) array of outcomes, the (2, B) labels."""
     bm, bn, bp, bq = spec.bell_labels
     k0, u0 = outcome
     return (bm + bp - k0) % spec.d, (bn + bq - u0) % spec.d
+
+
+@lru_cache(maxsize=None)
+def _label_correction(d: int, mm: int, nn: int) -> CorrectionOp:
+    """U[mm,nn] on site 0, bell-swap-d's correction; one shared object per label."""
+    return CorrectionOp(ops=((0, f"U[{mm},{nn}]", label_shift_op(d, mm, nn)),),
+                        label=f"U[{mm},{nn}]@0")
 
 
 @lru_cache(maxsize=None)
@@ -863,13 +858,13 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)
-    closed = partial(_closed_form_correction, spec)
-    for vals, prob, state, corr, fid in _corrected(stages, outputs, closed):
-        bell_label = label_fid = None
-        if spec.kind is ProtocolKind.BELL_SWAP_D:
-            bell_label = _bell_label(spec, vals)
-            label_fid = fidelity(state, canonical_bell(spec.d, *bell_label))
-        result.branches.append(BranchResult(
-            outcome=vals, probability=prob, post=state, correction=corr,
-            fidelity=fid, bell_label=bell_label, label_fidelity=label_fid))
+    leaves = list(_corrected(stages, outputs, partial(_closed_form_correction, spec)))
+    labelled = [()] * len(leaves)
+    if spec.kind is ProtocolKind.BELL_SWAP_D:  # one label and one row-wise product per leaf
+        labels = np.transpose(_bell_label(spec, np.array([leaf[0] for leaf in leaves]).T))
+        bells = np.array([canonical_bell(spec.d, *lab).amps for lab in labels.tolist()])
+        posts = np.array([leaf[2].amps for leaf in leaves])
+        labelled = zip(map(tuple, labels.tolist()),
+                       (np.abs(np.einsum("ij,ij->i", posts.conj(), bells)) ** 2).tolist())
+    result.branches = [BranchResult(*leaf, *extra) for leaf, extra in zip(leaves, labelled)]
     return result

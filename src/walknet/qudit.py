@@ -13,6 +13,7 @@ shared freely across parallel workers.
 
 from __future__ import annotations
 
+from collections import UserList
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -132,6 +133,25 @@ class Branch:
     outcome: tuple[int, ...]
     probability: float
     post: QuditState | None
+
+
+class Branches(UserList):
+    """Every kept branch of one exhaustive measurement as one block: ``values``
+    (B x t ints, in target order), ``probs`` (B) and ``posts`` (B rows over the
+    n unmeasured sites, or None); as a list, ``Branch`` records built on first read."""
+
+    def __init__(self, d: int, n: int, values, probs, posts):
+        self.d, self.n, self.values, self.probs, self.posts = d, n, values, probs, posts
+
+    @cached_property
+    def data(self) -> list[Branch]:
+        posts = [None] * len(self.probs) if self.posts is None else [
+            QuditState.unchecked(self.d, self.n, row) for row in self.posts]
+        return [Branch(tuple(v), p, post)
+                for v, p, post in zip(self.values.tolist(), self.probs.tolist(), posts)]
+
+    def __len__(self) -> int:
+        return len(self.data) if "data" in vars(self) else len(self.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +286,7 @@ def tensor(a: QuditState, b: QuditState) -> QuditState:
     if a.d != b.d:
         raise ValueError("local dimensions differ")
     check_cap(a.d, a.n + b.n)
-    return QuditState(a.d, a.n + b.n, np.kron(a.amps, b.amps))
+    return QuditState(a.d, a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState:
@@ -281,16 +301,24 @@ def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState
         if not 0 <= s < state.n:
             raise ValueError(f"site {s} out of range")
     d, n, k = state.d, state.n, len(sites)
-    # the op's sites first, the rest in order: np.moveaxis without its overhead
-    perm = list(sites) + [s for s in range(n) if s not in sites]
-    shaped = state.tensor_view().transpose(perm).reshape(d**k, d ** (n - k))
+    order = sorted(sites)
+    # one axis per op site and one per run of other sites: (a0, d, a1, ..., d, ak)
+    view = state.amps.reshape([x for lo, hi in zip([-1, *order], order)
+                               for x in (d ** (hi - lo - 1), d)] + [-1])
+    perm = [2 * order.index(s) + 1 for s in sites] + list(range(0, 2 * k + 1, 2))
+    # one site: a gather on the view, or one GEMM per leading index if rows are long
+    direct = k == 1 and (op.monomial is not None or view.shape[2] >= 64 or view.shape[0] == 1)
+    out = view if direct else view.transpose(perm).reshape(d**k, -1)  # one name: free each copy
     if op.monomial is None:
-        shaped = op.mat @ shaped
+        out = np.matmul(op.mat, out)
     else:  # a permutation with phases: gather the source rows
         src, phase = op.monomial
-        shaped = shaped[src] if phase is None else shaped[src] * phase[:, None]
-    tens = shaped.reshape([d] * n).transpose(np.argsort(perm))
-    return QuditState.unchecked(d, n, np.ascontiguousarray(tens.reshape(-1)))
+        out = out.take(src, axis=out.ndim - 2)
+        if phase is not None:
+            out *= phase[:, None]
+    if not direct:  # the op's axes back in place
+        out = out.reshape([view.shape[i] for i in perm]).transpose(np.argsort(perm))
+    return QuditState.unchecked(d, n, np.ascontiguousarray(out).reshape(-1))
 
 
 def fidelity(a: QuditState, b: QuditState) -> float:
@@ -339,14 +367,14 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
     return rows, probs, kept
 
 
-def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> list[Branch]:
+def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> Branches:
     """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
 
     Fourier-basis targets are realized by applying the inverse Fourier
     transform to the site and then reading it out computationally, so the
     reported value k corresponds to the basis element |k~>.  Branches with
     probability below 1e-12 are pruned; the surviving probabilities sum to 1
-    within 1e-9.  Post-states have the measured sites removed.
+    within 1e-9.  One ``Branches`` block; post-states lack the measured sites.
     """
     rows, probs, kept = _outcome_rows(state, targets)
     # one block of post-states, out of place if it is every row: rows may view state.amps
@@ -360,9 +388,8 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
     if err > NORM_TOL:
         raise ValueError(f"post-state is not normalized (|norm-1| = {err:.3e})")
     d, n, t = state.d, state.n, len(targets)
-    values = (kept[:, None] // d ** np.arange(t - 1, -1, -1) % d).tolist()
-    return [Branch(tuple(v), p, QuditState.unchecked(d, n - t, post) if n > t else None)
-            for v, p, post in zip(values, probs[kept].tolist(), posts)]
+    values = kept[:, None] // d ** np.arange(t - 1, -1, -1) % d
+    return Branches(d, n - t, values, probs[kept], posts if n > t else None)
 
 
 def sample_branch(

@@ -110,7 +110,11 @@ class CountVector:
                 raise ValueError(f"bad bitstring {bits!r}")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"count {c!r} for {bits!r} is not an integer")
+            if abs(c) > np.iinfo(np.int64).max:
+                raise ValueError(f"count {c} for {bits!r} is beyond the int64 range")
             counts[int(bits, 2)] += c
+        if (total := sum(mapping.values())) > np.iinfo(np.int64).max:  # Python ints
+            raise ValueError(f"total shots {total} is beyond the int64 range")
         return cls(n_qubits=n, counts=counts)
 
 

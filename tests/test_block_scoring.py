@@ -1,0 +1,281 @@
+"""Block scoring and the view kernel against the per-leaf paths they replace.
+
+``protocols._corrected`` scores the leaves of a circuit's last stage as one
+block, reading each correction's GHZ support entries off the compact rows
+through the copy map.  The reference is a test-local copy of the per-leaf
+loop: every branch's register expanded to a dense residual over the outputs,
+its correction's support gathered and dotted one leaf at a time.  Both must
+give the same outcomes in the same order, bitwise-equal probabilities and
+residuals, equal corrections and fidelities within 1e-12; ``compile_law``
+must give equal draws and rows.  ``qudit.apply`` runs one-site ops on a
+(before, site, after) view and several-site ops on one axis per op site and
+gap; the reference there is a tensordot with the dense ``op.mat``.
+"""
+
+import sys
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from walknet import network, protocols
+from walknet.network import (
+    Resource,
+    ResourceNetwork,
+    bundled_network_path,
+    load_network,
+    plan_distribution,
+    random_tree_instance,
+    steiner_tree,
+)
+from walknet.protocols import ProtocolKind as K
+from walknet.protocols import ProtocolSpec, compile_law, derive_ghz_correction, run_stages
+from walknet.qudit import (
+    Basis,
+    Branches,
+    OperatorMatrix,
+    QuditState,
+    apply,
+    canonical_bell,
+    canonical_ghz,
+    fidelity,
+    fourier_inv_op,
+    fourier_op,
+    label_shift_op,
+    measure_all_branches,
+    pauli_x,
+    pauli_z,
+    shift_op,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-leaf reference
+# ---------------------------------------------------------------------------
+
+def per_leaf(stages, outputs, closed=lambda values: None, law=None):
+    for values, prob, post in run_stages(stages, law=law):
+        state = post.reorder(outputs).state
+        corr = closed(values) or derive_ghz_correction(state)
+        src, phase, ghz = protocols._support_map(state.d, state.n, corr.ops)
+        yield (values, prob, state, corr,
+               float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
+
+
+def assert_same_leaves(got, want):
+    assert [leaf[0] for leaf in got] == [leaf[0] for leaf in want]
+    for (_, p, state, corr, fid), (_, q, ref, ref_corr, ref_fid) in zip(got, want):
+        assert p == q
+        assert state.n == ref.n and np.array_equal(state.amps, ref.amps)
+        assert corr.label == ref_corr.label and corr.global_phase == ref_corr.global_phase
+        assert abs(fid - ref_fid) <= TOL
+
+
+SPECS = workloads.protocol_grid(small=True) + [
+    ProtocolSpec(K.GHZ_FROM_BELLS_D, d=3, bells=5),
+    ProtocolSpec(K.TRIANGLE_MERGE_D, d=5),
+    ProtocolSpec(K.GHZ_PARALLEL_D, d=5, m=5, n=4, k=1),
+]
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_protocols_score_as_the_per_leaf_loop(block):
+    for spec in SPECS[block::4]:
+        stages, outputs = protocols._circuit(spec)
+        want = list(per_leaf(stages, outputs, partial(protocols._closed_form_correction, spec)))
+        result = protocols.run_protocol(spec)
+        assert_same_leaves([(b.outcome, b.probability, b.post, b.correction, b.fidelity)
+                            for b in result.branches], want)
+        for b, (values, _, state, _, _) in zip(result.branches, want):
+            if spec.kind is not K.BELL_SWAP_D:
+                assert b.bell_label is None and b.label_fidelity is None
+                continue
+            label = protocols._bell_label(spec, values)
+            assert b.bell_label == label and all(type(x) is int for x in label)
+            assert abs(b.label_fidelity - fidelity(state, canonical_bell(spec.d, *label))) <= TOL
+
+
+def test_the_specs_carry_idle_parties_through_the_copy_map():
+    # with no copies the gather reads the rows as they are; these specs have some
+    def has_copies(spec):
+        stages, _ = protocols._circuit(spec)
+        return any(copies for *_, copies in protocols._blocks(stages, None, None))
+
+    kinds = {spec.kind for spec in SPECS if has_copies(spec)}
+    assert {K.GHZ_PARALLEL_D, K.MERGE_METHOD_1, K.GHZ_MULTI_COIN_D} <= kinds
+
+
+def test_derived_corrections_score_as_the_per_leaf_loop():
+    # no closed form: every leaf's correction is derived from its residual
+    for spec in (ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=4, n=3, k=2),
+                 ProtocolSpec(K.MERGE_METHOD_1, m=4, n=3, k=2, retain_coins=True),
+                 ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)):
+        stages, outputs = protocols._circuit(spec)
+        assert_same_leaves(list(protocols._corrected(stages, outputs)),
+                           list(per_leaf(stages, outputs)))
+
+
+def test_an_index_whose_copies_disagree_reads_zero():
+    # a correction that lands the support where the idle copies disagree
+    spec = ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)
+    stages, outputs = protocols._circuit(spec)
+    skew = protocols._shift_phase_correction(3, ((2, 1),), 0)
+    got = list(protocols._corrected(stages, outputs, lambda v: skew))
+    want = list(per_leaf(stages, outputs, lambda v: skew))
+    assert_same_leaves(got, want)
+    assert max(leaf[-1] for leaf in got) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# compiled laws on the network shapes
+# ---------------------------------------------------------------------------
+
+def _net(d, edges):
+    n = 1 + max(max(e) for e in edges)
+    return ResourceNetwork(d, {v: f"n{v}" for v in range(n)},
+                           [Resource("bell", e) for e in edges])
+
+
+def _schedules():
+    net14 = load_network(bundled_network_path())
+    for d in (2, 3):
+        yield d, plan_distribution(steiner_tree(net14, [1, 2, 5, 12, 13, 14]), net14)
+        for seed in range(0, 40, 4):
+            net, tree = random_tree_instance(seed, max_nodes=10, max_terminals=4, d=d)
+            yield d, plan_distribution(tree, net)
+        chain = _net(d, [(v, v + 1) for v in range(5)])
+        yield d, plan_distribution(steiner_tree(chain, [0, 5]), chain)
+        for leaves in range(1, 7):
+            hub = _net(d, [(0, v) for v in range(1, leaves + 1)])
+            yield d, plan_distribution(steiner_tree(hub, list(range(1, leaves + 1))), hub)
+        arms = _net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        yield d, plan_distribution(steiner_tree(arms, [1, 2, 3, 4, 5, 6]), arms)
+        path = _net(d, [(0, 1), (1, 2), (2, 3)])
+        yield d, plan_distribution(steiner_tree(path, [0, 1, 3]), path)
+
+
+def _circuits():
+    """(stages, outputs) of every step shape the schedules reach."""
+    keys = {}
+    for d, schedule in _schedules():
+        parties = {rid: res.parties for rid, res in schedule.initial.items()}
+        for step in schedule.steps:
+            keys[(d, *network._shape(step, parties))] = None
+            for rid in step.inputs:
+                del parties[rid]
+            parties[step.output_id] = step.output_parties
+    circuits = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "compile_law", lambda stages, outputs: circuits.append(
+            (tuple(stages), tuple(outputs))))
+        for key in keys:
+            network._step_law.__wrapped__(*key)
+    return circuits
+
+
+def test_compiled_laws_match_the_per_leaf_loop():
+    circuits = _circuits()
+    assert len(circuits) >= 10
+    for stages, outputs in circuits:
+        law = compile_law(stages, outputs)
+        draws = {}
+        rows = {values: (corr, fid) for values, _, _, corr, fid in
+                per_leaf(stages, outputs, law=draws)}
+        assert law.draws.keys() == draws.keys()
+        for key, (kept, p) in draws.items():
+            assert law.draws[key][0] == kept
+            assert np.array_equal(law.draws[key][1], p / p.sum())
+        assert list(law.rows) == list(rows)
+        for values, (corr, fid) in rows.items():
+            got_corr, got_fid = law.rows[values]
+            assert got_corr.label == corr.label and got_corr.global_phase == corr.global_phase
+            assert abs(got_fid - fid) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the block sequence
+# ---------------------------------------------------------------------------
+
+def test_measure_all_branches_is_one_block_read_as_branches():
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=3**4) + 1j * rng.normal(size=3**4)
+    state = QuditState(3, 4, amps / np.linalg.norm(amps))
+    targets = [(2, Basis.FOURIER), (0, Basis.COMPUTATIONAL)]
+    block = measure_all_branches(state, targets)
+    assert isinstance(block, Branches)
+    assert len(block) == 9 and "data" not in vars(block)   # len builds no record
+    assert block.values.shape == (9, 2) and block.posts.shape == (9, 9)
+    for i, br in enumerate(block):
+        assert br.outcome == tuple(block.values[i].tolist())
+        assert br.probability == block.probs[i]
+        assert np.array_equal(br.post.amps, block.posts[i]) and br.post.n == 2
+    assert block[3] is list(block)[3]   # records are built once
+    every = measure_all_branches(state, [(s, Basis.COMPUTATIONAL) for s in range(4)])
+    assert every.posts is None and all(br.post is None for br in every)
+
+
+# ---------------------------------------------------------------------------
+# the view kernel
+# ---------------------------------------------------------------------------
+
+def dense_apply(state, op, sites):
+    """op.mat contracted with the sites' axes of the n-axis tensor."""
+    d, n, k = state.d, state.n, len(sites)
+    mat = op.mat.reshape([d] * (2 * k))
+    out = np.tensordot(mat, state.amps.reshape([d] * n), axes=(list(range(k, 2 * k)), sites))
+    return np.moveaxis(out, list(range(k)), sites).reshape(-1)
+
+
+def _random_unitary(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _random_monomial(d, k, rng):
+    """A permutation with phases on k sites: (op @ v)[i] = phase[i] v[perm[i]]."""
+    mat = np.zeros((d**k, d**k), dtype=complex)
+    mat[np.arange(d**k), rng.permutation(d**k)] = np.exp(2j * np.pi * rng.random(d**k))
+    return OperatorMatrix(d, k, mat)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (5, 5), (7, 4)])
+def test_apply_matches_the_dense_matrix(d, n):
+    rng = np.random.default_rng(d)
+    amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    state = QuditState(d, n, amps / np.linalg.norm(amps))
+    one = [fourier_op(d), fourier_inv_op(d), pauli_x(d), pauli_z(d),
+           label_shift_op(d, 1, d - 1), label_shift_op(d, d - 1, 2 % d),
+           OperatorMatrix(d, 1, _random_unitary(d, rng)), _random_monomial(d, 1, rng)]
+    for op in one:
+        for s in range(n):
+            got = apply(state, op, [s])
+            assert np.abs(got.amps - dense_apply(state, op, [s])).max() <= 1e-13
+            assert got.amps.flags.c_contiguous
+    two = [shift_op(d), OperatorMatrix(d, 2, _random_unitary(d * d, rng)),
+           _random_monomial(d, 2, rng)]
+    for op in two:
+        for s in range(n):
+            for t in range(n):
+                if s != t:
+                    got = apply(state, op, [s, t])
+                    assert np.abs(got.amps - dense_apply(state, op, [s, t])).max() <= 1e-13
+    three = [_random_monomial(d, 3, rng)] + ([OperatorMatrix(d, 3, _random_unitary(d**3, rng))]
+                                             if d < 5 else [])
+    for op in three:
+        for sites in ([0, 2, 1], [n - 1, 0, 2], [1, 2, 3]):
+            got = apply(state, op, sites)
+            assert np.abs(got.amps - dense_apply(state, op, sites)).max() <= 1e-13
+
+
+def test_apply_leaves_its_input_unchanged():
+    state = canonical_ghz(3, 4)
+    for op, sites in ((fourier_op(3), [1]), (pauli_z(3), [3]), (shift_op(3), [3, 0])):
+        out = apply(state, op, sites)
+        assert not np.shares_memory(out.amps, state.amps)
+    assert np.array_equal(state.amps, canonical_ghz(3, 4).amps)

@@ -208,6 +208,16 @@ def test_zero_dimension_and_non_numeric_readout_files_exit_2(capsys, tmp_path, a
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("counts", [{"00": 9223372036854775808, "11": 5},
+                                    {"00": 9223372036854775807, "11": 5}])
+def test_counts_beyond_int64_exit_2(capsys, tmp_path, counts):
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(counts))
+    code, _, err = run_cli(capsys, "readout", "--counts", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "beyond the int64 range" in err
+
+
 def test_unknown_log_level_is_one_error_line_and_exit_2():
     # run as its own process: under pytest the root logger already has
     # handlers, and logging.basicConfig then never reads the level

@@ -1,5 +1,6 @@
 """Network loading, Steiner trees, planning, and execution."""
 
+import dataclasses
 import json
 
 import pytest
@@ -312,6 +313,24 @@ def test_step_with_a_foreign_output_party_refused_before_any_sampling(
                        match="party 3 is neither the acting node nor an output party"):
         execute_schedule(sched, mode, d=2, seed=0)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("field", ["local_pair", "local_role"])
+def test_local_pair_and_role_must_agree_before_any_sampling(monkeypatch, mode, field):
+    # the planner's star merge on the chain 0-1-2 prepares a local coin pair;
+    # a step that names a role without a pair id, or the reverse, is refused
+    net = ResourceNetwork(2, {v: str(v) for v in range(3)},
+                          [Resource("bell", (0, 1)), Resource("bell", (1, 2))])
+    sched = plan_distribution(steiner_tree(net, [0, 1, 2]), net)
+    (step,) = sched.steps
+    assert (step.action, step.local_role) == ("star-merge", "coin") and step.local_pair
+    bad = dataclasses.replace(sched, steps=[dataclasses.replace(step, **{field: None})])
+    calls = _spy_on_draws(monkeypatch)
+    with pytest.raises(NetworkError, match="local pair .* but local role"):
+        execute_schedule(bad, mode, d=2, seed=0)
+    assert calls == []
+    assert execute_schedule(sched, mode, d=2, seed=0).step_count == 1
 
 
 def _lone_terminal_with_leftovers():

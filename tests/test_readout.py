@@ -242,3 +242,17 @@ def test_protocol_fidelity_rejects_qudits():
     with pytest.raises(ValueError):
         protocol_fidelity_under_noise(canonical_ghz(3, 2), ident_matrices(2),
                                       0.0, shots=10)
+
+
+@pytest.mark.parametrize("mapping, named", [
+    ({"00": 9223372036854775808, "11": 5}, "count 9223372036854775808 for '00'"),
+    ({"00": 9223372036854775807, "11": 5}, "total shots 9223372036854775812"),
+    ({"00": -9223372036854775809, "11": 5}, "count -9223372036854775809 for '00'")])
+def test_counts_beyond_int64_are_refused_by_name(mapping, named):
+    # summed as Python ints: no OverflowError and no wrapped negative total
+    with pytest.raises(ValueError, match=f"{named} is beyond the int64 range"):
+        CountVector.from_dict(mapping)
+
+
+def test_counts_up_to_the_int64_edge_are_kept():
+    assert CountVector.from_dict({"00": 9223372036854775806, "11": 1}).total == 2**63 - 1
