@@ -224,9 +224,9 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
                             gates=((f"coin{k}", "pos", fourier_op(d)),) + fix,
                             targets=((f"coin{k}", Basis.FOURIER),)))
     stages.append(Stage(targets=(("pos", Basis.COMPUTATIONAL),)))
-    ((values, _, reg),) = run_stages(stages, np.random.default_rng(seed))
-    reg = reg.reorder([f"p{k}" for k in range(1, participants + 1)] + ["dealer"])
-    return reg.state, list(values[:-1]), values[-1]
+    outputs = [f"p{k}" for k in range(1, participants + 1)] + ["dealer"]
+    ((values, _, state),) = run_stages(stages, outputs, np.random.default_rng(seed))
+    return state, list(values[:-1]), values[-1]
 
 
 def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditState:

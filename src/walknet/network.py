@@ -117,18 +117,26 @@ def load_network(path: str | Path) -> ResourceNetwork:
     if extra:
         raise NetworkError(f"unknown fields in network file: {sorted(extra)}")
     try:
-        ids = [int(n["id"]) for n in blob["nodes"]]
+        ids = [_json_int(n["id"], "node id") for n in blob["nodes"]]
         if len(set(ids)) != len(ids):
             raise NetworkError("duplicate node ids in network file")
-        nodes = {int(n["id"]): str(n.get("label", n["id"])) for n in blob["nodes"]}
-        resources = [Resource(kind=r["kind"], parties=tuple(int(p) for p in r["parties"]))
+        nodes = {n["id"]: str(n.get("label", n["id"])) for n in blob["nodes"]}
+        resources = [Resource(kind=r["kind"],
+                              parties=tuple(_json_int(p, "resource party") for p in r["parties"]))
                      for r in blob["resources"]]
-        net = ResourceNetwork(local_dim=int(blob.get("local_dim", 2)),
+        net = ResourceNetwork(local_dim=_json_int(blob.get("local_dim", 2), "local_dim"),
                               nodes=nodes, resources=resources)
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed network file: {exc}") from exc
     net.validate()
     return net
+
+
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer: no bool, float or string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NetworkError(f"{field} {value!r} is not a JSON integer")
+    return value
 
 
 def bundled_network_path() -> Path:

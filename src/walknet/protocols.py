@@ -55,10 +55,13 @@ triangle-merge-d  same triple layout; coin-I walk q1->q2 measured first
 Circuits as data
 ----------------
 A circuit is a tuple of ``Stage`` records (resources to add, walks and
-single-site gates, measurement targets) plus its named output particles.
-``run_stages`` interprets the stages: exhaustively here, one Born-sampled
-branch per stage for the secret-sharing GHZ generation.  One loop corrects
-every exhaustive branch and scores a last stage's branches as one block, for
+single-site gates, measurement targets) plus its output particles, which
+the caller names up front.  ``run_stages(stages, outputs)`` checks the size
+cap and that ``outputs`` are exactly the unread particles before the first
+resource is added, then runs the stages and yields each residual over
+``outputs``, in that order: exhaustively here, one Born-sampled branch per
+stage for the secret-sharing GHZ generation.  One loop corrects every
+exhaustive branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
 instead of amplitudes.
@@ -274,67 +277,36 @@ def outcome_parity(bits) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Labeled register and the stage interpreter
+# The stage interpreter
 # ---------------------------------------------------------------------------
 
-class Register:
-    """A compact state plus the particle label of each party.
-
-    A site may stand for idle parties of one canonical GHZ: ``copies`` maps
-    its label to theirs, its own first, and the copy isometry
-    V: |r> -> |r>^k, which commutes with every operation on other sites,
-    restores them.  The stage interpreter acts on the compact ``sites``;
-    ``labels`` holds every particle in the dense run's order, in which
-    ``state`` expands through V; ``reorder`` changes only that order.  With
-    no copies, ``sites`` and ``labels`` coincide.
-    """
-
-    def __init__(self, state: QuditState, labels: tuple, sites=None, copies=None):
-        self.compact, self.labels, self.copies = state, tuple(labels), copies or {}
-        self.sites = self.labels if sites is None else sites
-        if state.n != len(self.sites):
-            raise ValueError(f"{len(self.sites)} labels for a state of {state.n} sites")
-
-    @property
-    def state(self) -> QuditState:
-        """The register over ``labels``: V's image of ``compact``, built on each read."""
-        if self.labels == self.sites:
-            return self.compact
-        d, n = self.compact.d, len(self.labels)  # V is an isometry
-        return QuditState.unchecked(d, n, _spread(self.compact.amps, d, self.sites,
-                                                  self.labels, self.copies))
-
-    def reorder(self, new_order: list) -> "Register":
-        new_order = tuple(new_order)
-        if new_order == self.labels:
-            return self
-        if set(new_order) != set(self.labels) or len(new_order) != len(self.labels):
-            raise ValueError("reorder must permute the existing labels")
-        return Register(self.compact, new_order, self.sites, self.copies)
-
-
-def _spread(compact: np.ndarray, d: int, sites: tuple, labels: tuple, copies: dict):
-    """V's image of entries over the compact ``sites``: one strided write of
-    each compact digit to every party of ``labels`` it stands for, zeros elsewhere."""
-    n, shape = len(labels), (d,) * len(sites)
-    place = {lab: d ** (n - 1 - i) for i, lab in enumerate(labels)}
+def _spread(compact: np.ndarray, d: int, sites: tuple, outputs: tuple, copies: dict):
+    """Entries over the compact ``sites`` as entries over ``outputs``: V's
+    image, one strided write of each compact digit to every output it stands
+    for and zeros elsewhere; the entries themselves when the two coincide."""
+    if sites == outputs:
+        return compact
+    n, shape = len(outputs), (d,) * len(sites)
+    place = {lab: d ** (n - 1 - i) for i, lab in enumerate(outputs)}
     dense = np.zeros(d**n, dtype=compact.dtype)
     strides = [dense.itemsize * sum(place[c] for c in copies.get(s, (s,))) for s in sites]
     np.ndarray(shape, dense.dtype, dense, 0, strides)[...] = compact.reshape(shape)
     return dense
 
 
-def _compact(state: QuditState, labels: tuple, touched: set) -> Register:
-    """The resource as a register; a canonical GHZ with two or more parties
-    outside ``touched`` keeps one of them as the site standing for all."""
-    reg = Register(state, labels)
+def _compact(state: QuditState, labels: tuple, touched: set):
+    """(state, sites, copies) of an added resource.  A canonical GHZ with two
+    or more parties outside ``touched`` keeps one of them as the site standing
+    for all: ``copies`` maps its label to theirs, its own first, and the copy
+    isometry V: |r> -> |r>^k, which commutes with every operation on other
+    sites, restores them."""
     idle = tuple(lab for lab in labels if lab not in touched)
     if len(idle) < 2 or not np.array_equal(state.amps, canonical_ghz(state.d, state.n).amps):
-        return reg
+        return state, labels, {}
     sites, d = tuple(lab for lab in labels if lab not in idle[1:]), state.d
     compact = (canonical_ghz(d, len(sites)) if len(sites) > 1
                else QuditState(d, 1, np.ones(d, dtype=complex) / np.sqrt(d)))
-    return Register(compact, labels, sites, {idle[0]: idle})
+    return compact, sites, {idle[0]: idle}
 
 
 @dataclass(frozen=True)
@@ -354,8 +326,9 @@ class Stage:
     targets: tuple = ()
 
 
-def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None = None):
-    """Run a walk circuit; yield (values, probability, register) per branch.
+def run_stages(stages, outputs, rng: np.random.Generator | None = None,
+               law: dict | None = None):
+    """Run a walk circuit; yield (values, probability, residual) per branch.
 
     Without ``rng`` every nonzero branch comes out, in outcome order; values
     are the results of all stages' targets in order and the probability is
@@ -365,22 +338,24 @@ def run_stages(stages, rng: np.random.Generator | None = None, law: dict | None 
     values before it: the stage's kept values and their probabilities, the
     outcomes and the array a sampled run draws from.
 
-    A party that no walk, gate or target touches is idle: an
-    added resource equal to ``canonical_ghz`` with two or more idle parties
-    enters as the GHZ over its touched parties plus one ``Register`` site
-    standing for the idle ones, so gates and measurements never sweep them.
-    Other resources enter as given.  A yielded register's ``state`` and
-    ``labels`` are those of the fully dense run, and the size cap counts
-    its peak live parties once, before the first resource is added.
+    The circuit names its outputs: the residual is the ``QuditState`` over
+    ``outputs``, in that order, or None when every particle is read.  The size
+    cap (on the circuit's peak live parties) and ``outputs`` (exactly the
+    particles no target reads) are checked before the first resource is added.
+    An added ``canonical_ghz`` with two or more parties that no walk, gate or
+    target touches enters as the GHZ over its touched parties plus one site
+    standing for these idle ones, so gates and measurements never sweep them.
     """
-    for values, prob, branches, sites, labels, copies in _blocks(stages, rng, law):
+    outputs = tuple(outputs)
+    for values, prob, branches, sites, copies in _blocks(stages, outputs, rng, law):
         for br in branches:
-            post = None if br.post is None else Register(br.post, labels, sites, copies)
+            post = None if br.post is None else QuditState.unchecked(
+                br.post.d, len(outputs), _spread(br.post.amps, br.post.d, sites, outputs, copies))
             yield values + br.outcome, prob * br.probability, post
 
 
-def _blocks(stages, rng, law):
-    """Per last stage: (values, probability, branches, live sites, labels, copies)."""
+def _blocks(stages, outputs, rng, law):
+    """Per last stage: (values, probability, branches, compact sites, copies)."""
     stages = tuple(stages)
     live = peak = 0
     for stage in stages:
@@ -388,20 +363,21 @@ def _blocks(stages, rng, law):
         peak, live = max(peak, live), live - len(stage.targets)
     if stages:
         check_cap(stages[0].add[0][0].d, peak)
-    touched = {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
-    touched.update(lab for stage in stages for lab, _ in stage.targets)
-    return _run(stages, (), 1.0, None, rng, law, touched)
+    read = {lab for stage in stages for lab, _ in stage.targets}
+    unread = tuple(lab for stage in stages for _, labels in stage.add
+                   for lab in labels if lab not in read)
+    if len(outputs) != len(unread) or set(outputs) != set(unread):
+        raise ValueError(f"outputs {outputs} are not the circuit's unread particles {unread}")
+    touched = read | {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
+    return _run(stages, (), 1.0, None, (), {}, rng, law, touched)
 
 
-def _run(stages, values, prob, reg, rng, law, touched):
+def _run(stages, values, prob, state, sites, copies, rng, law, touched):
     stage = stages[0]
-    for state, labels in stage.add:
-        part = _compact(state, tuple(labels), touched)
-        reg = part if reg is None else Register(
-            tensor(reg.compact, part.compact), reg.labels + part.labels,
-            reg.sites + part.sites, {**reg.copies, **part.copies})
-    state, sites, labels, copies = reg.compact, reg.sites, reg.labels, reg.copies
-    del reg  # hold only the latest state, and none while later stages run
+    for resource, labels in stage.add:
+        part, part_sites, part_copies = _compact(resource, tuple(labels), touched)
+        state = part if state is None else tensor(state, part)
+        sites, copies = sites + part_sites, {**copies, **part_copies}
     for gate in stage.gates:
         state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
                  if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
@@ -410,15 +386,15 @@ def _run(stages, values, prob, reg, rng, law, touched):
                 else [sample_branch(state, targets, rng)])
     del state
     read = {lab for lab, _ in stage.targets}
-    sites, labels = (tuple(lab for lab in x if lab not in read) for x in (sites, labels))
+    sites = tuple(lab for lab in sites if lab not in read)
     if law is not None:
         law[values] = tuple(map(tuple, branches.values.tolist())), branches.probs
     if len(stages) == 1:
-        yield values, prob, branches, sites, labels, copies
+        yield values, prob, branches, sites, copies
         return
     for br in branches:
         yield from _run(stages[1:], values + br.outcome, prob * br.probability,
-                        Register(br.post, labels, sites, copies), rng, law, touched)
+                        br.post, sites, copies, rng, law, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -546,16 +522,13 @@ def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = N
     stage's leaves are scored as one block, on its compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
     outputs = tuple(outputs)
-    for prefix, prob, block, sites, labels, copies in _blocks(stages, None, law):
-        if len(outputs) != len(labels) or set(outputs) != set(labels):
-            raise ValueError("reorder must permute the existing labels")
-        d, n, rows, same = block.d, len(outputs), block.posts, outputs == sites
-        states = [QuditState.unchecked(d, n, r if same else _spread(r, d, sites, outputs, copies))
-                  for r in rows]
+    for prefix, prob, block, sites, copies in _blocks(stages, outputs, None, law):
+        d, n, rows = block.d, len(outputs), block.posts
+        states = [QuditState.unchecked(d, n, _spread(r, d, sites, outputs, copies)) for r in rows]
         values = [prefix + tuple(v) for v in block.values.tolist()]
         corrs = [closed(v) or derive_ghz_correction(st) for v, st in zip(values, states)]
         src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
-        if not same:  # each support index's row entry, or -1 outside V's image
+        if sites != outputs:  # each support index's row entry, or -1 outside V's image
             src = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)[src] - 1
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]

@@ -80,12 +80,17 @@ class CountVector:
     counts: np.ndarray
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        try:
+            self.counts = np.asarray(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a count is beyond the int64 range") from None
         if self.counts.shape != (2**self.n_qubits,):
             raise ValueError("count vector has wrong length")
         if (self.counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if self.counts.sum() <= 0:
+        if (total := sum(self.counts.tolist())) > np.iinfo(np.int64).max:  # Python ints
+            raise ValueError(f"total shots {total} is beyond the int64 range")
+        if total <= 0:
             raise ValueError("total shots must be positive")
 
     @property
@@ -113,8 +118,6 @@ class CountVector:
             if abs(c) > np.iinfo(np.int64).max:
                 raise ValueError(f"count {c} for {bits!r} is beyond the int64 range")
             counts[int(bits, 2)] += c
-        if (total := sum(mapping.values())) > np.iinfo(np.int64).max:  # Python ints
-            raise ValueError(f"total shots {total} is beyond the int64 range")
         return cls(n_qubits=n, counts=counts)
 
 

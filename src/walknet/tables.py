@@ -202,8 +202,8 @@ def verify_table(table_id: int) -> TableReport:
         pairs = (("q0", "q1"), ("q2", "q3"), ("q4", "q5"))
         stage = star_merge_stage(2, ("q1", "q4"), "q2", "q3",
                                  [(canonical_bell(2, 0, 0), pair) for pair in pairs])
-        _check_rows(report, sorted(((v1, v2, v4), p, post.state)
-                                   for (v1, v4, v2), p, post in run_stages([stage])),
+        _check_rows(report, sorted(((v1, v2, v4), p, post) for (v1, v4, v2), p, post
+                                   in run_stages([stage], ("q0", "q3", "q5"))),
                     TABLE_6)
     return report
 

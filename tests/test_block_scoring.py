@@ -60,8 +60,7 @@ TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 def per_leaf(stages, outputs, closed=lambda values: None, law=None):
-    for values, prob, post in run_stages(stages, law=law):
-        state = post.reorder(outputs).state
+    for values, prob, state in run_stages(stages, outputs, law=law):
         corr = closed(values) or derive_ghz_correction(state)
         src, phase, ghz = protocols._support_map(state.d, state.n, corr.ops)
         yield (values, prob, state, corr,
@@ -104,8 +103,8 @@ def test_protocols_score_as_the_per_leaf_loop(block):
 def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
-        stages, _ = protocols._circuit(spec)
-        return any(copies for *_, copies in protocols._blocks(stages, None, None))
+        stages, outputs = protocols._circuit(spec)
+        return any(copies for *_, copies in protocols._blocks(stages, outputs, None, None))
 
     kinds = {spec.kind for spec in SPECS if has_copies(spec)}
     assert {K.GHZ_PARALLEL_D, K.MERGE_METHOD_1, K.GHZ_MULTI_COIN_D} <= kinds

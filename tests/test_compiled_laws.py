@@ -103,15 +103,13 @@ def _dense_stage(step, states, d):
     else:
         stage = Stage(tuple(add), targets=((particle(step.coin_inputs[0]), Basis.FOURIER),))
 
-    def ordered(post):
-        want, remaining = [], list(post.labels)
-        for party in step.output_parties:
-            lab = next(lab for lab in remaining if node_of[lab] == party)
-            remaining.remove(lab)
-            want.append(lab)
-        return post.reorder(want).state
-
-    return stage, ordered
+    read = {lab for lab, _ in stage.targets}
+    want, remaining = [], [lab for _, labs in stage.add for lab in labs if lab not in read]
+    for party in step.output_parties:
+        lab = next(lab for lab in remaining if node_of[lab] == party)
+        remaining.remove(lab)
+        want.append(lab)
+    return stage, tuple(want)
 
 
 def _initial_states(schedule, d):
@@ -123,12 +121,12 @@ def _initial_states(schedule, d):
 def _compare_step(step, states, d):
     """The step's exhaustive dense law on its inherited amplitudes against
     the compiled law of its shape; returns the dense stage."""
-    stage, ordered = _dense_stage(step, states, d)
-    dense = [(values, prob, derive_ghz_correction(ordered(post)))
-             for values, prob, post in run_stages([stage])]
+    stage, outputs = _dense_stage(step, states, d)
+    dense = [(values, prob, derive_ghz_correction(post))
+             for values, prob, post in run_stages([stage], outputs)]
     parties = {rid: st[0] for rid, st in states.items()}
     _assert_same_law(network._step_law(d, *network._shape(step, parties)), dense)
-    return stage, ordered
+    return stage, outputs
 
 
 def _dense_execute(schedule, d, seed):
@@ -138,9 +136,8 @@ def _dense_execute(schedule, d, seed):
     states = _initial_states(schedule, d)
     trace = []
     for step in schedule.steps:
-        stage, ordered = _compare_step(step, states, d)
-        ((values, _, post),) = run_stages([stage], rng)
-        state = ordered(post)
+        stage, outputs = _compare_step(step, states, d)
+        ((values, _, state),) = run_stages([stage], outputs, rng)
         corr = derive_ghz_correction(state)
         corrected = corr.apply_to(state)
         assert fidelity(corrected, canonical_ghz(d, state.n)) >= 1 - TOL
@@ -237,12 +234,12 @@ def _dense_gasket(n, d, seed):
     for step in fractal.merge_schedule(n):
         stages = triangle_merge_stages(d, [states.pop(t) for t in step.inputs], qubit=d == 2)
         if step.level >= 2:
-            dense = [(values, prob, derive_ghz_correction(post.state))
-                     for values, prob, post in run_stages(stages)]
+            dense = [(values, prob, derive_ghz_correction(post))
+                     for values, prob, post in run_stages(stages, ("a", "b", "c"))]
             _assert_same_law(fractal._merge_law(d), dense)
-        ((_, _, post),) = run_stages(stages, rng)
-        corr = derive_ghz_correction(post.state)
-        states[step.output] = corr.apply_to(post.state)
+        ((_, _, post),) = run_stages(stages, ("a", "b", "c"), rng)
+        corr = derive_ghz_correction(post)
+        states[step.output] = corr.apply_to(post)
         assert fidelity(states[step.output], canonical_ghz(d, 3)) >= 1 - TOL
         labels.append(corr.label)
     return labels, rng.bit_generator.state
@@ -277,8 +274,8 @@ def test_unmatched_outputs_are_refused_before_any_dense_work(monkeypatch):
 def test_compiled_corrections_follow_the_named_output_order(d):
     stages = triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2)
     outputs = ("c", "a", "b")
-    dense = [(values, prob, derive_ghz_correction(post.reorder(outputs).state))
-             for values, prob, post in run_stages(stages)]
+    dense = [(values, prob, derive_ghz_correction(post))
+             for values, prob, post in run_stages(stages, outputs)]
     _assert_same_law(compile_law(stages, outputs), dense)
     # the order is not a relabeling the corrections ignore
     natural = _leaves(fractal._merge_law(d))

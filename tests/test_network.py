@@ -433,6 +433,23 @@ def test_dimension_below_two_refused_in_both_modes(monkeypatch, net14, mode, d):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [2.7, 1.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("field", ["local_dim", "node id", "resource party"])
+def test_load_accepts_only_json_integers(tmp_path, field, bad):
+    blob = {"local_dim": 2, "nodes": [{"id": 0, "label": "a"}, {"id": 1, "label": "b"}],
+            "resources": [{"kind": "bell", "parties": [0, 1]}]}
+    if field == "local_dim":
+        blob["local_dim"] = bad
+    elif field == "node id":
+        blob["nodes"][1]["id"] = bad
+    else:
+        blob["resources"][0]["parties"][1] = bad
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps(blob))
+    with pytest.raises(NetworkError, match=f"{field} {bad!r} is not a JSON integer"):
+        load_network(p)
+
+
 def test_load_rejects_duplicate_node_ids(tmp_path):
     p = tmp_path / "dup.json"
     p.write_text(json.dumps({

@@ -14,8 +14,8 @@ from walknet.protocols import (
     CorrectionError,
     ProtocolKind,
     ProtocolSpec,
-    Register,
     Stage,
+    compile_law,
     correction_for,
     derive_ghz_correction,
     outcome_parity,
@@ -390,37 +390,47 @@ def test_exhaustive_small_parameter_soundness(d):
                         assert run_protocol(spec).all_recovered(), spec
 
 
-def test_register_rejects_label_count_mismatch():
-    with pytest.raises(ValueError, match="3 labels for a state of 2 sites"):
-        Register(canonical_bell(2, 0, 0), ("a", "b", "c"))
-
-
 def test_run_stages_exhaustive_branches_and_after_ops():
     stage = Stage(add=((canonical_bell(3, 0, 0), ("1", "2")),
                        (canonical_bell(3, 0, 0), ("3", "4"))),
                   gates=(("2", "3", identity_op(3)), ("4", fourier_op(3))),
                   targets=(("2", Basis.FOURIER), ("3", Basis.COMPUTATIONAL)))
-    branches = list(run_stages([stage]))
+    branches = list(run_stages([stage], ("1", "4")))
     assert [vals for vals, _, _ in branches] == [(k, u) for k in range(3) for u in range(3)]
     assert abs(sum(p for _, p, _ in branches) - 1) < TOL
     for _, _, post in branches:
-        assert post.labels == ("1", "4")
+        assert post.n == 2
     # the gate on 4 ran: undoing it leaves the swapped Bell pair
     vals, _, post = branches[0]
-    undone = apply(post.state, fourier_op(3).dagger(), [1])
+    undone = apply(post, fourier_op(3).dagger(), [1])
     assert fidelity(undone, canonical_bell(3, 0, 0)) > 1 - TOL
 
 
 def test_run_stages_sampling_draws_once_per_stage():
     stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
     rng = np.random.default_rng(9)
-    ((vals, prob, post),) = run_stages(stages, rng)
-    exhaustive = {v: p for v, p, _ in run_stages(stages)}
-    assert vals in exhaustive and post.labels == ("a", "b", "c")
+    ((vals, prob, post),) = run_stages(stages, ("a", "b", "c"), rng)
+    exhaustive = {v: p for v, p, _ in run_stages(stages, ("a", "b", "c"))}
+    assert vals in exhaustive and post.n == 3
     # two stages, two draws: a fresh generator advanced twice is in step
     ref = np.random.default_rng(9)
     ref.random(2)
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("outputs", [("a", "b"), ("a", "b", "c", "x"), ("a", "b", "q1"),
+                                     ("a", "b", "b")], ids=["missing", "extra", "measured",
+                                                            "repeated"])
+@pytest.mark.parametrize("run", [lambda stages, outputs: list(run_stages(stages, outputs)),
+                                 lambda stages, outputs: list(run_stages(
+                                     stages, outputs, np.random.default_rng(0))),
+                                 compile_law], ids=["exhaustive", "sampled", "compiled"])
+def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, outputs):
+    stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
+    for name in ("tensor", "apply", "measure_all_branches", "sample_branch"):
+        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    with pytest.raises(ValueError, match="are not the circuit's unread particles"):
+        run(stages, outputs)
 
 
 @pytest.mark.parametrize("run", [

@@ -256,3 +256,13 @@ def test_counts_beyond_int64_are_refused_by_name(mapping, named):
 
 def test_counts_up_to_the_int64_edge_are_kept():
     assert CountVector.from_dict({"00": 9223372036854775806, "11": 1}).total == 2**63 - 1
+
+
+@pytest.mark.parametrize("counts, named", [
+    (np.array([2**62, 2**62]), "total shots 9223372036854775808"),
+    ([2**63, 1], "a count"),
+    ([-2**63 - 1, 3], "a count")])
+def test_count_vectors_beyond_int64_are_refused_by_name(counts, named):
+    # built directly: the total is summed as Python ints, so it cannot wrap
+    with pytest.raises(ValueError, match=f"{named} is beyond the int64 range"):
+        CountVector(1, counts)

@@ -1,12 +1,12 @@
 """Representative sites against the fully dense interpreter.
 
 ``run_stages`` carries the idle parties of each canonical GHZ input as one
-representative site and expands them through the copy isometry only when a
-caller reads a register.  The reference here is a test-local copy of the
-dense interpreter, which carries every particle as a site: for each circuit
-both runs must yield the same values in the same order, probabilities and
-post amplitudes within 1e-12, the same output labels in the same order, and
-equal ``law`` dicts.
+representative site and expands them through the copy isometry only in the
+residuals it yields over the named outputs.  The reference here is a
+test-local copy of the dense interpreter, which carries every particle as a
+site: for each circuit both runs must yield the same values in the same
+order, probabilities and post amplitudes within 1e-12, the same output labels
+in the same order, and equal ``law`` dicts.
 """
 
 import sys
@@ -95,10 +95,18 @@ def dense_run(stages, rng=None, law=None):
     yield from run(tuple(stages), (), 1.0, None)
 
 
+def unread(stages):
+    """The particles no target reads, in the dense run's order."""
+    read = {lab for stage in stages for lab, _ in stage.targets}
+    return tuple(lab for stage in stages for _, labels in stage.add
+                 for lab in labels if lab not in read)
+
+
 def assert_same_run(stages):
-    """Compare the two interpreters on ``stages``; return the compact posts."""
-    law, ref_law = {}, {}
-    got = list(run_stages(stages, law=law))
+    """Compare the two interpreters on ``stages``, over the dense run's output
+    order; return (post, compact sites, copy map) per branch."""
+    law, ref_law, outputs = {}, {}, unread(stages)
+    got = list(run_stages(stages, outputs, law=law))
     want = list(dense_run(stages, law=ref_law))
     assert [v for v, _, _ in got] == [v for v, _, _ in want]
     for (_, p, post), (_, q, ref) in zip(got, want):
@@ -106,17 +114,19 @@ def assert_same_run(stages):
         if ref is None:
             assert post is None
             continue
-        assert post.labels == ref.labels
-        assert np.abs(post.state.amps - ref.state.amps).max() <= TOL
+        assert outputs == ref.labels
+        assert np.abs(post.amps - ref.state.amps).max() <= TOL
     assert law.keys() == ref_law.keys()
     for key, (kept, probs) in law.items():
         assert kept == ref_law[key][0]
         assert np.abs(probs - ref_law[key][1]).max() <= TOL
-    return [post for _, _, post in got]
+    layouts = [(sites, copies) for *_, branches, sites, copies
+               in protocols._blocks(stages, outputs, None, None) for _ in branches]
+    return [(post, *layout) for (_, _, post), layout in zip(got, layouts, strict=True)]
 
 
-def collapsed(posts) -> bool:
-    return any(post is not None and post.compact.n < len(post.labels) for post in posts)
+def collapsed(runs) -> bool:
+    return any(post is not None and len(sites) < post.n for post, sites, _ in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +166,11 @@ def test_sampled_run_draws_as_the_dense_run():
     stages = _stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=4, n=4))
     for seed in range(5):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ((values, p, post),) = run_stages(stages, rng)
+        ((values, p, post),) = run_stages(stages, unread(stages), rng)
         ((ref_values, q, ref),) = dense_run(stages, ref_rng)
         assert values == ref_values and abs(p - q) <= TOL
-        assert post.labels == ref.labels
-        assert np.abs(post.state.amps - ref.state.amps).max() <= TOL
+        assert unread(stages) == ref.labels
+        assert np.abs(post.amps - ref.state.amps).max() <= TOL
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -214,8 +224,8 @@ def _network14_stages(d):
 def test_network14_step_laws(d):
     shapes = _network14_stages(d)
     assert len(shapes) >= 5
-    posts = [assert_same_run(stages) for stages in shapes]
-    assert any(collapsed(p) for p in posts)
+    runs = [assert_same_run(stages) for stages in shapes]
+    assert any(collapsed(r) for r in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +241,9 @@ def test_phased_and_shifted_ghz_stay_dense():
         stage = Stage(add=((state, ("a1", "a2", "a3", "a4")), (canonical_ghz(d, 3), ("b1", "b2", "b3"))),
                       gates=(("a1", "b1", fourier_op(d)),),
                       targets=(("a1", Basis.FOURIER), ("b1", Basis.COMPUTATIONAL)))
-        posts = assert_same_run((stage,))
+        runs = assert_same_run((stage,))
         # the canonical b triple collapses, the altered a quadruple does not
-        assert all(post.compact.n == len(post.labels) - 1 for post in posts)
+        assert all(len(sites) == post.n - 1 for post, sites, _ in runs)
 
 
 def test_labelled_bell_pair_stays_dense():
@@ -248,12 +258,12 @@ def test_idle_parties_apart_come_back_in_dense_order():
                        (canonical_ghz(d, 2), ("b1", "b2"))),
                   gates=(("a2", "b1", fourier_op(d)),),
                   targets=(("a2", Basis.FOURIER), ("b1", Basis.COMPUTATIONAL)))
-    posts = assert_same_run((stage,))
-    assert collapsed(posts)
-    assert all(post.labels == ("a1", "a3", "b2") for post in posts)
-    reordered = posts[0].reorder(["b2", "a3", "a1"])
-    ref = np.moveaxis(posts[0].state.tensor_view(), [2, 1, 0], [0, 1, 2]).reshape(-1)
-    assert np.array_equal(reordered.state.amps, ref)
+    runs = assert_same_run((stage,))
+    assert collapsed(runs)
+    assert unread((stage,)) == ("a1", "a3", "b2")
+    (_, _, reordered), *_ = run_stages((stage,), ["b2", "a3", "a1"])
+    ref = np.moveaxis(runs[0][0].tensor_view(), [2, 1, 0], [0, 1, 2]).reshape(-1)
+    assert np.array_equal(reordered.amps, ref)
 
 
 def test_untouched_resource_rides_as_one_site():
@@ -261,25 +271,24 @@ def test_untouched_resource_rides_as_one_site():
     stage = Stage(add=((canonical_bell(d, 0, 0), ("p", "q")),
                        (canonical_ghz(d, 3), ("x1", "x2", "x3"))),
                   gates=(("p", pauli_x(d)),), targets=(("q", Basis.COMPUTATIONAL),))
-    posts = assert_same_run((stage,))
-    assert all(post.compact.n == 2 and post.labels == ("p", "x1", "x2", "x3")
-               for post in posts)
-    assert isinstance(posts[0].state, QuditState)
+    runs = assert_same_run((stage,))
+    assert unread((stage,)) == ("p", "x1", "x2", "x3")
+    assert all(len(sites) == 2 and post.n == 4 for post, sites, _ in runs)
+    assert isinstance(runs[0][0], QuditState)
 
 
 def test_after_ops_touch_their_party():
     # a gate on a representative site would act on every party it stands for
     stage = Stage(add=((canonical_ghz(3, 4), ("a1", "a2", "a3", "a4")),),
                   gates=(("a2", fourier_inv_op(3)),), targets=(("a1", Basis.FOURIER),))
-    posts = assert_same_run((stage,))
-    assert all(post.compact.n == 2 and post.copies == {"a3": ("a3", "a4")}
-               for post in posts)
+    runs = assert_same_run((stage,))
+    assert all(len(sites) == 2 and copies == {"a3": ("a3", "a4")} for _, sites, copies in runs)
 
 
 def test_the_size_cap_counts_every_party():
     # 5^10 amplitudes are over the cap, though the compact register holds 5^7
     with pytest.raises(SizeCapError, match="10 sites at d=5"):
-        list(run_stages(_stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5))))
+        list(run_stages(*protocols._circuit(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5))))
 
 
 def test_a_fresh_copy_of_the_canonical_ghz_collapses_too():
@@ -289,6 +298,6 @@ def test_a_fresh_copy_of_the_canonical_ghz_collapses_too():
     assert fresh.amps.flags.writeable and fresh is not canonical_ghz(d, 4)
     stage = Stage(add=((fresh, ("a1", "a2", "a3", "a4")),),
                   targets=(("a1", Basis.FOURIER),))
-    posts = assert_same_run((stage,))
-    assert all(post.compact.n == 1 and post.copies == {"a2": ("a2", "a3", "a4")}
-               for post in posts)
+    runs = assert_same_run((stage,))
+    assert all(len(sites) == 1 and copies == {"a2": ("a2", "a3", "a4")}
+               for _, sites, copies in runs)
