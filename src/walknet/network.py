@@ -120,7 +120,10 @@ def load_network(path: str | Path) -> ResourceNetwork:
         ids = [_json_int(n["id"], "node id") for n in blob["nodes"]]
         if len(set(ids)) != len(ids):
             raise NetworkError("duplicate node ids in network file")
-        nodes = {n["id"]: str(n.get("label", n["id"])) for n in blob["nodes"]}
+        labels = [n.get("label", str(n["id"])) for n in blob["nodes"]]
+        if bad := [lab for lab in labels if not isinstance(lab, str)]:
+            raise NetworkError(f"node label {bad[0]!r} is not a JSON string")
+        nodes = dict(zip(ids, labels))
         resources = [Resource(kind=r["kind"],
                               parties=tuple(_json_int(p, "resource party") for p in r["parties"]))
                      for r in blob["resources"]]

@@ -74,7 +74,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -201,13 +202,20 @@ class CorrectionError(ValueError):
 
 @dataclass(frozen=True)
 class BranchResult:
+    """One exhaustive branch: ``post``, the pre-correction residual over the
+    output particles, is built by ``residual()`` on first read."""
+
     outcome: tuple[int, ...]
     probability: float
-    post: QuditState
+    residual: Callable[[], QuditState] = field(repr=False, compare=False)
     correction: CorrectionOp
     fidelity: float
     bell_label: tuple[int, int] | None = None
     label_fidelity: float | None = None
+
+    @cached_property
+    def post(self) -> QuditState:
+        return self.residual()
 
 
 @dataclass
@@ -515,25 +523,32 @@ class StepLaw:
 
 
 def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = None):
-    """Yield (values, probability, residual over ``outputs``, correction,
-    fidelity) per exhaustive branch: ``closed(values)`` where that gives a
-    correction, else the derived one, scored against the canonical GHZ on
-    the d residual amplitudes the correction maps onto its support.  A last
-    stage's leaves are scored as one block, on its compact rows: V maps each
+    """Yield, per last stage, its exhaustive branches as one block: (values,
+    probabilities, rows, residual, corrections, fidelities), with ``rows`` the
+    compact rows and ``residual(i)`` branch i's residual over ``outputs``,
+    built on call.  A branch's correction is ``closed(values)`` where that
+    gives one, else derived from its residual, the only one built here.  All
+    are scored against the canonical GHZ on the d residual amplitudes the
+    correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
     outputs = tuple(outputs)
     for prefix, prob, block, sites, copies in _blocks(stages, outputs, None, law):
         d, n, rows = block.d, len(outputs), block.posts
-        states = [QuditState.unchecked(d, n, _spread(r, d, sites, outputs, copies)) for r in rows]
+        residual = partial(_residual, d, rows, sites, outputs, copies)
         values = [prefix + tuple(v) for v in block.values.tolist()]
-        corrs = [closed(v) or derive_ghz_correction(st) for v, st in zip(values, states)]
+        corrs = [closed(v) or derive_ghz_correction(residual(i)) for i, v in enumerate(values)]
         src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
         if sites != outputs:  # each support index's row entry, or -1 outside V's image
             src = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)[src] - 1
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
         fids = np.abs(np.conj(phase * amps) @ ghz[0]) ** 2
-        yield from zip(values, (prob * block.probs).tolist(), states, corrs, fids.tolist())
+        yield values, (prob * block.probs).tolist(), rows, residual, corrs, fids.tolist()
+
+
+def _residual(d: int, rows, sites, outputs, copies, i: int) -> QuditState:
+    """Compact row i as the residual state over ``outputs``."""
+    return QuditState.unchecked(d, len(outputs), _spread(rows[i], d, sites, outputs, copies))
 
 
 @lru_cache(maxsize=None)
@@ -558,10 +573,11 @@ def compile_law(stages, outputs) -> StepLaw:
     at fidelity >= 1 - FIDELITY_TOL."""
     draws: dict = {}
     rows = {}
-    for values, _, _, corr, fid in _corrected(stages, outputs, law=draws):
-        if fid < 1 - FIDELITY_TOL:
-            raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
-        rows[values] = (corr, fid)
+    for outcomes, _, _, _, corrs, fids in _corrected(stages, outputs, law=draws):
+        for values, corr, fid in zip(outcomes, corrs, fids):
+            if fid < 1 - FIDELITY_TOL:
+                raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
+            rows[values] = (corr, fid)
     return StepLaw({k: (kept, p / p.sum()) for k, (kept, p) in draws.items()}, rows)
 
 
@@ -822,22 +838,24 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Execute a protocol exhaustively over all measurement branches.
 
     Each branch record carries the pre-correction residual over the output
-    particles, the correction, and the corrected state's fidelity against the
-    canonical GHZ target (the labeled Bell state check for bell-swap-d is
-    reported through bell_label / label_fidelity).
+    particles (``post``, built on first read), the correction, and the
+    corrected state's fidelity against the canonical GHZ target (the labeled
+    Bell state check for bell-swap-d is reported through bell_label /
+    label_fidelity).
     """
     spec.validate()
     stages, outputs = _circuit(spec)
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)
-    leaves = list(_corrected(stages, outputs, partial(_closed_form_correction, spec)))
-    labelled = [()] * len(leaves)
-    if spec.kind is ProtocolKind.BELL_SWAP_D:  # one label and one row-wise product per leaf
-        labels = np.transpose(_bell_label(spec, np.array([leaf[0] for leaf in leaves]).T))
-        bells = np.array([canonical_bell(spec.d, *lab).amps for lab in labels.tolist()])
-        posts = np.array([leaf[2].amps for leaf in leaves])
-        labelled = zip(map(tuple, labels.tolist()),
-                       (np.abs(np.einsum("ij,ij->i", posts.conj(), bells)) ** 2).tolist())
-    result.branches = [BranchResult(*leaf, *extra) for leaf, extra in zip(leaves, labelled)]
+    for values, probs, rows, residual, corrs, fids in _corrected(
+            stages, outputs, partial(_closed_form_correction, spec)):
+        labelled = [()] * len(values)
+        if spec.kind is ProtocolKind.BELL_SWAP_D:  # compact sites = outputs: rows are residuals
+            labels = np.transpose(_bell_label(spec, np.array(values).T))
+            bells = np.array([canonical_bell(spec.d, *lab).amps for lab in labels.tolist()])
+            labelled = zip(map(tuple, labels.tolist()),
+                           (np.abs(np.einsum("ij,ij->i", rows.conj(), bells)) ** 2).tolist())
+        result.branches += [BranchResult(v, p, partial(residual, i), c, f, *extra) for i, (
+            v, p, c, f, extra) in enumerate(zip(values, probs, corrs, fids, labelled))]
     return result

@@ -290,7 +290,16 @@ def tensor(a: QuditState, b: QuditState) -> QuditState:
 
 
 def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState:
-    """Apply ``op`` to the given sites (ordered) and leave the rest untouched."""
+    """Apply ``op`` to the given sites (ordered) and leave the rest untouched.
+
+    A permutation with phases (``op.monomial``: shifts, X, Z, label shifts)
+    of any arity is one ``take`` on a (before, span, after) view, the span
+    running from the op's first site to its last, then one in-place phase
+    product: one new array besides the span's index table.  Any other
+    one-site op runs on a (before, site, after) view; any other op on
+    several sites (none in this library) has its sites' axes moved to the
+    front for one matrix product and back.
+    """
     if op.d != state.d:
         raise ValueError("operator and state dimensions differ")
     if op.arity != len(sites):
@@ -301,24 +310,65 @@ def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState
         if not 0 <= s < state.n:
             raise ValueError(f"site {s} out of range")
     d, n, k = state.d, state.n, len(sites)
-    order = sorted(sites)
-    # one axis per op site and one per run of other sites: (a0, d, a1, ..., d, ak)
-    view = state.amps.reshape([x for lo, hi in zip([-1, *order], order)
-                               for x in (d ** (hi - lo - 1), d)] + [-1])
-    perm = [2 * order.index(s) + 1 for s in sites] + list(range(0, 2 * k + 1, 2))
-    # one site: a gather on the view, or one GEMM per leading index if rows are long
-    direct = k == 1 and (op.monomial is not None or view.shape[2] >= 64 or view.shape[0] == 1)
-    out = view if direct else view.transpose(perm).reshape(d**k, -1)  # one name: free each copy
-    if op.monomial is None:
-        out = np.matmul(op.mat, out)
-    else:  # a permutation with phases: gather the source rows
-        src, phase = op.monomial
-        out = out.take(src, axis=out.ndim - 2)
+    lo, hi = min(sites), max(sites)
+    if op.monomial is not None:
+        gather = _span_gather if d ** (hi - lo + 1) <= SPAN_CACHE else _span_gather.__wrapped__
+        source, phase, shape = gather(op, tuple(s - lo for s in sites))
+        out = state.amps.reshape(d**lo, len(source), -1).take(source, axis=1)
         if phase is not None:
-            out *= phase[:, None]
-    if not direct:  # the op's axes back in place
-        out = out.reshape([view.shape[i] for i in perm]).transpose(np.argsort(perm))
+            view = out.reshape(d**lo, *shape, -1)
+            view *= phase
+        return QuditState.unchecked(d, n, out.reshape(-1))
+    if k == 1:
+        out = _matmul_axis(op.mat, state.amps.reshape(d**lo, d, -1))
+    else:  # no library op: the op's axes to the front and back
+        tens = np.moveaxis(state.tensor_view(), sites, range(k))
+        out = np.moveaxis((op.mat @ tens.reshape(d**k, -1)).reshape(tens.shape), range(k), sites)
     return QuditState.unchecked(d, n, np.ascontiguousarray(out).reshape(-1))
+
+
+# index tables of at most this many entries (32 KiB) are cached, 64 of them; a
+# larger one is rebuilt per call, a pass that is small next to the gather
+SPAN_CACHE = 2**12
+
+
+@lru_cache(maxsize=64)
+def _span_gather(op: OperatorMatrix, rel: tuple[int, ...]):
+    """(source, phase, shape) of a monomial op on the sites at ``rel`` within
+    their span: entry i of the span reads entry source[i] of the input, then
+    is multiplied by ``phase`` (None when every phase is 1), which broadcasts
+    over the span shaped ``shape`` (d, gap, d, ..., gap, d), one axis per op
+    site in span order and one per run of other sites, plus a trailing block.
+    The table is the op's d^k source offsets broadcast over the gap blocks."""
+    d, k = op.d, len(rel)
+    src, phase = op.monomial
+    order, pos = np.argsort(rel), sorted(rel)
+    span = pos[-1] + 1
+    # each op index's source, as an offset in the span, on op axes in span order
+    digits = src[:, None] // d ** np.arange(k - 1, -1, -1) % d
+    offsets = (digits @ d ** (span - 1 - np.array(rel))).reshape((d,) * k).transpose(order)
+    gaps = [d ** (b - a - 1) for a, b in zip(pos, pos[1:])]
+    shape = (*(x for g in gaps for x in (d, g)), d)
+    units = (*(x for _ in gaps for x in (d, 1)), d)
+    gap_offsets = 0
+    for j, (b, g) in enumerate(zip(pos[1:], gaps)):
+        axes = [1] * len(shape)
+        axes[2 * j + 1] = g
+        gap_offsets = gap_offsets + (np.arange(g) * d ** (span - b)).reshape(axes)
+    source = (offsets.reshape(units) + gap_offsets).reshape(-1)  # writeable: take copies others
+    if phase is not None:
+        phase = phase.reshape((d,) * k).transpose(order).reshape(*units, 1)
+    return source, phase, shape
+
+
+def _matmul_axis(mat: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """``mat`` applied along the middle axis of a (before, m, after) array: one
+    matrix product per leading index when the trailing block holds 64 or more
+    entries (or nothing leads), else the axis moved to the front for one."""
+    if view.shape[2] >= 64 or view.shape[0] == 1:
+        return np.matmul(mat, view)
+    out = np.matmul(mat, view.transpose(1, 0, 2).reshape(len(mat), -1))
+    return out.reshape(view.shape[1], view.shape[0], -1).transpose(1, 0, 2)
 
 
 def fidelity(a: QuditState, b: QuditState) -> float:
@@ -336,9 +386,11 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
     """Validate ``targets``; return (rows, probabilities, kept row indices).
 
     Row r holds the unnormalized amplitudes of the unmeasured sites for the
-    outcome whose results, in target order, are the base-d digits of r.  Rows
-    below the pruning threshold are dropped; the kept ones must carry all the
-    probability mass.
+    outcome whose results, in target order, are the base-d digits of r.  The
+    targets move to the front once; each Fourier target's inverse Fourier
+    transform is then one matrix product on a (d^j, d, rest) view of the
+    rows, j its place in target order.  Rows below the pruning threshold are
+    dropped; the kept ones must carry all the probability mass.
     """
     if not targets:
         raise ValueError("no measurement targets given")
@@ -350,15 +402,12 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
         if not 0 <= s < n:
             raise ValueError(f"site {s} out of range")
 
-    work = state
-    finv = fourier_inv_op(d)
-    for s, basis in targets:
-        if basis is Basis.FOURIER:
-            work = apply(work, finv, [s])
-
     t = len(sites)
-    tens = np.moveaxis(work.tensor_view(), sites, range(t))
-    rows = tens.reshape(d**t, d ** (n - t))
+    rows = np.moveaxis(state.tensor_view(), sites, range(t)).reshape(d**t, -1)
+    finv = fourier_inv_op(d).mat
+    for j, (_, basis) in enumerate(targets):
+        if basis is Basis.FOURIER:
+            rows = _matmul_axis(finv, rows.reshape(d**j, d, -1)).reshape(d**t, -1)
     probs = np.linalg.norm(rows, axis=1) ** 2
     kept = np.nonzero(probs >= BRANCH_PRUNE)[0]
     total = float(probs[kept].sum())

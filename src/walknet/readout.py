@@ -80,14 +80,18 @@ class CountVector:
     counts: np.ndarray
 
     def __post_init__(self):
-        try:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("a count is beyond the int64 range") from None
-        if self.counts.shape != (2**self.n_qubits,):
+        counts = np.asarray(self.counts)
+        if counts.shape != (2**self.n_qubits,):
             raise ValueError("count vector has wrong length")
-        if (self.counts < 0).any():
+        if counts.dtype.kind not in "iu":  # floats, bools, objects: each must be a whole number
+            for c in counts.tolist():
+                if isinstance(c, bool) or not isinstance(c, (int, float)) or c % 1:
+                    raise ValueError(f"count {c!r} is not an integer")
+        if (c := counts.min()) < -(2**63) or (c := counts.max()) >= 2**63:
+            raise ValueError(f"a count is beyond the int64 range: {c}")
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
+        self.counts = counts.astype(np.int64, copy=False)
         if (total := sum(self.counts.tolist())) > np.iinfo(np.int64).max:  # Python ints
             raise ValueError(f"total shots {total} is beyond the int64 range")
         if total <= 0:

@@ -67,6 +67,13 @@ def per_leaf(stages, outputs, closed=lambda values: None, law=None):
                float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
 
 
+def leaves(*args):
+    """``protocols._corrected``'s blocks as per-leaf tuples, residuals built."""
+    for values, probs, _, residual, corrs, fids in protocols._corrected(*args):
+        for i, leaf in enumerate(zip(values, probs, corrs, fids)):
+            yield (*leaf[:2], residual(i), *leaf[2:])
+
+
 def assert_same_leaves(got, want):
     assert [leaf[0] for leaf in got] == [leaf[0] for leaf in want]
     for (_, p, state, corr, fid), (_, q, ref, ref_corr, ref_fid) in zip(got, want):
@@ -100,6 +107,21 @@ def test_protocols_score_as_the_per_leaf_loop(block):
             assert abs(b.label_fidelity - fidelity(state, canonical_bell(spec.d, *label))) <= TOL
 
 
+def test_residuals_are_built_on_read(monkeypatch):
+    # ghz-parallel-d has a closed form and idle copies: scoring spreads only
+    # the index map, and a branch's amplitudes are spread when post is read;
+    # the posts built so equal run_stages' residuals bit for bit (above)
+    spreads = []
+    spread = protocols._spread
+    monkeypatch.setattr(protocols, "_spread", lambda compact, *args: (
+        spreads.append(compact.dtype.kind), spread(compact, *args))[1])
+    result = protocols.run_protocol(ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=4, n=3, k=2))
+    assert spreads == ["i"] and len(result.branches) > 1
+    branch = result.branches[5]
+    assert "post" not in vars(branch)
+    assert branch.post is branch.post and branch.post.n == 3 and spreads == ["i", "c"]
+
+
 def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
@@ -116,8 +138,7 @@ def test_derived_corrections_score_as_the_per_leaf_loop():
                  ProtocolSpec(K.MERGE_METHOD_1, m=4, n=3, k=2, retain_coins=True),
                  ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)):
         stages, outputs = protocols._circuit(spec)
-        assert_same_leaves(list(protocols._corrected(stages, outputs)),
-                           list(per_leaf(stages, outputs)))
+        assert_same_leaves(list(leaves(stages, outputs)), list(per_leaf(stages, outputs)))
 
 
 def test_an_index_whose_copies_disagree_reads_zero():
@@ -125,7 +146,7 @@ def test_an_index_whose_copies_disagree_reads_zero():
     spec = ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)
     stages, outputs = protocols._circuit(spec)
     skew = protocols._shift_phase_correction(3, ((2, 1),), 0)
-    got = list(protocols._corrected(stages, outputs, lambda v: skew))
+    got = list(leaves(stages, outputs, lambda v: skew))
     want = list(per_leaf(stages, outputs, lambda v: skew))
     assert_same_leaves(got, want)
     assert max(leaf[-1] for leaf in got) <= TOL

@@ -35,6 +35,13 @@ def _dense_fidelity(corr, state):
     return fidelity(corr.apply_to(state), canonical_ghz(state.d, state.n))
 
 
+def leaves(*args):
+    """``protocols._corrected``'s blocks as per-leaf tuples, residuals built."""
+    for values, probs, _, residual, corrs, fids in protocols._corrected(*args):
+        for i, leaf in enumerate(zip(values, probs, corrs, fids)):
+            yield (*leaf[:2], residual(i), *leaf[2:])
+
+
 def test_every_small_grid_branch_scores_as_the_dense_path():
     branches = 0
     for spec in workloads.protocol_grid(small=True):
@@ -54,7 +61,7 @@ def test_hub_law_scores_as_the_dense_path(monkeypatch):
     scored = []
 
     def score(stages, outputs):
-        for values, _, state, corr, fid in protocols._corrected(stages, outputs):
+        for values, _, state, corr, fid in leaves(stages, outputs):
             assert abs(fid - _dense_fidelity(corr, state)) <= TOL
             scored.append(values)
 
@@ -78,7 +85,7 @@ def test_support_map_composes_ops_in_list_order():
     corr = CorrectionOp(ops=((0, "P", p), (0, "Q", q), (1, "P", p)), global_phase=1j)
     stages, outputs = protocols._circuit(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=d))
     fids = []
-    for _, _, state, _, fid in protocols._corrected(stages, outputs, lambda v: corr):
+    for _, _, state, _, fid in leaves(stages, outputs, lambda v: corr):
         assert abs(fid - _dense_fidelity(corr, state)) <= TOL
         fids.append(fid)
     assert max(fids) > 0.1
@@ -87,7 +94,7 @@ def test_support_map_composes_ops_in_list_order():
     spare = basis_state(d, [0])   # one measured site, so the stage has a target
     stage = protocols.Stage(add=((undo.apply_to(canonical_ghz(d, 3)), ("x", "y", "z")),
                                  (spare, ("s",))), targets=(("s", Basis.COMPUTATIONAL),))
-    ((_, _, _, _, fid),) = protocols._corrected([stage], ("x", "y", "z"), lambda v: corr)
+    ((_, _, _, _, fid),) = leaves([stage], ("x", "y", "z"), lambda v: corr)
     assert abs(fid - 1) <= TOL
 
 

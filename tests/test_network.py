@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -448,6 +449,19 @@ def test_load_accepts_only_json_integers(tmp_path, field, bad):
     p.write_text(json.dumps(blob))
     with pytest.raises(NetworkError, match=f"{field} {bad!r} is not a JSON integer"):
         load_network(p)
+
+
+@pytest.mark.parametrize("bad", [[1, 2], None, 7, True], ids=repr)
+def test_load_accepts_only_string_labels(tmp_path, bad):
+    blob = {"local_dim": 2, "nodes": [{"id": 0, "label": "a"}, {"id": 1, "label": bad}],
+            "resources": [{"kind": "bell", "parties": [0, 1]}]}
+    p = tmp_path / "net.json"
+    p.write_text(json.dumps(blob))
+    with pytest.raises(NetworkError, match=re.escape(f"node label {bad!r} is not a JSON string")):
+        load_network(p)
+    del blob["nodes"][1]["label"]   # a missing label is the id's
+    p.write_text(json.dumps(blob))
+    assert load_network(p).nodes == {0: "a", 1: "1"}
 
 
 def test_load_rejects_duplicate_node_ids(tmp_path):

@@ -1,6 +1,7 @@
 """Core state/operator behavior, including frozen oracle values."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,17 +166,63 @@ def _dense_apply(state, op, sites):
     return out.reshape([d] * n).transpose(np.argsort(perm)).reshape(-1)
 
 
+def _random_permutation(d, k, rng, phased):
+    """A permutation with phases on k sites: (op @ v)[i] = phase[i] v[perm[i]]."""
+    mat = np.zeros((d**k, d**k), dtype=complex)
+    phases = np.exp(2j * np.pi * rng.random(d**k)) if phased else 1
+    mat[np.arange(d**k), rng.permutation(d**k)] = phases
+    return OperatorMatrix(d, k, mat)
+
+
+# op sites on a 4-site state: in and out of order, adjacent and apart, first and last
+SITES = {1: [[2], [0], [3]],
+         2: [[3, 1], [0, 2], [2, 0], [0, 3], [1, 2]],
+         3: [[0, 1, 2], [3, 0, 2], [2, 3, 1], [1, 3, 0], [3, 2, 1]]}
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_monomial_ops_gather_as_the_dense_matrix_multiplies(d):
     rng = np.random.default_rng(d)
+    randoms = [_random_permutation(d, k, rng, phased) for k in (1, 2, 3) for phased in (0, 1)]
     for op in (identity_op(d), *pauli_ops(d), label_shift_op(d, 1, d - 1),
-               label_shift_op(d, d - 1, 1), shift_op(d)):
+               label_shift_op(d, d - 1, 1), shift_op(d), *randoms):
         assert op.monomial is not None
-        for sites in [[2], [0], [3]] if op.arity == 1 else [[3, 1], [0, 2], [2, 0]]:
+        for sites in SITES[op.arity]:
             amps = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
             s = QuditState(d, 4, amps / np.linalg.norm(amps))
             got = apply(s, op, sites).amps
             assert np.abs(got - _dense_apply(s, op, sites)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_two_site_op_that_is_no_permutation_multiplies_as_the_dense_matrix(d):
+    rng = np.random.default_rng(d)
+    q, r = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+    op = OperatorMatrix(d, 2, q * (np.diag(r) / abs(np.diag(r))))
+    assert op.monomial is None
+    amps = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
+    s = QuditState(d, 4, amps / np.linalg.norm(amps))
+    for sites in SITES[2]:
+        assert np.abs(apply(s, op, sites).amps - _dense_apply(s, op, sites)).max() <= 1e-13
+
+
+def test_the_shift_allocates_one_state_and_its_index_table():
+    # 2^20 amplitudes: a shift across the whole register gathers through an
+    # index table of 2^20 entries, too many to cache; a near one through 8
+    state = canonical_ghz(2, 20)
+    tracemalloc.start()
+    try:
+        for sites in ([0, 19], [19, 0], [7, 9], [12, 11]):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = apply(state, shift_op(2), sites)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            table = 2 ** (max(sites) - min(sites) + 1) * np.dtype(np.intp).itemsize
+            assert peak <= state.amps.nbytes + table + 2**14
+            assert np.count_nonzero(out.amps) == 2
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def test_apply_validation_errors():

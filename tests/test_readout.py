@@ -266,3 +266,25 @@ def test_count_vectors_beyond_int64_are_refused_by_name(counts, named):
     # built directly: the total is summed as Python ints, so it cannot wrap
     with pytest.raises(ValueError, match=f"{named} is beyond the int64 range"):
         CountVector(1, counts)
+
+
+@pytest.mark.parametrize("counts, named", [
+    ([1.5, 2.7], "count 1.5"), ([3, float("nan")], "count nan"),
+    (np.array([True, False]), "count True"), (np.array(["1", "2"]), "count '1'")])
+def test_count_vectors_refuse_counts_that_are_not_integers(counts, named):
+    # built directly: no cast truncates a fraction or turns a bool into a count
+    with pytest.raises(ValueError, match=f"{named} is not an integer"):
+        CountVector(1, counts)
+
+
+def test_count_vectors_keep_whole_number_floats():
+    assert CountVector(1, [2.0, 3.0]).counts.tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("counts, named", [
+    (np.array([2**63, 1], dtype=np.uint64), "9223372036854775808"),
+    (np.array([1.0, 1e19]), "1e\\+19")])
+def test_count_vectors_beyond_int64_name_the_count(counts, named):
+    # no cast wraps 2^63 round to a negative count
+    with pytest.raises(ValueError, match=f"beyond the int64 range: {named}"):
+        CountVector(1, counts)
