@@ -335,11 +335,12 @@ SPAN_CACHE = 2**12
 @lru_cache(maxsize=64)
 def _span_gather(op: OperatorMatrix, rel: tuple[int, ...]):
     """(source, phase, shape) of a monomial op on the sites at ``rel`` within
-    their span: entry i of the span reads entry source[i] of the input, then
-    is multiplied by ``phase`` (None when every phase is 1), which broadcasts
-    over the span shaped ``shape`` (d, gap, d, ..., gap, d), one axis per op
-    site in span order and one per run of other sites, plus a trailing block.
-    The table is the op's d^k source offsets broadcast over the gap blocks."""
+    their span.  Entry i of the span reads entry source[i] of the input and is
+    then multiplied by ``phase`` (None when every phase is 1), which
+    broadcasts over the output viewed as (before, *shape, after); ``shape`` is
+    (d, gap, d, ..., gap, d), one axis per op site in span order and one per
+    run of other sites between them.  The table is the op's d^k source
+    offsets broadcast over the gap blocks, one pass over its d^span entries."""
     d, k = op.d, len(rel)
     src, phase = op.monomial
     order, pos = np.argsort(rel), sorted(rel)
@@ -355,7 +356,8 @@ def _span_gather(op: OperatorMatrix, rel: tuple[int, ...]):
         axes = [1] * len(shape)
         axes[2 * j + 1] = g
         gap_offsets = gap_offsets + (np.arange(g) * d ** (span - b)).reshape(axes)
-    source = (offsets.reshape(units) + gap_offsets).reshape(-1)  # writeable: take copies others
+    # left writeable: ndarray.take copies a read-only index array on every call
+    source = (offsets.reshape(units) + gap_offsets).reshape(-1)
     if phase is not None:
         phase = phase.reshape((d,) * k).transpose(order).reshape(*units, 1)
     return source, phase, shape

@@ -110,7 +110,8 @@ def test_protocols_score_as_the_per_leaf_loop(block):
 def test_residuals_are_built_on_read(monkeypatch):
     # ghz-parallel-d has a closed form and idle copies: scoring spreads only
     # the index map, and a branch's amplitudes are spread when post is read;
-    # the posts built so equal run_stages' residuals bit for bit (above)
+    # test_protocols_score_as_the_per_leaf_loop checks the posts built so
+    # against run_stages' residuals bit for bit
     spreads = []
     spread = protocols._spread
     monkeypatch.setattr(protocols, "_spread", lambda compact, *args: (

@@ -459,7 +459,7 @@ def test_load_accepts_only_string_labels(tmp_path, bad):
     p.write_text(json.dumps(blob))
     with pytest.raises(NetworkError, match=re.escape(f"node label {bad!r} is not a JSON string")):
         load_network(p)
-    del blob["nodes"][1]["label"]   # a missing label is the id's
+    del blob["nodes"][1]["label"]   # a missing label defaults to the id
     p.write_text(json.dumps(blob))
     assert load_network(p).nodes == {0: "a", 1: "1"}
 
