@@ -46,9 +46,7 @@ from .qudit import (
     canonical_bell,
     fourier_inv_op,
     fourier_op,
-    measure_all_branches,
     sample_branch,
-    tensor,
 )
 
 INTERCEPT_RESEND = "intercept-resend"
@@ -137,37 +135,32 @@ def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of one detecting pair: (leaf probabilities, disagree flags).
 
     A leaf is one (attacker basis, attacker outcome, shared basis, readout)
-    combination, enumerated by exhaustive branching with every basis choice
-    fair.  Both ends twirl the pair (Fourier on the dealer's qudit, inverse
-    Fourier on the participant's); the participant's Fourier readout uses the
-    conjugate family (apply F, then read computationally).
+    combination, every basis choice fair, and each readout is a stage circuit
+    run exhaustively by ``run_stages``.  The attacker reads the participant's
+    particle b; the residual and the resent particle are the next circuit's
+    resources.  Per shared basis both ends twirl the pair (Fourier on the
+    dealer's a, inverse Fourier on b) and read it; b's Fourier readout uses
+    the conjugate family (apply F, then read computationally).
     """
-    f = fourier_op(d)
+    f, bell = fourier_op(d), ((canonical_bell(d, 0, 0), ("a", "b")),)
+    inputs = [(1.0, bell)]
     if eavesdrop:
-        # the attacker measures the participant's particle and resends it
-        stages = []
-        for eve_fourier in (False, True):
-            basis = Basis.FOURIER if eve_fourier else Basis.COMPUTATIONAL
-            for br in measure_all_branches(canonical_bell(d, 0, 0), [(1, basis)]):
-                resent = basis_state(d, [br.outcome[0]])
-                if eve_fourier:
-                    resent = apply(resent, f, [0])
-                stages.append((0.5 * br.probability, tensor(br.post, resent)))
-    else:
-        stages = [(1.0, canonical_bell(d, 0, 0))]
+        inputs = []
+        for basis in (Basis.COMPUTATIONAL, Basis.FOURIER):
+            for (v,), p, rest in run_stages([Stage(add=bell, targets=(("b", basis),))], ("a",)):
+                resent = basis_state(d, [v])
+                resent = apply(resent, f, [0]) if basis is Basis.FOURIER else resent
+                inputs.append((0.5 * p, ((rest, ("a",)), (resent, ("b",)))))
     probs, disagree = [], []
-    for weight, state in stages:
-        state = apply(apply(state, f, [0]), fourier_inv_op(d), [1])
-        for shared_fourier in (False, True):
-            if shared_fourier:
-                prepped = apply(state, f, [1])
-                targets = [(0, Basis.FOURIER), (1, Basis.COMPUTATIONAL)]
-            else:
-                prepped = state
-                targets = [(0, Basis.COMPUTATIONAL), (1, Basis.COMPUTATIONAL)]
-            for sub in measure_all_branches(prepped, targets):
-                probs.append(0.5 * weight * sub.probability)
-                disagree.append(sub.outcome[0] != sub.outcome[1])
+    for weight, add in inputs:
+        for shared in (Basis.COMPUTATIONAL, Basis.FOURIER):
+            gates = (("a", f), ("b", fourier_inv_op(d)))
+            gates += (("b", f),) if shared is Basis.FOURIER else ()
+            check = Stage(add=add, gates=gates,
+                          targets=(("a", shared), ("b", Basis.COMPUTATIONAL)))
+            for (x, y), p, _ in run_stages([check], ()):
+                probs.append(0.5 * weight * p)
+                disagree.append(x != y)
     law = np.array(probs) / sum(probs)
     flags = np.array(disagree)
     law.flags.writeable = flags.flags.writeable = False

@@ -282,11 +282,12 @@ def pauli_ops(d: int) -> tuple[OperatorMatrix, OperatorMatrix]:
 # ---------------------------------------------------------------------------
 
 def tensor(a: QuditState, b: QuditState) -> QuditState:
-    """Product state with the sites of ``a`` preceding the sites of ``b``."""
+    """Product state with the sites of ``a`` preceding the sites of ``b``;
+    the product of two normalized states is normalized, so it is not rechecked."""
     if a.d != b.d:
         raise ValueError("local dimensions differ")
     check_cap(a.d, a.n + b.n)
-    return QuditState(a.d, a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
+    return QuditState.unchecked(a.d, a.n + b.n, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply(state: QuditState, op: OperatorMatrix, sites: list[int]) -> QuditState:

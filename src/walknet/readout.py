@@ -115,7 +115,7 @@ class CountVector:
         n = len(next(iter(mapping)))
         counts = np.zeros(2**n, dtype=np.int64)
         for bits, c in mapping.items():
-            if len(bits) != n or set(bits) - {"0", "1"}:
+            if not bits or len(bits) != n or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad bitstring {bits!r}")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"count {c!r} for {bits!r} is not an integer")

@@ -1,5 +1,8 @@
 """Secret-sharing protocol: channel checks, GHZ step, round trips."""
 
+import hashlib
+import importlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -213,3 +216,56 @@ def test_over_cap_session_refused_before_any_work(monkeypatch):
             generate_shared_ghz(7, 5)
     t = run_mqss(MqssConfig(d=7, participants=4, secret=1))
     assert t.reconstructed == 1 and len(calls) == 1
+
+
+# sha256 over law.tobytes() + flags.tobytes(), recorded before the channel
+# check's readouts became stage circuits; the law must not move by a bit
+PAIR_LAW_SHA256 = [
+    (2, False, "89eb158bcaba3e852a526125de84c74b28eb1865bf2e8d10dad85e98fca0661a"),
+    (2, True, "45516635ffdb139b567e0d3957ebae465def6d9dd620c5e368e5c519e53a7feb"),
+    (3, False, "d30cff71d3220f0526a963f7fe98be7b1e44fea9e1a77203fbc1f1fad341ad06"),
+    (3, True, "1fde1aa55c97169e76d29a9257aa06f763a87b33b8a45e16a691c58c2a593ac6"),
+    (4, False, "45e00fd06cf5d96f062e9e89c4126d86eddafb10112e155746ff0dd01a2fe02c"),
+    (4, True, "1f6e5f14306ab18c92148f138f1c59462d6c65db8accc2fc6dc21d654fdcd9d6"),
+    (5, False, "d6959037d8fe76d42c944548d2623167d8eca341702e88577d627f1e3235f642"),
+    (5, True, "2d92c737dedf023c9fee721107bee481cad3011e2b1f1016279d690836d61b7f"),
+    (6, False, "c99fa48b9ef60bfaae3d3f07209adc596eeb09df66ea0fbda9525b065f0a2f09"),
+    (6, True, "0d6df0fe9b8ea8ccb12ae218543723f8ab04fdbe2ae8117869bb274deeeddb5d"),
+    (7, False, "d7f8cc425630ebfd8b64d35561c729475346d3aff0d8775ec3e942231bf5ff66"),
+    (7, True, "0311a8cd5fd775a33ec3ba0df858c2bab95621fba69f80286181918bc85dfc11"),
+]
+
+
+@pytest.mark.parametrize("d, eavesdrop, digest", PAIR_LAW_SHA256)
+def test_pair_law_is_pinned_bit_for_bit(d, eavesdrop, digest):
+    law, flags = _pair_law(d, eavesdrop)
+    assert hashlib.sha256(law.tobytes() + flags.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("eavesdrop, circuits, rotations", [(True, 2 + 4 * 3, 3), (False, 2, 0)])
+def test_pair_law_runs_its_readouts_as_stage_circuits(monkeypatch, eavesdrop, circuits, rotations):
+    # d = 3: two attacker readouts, then one circuit per (attack basis,
+    # attacker outcome, shared basis); apply only rotates a Fourier resend
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return wrapper
+
+    for name in ("run_stages", "apply"):
+        monkeypatch.setattr(mqss, name, counted(name, getattr(mqss, name)))
+    _pair_law.cache_clear()
+    try:
+        _pair_law(3, eavesdrop)
+    finally:
+        _pair_law.cache_clear()
+    assert (calls["run_stages"], calls["apply"]) == (circuits, rotations)
+
+
+def test_only_protocols_enumerates_branches():
+    for name in ("network", "fractal", "mqss", "tables", "readout", "cli"):
+        module = importlib.import_module(f"walknet.{name}")
+        for binding in ("measure_all_branches", "tensor"):
+            assert not hasattr(module, binding), f"walknet.{name} binds {binding}"

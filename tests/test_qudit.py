@@ -248,6 +248,21 @@ def test_tensor_products():
         tensor(basis_state(2, [0]), basis_state(3, [0]))
 
 
+def test_tensor_of_normalized_states_is_normalized_and_checks_d_and_cap():
+    rng = np.random.default_rng(7)
+    for d, na, nb in [(2, 1, 1), (2, 3, 4), (3, 2, 3), (5, 1, 2), (7, 2, 1)]:
+        a, b = (rng.normal(size=d**n) + 1j * rng.normal(size=d**n) for n in (na, nb))
+        prod = tensor(QuditState(d, na, a / np.linalg.norm(a)),
+                      QuditState(d, nb, b / np.linalg.norm(b)))
+        assert (prod.d, prod.n) == (d, na + nb)
+        assert abs(np.linalg.norm(prod.amps) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="local dimensions differ"):
+        tensor(basis_state(2, [0]), basis_state(3, [0]))
+    big = basis_state(2, [0] * 12)  # 2^24 amplitudes, over the 2^22 cap
+    with pytest.raises(SizeCapError):
+        tensor(big, big)
+
+
 def test_measure_bell_computational():
     branches = measure_all_branches(canonical_bell(2, 0, 0), [(1, Basis.COMPUTATIONAL)])
     assert len(branches) == 2

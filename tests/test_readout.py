@@ -77,6 +77,12 @@ def test_count_vector_roundtrip():
         CountVector(1, np.array([0, 0]))
 
 
+@pytest.mark.parametrize("mapping", [{"": 5}, {"": 5, "00": 1}, {"00": 1, "": 5}])
+def test_count_vector_refuses_an_empty_bitstring_by_name(mapping):
+    with pytest.raises(ValueError, match="bad bitstring ''"):
+        CountVector.from_dict(mapping)
+
+
 @pytest.mark.parametrize("mapping", [[["00", 5]], ["00"], {}])
 def test_count_vector_refuses_anything_but_a_nonempty_object(mapping):
     with pytest.raises(ValueError, match="non-empty JSON object"):
