@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import FIDELITY_TOL, Stage, run_stages
+from .protocols import FIDELITY_TOL, Stage, run_stages, split_stage, star_merge_stage
 from .qudit import (
     SIZE_CAP,
     Basis,
@@ -193,6 +193,17 @@ def intercept_resend_error_rate(d: int) -> float:
 # GHZ generation (step 3)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _ghz_circuit(d: int, participants: int) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
+    """Step 3's stages and outputs: the star merge of the dealer's position
+    pair (pos, dealer) with one Bell pair (p_k, coin_k) per participant,
+    split coin by coin (``split_stage``)."""
+    bell, ks = canonical_bell(d, 0, 0), range(1, participants + 1)
+    add = [(bell, ("pos", "dealer"))] + [(bell, (f"p{k}", f"coin{k}")) for k in ks]
+    stage = star_merge_stage(d, [f"coin{k}" for k in ks], "pos", "dealer", add)
+    return split_stage(stage), tuple(f"p{k}" for k in ks) + ("dealer",)
+
+
 def generate_shared_ghz(d: int, participants: int, seed: int = 0
                         ) -> tuple[QuditState, list[int], int]:
     """Multi-coin Bell merge producing the shared (M+1)-party GHZ residual.
@@ -200,24 +211,16 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     Returns (state, coin results q~_1..q~_M, position value u0); the state is
     ordered (participant 1, ..., participant M, dealer) and equals
     (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r> for the sampled
-    outcomes.  Pairs are walked one at a time and each coin is measured as
-    soon as its step is done, so the live register stays at M+3 sites.  No
-    one measures the dealer's particle, so its inverse Fourier commutes with
-    every readout and runs in the first stage, on the smallest register.
+    outcomes.  The star merge runs split coin by coin: each pair is walked
+    and its coin measured as soon as its step is done, so the live register
+    stays at M+3 sites.  No one measures the dealer's particle, so its
+    inverse Fourier commutes with every readout and runs in the first stage,
+    on the smallest register.
     """
     if participants < 1:
         raise ValueError("need at least one participant")
     _check_register_cap(d, participants)
-    bell = canonical_bell(d, 0, 0)
-    stages = []
-    for k in range(1, participants + 1):
-        add = ((bell, ("pos", "dealer")),) if k == 1 else ()
-        fix = (("dealer", fourier_inv_op(d)),) if k == 1 else ()
-        stages.append(Stage(add=add + ((bell, (f"p{k}", f"coin{k}")),),
-                            gates=((f"coin{k}", "pos", fourier_op(d)),) + fix,
-                            targets=((f"coin{k}", Basis.FOURIER),)))
-    stages.append(Stage(targets=(("pos", Basis.COMPUTATIONAL),)))
-    outputs = [f"p{k}" for k in range(1, participants + 1)] + ["dealer"]
+    stages, outputs = _ghz_circuit(d, participants)
     ((values, _, state),) = run_stages(stages, outputs, np.random.default_rng(seed))
     return state, list(values[:-1]), values[-1]
 

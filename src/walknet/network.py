@@ -20,9 +20,11 @@ chosen terminal set proceeds in three stages:
                        samples the plan: each step draws its outcome from the
                        compiled law of its shape and looks up that outcome's
                        correction.  A shape's law is compiled on first use,
-                       by running its stage exhaustively on canonical inputs
-                       with the dense simulator and checking every branch's
-                       correction, and is cached for the life of the process.
+                       by running its circuit exhaustively on canonical inputs
+                       with the dense simulator (a star merge coin by coin,
+                       each coin read right after its walk) and checking every
+                       branch's correction, and is cached for the life of the
+                       process.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -42,6 +44,7 @@ from .protocols import (
     Stage,
     StepLaw,
     compile_law,
+    split_stage,
     star_merge_stage,
 )
 from .qudit import (
@@ -600,18 +603,20 @@ def _step_circuit(action: str, local_role: str | None, node_slot: int, n_coins: 
 def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
               n_coins: int, codes: tuple[tuple[int, ...], ...]) -> StepLaw:
     """Compiled law of one step shape (``_step_circuit``'s arguments after d),
-    run as a single stage on canonical inputs."""
+    run on canonical inputs: a pair merge or a release as its one stage, a
+    star merge coin by coin (``split_stage``), each coin read right after its
+    walk.  The law is the one-stage law; ``joint`` draws it in one go."""
     inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
                                                      n_coins, codes)
     add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
     if action == "star-merge":
-        stage = star_merge_stage(d, coins, pos, far, add)
+        stages = split_stage(star_merge_stage(d, coins, pos, far, add))
     elif action == "pair-merge":
-        stage = Stage(add, gates=((coins[0], pos, identity_op(d)),),
-                      targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
+        stages = [Stage(add, gates=((coins[0], pos, identity_op(d)),),
+                        targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))]
     else:
-        stage = Stage(add, targets=((coins[0], Basis.FOURIER),))
-    return compile_law([stage], outputs)
+        stages = [Stage(add, targets=((coins[0], Basis.FOURIER),))]
+    return compile_law(stages, outputs)
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
@@ -624,14 +629,15 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     resource over the terminals (none for a lone terminal).  A bad schedule is
     refused there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
-    simulated: one sampled branch per step, drawn from the compiled law of
-    the step's shape with the dense sampler's outcome order and probability
-    array, and its correction looked up.  ``step_fidelity`` is the drawn
-    branch's compile-time dense fidelity, and ``fidelity`` the last step's;
-    ``final_state`` is the canonical GHZ that the last correction restores.
+    simulated: one sampled branch per step, drawn in one ``rng.choice`` from
+    the compiled law of the step's shape (its ``joint`` view) in the dense
+    one-stage sampler's outcome order, and its correction looked up.
+    ``step_fidelity`` is the drawn branch's compile-time dense fidelity, and
+    ``fidelity`` the last step's; ``final_state`` is the canonical GHZ that
+    the last correction restores.
     Compiling a shape is dense, so the cap applies per merge event rather
-    than to the whole network; a schedule with any step over the cap is
-    refused before the first step is sampled.
+    than to the whole network, on the step's input sites; a schedule with
+    any step over the cap is refused before the first step is sampled.
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
@@ -684,7 +690,7 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     rng = np.random.default_rng(seed)
     outcomes = []
     for step, shape in zip(schedule.steps, shapes):
-        values, corr, fid = _step_law(d, *shape).sample(rng)
+        values, corr, fid = _step_law(d, *shape).joint.sample(rng)
         outcomes.append({"node": step.node, "action": step.action,
                          "outcome": [int(v) for v in values], "correction": corr.label,
                          "step_fidelity": fid})

@@ -64,7 +64,9 @@ stage for the secret-sharing GHZ generation.  One loop corrects every
 exhaustive branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
-instead of amplitudes.
+instead of amplitudes.  ``split_stage`` runs one stage as sub-stages that read
+each target as soon as no later gate touches it: the network star merges and
+the secret-sharing GHZ generation read each coin right after its walk.
 """
 
 from __future__ import annotations
@@ -362,15 +364,21 @@ def run_stages(stages, outputs, rng: np.random.Generator | None = None,
             yield values + br.outcome, prob * br.probability, post
 
 
-def _blocks(stages, outputs, rng, law):
-    """Per last stage: (values, probability, branches, compact sites, copies)."""
-    stages = tuple(stages)
+def _peak(stages) -> int:
+    """A circuit's peak live count: each stage's sites after its adds, less
+    the targets read by earlier stages."""
     live = peak = 0
     for stage in stages:
         live += sum(len(labels) for _, labels in stage.add)
         peak, live = max(peak, live), live - len(stage.targets)
+    return peak
+
+
+def _blocks(stages, outputs, rng, law):
+    """Per last stage: (values, probability, branches, compact sites, copies)."""
+    stages = tuple(stages)
     if stages:
-        check_cap(stages[0].add[0][0].d, peak)
+        check_cap(stages[0].add[0][0].d, _peak(stages))
     read = {lab for stage in stages for lab, _ in stage.targets}
     unread = tuple(lab for stage in stages for _, labels in stage.add
                    for lab in labels if lab not in read)
@@ -415,6 +423,40 @@ def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
                  gates=tuple((c, pos, f) for c in coins) + ((far, fourier_inv_op(d)),),
                  targets=tuple((c, Basis.FOURIER) for c in coins)
                  + ((pos, Basis.COMPUTATIONAL),))
+
+
+def split_stage(stage: Stage) -> tuple[Stage, ...]:
+    """The same circuit as sub-stages that each read one target, in target
+    order, as soon as no later gate touches its particle (deferred
+    measurement).  A resource joins in the sub-stage of the first gate or
+    readout that touches one of its particles.  A one-site gate on a particle
+    that no target reads and no walk touches commutes with every readout, so
+    it runs in the first sub-stage where that particle is live.  A star merge
+    becomes one sub-stage per coin, [its resource, its walk, its readout] (the
+    first also adds the position pair and runs the gate on ``far``), then
+    [read ``pos``]: M + 3 live sites at most, not 2M + 2.  A stage whose split
+    would not lower its peak live count (a pair merge, a release, a one-coin
+    star merge) comes back as is."""
+    pinned = {lab for lab, _ in stage.targets} | {
+        lab for gate in stage.gates if len(gate) == 3 for lab in gate[:2]}
+    free = [gate for gate in stage.gates if len(gate) == 2 and gate[0] not in pinned]
+    ordered = [gate for gate in stage.gates if len(gate) == 3 or gate[0] in pinned]
+    last = {lab: i for i, gate in enumerate(ordered) for lab in gate[:-1]}
+    adds, live, subs, done = list(stage.add), set(), [], 0
+    for j, (lab, basis) in enumerate(stage.targets):
+        final = j == len(stage.targets) - 1  # takes whatever is left
+        end = len(ordered) if final else max(done, last.get(lab, -1) + 1)
+        gates, done = ordered[done:end], end
+        touched = {lab}.union(*(gate[:-1] for gate in gates))
+        joins = [final or not touched.isdisjoint(labels) for _, labels in adds]
+        join = [res for res, joined in zip(adds, joins) if joined]
+        adds = [res for res, joined in zip(adds, joins) if not joined]
+        live.update(site for _, labels in join for site in labels)
+        fixes = [gate[0] in live for gate in free]
+        gates += [gate for gate, fixed in zip(free, fixes) if fixed]
+        free = [gate for gate, fixed in zip(free, fixes) if not fixed]
+        subs.append(Stage(tuple(join), tuple(gates), ((lab, basis),)))
+    return tuple(subs) if _peak(subs) < _peak([stage]) else (stage,)
 
 
 TRIANGLE_LAYOUT = (("a", "q1", "q6"), ("q2", "b", "q3"), ("q4", "q5", "c"))
@@ -511,6 +553,25 @@ class StepLaw:
 
     draws: dict
     rows: dict
+
+    @cached_property
+    def joint(self) -> StepLaw:
+        """The same law with one draw point: every kept outcome in draw order
+        (outcome order) with its joint probability, the product of its stage
+        draws'.  A law that already draws once is its own ``joint``."""
+        if len(self.draws) == 1:
+            return self
+
+        def leaves(values, prob):
+            if values not in self.draws:
+                yield values, prob
+                return
+            kept, p = self.draws[values]
+            for vals, q in zip(kept, p.tolist()):
+                yield from leaves(values + vals, prob * q)
+
+        kept, probs = zip(*leaves((), 1.0))
+        return StepLaw({(): (kept, np.array(probs))}, self.rows)
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], CorrectionOp, float]:
         """(outcome, correction, fidelity) of one branch drawn stage by stage

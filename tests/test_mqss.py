@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walknet import mqss
+from walknet import mqss, protocols
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
@@ -22,6 +22,7 @@ from walknet.mqss import (
     shared_ghz_closed_form,
 )
 from walknet.qudit import (
+    SIZE_CAP,
     SizeCapError,
     apply,
     canonical_bell,
@@ -269,3 +270,53 @@ def test_only_protocols_enumerates_branches():
         module = importlib.import_module(f"walknet.{name}")
         for binding in ("measure_all_branches", "tensor"):
             assert not hasattr(module, binding), f"walknet.{name} binds {binding}"
+
+
+# sha256 over state.amps.tobytes() and repr((coins, u0)) for seeds 0-2,
+# recorded before the GHZ step's stages became the split star merge; the
+# sampled state and outcomes must not move by a bit
+SHARED_GHZ_SHA256 = [
+    (2, 2, "0399729120993b5bf2c0054dd04db212c374ea13588cf33abefea511d1a9ab5c"),
+    (2, 3, "28c34e980fc44edacd91c054644a44a3ca2ec6913e102020ad3118f46e40c68d"),
+    (2, 4, "430dd3c35feca7890f95b82d4511429d6eda4587fb2de8f849153852f2bd1b22"),
+    (3, 2, "25d3b7bf8e96ab01b075e28dfdfce5411f8c93620d8c4b614aeabbad375dea30"),
+    (3, 3, "15ef7d059aaa9fb172fe330381ab47608ce20bc4a721448cf31f09ad6430248b"),
+    (3, 4, "baeae21b55784eb047532eedd7917b474f772441347944d8fcb9198a691a736e"),
+    (4, 2, "874ad4bb955c7a4dbc2061cc9d6dd8d76d0736ff41e0481edeae093a0c7188ef"),
+    (4, 3, "0f4f2117427a61328bc848a6825a981ad78322619ef894e169c9eba367c3f49a"),
+    (4, 4, "36440ffc28b80576407145660d39f1be59650be32b0db26d4bcf039d2e6d9996"),
+    (5, 2, "02e966061d188e3ad8813789381ebe8d5af84efe755be511ebdec5101f067a9e"),
+    (5, 3, "d0de75adcc2f8f4cba74685c7ebf0cac8d6b5b5942041c0029898bb07bc6dec1"),
+    (5, 4, "01da3bf11cd42315f18f9a9da45c9d3c641ea4082066e6d577b832e0e2c243ef"),
+    (6, 2, "69c283f17e9f2d3464482e4724fab7f3a620a2af4745f416fb5327d99cccfcc6"),
+    (6, 3, "7c1d5cbcba8f94482e5b92504ce983aea996bc2e762839c51bc9e04f42de874b"),
+    (6, 4, "01543d80d89f363b393502d91a06f5842d8df3d25b43435d9fe04b068d985699"),
+    (7, 2, "8427642e1f1faa9327c384b26ad6e00e0fe288a589cba07677d3b67a0caa6521"),
+    (7, 3, "46ba85100409026a168f021536162ff207a3ea73bbb98af18b1616d485c6cd10"),
+    (7, 4, "755254ca16c90689ee3e9441ecc789ff104d642f46b59f2d70957659eac19911"),
+]
+
+
+@pytest.mark.parametrize("d, m, digest", SHARED_GHZ_SHA256)
+def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
+    h = hashlib.sha256()
+    for seed in range(3):
+        state, coins, u0 = generate_shared_ghz(d, m, seed=seed)
+        h.update(state.amps.tobytes())
+        h.update(repr((coins, u0)).encode())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_register_cap_counts_the_split_circuits_peak(m):
+    # _check_register_cap refuses in O(1) before any stage is built; its
+    # M + 3 must be the live count the GHZ step's stages actually peak at
+    stages, _ = mqss._ghz_circuit(2, m)
+    peak = protocols._peak(stages)
+    assert peak == m + 3
+    d = 2
+    while d**peak <= SIZE_CAP:
+        d += 1
+    with pytest.raises(SizeCapError):
+        mqss._check_register_cap(d, m)
+    mqss._check_register_cap(d - 1, m)
