@@ -442,7 +442,7 @@ def split_stage(stage: Stage) -> tuple[Stage, ...]:
     free = [gate for gate in stage.gates if len(gate) == 2 and gate[0] not in pinned]
     ordered = [gate for gate in stage.gates if len(gate) == 3 or gate[0] in pinned]
     last = {lab: i for i, gate in enumerate(ordered) for lab in gate[:-1]}
-    adds, live, subs, done = list(stage.add), set(), [], 0
+    adds, subs, done = list(stage.add), [], 0
     for j, (lab, basis) in enumerate(stage.targets):
         final = j == len(stage.targets) - 1  # takes whatever is left
         end = len(ordered) if final else max(done, last.get(lab, -1) + 1)
@@ -451,10 +451,7 @@ def split_stage(stage: Stage) -> tuple[Stage, ...]:
         joins = [final or not touched.isdisjoint(labels) for _, labels in adds]
         join = [res for res, joined in zip(adds, joins) if joined]
         adds = [res for res, joined in zip(adds, joins) if not joined]
-        live.update(site for _, labels in join for site in labels)
-        fixes = [gate[0] in live for gate in free]
-        gates += [gate for gate, fixed in zip(free, fixes) if fixed]
-        free = [gate for gate, fixed in zip(free, fixes) if not fixed]
+        gates += [gate for gate in free if any(gate[0] in labels for _, labels in join)]
         subs.append(Stage(tuple(join), tuple(gates), ((lab, basis),)))
     return tuple(subs) if _peak(subs) < _peak([stage]) else (stage,)
 
