@@ -605,7 +605,8 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     """Compiled law of one step shape (``_step_circuit``'s arguments after d),
     run on canonical inputs: a pair merge or a release as its one stage, a
     star merge coin by coin (``split_stage``), each coin read right after its
-    walk.  The law is the one-stage law; ``joint`` draws it in one go."""
+    walk.  The law draws once per sub-stage; its ``joint`` view is the
+    one-stage law, and seeded steps must sample ``law.joint``."""
     inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
                                                      n_coins, codes)
     add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)

@@ -434,9 +434,7 @@ def split_stage(stage: Stage) -> tuple[Stage, ...]:
     it runs in the first sub-stage where that particle is live.  A star merge
     becomes one sub-stage per coin, [its resource, its walk, its readout] (the
     first also adds the position pair and runs the gate on ``far``), then
-    [read ``pos``]: M + 3 live sites at most, not 2M + 2.  A stage whose split
-    would not lower its peak live count (a pair merge, a release, a one-coin
-    star merge) comes back as is."""
+    [read ``pos``]: M + 3 live sites at most, not 2M + 2."""
     pinned = {lab for lab, _ in stage.targets} | {
         lab for gate in stage.gates if len(gate) == 3 for lab in gate[:2]}
     free = [gate for gate in stage.gates if len(gate) == 2 and gate[0] not in pinned]
@@ -453,7 +451,7 @@ def split_stage(stage: Stage) -> tuple[Stage, ...]:
         adds = [res for res, joined in zip(adds, joins) if not joined]
         gates += [gate for gate in free if any(gate[0] in labels for _, labels in join)]
         subs.append(Stage(tuple(join), tuple(gates), ((lab, basis),)))
-    return tuple(subs) if _peak(subs) < _peak([stage]) else (stage,)
+    return tuple(subs)
 
 
 TRIANGLE_LAYOUT = (("a", "q1", "q6"), ("q2", "b", "q3"), ("q4", "q5", "c"))

@@ -276,6 +276,12 @@ def test_only_protocols_enumerates_branches():
 # recorded before the GHZ step's stages became the split star merge; the
 # sampled state and outcomes must not move by a bit
 SHARED_GHZ_SHA256 = [
+    (2, 1, "6d892c5d3ba8acd318f69ebe3e3a0104976c5122e4bdcba06b75fb9eac367f59"),
+    (3, 1, "94336d1fa88f41eabbd25bf80f74bc5b1f0ca63bdaac8dfa201ed46fd965aad9"),
+    (4, 1, "bfbf8d3edde6fdbdcf75b00f9fdfaf4041e4a8dd0d827589d5d0cc0e739eace8"),
+    (5, 1, "22e801ec0b4b111c33868c5ebb60f9b8b360f607a7b0fd3767fb822e01126dc2"),
+    (6, 1, "885b77430e0f997e4c3ec73cb3f0f9483caecc7cff8ae4783c065b68f2d833fd"),
+    (7, 1, "86000acb2d6f67e1b5dbc8f6d5230d47dd251661b7c59d3211d7d586ad68a789"),
     (2, 2, "0399729120993b5bf2c0054dd04db212c374ea13588cf33abefea511d1a9ab5c"),
     (2, 3, "28c34e980fc44edacd91c054644a44a3ca2ec6913e102020ad3118f46e40c68d"),
     (2, 4, "430dd3c35feca7890f95b82d4511429d6eda4587fb2de8f849153852f2bd1b22"),

@@ -77,8 +77,11 @@ def _compiled_star_merge(key):
 
 def _assert_split_law_matches(key):
     stage, stages, outputs = _compiled_star_merge(key)
-    coins = len(stage.targets) - 1
-    assert len(stages) == (coins + 1 if coins > 1 else 1)
+    assert len(stages) == len(stage.targets)  # one per coin, then pos
+    _assert_same_law(stage, stages, outputs)
+
+
+def _assert_same_law(stage, stages, outputs):
     whole, split = compile_law([stage], outputs), compile_law(stages, outputs)
     assert whole.joint is whole
     ((kept, p),), ((want, q),) = split.joint.draws.values(), whole.draws.values()
@@ -153,24 +156,32 @@ def test_star_merge_reads_each_coin_right_after_its_walk():
 
 
 def _pair_merge_and_release():
-    """The stages ``_step_law`` compiles for a pair merge and a release."""
+    """The stages and outputs ``_step_law`` compiles for a pair merge and a
+    release."""
     compiled = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "compile_law",
-                   lambda stages, outputs: compiled.append(tuple(stages)))
+                   lambda stages, outputs: compiled.append((tuple(stages), outputs)))
         network._step_law.__wrapped__(2, "pair-merge", None, -1, 1, ((-1, 0), (-1, 1)))
         network._step_law.__wrapped__(2, "release", None, -1, 1, ((-1, 0, 1),))
-    return [stage for (stage,) in compiled]
+    return [(stage, outputs) for (stage,), outputs in compiled]
 
 
-def test_stages_that_would_not_shrink_come_back_as_is():
-    pair, release = _pair_merge_and_release()
-    assert len(pair.targets) == 2 and len(release.targets) == 1
+def test_a_one_target_stage_splits_into_itself():
+    (_, _), (release, _) = _pair_merge_and_release()
     one_target = Stage(add=((canonical_bell(3, 0, 0), ("a", "b")),),
                        gates=(("a", fourier_op(3)),), targets=(("b", Basis.FOURIER),))
-    for stage in (pair, release, one_target):
+    for stage in (release, one_target):
         (got,) = split_stage(stage)
-        assert got is stage
+        assert (got.add, got.gates, got.targets) == (stage.add, stage.gates, stage.targets)
+
+
+def test_a_split_pair_merge_compiles_the_same_law():
+    # _step_law compiles pair merges as one stage; splitting one is exact too
+    (pair, outputs), _ = _pair_merge_and_release()
+    stages = split_stage(pair)
+    assert [sub.targets for sub in stages] == [(t,) for t in pair.targets]
+    _assert_same_law(pair, stages, outputs)
 
 
 def test_hub_law_compiles_within_a_small_traced_peak():
