@@ -131,24 +131,24 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     triangle-merge stages of ``protocols``: coin-X walks across each shared
     corner at d = 2, the two-stage identity-coin merge at d > 2.  Every input
     triple is the canonical GHZ that the previous correction restored, so all
-    merges share one law, compiled once per d: each merge draws its outcome
-    stage by stage and looks up its correction.  ``fidelity`` is the last
-    merge's compile-time fidelity and ``final_state`` the canonical apex GHZ.
+    merges share one law, compiled once per d.  One ``rng.random((merges,
+    depth))`` block holds every merge's stage draws, one row per merge in
+    schedule order; ``StepLaw.draw`` maps the block to outcomes, and each
+    merge's correction is looked up.  ``fidelity`` is the last merge's
+    compile-time fidelity and ``final_state`` the canonical apex GHZ.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
-    rng = np.random.default_rng(seed)
     law = _merge_law(d)
     count = (3**n - 1) // 2   # the length of merge_schedule(n)
-    corrections = []
-    for _ in range(count):
-        _, corr, fid = law.sample(rng)
-        corrections.append(corr.label)
+    rows = [law.rows[values] for values in
+            law.draw(np.random.default_rng(seed).random((count, law.depth)))]
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
-        fidelity=fid, final_state=canonical_ghz(d, 3), corrections=corrections)
+        fidelity=rows[-1][1], final_state=canonical_ghz(d, 3),
+        corrections=[corr.label for corr, _ in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +357,15 @@ def brute_force_stats(net: FractalNetwork) -> dict:
     for v in net.vertices:
         nbrs = net.adjacency[v]
         k = len(nbrs)
-        links = sum(1 for a, b in itertools.combinations(sorted(nbrs), 2)
-                    if b in net.adjacency[a])
+        # each link among the neighbours is seen from both of its ends
+        links = sum(len(nbrs & net.adjacency[a]) for a in nbrs) // 2
         neighbor_links[v] = links
         if k >= 2:
             clustering_total += 2 * links / (k * (k - 1))
     hist: dict[int, int] = {}
     for v, k in degs.items():
         hist[k] = hist.get(k, 0) + 1
+    expected = {k: float(neighbor_link_count(k)) for k in hist}
     cumulative = []
     n = len(net.vertices)
     for t_i in range(1, t + 1):
@@ -381,6 +382,6 @@ def brute_force_stats(net: FractalNetwork) -> dict:
         "cumulative": cumulative,
         "neighbor_links_by_vertex": None,  # too large to embed; see helpers
         "max_neighbor_link_error": max(
-            abs(neighbor_links[v] - float(neighbor_link_count(degs[v])))
+            abs(neighbor_links[v] - expected[degs[v]])
             for v in net.vertices if v not in corner_set) if t >= 1 else 0.0,
     }

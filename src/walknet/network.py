@@ -606,7 +606,7 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     run on canonical inputs: a pair merge or a release as its one stage, a
     star merge coin by coin (``split_stage``), each coin read right after its
     walk.  The law draws once per sub-stage; its ``joint`` view is the
-    one-stage law, and seeded steps must sample ``law.joint``."""
+    one-stage law, and seeded steps draw from ``law.joint``."""
     inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
                                                      n_coins, codes)
     add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
@@ -630,9 +630,11 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     resource over the terminals (none for a lone terminal).  A bad schedule is
     refused there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
-    simulated: one sampled branch per step, drawn in one ``rng.choice`` from
-    the compiled law of the step's shape (its ``joint`` view) in the dense
-    one-stage sampler's outcome order, and its correction looked up.
+    simulated: one sampled branch per step.  One ``rng.random`` call, made
+    after the checks and the cap refusal, holds every step's draw, in step
+    order; the steps of one shape are located as one block in the joint table
+    of its compiled law (``StepLaw.draw`` on the ``joint`` view), in the
+    dense one-stage sampler's outcome order, and their corrections looked up.
     ``step_fidelity`` is the drawn branch's compile-time dense fidelity, and
     ``fidelity`` the last step's; ``final_state`` is the canonical GHZ that
     the last correction restores.
@@ -688,13 +690,19 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
             raise NetworkError(
                 f"step at node {entry['node']} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
-    rng = np.random.default_rng(seed)
-    outcomes = []
-    for step, shape in zip(schedule.steps, shapes):
-        values, corr, fid = _step_law(d, *shape).joint.sample(rng)
-        outcomes.append({"node": step.node, "action": step.action,
-                         "outcome": [int(v) for v in values], "correction": corr.label,
-                         "step_fidelity": fid})
+    uniforms = np.random.default_rng(seed).random((len(shapes), 1))  # one draw per step
+    steps_of: dict = {}
+    for i, shape in enumerate(shapes):
+        steps_of.setdefault(shape, []).append(i)
+    drawn = [None] * len(shapes)
+    for shape, at in steps_of.items():  # a shape's steps draw as one block
+        law = _step_law(d, *shape).joint
+        for i, values in zip(at, law.draw(uniforms[at])):
+            drawn[i] = values, *law.rows[values]
+    outcomes = [{"node": step.node, "action": step.action,
+                 "outcome": [int(v) for v in values], "correction": corr.label,
+                 "step_fidelity": fid}
+                for step, (values, corr, fid) in zip(schedule.steps, drawn)]
 
     # with no steps, the final resource is an untouched canonical Bell pair
     fid = outcomes[-1]["step_fidelity"] if outcomes else 1.0

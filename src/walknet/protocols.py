@@ -64,7 +64,8 @@ stage for the secret-sharing GHZ generation.  One loop corrects every
 exhaustive branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
-instead of amplitudes.  ``split_stage`` runs one stage as sub-stages that read
+instead of amplitudes, a whole schedule from one block of uniforms
+(``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages that read
 each target as soon as no later gate touches it: the network star merges and
 the secret-sharing GHZ generation read each coin right after its walk.
 """
@@ -537,17 +538,54 @@ def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
 # Compiled step laws
 # ---------------------------------------------------------------------------
 
+# what ``Generator.choice`` allows a probability array's sum to miss 1 by
+CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class StepLaw:
     """A walk circuit's outcome law and corrections, compiled once.
 
     ``draws`` maps the values drawn so far to the next stage's kept values
     and their normalized probabilities; ``rows`` maps every kept outcome to
-    its GHZ correction and the corrected state's fidelity.
+    its GHZ correction and the corrected state's fidelity.  Every path
+    through the law makes ``depth`` draws.  The probabilities are checked
+    here, once, as ``Generator.choice`` checks them on every call.
     """
 
     draws: dict
     rows: dict
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for values, (_, p) in self.draws.items():
+            p = np.asarray(p, dtype=float)
+            if not np.isfinite(p).all() or (p < 0).any() or abs(math.fsum(p) - 1) > CHOICE_SUM_TOL:
+                raise ValueError(f"draw point {values}: probabilities are not finite, "
+                                 "non-negative and summing to 1")
+
+        def depth(values):
+            if values not in self.draws:
+                return 0
+            depths = {depth(values + vals) for vals in self.draws[values][0]}
+            if len(depths) != 1:
+                raise ValueError(f"paths after {values} differ in draw count: {sorted(depths)}")
+            return 1 + depths.pop()
+
+        object.__setattr__(self, "depth", depth(()))
+
+    @cached_property
+    def tables(self) -> dict:
+        """Per draw point: its cumulative table, ``cumsum(p) / cumsum(p)[-1]``
+        as ``Generator.choice`` builds it, and the values drawn so far after
+        each entry.  Built on the first draw: a split star merge's law is
+        only ever drawn through its ``joint`` view."""
+        tables = {}
+        for values, (kept, p) in self.draws.items():
+            cdf = np.cumsum(p, dtype=float)
+            tables[values] = cdf / cdf[-1], np.fromiter(
+                (values + vals for vals in kept), dtype=object, count=len(kept))
+        return tables
 
     @cached_property
     def joint(self) -> StepLaw:
@@ -568,14 +606,30 @@ class StepLaw:
         kept, probs = zip(*leaves((), 1.0))
         return StepLaw({(): (kept, np.array(probs))}, self.rows)
 
-    def sample(self, rng: np.random.Generator) -> tuple[tuple[int, ...], CorrectionOp, float]:
-        """(outcome, correction, fidelity) of one branch drawn stage by stage
-        with the ``rng.choice`` calls a sampled ``run_stages`` makes."""
-        values = ()
-        while values in self.draws:
-            kept, p = self.draws[values]
-            values += kept[rng.choice(len(kept), p=p)]
-        return (values, *self.rows[values])
+    def draw(self, uniforms: np.ndarray) -> list[tuple[int, ...]]:
+        """The kept outcome of each row of a (count, depth) block of uniforms.
+
+        Column j of a row is its j-th draw, located in its draw point's
+        cumulative table with ``searchsorted(..., side="right")``, one call
+        per draw point, rows grouped by the values drawn before it.  That is
+        how ``rng.choice(len(p), p=p)`` locates its one ``rng.random()``, so
+        the rows of ``rng.random((count, depth))`` land where ``count`` runs
+        of one ``choice`` per draw point land, and leave the generator where
+        they leave it."""
+        out = np.empty(len(uniforms), dtype=object)
+        groups = [((), np.arange(len(uniforms)))]
+        for column in range(self.depth):
+            last, reached = column == self.depth - 1, []
+            for values, rows in groups:
+                cdf, after = self.tables[values]
+                at = np.searchsorted(cdf, uniforms[rows, column], side="right")
+                if last:
+                    out[rows] = after[at]
+                else:  # np.bincount, not np.unique, which imports numpy.ma
+                    reached += [(after[i], rows[at == i])
+                                for i in np.flatnonzero(np.bincount(at)).tolist()]
+            groups = reached
+        return out.tolist()
 
 
 def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = None):
@@ -587,7 +641,7 @@ def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = N
     are scored against the canonical GHZ on the d residual amplitudes the
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
-    outputs = tuple(outputs)
+    outputs, spread = tuple(outputs), {}
     for prefix, prob, block, sites, copies in _blocks(stages, outputs, None, law):
         d, n, rows = block.d, len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
@@ -595,7 +649,10 @@ def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = N
         corrs = [closed(v) or derive_ghz_correction(residual(i)) for i, v in enumerate(values)]
         src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
         if sites != outputs:  # each support index's row entry, or -1 outside V's image
-            src = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)[src] - 1
+            key = sites, tuple(copies.items())  # one map per last-stage layout
+            if key not in spread:
+                spread[key] = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)
+            src = spread[key][src] - 1
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
         fids = np.abs(np.conj(phase * amps) @ ghz[0]) ** 2
@@ -626,7 +683,8 @@ def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def compile_law(stages, outputs) -> StepLaw:
     """Run ``stages`` exhaustively once and tabulate every kept outcome; each
     leaf's derived correction must restore the canonical GHZ over ``outputs``
-    at fidelity >= 1 - FIDELITY_TOL."""
+    at fidelity >= 1 - FIDELITY_TOL.  The ``StepLaw`` checks its draw
+    probabilities and its depth once, here."""
     draws: dict = {}
     rows = {}
     for outcomes, _, _, _, corrs, fids in _corrected(stages, outputs, law=draws):

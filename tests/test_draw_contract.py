@@ -1,20 +1,30 @@
 """The seeded draw that every sampled path relies on.
 
-``StepLaw.sample`` and ``qudit.sample_branch`` each draw one kept branch with
-``rng.choice(len(p), p=p)``.  On numpy 2.4 that call takes one
-``rng.random()`` and locates it in the normalized cumulative sum of ``p``.
-A sampler that draws the same way without ``choice`` must land on the same
-index and leave the generator in the same state; this pins that identity on
-the probability arrays the compiled laws draw from, so a numpy release that
-changes ``choice`` fails here rather than silently moving seeded outcomes.
-A network step draws once, from its law's ``joint`` view.
+``qudit.sample_branch`` draws one kept branch with ``rng.choice(len(p),
+p=p)``.  On numpy 2.4 that call takes one ``rng.random()`` and locates it in
+the normalized cumulative sum of ``p``.  ``StepLaw.draw`` does the same
+without ``choice``: it maps a (count, depth) block of uniforms, taken in one
+``rng.random`` call, to kept outcomes, so a schedule's draws must land where
+one ``choice`` per draw point lands and leave the generator in the same
+state.  This pins both halves, on the compiled laws and on whole gasket and
+network schedules, against a scalar ``choice`` reference written here, so a
+numpy release that changes ``choice`` fails here rather than silently moving
+seeded outcomes.  A network step draws once, from its law's ``joint`` view.
 """
 
 import numpy as np
 import pytest
 
 from walknet import fractal, network
-from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
+from walknet.network import (
+    Resource,
+    ResourceNetwork,
+    bundled_network_path,
+    load_network,
+    plan_distribution,
+    steiner_tree,
+)
+from walknet.protocols import StepLaw
 
 
 def _network_step_law(d):
@@ -38,11 +48,44 @@ def _star_merge_law(d):
     return network._step_law(d, *network._shape(step, parties))
 
 
-@pytest.mark.parametrize("law", [fractal._merge_law(3), _network_step_law(3),
-                                 _star_merge_law(2).joint, _star_merge_law(3).joint],
-                         ids=["gasket-merge", "network-step",
-                              "star-merge-joint-d2", "star-merge-joint-d3"])
-def test_choice_is_one_uniform_located_in_the_cumulative_sum(law):
+def _choice_draws(law, rng, count):
+    """``count`` kept outcomes drawn the scalar way: one ``rng.choice`` per
+    draw point, stage by stage."""
+    out = []
+    for _ in range(count):
+        values = ()
+        while values in law.draws:
+            kept, p = law.draws[values]
+            values += kept[rng.choice(len(kept), p=p)]
+        out.append(values)
+    return out
+
+
+def _made_generator(monkeypatch, run):
+    """``run()``'s result and the state of the one generator it made."""
+    made = []
+    real = np.random.default_rng
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
+        result = run()
+    (rng,) = made
+    return result, rng.bit_generator.state
+
+
+LAWS = {
+    "gasket-merge": lambda: fractal._merge_law(3),
+    "network-step": lambda: _network_step_law(3),
+    "star-merge-d2": lambda: _star_merge_law(2),
+    "star-merge-d3": lambda: _star_merge_law(3),
+    "star-merge-joint-d2": lambda: _star_merge_law(2).joint,
+    "star-merge-joint-d3": lambda: _star_merge_law(3).joint,
+}
+
+
+@pytest.mark.parametrize("name", ["gasket-merge", "network-step",
+                                  "star-merge-joint-d2", "star-merge-joint-d3"])
+def test_choice_is_one_uniform_located_in_the_cumulative_sum(name):
+    law = LAWS[name]()
     arrays = [p for _, p in law.draws.values()]
     assert arrays and all(len(p) > 1 for p in arrays)
     for seed in range(4):
@@ -52,3 +95,91 @@ def test_choice_is_one_uniform_located_in_the_cumulative_sum(law):
             want = np.searchsorted(cdf / cdf[-1], ref.random(), side="right")
             assert rng.choice(len(p), p=p) == want
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_batched_draws_equal_scalar_choice(name):
+    law = LAWS[name]()
+    for seed, count in [(0, 1), (1, 7), (2, 200), (3, 0)]:
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert law.draw(rng.random((count, law.depth))) == _choice_draws(law, ref, count)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_one_outcome_draw_point_consumes_one_uniform():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    assert rng.choice(1, p=[1.0]) == 0
+    ref.random()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # the batched sampler takes that uniform too, on each of two stages
+    law = StepLaw({(): (((4,),), np.array([1.0])), (4,): (((0,), (1,)), np.array([0.5, 0.5]))},
+                  {(4, 0): None, (4, 1): None})
+    assert law.depth == 2
+    assert law.draw(rng.random((9, law.depth))) == _choice_draws(law, ref, 9)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("p", [[0.5, np.nan], [1.5, -0.5], [0.5, np.inf], [0.5, 0.4]],
+                         ids=["nan", "negative", "infinite", "short-sum"])
+def test_laws_refuse_what_choice_refuses(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(2, p=p)
+    with pytest.raises(ValueError, match="not finite, non-negative and summing to 1"):
+        StepLaw({(): (((0,), (1,)), np.array(p))}, {})
+
+
+def test_laws_refuse_paths_of_different_draw_counts():
+    # outcome (0,) ends after one draw, outcome (1,) draws again
+    draws = {(): (((0,), (1,)), np.array([0.5, 0.5])), (1,): (((0,),), np.array([1.0]))}
+    with pytest.raises(ValueError, match=r"differ in draw count: \[0, 1\]"):
+        StepLaw(draws, {})
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gasket_schedule_equals_scalar_choice(monkeypatch, d):
+    count = (3**6 - 1) // 2
+    ref = np.random.default_rng(d)
+    law = fractal._merge_law(d)
+    want = [law.rows[values][0].label for values in _choice_draws(law, ref, count)]
+    result, state = _made_generator(
+        monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=d))
+    assert result.merge_count == count
+    assert result.corrections == want
+    assert state == ref.bit_generator.state
+
+
+def _chain(d):
+    net = ResourceNetwork(d, {v: f"n{v}" for v in range(12)},
+                          [Resource("bell", (v, v + 1)) for v in range(11)])
+    return plan_distribution(steiner_tree(net, [0, 11]), net)
+
+
+def _hub(d):
+    net = ResourceNetwork(d, {v: f"n{v}" for v in range(7)},
+                          [Resource("bell", (0, v)) for v in range(1, 7)])
+    return plan_distribution(steiner_tree(net, list(range(1, 7))), net)
+
+
+def _network14(d):
+    net = load_network(bundled_network_path())
+    return plan_distribution(steiner_tree(net, [1, 2, 5, 12, 13, 14]), net)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("schedule", [_chain, _hub, _network14],
+                         ids=["chain", "hub", "network14"])
+def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
+    sched = schedule(d)
+    ref, want = np.random.default_rng(d), []
+    live = {rid: res.parties for rid, res in sched.initial.items()}
+    for step in sched.steps:
+        law = network._step_law(d, *network._shape(step, live)).joint
+        (values,) = _choice_draws(law, ref, 1)
+        want.append((list(values), law.rows[values][0].label))
+        for rid in step.inputs:
+            del live[rid]
+        live[step.output_id] = step.output_parties
+    result, state = _made_generator(
+        monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
+    assert [(o["outcome"], o["correction"]) for o in result.outcomes] == want
+    assert state == ref.bit_generator.state

@@ -1,5 +1,8 @@
 """Gasket construction, merge schedules, and network analytics."""
 
+import hashlib
+import json
+
 import pytest
 
 from walknet.fractal import (
@@ -137,6 +140,26 @@ def test_neighbor_link_count_matches_graph():
     for t in (2, 3, 4):
         stats = brute_force_stats(build_quantum_network(t))
         assert stats["max_neighbor_link_error"] == 0.0
+
+
+# sha256 of json.dumps(brute_force_stats(build_quantum_network(t)), sort_keys=True),
+# recorded when each vertex's links were counted pair by pair over its
+# neighbours and every vertex's expected count was an exact Fraction
+BRUTE_FORCE_SHA256 = {
+    1: "1549b2d50a1bf27b0ae6629cb6ea864d43f48ae2b88c85fa1a7f7046d5cfdf9f",
+    2: "9ecab9af216abf781266a6200a7bd52a097be417185aa6abb48a04961ecb8a20",
+    3: "5e3a8e586e82f4923132e1362379d0cd3f5a6aa0e31c0dc95f05183d2ca7b142",
+    4: "cbeca25f06b00fee98e955b313dc1d09019bb2065b4c716416f419c5a91f1c95",
+    5: "02b593663ca886b65f63bf66abacc6081401be2e3950510161f0125f6c89f1e0",
+    6: "90899617241187fb5096759feac89bddb09fc0a5d84ba7aaa4280f51ac5d962e",
+}
+
+
+@pytest.mark.parametrize("t", sorted(BRUTE_FORCE_SHA256))
+def test_brute_force_stats_are_pinned(t):
+    stats = brute_force_stats(build_quantum_network(t))
+    digest = hashlib.sha256(json.dumps(stats, sort_keys=True).encode()).hexdigest()
+    assert digest == BRUTE_FORCE_SHA256[t]
 
 
 def test_average_degree_approaches_six():

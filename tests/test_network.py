@@ -258,11 +258,13 @@ def _arms_schedule(arms: int, d: int):
 
 
 def _spy_on_draws(monkeypatch) -> list:
-    """Record every step-law draw; returns the list the draws go into."""
+    """Record every step-law draw, one entry per drawn row of a block;
+    returns the list the draws go into."""
     calls = []
-    sample = network.StepLaw.sample
-    monkeypatch.setattr(network.StepLaw, "sample",
-                        lambda law, rng: calls.append(law) or sample(law, rng))
+    draw = network.StepLaw.draw
+    monkeypatch.setattr(network.StepLaw, "draw",
+                        lambda law, uniforms: calls.extend([law] * len(uniforms))
+                        or draw(law, uniforms))
     return calls
 
 
