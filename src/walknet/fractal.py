@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .protocols import StepLaw, compile_law, triangle_merge_stages
-from .qudit import QuditState, canonical_ghz
+from .qudit import QuditState, as_int, canonical_ghz
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -131,20 +131,21 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     triangle-merge stages of ``protocols``: coin-X walks across each shared
     corner at d = 2, the two-stage identity-coin merge at d > 2.  Every input
     triple is the canonical GHZ that the previous correction restored, so all
-    merges share one law, compiled once per d.  One ``rng.random((merges,
-    depth))`` block holds every merge's stage draws, one row per merge in
-    schedule order; ``StepLaw.draw`` maps the block to outcomes, and each
-    merge's correction is looked up.  ``fidelity`` is the last merge's
+    merges share one law, compiled once per d.  Each merge draws once, as the
+    dense sampler does on the merge's one-stage circuit: one
+    ``rng.random(merges)`` block holds every merge's uniform, in schedule
+    order; ``StepLaw.draw`` maps the block to outcomes, and each merge's
+    correction is looked up.  ``fidelity`` is the last merge's
     compile-time fidelity and ``final_state`` the canonical apex GHZ.
     """
+    n, d = as_int(n, "n"), as_int(d, "d")
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
     law = _merge_law(d)
     count = (3**n - 1) // 2   # the length of merge_schedule(n)
-    rows = [law.rows[values] for values in
-            law.draw(np.random.default_rng(seed).random((count, law.depth)))]
+    rows = [law.rows[values] for values in law.draw(np.random.default_rng(seed).random(count))]
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
         fidelity=rows[-1][1], final_state=canonical_ghz(d, 3),
@@ -306,16 +307,14 @@ CSV_HEADER = "t,vertices,edges,avg_degree,clustering_formula,clustering_brute"
 BRUTE_FORCE_MAX_T = 6
 
 
-def analytics(t: int, brute_force: bool | None = None) -> AnalyticsRecord:
+def analytics(t: int) -> AnalyticsRecord:
     """Closed-form analytics of F(t); constructed-graph cross-check for t <= 6.
 
     Valid for 1 <= t <= 30 (graph construction itself stops at t = 10; above
-    that only the closed forms are meaningful, which is why the brute-force
-    block is optional)."""
+    that only the closed forms are meaningful, so only t <= BRUTE_FORCE_MAX_T
+    carries the brute-force block)."""
     if not 1 <= t <= 30:
         raise ValueError("t must be in [1, 30]")
-    if brute_force is None:
-        brute_force = t <= BRUTE_FORCE_MAX_T
     degree_classes = []
     for t_i in range(1, t + 1):
         k = degree_of_generation(t, t_i)
@@ -340,9 +339,7 @@ def analytics(t: int, brute_force: bool | None = None) -> AnalyticsRecord:
         degree_classes=degree_classes,
         cumulative=cumulative,
     )
-    if brute_force:
-        if t > BRUTE_FORCE_MAX_T:
-            raise ValueError(f"brute force capped at t <= {BRUTE_FORCE_MAX_T}")
+    if t <= BRUTE_FORCE_MAX_T:
         record.brute = brute_force_stats(build_quantum_network(t))
     return record
 

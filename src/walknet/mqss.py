@@ -42,6 +42,7 @@ from .qudit import (
     QuditState,
     SizeCapError,
     apply,
+    as_int,
     basis_state,
     canonical_bell,
     fourier_inv_op,
@@ -63,6 +64,8 @@ class MqssConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("d", "participants", "detect_pairs"):
+            as_int(getattr(self, name), name)
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.participants < 2:

@@ -51,6 +51,7 @@ from .qudit import (
     SIZE_CAP,
     Basis,
     QuditState,
+    as_int,
     canonical_ghz,
     identity_op,
 )
@@ -259,7 +260,7 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
     ``exact=True`` searches non-terminal subsets exhaustively (allowed up to
     16 non-terminals) and returns a provably edge-minimal tree.
     """
-    terminals = sorted(set(int(t) for t in terminals))
+    terminals = sorted({as_int(t, "terminal", NetworkError) for t in terminals})
     if not terminals:
         raise NetworkError("terminal set is empty")
     for t in terminals:
@@ -605,8 +606,8 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     """Compiled law of one step shape (``_step_circuit``'s arguments after d),
     run on canonical inputs: a pair merge or a release as its one stage, a
     star merge coin by coin (``split_stage``), each coin read right after its
-    walk.  The law draws once per sub-stage; its ``joint`` view is the
-    one-stage law, and seeded steps draw from ``law.joint``."""
+    walk.  The sub-stages only bound the live register: the law is the
+    one-stage law, and a seeded step draws once from it."""
     inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
                                                      n_coins, codes)
     add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
@@ -630,11 +631,11 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     resource over the terminals (none for a lone terminal).  A bad schedule is
     refused there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
-    simulated: one sampled branch per step.  One ``rng.random`` call, made
-    after the checks and the cap refusal, holds every step's draw, in step
-    order; the steps of one shape are located as one block in the joint table
-    of its compiled law (``StepLaw.draw`` on the ``joint`` view), in the
-    dense one-stage sampler's outcome order, and their corrections looked up.
+    simulated: one sampled branch per step.  One ``rng.random(steps)`` call,
+    made after the checks and the cap refusal, holds every step's one draw, in
+    step order; the steps of one shape are located as one block in the table
+    of its compiled law (``StepLaw.draw``), in the dense one-stage sampler's
+    outcome order, and their corrections looked up.
     ``step_fidelity`` is the drawn branch's compile-time dense fidelity, and
     ``fidelity`` the last step's; ``final_state`` is the canonical GHZ that
     the last correction restores.
@@ -644,6 +645,7 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
+    d = as_int(d, "d", NetworkError)
     if d < 2:
         raise NetworkError("d must be >= 2")
     terminals = schedule.terminals
@@ -690,13 +692,13 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
             raise NetworkError(
                 f"step at node {entry['node']} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
-    uniforms = np.random.default_rng(seed).random((len(shapes), 1))  # one draw per step
+    uniforms = np.random.default_rng(seed).random(len(shapes))  # one draw per step
     steps_of: dict = {}
     for i, shape in enumerate(shapes):
         steps_of.setdefault(shape, []).append(i)
     drawn = [None] * len(shapes)
     for shape, at in steps_of.items():  # a shape's steps draw as one block
-        law = _step_law(d, *shape).joint
+        law = _step_law(d, *shape)
         for i, values in zip(at, law.draw(uniforms[at])):
             drawn[i] = values, *law.rows[values]
     outcomes = [{"node": step.node, "action": step.action,

@@ -62,9 +62,10 @@ resource is added, then runs the stages and yields each residual over
 ``outputs``, in that order: exhaustively here, one Born-sampled branch per
 stage for the secret-sharing GHZ generation.  One loop corrects every
 exhaustive branch and scores a last stage's branches as one block, for
-``run_protocol`` and for ``compile_law``, whose ``StepLaw`` tables the gasket
+``run_protocol`` and for ``compile_law``, whose ``StepLaw`` table the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
-instead of amplitudes, a whole schedule from one block of uniforms
+instead of amplitudes: one uniform per merge, as the dense sampler draws on
+the merge's one-stage circuit, a whole schedule from one block of uniforms
 (``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages that read
 each target as soon as no later gate touches it: the network star merges and
 the secret-sharing GHZ generation read each coin right after its walk.
@@ -87,6 +88,7 @@ from .qudit import (
     OperatorMatrix,
     QuditState,
     apply,
+    as_int,
     canonical_bell,
     canonical_ghz,
     check_cap,
@@ -144,6 +146,9 @@ class ProtocolSpec:
 
     def validate(self) -> None:
         kd, K, m, n, k, l = self.kind, ProtocolKind, self.m, self.n, self.k, self.l
+        counts = [(name, getattr(self, name)) for name in ("d", "m", "n", "k", "l", "bells")]
+        for name, value in counts + [("bell label", x) for x in self.bell_labels]:
+            as_int(value, name)
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.d != 2 and kd in (K.BELL_SWAP_2D, K.GHZ_SWAP_2D, K.MERGE_METHOD_1,
@@ -337,17 +342,13 @@ class Stage:
     targets: tuple = ()
 
 
-def run_stages(stages, outputs, rng: np.random.Generator | None = None,
-               law: dict | None = None):
+def run_stages(stages, outputs, rng: np.random.Generator | None = None):
     """Run a walk circuit; yield (values, probability, residual) per branch.
 
     Without ``rng`` every nonzero branch comes out, in outcome order; values
     are the results of all stages' targets in order and the probability is
     their product.  With ``rng`` each stage draws its one Born-sampled branch
-    (one draw per stage), so exactly one branch comes out.  An exhaustive
-    run's ``law`` dict receives every stage's branch point, keyed by the
-    values before it: the stage's kept values and their probabilities, the
-    outcomes and the array a sampled run draws from.
+    (one draw per stage), so exactly one branch comes out.
 
     The circuit names its outputs: the residual is the ``QuditState`` over
     ``outputs``, in that order, or None when every particle is read.  The size
@@ -358,7 +359,7 @@ def run_stages(stages, outputs, rng: np.random.Generator | None = None,
     standing for these idle ones, so gates and measurements never sweep them.
     """
     outputs = tuple(outputs)
-    for values, prob, branches, sites, copies in _blocks(stages, outputs, rng, law):
+    for values, prob, branches, sites, copies in _blocks(stages, outputs, rng):
         for br in branches:
             post = None if br.post is None else QuditState.unchecked(
                 br.post.d, len(outputs), _spread(br.post.amps, br.post.d, sites, outputs, copies))
@@ -375,7 +376,7 @@ def _peak(stages) -> int:
     return peak
 
 
-def _blocks(stages, outputs, rng, law):
+def _blocks(stages, outputs, rng):
     """Per last stage: (values, probability, branches, compact sites, copies)."""
     stages = tuple(stages)
     if stages:
@@ -386,10 +387,10 @@ def _blocks(stages, outputs, rng, law):
     if len(outputs) != len(unread) or set(outputs) != set(unread):
         raise ValueError(f"outputs {outputs} are not the circuit's unread particles {unread}")
     touched = read | {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
-    return _run(stages, (), 1.0, None, (), {}, rng, law, touched)
+    return _run(stages, (), 1.0, None, (), {}, rng, touched)
 
 
-def _run(stages, values, prob, state, sites, copies, rng, law, touched):
+def _run(stages, values, prob, state, sites, copies, rng, touched):
     stage = stages[0]
     for resource, labels in stage.add:
         part, part_sites, part_copies = _compact(resource, tuple(labels), touched)
@@ -404,14 +405,12 @@ def _run(stages, values, prob, state, sites, copies, rng, law, touched):
     del state
     read = {lab for lab, _ in stage.targets}
     sites = tuple(lab for lab in sites if lab not in read)
-    if law is not None:
-        law[values] = tuple(map(tuple, branches.values.tolist())), branches.probs
     if len(stages) == 1:
         yield values, prob, branches, sites, copies
         return
     for br in branches:
         yield from _run(stages[1:], values + br.outcome, prob * br.probability,
-                        br.post, sites, copies, rng, law, touched)
+                        br.post, sites, copies, rng, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -546,93 +545,37 @@ CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 class StepLaw:
     """A walk circuit's outcome law and corrections, compiled once.
 
-    ``draws`` maps the values drawn so far to the next stage's kept values
-    and their normalized probabilities; ``rows`` maps every kept outcome to
-    its GHZ correction and the corrected state's fidelity.  Every path
-    through the law makes ``depth`` draws.  The probabilities are checked
-    here, once, as ``Generator.choice`` checks them on every call.
+    ``outcomes`` lists every kept outcome in outcome order and ``probs``
+    their normalized probabilities; ``rows`` maps each outcome to its GHZ
+    correction and the corrected state's fidelity.  The probabilities are
+    checked here, once, as ``Generator.choice`` checks them on every call,
+    and ``cdf`` is their cumulative table, ``cumsum(p) / cumsum(p)[-1]`` as
+    ``choice`` builds it.
     """
 
-    draws: dict
+    outcomes: tuple
+    probs: np.ndarray
     rows: dict
-    depth: int = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for values, (_, p) in self.draws.items():
-            p = np.asarray(p, dtype=float)
-            if not np.isfinite(p).all() or (p < 0).any() or abs(math.fsum(p) - 1) > CHOICE_SUM_TOL:
-                raise ValueError(f"draw point {values}: probabilities are not finite, "
-                                 "non-negative and summing to 1")
-
-        def depth(values):
-            if values not in self.draws:
-                return 0
-            depths = {depth(values + vals) for vals in self.draws[values][0]}
-            if len(depths) != 1:
-                raise ValueError(f"paths after {values} differ in draw count: {sorted(depths)}")
-            return 1 + depths.pop()
-
-        object.__setattr__(self, "depth", depth(()))
-
-    @cached_property
-    def tables(self) -> dict:
-        """Per draw point: its cumulative table, ``cumsum(p) / cumsum(p)[-1]``
-        as ``Generator.choice`` builds it, and the values drawn so far after
-        each entry.  Built on the first draw: a split star merge's law is
-        only ever drawn through its ``joint`` view."""
-        tables = {}
-        for values, (kept, p) in self.draws.items():
-            cdf = np.cumsum(p, dtype=float)
-            tables[values] = cdf / cdf[-1], np.fromiter(
-                (values + vals for vals in kept), dtype=object, count=len(kept))
-        return tables
-
-    @cached_property
-    def joint(self) -> StepLaw:
-        """The same law with one draw point: every kept outcome in draw order
-        (outcome order) with its joint probability, the product of its stage
-        draws'.  A law that already draws once is its own ``joint``."""
-        if len(self.draws) == 1:
-            return self
-
-        def leaves(values, prob):
-            if values not in self.draws:
-                yield values, prob
-                return
-            kept, p = self.draws[values]
-            for vals, q in zip(kept, p.tolist()):
-                yield from leaves(values + vals, prob * q)
-
-        kept, probs = zip(*leaves((), 1.0))
-        return StepLaw({(): (kept, np.array(probs))}, self.rows)
+        p = np.asarray(self.probs, dtype=float)
+        if not np.isfinite(p).all() or (p < 0).any() or abs(math.fsum(p) - 1) > CHOICE_SUM_TOL:
+            raise ValueError("probabilities are not finite, non-negative and summing to 1")
+        cdf = np.cumsum(p)
+        object.__setattr__(self, "cdf", cdf / cdf[-1])
 
     def draw(self, uniforms: np.ndarray) -> list[tuple[int, ...]]:
-        """The kept outcome of each row of a (count, depth) block of uniforms.
-
-        Column j of a row is its j-th draw, located in its draw point's
-        cumulative table with ``searchsorted(..., side="right")``, one call
-        per draw point, rows grouped by the values drawn before it.  That is
-        how ``rng.choice(len(p), p=p)`` locates its one ``rng.random()``, so
-        the rows of ``rng.random((count, depth))`` land where ``count`` runs
-        of one ``choice`` per draw point land, and leave the generator where
-        they leave it."""
-        out = np.empty(len(uniforms), dtype=object)
-        groups = [((), np.arange(len(uniforms)))]
-        for column in range(self.depth):
-            last, reached = column == self.depth - 1, []
-            for values, rows in groups:
-                cdf, after = self.tables[values]
-                at = np.searchsorted(cdf, uniforms[rows, column], side="right")
-                if last:
-                    out[rows] = after[at]
-                else:  # np.bincount, not np.unique, which imports numpy.ma
-                    reached += [(after[i], rows[at == i])
-                                for i in np.flatnonzero(np.bincount(at)).tolist()]
-            groups = reached
-        return out.tolist()
+        """The kept outcome of each of a block of uniforms, located in ``cdf``
+        with ``searchsorted(..., side="right")``.  That is how
+        ``rng.choice(len(p), p=p)`` locates its one ``rng.random()``, so
+        ``rng.random(count)`` lands where ``count`` ``choice`` calls land and
+        leaves the generator where they leave it."""
+        at = np.searchsorted(self.cdf, uniforms, side="right").tolist()
+        return [self.outcomes[i] for i in at]
 
 
-def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = None):
+def _corrected(stages, outputs, closed=lambda values: None):
     """Yield, per last stage, its exhaustive branches as one block: (values,
     probabilities, rows, residual, corrections, fidelities), with ``rows`` the
     compact rows and ``residual(i)`` branch i's residual over ``outputs``,
@@ -642,7 +585,7 @@ def _corrected(stages, outputs, closed=lambda values: None, law: dict | None = N
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
     outputs, spread = tuple(outputs), {}
-    for prefix, prob, block, sites, copies in _blocks(stages, outputs, None, law):
+    for prefix, prob, block, sites, copies in _blocks(stages, outputs, None):
         d, n, rows = block.d, len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
         values = [prefix + tuple(v) for v in block.values.tolist()]
@@ -681,18 +624,22 @@ def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def compile_law(stages, outputs) -> StepLaw:
-    """Run ``stages`` exhaustively once and tabulate every kept outcome; each
-    leaf's derived correction must restore the canonical GHZ over ``outputs``
-    at fidelity >= 1 - FIDELITY_TOL.  The ``StepLaw`` checks its draw
-    probabilities and its depth once, here."""
-    draws: dict = {}
-    rows = {}
-    for outcomes, _, _, _, corrs, fids in _corrected(stages, outputs, law=draws):
+    """Run ``stages`` exhaustively once and tabulate every kept outcome with
+    its probability, the product of its stages'; each leaf's derived
+    correction must restore the canonical GHZ over ``outputs`` at fidelity
+    >= 1 - FIDELITY_TOL.  By deferred measurement this is the law of the one
+    stage that runs every stage's adds, gates and targets in order, so the
+    ``StepLaw`` draws once per run; the stages only bound the live register
+    while compiling."""
+    probs, rows = [], {}
+    for outcomes, block_probs, _, _, corrs, fids in _corrected(stages, outputs):
         for values, corr, fid in zip(outcomes, corrs, fids):
             if fid < 1 - FIDELITY_TOL:
                 raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
             rows[values] = (corr, fid)
-    return StepLaw({k: (kept, p / p.sum()) for k, (kept, p) in draws.items()}, rows)
+        probs += block_probs
+    p = np.array(probs)
+    return StepLaw(tuple(rows), p / p.sum(), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,13 @@ def check_cap(d: int, n: int) -> None:
         raise SizeCapError(f"state of {n} sites at d={d} exceeds the size cap")
 
 
+def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int if it is a Python or numpy integer, not a bool; else ``error``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuditState:
     """Normalized pure state of ``n`` sites with local dimension ``d``."""

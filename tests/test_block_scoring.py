@@ -7,9 +7,10 @@ loop: every branch's register expanded to a dense residual over the outputs,
 its correction's support gathered and dotted one leaf at a time.  Both must
 give the same outcomes in the same order, bitwise-equal probabilities and
 residuals, equal corrections and fidelities within 1e-12; ``compile_law``
-must give equal draws and rows.  ``qudit.apply`` runs one-site ops on a
-(before, site, after) view and several-site ops on one axis per op site and
-gap; the reference there is a tensordot with the dense ``op.mat``.
+must give equal outcomes, probabilities and rows.  ``qudit.apply`` runs
+one-site ops on a (before, site, after) view and several-site ops on one axis
+per op site and gap; the reference there is a tensordot with the dense
+``op.mat``.
 """
 
 import sys
@@ -59,8 +60,8 @@ TOL = 1e-12
 # the per-leaf reference
 # ---------------------------------------------------------------------------
 
-def per_leaf(stages, outputs, closed=lambda values: None, law=None):
-    for values, prob, state in run_stages(stages, outputs, law=law):
+def per_leaf(stages, outputs, closed=lambda values: None):
+    for values, prob, state in run_stages(stages, outputs):
         corr = closed(values) or derive_ghz_correction(state)
         src, phase, ghz = protocols._support_map(state.d, state.n, corr.ops)
         yield (values, prob, state, corr,
@@ -127,7 +128,7 @@ def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
         stages, outputs = protocols._circuit(spec)
-        return any(copies for *_, copies in protocols._blocks(stages, outputs, None, None))
+        return any(copies for *_, copies in protocols._blocks(stages, outputs, None))
 
     kinds = {spec.kind for spec in SPECS if has_copies(spec)}
     assert {K.GHZ_PARALLEL_D, K.MERGE_METHOD_1, K.GHZ_MULTI_COIN_D} <= kinds
@@ -205,13 +206,11 @@ def test_compiled_laws_match_the_per_leaf_loop():
     assert len(circuits) >= 10
     for stages, outputs in circuits:
         law = compile_law(stages, outputs)
-        draws = {}
-        rows = {values: (corr, fid) for values, _, _, corr, fid in
-                per_leaf(stages, outputs, law=draws)}
-        assert law.draws.keys() == draws.keys()
-        for key, (kept, p) in draws.items():
-            assert law.draws[key][0] == kept
-            assert np.array_equal(law.draws[key][1], p / p.sum())
+        leaves = list(per_leaf(stages, outputs))
+        rows = {values: (corr, fid) for values, _, _, corr, fid in leaves}
+        p = np.array([prob for _, prob, *_ in leaves])
+        assert law.outcomes == tuple(rows)
+        assert np.array_equal(law.probs, p / p.sum())
         assert list(law.rows) == list(rows)
         for values, (corr, fid) in rows.items():
             got_corr, got_fid = law.rows[values]

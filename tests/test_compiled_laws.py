@@ -6,7 +6,8 @@ branch's correction and carries the corrected state on.  For every step
 shape that the pinned workloads reach, the compiled law must list the dense
 step's kept outcomes in the same order, with equal probabilities, correction
 labels and global phases; and a compiled run must leave the generator where
-the dense run leaves it, with the same outcomes and corrections.
+the dense run leaves it, with the same outcomes and corrections.  A merge
+draws once, so the dense gasket merge runs its two qudit stages as one.
 """
 
 import numpy as np
@@ -38,14 +39,7 @@ TOL = 1e-9
 
 def _leaves(law):
     """(outcome, probability, correction) of every kept outcome, in draw order."""
-    def walk(values, prob):
-        if values not in law.draws:
-            yield values, prob, law.rows[values][0]
-            return
-        kept, p = law.draws[values]
-        for vals, q in zip(kept, p):
-            yield from walk(values + vals, prob * q)
-    return list(walk((), 1.0))
+    return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
 
 
 def _assert_same_law(law, dense):
@@ -225,14 +219,23 @@ def test_terminal_root_and_local_pair(monkeypatch, d):
 # gasket: the dense triangle merge
 # ---------------------------------------------------------------------------
 
+def _one_stage_triangle(d, triples):
+    """The triangle merge as one stage: every stage's adds, gates and targets,
+    in order, the circuit a merge's one draw samples."""
+    stages = triangle_merge_stages(d, triples, qubit=d == 2)
+    return [Stage(*(sum((getattr(stage, name) for stage in stages), ())
+                    for name in ("add", "gates", "targets")))]
+
+
 def _dense_gasket(n, d, seed):
-    """Dense merge schedule: (corrections, generator state).  Each merge on
-    inherited triangles (level >= 2) is also checked exhaustively."""
+    """Dense merge schedule, one draw per merge on its one-stage circuit:
+    (corrections, generator state).  Each merge on inherited triangles
+    (level >= 2) is also checked exhaustively."""
     rng = np.random.default_rng(seed)
     states = {tri: canonical_ghz(d, 3) for tri in fractal.build_gasket(n).triangles}
     labels = []
     for step in fractal.merge_schedule(n):
-        stages = triangle_merge_stages(d, [states.pop(t) for t in step.inputs], qubit=d == 2)
+        stages = _one_stage_triangle(d, [states.pop(t) for t in step.inputs])
         if step.level >= 2:
             dense = [(values, prob, derive_ghz_correction(post))
                      for values, prob, post in run_stages(stages, ("a", "b", "c"))]
@@ -253,6 +256,17 @@ def test_gasket(monkeypatch, d):
     assert result.corrections == labels
     assert compiled_state == state
     assert result.fidelity >= 1 - TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gasket_law_is_the_one_stage_triangle_law(d):
+    # at d >= 3 the law compiles from two stages but draws once, as the dense
+    # sampler draws on the one stage that runs both
+    (stage,) = _one_stage_triangle(d, [canonical_ghz(d, 3)] * 3)
+    assert len(stage.targets) == 6
+    dense = [(values, prob, derive_ghz_correction(post))
+             for values, prob, post in run_stages([stage], ("a", "b", "c"))]
+    _assert_same_law(fractal._merge_law(d), dense)
 
 
 # ---------------------------------------------------------------------------

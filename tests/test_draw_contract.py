@@ -3,13 +3,12 @@
 ``qudit.sample_branch`` draws one kept branch with ``rng.choice(len(p),
 p=p)``.  On numpy 2.4 that call takes one ``rng.random()`` and locates it in
 the normalized cumulative sum of ``p``.  ``StepLaw.draw`` does the same
-without ``choice``: it maps a (count, depth) block of uniforms, taken in one
-``rng.random`` call, to kept outcomes, so a schedule's draws must land where
-one ``choice`` per draw point lands and leave the generator in the same
-state.  This pins both halves, on the compiled laws and on whole gasket and
-network schedules, against a scalar ``choice`` reference written here, so a
-numpy release that changes ``choice`` fails here rather than silently moving
-seeded outcomes.  A network step draws once, from its law's ``joint`` view.
+without ``choice``: it maps a block of uniforms, taken in one ``rng.random``
+call, to kept outcomes, so a schedule's draws must land where one ``choice``
+per merge lands and leave the generator in the same state.  This pins both
+halves, on the compiled laws and on whole gasket and network schedules,
+against a scalar ``choice`` reference written here, so a numpy release that
+changes ``choice`` fails here rather than silently moving seeded outcomes.
 """
 
 import numpy as np
@@ -49,16 +48,8 @@ def _star_merge_law(d):
 
 
 def _choice_draws(law, rng, count):
-    """``count`` kept outcomes drawn the scalar way: one ``rng.choice`` per
-    draw point, stage by stage."""
-    out = []
-    for _ in range(count):
-        values = ()
-        while values in law.draws:
-            kept, p = law.draws[values]
-            values += kept[rng.choice(len(kept), p=p)]
-        out.append(values)
-    return out
+    """``count`` kept outcomes drawn the scalar way: one ``rng.choice`` each."""
+    return [law.outcomes[rng.choice(len(law.outcomes), p=law.probs)] for _ in range(count)]
 
 
 def _made_generator(monkeypatch, run):
@@ -77,20 +68,16 @@ LAWS = {
     "network-step": lambda: _network_step_law(3),
     "star-merge-d2": lambda: _star_merge_law(2),
     "star-merge-d3": lambda: _star_merge_law(3),
-    "star-merge-joint-d2": lambda: _star_merge_law(2).joint,
-    "star-merge-joint-d3": lambda: _star_merge_law(3).joint,
 }
 
 
-@pytest.mark.parametrize("name", ["gasket-merge", "network-step",
-                                  "star-merge-joint-d2", "star-merge-joint-d3"])
+@pytest.mark.parametrize("name", sorted(LAWS))
 def test_choice_is_one_uniform_located_in_the_cumulative_sum(name):
-    law = LAWS[name]()
-    arrays = [p for _, p in law.draws.values()]
-    assert arrays and all(len(p) > 1 for p in arrays)
+    p = LAWS[name]().probs
+    assert len(p) > 1
     for seed in range(4):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for p in arrays * 8:
+        for _ in range(8):
             cdf = np.cumsum(p)
             want = np.searchsorted(cdf / cdf[-1], ref.random(), side="right")
             assert rng.choice(len(p), p=p) == want
@@ -102,7 +89,7 @@ def test_batched_draws_equal_scalar_choice(name):
     law = LAWS[name]()
     for seed, count in [(0, 1), (1, 7), (2, 200), (3, 0)]:
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert law.draw(rng.random((count, law.depth))) == _choice_draws(law, ref, count)
+        assert law.draw(rng.random(count)) == _choice_draws(law, ref, count)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -111,11 +98,9 @@ def test_one_outcome_draw_point_consumes_one_uniform():
     assert rng.choice(1, p=[1.0]) == 0
     ref.random()
     assert rng.bit_generator.state == ref.bit_generator.state
-    # the batched sampler takes that uniform too, on each of two stages
-    law = StepLaw({(): (((4,),), np.array([1.0])), (4,): (((0,), (1,)), np.array([0.5, 0.5]))},
-                  {(4, 0): None, (4, 1): None})
-    assert law.depth == 2
-    assert law.draw(rng.random((9, law.depth))) == _choice_draws(law, ref, 9)
+    # the batched sampler takes that uniform too, once per draw
+    law = StepLaw(((4, 0),), np.array([1.0]), {(4, 0): None})
+    assert law.draw(rng.random(9)) == _choice_draws(law, ref, 9) == [(4, 0)] * 9
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -125,14 +110,7 @@ def test_laws_refuse_what_choice_refuses(p):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(2, p=p)
     with pytest.raises(ValueError, match="not finite, non-negative and summing to 1"):
-        StepLaw({(): (((0,), (1,)), np.array(p))}, {})
-
-
-def test_laws_refuse_paths_of_different_draw_counts():
-    # outcome (0,) ends after one draw, outcome (1,) draws again
-    draws = {(): (((0,), (1,)), np.array([0.5, 0.5])), (1,): (((0,),), np.array([1.0]))}
-    with pytest.raises(ValueError, match=r"differ in draw count: \[0, 1\]"):
-        StepLaw(draws, {})
+        StepLaw(((0,), (1,)), np.array(p), {})
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -173,7 +151,7 @@ def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
     ref, want = np.random.default_rng(d), []
     live = {rid: res.parties for rid, res in sched.initial.items()}
     for step in sched.steps:
-        law = network._step_law(d, *network._shape(step, live)).joint
+        law = network._step_law(d, *network._shape(step, live))
         (values,) = _choice_draws(law, ref, 1)
         want.append((list(values), law.rows[values][0].label))
         for rid in step.inputs:

@@ -3,8 +3,10 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from walknet import fractal
 from walknet.fractal import (
     CLUSTERING_LIMIT,
     analytics,
@@ -96,6 +98,19 @@ def test_executed_merges_follow_the_schedule(n):
 def test_execute_merge_schedule_range_check(n):
     with pytest.raises(ValueError):
         execute_merge_schedule(n)
+
+
+@pytest.mark.parametrize("n, d, named", [(2, 3.0, "d 3.0"), (True, 2, "n True"),
+                                         (2.0, 2, "n 2.0"), (1, "3", "d '3'")])
+def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch, n, d, named):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    monkeypatch.setattr(fractal, "_merge_law", lambda *a: pytest.fail("compiled"))
+    with pytest.raises(ValueError, match=f"{named} is not an integer"):
+        execute_merge_schedule(n, d=d)
+    monkeypatch.undo()
+    # numpy integers are counts
+    got = execute_merge_schedule(np.int64(2), d=np.int32(3), seed=4)
+    assert got.corrections == execute_merge_schedule(2, d=3, seed=4).corrections
 
 
 def test_merge_execution_seeded_determinism():
@@ -216,8 +231,6 @@ def test_analytics_range_checks():
         analytics(0)
     with pytest.raises(ValueError):
         analytics(31)
-    with pytest.raises(ValueError):
-        analytics(8, brute_force=True)
     rec = analytics(8)  # above the brute-force cap: closed forms only
     assert rec.brute is None
 

@@ -194,6 +194,19 @@ def test_config_validation():
         MqssConfig(d=2, participants=2, secret=0, eavesdrop_channel=5).validate()
 
 
+@pytest.mark.parametrize("field, bad", [("d", 3.0), ("participants", 2.0),
+                                        ("detect_pairs", True), ("d", "3")])
+def test_config_refuses_non_integer_counts_before_any_work(monkeypatch, field, bad):
+    config = MqssConfig(**{"d": 3, "participants": 2, "secret": 1, field: bad})
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    for run in (config.validate, lambda: run_mqss(config)):
+        with pytest.raises(ValueError, match=f"{field} {bad!r} is not an integer"):
+            run()
+    monkeypatch.undo()
+    # numpy integers are counts
+    MqssConfig(d=np.int64(3), participants=np.int32(2), secret=1).validate()
+
+
 def test_run_mqss_wrong_reconstruction_raises(monkeypatch):
     monkeypatch.setattr(mqss, "reconstruct", lambda *args: 12345)
     with pytest.raises(AssertionError, match="reconstructed 12345"):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from walknet import network, protocols
@@ -434,6 +435,28 @@ def test_dimension_below_two_refused_in_both_modes(monkeypatch, net14, mode, d):
     with pytest.raises(NetworkError, match="d must be >= 2"):
         execute_schedule(schedule, mode, d=d, seed=0)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "simulated"])
+@pytest.mark.parametrize("d", [3.0, True, "3"], ids=repr)
+def test_non_integer_dimension_refused_before_any_draw(monkeypatch, net14, mode, d):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    monkeypatch.setattr(network, "_step_law", lambda *a: pytest.fail("compiled"))
+    with pytest.raises(NetworkError, match=re.escape(f"d {d!r} is not an integer")):
+        distribute(net14, [1, 2, 5], mode=mode, d=d)
+    monkeypatch.undo()
+    # numpy integers are dimensions
+    _, _, got = distribute(net14, [1, 2, 5], mode=mode, d=np.int64(3), seed=4)
+    _, _, want = distribute(net14, [1, 2, 5], mode=mode, d=3, seed=4)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "1"], ids=repr)
+def test_steiner_tree_accepts_only_integer_terminals(net14, bad):
+    with pytest.raises(NetworkError, match=re.escape(f"terminal {bad!r} is not an integer")):
+        steiner_tree(net14, [5, bad])
+    # numpy integers are node ids
+    assert steiner_tree(net14, np.array([1, 2, 5])) == steiner_tree(net14, [1, 2, 5])
 
 
 @pytest.mark.parametrize("bad", [2.7, 1.0, True, "2"], ids=repr)

@@ -341,6 +341,22 @@ def test_spec_validation_errors():
         ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=3, retain_coins=True).validate()
 
 
+@pytest.mark.parametrize("spec, named", [
+    (ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=3.0), "d 3.0"),
+    (ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3.0, n=3, k=1), "m 3.0"),
+    (ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=3, bells=True), "bells True"),
+    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=(0, 1.0, 0, 0)), "bell label 1.0"),
+], ids=["d", "m", "bells", "bell-label"])
+def test_spec_refuses_non_integer_counts_before_any_stage(monkeypatch, spec, named):
+    for name in ("tensor", "apply", "measure_all_branches"):
+        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    for run in (spec.validate, lambda: run_protocol(spec)):
+        with pytest.raises(ValueError, match=f"{named} is not an integer"):
+            run()
+    # numpy integers are counts
+    ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=np.int64(3)).validate()
+
+
 def test_result_serialization():
     res = run_protocol(ProtocolSpec(ProtocolKind.BELL_SWAP_2D))
     blob = res.to_dict()

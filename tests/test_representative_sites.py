@@ -5,8 +5,8 @@ representative site and expands them through the copy isometry only in the
 residuals it yields over the named outputs.  The reference here is a
 test-local copy of the dense interpreter, which carries every particle as a
 site: for each circuit both runs must yield the same values in the same
-order, probabilities and post amplitudes within 1e-12, the same output labels
-in the same order, and equal ``law`` dicts.
+order, probabilities and post amplitudes within 1e-12, and the same output
+labels in the same order.
 """
 
 import sys
@@ -75,7 +75,7 @@ class DenseRegister:
             yield br.outcome, br.probability, post
 
 
-def dense_run(stages, rng=None, law=None):
+def dense_run(stages, rng=None):
     def run(stages, values, prob, reg):
         if not stages:
             yield values, prob, reg
@@ -85,11 +85,7 @@ def dense_run(stages, rng=None, law=None):
             reg = DenseRegister(state, labels) if reg is None else reg.add(state, labels)
         for gate in stage.gates:
             reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
-        branches = list(reg.measure(stage.targets, rng))
-        if law is not None:
-            law[values] = (tuple(v for v, _, _ in branches),
-                           np.array([p for _, p, _ in branches]))
-        for vals, p, post in branches:
+        for vals, p, post in reg.measure(stage.targets, rng):
             yield from run(stages[1:], values + vals, prob * p, post)
 
     yield from run(tuple(stages), (), 1.0, None)
@@ -105,9 +101,9 @@ def unread(stages):
 def assert_same_run(stages):
     """Compare the two interpreters on ``stages``, over the dense run's output
     order; return (post, compact sites, copy map) per branch."""
-    law, ref_law, outputs = {}, {}, unread(stages)
-    got = list(run_stages(stages, outputs, law=law))
-    want = list(dense_run(stages, law=ref_law))
+    outputs = unread(stages)
+    got = list(run_stages(stages, outputs))
+    want = list(dense_run(stages))
     assert [v for v, _, _ in got] == [v for v, _, _ in want]
     for (_, p, post), (_, q, ref) in zip(got, want):
         assert abs(p - q) <= TOL
@@ -116,12 +112,8 @@ def assert_same_run(stages):
             continue
         assert outputs == ref.labels
         assert np.abs(post.amps - ref.state.amps).max() <= TOL
-    assert law.keys() == ref_law.keys()
-    for key, (kept, probs) in law.items():
-        assert kept == ref_law[key][0]
-        assert np.abs(probs - ref_law[key][1]).max() <= TOL
     layouts = [(sites, copies) for *_, branches, sites, copies
-               in protocols._blocks(stages, outputs, None, None) for _ in branches]
+               in protocols._blocks(stages, outputs, None) for _ in branches]
     return [(post, *layout) for (_, _, post), layout in zip(got, layouts, strict=True)]
 
 

@@ -1,9 +1,12 @@
 """Golden outputs of the Born-sampled paths.
 
-Every sampled path draws one branch per measurement with the same
-``rng.choice`` over the same probability array, so these seeded outcomes
-must stay byte-identical when the sampler's internals change.
+Every sampled path draws one branch per draw with the same ``rng.choice``
+over the same probability array: a network step or a gasket merge draws
+once, over its one-stage circuit's law.  These seeded outcomes must stay
+byte-identical when the sampler's internals change.
 """
+
+import hashlib
 
 import pytest
 
@@ -51,8 +54,19 @@ def test_random_tree_outcomes():
 def test_gasket_merge_corrections():
     result = fractal.execute_merge_schedule(2, d=3, seed=4)
     assert result.fidelity >= 1 - 1e-9
-    assert result.corrections == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,2]@1 U[0,1]@2 Z^2@0",
-                                  "U[0,2]@1 U[0,2]@2 Z^2@0", "U[0,1]@1 U[0,2]@2"]
+    assert result.corrections == ["U[0,2]@1 U[0,2]@2 Z^1@0", "U[0,1]@1 U[0,2]@2 Z^1@0",
+                                  "U[0,2]@1 Z^2@0", "U[0,2]@2 Z^2@0"]
+
+
+@pytest.mark.parametrize("d, digest", [
+    (2, "cb795eaf6c50eb1c43256721d902e41e5c81b54d0ef922f98adc3642faecf752"),
+    (3, "a7e203651c60cf0363689cd79f5a22715d4f9df8b312be463dda1bcea9e51a71"),
+    (4, "a551658d4291e77f1dfea0a943567d9c71afb86455599675c257c65ee16719ee"),
+    (5, "27fca0c4f58c4bf92316df4544df6b4678c0308f6957c2261b86f5dc5668b992")])
+def test_gasket_schedule_corrections_are_pinned(d, digest):
+    # 364 merges, one uniform each; the d = 2 stream predates the one-draw rule
+    corrections = fractal.execute_merge_schedule(6, d, seed=d).corrections
+    assert hashlib.sha256("\n".join(corrections).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("seed, coins, u0", [

@@ -5,9 +5,9 @@ target as soon as no later gate touches it, and ``network._step_law``
 compiles a star merge from that split: M + 3 live sites at most instead of
 2M + 2.  The reference is the one-stage compile of the same
 ``star_merge_stage``.  For every star-merge shape that the pinned workloads
-reach, the split law's ``joint`` view must list the one-stage law's kept
-outcomes in the same order, with joint probabilities and fidelities within
-1e-12, equal correction labels and global phases within 1e-9.
+reach, the split law must list the one-stage law's kept outcomes in the same
+order, with joint probabilities and fidelities within 1e-12, equal correction
+labels and global phases within 1e-9.
 """
 
 import tracemalloc
@@ -83,12 +83,10 @@ def _assert_split_law_matches(key):
 
 def _assert_same_law(stage, stages, outputs):
     whole, split = compile_law([stage], outputs), compile_law(stages, outputs)
-    assert whole.joint is whole
-    ((kept, p),), ((want, q),) = split.joint.draws.values(), whole.draws.values()
-    assert kept == want
-    assert np.abs(p - q).max() <= TOL
+    assert split.outcomes == whole.outcomes
+    assert np.abs(split.probs - whole.probs).max() <= TOL
     assert split.rows.keys() == whole.rows.keys()
-    for values in want:
+    for values in whole.outcomes:
         (corr, fid), (ref, ref_fid) = split.rows[values], whole.rows[values]
         assert corr.label == ref.label
         assert abs(corr.global_phase - ref.global_phase) <= 1e-9
