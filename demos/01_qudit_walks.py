@@ -41,12 +41,12 @@ for i, a in enumerate(state.amps):
         print(f"  |{i:04b}>  {a.real:+.2f}")
 
 print("\n== exhaustive measurement branching ==")
-branches = measure_all_branches(state, [(1, Basis.FOURIER), (2, Basis.COMPUTATIONAL)])
-for br in branches:
-    values = "".join(map(str, br.outcome))
-    kets = [f"{a.real:+.2f}|{i:02b}>" for i, a in enumerate(br.post.amps) if abs(a) > 1e-9]
-    print(f"  outcome {values}: p = {br.probability:.2f}, post state {' '.join(kets)}")
-print("total probability:", sum(b.probability for b in branches))
+# one block: a row of measured values, a probability and a post-state row per outcome
+block = measure_all_branches(state, [(1, Basis.FOURIER), (2, Basis.COMPUTATIONAL)])
+for values, p, post in zip(block.values.tolist(), block.probs.tolist(), block.posts):
+    kets = [f"{a.real:+.2f}|{i:02b}>" for i, a in enumerate(post) if abs(a) > 1e-9]
+    print(f"  outcome {''.join(map(str, values))}: p = {p:.2f}, post state {' '.join(kets)}")
+print("total probability:", sum(block.probs.tolist()))
 
 print("\n== the Fourier coin spreads a basis state uniformly ==")
 f = fourier_op(5)

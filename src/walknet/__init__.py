@@ -9,7 +9,6 @@ protocol, and per-qubit readout-error correction.
 
 from .qudit import (
     Basis,
-    Branch,
     Branches,
     OperatorMatrix,
     QuditState,

@@ -64,7 +64,10 @@ class MqssConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("d", "participants", "detect_pairs"):
+        names = ("d", "participants", "detect_pairs", "secret", "seed")
+        if self.eavesdrop_channel is not None:
+            names += ("eavesdrop_channel",)
+        for name in names:
             as_int(getattr(self, name), name)
         if self.d < 2:
             raise ValueError("d must be >= 2")
@@ -182,7 +185,7 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
     law, disagree = _pair_law(d, eavesdropper is not None)
     leaves = np.random.default_rng(seed).choice(len(law), size=pairs, p=law)
     rate = int(np.count_nonzero(disagree[leaves])) / pairs
-    return rate, rate > threshold
+    return rate, bool(rate > threshold)
 
 
 def intercept_resend_error_rate(d: int) -> float:
@@ -287,7 +290,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
-    t = MqssTranscript(d=config.d, participants=config.participants)
+    t = MqssTranscript(d=int(config.d), participants=int(config.participants))
 
     for k in range(1, config.participants + 1):
         rng.integers(2**31)  # one draw per link: a session's later seeds depend on it
@@ -302,7 +305,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                                     seed=int(rng.integers(2**31)),
                                     threshold=config.threshold)
         t.channel_checks.append({"channel": k, "error_rate": rate,
-                                 "pairs": config.detect_pairs,
+                                 "pairs": int(config.detect_pairs),
                                  "eavesdropper": eav, "abort": abort})
         t.events.append(f"step2: channel {k} error rate {rate:.4f}")
         if abort:
@@ -319,14 +322,14 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                     f"coin results known to dealer only")
 
     targets = [(i, Basis.COMPUTATIONAL) for i in range(state.n)]
-    *t.participant_results, t.dealer_result = sample_branch(state, targets, rng).outcome
+    *t.participant_results, t.dealer_result = sample_branch(state, targets, rng).values[0].tolist()
     t.events.append("step4: all parties measured their GHZ particle")
     for k, v in enumerate(t.participant_results, start=1):
         if v != (t.dealer_result + coins[k - 1]) % config.d:
             raise AssertionError(f"participant {k} result {v} does not match "
                                  f"the dealer's {t.dealer_result} + q~_{k}")
 
-    t.secret = config.secret
+    t.secret = int(config.secret)
     p = encode_public(config.secret, coins, t.dealer_result, config.participants)
     t.public_value = p
     t.events.append("step4: secret read for the first time; public value published")

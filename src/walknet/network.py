@@ -260,6 +260,7 @@ def steiner_tree(net: ResourceNetwork, terminals, exact: bool = False) -> Steine
     ``exact=True`` searches non-terminal subsets exhaustively (allowed up to
     16 non-terminals) and returns a provably edge-minimal tree.
     """
+    net.validate()
     terminals = sorted({as_int(t, "terminal", NetworkError) for t in terminals})
     if not terminals:
         raise NetworkError("terminal set is empty")
@@ -484,12 +485,7 @@ def plan_distribution(tree: SteinerTree, net: ResourceNetwork) -> SwapSchedule:
             (p,) = (w for w in cadj[v] if depth[w] < depth[v])
             up[v] = add(v, "star-merge", kid_res, bell[frozenset((v, p))],
                         "coin" if retain else None)
-        elif len(kid_res) == 1:
-            if not retain:
-                add(v, "release", kid_res)
-        elif len(kid_res) == 2 and not retain:
-            add(v, "pair-merge", kid_res[:1], kid_res[1])
-        else:
+        elif len(kid_res) > 1:  # a root with one kid is a terminal holding the GHZ
             position = next((r for r in kid_res if len(live[r]) == 2), None)
             if position is not None:
                 add(v, "star-merge", [r for r in kid_res if r != position], position,

@@ -245,11 +245,12 @@ class ProtocolResult:
         return self.min_fidelity >= 1 - tol and abs(self.total_probability - 1) <= 1e-9
 
     def to_dict(self) -> dict:
-        params = {name: list(v) if name == "bell_labels" else v
+        # numpy scalars as Python ones, the label tuple as a list
+        params = {name: np.asarray(v).tolist()
                   for name in SPEC_FIELDS[self.spec.kind] if (v := getattr(self.spec, name))}
         return {
             "protocol": self.spec.kind.value,
-            "d": self.spec.d,
+            "d": int(self.spec.d),
             "params": params,
             "measured": [[lab, basis.value] for lab, basis in self.measured],
             "outputs": list(self.output_labels),
@@ -359,11 +360,10 @@ def run_stages(stages, outputs, rng: np.random.Generator | None = None):
     standing for these idle ones, so gates and measurements never sweep them.
     """
     outputs = tuple(outputs)
-    for values, prob, branches, sites, copies in _blocks(stages, outputs, rng):
-        for br in branches:
-            post = None if br.post is None else QuditState.unchecked(
-                br.post.d, len(outputs), _spread(br.post.amps, br.post.d, sites, outputs, copies))
-            yield values + br.outcome, prob * br.probability, post
+    for values, prob, block, sites, copies in _blocks(stages, outputs, rng):
+        for i, (v, p) in enumerate(zip(block.values.tolist(), block.probs.tolist())):
+            yield values + tuple(v), prob * p, None if block.posts is None else _residual(
+                block.d, block.posts, sites, outputs, copies, i)
 
 
 def _peak(stages) -> int:
@@ -377,7 +377,7 @@ def _peak(stages) -> int:
 
 
 def _blocks(stages, outputs, rng):
-    """Per last stage: (values, probability, branches, compact sites, copies)."""
+    """Per last stage: (values, probability, ``Branches`` block, compact sites, copies)."""
     stages = tuple(stages)
     if stages:
         check_cap(stages[0].add[0][0].d, _peak(stages))
@@ -400,17 +400,18 @@ def _run(stages, values, prob, state, sites, copies, rng, touched):
         state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
                  if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
     targets = [(sites.index(lab), basis) for lab, basis in stage.targets]
-    branches = (measure_all_branches(state, targets) if rng is None
-                else [sample_branch(state, targets, rng)])
+    block = (measure_all_branches(state, targets) if rng is None
+             else sample_branch(state, targets, rng))
     del state
     read = {lab for lab, _ in stage.targets}
     sites = tuple(lab for lab in sites if lab not in read)
     if len(stages) == 1:
-        yield values, prob, branches, sites, copies
+        yield values, prob, block, sites, copies
         return
-    for br in branches:
-        yield from _run(stages[1:], values + br.outcome, prob * br.probability,
-                        br.post, sites, copies, rng, touched)
+    posts = [None] * len(block) if block.posts is None else [
+        QuditState.unchecked(block.d, block.n, row) for row in block.posts]
+    for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
+        yield from _run(stages[1:], values + tuple(v), prob * p, post, sites, copies, rng, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -584,7 +585,7 @@ def _corrected(stages, outputs, closed=lambda values: None):
     are scored against the canonical GHZ on the d residual amplitudes the
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
-    outputs, spread = tuple(outputs), {}
+    outputs, spread = tuple(outputs), None
     for prefix, prob, block, sites, copies in _blocks(stages, outputs, None):
         d, n, rows = block.d, len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
@@ -592,10 +593,9 @@ def _corrected(stages, outputs, closed=lambda values: None):
         corrs = [closed(v) or derive_ghz_correction(residual(i)) for i, v in enumerate(values)]
         src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
         if sites != outputs:  # each support index's row entry, or -1 outside V's image
-            key = sites, tuple(copies.items())  # one map per last-stage layout
-            if key not in spread:
-                spread[key] = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies)
-            src = spread[key][src] - 1
+            if spread is None:  # the last stage's layout is the same for every prefix
+                spread = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies) - 1
+            src = spread[src]
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
         fids = np.abs(np.conj(phase * amps) @ ghz[0]) ** 2

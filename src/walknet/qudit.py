@@ -13,7 +13,6 @@ shared freely across parallel workers.
 
 from __future__ import annotations
 
-from collections import UserList
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -128,37 +127,21 @@ class OperatorMatrix:
         return src, None if (phase == 1).all() else phase
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One outcome of an exhaustive measurement.
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """Kept branches of one measurement as one block: ``values`` (B x t ints,
+    in target order), ``probs`` (B) and ``posts`` (B rows of the renormalized
+    state over the n unmeasured sites, in their original relative order, or
+    None when every site was measured)."""
 
-    ``outcome`` holds the measured values as Python ints, in target order;
-    ``post`` is the renormalized state over the unmeasured sites (in their
-    original relative order), or None when every site was measured.
-    """
-
-    outcome: tuple[int, ...]
-    probability: float
-    post: QuditState | None
-
-
-class Branches(UserList):
-    """Every kept branch of one exhaustive measurement as one block: ``values``
-    (B x t ints, in target order), ``probs`` (B) and ``posts`` (B rows over the
-    n unmeasured sites, or None); as a list, ``Branch`` records built on first read."""
-
-    def __init__(self, d: int, n: int, values, probs, posts):
-        self.d, self.n, self.values, self.probs, self.posts = d, n, values, probs, posts
-
-    @cached_property
-    def data(self) -> list[Branch]:
-        posts = [None] * len(self.probs) if self.posts is None else [
-            QuditState.unchecked(self.d, self.n, row) for row in self.posts]
-        return [Branch(tuple(v), p, post)
-                for v, p, post in zip(self.values.tolist(), self.probs.tolist(), posts)]
+    d: int
+    n: int
+    values: np.ndarray
+    probs: np.ndarray
+    posts: np.ndarray | None
 
     def __len__(self) -> int:
-        return len(self.data) if "data" in vars(self) else len(self.probs)
+        return len(self.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +438,17 @@ def sample_branch(
     state: QuditState,
     targets: list[tuple[int, Basis]],
     rng: np.random.Generator,
-) -> Branch:
+) -> Branches:
     """Draw a single measurement branch with Born-rule probability.
 
     Same pruning, checks and branch order as ``measure_all_branches``, and
-    one ``rng.choice`` over the kept branches, but only the drawn branch's
-    post-state is built.
+    one ``rng.choice`` over the kept branches; the drawn branch's one-row
+    block, with only its post-state built and norm-checked.
     """
     rows, probs, kept = _outcome_rows(state, targets)
     p = probs[kept]
     i = int(kept[rng.choice(len(kept), p=p / p.sum())])
     d, n, t = state.d, state.n, len(targets)
-    post = QuditState(d, n - t, rows[i] / np.sqrt(probs[i])) if n > t else None
-    return Branch(tuple(i // d ** (t - 1 - j) % d for j in range(t)), float(probs[i]), post)
+    post = QuditState(d, n - t, rows[i] / np.sqrt(probs[i])).amps[None] if n > t else None
+    return Branches(d, n - t, np.array([[i // d ** (t - 1 - j) % d for j in range(t)]]),
+                    probs[i:i + 1], post)

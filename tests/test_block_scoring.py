@@ -222,22 +222,25 @@ def test_compiled_laws_match_the_per_leaf_loop():
 # the block sequence
 # ---------------------------------------------------------------------------
 
-def test_measure_all_branches_is_one_block_read_as_branches():
+def test_measure_all_branches_is_one_block():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=3**4) + 1j * rng.normal(size=3**4)
     state = QuditState(3, 4, amps / np.linalg.norm(amps))
     targets = [(2, Basis.FOURIER), (0, Basis.COMPUTATIONAL)]
     block = measure_all_branches(state, targets)
     assert isinstance(block, Branches)
-    assert len(block) == 9 and "data" not in vars(block)   # len builds no record
+    assert len(block) == 9 and (block.d, block.n) == (3, 2)
     assert block.values.shape == (9, 2) and block.posts.shape == (9, 9)
-    for i, br in enumerate(block):
-        assert br.outcome == tuple(block.values[i].tolist())
-        assert br.probability == block.probs[i]
-        assert np.array_equal(br.post.amps, block.posts[i]) and br.post.n == 2
-    assert block[3] is list(block)[3]   # records are built once
+    # outcome order, each post normalized; the computational digit reads its slice
+    assert block.values.tolist() == [[a, b] for a in range(3) for b in range(3)]
+    assert abs(block.probs.sum() - 1) <= TOL
+    assert np.allclose(np.linalg.norm(block.posts, axis=1), 1, atol=TOL)
+    slices = state.tensor_view().transpose(2, 0, 1, 3).reshape(3, 3, 9)
+    fourier = np.einsum("kl,lim->kim", fourier_inv_op(3).mat, slices)
+    for (k, v), p, post in zip(block.values.tolist(), block.probs, block.posts):
+        assert np.allclose(post * np.sqrt(p), fourier[k, v], atol=TOL)
     every = measure_all_branches(state, [(s, Basis.COMPUTATIONAL) for s in range(4)])
-    assert every.posts is None and all(br.post is None for br in every)
+    assert every.posts is None and every.n == 0 and len(every) == 81
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from walknet.cli import build_parser, main
+from walknet.fractal import edge_count
 from walknet.network import bundled_network_path
 
 
@@ -136,6 +137,11 @@ def test_fractal_schedule_and_simulation(capsys):
                            "--d", "3")
     assert code == 0
     assert json.loads(out)["fidelity"] >= 1 - 1e-9
+    code, out, _ = run_cli(capsys, "fractal", "--t", "2", "--graph")
+    assert code == 0
+    adjacency = json.loads(out)["adjacency"]
+    assert len(adjacency) == 15
+    assert sum(map(len, adjacency.values())) == 2 * edge_count(2) == 78
 
 
 def test_mqss_roundtrip(capsys):

@@ -15,7 +15,7 @@ import pytest
 from walknet import network, protocols
 from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
 from walknet.protocols import ProtocolKind, ProtocolSpec, run_stages, star_merge_stage
-from walknet.qudit import apply, fourier_inv_op, measure_all_branches, tensor
+from walknet.qudit import QuditState, apply, fourier_inv_op, measure_all_branches, tensor
 
 TOL = 1e-12
 
@@ -33,9 +33,10 @@ def _measure_then_apply(stage, far):
     measured = {lab for lab, _ in stage.targets}
     kept = tuple(lab for lab in labels if lab not in measured)
     targets = [(labels.index(lab), basis) for lab, basis in stage.targets]
-    finv = fourier_inv_op(state.d)
-    return kept, [(br.outcome, br.probability, apply(br.post, finv, [kept.index(far)]).amps)
-                  for br in measure_all_branches(state, targets)]
+    finv, block = fourier_inv_op(state.d), measure_all_branches(state, targets)
+    return kept, [(tuple(v), p, apply(QuditState(block.d, block.n, post), finv,
+                                      [kept.index(far)]).amps)
+                  for v, p, post in zip(block.values.tolist(), block.probs.tolist(), block.posts)]
 
 
 def _assert_folded_gate_matches(stage, far):

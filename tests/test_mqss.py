@@ -181,6 +181,11 @@ def test_transcript_serialization():
     assert blob["reconstructed"] == 3
     assert isinstance(blob["public_value"], str)
     t.to_json()
+    # numpy scalars in the config reach the JSON as Python ones
+    plain = dict(d=3, participants=2, secret=5, detect_pairs=3, threshold=0.5, seed=1)
+    typed = {name: (np.float64 if name == "threshold" else np.int64)(v)
+             for name, v in plain.items()}
+    assert run_mqss(MqssConfig(**typed)).to_json() == run_mqss(MqssConfig(**plain)).to_json()
 
 
 def test_config_validation():
@@ -194,8 +199,10 @@ def test_config_validation():
         MqssConfig(d=2, participants=2, secret=0, eavesdrop_channel=5).validate()
 
 
-@pytest.mark.parametrize("field, bad", [("d", 3.0), ("participants", 2.0),
-                                        ("detect_pairs", True), ("d", "3")])
+@pytest.mark.parametrize("field, bad", [
+    ("d", 3.0), ("participants", 2.0), ("detect_pairs", True), ("d", "3"),
+    ("secret", "7"), ("secret", True), ("eavesdrop_channel", 1.0),
+    ("eavesdrop_channel", True), ("seed", 3.5)])
 def test_config_refuses_non_integer_counts_before_any_work(monkeypatch, field, bad):
     config = MqssConfig(**{"d": 3, "participants": 2, "secret": 1, field: bad})
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))

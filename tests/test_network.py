@@ -57,6 +57,15 @@ def test_load_rejects_dangling_reference(tmp_path):
         load_network(p)
 
 
+def test_steiner_tree_rejects_dangling_reference():
+    # a hand-built network is validated before the search reads its resources
+    net = ResourceNetwork(2, {0: "a", 1: "b"},
+                          [Resource("bell", (0, 5)), Resource("bell", (0, 1))])
+    for call in (lambda: steiner_tree(net, [0, 1]), lambda: distribute(net, [0, 1])):
+        with pytest.raises(NetworkError, match="unknown node 5"):
+            call()
+
+
 def test_bell_party_count_enforced():
     with pytest.raises(NetworkError):
         Resource("bell", (0, 1, 2))

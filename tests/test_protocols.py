@@ -363,6 +363,13 @@ def test_result_serialization():
     assert blob["protocol"] == "bell-swap-2d"
     assert len(blob["branches"]) == 4
     assert {"outcome", "probability", "correction", "fidelity"} <= set(blob["branches"][0])
+    # numpy scalars in a spec reach the JSON as Python ones
+    for kind, params in ((ProtocolKind.GHZ_SWAP_D, {"d": 3}),
+                         (ProtocolKind.BELL_SWAP_D, {"d": 3, "bell_labels": (1, 2, 0, 1)})):
+        typed = {name: np.int64(v) if name == "d" else tuple(map(np.int64, v))
+                 for name, v in params.items()}
+        want = run_protocol(ProtocolSpec(kind, **params)).to_json()
+        assert run_protocol(ProtocolSpec(kind, **typed)).to_json() == want
 
 
 def test_random_parameter_soundness_sweep():

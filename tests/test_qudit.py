@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from walknet.protocols import Stage, run_stages
 from walknet.qudit import (
     Basis,
     OperatorMatrix,
@@ -266,29 +267,28 @@ def test_tensor_of_normalized_states_is_normalized_and_checks_d_and_cap():
 def test_measure_bell_computational():
     branches = measure_all_branches(canonical_bell(2, 0, 0), [(1, Basis.COMPUTATIONAL)])
     assert len(branches) == 2
-    for b in branches:
-        assert b.probability == pytest.approx(0.5)
-        (val,) = b.outcome
+    for (val,), p, post in zip(branches.values.tolist(), branches.probs, branches.posts):
+        assert p == pytest.approx(0.5)
         expect = basis_state(2, [val])
-        assert fidelity(b.post, expect) == pytest.approx(1.0)
+        assert fidelity(QuditState(2, branches.n, post), expect) == pytest.approx(1.0)
 
 
 def test_measure_product_state_single_branch():
     s = basis_state(3, [2, 1, 0])
     branches = measure_all_branches(s, [(1, Basis.COMPUTATIONAL)])
     assert len(branches) == 1
-    assert branches[0].probability == pytest.approx(1.0)
-    assert branches[0].outcome[0] == 1
-    assert np.allclose(branches[0].post.amps, basis_state(3, [2, 0]).amps)
+    assert branches.probs[0] == pytest.approx(1.0)
+    assert branches.values[0, 0] == 1
+    assert np.allclose(branches.posts[0], basis_state(3, [2, 0]).amps)
 
 
 def test_fourier_basis_labels_d2():
     plus = QuditState(2, 1, np.array([1, 1]) / np.sqrt(2))
     minus = QuditState(2, 1, np.array([1, -1]) / np.sqrt(2))
-    (b,) = measure_all_branches(plus, [(0, Basis.FOURIER)])
-    assert b.outcome[0] == 0 and b.post is None
-    (b,) = measure_all_branches(minus, [(0, Basis.FOURIER)])
-    assert b.outcome[0] == 1
+    b = measure_all_branches(plus, [(0, Basis.FOURIER)])
+    assert len(b) == 1 and b.values[0, 0] == 0 and b.posts is None
+    b = measure_all_branches(minus, [(0, Basis.FOURIER)])
+    assert len(b) == 1 and b.values[0, 0] == 1
 
 
 def test_branch_probabilities_sum_to_one():
@@ -299,7 +299,7 @@ def test_branch_probabilities_sum_to_one():
         branches = measure_all_branches(
             s, [(0, Basis.FOURIER), (2, Basis.COMPUTATIONAL)]
         )
-        assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-9)
+        assert sum(branches.probs) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measure_empty_targets_rejected():
@@ -328,31 +328,42 @@ def test_sample_branch_matches_enumerate_then_choose(d):
         seed = int(rng.integers(2**31))
         ref_rng, rng_under_test = np.random.default_rng(seed), np.random.default_rng(seed)
         branches = measure_all_branches(state, targets)
-        probs = np.array([b.probability for b in branches])
-        want = branches[ref_rng.choice(len(branches), p=probs / probs.sum())]
+        probs = branches.probs
+        want = ref_rng.choice(len(branches), p=probs / probs.sum())
         got = sample_branch(state, targets, rng_under_test)
-        assert got.outcome == want.outcome
-        assert got.probability == want.probability
-        if want.post is None:
-            assert got.post is None
+        assert len(got) == 1 and got.d == branches.d and got.n == branches.n
+        assert np.array_equal(got.values[0], branches.values[want])
+        assert got.probs[0] == branches.probs[want]
+        if branches.posts is None:
+            assert got.posts is None
         else:
-            assert np.array_equal(got.post.amps, want.post.amps)
+            assert np.array_equal(got.posts[0], branches.posts[want])
         assert ref_rng.bit_generator.state == rng_under_test.bit_generator.state
 
 
 @pytest.mark.parametrize("sites", [[1], [2, 0], [0, 1, 2]])
 def test_outcomes_are_python_ints(sites):
-    # an np.int64 value would break json.dumps, and with it ProtocolResult.to_json
+    # an np.int64 value would break json.dumps, and with it ProtocolResult.to_json:
+    # the outcomes and probabilities that run_stages yields are Python scalars
     state = canonical_ghz(3, 3)
     targets = [(s, Basis.FOURIER if s == 0 else Basis.COMPUTATIONAL) for s in sites]
-    branches = measure_all_branches(state, targets)
-    branches.append(sample_branch(state, targets, np.random.default_rng(0)))
-    for br in branches:
-        assert type(br.outcome) is tuple and len(br.outcome) == len(sites)
-        assert all(type(v) is int for v in br.outcome)
-        assert type(br.probability) is float
-        assert json.loads(json.dumps(br.outcome)) == list(br.outcome)
-        assert (br.post is None) == (len(sites) == 3)
+    blocks = [measure_all_branches(state, targets),
+              sample_branch(state, targets, np.random.default_rng(0))]
+    labels = [f"s{i}" for i in range(3)]
+    stage = Stage(add=((state, tuple(labels)),),
+                  targets=tuple((labels[s], basis) for s, basis in targets))
+    outputs = tuple(lab for i, lab in enumerate(labels) if i not in sites)
+    leaves = [*run_stages([stage], outputs), *run_stages([stage], outputs,
+                                                         np.random.default_rng(0))]
+    for block in blocks:
+        assert block.values.shape == (len(block), len(sites))
+        assert (block.posts is None) == (len(sites) == 3)
+    for outcome, probability, post in leaves:
+        assert type(outcome) is tuple and len(outcome) == len(sites)
+        assert all(type(v) is int for v in outcome)
+        assert type(probability) is float
+        assert json.loads(json.dumps(outcome)) == list(outcome)
+        assert (post is None) == (len(sites) == 3)
 
 
 @pytest.mark.parametrize("targets", [
@@ -441,7 +452,7 @@ def test_measurement_leaves_the_measured_state_unchanged():
         branches = measure_all_branches(state, targets)
         sample_branch(state, targets, np.random.default_rng(0))
         assert np.array_equal(state.amps, before)
-        for b in branches:
-            if b.post is not None:
-                assert abs(np.linalg.norm(b.post.amps) - 1) < 1e-12
-                assert not np.shares_memory(b.post.amps, state.amps)
+        if branches.posts is not None:
+            for post in branches.posts:
+                assert abs(np.linalg.norm(post) - 1) < 1e-12
+            assert not np.shares_memory(branches.posts, state.amps)

@@ -68,11 +68,12 @@ class DenseRegister:
     def measure(self, targets, rng=None):
         site_targets = [(self.idx(lab), basis) for lab, basis in targets]
         kept = tuple(lab for lab in self.labels if lab not in {t[0] for t in targets})
-        branches = (measure_all_branches(self.state, site_targets) if rng is None
-                    else [sample_branch(self.state, site_targets, rng)])
-        for br in branches:
-            post = DenseRegister(br.post, kept) if br.post is not None else None
-            yield br.outcome, br.probability, post
+        block = (measure_all_branches(self.state, site_targets) if rng is None
+                 else sample_branch(self.state, site_targets, rng))
+        posts = [None] * len(block) if block.posts is None else block.posts
+        for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
+            yield tuple(v), p, (None if post is None
+                                else DenseRegister(QuditState(block.d, block.n, post), kept))
 
 
 def dense_run(stages, rng=None):
@@ -112,8 +113,8 @@ def assert_same_run(stages):
             continue
         assert outputs == ref.labels
         assert np.abs(post.amps - ref.state.amps).max() <= TOL
-    layouts = [(sites, copies) for *_, branches, sites, copies
-               in protocols._blocks(stages, outputs, None) for _ in branches]
+    layouts = [(sites, copies) for *_, block, sites, copies
+               in protocols._blocks(stages, outputs, None) for _ in range(len(block))]
     return [(post, *layout) for (_, _, post), layout in zip(got, layouts, strict=True)]
 
 
