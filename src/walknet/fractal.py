@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .protocols import StepLaw, compile_law, triangle_merge_stages
-from .qudit import QuditState, as_int, canonical_ghz
+from .qudit import QuditState, as_int, as_seed, canonical_ghz
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -138,7 +138,7 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     correction is looked up.  ``fidelity`` is the last merge's
     compile-time fidelity and ``final_state`` the canonical apex GHZ.
     """
-    n, d = as_int(n, "n"), as_int(d, "d")
+    n, d, seed = as_int(n, "n"), as_int(d, "d"), as_seed(seed)
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:

@@ -28,6 +28,7 @@ exact rather than statistical.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,6 +44,7 @@ from .qudit import (
     SizeCapError,
     apply,
     as_int,
+    as_seed,
     basis_state,
     canonical_bell,
     fourier_inv_op,
@@ -75,12 +77,18 @@ class MqssConfig:
             raise ValueError("need at least 2 participants")
         if self.detect_pairs < 1:
             raise ValueError("need at least one detecting pair")
-        if not 0 < self.threshold < 1:
+        if not 0 < _as_threshold(self.threshold) < 1:
             raise ValueError("threshold must lie in (0, 1)")
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
         _check_register_cap(self.d, self.participants)
+
+
+def _as_threshold(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"threshold {value!r} is not a real number")
+    return value
 
 
 def _check_register_cap(d: int, participants: int) -> None:
@@ -178,6 +186,8 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
     """Sampled error rate over ``pairs`` detecting pairs, and the abort flag.
 
     All pairs are drawn at once from the exact per-pair law."""
+    d, pairs, seed = as_int(d, "d"), as_int(pairs, "pairs"), as_seed(seed)
+    threshold = _as_threshold(threshold)
     if pairs < 1:
         raise ValueError("need at least one detecting pair")
     if eavesdropper not in (None, INTERCEPT_RESEND):
@@ -223,6 +233,7 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     inverse Fourier commutes with every readout and runs in the first stage,
     on the smallest register.
     """
+    d, participants, seed = as_int(d, "d"), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
     _check_register_cap(d, participants)

@@ -52,6 +52,7 @@ from .qudit import (
     Basis,
     QuditState,
     as_int,
+    as_seed,
     canonical_ghz,
     identity_op,
 )
@@ -641,7 +642,7 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
-    d = as_int(d, "d", NetworkError)
+    d, seed = as_int(d, "d", NetworkError), as_seed(seed, NetworkError)
     if d < 2:
         raise NetworkError("d must be >= 2")
     terminals = schedule.terminals

@@ -55,20 +55,23 @@ triangle-merge-d  same triple layout; coin-I walk q1->q2 measured first
 Circuits as data
 ----------------
 A circuit is a tuple of ``Stage`` records (resources to add, walks and
-single-site gates, measurement targets) plus its output particles, which
-the caller names up front.  ``run_stages(stages, outputs)`` checks the size
+single-site gates, measurement targets) plus its output particles, which the
+caller names up front.  ``_circuit(spec)`` writes each catalog kind once:
+its stages, outputs and correction rule (None where each correction is
+derived from the residual).  ``run_stages(stages, outputs)`` checks the size
 cap and that ``outputs`` are exactly the unread particles before the first
 resource is added, then runs the stages and yields each residual over
 ``outputs``, in that order: exhaustively here, one Born-sampled branch per
 stage for the secret-sharing GHZ generation.  One loop corrects every
 exhaustive branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` table the gasket
-and network merges (``star_merge_stage`` also serves ghz-from-bells-d) sample
-instead of amplitudes: one uniform per merge, as the dense sampler draws on
-the merge's one-stage circuit, a whole schedule from one block of uniforms
-(``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages that read
-each target as soon as no later gate touches it: the network star merges and
-the secret-sharing GHZ generation read each coin right after its walk.
+and network merges (``star_merge_stage`` also serves ghz-from-bells-d)
+sample instead of amplitudes: one uniform per merge, as the dense sampler
+draws on the merge's one-stage circuit, a whole schedule from one block of
+uniforms (``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages
+that read each target as soon as no later gate touches it: the network star
+merges and the secret-sharing GHZ generation read each coin right after its
+walk.
 """
 
 from __future__ import annotations
@@ -146,6 +149,10 @@ class ProtocolSpec:
 
     def validate(self) -> None:
         kd, K, m, n, k, l = self.kind, ProtocolKind, self.m, self.n, self.k, self.l
+        if not isinstance(self.bell_labels, (tuple, list)) or len(self.bell_labels) != 4:
+            raise ValueError(f"bell_labels {self.bell_labels!r} are not four integers")
+        if not isinstance(self.retain_coins, (bool, np.bool_)):
+            raise ValueError(f"retain_coins {self.retain_coins!r} is not a bool")
         counts = [(name, getattr(self, name)) for name in ("d", "m", "n", "k", "l", "bells")]
         for name, value in counts + [("bell label", x) for x in self.bell_labels]:
             as_int(value, name)
@@ -481,13 +488,6 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
 # Generic correction derivation
 # ---------------------------------------------------------------------------
 
-def _shift_name(d: int, s: int) -> str:
-    return "X" if (d == 2 and s == 1) else f"U[0,{s}]"
-
-def _phase_name(d: int, t: int) -> str:
-    return "Z" if (d == 2 and t == 1) else f"Z^{t}"
-
-
 def derive_ghz_correction(state: QuditState) -> CorrectionOp:
     """Read site offsets and the linear phase off a shifted GHZ residual.
 
@@ -525,11 +525,11 @@ def derive_ghz_correction(state: QuditState) -> CorrectionOp:
 @lru_cache(maxsize=None)
 def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
                             phase_site: int = 0, global_phase: complex = 1.0) -> CorrectionOp:
-    """Label shifts per (site, shift) plus one clock power; one shared object."""
-    ops = [(site, _shift_name(d, s % d), label_shift_op(d, 0, s % d))
+    """Label shifts per (site, shift) plus one clock power (X, Z at d = 2); one shared object."""
+    ops = [(site, "X" if d == 2 else f"U[0,{s % d}]", label_shift_op(d, 0, s % d))
            for site, s in sorted(shifts) if s % d]
     if t % d:
-        ops.append((phase_site, _phase_name(d, t % d), label_shift_op(d, -t % d, 0)))
+        ops.append((phase_site, "Z" if d == 2 else f"Z^{t % d}", label_shift_op(d, -t % d, 0)))
     return CorrectionOp(ops=tuple(ops), global_phase=global_phase,
                         label=" ".join(f"{name}@{site}" for site, name, _ in ops) or "I")
 
@@ -576,13 +576,13 @@ class StepLaw:
         return [self.outcomes[i] for i in at]
 
 
-def _corrected(stages, outputs, closed=lambda values: None):
+def _corrected(stages, outputs, closed=None):
     """Yield, per last stage, its exhaustive branches as one block: (values,
     probabilities, rows, residual, corrections, fidelities), with ``rows`` the
     compact rows and ``residual(i)`` branch i's residual over ``outputs``,
-    built on call.  A branch's correction is ``closed(values)`` where that
-    gives one, else derived from its residual, the only one built here.  All
-    are scored against the canonical GHZ on the d residual amplitudes the
+    built on call.  Each branch's correction is ``closed(values)``, or with no
+    ``closed`` derived from its residual, the only one built here.  All are
+    scored against the canonical GHZ on the d residual amplitudes the
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
     outputs, spread = tuple(outputs), None
@@ -590,15 +590,16 @@ def _corrected(stages, outputs, closed=lambda values: None):
         d, n, rows = block.d, len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
         values = [prefix + tuple(v) for v in block.values.tolist()]
-        corrs = [closed(v) or derive_ghz_correction(residual(i)) for i, v in enumerate(values)]
-        src, phase, ghz = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
+        corrs = ([closed(v) for v in values] if closed else
+                 [derive_ghz_correction(residual(i)) for i in range(len(values))])
+        src, phase = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
         if sites != outputs:  # each support index's row entry, or -1 outside V's image
             if spread is None:  # the last stage's layout is the same for every prefix
                 spread = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies) - 1
             src = spread[src]
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
-        fids = np.abs(np.conj(phase * amps) @ ghz[0]) ** 2
+        fids = np.abs(np.conj(phase * amps) @ np.full(d, 1 / np.sqrt(d))) ** 2
         yield values, (prob * block.probs).tolist(), rows, residual, corrs, fids.tolist()
 
 
@@ -608,10 +609,10 @@ def _residual(d: int, rows, sites, outputs, copies, i: int) -> QuditState:
 
 
 @lru_cache(maxsize=None)
-def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, phase, ghz): (ops[-1] ... ops[0] psi)[r (d^n - 1)/(d - 1)] =
+def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase): (ops[-1] ... ops[0] psi)[r (d^n - 1)/(d - 1)] =
     phase[r] psi[src[r]], each GHZ support index |r...r> walked back through
-    the ops, and ghz the canonical GHZ's amplitudes there."""
+    the ops."""
     digits = np.tile(np.arange(d)[:, None], n)  # row r: the digits of |r...r>
     phase = np.ones(d, dtype=complex)
     for site, name, op in reversed(ops):
@@ -620,7 +621,7 @@ def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray, np.ndarra
         src, ph = op.monomial
         phase *= 1 if ph is None else ph[digits[:, site]]
         digits[:, site] = src[digits[:, site]]
-    return digits @ d ** np.arange(n - 1, -1, -1), phase, np.full(d, 1 / np.sqrt(d))
+    return digits @ d ** np.arange(n - 1, -1, -1), phase
 
 
 def compile_law(stages, outputs) -> StepLaw:
@@ -733,8 +734,10 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def _circuit(spec: ProtocolSpec) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
-    """The protocol's stages and the labels of its output particles."""
+def _circuit(spec: ProtocolSpec):
+    """The protocol's stages, the labels of its output particles and its
+    correction rule: outcome -> ``CorrectionOp`` in closed form, or None
+    where each correction is derived from its residual."""
     d, kd, K = spec.d, spec.kind, ProtocolKind
     fb, cb = Basis.FOURIER, Basis.COMPUTATIONAL
     x2 = pauli_x(2)
@@ -745,23 +748,29 @@ def _circuit(spec: ProtocolSpec) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
         stage = Stage(add=((canonical_bell(d, bm, bn), ("1", "2")),
                            (canonical_bell(d, bp, bq), ("3", "4"))),
                       gates=(("2", "3", coin),), targets=(("2", fb), ("3", cb)))
-        return (stage,), ("1", "4")
+        return (stage,), ("1", "4"), (
+            (lambda o: qubit_correction(*TABLE_1[o][1:3])) if kd is K.BELL_SWAP_2D
+            else lambda o: _label_correction(d, *_bell_label(spec, o)))
 
     if kd in (K.GHZ_SWAP_2D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D):
-        # coins a2..am walk onto b1; the qudit kinds then inverse-Fourier a1
+        # coins a2..am walk onto b1; the qudit kinds then inverse-Fourier a1,
+        # b1's value shifts b2..bn back and the first coin's is a1's clock power
         if kd is K.GHZ_MULTI_COIN_D:
             a, b = _labels("a", spec.m), _labels("b", spec.n)
         else:
             a, b = ("1", "2", "3"), ("4", "5", "6")
         if kd is K.GHZ_SWAP_2D:
             coins, fix = ((a[1], x2, fb), (a[2], fourier_op(2), cb)), ()
+            closed = lambda o: qubit_correction(*TABLE_2[o][1:3])
         else:
             coins = tuple((c, fourier_op(d), fb) for c in a[1:])
             fix = ((a[0], fourier_inv_op(d)),)
+            closed = lambda o: _shift_phase_correction(
+                d, tuple((s, o[-1]) for s in range(1, len(b))), o[0])
         stage = Stage(add=((canonical_ghz(d, len(a)), a), (canonical_ghz(d, len(b)), b)),
                       gates=tuple((c, b[0], op) for c, op, _ in coins) + fix,
                       targets=tuple((c, basis) for c, _, basis in coins) + ((b[0], cb),))
-        return (stage,), a[:1] + b[1:]
+        return (stage,), a[:1] + b[1:], closed
 
     if kd in (K.MERGE_METHOD_1, K.MERGE_COMBINED,
               K.MERGE_METHOD_2, K.GHZ_PARALLEL_D):
@@ -780,71 +789,36 @@ def _circuit(spec: ProtocolSpec) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
             targets = tuple((a[i], fb) for i in range(l)) + targets
         stage = Stage(add=((canonical_ghz(d, spec.m), a), (canonical_ghz(d, spec.n), b)),
                       gates=gates, targets=targets)
-        return (stage,), retained + a[k:] + b[l:]
+        outputs = retained + a[k:] + b[l:]
+        # tables 3 and 4 need every coin read; ghz-parallel-d's positions agree on
+        # u0, which shifts b_{k+1}..b_n back, and its Fourier results sum to the clock power
+        table = {K.MERGE_METHOD_1: table3_row, K.MERGE_METHOD_2: table4_row}.get(kd)
+        closed = None if retained or not table else (
+            lambda o: qubit_correction(*table(spec.m, spec.n, k, o)[1:3]))
+        if kd is K.GHZ_PARALLEL_D:
+            closed = lambda o: _shift_phase_correction(
+                d, tuple((s, o[-k]) for s in range(len(outputs))[k - spec.n:]), sum(o[:-k]) % d)
+        return (stage,), outputs, closed
 
     if kd is K.GHZ_FROM_BELLS_D:
-        pairs = [(str(2 * j - 1), str(2 * j)) for j in range(1, spec.bells + 2)]
+        # coin j's Fourier result shifts output j back; pos's value is far's clock power
+        M = spec.bells
+        pairs = [(str(2 * j - 1), str(2 * j)) for j in range(1, M + 2)]
         (pos, far) = pairs[-1]
         stage = star_merge_stage(d, [coin for _, coin in pairs[:-1]], pos, far,
                                  [(canonical_bell(d, 0, 0), p) for p in pairs])
-        return (stage,), tuple(p for p, _ in pairs[:-1]) + (far,)
+        return (stage,), tuple(p for p, _ in pairs[:-1]) + (far,), lambda o: (
+            _shift_phase_correction(d, tuple(enumerate(o[:M])), o[M], phase_site=M))
 
     if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
-        stages = triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3,
-                                       qubit=kd is K.TRIANGLE_MERGE_2D)
-        return stages, ("a", "b", "c")
+        def closed(o):  # u1 + u2 = u3 (mod d) on every kept branch
+            p1, u1, p2, p3, u2, u3 = o
+            return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
+        qubit = kd is K.TRIANGLE_MERGE_2D
+        return (triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=qubit),
+                ("a", "b", "c"), None if qubit else closed)
 
     raise ValueError(f"unknown protocol kind {kd}")
-
-
-# ---------------------------------------------------------------------------
-# Corrections per kind
-# ---------------------------------------------------------------------------
-
-def _closed_form_correction(spec: ProtocolSpec, outcome: tuple[int, ...]) -> CorrectionOp | None:
-    """Outcome-driven correction where the residual has a closed form."""
-    d, kd = spec.d, spec.kind
-
-    if kd is ProtocolKind.BELL_SWAP_2D:
-        return qubit_correction(*TABLE_1[outcome][1:3])
-    if kd is ProtocolKind.GHZ_SWAP_2D:
-        return qubit_correction(*TABLE_2[outcome][1:3])
-    if kd is ProtocolKind.MERGE_METHOD_1 and not spec.retain_coins:
-        return qubit_correction(*table3_row(spec.m, spec.n, spec.k, outcome)[1:3])
-    if kd is ProtocolKind.MERGE_METHOD_2 and not spec.retain_coins:
-        return qubit_correction(*table4_row(spec.m, spec.n, spec.k, outcome)[1:3])
-
-    if kd is ProtocolKind.BELL_SWAP_D:
-        return _label_correction(d, *_bell_label(spec, outcome))
-
-    if kd is ProtocolKind.GHZ_PARALLEL_D:
-        k = spec.k
-        if spec.retain_coins:
-            u0 = outcome[0]
-            t = 0
-            b_sites = range(spec.m, spec.m + spec.n - k)
-        else:
-            t = sum(outcome[:k]) % d
-            u0 = outcome[k]
-            b_sites = range(spec.m - k, spec.m - k + spec.n - k)
-        return _shift_phase_correction(d, tuple((s, u0) for s in b_sites), t)
-
-    if kd in (ProtocolKind.GHZ_SWAP_D, ProtocolKind.GHZ_MULTI_COIN_D):
-        coins, u0 = outcome[:-1], outcome[-1]
-        t = coins[0] if coins else 0
-        n_out = 3 if kd is ProtocolKind.GHZ_SWAP_D else spec.n
-        return _shift_phase_correction(d, tuple((s, u0) for s in range(1, n_out)), t)
-
-    if kd is ProtocolKind.GHZ_FROM_BELLS_D:
-        M = spec.bells
-        return _shift_phase_correction(d, tuple(enumerate(outcome[:M])), outcome[M],
-                                       phase_site=M)
-
-    if kd is ProtocolKind.TRIANGLE_MERGE_D:
-        p1, u1, p2, p3, u2, u3 = outcome
-        return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
-
-    return None  # combined merge, triangle-2d, method-1 retain: derive from state
 
 
 def _bell_label(spec: ProtocolSpec, outcome):
@@ -871,8 +845,8 @@ def _corrections(spec: ProtocolSpec) -> dict:
 def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
                    spec: ProtocolSpec | None = None) -> CorrectionOp:
     """Correction for one protocol outcome: the one ``run_protocol`` applies
-    to that branch, the closed form where one exists and otherwise the one
-    derived from the residual state.
+    to that branch, by the kind's closed-form rule (``_circuit``) where it has
+    one and otherwise derived from the residual state.
 
     The first lookup of a spec runs the protocol once and keeps every
     branch's correction; later lookups read that table.  An outcome outside
@@ -899,18 +873,18 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     """Execute a protocol exhaustively over all measurement branches.
 
     Each branch record carries the pre-correction residual over the output
-    particles (``post``, built on first read), the correction, and the
+    particles (``post``, built on first read), the correction (the kind's
+    closed-form rule from ``_circuit``, or derived from ``post``), and the
     corrected state's fidelity against the canonical GHZ target (the labeled
     Bell state check for bell-swap-d is reported through bell_label /
     label_fidelity).
     """
     spec.validate()
-    stages, outputs = _circuit(spec)
+    stages, outputs, closed = _circuit(spec)
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)
-    for values, probs, rows, residual, corrs, fids in _corrected(
-            stages, outputs, partial(_closed_form_correction, spec)):
+    for values, probs, rows, residual, corrs, fids in _corrected(stages, outputs, closed):
         labelled = [()] * len(values)
         if spec.kind is ProtocolKind.BELL_SWAP_D:  # compact sites = outputs: rows are residuals
             labels = np.transpose(_bell_label(spec, np.array(values).T))

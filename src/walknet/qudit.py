@@ -56,6 +56,13 @@ def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def as_seed(value, error: type[Exception] = ValueError) -> int:
+    """``value`` as a non-negative integer seed (``as_int``); else ``error``."""
+    if (seed := as_int(value, "seed", error)) < 0:
+        raise error(f"seed {seed} is negative")
+    return seed
+
+
 @dataclass(frozen=True)
 class QuditState:
     """Normalized pure state of ``n`` sites with local dimension ``d``."""

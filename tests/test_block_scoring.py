@@ -14,7 +14,6 @@ per op site and gap; the reference there is a tensordot with the dense
 """
 
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +59,11 @@ TOL = 1e-12
 # the per-leaf reference
 # ---------------------------------------------------------------------------
 
-def per_leaf(stages, outputs, closed=lambda values: None):
+def per_leaf(stages, outputs, closed=None):
     for values, prob, state in run_stages(stages, outputs):
-        corr = closed(values) or derive_ghz_correction(state)
-        src, phase, ghz = protocols._support_map(state.d, state.n, corr.ops)
+        corr = closed(values) if closed else derive_ghz_correction(state)
+        src, phase = protocols._support_map(state.d, state.n, corr.ops)
+        ghz = np.full(state.d, 1 / np.sqrt(state.d))
         yield (values, prob, state, corr,
                float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
 
@@ -94,8 +94,8 @@ SPECS = workloads.protocol_grid(small=True) + [
 @pytest.mark.parametrize("block", range(4))
 def test_protocols_score_as_the_per_leaf_loop(block):
     for spec in SPECS[block::4]:
-        stages, outputs = protocols._circuit(spec)
-        want = list(per_leaf(stages, outputs, partial(protocols._closed_form_correction, spec)))
+        stages, outputs, closed = protocols._circuit(spec)
+        want = list(per_leaf(stages, outputs, closed))
         result = protocols.run_protocol(spec)
         assert_same_leaves([(b.outcome, b.probability, b.post, b.correction, b.fidelity)
                             for b in result.branches], want)
@@ -127,7 +127,7 @@ def test_residuals_are_built_on_read(monkeypatch):
 def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
-        stages, outputs = protocols._circuit(spec)
+        stages, outputs, _ = protocols._circuit(spec)
         return any(copies for *_, copies in protocols._blocks(stages, outputs, None))
 
     kinds = {spec.kind for spec in SPECS if has_copies(spec)}
@@ -139,14 +139,14 @@ def test_derived_corrections_score_as_the_per_leaf_loop():
     for spec in (ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=4, n=3, k=2),
                  ProtocolSpec(K.MERGE_METHOD_1, m=4, n=3, k=2, retain_coins=True),
                  ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)):
-        stages, outputs = protocols._circuit(spec)
+        stages, outputs, _ = protocols._circuit(spec)
         assert_same_leaves(list(leaves(stages, outputs)), list(per_leaf(stages, outputs)))
 
 
 def test_an_index_whose_copies_disagree_reads_zero():
     # a correction that lands the support where the idle copies disagree
     spec = ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)
-    stages, outputs = protocols._circuit(spec)
+    stages, outputs, _ = protocols._circuit(spec)
     skew = protocols._shift_phase_correction(3, ((2, 1),), 0)
     got = list(leaves(stages, outputs, lambda v: skew))
     want = list(per_leaf(stages, outputs, lambda v: skew))

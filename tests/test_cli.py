@@ -186,6 +186,7 @@ def test_readout_bad_counts_exit_2(capsys, tmp_path):
     (("readout", "--counts", "{counts}"), {"counts": json.dumps([["00", 5]])}),
     (("readout", "--counts", "{counts}", "--device", "{dev}"),
      {"counts": json.dumps({"00": 5, "11": 5}), "dev": "qubit,f1\nq0,0.9\nq1,0.9\n"}),
+    (("swap", "bell-d", "--d", "3", "--labels", "1,2"), {}),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, argv, files):
     # exit 1 is kept for invariant failures

@@ -100,13 +100,19 @@ def test_execute_merge_schedule_range_check(n):
         execute_merge_schedule(n)
 
 
-@pytest.mark.parametrize("n, d, named", [(2, 3.0, "d 3.0"), (True, 2, "n True"),
-                                         (2.0, 2, "n 2.0"), (1, "3", "d '3'")])
-def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch, n, d, named):
+@pytest.mark.parametrize("n, d, seed, refusal", [
+    (2, 3.0, 0, "d 3.0 is not an integer"), (True, 2, 0, "n True is not an integer"),
+    (2.0, 2, 0, "n 2.0 is not an integer"), (1, "3", 0, "d '3' is not an integer"),
+    (2, 2, 1.5, "seed 1.5 is not an integer"), (2, 2, True, "seed True is not an integer"),
+    (2, 2, -1, "seed -1 is negative"),
+], ids=["2-3.0-d 3.0", "True-2-n True", "2.0-2-n 2.0", "1-3-d '3'",
+        "seed 1.5", "seed True", "seed -1"])
+def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch, n, d, seed,
+                                                                     refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     monkeypatch.setattr(fractal, "_merge_law", lambda *a: pytest.fail("compiled"))
-    with pytest.raises(ValueError, match=f"{named} is not an integer"):
-        execute_merge_schedule(n, d=d)
+    with pytest.raises(ValueError, match=refusal):
+        execute_merge_schedule(n, d=d, seed=seed)
     monkeypatch.undo()
     # numpy integers are counts
     got = execute_merge_schedule(np.int64(2), d=np.int32(3), seed=4)

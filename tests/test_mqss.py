@@ -202,16 +202,51 @@ def test_config_validation():
 @pytest.mark.parametrize("field, bad", [
     ("d", 3.0), ("participants", 2.0), ("detect_pairs", True), ("d", "3"),
     ("secret", "7"), ("secret", True), ("eavesdrop_channel", 1.0),
-    ("eavesdrop_channel", True), ("seed", 3.5)])
+    ("eavesdrop_channel", True), ("seed", 3.5), ("threshold", "0.5"), ("threshold", True),
+    ("threshold", None)])
 def test_config_refuses_non_integer_counts_before_any_work(monkeypatch, field, bad):
     config = MqssConfig(**{"d": 3, "participants": 2, "secret": 1, field: bad})
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    kind = "a real number" if field == "threshold" else "an integer"
     for run in (config.validate, lambda: run_mqss(config)):
-        with pytest.raises(ValueError, match=f"{field} {bad!r} is not an integer"):
+        with pytest.raises(ValueError, match=f"{field} {bad!r} is not {kind}"):
             run()
     monkeypatch.undo()
     # numpy integers are counts
     MqssConfig(d=np.int64(3), participants=np.int32(2), secret=1).validate()
+
+
+BAD_CALLS = [
+    ("channel_check", (3, 2.5), {}, "pairs 2.5 is not an integer"),
+    ("channel_check", (3.0, 5), {}, "d 3.0 is not an integer"),
+    ("channel_check", (3, 5), {"seed": 1.5}, "seed 1.5 is not an integer"),
+    ("channel_check", (3, 5), {"seed": True}, "seed True is not an integer"),
+    ("channel_check", (3, 5), {"seed": -1}, "seed -1 is negative"),
+    ("channel_check", (3, 5), {"threshold": "x"}, "threshold 'x' is not a real number"),
+    ("channel_check", (3, 5), {"threshold": True}, "threshold True is not a real number"),
+    ("generate_shared_ghz", (3, 2.0), {}, "participants 2.0 is not an integer"),
+    ("generate_shared_ghz", (3.0, 2), {}, "d 3.0 is not an integer"),
+    ("generate_shared_ghz", (3, 2), {"seed": "1"}, "seed '1' is not an integer"),
+    ("generate_shared_ghz", (3, 2), {"seed": -1}, "seed -1 is negative"),
+]
+
+
+@pytest.mark.parametrize("call, args, kw, refusal", BAD_CALLS,
+                         ids=[f"{call}: {refusal}" for call, *_, refusal in BAD_CALLS])
+def test_channel_check_and_ghz_generation_refuse_bad_inputs_before_any_work(
+        monkeypatch, call, args, kw, refusal):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    for name in ("_pair_law", "_ghz_circuit", "run_stages"):
+        monkeypatch.setattr(mqss, name, lambda *a, _n=name: pytest.fail(f"ran {_n}"))
+    with pytest.raises(ValueError, match=refusal):
+        getattr(mqss, call)(*args, **kw)
+    monkeypatch.undo()
+    # numpy integers are counts and seeds, a numpy float is a threshold
+    assert channel_check(np.int64(3), np.int64(5), seed=np.int64(4),
+                         threshold=np.float64(0.05)) == channel_check(3, 5, seed=4)
+    state, coins, u0 = generate_shared_ghz(np.int64(3), np.int64(2), seed=np.int64(4))
+    ref, ref_coins, ref_u0 = generate_shared_ghz(3, 2, seed=4)
+    assert (coins, u0) == (ref_coins, ref_u0) and np.array_equal(state.amps, ref.amps)
 
 
 def test_run_mqss_wrong_reconstruction_raises(monkeypatch):

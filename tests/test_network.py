@@ -447,12 +447,17 @@ def test_dimension_below_two_refused_in_both_modes(monkeypatch, net14, mode, d):
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "simulated"])
-@pytest.mark.parametrize("d", [3.0, True, "3"], ids=repr)
-def test_non_integer_dimension_refused_before_any_draw(monkeypatch, net14, mode, d):
+@pytest.mark.parametrize("d, seed, refusal", [
+    (3.0, 0, "d 3.0 is not an integer"), (True, 0, "d True is not an integer"),
+    ("3", 0, "d '3' is not an integer"), (3, 1.5, "seed 1.5 is not an integer"),
+    (3, True, "seed True is not an integer"), (3, -1, "seed -1 is negative"),
+], ids=["3.0", "True", "'3'", "seed 1.5", "seed True", "seed -1"])
+def test_non_integer_dimension_refused_before_any_draw(monkeypatch, net14, mode, d, seed,
+                                                       refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     monkeypatch.setattr(network, "_step_law", lambda *a: pytest.fail("compiled"))
-    with pytest.raises(NetworkError, match=re.escape(f"d {d!r} is not an integer")):
-        distribute(net14, [1, 2, 5], mode=mode, d=d)
+    with pytest.raises(NetworkError, match=re.escape(refusal)):
+        distribute(net14, [1, 2, 5], mode=mode, d=d, seed=seed)
     monkeypatch.undo()
     # numpy integers are dimensions
     _, _, got = distribute(net14, [1, 2, 5], mode=mode, d=np.int64(3), seed=4)

@@ -3,10 +3,13 @@
 One instance of every ProtocolKind at d = 2 (and d = 3 where the kind is
 defined for it).  Each branch is written "outcome digits:correction label",
 in branch order; the 243-branch qutrit triangle merge is pinned by the
-sha256 of those lines.  Only exact ints and strings are compared.
+sha256 of those lines.  A second sha256 pins "spec | outcome:label:global
+phase" lines of every closed-form kind over a small parameter grid.  Only
+exact ints and strings are compared.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -109,3 +112,37 @@ def test_circuit_pinned(spec, measured, bases, outputs, branches):
         assert f"{len(rows)} sha256:{digest}" == branches
     else:
         assert " | ".join(rows) == branches
+
+
+def _closed_form_grid():
+    """Every kind with a closed-form correction over a small grid: d in
+    {2, 3, 5} where the kind is defined, m, n in {2, 3, 4} with every k, both
+    retain variants of ghz-parallel-d (method 1 and 2 derive their retained
+    corrections), 1-3 coin Bell pairs, a few Bell labels and the qutrit
+    triangle merge."""
+    specs = [ProtocolSpec(K.BELL_SWAP_2D), ProtocolSpec(K.GHZ_SWAP_2D),
+             ProtocolSpec(K.TRIANGLE_MERGE_D, d=3)]
+    mn = list(itertools.product((2, 3, 4), repeat=2))
+    specs += [ProtocolSpec(K.MERGE_METHOD_1, m=m, n=n, k=k) for m, n in mn for k in range(1, m)]
+    specs += [ProtocolSpec(K.MERGE_METHOD_2, m=m, n=n, k=k)
+              for m, n in mn for k in range(1, min(m, n))]
+    labels = {2: [(0, 0, 0, 0), (1, 0, 1, 1)], 5: [(0, 0, 0, 0), (4, 3, 2, 1)],
+              3: [(0, 0, 0, 0), (1, 2, 0, 1), (2, 0, 1, 2), (2, 2, 2, 2)]}
+    for d in (2, 3, 5):
+        specs += [ProtocolSpec(K.GHZ_SWAP_D, d=d)]
+        specs += [ProtocolSpec(K.BELL_SWAP_D, d=d, bell_labels=lab) for lab in labels[d]]
+        specs += [ProtocolSpec(K.GHZ_FROM_BELLS_D, d=d, bells=bells) for bells in (1, 2, 3)]
+        specs += [ProtocolSpec(K.GHZ_MULTI_COIN_D, d=d, m=m, n=n) for m, n in mn]
+        specs += [ProtocolSpec(K.GHZ_PARALLEL_D, d=d, m=m, n=n, k=k, retain_coins=retain)
+                  for m, n in mn for k in range(1, min(m, n)) for retain in (False, True)]
+    return specs
+
+
+def test_closed_forms_pinned_over_a_grid():
+    # spec | outcome digits:correction label:global phase, one line per branch
+    rows = [f"{spec} | {''.join(map(str, b.outcome))}:{corr.label}:{complex(corr.global_phase)!r}"
+            for spec in _closed_form_grid() for b in run_protocol(spec).branches
+            for corr in [b.correction]]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert f"{len(rows)} sha256:{digest}" == (
+        "3709 sha256:938575a9cf0e7385fc056e19ef789386c19c8c533e38f40f03448b2c36d157c0")

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import re
 import sys
 from pathlib import Path
 
@@ -341,17 +342,28 @@ def test_spec_validation_errors():
         ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=3, retain_coins=True).validate()
 
 
-@pytest.mark.parametrize("spec, named", [
-    (ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=3.0), "d 3.0"),
-    (ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3.0, n=3, k=1), "m 3.0"),
-    (ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=3, bells=True), "bells True"),
-    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=(0, 1.0, 0, 0)), "bell label 1.0"),
-], ids=["d", "m", "bells", "bell-label"])
-def test_spec_refuses_non_integer_counts_before_any_stage(monkeypatch, spec, named):
+@pytest.mark.parametrize("spec, refusal", [
+    (ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=3.0), "d 3.0 is not an integer"),
+    (ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3.0, n=3, k=1), "m 3.0 is not an integer"),
+    (ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=3, bells=True), "bells True is not an integer"),
+    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=(0, 1.0, 0, 0)),
+     "bell label 1.0 is not an integer"),
+    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=(1, 2)),
+     "bell_labels (1, 2) are not four integers"),
+    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=(1, 2, 0, 1, 0)),
+     "bell_labels (1, 2, 0, 1, 0) are not four integers"),
+    (ProtocolSpec(ProtocolKind.BELL_SWAP_D, d=3, bell_labels=5), "bell_labels 5 are not four integers"),
+    (ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3, n=3, k=1, retain_coins="no"),
+     "retain_coins 'no' is not a bool"),
+    (ProtocolSpec(ProtocolKind.MERGE_METHOD_2, m=3, n=3, k=1, retain_coins=0.0),
+     "retain_coins 0.0 is not a bool"),
+], ids=["d", "m", "bells", "bell-label", "two-labels", "five-labels", "int-labels",
+        "retain-str", "retain-float"])
+def test_spec_refuses_non_integer_counts_before_any_stage(monkeypatch, spec, refusal):
     for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
     for run in (spec.validate, lambda: run_protocol(spec)):
-        with pytest.raises(ValueError, match=f"{named} is not an integer"):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             run()
     # numpy integers are counts
     ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=np.int64(3)).validate()
@@ -514,7 +526,7 @@ def test_correction_for_runs_each_spec_once(monkeypatch):
 
 def _support_cases():
     for spec in workloads.protocol_grid(small=True):
-        stages, _ = protocols._circuit(spec)
+        stages, _, _ = protocols._circuit(spec)
         length = sum(len(stage.targets) for stage in stages)
         if spec.d ** length <= 4096:
             yield spec, length
