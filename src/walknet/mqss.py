@@ -66,19 +66,19 @@ class MqssConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        names = ("d", "participants", "detect_pairs", "secret", "seed")
+        names = ("d", "participants", "detect_pairs", "secret")
         if self.eavesdrop_channel is not None:
             names += ("eavesdrop_channel",)
         for name in names:
             as_int(getattr(self, name), name)
+        as_seed(self.seed)
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.participants < 2:
             raise ValueError("need at least 2 participants")
         if self.detect_pairs < 1:
             raise ValueError("need at least one detecting pair")
-        if not 0 < _as_threshold(self.threshold) < 1:
-            raise ValueError("threshold must lie in (0, 1)")
+        _as_threshold(self.threshold)
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
@@ -88,6 +88,8 @@ class MqssConfig:
 def _as_threshold(value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"threshold {value!r} is not a real number")
+    if not 0 < value < 1:  # also refuses NaN, which no error rate exceeds
+        raise ValueError(f"threshold {value!r} must lie in (0, 1)")
     return value
 
 

@@ -359,9 +359,10 @@ def run_stages(stages, outputs, rng: np.random.Generator | None = None):
     (one draw per stage), so exactly one branch comes out.
 
     The circuit names its outputs: the residual is the ``QuditState`` over
-    ``outputs``, in that order, or None when every particle is read.  The size
-    cap (on the circuit's peak live parties) and ``outputs`` (exactly the
-    particles no target reads) are checked before the first resource is added.
+    ``outputs``, in that order, or None when every particle is read, whatever
+    the layout (a later stage's resources lead the register, ``_run``).
+    The size cap (on the circuit's peak live parties) and ``outputs`` (the
+    unread particles) are checked before the first resource is added.
     An added ``canonical_ghz`` with two or more parties that no walk, gate or
     target touches enters as the GHZ over its touched parties plus one site
     standing for these idle ones, so gates and measurements never sweep them.
@@ -398,11 +399,20 @@ def _blocks(stages, outputs, rng):
 
 
 def _run(stages, values, prob, state, sites, copies, rng, touched):
-    stage = stages[0]
+    """First-stage resources join in add order (bell-swap-d reads rows as residuals).  A
+    later one joins in front, the particles the circuit touches first, so its walks onto
+    earlier particles span few sites and its coins sit on site 0.  ``sites`` names the axes."""
+    stage, lead = stages[0], state is not None
     for resource, labels in stage.add:
         part, part_sites, part_copies = _compact(resource, tuple(labels), touched)
-        state = part if state is None else tensor(state, part)
-        sites, copies = sites + part_sites, {**copies, **part_copies}
+        if lead:
+            order = sorted(range(part.n), key=lambda i: part_sites[i] not in touched)
+            amps = part.tensor_view().transpose(order).ravel()
+            state = tensor(QuditState.unchecked(part.d, part.n, amps), state)
+            sites = tuple(part_sites[i] for i in order) + sites
+        else:
+            state, sites = part if state is None else tensor(state, part), sites + part_sites
+        copies = {**copies, **part_copies}
     for gate in stage.gates:
         state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
                  if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))

@@ -87,8 +87,12 @@ def test_sampled_error_rate_matches_oracle_within_3_sigma():
 
 
 def test_zero_threshold_aborts_under_attack():
+    # a threshold of 0 is refused, as the session config refuses it; the
+    # smallest threshold above it aborts on any error
+    with pytest.raises(ValueError, match="threshold 0.0 must lie in"):
+        channel_check(2, pairs=50, eavesdropper=INTERCEPT_RESEND, seed=3, threshold=0.0)
     rate, abort = channel_check(2, pairs=50, eavesdropper=INTERCEPT_RESEND,
-                                seed=3, threshold=0.0)
+                                seed=3, threshold=np.nextafter(0.0, 1.0))
     assert rate > 0
     assert abort
 
@@ -203,13 +207,14 @@ def test_config_validation():
     ("d", 3.0), ("participants", 2.0), ("detect_pairs", True), ("d", "3"),
     ("secret", "7"), ("secret", True), ("eavesdrop_channel", 1.0),
     ("eavesdrop_channel", True), ("seed", 3.5), ("threshold", "0.5"), ("threshold", True),
-    ("threshold", None)])
+    ("threshold", None), ("seed", -1)])
 def test_config_refuses_non_integer_counts_before_any_work(monkeypatch, field, bad):
     config = MqssConfig(**{"d": 3, "participants": 2, "secret": 1, field: bad})
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     kind = "a real number" if field == "threshold" else "an integer"
+    refusal = "seed -1 is negative" if bad == -1 else f"{field} {bad!r} is not {kind}"
     for run in (config.validate, lambda: run_mqss(config)):
-        with pytest.raises(ValueError, match=f"{field} {bad!r} is not {kind}"):
+        with pytest.raises(ValueError, match=refusal):
             run()
     monkeypatch.undo()
     # numpy integers are counts
@@ -224,6 +229,8 @@ BAD_CALLS = [
     ("channel_check", (3, 5), {"seed": -1}, "seed -1 is negative"),
     ("channel_check", (3, 5), {"threshold": "x"}, "threshold 'x' is not a real number"),
     ("channel_check", (3, 5), {"threshold": True}, "threshold True is not a real number"),
+    *(("channel_check", (3, 200, INTERCEPT_RESEND), {"threshold": t},
+       rf"threshold {t!r} must lie in \(0, 1\)") for t in (float("nan"), float("inf"), 0, 1.5)),
     ("generate_shared_ghz", (3, 2.0), {}, "participants 2.0 is not an integer"),
     ("generate_shared_ghz", (3.0, 2), {}, "d 3.0 is not an integer"),
     ("generate_shared_ghz", (3, 2), {"seed": "1"}, "seed '1' is not an integer"),
@@ -328,8 +335,13 @@ def test_only_protocols_enumerates_branches():
 
 
 # sha256 over state.amps.tobytes() and repr((coins, u0)) for seeds 0-2,
-# recorded before the GHZ step's stages became the split star merge; the
-# sampled state and outcomes must not move by a bit
+# recorded before the GHZ step's stages became the split star merge.  The
+# (3, 3), (3, 4), (5, 2-4), (6, 2), (6, 4) and (7, 2-4) lines were re-recorded
+# when each later participant's Bell pair began to join in front of the
+# register, its coin on site 0: the coins' readouts then sum their rows in
+# another order, which moved amplitudes by at most 3.8e-16 and no coin or u0
+# (seeds 0-19 at every (d, M) under the size cap).  The sampled state and
+# outcomes must not move by a bit
 SHARED_GHZ_SHA256 = [
     (2, 1, "6d892c5d3ba8acd318f69ebe3e3a0104976c5122e4bdcba06b75fb9eac367f59"),
     (3, 1, "94336d1fa88f41eabbd25bf80f74bc5b1f0ca63bdaac8dfa201ed46fd965aad9"),
@@ -341,20 +353,20 @@ SHARED_GHZ_SHA256 = [
     (2, 3, "28c34e980fc44edacd91c054644a44a3ca2ec6913e102020ad3118f46e40c68d"),
     (2, 4, "430dd3c35feca7890f95b82d4511429d6eda4587fb2de8f849153852f2bd1b22"),
     (3, 2, "25d3b7bf8e96ab01b075e28dfdfce5411f8c93620d8c4b614aeabbad375dea30"),
-    (3, 3, "15ef7d059aaa9fb172fe330381ab47608ce20bc4a721448cf31f09ad6430248b"),
-    (3, 4, "baeae21b55784eb047532eedd7917b474f772441347944d8fcb9198a691a736e"),
+    (3, 3, "b88f200792f4f4498660305528ff96543882893fd8c6ad2fd418328a424bd89a"),
+    (3, 4, "414978b490710f1ab52b7618d8f15a6d019a95957bbe10f8d3ea356d212e23ac"),
     (4, 2, "874ad4bb955c7a4dbc2061cc9d6dd8d76d0736ff41e0481edeae093a0c7188ef"),
     (4, 3, "0f4f2117427a61328bc848a6825a981ad78322619ef894e169c9eba367c3f49a"),
     (4, 4, "36440ffc28b80576407145660d39f1be59650be32b0db26d4bcf039d2e6d9996"),
-    (5, 2, "02e966061d188e3ad8813789381ebe8d5af84efe755be511ebdec5101f067a9e"),
-    (5, 3, "d0de75adcc2f8f4cba74685c7ebf0cac8d6b5b5942041c0029898bb07bc6dec1"),
-    (5, 4, "01da3bf11cd42315f18f9a9da45c9d3c641ea4082066e6d577b832e0e2c243ef"),
-    (6, 2, "69c283f17e9f2d3464482e4724fab7f3a620a2af4745f416fb5327d99cccfcc6"),
+    (5, 2, "ca1c5599cefb685147e4a0daf85c57dfd4516b4b60a4ff3c8df34ae6533738dd"),
+    (5, 3, "2679c3ec16a33618d67a362ed2b68e0628d0d5aa9eb290634f518bc051360bad"),
+    (5, 4, "99f3a28a76ced848393ee64ee79aa20dc7dd878be568cb06d775849016e66bad"),
+    (6, 2, "ec30bd9941d2981de228b3d35ede12cabad07a73fcbc8512b2cbbf8ee257b939"),
     (6, 3, "7c1d5cbcba8f94482e5b92504ce983aea996bc2e762839c51bc9e04f42de874b"),
-    (6, 4, "01543d80d89f363b393502d91a06f5842d8df3d25b43435d9fe04b068d985699"),
-    (7, 2, "8427642e1f1faa9327c384b26ad6e00e0fe288a589cba07677d3b67a0caa6521"),
-    (7, 3, "46ba85100409026a168f021536162ff207a3ea73bbb98af18b1616d485c6cd10"),
-    (7, 4, "755254ca16c90689ee3e9441ecc789ff104d642f46b59f2d70957659eac19911"),
+    (6, 4, "db796b1a7d94f6a97f29044b43af70f2720230ee62f4eddc872ee197966fa494"),
+    (7, 2, "6a7c14d4e41ac852b29153d96884eb2203e926bc7e70bf1a617fa4a3d5f0af1b"),
+    (7, 3, "82e59bd222ef712f77b1239138cb82b87a4047320c412142ee25eb868f6bae23"),
+    (7, 4, "596721378c2fd173d1571551409b49a17b749d0e11cc01a6aaf1860d723c67cb"),
 ]
 
 
@@ -366,6 +378,25 @@ def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
         h.update(state.amps.tobytes())
         h.update(repr((coins, u0)).encode())
     assert h.hexdigest() == digest
+
+
+def test_later_joins_lead_the_register(monkeypatch):
+    # each participant's Bell pair after the first joins in front of the live
+    # register, its coin first: every walk onto pos spans at most M + 1 sites
+    # and every later coin's Fourier acts on site 0 (appended at the end, the
+    # walks of (7, 4) would span 4, 5, 6 and 7 sites)
+    d, m, calls = 7, 4, []
+
+    def spy(state, op, sites):
+        calls.append((op, sites))
+        return apply(state, op, sites)
+
+    monkeypatch.setattr(protocols, "apply", spy)
+    generate_shared_ghz(d, m, seed=0)
+    spans = [abs(sites[1] - sites[0]) + 1 for _, sites in calls if len(sites) == 2]
+    coins = [sites for op, sites in calls if op is fourier_op(d)]
+    assert len(spans) == len(coins) == m and max(spans) <= m + 1
+    assert all(sites == [0] for sites in coins[1:])
 
 
 @pytest.mark.parametrize("m", range(1, 7))
