@@ -71,7 +71,9 @@ draws on the merge's one-stage circuit, a whole schedule from one block of
 uniforms (``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages
 that read each target as soon as no later gate touches it: the network star
 merges and the secret-sharing GHZ generation read each coin right after its
-walk.
+walk, in the position's Fourier frame: F_c^dag S(c -> p) F_c = F_p^dag
+S(p -> c) F_p per coin.  The catalog runs keep the paper's circuit and
+reported bases.
 """
 
 from __future__ import annotations
@@ -443,6 +445,25 @@ def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
                  + ((pos, Basis.COMPUTATIONAL),))
 
 
+def _fourier_frame(stage: Stage) -> Stage:
+    """A star merge in ``split_stage``'s Fourier frame; any other stage as it
+    is.  In a star merge every walk is a Fourier coin onto one ``pos``, read
+    computationally, and each coin is read in the Fourier basis; no other
+    gate touches ``pos`` or a coin."""
+    walks = [gate for gate in stage.gates if len(gate) == 3]
+    if not walks:
+        return stage
+    pos, f, cb, fb = walks[0][1], fourier_op(walks[0][2].d), Basis.COMPUTATIONAL, Basis.FOURIER
+    star = {pos: (cb, len(walks)), **{c: (fb, 1) for c, _, _ in walks}}  # (read, gates on it)
+    touches, bases = [lab for gate in stage.gates for lab in gate[:-1]].count, dict(stage.targets)
+    if any(p != pos or op is not f for _, p, op in walks) or any(
+            (bases.get(lab), touches(lab)) != want for lab, want in star.items()):
+        return stage
+    walks, swap = tuple((pos, c, identity_op(f.d)) for c, _, _ in walks), {cb: fb, fb: cb}
+    return replace(stage, gates=((pos, f), *walks, *(g for g in stage.gates if len(g) == 2)),
+                   targets=tuple((lab, swap[b] if lab in star else b) for lab, b in stage.targets))
+
+
 def split_stage(stage: Stage) -> tuple[Stage, ...]:
     """The same circuit as sub-stages that each read one target, in target
     order, as soon as no later gate touches its particle (deferred
@@ -450,9 +471,15 @@ def split_stage(stage: Stage) -> tuple[Stage, ...]:
     readout that touches one of its particles.  A one-site gate on a particle
     that no target reads and no walk touches commutes with every readout, so
     it runs in the first sub-stage where that particle is live.  A star merge
-    becomes one sub-stage per coin, [its resource, its walk, its readout] (the
-    first also adds the position pair and runs the gate on ``far``), then
-    [read ``pos``]: M + 3 live sites at most, not 2M + 2."""
+    runs in its position's Fourier frame (``_fourier_frame``; with S(x -> y)
+    the walk's y -= x, F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p per coin
+    and chained coins cancel the inner F_p F_p^dag), one sub-stage per coin,
+    [its resource, the walk c -= pos, its computational readout] (the first
+    also adds the position pair and runs F on ``pos`` and the gate on
+    ``far``), then [read ``pos`` in the Fourier basis]: M + 3 live sites at
+    most, not 2M + 2, and three non-monomial passes, not 2M + 1.  The catalog
+    runs keep ``star_merge_stage``, the paper's circuit and reported bases."""
+    stage = _fourier_frame(stage)
     pinned = {lab for lab, _ in stage.targets} | {
         lab for gate in stage.gates if len(gate) == 3 for lab in gate[:2]}
     free = [gate for gate in stage.gates if len(gate) == 2 and gate[0] not in pinned]
@@ -763,24 +790,17 @@ def _circuit(spec: ProtocolSpec):
             else lambda o: _label_correction(d, *_bell_label(spec, o)))
 
     if kd in (K.GHZ_SWAP_2D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D):
-        # coins a2..am walk onto b1; the qudit kinds then inverse-Fourier a1,
+        # coins a2..am walk onto b1; the qudit kinds are the star merge with far = a1,
         # b1's value shifts b2..bn back and the first coin's is a1's clock power
-        if kd is K.GHZ_MULTI_COIN_D:
-            a, b = _labels("a", spec.m), _labels("b", spec.n)
-        else:
-            a, b = ("1", "2", "3"), ("4", "5", "6")
-        if kd is K.GHZ_SWAP_2D:
-            coins, fix = ((a[1], x2, fb), (a[2], fourier_op(2), cb)), ()
-            closed = lambda o: qubit_correction(*TABLE_2[o][1:3])
-        else:
-            coins = tuple((c, fourier_op(d), fb) for c in a[1:])
-            fix = ((a[0], fourier_inv_op(d)),)
-            closed = lambda o: _shift_phase_correction(
-                d, tuple((s, o[-1]) for s in range(1, len(b))), o[0])
-        stage = Stage(add=((canonical_ghz(d, len(a)), a), (canonical_ghz(d, len(b)), b)),
-                      gates=tuple((c, b[0], op) for c, op, _ in coins) + fix,
-                      targets=tuple((c, basis) for c, _, basis in coins) + ((b[0], cb),))
-        return (stage,), a[:1] + b[1:], closed
+        a, b = ((_labels("a", spec.m), _labels("b", spec.n)) if kd is K.GHZ_MULTI_COIN_D
+                else (("1", "2", "3"), ("4", "5", "6")))
+        add = ((canonical_ghz(d, len(a)), a), (canonical_ghz(d, len(b)), b))
+        if kd is not K.GHZ_SWAP_2D:
+            return (star_merge_stage(d, a[1:], b[0], a[0], add),), a[:1] + b[1:], lambda o: (
+                _shift_phase_correction(d, tuple((s, o[-1]) for s in range(1, len(b))), o[0]))
+        stage = Stage(add, gates=((a[1], b[0], x2), (a[2], b[0], fourier_op(2))),
+                      targets=((a[1], fb), (a[2], cb), (b[0], cb)))
+        return (stage,), a[:1] + b[1:], lambda o: qubit_correction(*TABLE_2[o][1:3])
 
     if kd in (K.MERGE_METHOD_1, K.MERGE_COMBINED,
               K.MERGE_METHOD_2, K.GHZ_PARALLEL_D):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walknet import mqss, protocols
+from walknet import mqss, protocols, qudit
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
@@ -341,32 +341,35 @@ def test_only_protocols_enumerates_branches():
 # register, its coin on site 0: the coins' readouts then sum their rows in
 # another order, which moved amplitudes by at most 3.8e-16 and no coin or u0
 # (seeds 0-19 at every (d, M) under the size cap).  The sampled state and
-# outcomes must not move by a bit
+# outcomes must not move by a bit.  Every line was re-recorded when the
+# split star merge began to run in the position's Fourier frame (one F on pos,
+# identity-coin walks, one Fourier readout of pos): amplitudes moved by at
+# most 2.0e-15 and no coin or u0 (seeds 0-19 at every d = 2-7, M = 1-4)
 SHARED_GHZ_SHA256 = [
-    (2, 1, "6d892c5d3ba8acd318f69ebe3e3a0104976c5122e4bdcba06b75fb9eac367f59"),
-    (3, 1, "94336d1fa88f41eabbd25bf80f74bc5b1f0ca63bdaac8dfa201ed46fd965aad9"),
-    (4, 1, "bfbf8d3edde6fdbdcf75b00f9fdfaf4041e4a8dd0d827589d5d0cc0e739eace8"),
-    (5, 1, "22e801ec0b4b111c33868c5ebb60f9b8b360f607a7b0fd3767fb822e01126dc2"),
-    (6, 1, "885b77430e0f997e4c3ec73cb3f0f9483caecc7cff8ae4783c065b68f2d833fd"),
-    (7, 1, "86000acb2d6f67e1b5dbc8f6d5230d47dd251661b7c59d3211d7d586ad68a789"),
-    (2, 2, "0399729120993b5bf2c0054dd04db212c374ea13588cf33abefea511d1a9ab5c"),
-    (2, 3, "28c34e980fc44edacd91c054644a44a3ca2ec6913e102020ad3118f46e40c68d"),
-    (2, 4, "430dd3c35feca7890f95b82d4511429d6eda4587fb2de8f849153852f2bd1b22"),
-    (3, 2, "25d3b7bf8e96ab01b075e28dfdfce5411f8c93620d8c4b614aeabbad375dea30"),
-    (3, 3, "b88f200792f4f4498660305528ff96543882893fd8c6ad2fd418328a424bd89a"),
-    (3, 4, "414978b490710f1ab52b7618d8f15a6d019a95957bbe10f8d3ea356d212e23ac"),
-    (4, 2, "874ad4bb955c7a4dbc2061cc9d6dd8d76d0736ff41e0481edeae093a0c7188ef"),
-    (4, 3, "0f4f2117427a61328bc848a6825a981ad78322619ef894e169c9eba367c3f49a"),
-    (4, 4, "36440ffc28b80576407145660d39f1be59650be32b0db26d4bcf039d2e6d9996"),
-    (5, 2, "ca1c5599cefb685147e4a0daf85c57dfd4516b4b60a4ff3c8df34ae6533738dd"),
-    (5, 3, "2679c3ec16a33618d67a362ed2b68e0628d0d5aa9eb290634f518bc051360bad"),
-    (5, 4, "99f3a28a76ced848393ee64ee79aa20dc7dd878be568cb06d775849016e66bad"),
-    (6, 2, "ec30bd9941d2981de228b3d35ede12cabad07a73fcbc8512b2cbbf8ee257b939"),
-    (6, 3, "7c1d5cbcba8f94482e5b92504ce983aea996bc2e762839c51bc9e04f42de874b"),
-    (6, 4, "db796b1a7d94f6a97f29044b43af70f2720230ee62f4eddc872ee197966fa494"),
-    (7, 2, "6a7c14d4e41ac852b29153d96884eb2203e926bc7e70bf1a617fa4a3d5f0af1b"),
-    (7, 3, "82e59bd222ef712f77b1239138cb82b87a4047320c412142ee25eb868f6bae23"),
-    (7, 4, "596721378c2fd173d1571551409b49a17b749d0e11cc01a6aaf1860d723c67cb"),
+    (2, 1, "8a681d5e88d7a94453e7f32f60468617b88606b1fadf8226cecfeb2bf79817d9"),
+    (3, 1, "69c3bec2eb7be53a9df62b6101e1edefade9bc6ea4c124e935e18c3c837e7385"),
+    (4, 1, "fa63485efcd128f1323abf9cd88e3c0807dea6b722f4a8c9f4c289c3004620e4"),
+    (5, 1, "f1147ee9340b8f58cec5307f2381f03f6144b218ba2799570a8a2561824aa669"),
+    (6, 1, "d6ab6cfbf7d370d033564b1750d98dc8a212685520e7910dd8d02ffef3fd4799"),
+    (7, 1, "22014ccbdbd7c8c0e0eadea3436852916168e0530b7e7cf6936a7eaa47c080e9"),
+    (2, 2, "5fbcb74210077622797346d8841c579975740217ff47ccc3918fc29d308c9295"),
+    (2, 3, "ba2d65cc2f6216cdb4e98a12e775adee35a1b9d719674c3440a61a7ccfe2241e"),
+    (2, 4, "ce58514d829d5135c7a80a1e78abe10a6a81febb41126c6594aea5385224323b"),
+    (3, 2, "958da2ea391977a264d3d55169041be01767a5bc350b5beb92ffb9dd1d14bc73"),
+    (3, 3, "2012dede3be8f3611203122f8610752f24ade0706448374db3aa64e95fa24fbe"),
+    (3, 4, "2156645f9567539ae999be0997c2929536d1c5fb09afb79e8da38a8dcbd8958e"),
+    (4, 2, "a77aecb13e853c315ae84f1791a5de9d66ef20be9b321808a56a566b1ebd9bf8"),
+    (4, 3, "05b93274d84672aa721435ecab2925ff6239fcaeb0c829d81736d97bc5252456"),
+    (4, 4, "3bbd6b94cb194793a6a7a4803455680758e98d8398ded8da60b66fbb66a3050a"),
+    (5, 2, "743ccc0cc57f25cd781e298a17ba8c9af295ff5ba698149ab1ff59d24c792d07"),
+    (5, 3, "4ad55dd5e4b1eb9fa40f03e3d81b46156733293944be0938e1cd9f1669e0950a"),
+    (5, 4, "ce2b216cc7214244d4f06419ef96f8969be3eab85a32ca83768a3b0db407ee61"),
+    (6, 2, "096fb13fbb4b3fd70d78a7e95d4f82ea6ecd85a3d770448aa7935543c4f92f4f"),
+    (6, 3, "8f59c8fe377e9ba7ba403e4103c24a1d2f77e5bdcde6b1f824357c7bf32d57a8"),
+    (6, 4, "b750ff965d1a9ac7a5fb12635397cd9a367a88cf1ef5708429c83bfe3aef3060"),
+    (7, 2, "aac39210fcd2df73ae7958c4cba3b91de0ce5e6db894995216291180d2c42d4a"),
+    (7, 3, "55ca8e8220d2fc4806820f5eec59031bf193689ce9aed63ccab203ba78d4a75f"),
+    (7, 4, "81fc530e501eb7611bbfa94d00410076e6109cc5fcd6f177b7cdf5e123674252"),
 ]
 
 
@@ -382,9 +385,9 @@ def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
 
 def test_later_joins_lead_the_register(monkeypatch):
     # each participant's Bell pair after the first joins in front of the live
-    # register, its coin first: every walk onto pos spans at most M + 1 sites
-    # and every later coin's Fourier acts on site 0 (appended at the end, the
-    # walks of (7, 4) would span 4, 5, 6 and 7 sites)
+    # register, its coin first: every walk from pos onto a coin spans at most
+    # M + 1 sites and every later coin sits on site 0 (appended at the end,
+    # the walks of (7, 4) would span 4, 5, 6 and 7 sites)
     d, m, calls = 7, 4, []
 
     def spy(state, op, sites):
@@ -393,10 +396,37 @@ def test_later_joins_lead_the_register(monkeypatch):
 
     monkeypatch.setattr(protocols, "apply", spy)
     generate_shared_ghz(d, m, seed=0)
-    spans = [abs(sites[1] - sites[0]) + 1 for _, sites in calls if len(sites) == 2]
-    coins = [sites for op, sites in calls if op is fourier_op(d)]
+    walks = [sites for _, sites in calls if len(sites) == 2]  # [pos, coin]
+    spans = [abs(pos - coin) + 1 for pos, coin in walks]
+    coins = [coin for _, coin in walks]
     assert len(spans) == len(coins) == m and max(spans) <= m + 1
-    assert all(sites == [0] for sites in coins[1:])
+    assert all(site == 0 for site in coins[1:])
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("m", range(1, 5))
+def test_one_fourier_readout_per_session(monkeypatch, d, m):
+    # in the position's Fourier frame the only dense passes are F on pos and
+    # the inverse Fourier on the dealer, both on the 4-site first sub-stage,
+    # and pos's Fourier readout on the M + 2 unread sites: three matrix
+    # products, not 2M + 1
+    dense, products = [], []
+
+    def spy(state, op, sites):
+        if op.monomial is None:
+            dense.append(state.n)
+        return apply(state, op, sites)
+
+    def spy_matmul(mat, view):
+        products.append(view.size)
+        return matmul_axis(mat, view)
+
+    matmul_axis = qudit._matmul_axis
+    monkeypatch.setattr(protocols, "apply", spy)
+    monkeypatch.setattr(qudit, "_matmul_axis", spy_matmul)
+    generate_shared_ghz(d, m, seed=0)
+    assert dense == [4, 4]
+    assert products == [d**4, d**4, d ** (m + 2)]
 
 
 @pytest.mark.parametrize("m", range(1, 7))

@@ -32,7 +32,7 @@ from walknet.protocols import (
     split_stage,
     star_merge_stage,
 )
-from walknet.qudit import Basis, canonical_bell, fourier_op
+from walknet.qudit import Basis, canonical_bell, fourier_op, identity_op
 
 TOL = 1e-12
 
@@ -144,13 +144,18 @@ def test_star_merge_peaks_at_m_plus_3_sites_split(coins):
 
 
 def test_star_merge_reads_each_coin_right_after_its_walk():
+    # in the position's Fourier frame: F on pos first, then pos walks onto
+    # each coin with the identity coin, each coin read computationally right
+    # after its walk and pos last, in the Fourier basis
     stage = _bell_star(3, 3)
-    walks, (fix,) = stage.gates[:3], stage.gates[3:]
+    f, i, fix = fourier_op(3), identity_op(3), stage.gates[-1]
     split = split_stage(stage)
     assert [[labels for _, labels in sub.add] for sub in split] == [
         [("pos", "far"), ("p0", "c0")], [("p1", "c1")], [("p2", "c2")], []]
-    assert [sub.gates for sub in split] == [(walks[0], fix), (walks[1],), (walks[2],), ()]
-    assert [sub.targets for sub in split] == [(t,) for t in stage.targets]
+    assert [sub.gates for sub in split] == [
+        (("pos", f), ("pos", "c0", i), fix), (("pos", "c1", i),), (("pos", "c2", i),), ()]
+    assert [sub.targets for sub in split] == [
+        ((c, Basis.COMPUTATIONAL),) for c in ("c0", "c1", "c2")] + [(("pos", Basis.FOURIER),)]
 
 
 def _pair_merge_and_release():
