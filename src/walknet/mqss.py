@@ -11,10 +11,20 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    error rate, and the run aborts above the configured threshold.
 3. Merge the M working pairs and one dealer-local pair into an (M+1)-party
    GHZ via the multi-coin Bell-merge walk.  Only the dealer learns the coin
-   results q~_k and the position value u0.
+   results q~_k and the position value u0.  In the position's Fourier frame
+   (``protocols.split_stage``) the merge is a qudit Clifford circuit: F on
+   the position and the dealer's inverse Fourier leave the canonical
+   position pair as it was, each identity-coin walk c_k -= pos followed by
+   a computational readout of c_k gives a uniform q~_k, and the Fourier
+   readout of the position gives a uniform u0.  So the M + 1 results are
+   independent uniform digits and the residual is exactly
+   ``shared_ghz_closed_form(d, q~, u0)``; the step draws the digits and
+   builds the residual, d^(M+1) amplitudes.  The dense circuit is kept in
+   the tests, which check this law against it.
 4. Everyone measures their GHZ particle; the dealer's value is r0 and
-   participant k holds r0 + q~_k.  The dealer publishes
-   p = (S - sum(q~_k) - M*r0) / M as an exact rational.
+   participant k holds r0 + q~_k.  The residual's d support entries are
+   equally likely, so one uniform digit picks the readout.  The dealer
+   publishes p = (S - sum(q~_k) - M*r0) / M as an exact rational.
 5. Participant shares are p plus their measured value; the shares add up to
    M*p + sum(q~_k) + M*r0 = S exactly.
 
@@ -36,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import FIDELITY_TOL, Stage, run_stages, split_stage, star_merge_stage
+from .protocols import FIDELITY_TOL, Stage, StepLaw, run_stages
 from .qudit import (
     SIZE_CAP,
     Basis,
@@ -49,7 +59,6 @@ from .qudit import (
     canonical_bell,
     fourier_inv_op,
     fourier_op,
-    sample_branch,
 )
 
 INTERCEPT_RESEND = "intercept-resend"
@@ -94,8 +103,12 @@ def _as_threshold(value):
 
 
 def _check_register_cap(d: int, participants: int) -> None:
-    """Refuse up front what step 3 cannot hold: its live register peaks at
-    M+3 sites (the position pair, the participants' sites, one coin pair)."""
+    """Refuse up front a session whose step 3 is over the dense reference's
+    size: the split star merge that the closed-form law is checked against
+    peaks at M+3 live sites (the position pair, the participants' sites, one
+    coin pair).  The closed form itself holds d^(M+1) amplitudes; the bound
+    stays so that every served session is one whose law the dense circuit
+    can check."""
     if d ** (participants + 3) > SIZE_CAP:
         raise SizeCapError(f"{participants} participants at d={d} need a register of "
                            f"{participants + 3} sites, over the size cap")
@@ -212,14 +225,9 @@ def intercept_resend_error_rate(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _ghz_circuit(d: int, participants: int) -> tuple[tuple[Stage, ...], tuple[str, ...]]:
-    """Step 3's stages and outputs: the star merge of the dealer's position
-    pair (pos, dealer) with one Bell pair (p_k, coin_k) per participant,
-    split coin by coin (``split_stage``)."""
-    bell, ks = canonical_bell(d, 0, 0), range(1, participants + 1)
-    add = [(bell, ("pos", "dealer"))] + [(bell, (f"p{k}", f"coin{k}")) for k in ks]
-    stage = star_merge_stage(d, [f"coin{k}" for k in ks], "pos", "dealer", add)
-    return split_stage(stage), tuple(f"p{k}" for k in ks) + ("dealer",)
+def _uniform_law(d: int) -> StepLaw:
+    """One uniform digit: outcomes (v,) for v < d, each at probability 1/d."""
+    return StepLaw(tuple((v,) for v in range(d)), np.full(d, 1 / d), {})
 
 
 def generate_shared_ghz(d: int, participants: int, seed: int = 0
@@ -228,20 +236,19 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
 
     Returns (state, coin results q~_1..q~_M, position value u0); the state is
     ordered (participant 1, ..., participant M, dealer) and equals
-    (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r> for the sampled
-    outcomes.  The star merge runs split coin by coin: each pair is walked
-    and its coin measured as soon as its step is done, so the live register
-    stays at M+3 sites.  No one measures the dealer's particle, so its
-    inverse Fourier commutes with every readout and runs in the first stage,
-    on the smallest register.
+    (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r>.  The merge's law is
+    the module docstring's closed form: the M + 1 results are independent
+    uniform digits, drawn from one block of uniforms as M + 1 ``rng.choice``
+    calls over a uniform law would draw them, one per readout of the dense
+    split circuit (coins first, then the position).
     """
     d, participants, seed = as_int(d, "d"), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
     _check_register_cap(d, participants)
-    stages, outputs = _ghz_circuit(d, participants)
-    ((values, _, state),) = run_stages(stages, outputs, np.random.default_rng(seed))
-    return state, list(values[:-1]), values[-1]
+    rng = np.random.default_rng(seed)
+    *coins, u0 = (v for (v,) in _uniform_law(d).draw(rng.random(participants + 1)))
+    return shared_ghz_closed_form(d, coins, u0), coins, u0
 
 
 def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditState:
@@ -334,8 +341,12 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
     t.events.append(f"step3: ({config.participants + 1})-party GHZ generated, "
                     f"coin results known to dealer only")
 
-    targets = [(i, Basis.COMPUTATIONAL) for i in range(state.n)]
-    *t.participant_results, t.dealer_result = sample_branch(state, targets, rng).values[0].tolist()
+    # every party reads computationally: the d support entries, in index
+    # order, are equally likely, and entry i has r0 = (i - q~_1) mod d
+    ((i,),) = _uniform_law(state.d).draw(rng.random(1))
+    index = int(np.flatnonzero(state.amps)[i])
+    *t.participant_results, t.dealer_result = [
+        index // state.d ** (state.n - 1 - site) % state.d for site in range(state.n)]
     t.events.append("step4: all parties measured their GHZ particle")
     for k, v in enumerate(t.participant_results, start=1):
         if v != (t.dealer_result + coins[k - 1]) % config.d:

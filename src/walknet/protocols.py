@@ -60,20 +60,19 @@ caller names up front.  ``_circuit(spec)`` writes each catalog kind once:
 its stages, outputs and correction rule (None where each correction is
 derived from the residual).  ``run_stages(stages, outputs)`` checks the size
 cap and that ``outputs`` are exactly the unread particles before the first
-resource is added, then runs the stages and yields each residual over
-``outputs``, in that order: exhaustively here, one Born-sampled branch per
-stage for the secret-sharing GHZ generation.  One loop corrects every
-exhaustive branch and scores a last stage's branches as one block, for
+resource is added, then runs the stages exhaustively and yields each
+branch's residual over ``outputs``, in that order.  One loop corrects every
+branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` table the gasket
 and network merges (``star_merge_stage`` also serves ghz-from-bells-d)
-sample instead of amplitudes: one uniform per merge, as the dense sampler
-draws on the merge's one-stage circuit, a whole schedule from one block of
-uniforms (``StepLaw.draw``).  ``split_stage`` runs one stage as sub-stages
+sample instead of amplitudes: one uniform per merge, located in the law as
+``rng.choice`` locates it, a whole schedule from one block of uniforms
+(``StepLaw.draw``).  The secret-sharing GHZ step draws from its closed-form
+law the same way (``mqss``).  ``split_stage`` runs one stage as sub-stages
 that read each target as soon as no later gate touches it: the network star
-merges and the secret-sharing GHZ generation read each coin right after its
-walk, in the position's Fourier frame: F_c^dag S(c -> p) F_c = F_p^dag
-S(p -> c) F_p per coin.  The catalog runs keep the paper's circuit and
-reported bases.
+merges read each coin right after its walk, in the position's Fourier
+frame: F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p per coin.  The catalog
+runs keep the paper's circuit and reported bases.
 """
 
 from __future__ import annotations
@@ -104,7 +103,6 @@ from .qudit import (
     measure_all_branches,
     pauli_x,
     pauli_z,
-    sample_branch,
     shift_op,
     tensor,
 )
@@ -352,13 +350,10 @@ class Stage:
     targets: tuple = ()
 
 
-def run_stages(stages, outputs, rng: np.random.Generator | None = None):
-    """Run a walk circuit; yield (values, probability, residual) per branch.
-
-    Without ``rng`` every nonzero branch comes out, in outcome order; values
-    are the results of all stages' targets in order and the probability is
-    their product.  With ``rng`` each stage draws its one Born-sampled branch
-    (one draw per stage), so exactly one branch comes out.
+def run_stages(stages, outputs):
+    """Run a walk circuit exhaustively; yield (values, probability, residual)
+    per nonzero branch, in outcome order.  Values are the results of all
+    stages' targets in order and the probability is their product.
 
     The circuit names its outputs: the residual is the ``QuditState`` over
     ``outputs``, in that order, or None when every particle is read, whatever
@@ -370,7 +365,7 @@ def run_stages(stages, outputs, rng: np.random.Generator | None = None):
     standing for these idle ones, so gates and measurements never sweep them.
     """
     outputs = tuple(outputs)
-    for values, prob, block, sites, copies in _blocks(stages, outputs, rng):
+    for values, prob, block, sites, copies in _blocks(stages, outputs):
         for i, (v, p) in enumerate(zip(block.values.tolist(), block.probs.tolist())):
             yield values + tuple(v), prob * p, None if block.posts is None else _residual(
                 block.d, block.posts, sites, outputs, copies, i)
@@ -386,7 +381,7 @@ def _peak(stages) -> int:
     return peak
 
 
-def _blocks(stages, outputs, rng):
+def _blocks(stages, outputs):
     """Per last stage: (values, probability, ``Branches`` block, compact sites, copies)."""
     stages = tuple(stages)
     if stages:
@@ -397,10 +392,10 @@ def _blocks(stages, outputs, rng):
     if len(outputs) != len(unread) or set(outputs) != set(unread):
         raise ValueError(f"outputs {outputs} are not the circuit's unread particles {unread}")
     touched = read | {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
-    return _run(stages, (), 1.0, None, (), {}, rng, touched)
+    return _run(stages, (), 1.0, None, (), {}, touched)
 
 
-def _run(stages, values, prob, state, sites, copies, rng, touched):
+def _run(stages, values, prob, state, sites, copies, touched):
     """First-stage resources join in add order (bell-swap-d reads rows as residuals).  A
     later one joins in front, the particles the circuit touches first, so its walks onto
     earlier particles span few sites and its coins sit on site 0.  ``sites`` names the axes."""
@@ -419,8 +414,7 @@ def _run(stages, values, prob, state, sites, copies, rng, touched):
         state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
                  if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
     targets = [(sites.index(lab), basis) for lab, basis in stage.targets]
-    block = (measure_all_branches(state, targets) if rng is None
-             else sample_branch(state, targets, rng))
+    block = measure_all_branches(state, targets)
     del state
     read = {lab for lab, _ in stage.targets}
     sites = tuple(lab for lab in sites if lab not in read)
@@ -430,7 +424,7 @@ def _run(stages, values, prob, state, sites, copies, rng, touched):
     posts = [None] * len(block) if block.posts is None else [
         QuditState.unchecked(block.d, block.n, row) for row in block.posts]
     for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
-        yield from _run(stages[1:], values + tuple(v), prob * p, post, sites, copies, rng, touched)
+        yield from _run(stages[1:], values + tuple(v), prob * p, post, sites, copies, touched)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -623,7 +617,7 @@ def _corrected(stages, outputs, closed=None):
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
     outputs, spread = tuple(outputs), None
-    for prefix, prob, block, sites, copies in _blocks(stages, outputs, None):
+    for prefix, prob, block, sites, copies in _blocks(stages, outputs):
         d, n, rows = block.d, len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
         values = [prefix + tuple(v) for v in block.values.tolist()]

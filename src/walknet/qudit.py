@@ -382,27 +382,30 @@ def fidelity(a: QuditState, b: QuditState) -> float:
 # Measurement
 # ---------------------------------------------------------------------------
 
-def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
-    """Validate ``targets``; return (rows, probabilities, kept row indices).
+def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> Branches:
+    """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
 
-    Row r holds the unnormalized amplitudes of the unmeasured sites for the
-    outcome whose results, in target order, are the base-d digits of r.  The
-    targets move to the front once; each Fourier target's inverse Fourier
-    transform is then one matrix product on a (d^j, d, rest) view of the
-    rows, j its place in target order.  Rows below the pruning threshold are
-    dropped; the kept ones must carry all the probability mass.
+    Fourier-basis targets are realized by applying the inverse Fourier
+    transform to the site and then reading it out computationally, so the
+    reported value k corresponds to the basis element |k~>.  Branches with
+    probability below 1e-12 are pruned; the surviving probabilities sum to 1
+    within 1e-9.  One ``Branches`` block; post-states lack the measured sites.
+
+    Row r of the outcome rows holds the unnormalized amplitudes of the
+    unmeasured sites for the outcome whose results, in target order, are the
+    base-d digits of r.  The targets move to the front once; each Fourier
+    target's inverse Fourier transform is then one matrix product on a
+    (d^j, d, rest) view of the rows, j its place in target order.
     """
     if not targets:
         raise ValueError("no measurement targets given")
     sites = [s for s, _ in targets]
     if len(set(sites)) != len(sites):
         raise ValueError("measurement targets must be distinct")
-    d, n = state.d, state.n
+    d, n, t = state.d, state.n, len(targets)
     for s in sites:
         if not 0 <= s < n:
             raise ValueError(f"site {s} out of range")
-
-    t = len(sites)
     rows = np.moveaxis(state.tensor_view(), sites, range(t)).reshape(d**t, -1)
     finv = fourier_inv_op(d).mat
     for j, (_, basis) in enumerate(targets):
@@ -413,19 +416,6 @@ def _outcome_rows(state: QuditState, targets: list[tuple[int, Basis]]):
     total = float(probs[kept].sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise AssertionError(f"branch probabilities sum to {total}, not 1")
-    return rows, probs, kept
-
-
-def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) -> Branches:
-    """Enumerate every outcome of measuring ``targets`` (site, basis) in order.
-
-    Fourier-basis targets are realized by applying the inverse Fourier
-    transform to the site and then reading it out computationally, so the
-    reported value k corresponds to the basis element |k~>.  Branches with
-    probability below 1e-12 are pruned; the surviving probabilities sum to 1
-    within 1e-9.  One ``Branches`` block; post-states lack the measured sites.
-    """
-    rows, probs, kept = _outcome_rows(state, targets)
     # one block of post-states, out of place if it is every row: rows may view state.amps
     if len(kept) == len(rows):
         posts = np.divide(rows, np.sqrt(probs)[:, None], order="C")
@@ -436,26 +426,5 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
     err = float(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0).max())
     if err > NORM_TOL:
         raise ValueError(f"post-state is not normalized (|norm-1| = {err:.3e})")
-    d, n, t = state.d, state.n, len(targets)
     values = kept[:, None] // d ** np.arange(t - 1, -1, -1) % d
     return Branches(d, n - t, values, probs[kept], posts if n > t else None)
-
-
-def sample_branch(
-    state: QuditState,
-    targets: list[tuple[int, Basis]],
-    rng: np.random.Generator,
-) -> Branches:
-    """Draw a single measurement branch with Born-rule probability.
-
-    Same pruning, checks and branch order as ``measure_all_branches``, and
-    one ``rng.choice`` over the kept branches; the drawn branch's one-row
-    block, with only its post-state built and norm-checked.
-    """
-    rows, probs, kept = _outcome_rows(state, targets)
-    p = probs[kept]
-    i = int(kept[rng.choice(len(kept), p=p / p.sum())])
-    d, n, t = state.d, state.n, len(targets)
-    post = QuditState(d, n - t, rows[i] / np.sqrt(probs[i])).amps[None] if n > t else None
-    return Branches(d, n - t, np.array([[i // d ** (t - 1 - j) % d for j in range(t)]]),
-                    probs[i:i + 1], post)

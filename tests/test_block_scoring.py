@@ -128,7 +128,7 @@ def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
         stages, outputs, _ = protocols._circuit(spec)
-        return any(copies for *_, copies in protocols._blocks(stages, outputs, None))
+        return any(copies for *_, copies in protocols._blocks(stages, outputs))
 
     kinds = {spec.kind for spec in SPECS if has_copies(spec)}
     assert {K.GHZ_PARALLEL_D, K.MERGE_METHOD_1, K.GHZ_MULTI_COIN_D} <= kinds

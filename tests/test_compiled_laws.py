@@ -52,6 +52,14 @@ def _assert_same_law(law, dense):
         assert abs(corr.global_phase - ref.global_phase) <= TOL
 
 
+def _sampled(stages, outputs, rng):
+    """The dense sampler: one ``rng.choice`` over the kept branches of a
+    one-stage circuit's exhaustive run, with their Born probabilities."""
+    branches = list(run_stages(stages, outputs))
+    p = np.array([prob for _, prob, _ in branches])
+    return branches[rng.choice(len(branches), p=p / p.sum())]
+
+
 def _sampled_generator(monkeypatch, run):
     """``run()``'s result and the state of the one generator it made."""
     made = []
@@ -131,7 +139,7 @@ def _dense_execute(schedule, d, seed):
     trace = []
     for step in schedule.steps:
         stage, outputs = _compare_step(step, states, d)
-        ((values, _, state),) = run_stages([stage], outputs, rng)
+        values, _, state = _sampled([stage], outputs, rng)
         corr = derive_ghz_correction(state)
         corrected = corr.apply_to(state)
         assert fidelity(corrected, canonical_ghz(d, state.n)) >= 1 - TOL
@@ -240,7 +248,7 @@ def _dense_gasket(n, d, seed):
             dense = [(values, prob, derive_ghz_correction(post))
                      for values, prob, post in run_stages(stages, ("a", "b", "c"))]
             _assert_same_law(fractal._merge_law(d), dense)
-        ((_, _, post),) = run_stages(stages, ("a", "b", "c"), rng)
+        _, _, post = _sampled(stages, ("a", "b", "c"), rng)
         corr = derive_ghz_correction(post)
         states[step.output] = corr.apply_to(post)
         assert fidelity(states[step.output], canonical_ghz(d, 3)) >= 1 - TOL

@@ -1,20 +1,24 @@
 """The seeded draw that every sampled path relies on.
 
-``qudit.sample_branch`` draws one kept branch with ``rng.choice(len(p),
-p=p)``.  On numpy 2.4 that call takes one ``rng.random()`` and locates it in
-the normalized cumulative sum of ``p``.  ``StepLaw.draw`` does the same
-without ``choice``: it maps a block of uniforms, taken in one ``rng.random``
-call, to kept outcomes, so a schedule's draws must land where one ``choice``
-per merge lands and leave the generator in the same state.  This pins both
-halves, on the compiled laws and on whole gasket and network schedules,
-against a scalar ``choice`` reference written here, so a numpy release that
-changes ``choice`` fails here rather than silently moving seeded outcomes.
+A dense sampler draws one kept branch with ``rng.choice(len(p), p=p)``.  On
+numpy 2.4 that call takes one ``rng.random()`` and locates it in the
+normalized cumulative sum of ``p``.  ``StepLaw.draw`` does the same without
+``choice``: it maps a block of uniforms, taken in one ``rng.random`` call, to
+kept outcomes, so a schedule's draws must land where one ``choice`` per merge
+lands and leave the generator in the same state.  This pins both halves, on
+the compiled laws, on whole gasket and network schedules and on the
+secret-sharing session's uniform draws (the GHZ step's coins and position
+value, and step 4's readout), against a scalar ``choice`` reference written
+here, so a numpy release that changes ``choice`` fails here rather than
+silently moving seeded outcomes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from walknet import fractal, network
+from walknet import fractal, mqss, network
 from walknet.network import (
     Resource,
     ResourceNetwork,
@@ -24,6 +28,7 @@ from walknet.network import (
     steiner_tree,
 )
 from walknet.protocols import StepLaw
+from walknet.qudit import SIZE_CAP
 
 
 def _network_step_law(d):
@@ -161,3 +166,57 @@ def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
         monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
     assert [(o["outcome"], o["correction"]) for o in result.outcomes] == want
     assert state == ref.bit_generator.state
+
+
+def _uniform_choices(rng, d, count):
+    """``count`` digits drawn the scalar way: one uniform ``rng.choice`` each."""
+    return [int(rng.choice(d, p=np.full(d, 1 / d))) for _ in range(count)]
+
+
+MQSS_SHAPES = [(d, m) for d in range(2, 8) for m in range(1, 5) if d ** (m + 3) <= SIZE_CAP]
+SESSION_SHAPES = [(d, m) for d, m in MQSS_SHAPES if m >= 2]  # a session has two or more
+
+
+@pytest.mark.parametrize("d, m", MQSS_SHAPES)
+def test_shared_ghz_draws_equal_scalar_choice(monkeypatch, d, m):
+    # the M coins, then the position value: one uniform digit per readout
+    for seed in range(20):
+        ref = np.random.default_rng(seed)
+        *coins, u0 = _uniform_choices(ref, d, m + 1)
+        (_, got_coins, got_u0), state = _made_generator(
+            monkeypatch, lambda: mqss.generate_shared_ghz(d, m, seed=seed))
+        assert (got_coins, got_u0) == (coins, u0)
+        assert state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d, m", SESSION_SHAPES)
+def test_session_readout_draw_equals_scalar_choice(monkeypatch, d, m):
+    # step 4 reads support entry i of the residual, in index order: r0 = i - q~_1
+    real = np.random.default_rng
+    for seed in range(20):
+        made = []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+            t = mqss.run_mqss(mqss.MqssConfig(d=d, participants=m, secret=seed,
+                                              detect_pairs=2, seed=seed))
+        ref = np.random.default_rng(seed)
+        for _ in range(2 * m + 1):  # one per link and channel check, then the GHZ seed
+            ref.integers(2**31)
+        (i,) = _uniform_choices(ref, d, 1)
+        r0 = (i - t.coin_results[0]) % d
+        assert t.dealer_result == r0
+        assert t.participant_results == [(r0 + q) % d for q in t.coin_results]
+        assert made[0].bit_generator.state == ref.bit_generator.state
+
+
+def test_session_transcripts_are_pinned():
+    # 360 sessions: d = 2-7, M = 2-4 under the size cap, seeds 0-9, with and
+    # without an intercept-resend attack on channel 1
+    h = hashlib.sha256()
+    for d, m in SESSION_SHAPES:
+        for seed in range(10):
+            for eavesdrop in (None, 1):
+                config = mqss.MqssConfig(d=d, participants=m, secret=7 * seed - 3, detect_pairs=5,
+                                         eavesdrop_channel=eavesdrop, seed=seed)
+                h.update(mqss.run_mqss(config).to_json().encode())
+    assert h.hexdigest() == "0d1ccf4ef38c85960b500c248ebcfd1667a1b38d8553a1eeb8800e8a3134b4cf"

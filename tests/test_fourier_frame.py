@@ -8,9 +8,15 @@ onto each coin, computational coin readouts and one Fourier readout of
 by ``run_stages``: the framed split run must give the same values in the same
 order, probabilities within 1e-12 and residual amplitudes within 1e-12.  Any
 stage that is not such a star merge passes through the rewrite unchanged.
+
+The secret-sharing GHZ step draws from the closed-form law of this circuit
+(``mqss.generate_shared_ghz``): every (q~_1, ..., q~_M, u0) in product order,
+each at probability d^-(M+1), with residual ``shared_ghz_closed_form``.  The
+paper circuit, built here as the session's step 3, is that law's proof.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from walknet.protocols import (
     _circuit,
     _fourier_frame,
     run_stages,
+    split_stage,
     star_merge_stage,
     triangle_merge_stages,
 )
@@ -53,12 +60,29 @@ def _assert_framed_split_matches(stage, stages, outputs):
         assert np.abs(post.amps - ref.amps).max() <= TOL
 
 
+def ghz_circuit(d, m):
+    """The secret-sharing GHZ step as a dense circuit: the star merge of the
+    dealer's position pair (pos, dealer) with one Bell pair (p_k, coin_k) per
+    participant.  (one-stage star merge, its split stages, outputs)."""
+    bell, ks = canonical_bell(d, 0, 0), range(1, m + 1)
+    add = [(bell, ("pos", "dealer"))] + [(bell, (f"p{k}", f"coin{k}")) for k in ks]
+    stage = star_merge_stage(d, [f"coin{k}" for k in ks], "pos", "dealer", add)
+    return stage, split_stage(stage), tuple(f"p{k}" for k in ks) + ("dealer",)
+
+
 MQSS_SHAPES = [(d, m) for d in range(2, 17) for m in range(1, 8) if d ** (2 * m + 2) <= 2**16]
 
 
 @pytest.mark.parametrize("d, m", MQSS_SHAPES)
 def test_mqss_circuit(d, m):
-    _assert_framed_split_matches(*_built(mqss, lambda: mqss._ghz_circuit.__wrapped__(d, m)))
+    stage, stages, outputs = ghz_circuit(d, m)
+    _assert_framed_split_matches(stage, stages, outputs)
+    dense = list(run_stages([stage], outputs))
+    assert [v for v, _, _ in dense] == list(product(range(d), repeat=m + 1))
+    for (*coins, u0), p, post in dense:
+        assert abs(p - d ** -(m + 1)) <= TOL
+        closed = mqss.shared_ghz_closed_form(d, coins, u0)
+        assert np.abs(post.amps - closed.amps).max() <= TOL
 
 
 def _network_star_merges(d, edges, terminals):

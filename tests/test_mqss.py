@@ -31,6 +31,8 @@ from walknet.qudit import (
     fourier_op,
 )
 
+from test_fourier_frame import ghz_circuit  # the GHZ step's dense circuit
+
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_twirl_leaves_reference_bell_invariant(d):
@@ -189,7 +191,10 @@ def test_transcript_serialization():
     plain = dict(d=3, participants=2, secret=5, detect_pairs=3, threshold=0.5, seed=1)
     typed = {name: (np.float64 if name == "threshold" else np.int64)(v)
              for name, v in plain.items()}
-    assert run_mqss(MqssConfig(**typed)).to_json() == run_mqss(MqssConfig(**plain)).to_json()
+    t = run_mqss(MqssConfig(**typed))
+    assert t.to_json() == run_mqss(MqssConfig(**plain)).to_json()
+    values = [*t.coin_results, t.position_result, t.dealer_result, *t.participant_results]
+    assert len(values) == 2 * 2 + 2 and all(type(v) is int for v in values)
 
 
 def test_config_validation():
@@ -243,7 +248,7 @@ BAD_CALLS = [
 def test_channel_check_and_ghz_generation_refuse_bad_inputs_before_any_work(
         monkeypatch, call, args, kw, refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    for name in ("_pair_law", "_ghz_circuit", "run_stages"):
+    for name in ("_pair_law", "_uniform_law", "run_stages"):
         monkeypatch.setattr(mqss, name, lambda *a, _n=name: pytest.fail(f"ran {_n}"))
     with pytest.raises(ValueError, match=refusal):
         getattr(mqss, call)(*args, **kw)
@@ -344,32 +349,35 @@ def test_only_protocols_enumerates_branches():
 # outcomes must not move by a bit.  Every line was re-recorded when the
 # split star merge began to run in the position's Fourier frame (one F on pos,
 # identity-coin walks, one Fourier readout of pos): amplitudes moved by at
-# most 2.0e-15 and no coin or u0 (seeds 0-19 at every d = 2-7, M = 1-4)
+# most 2.0e-15 and no coin or u0 (seeds 0-19 at every d = 2-7, M = 1-4).
+# Every line was re-recorded again when the step began to draw from its
+# closed-form law and build the residual with ``shared_ghz_closed_form``:
+# amplitudes moved by at most 1.5e-15 and no coin or u0 (the same grid)
 SHARED_GHZ_SHA256 = [
-    (2, 1, "8a681d5e88d7a94453e7f32f60468617b88606b1fadf8226cecfeb2bf79817d9"),
-    (3, 1, "69c3bec2eb7be53a9df62b6101e1edefade9bc6ea4c124e935e18c3c837e7385"),
-    (4, 1, "fa63485efcd128f1323abf9cd88e3c0807dea6b722f4a8c9f4c289c3004620e4"),
-    (5, 1, "f1147ee9340b8f58cec5307f2381f03f6144b218ba2799570a8a2561824aa669"),
-    (6, 1, "d6ab6cfbf7d370d033564b1750d98dc8a212685520e7910dd8d02ffef3fd4799"),
-    (7, 1, "22014ccbdbd7c8c0e0eadea3436852916168e0530b7e7cf6936a7eaa47c080e9"),
-    (2, 2, "5fbcb74210077622797346d8841c579975740217ff47ccc3918fc29d308c9295"),
-    (2, 3, "ba2d65cc2f6216cdb4e98a12e775adee35a1b9d719674c3440a61a7ccfe2241e"),
-    (2, 4, "ce58514d829d5135c7a80a1e78abe10a6a81febb41126c6594aea5385224323b"),
-    (3, 2, "958da2ea391977a264d3d55169041be01767a5bc350b5beb92ffb9dd1d14bc73"),
-    (3, 3, "2012dede3be8f3611203122f8610752f24ade0706448374db3aa64e95fa24fbe"),
-    (3, 4, "2156645f9567539ae999be0997c2929536d1c5fb09afb79e8da38a8dcbd8958e"),
-    (4, 2, "a77aecb13e853c315ae84f1791a5de9d66ef20be9b321808a56a566b1ebd9bf8"),
-    (4, 3, "05b93274d84672aa721435ecab2925ff6239fcaeb0c829d81736d97bc5252456"),
-    (4, 4, "3bbd6b94cb194793a6a7a4803455680758e98d8398ded8da60b66fbb66a3050a"),
-    (5, 2, "743ccc0cc57f25cd781e298a17ba8c9af295ff5ba698149ab1ff59d24c792d07"),
-    (5, 3, "4ad55dd5e4b1eb9fa40f03e3d81b46156733293944be0938e1cd9f1669e0950a"),
-    (5, 4, "ce2b216cc7214244d4f06419ef96f8969be3eab85a32ca83768a3b0db407ee61"),
-    (6, 2, "096fb13fbb4b3fd70d78a7e95d4f82ea6ecd85a3d770448aa7935543c4f92f4f"),
-    (6, 3, "8f59c8fe377e9ba7ba403e4103c24a1d2f77e5bdcde6b1f824357c7bf32d57a8"),
-    (6, 4, "b750ff965d1a9ac7a5fb12635397cd9a367a88cf1ef5708429c83bfe3aef3060"),
-    (7, 2, "aac39210fcd2df73ae7958c4cba3b91de0ce5e6db894995216291180d2c42d4a"),
-    (7, 3, "55ca8e8220d2fc4806820f5eec59031bf193689ce9aed63ccab203ba78d4a75f"),
-    (7, 4, "81fc530e501eb7611bbfa94d00410076e6109cc5fcd6f177b7cdf5e123674252"),
+    (2, 1, "d621afa6192032f4f5237718ecf033f558129764958c6f120e5a54525e962b7d"),
+    (3, 1, "2a27757c7c7749c0dd466b4ac5618e6389ff6d0e5914a57446bb3e3c245a8c7a"),
+    (4, 1, "e54f71cb9af793c40508cd9784289c6147a4ea3b48d8bc4622fa23602e20bf97"),
+    (5, 1, "b144aa14c18bfe3f718d1fd37f7aa1b65ec809d42b788a52be5324f311aed1ba"),
+    (6, 1, "eb3ddf928526639cbace414898f7759fd9cd676b2c6fc4a55c5834812de72d5b"),
+    (7, 1, "e897abe0ebce3e4803a43eaa46072b70874f9a0da33dba4649145bd1a65a8a9a"),
+    (2, 2, "f0c37d33b0ec39a97db6c2f04c31491a490fb8127b3d739bbc30e9a6a7dc2868"),
+    (2, 3, "9360d9374c23973e8bf6016990e1c8b4c1641b91d14e9df565fda6241388074b"),
+    (2, 4, "f1f41f57458d4df090642af1e07c6f406b70c63745e94083fdf352d583c1baf2"),
+    (3, 2, "e6ac92faa50928dcef7fc153f60e8dd267e7abb9bf926fce82e52048ea8893b7"),
+    (3, 3, "bf64485f0f201125134a9c438726998e5e6cc590ede6fb82a4ebd67f87829f69"),
+    (3, 4, "9a8c5da33154a6918e6fb2438b7b7ec0b918552781a488a6eb9a169b009da327"),
+    (4, 2, "ca77fe2ad3fff459b1906547a3da54a5148237d0cf88fa5fa8945e9443ea0b68"),
+    (4, 3, "ecc591661086590a38b08df357d821fbdfad47ffd7159ff479cb81505a45e2e5"),
+    (4, 4, "2b54e3a27f512c29f23d7d49ed83c64b1a4cad682949b69dce7237cfcd36c974"),
+    (5, 2, "06c0962c8f8689c398a2141fe18b9fb7a854c94ec98493481fc7d2da70bcc1ff"),
+    (5, 3, "ea74e431abb0cdbeb496496e6422179c7386fda52888bcfff5e0be9fcb86aafb"),
+    (5, 4, "a8e329fc46b0c5584d772be4889ab88dae7581ffb5b1a8bfb74aa4dea7d10991"),
+    (6, 2, "de4fe9546f9b332ae0d75fd3986485a752405dbfdb38ac903da03cbf41a41340"),
+    (6, 3, "d216cca2c7a18bb3a8b2b9c9cc038fc7564fd93ef79475fbe3e2ba484bfe75f4"),
+    (6, 4, "7667787b3752a630ede8a816d9a3e0bd2f8774ad450046bdc4d69deee54f209e"),
+    (7, 2, "955dc9e89383ff431260d12c44553a20a8b2aba0d189b775a91f910988d1f78c"),
+    (7, 3, "cc2266dfe7c50f3a5af76a9415d41d67caef56c8c2f2bee039e904bf7fe58661"),
+    (7, 4, "dda3e475ee9ef0aae7ec2810d87c772a73accf4bef5651411c073b9c5460412d"),
 ]
 
 
@@ -383,33 +391,45 @@ def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
     assert h.hexdigest() == digest
 
 
+def _run_split_circuit(d, m):
+    """Run the GHZ step's split circuit (``ghz_circuit``) exhaustively: its
+    last sub-stage, pos's readout, runs once per (q~_1, ..., q~_M)."""
+    _, stages, outputs = ghz_circuit(d, m)
+    assert sum(1 for _ in protocols.run_stages(stages, outputs)) == d ** (m + 1)
+
+
 def test_later_joins_lead_the_register(monkeypatch):
     # each participant's Bell pair after the first joins in front of the live
     # register, its coin first: every walk from pos onto a coin spans at most
     # M + 1 sites and every later coin sits on site 0 (appended at the end,
-    # the walks of (7, 4) would span 4, 5, 6 and 7 sites)
-    d, m, calls = 7, 4, []
+    # the walks of M = 4 would span 4, 5, 6 and 7 sites).  Coin k walks once
+    # per outcome of the coins before it: (d^M - 1) / (d - 1) walks
+    calls = []
 
     def spy(state, op, sites):
         calls.append((op, sites))
         return apply(state, op, sites)
 
     monkeypatch.setattr(protocols, "apply", spy)
-    generate_shared_ghz(d, m, seed=0)
-    walks = [sites for _, sites in calls if len(sites) == 2]  # [pos, coin]
-    spans = [abs(pos - coin) + 1 for pos, coin in walks]
-    coins = [coin for _, coin in walks]
-    assert len(spans) == len(coins) == m and max(spans) <= m + 1
-    assert all(site == 0 for site in coins[1:])
+    for d, m in [(3, 4), (7, 3)]:
+        calls.clear()
+        _run_split_circuit(d, m)
+        walks = [sites for _, sites in calls if len(sites) == 2]  # [pos, coin]
+        spans = [abs(pos - coin) + 1 for pos, coin in walks]
+        coins = [coin for _, coin in walks]
+        assert len(spans) == len(coins) == (d**m - 1) // (d - 1) and max(spans) <= m + 1
+        assert all(site == 0 for site in coins[1:])
 
 
-@pytest.mark.parametrize("d", [2, 3, 7])
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m, d", [(m, d) for d in (2, 3, 7) for m in range(1, 5)
+                                  if d ** (2 * m + 2) <= 2**23])
 def test_one_fourier_readout_per_session(monkeypatch, d, m):
     # in the position's Fourier frame the only dense passes are F on pos and
-    # the inverse Fourier on the dealer, both on the 4-site first sub-stage,
-    # and pos's Fourier readout on the M + 2 unread sites: three matrix
-    # products, not 2M + 1
+    # the inverse Fourier on the dealer, both on the 4-site first sub-stage
+    # (run once), and pos's Fourier readout on the M + 2 unread sites (run
+    # once per q~_1..q~_M): three matrix products on each path, not 2M + 1.
+    # (At d = 7, M = 4 the exhaustive run reads pos 7^4 times on 7^6
+    # amplitudes, which takes 10 s, so that shape is left out.)
     dense, products = [], []
 
     def spy(state, op, sites):
@@ -424,16 +444,16 @@ def test_one_fourier_readout_per_session(monkeypatch, d, m):
     matmul_axis = qudit._matmul_axis
     monkeypatch.setattr(protocols, "apply", spy)
     monkeypatch.setattr(qudit, "_matmul_axis", spy_matmul)
-    generate_shared_ghz(d, m, seed=0)
+    _run_split_circuit(d, m)
     assert dense == [4, 4]
-    assert products == [d**4, d**4, d ** (m + 2)]
+    assert products == [d**4, d**4] + [d ** (m + 2)] * d**m
 
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_register_cap_counts_the_split_circuits_peak(m):
-    # _check_register_cap refuses in O(1) before any stage is built; its
-    # M + 3 must be the live count the GHZ step's stages actually peak at
-    stages, _ = mqss._ghz_circuit(2, m)
+    # _check_register_cap refuses in O(1); its M + 3 must be the live count
+    # that the split circuit the closed-form law is checked against peaks at
+    _, stages, _ = ghz_circuit(2, m)
     peak = protocols._peak(stages)
     assert peak == m + 3
     d = 2

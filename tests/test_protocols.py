@@ -441,28 +441,14 @@ def test_run_stages_exhaustive_branches_and_after_ops():
     assert fidelity(undone, canonical_bell(3, 0, 0)) > 1 - TOL
 
 
-def test_run_stages_sampling_draws_once_per_stage():
-    stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
-    rng = np.random.default_rng(9)
-    ((vals, prob, post),) = run_stages(stages, ("a", "b", "c"), rng)
-    exhaustive = {v: p for v, p, _ in run_stages(stages, ("a", "b", "c"))}
-    assert vals in exhaustive and post.n == 3
-    # two stages, two draws: a fresh generator advanced twice is in step
-    ref = np.random.default_rng(9)
-    ref.random(2)
-    assert rng.random() == ref.random()
-
-
 @pytest.mark.parametrize("outputs", [("a", "b"), ("a", "b", "c", "x"), ("a", "b", "q1"),
                                      ("a", "b", "b")], ids=["missing", "extra", "measured",
                                                             "repeated"])
 @pytest.mark.parametrize("run", [lambda stages, outputs: list(run_stages(stages, outputs)),
-                                 lambda stages, outputs: list(run_stages(
-                                     stages, outputs, np.random.default_rng(0))),
-                                 compile_law], ids=["exhaustive", "sampled", "compiled"])
+                                 compile_law], ids=["exhaustive", "compiled"])
 def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, outputs):
     stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
-    for name in ("tensor", "apply", "measure_all_branches", "sample_branch"):
+    for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
     with pytest.raises(ValueError, match="are not the circuit's unread particles"):
         run(stages, outputs)
@@ -474,7 +460,7 @@ def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, ou
 def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run):
     # stage 1 of the qudit triangle merge fits at d=9 (6 sites), stage 2 peaks
     # at 7: the whole circuit is refused before its first resource is added
-    for name in ("tensor", "apply", "measure_all_branches", "sample_branch"):
+    for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
     with pytest.raises(SizeCapError, match="7 sites at d=9"):
         run()

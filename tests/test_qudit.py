@@ -22,7 +22,6 @@ from walknet.qudit import (
     label_shift_op,
     measure_all_branches,
     pauli_ops,
-    sample_branch,
     shift_op,
     tensor,
 )
@@ -307,58 +306,20 @@ def test_measure_empty_targets_rejected():
         measure_all_branches(canonical_bell(2, 0, 0), [])
 
 
-def _sampler_cases(d, rng):
-    """Random states plus states with pruned branches, each with random
-    mixed Fourier/computational targets over 1..n sites."""
-    n = 4 if d < 5 else 3
-    states = [canonical_ghz(d, n), basis_state(d, [1] * n)]
-    for _ in range(12):
-        amps = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
-        states.append(QuditState(d, n, amps / np.linalg.norm(amps)))
-    for state in states:
-        sites = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-        yield state, [(int(s), Basis.FOURIER if rng.random() < 0.5 else Basis.COMPUTATIONAL)
-                      for s in sites]
-
-
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_sample_branch_matches_enumerate_then_choose(d):
-    rng = np.random.default_rng(40 + d)
-    for state, targets in _sampler_cases(d, rng):
-        seed = int(rng.integers(2**31))
-        ref_rng, rng_under_test = np.random.default_rng(seed), np.random.default_rng(seed)
-        branches = measure_all_branches(state, targets)
-        probs = branches.probs
-        want = ref_rng.choice(len(branches), p=probs / probs.sum())
-        got = sample_branch(state, targets, rng_under_test)
-        assert len(got) == 1 and got.d == branches.d and got.n == branches.n
-        assert np.array_equal(got.values[0], branches.values[want])
-        assert got.probs[0] == branches.probs[want]
-        if branches.posts is None:
-            assert got.posts is None
-        else:
-            assert np.array_equal(got.posts[0], branches.posts[want])
-        assert ref_rng.bit_generator.state == rng_under_test.bit_generator.state
-
-
 @pytest.mark.parametrize("sites", [[1], [2, 0], [0, 1, 2]])
 def test_outcomes_are_python_ints(sites):
     # an np.int64 value would break json.dumps, and with it ProtocolResult.to_json:
     # the outcomes and probabilities that run_stages yields are Python scalars
     state = canonical_ghz(3, 3)
     targets = [(s, Basis.FOURIER if s == 0 else Basis.COMPUTATIONAL) for s in sites]
-    blocks = [measure_all_branches(state, targets),
-              sample_branch(state, targets, np.random.default_rng(0))]
+    block = measure_all_branches(state, targets)
     labels = [f"s{i}" for i in range(3)]
     stage = Stage(add=((state, tuple(labels)),),
                   targets=tuple((labels[s], basis) for s, basis in targets))
     outputs = tuple(lab for i, lab in enumerate(labels) if i not in sites)
-    leaves = [*run_stages([stage], outputs), *run_stages([stage], outputs,
-                                                         np.random.default_rng(0))]
-    for block in blocks:
-        assert block.values.shape == (len(block), len(sites))
-        assert (block.posts is None) == (len(sites) == 3)
-    for outcome, probability, post in leaves:
+    assert block.values.shape == (len(block), len(sites))
+    assert (block.posts is None) == (len(sites) == 3)
+    for outcome, probability, post in run_stages([stage], outputs):
         assert type(outcome) is tuple and len(outcome) == len(sites)
         assert all(type(v) is int for v in outcome)
         assert type(probability) is float
@@ -371,9 +332,9 @@ def test_outcomes_are_python_ints(sites):
     [(0, Basis.COMPUTATIONAL), (0, Basis.FOURIER)],
     [(2, Basis.COMPUTATIONAL)],
 ])
-def test_sample_branch_validation(targets):
+def test_measure_validation(targets):
     with pytest.raises(ValueError):
-        sample_branch(canonical_bell(2, 0, 0), targets, np.random.default_rng(0))
+        measure_all_branches(canonical_bell(2, 0, 0), targets)
 
 
 def test_fidelity_properties():
@@ -450,7 +411,6 @@ def test_measurement_leaves_the_measured_state_unchanged():
     for state, targets in _measured_cases():
         before = state.amps.copy()
         branches = measure_all_branches(state, targets)
-        sample_branch(state, targets, np.random.default_rng(0))
         assert np.array_equal(state.amps, before)
         if branches.posts is not None:
             for post in branches.posts:

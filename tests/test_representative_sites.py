@@ -32,7 +32,6 @@ from walknet.qudit import (
     label_shift_op,
     measure_all_branches,
     pauli_x,
-    sample_branch,
     tensor,
 )
 
@@ -65,18 +64,17 @@ class DenseRegister:
         return DenseRegister(protocols.walk_step(self.state, self.idx(coin),
                                                  self.idx(pos), coin_op), self.labels)
 
-    def measure(self, targets, rng=None):
+    def measure(self, targets):
         site_targets = [(self.idx(lab), basis) for lab, basis in targets]
         kept = tuple(lab for lab in self.labels if lab not in {t[0] for t in targets})
-        block = (measure_all_branches(self.state, site_targets) if rng is None
-                 else sample_branch(self.state, site_targets, rng))
+        block = measure_all_branches(self.state, site_targets)
         posts = [None] * len(block) if block.posts is None else block.posts
         for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
             yield tuple(v), p, (None if post is None
                                 else DenseRegister(QuditState(block.d, block.n, post), kept))
 
 
-def dense_run(stages, rng=None):
+def dense_run(stages):
     def run(stages, values, prob, reg):
         if not stages:
             yield values, prob, reg
@@ -86,7 +84,7 @@ def dense_run(stages, rng=None):
             reg = DenseRegister(state, labels) if reg is None else reg.add(state, labels)
         for gate in stage.gates:
             reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
-        for vals, p, post in reg.measure(stage.targets, rng):
+        for vals, p, post in reg.measure(stage.targets):
             yield from run(stages[1:], values + vals, prob * p, post)
 
     yield from run(tuple(stages), (), 1.0, None)
@@ -114,7 +112,7 @@ def assert_same_run(stages):
         assert outputs == ref.labels
         assert np.abs(post.amps - ref.state.amps).max() <= TOL
     layouts = [(sites, copies) for *_, block, sites, copies
-               in protocols._blocks(stages, outputs, None) for _ in range(len(block))]
+               in protocols._blocks(stages, outputs) for _ in range(len(block))]
     return [(post, *layout) for (_, _, post), layout in zip(got, layouts, strict=True)]
 
 
@@ -153,18 +151,6 @@ def test_grid_collapses_the_idle_ghz_parties():
 ], ids=str)
 def test_nine_site_d5_merges(spec):
     assert collapsed(assert_same_run(_stages(spec)))
-
-
-def test_sampled_run_draws_as_the_dense_run():
-    stages = _stages(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=4, n=4))
-    for seed in range(5):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ((values, p, post),) = run_stages(stages, unread(stages), rng)
-        ((ref_values, q, ref),) = dense_run(stages, ref_rng)
-        assert values == ref_values and abs(p - q) <= TOL
-        assert unread(stages) == ref.labels
-        assert np.abs(post.amps - ref.state.amps).max() <= TOL
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
