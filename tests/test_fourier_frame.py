@@ -12,7 +12,8 @@ stage that is not such a star merge passes through the rewrite unchanged.
 The secret-sharing GHZ step draws from the closed-form law of this circuit
 (``mqss.generate_shared_ghz``): every (q~_1, ..., q~_M, u0) in product order,
 each at probability d^-(M+1), with residual ``shared_ghz_closed_form``.  The
-paper circuit, built here as the session's step 3, is that law's proof.
+paper circuit, built here as the session's step 3, is the reference that law
+is checked against.
 """
 
 from dataclasses import replace
