@@ -11,16 +11,16 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    error rate, and the run aborts above the configured threshold.
 3. Merge the M working pairs and one dealer-local pair into an (M+1)-party
    GHZ via the multi-coin Bell-merge walk.  Only the dealer learns the coin
-   results q~_k and the position value u0.  In the position's Fourier frame
-   (``protocols.split_stage``) the merge is a qudit Clifford circuit: F on
-   the position and the dealer's inverse Fourier leave the canonical
-   position pair as it was, each identity-coin walk c_k -= pos followed by
-   a computational readout of c_k gives a uniform q~_k, and the Fourier
-   readout of the position gives a uniform u0.  So the M + 1 results are
-   independent uniform digits and the residual is exactly
-   ``shared_ghz_closed_form(d, q~, u0)``; the step draws the digits and
-   builds the residual, d^(M+1) amplitudes.  The dense circuit is kept in
-   the tests, which check this law against it.
+   results q~_k and the position value u0.  The merge is a qudit Clifford
+   circuit.  Per coin, F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p, so in
+   the position's Fourier frame F on the position and the dealer's inverse
+   Fourier leave the canonical position pair as it was, each identity-coin
+   walk c_k -= pos followed by a computational readout of c_k gives a
+   uniform q~_k, and the Fourier readout of the position gives a uniform u0.
+   So the M + 1 results are independent uniform digits and the residual is
+   exactly ``shared_ghz_closed_form(d, q~, u0)``; the step draws the digits
+   and builds the residual, d^(M+1) amplitudes.  The dense circuit is kept
+   in the tests, which check this law against it.
 4. Everyone measures their GHZ particle; the dealer's value is r0 and
    participant k holds r0 + q~_k.  The residual's d support entries are
    equally likely, so one uniform digit picks the readout.  The dealer
@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import FIDELITY_TOL, Stage, StepLaw, run_stages
+from .protocols import FIDELITY_TOL, Stage, run_stages, uniform_digits
 from .qudit import (
     SIZE_CAP,
     Basis,
@@ -103,12 +103,10 @@ def _as_threshold(value):
 
 
 def _check_register_cap(d: int, participants: int) -> None:
-    """Refuse up front a session whose step 3 is over the dense reference's
-    size: the split star merge that the closed-form law is checked against
-    peaks at M+3 live sites (the position pair, the participants' sites, one
-    coin pair).  The closed form itself holds d^(M+1) amplitudes; the bound
-    stays so that every served session is one whose law the dense circuit
-    can check."""
+    """Refuse up front a session with d^(M+3) over the size cap.  M + 3 is
+    the peak live count of the GHZ step run coin by coin on a dense register;
+    the closed form holds only d^(M+1) amplitudes, so the bound is
+    conservative, and it stays, with its message, until a change lifts it."""
     if d ** (participants + 3) > SIZE_CAP:
         raise SizeCapError(f"{participants} participants at d={d} need a register of "
                            f"{participants + 3} sites, over the size cap")
@@ -224,12 +222,6 @@ def intercept_resend_error_rate(d: int) -> float:
 # GHZ generation (step 3)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _uniform_law(d: int) -> StepLaw:
-    """One uniform digit: outcomes (v,) for v < d, each at probability 1/d."""
-    return StepLaw(tuple((v,) for v in range(d)), np.full(d, 1 / d), {})
-
-
 def generate_shared_ghz(d: int, participants: int, seed: int = 0
                         ) -> tuple[QuditState, list[int], int]:
     """Multi-coin Bell merge producing the shared (M+1)-party GHZ residual.
@@ -238,16 +230,15 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     ordered (participant 1, ..., participant M, dealer) and equals
     (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r>.  The merge's law is
     the module docstring's closed form: the M + 1 results are independent
-    uniform digits, drawn from one block of uniforms as M + 1 ``rng.choice``
-    calls over a uniform law would draw them, one per readout of the dense
-    split circuit (coins first, then the position).
+    uniform digits, coins first, then the position, one per uniform of one
+    ``rng.random(M + 1)`` block (``uniform_digits``).
     """
     d, participants, seed = as_int(d, "d"), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
     _check_register_cap(d, participants)
     rng = np.random.default_rng(seed)
-    *coins, u0 = (v for (v,) in _uniform_law(d).draw(rng.random(participants + 1)))
+    *coins, u0 = (uniform_digits(u, d, 1)[0] for u in rng.random(participants + 1).tolist())
     return shared_ghz_closed_form(d, coins, u0), coins, u0
 
 
@@ -343,7 +334,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
 
     # every party reads computationally: the d support entries, in index
     # order, are equally likely, and entry i has r0 = (i - q~_1) mod d
-    ((i,),) = _uniform_law(state.d).draw(rng.random(1))
+    (i,) = uniform_digits(rng.random(), state.d, 1)
     index = int(np.flatnonzero(state.amps)[i])
     *t.participant_results, t.dealer_result = [
         index // state.d ** (state.n - 1 - site) % state.d for site in range(state.n)]

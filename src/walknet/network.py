@@ -17,14 +17,10 @@ chosen terminal set proceeds in three stages:
                        checks that a single resource over the terminals (none
                        for a lone terminal) is left; symbolic mode returns
                        that pass's ledger of party sets.  Simulated mode then
-                       samples the plan: each step draws its outcome from the
-                       compiled law of its shape and looks up that outcome's
-                       correction.  A shape's law is compiled on first use,
-                       by running its circuit exhaustively on canonical inputs
-                       with the dense simulator (a star merge coin by coin,
-                       each coin read right after its walk) and checking every
-                       branch's correction, and is cached for the life of the
-                       process.
+                       samples the plan: each step is a qudit Clifford
+                       circuit, so its outcome is k uniform digits, one per
+                       readout, and its correction is read off its circuit
+                       with the outcome (``_step_law``); no amplitude is built.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -40,22 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import (
-    Stage,
-    StepLaw,
-    compile_law,
-    split_stage,
-    star_merge_stage,
-)
-from .qudit import (
-    SIZE_CAP,
-    Basis,
-    QuditState,
-    as_int,
-    as_seed,
-    canonical_ghz,
-    identity_op,
-)
+from .protocols import affine_ghz_correction, uniform_digits
+from .qudit import SIZE_CAP, QuditState, as_int, as_seed, canonical_ghz
 
 
 class NetworkError(ValueError):
@@ -539,7 +521,7 @@ class DistributionResult:
 
 
 def _shape(step: ScheduleStep, live: dict[str, tuple[int, ...]]) -> tuple:
-    """The key of the step's compiled law, ``_step_law``'s arguments after d:
+    """The key of the step's law, ``_step_law``'s arguments after d:
     its inputs' parties recoded as their index in the output parties, so the
     output order is part of it.  ``live`` maps resource ids to party tuples."""
     slot = {p: k for k, p in enumerate(step.output_parties)}
@@ -599,23 +581,33 @@ def _step_circuit(action: str, local_role: str | None, node_slot: int, n_coins: 
 
 @lru_cache(maxsize=None)
 def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
-              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> StepLaw:
-    """Compiled law of one step shape (``_step_circuit``'s arguments after d),
-    run on canonical inputs: a pair merge or a release as its one stage, a
-    star merge coin by coin (``split_stage``), each coin read right after its
-    walk.  The sub-stages only bound the live register: the law is the
-    one-stage law, and a seeded step draws once from it."""
-    inputs, coins, pos, far, outputs = _step_circuit(action, local_role, node_slot,
-                                                     n_coins, codes)
-    add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
+              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> tuple:
+    """Law of one step shape (``_step_circuit``'s arguments after d), read off
+    its circuit: (k, correction), with k its readouts, the coins then ``pos``.
+
+    Each step is a qudit Clifford circuit on canonical inputs, so all d^k
+    outcomes v are kept, each at probability d^-k, in product order, and v
+    leaves sum_r w^(-x r) |..., r + a_j, ...> over the outputs.  A star
+    merge's v = (q_1 .. q_K, u0) shifts every particle of coin k's resource
+    (a local coin pair's partner too) by a = q_k and has x = u0; a pair
+    merge's v = (k0, u0) shifts the position resource's particles by u0 and
+    has x = k0; a release's v = (k0,) shifts nothing and has x = k0.  Every
+    other a is 0.  ``correction(v)`` is ``affine_ghz_correction`` of those,
+    built on first call and kept for the life of the process."""
+    _, coins, pos, _, outputs = _step_circuit(action, local_role, node_slot, n_coins, codes)
+    k = len(coins) + (pos is not None)
+    # the readout that shifts each resource (a label's first entry), and the clock's
     if action == "star-merge":
-        stages = split_stage(star_merge_stage(d, coins, pos, far, add))
-    elif action == "pair-merge":
-        stages = [Stage(add, gates=((coins[0], pos, identity_op(d)),),
-                        targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))]
+        shifts, clock = {lab[0]: i for i, lab in enumerate(coins)}, k - 1
     else:
-        stages = [Stage(add, targets=((coins[0], Basis.FOURIER),))]
-    return compile_law(stages, outputs)
+        shifts, clock = {} if pos is None else {pos[0]: 1}, 0
+    source = [shifts.get(lab[0]) for lab in outputs]
+
+    @lru_cache(maxsize=None)
+    def correction(values: tuple[int, ...]):
+        return affine_ghz_correction(d, [0 if i is None else values[i] for i in source],
+                                     values[clock])
+    return k, correction
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
@@ -630,15 +622,14 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     symbolic: returns the ledger of that pass.
     simulated: one sampled branch per step.  One ``rng.random(steps)`` call,
     made after the checks and the cap refusal, holds every step's one draw, in
-    step order; the steps of one shape are located as one block in the table
-    of its compiled law (``StepLaw.draw``), in the dense one-stage sampler's
-    outcome order, and their corrections looked up.
-    ``step_fidelity`` is the drawn branch's compile-time dense fidelity, and
-    ``fidelity`` the last step's; ``final_state`` is the canonical GHZ that
-    the last correction restores.
-    Compiling a shape is dense, so the cap applies per merge event rather
-    than to the whole network, on the step's input sites; a schedule with
-    any step over the cap is refused before the first step is sampled.
+    step order: a step with k readouts takes the k base-d digits of
+    floor(u d^k) (``uniform_digits``), and its correction is its shape's
+    closed rule (``_step_law``).  The rule's correction restores the canonical
+    GHZ exactly, so ``step_fidelity`` and ``fidelity`` are 1.0, and
+    ``final_state`` is that canonical GHZ.
+    The cap applies per merge event rather than to the whole network, on the
+    step's input sites: a schedule with any step over it is refused before
+    the first draw.
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
@@ -689,25 +680,16 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
             raise NetworkError(
                 f"step at node {entry['node']} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
-    uniforms = np.random.default_rng(seed).random(len(shapes))  # one draw per step
-    steps_of: dict = {}
-    for i, shape in enumerate(shapes):
-        steps_of.setdefault(shape, []).append(i)
-    drawn = [None] * len(shapes)
-    for shape, at in steps_of.items():  # a shape's steps draw as one block
-        law = _step_law(d, *shape)
-        for i, values in zip(at, law.draw(uniforms[at])):
-            drawn[i] = values, *law.rows[values]
-    outcomes = [{"node": step.node, "action": step.action,
-                 "outcome": [int(v) for v in values], "correction": corr.label,
-                 "step_fidelity": fid}
-                for step, (values, corr, fid) in zip(schedule.steps, drawn)]
-
-    # with no steps, the final resource is an untouched canonical Bell pair
-    fid = outcomes[-1]["step_fidelity"] if outcomes else 1.0
+    uniforms = np.random.default_rng(seed).random(len(shapes)).tolist()  # one per step
+    outcomes = []
+    for step, shape, u in zip(schedule.steps, shapes, uniforms):
+        k, correction = _step_law(d, *shape)
+        values = uniform_digits(u, d, k)
+        outcomes.append({"node": step.node, "action": step.action, "outcome": list(values),
+                         "correction": correction(values).label, "step_fidelity": 1.0})
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
-        resources_consumed=consumed, final_parties=final_parties, fidelity=fid,
+        resources_consumed=consumed, final_parties=final_parties, fidelity=1.0,
         final_state=canonical_ghz(d, len(terminals)) if live else None, outcomes=outcomes)
 
 

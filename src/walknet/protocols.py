@@ -64,15 +64,16 @@ resource is added, then runs the stages exhaustively and yields each
 branch's residual over ``outputs``, in that order.  One loop corrects every
 branch and scores a last stage's branches as one block, for
 ``run_protocol`` and for ``compile_law``, whose ``StepLaw`` table the gasket
-and network merges (``star_merge_stage`` also serves ghz-from-bells-d)
-sample instead of amplitudes: one uniform per merge, located in the law as
-``rng.choice`` locates it, a whole schedule from one block of uniforms
-(``StepLaw.draw``).  The secret-sharing GHZ step draws from its closed-form
-law the same way (``mqss``).  ``split_stage`` runs one stage as sub-stages
-that read each target as soon as no later gate touches it: the network star
-merges read each coin right after its walk, in the position's Fourier
-frame: F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p per coin.  The catalog
-runs keep the paper's circuit and reported bases.
+merges sample instead of amplitudes: one uniform per merge, located in the
+law as ``rng.choice`` locates it, a whole schedule from one block of
+uniforms (``StepLaw.draw``).  A network step and the secret-sharing GHZ step
+are qudit Clifford circuits on canonical inputs, so their laws are read off
+the circuit (``network``, ``mqss``): d^k equally likely outcomes, drawn as
+the digits of floor(u d^k) (``uniform_digits``), and a residual in an affine
+GHZ frame (a network step's correction is ``affine_ghz_correction``).  The
+catalog runs keep the paper's circuits and reported bases;
+``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
+merges.
 """
 
 from __future__ import annotations
@@ -356,9 +357,8 @@ def run_stages(stages, outputs):
     stages' targets in order and the probability is their product.
 
     The circuit names its outputs: the residual is the ``QuditState`` over
-    ``outputs``, in that order, or None when every particle is read, whatever
-    the layout (a later stage's resources lead the register, ``_run``).
-    The size cap (on the circuit's peak live parties) and ``outputs`` (the
+    ``outputs``, in that order, or None when every particle is read.  The size
+    cap (on the circuit's peak live parties) and ``outputs`` (the
     unread particles) are checked before the first resource is added.
     An added ``canonical_ghz`` with two or more parties that no walk, gate or
     target touches enters as the GHZ over its touched parties plus one site
@@ -396,20 +396,12 @@ def _blocks(stages, outputs):
 
 
 def _run(stages, values, prob, state, sites, copies, touched):
-    """First-stage resources join in add order (bell-swap-d reads rows as residuals).  A
-    later one joins in front, the particles the circuit touches first, so its walks onto
-    earlier particles span few sites and its coins sit on site 0.  ``sites`` names the axes."""
-    stage, lead = stages[0], state is not None
+    """Resources join in add order; ``sites`` names the axes."""
+    stage = stages[0]
     for resource, labels in stage.add:
         part, part_sites, part_copies = _compact(resource, tuple(labels), touched)
-        if lead:
-            order = sorted(range(part.n), key=lambda i: part_sites[i] not in touched)
-            amps = part.tensor_view().transpose(order).ravel()
-            state = tensor(QuditState.unchecked(part.d, part.n, amps), state)
-            sites = tuple(part_sites[i] for i in order) + sites
-        else:
-            state, sites = part if state is None else tensor(state, part), sites + part_sites
-        copies = {**copies, **part_copies}
+        state = part if state is None else tensor(state, part)
+        sites, copies = sites + part_sites, {**copies, **part_copies}
     for gate in stage.gates:
         state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
                  if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
@@ -437,60 +429,6 @@ def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
                  gates=tuple((c, pos, f) for c in coins) + ((far, fourier_inv_op(d)),),
                  targets=tuple((c, Basis.FOURIER) for c in coins)
                  + ((pos, Basis.COMPUTATIONAL),))
-
-
-def _fourier_frame(stage: Stage) -> Stage:
-    """A star merge in ``split_stage``'s Fourier frame; any other stage as it
-    is.  In a star merge every walk is a Fourier coin onto one ``pos``, read
-    computationally, and each coin is read in the Fourier basis; no other
-    gate touches ``pos`` or a coin."""
-    walks = [gate for gate in stage.gates if len(gate) == 3]
-    if not walks:
-        return stage
-    pos, f, cb, fb = walks[0][1], fourier_op(walks[0][2].d), Basis.COMPUTATIONAL, Basis.FOURIER
-    star = {pos: (cb, len(walks)), **{c: (fb, 1) for c, _, _ in walks}}  # (read, gates on it)
-    touches, bases = [lab for gate in stage.gates for lab in gate[:-1]].count, dict(stage.targets)
-    if any(p != pos or op is not f for _, p, op in walks) or any(
-            (bases.get(lab), touches(lab)) != want for lab, want in star.items()):
-        return stage
-    walks, swap = tuple((pos, c, identity_op(f.d)) for c, _, _ in walks), {cb: fb, fb: cb}
-    return replace(stage, gates=((pos, f), *walks, *(g for g in stage.gates if len(g) == 2)),
-                   targets=tuple((lab, swap[b] if lab in star else b) for lab, b in stage.targets))
-
-
-def split_stage(stage: Stage) -> tuple[Stage, ...]:
-    """The same circuit as sub-stages that each read one target, in target
-    order, as soon as no later gate touches its particle (deferred
-    measurement).  A resource joins in the sub-stage of the first gate or
-    readout that touches one of its particles.  A one-site gate on a particle
-    that no target reads and no walk touches commutes with every readout, so
-    it runs in the first sub-stage where that particle is live.  A star merge
-    runs in its position's Fourier frame (``_fourier_frame``; with S(x -> y)
-    the walk's y -= x, F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p per coin
-    and chained coins cancel the inner F_p F_p^dag), one sub-stage per coin,
-    [its resource, the walk c -= pos, its computational readout] (the first
-    also adds the position pair and runs F on ``pos`` and the gate on
-    ``far``), then [read ``pos`` in the Fourier basis]: M + 3 live sites at
-    most, not 2M + 2, and three non-monomial passes, not 2M + 1.  The catalog
-    runs keep ``star_merge_stage``, the paper's circuit and reported bases."""
-    stage = _fourier_frame(stage)
-    pinned = {lab for lab, _ in stage.targets} | {
-        lab for gate in stage.gates if len(gate) == 3 for lab in gate[:2]}
-    free = [gate for gate in stage.gates if len(gate) == 2 and gate[0] not in pinned]
-    ordered = [gate for gate in stage.gates if len(gate) == 3 or gate[0] in pinned]
-    last = {lab: i for i, gate in enumerate(ordered) for lab in gate[:-1]}
-    adds, subs, done = list(stage.add), [], 0
-    for j, (lab, basis) in enumerate(stage.targets):
-        final = j == len(stage.targets) - 1  # takes whatever is left
-        end = len(ordered) if final else max(done, last.get(lab, -1) + 1)
-        gates, done = ordered[done:end], end
-        touched = {lab}.union(*(gate[:-1] for gate in gates))
-        joins = [final or not touched.isdisjoint(labels) for _, labels in adds]
-        join = [res for res, joined in zip(adds, joins) if joined]
-        adds = [res for res, joined in zip(adds, joins) if not joined]
-        gates += [gate for gate in free if any(gate[0] in labels for _, labels in join)]
-        subs.append(Stage(tuple(join), tuple(gates), ((lab, basis),)))
-    return tuple(subs)
 
 
 TRIANGLE_LAYOUT = (("a", "q1", "q6"), ("q2", "b", "q3"), ("q4", "q5", "c"))
@@ -553,6 +491,17 @@ def derive_ghz_correction(state: QuditState) -> CorrectionOp:
                                    global_phase=complex(phase))
 
 
+def affine_ghz_correction(d: int, offsets, x: int) -> CorrectionOp:
+    """``derive_ghz_correction``'s answer for the residual
+    (1/sqrt d) sum_r w^(-x r) |r + a_0, ..., r + a_(P-1)> with ``offsets`` the
+    a_j, read off the a_j instead of the amplitudes: a shift of a_j - a_0 on
+    site j, the clock power x on site 0 and the global phase w^(-x a_0)."""
+    a0 = offsets[0]
+    phase = cmath.exp(-2j * math.pi * (x * a0 % d) / d) if x * a0 % d else 1.0
+    return _shift_phase_correction(d, tuple((j, a - a0) for j, a in enumerate(offsets)), x,
+                                   global_phase=complex(phase))
+
+
 @lru_cache(maxsize=None)
 def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
                             phase_site: int = 0, global_phase: complex = 1.0) -> CorrectionOp:
@@ -566,8 +515,19 @@ def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
 
 
 # ---------------------------------------------------------------------------
-# Compiled step laws
+# Draws and compiled step laws
 # ---------------------------------------------------------------------------
+
+def uniform_digits(u: float, d: int, k: int) -> tuple[int, ...]:
+    """The outcome of k uniform base-d readouts drawn from one uniform u in
+    [0, 1): the k digits of floor(u d^k), most significant first.  It is
+    ``rng.choice(d**k, p=np.full(d**k, d**-k))`` on the same u, except for a
+    u within about one ulp of a boundary i / d^k when d is not a power of two."""
+    i, digits = int(u * d**k), [0] * k
+    for j in range(k - 1, -1, -1):
+        i, digits[j] = divmod(i, d)
+    return tuple(digits)
+
 
 # what ``Generator.choice`` allows a probability array's sum to miss 1 by
 CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -575,7 +535,8 @@ CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class StepLaw:
-    """A walk circuit's outcome law and corrections, compiled once.
+    """A walk circuit's outcome law and corrections, compiled once: the
+    gasket merge's (``fractal``).
 
     ``outcomes`` lists every kept outcome in outcome order and ``probs``
     their normalized probabilities; ``rows`` maps each outcome to its GHZ
@@ -662,7 +623,8 @@ def compile_law(stages, outputs) -> StepLaw:
     >= 1 - FIDELITY_TOL.  By deferred measurement this is the law of the one
     stage that runs every stage's adds, gates and targets in order, so the
     ``StepLaw`` draws once per run; the stages only bound the live register
-    while compiling."""
+    while compiling.  The gasket merge's law is compiled so; a network step's
+    is read off its circuit instead (``network._step_law``)."""
     probs, rows = [], {}
     for outcomes, block_probs, _, _, corrs, fids in _corrected(stages, outputs):
         for values, corr, fid in zip(outcomes, corrs, fids):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walknet import network, protocols
+from walknet import protocols
 from walknet.network import (
     Resource,
     ResourceNetwork,
@@ -48,6 +48,8 @@ from walknet.qudit import (
     pauli_z,
     shift_op,
 )
+
+from test_compiled_laws import dense_step, step_shapes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -183,22 +185,10 @@ def _schedules():
 
 
 def _circuits():
-    """(stages, outputs) of every step shape the schedules reach."""
-    keys = {}
-    for d, schedule in _schedules():
-        parties = {rid: res.parties for rid, res in schedule.initial.items()}
-        for step in schedule.steps:
-            keys[(d, *network._shape(step, parties))] = None
-            for rid in step.inputs:
-                del parties[rid]
-            parties[step.output_id] = step.output_parties
-    circuits = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "compile_law", lambda stages, outputs: circuits.append(
-            (tuple(stages), tuple(outputs))))
-        for key in keys:
-            network._step_law.__wrapped__(*key)
-    return circuits
+    """(stages, outputs) of every step shape the schedules reach, as its
+    one-stage dense circuit (``dense_step``)."""
+    keys = {(d, *shape): None for d, schedule in _schedules() for shape in step_shapes(schedule)}
+    return [dense_step(key[0], key[1:]) for key in keys]
 
 
 def test_compiled_laws_match_the_per_leaf_loop():

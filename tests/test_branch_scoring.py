@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walknet import network, protocols
+from walknet import protocols
 from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
 from walknet.protocols import CorrectionOp, ProtocolKind, ProtocolSpec, run_protocol
 from walknet.qudit import (
@@ -24,6 +24,8 @@ from walknet.qudit import (
     identity_op,
     pauli_x,
 )
+
+from test_compiled_laws import dense_step, step_shapes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -51,22 +53,15 @@ def test_every_small_grid_branch_scores_as_the_dense_path():
     assert branches == 1516
 
 
-def test_hub_law_scores_as_the_dense_path(monkeypatch):
+def test_hub_law_scores_as_the_dense_path():
     # the 11-leaf qubit hub: one star merge, 2,048 derived corrections
     net = ResourceNetwork(2, {v: f"n{v}" for v in range(12)},
                           [Resource("bell", (0, v)) for v in range(1, 12)])
-    schedule = plan_distribution(steiner_tree(net, list(range(1, 12))), net)
-    (step,) = schedule.steps
-    parties = {rid: res.parties for rid, res in schedule.initial.items()}
+    (shape,) = step_shapes(plan_distribution(steiner_tree(net, list(range(1, 12))), net))
     scored = []
-
-    def score(stages, outputs):
-        for values, _, state, corr, fid in leaves(stages, outputs):
-            assert abs(fid - _dense_fidelity(corr, state)) <= TOL
-            scored.append(values)
-
-    monkeypatch.setattr(network, "compile_law", score)
-    network._step_law.__wrapped__(2, *network._shape(step, parties))
+    for values, _, state, corr, fid in leaves(*dense_step(2, shape)):
+        assert abs(fid - _dense_fidelity(corr, state)) <= TOL
+        scored.append(values)
     assert len(scored) == 2048
 
 

@@ -1,14 +1,20 @@
-"""Compiled step laws against the dense steps they replace.
+"""Step laws against the dense steps they replace.
 
 The reference here is the dense executor: every step runs its stage on the
 amplitudes it inherits from earlier steps, samples one branch, derives that
 branch's correction and carries the corrected state on.  For every step
-shape that the pinned workloads reach, the compiled law must list the dense
-step's kept outcomes in the same order, with equal probabilities, correction
-labels and global phases; and a compiled run must leave the generator where
-the dense run leaves it, with the same outcomes and corrections.  A merge
-draws once, so the dense gasket merge runs its two qudit stages as one.
+shape that the pinned workloads reach, the network step's closed rule
+(``network._step_law``, enumerated in product order) and the gasket's
+compiled law must list the dense step's kept outcomes in the same order,
+with equal probabilities, correction labels and global phases; and a seeded
+run must leave the generator where the dense run leaves it, with the same
+outcomes and corrections.  A merge draws once, so the dense gasket merge
+runs its two qudit stages as one.  At d = 4, 5 and 6 the rule is also checked
+against ``dense_step``, the one-stage circuit of its shape on canonical
+inputs, on shapes small enough to run densely.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -26,6 +32,7 @@ from walknet.network import (
 )
 from walknet.protocols import (
     Stage,
+    StepLaw,
     compile_law,
     derive_ghz_correction,
     run_stages,
@@ -38,8 +45,13 @@ TOL = 1e-9
 
 
 def _leaves(law):
-    """(outcome, probability, correction) of every kept outcome, in draw order."""
-    return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
+    """(outcome, probability, correction) of every kept outcome, in draw
+    order: a compiled ``StepLaw``'s table, or a network step's closed rule
+    (``network._step_law``'s (k, correction) at d) enumerated in product order."""
+    if isinstance(law, StepLaw):
+        return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
+    d, (k, correction) = law
+    return [(values, d**-k, correction(values)) for values in product(range(d), repeat=k)]
 
 
 def _assert_same_law(law, dense):
@@ -114,6 +126,36 @@ def _dense_stage(step, states, d):
     return stage, tuple(want)
 
 
+def dense_step(d, shape):
+    """A step shape's circuit on canonical inputs, as ``network._step_circuit``
+    describes it, run densely as one stage: (stages, outputs)."""
+    inputs, coins, pos, far, outputs = network._step_circuit(*shape)
+    add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
+    if shape[0] == "star-merge":
+        stage = star_merge_stage(d, coins, pos, far, add)
+    elif shape[0] == "pair-merge":
+        stage = Stage(add, gates=((coins[0], pos, identity_op(d)),),
+                      targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
+    else:
+        stage = Stage(add, targets=((coins[0], Basis.FOURIER),))
+    return [stage], outputs
+
+
+def dense_law(d, shape):
+    """The compiled law of ``dense_step``: the dense reference of a step's rule."""
+    return compile_law(*dense_step(d, shape))
+
+
+def step_shapes(schedule):
+    """``network._shape`` of every step of a schedule, in step order."""
+    live = {rid: res.parties for rid, res in schedule.initial.items()}
+    for step in schedule.steps:
+        yield network._shape(step, live)
+        for rid in step.inputs:
+            del live[rid]
+        live[step.output_id] = step.output_parties
+
+
 def _initial_states(schedule, d):
     return {rid: (res.parties, canonical_bell(d, 0, 0) if res.kind == "bell"
                   else canonical_ghz(d, len(res.parties)))
@@ -127,7 +169,7 @@ def _compare_step(step, states, d):
     dense = [(values, prob, derive_ghz_correction(post))
              for values, prob, post in run_stages([stage], outputs)]
     parties = {rid: st[0] for rid, st in states.items()}
-    _assert_same_law(network._step_law(d, *network._shape(step, parties)), dense)
+    _assert_same_law((d, network._step_law(d, *network._shape(step, parties))), dense)
     return stage, outputs
 
 
@@ -302,3 +344,37 @@ def test_compiled_corrections_follow_the_named_output_order(d):
     # the order is not a relabeling the corrections ignore
     natural = _leaves(fractal._merge_law(d))
     assert [c.label for _, _, c in dense] != [c.label for _, _, c in natural]
+
+
+# ---------------------------------------------------------------------------
+# network: the closed rule against the dense step at larger d
+# ---------------------------------------------------------------------------
+
+def _small_shapes(d):
+    """Every step shape of a few small schedules whose dense step stays
+    within 6^8 amplitudes at d."""
+    nets = [(_net(d, [(0, 1), (0, 2)]), [0, 1, 2]),
+            (_net(d, [(0, 1), (1, 2), (0, 3), (3, 4)]), [0, 1, 2, 3, 4]),
+            (_net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), [1, 2, 3, 4, 5, 6]),
+            (_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3]),
+            (_net(d, [(0, 1), (0, 2), (0, 3)]), [1, 2, 3]),
+            (_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 3])]
+    schedules = [_schedule(net, terminals) for net, terminals in nets] + [
+        plan_distribution(*reversed(random_tree_instance(seed, max_nodes=6, d=d)))
+        for seed in range(10)]
+    shapes = {}
+    for schedule in schedules:
+        for shape in step_shapes(schedule):
+            if d ** sum(map(len, network._step_circuit(*shape)[0])) <= 6**8:
+                shapes[shape] = None
+    return list(shapes)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_rules_match_the_dense_step_at_larger_d(d):
+    shapes = _small_shapes(d)
+    assert {(s[0], s[1]) for s in shapes} == {
+        ("pair-merge", None), ("release", None),
+        ("star-merge", None), ("star-merge", "coin"), ("star-merge", "position")}
+    for shape in shapes:
+        _assert_same_law((d, network._step_law(d, *shape)), _leaves(dense_law(d, shape)))

@@ -1,16 +1,24 @@
-"""The seeded draw that every sampled path relies on.
+"""The seeded draws that every sampled path relies on.
 
 A dense sampler draws one kept branch with ``rng.choice(len(p), p=p)``.  On
 numpy 2.4 that call takes one ``rng.random()`` and locates it in the
-normalized cumulative sum of ``p``.  ``StepLaw.draw`` does the same without
-``choice``: it maps a block of uniforms, taken in one ``rng.random`` call, to
-kept outcomes, so a schedule's draws must land where one ``choice`` per merge
-lands and leave the generator in the same state.  This pins both halves, on
-the compiled laws, on whole gasket and network schedules and on the
-secret-sharing session's uniform draws (the GHZ step's coins and position
-value, and step 4's readout), against a scalar ``choice`` reference written
-here, so a numpy release that changes ``choice`` fails here rather than
-silently moving seeded outcomes.
+normalized cumulative sum of ``p``.  ``StepLaw.draw`` (the gasket merges)
+does the same without ``choice``: it maps a block of uniforms, taken in one
+``rng.random`` call, to kept outcomes, so a schedule's draws must land where
+one ``choice`` per merge lands and leave the generator in the same state.
+
+A network step and the secret-sharing session's uniform draws (the GHZ
+step's coins and position value, and step 4's readout) have d^k equally
+likely outcomes, so each takes the k base-d digits of floor(u d^k) from its
+one uniform (``protocols.uniform_digits``).  That is pinned here against a
+scalar ``int(u * d**k)`` reference.  It is not the same function as a
+uniform ``choice``: for d not a power of two the two differ on uniforms
+within a few ulps of some boundaries i / d^k.  So the draws are also
+cross-checked against a scalar ``choice`` reference written here, on the
+dense compiled law of each network step (``test_compiled_laws.dense_law``)
+and on the seeds below, where no uniform falls that close to a boundary.  A
+numpy release that changes ``choice`` fails here rather than silently moving
+seeded outcomes.
 """
 
 import hashlib
@@ -27,29 +35,31 @@ from walknet.network import (
     plan_distribution,
     steiner_tree,
 )
-from walknet.protocols import StepLaw
+from walknet.protocols import StepLaw, uniform_digits
 from walknet.qudit import SIZE_CAP
+
+from test_compiled_laws import dense_law, step_shapes
+
+
+def _only_step_shape(d, net, terminals):
+    (shape,) = step_shapes(plan_distribution(steiner_tree(net, terminals), net))
+    return shape
 
 
 def _network_step_law(d):
-    """The compiled law of the star merge that joins a terminal root's two arms."""
+    """The dense law of the star merge that joins a terminal root's two arms."""
     net = ResourceNetwork(d, {v: f"n{v}" for v in range(3)},
                           [Resource("bell", (0, 1)), Resource("bell", (0, 2))])
-    schedule = plan_distribution(steiner_tree(net, [0, 1, 2]), net)
-    parties = {rid: res.parties for rid, res in schedule.initial.items()}
-    (step,) = schedule.steps
-    return network._step_law(d, *network._shape(step, parties))
+    return dense_law(d, _only_step_shape(d, net, [0, 1, 2]))
 
 
 def _star_merge_law(d):
-    """The compiled law of a 3-coin star merge: the hub of four leaves."""
+    """The dense law of a 3-coin star merge: the hub of four leaves."""
     net = ResourceNetwork(d, {v: f"n{v}" for v in range(5)},
                           [Resource("bell", (0, v)) for v in range(1, 5)])
-    schedule = plan_distribution(steiner_tree(net, [1, 2, 3, 4]), net)
-    parties = {rid: res.parties for rid, res in schedule.initial.items()}
-    (step,) = schedule.steps
-    assert len(step.coin_inputs) == 3
-    return network._step_law(d, *network._shape(step, parties))
+    shape = _only_step_shape(d, net, [1, 2, 3, 4])
+    assert shape[3] == 3
+    return dense_law(d, shape)
 
 
 def _choice_draws(law, rng, count):
@@ -148,24 +158,81 @@ def _network14(d):
     return plan_distribution(steiner_tree(net, [1, 2, 5, 12, 13, 14]), net)
 
 
+def _floor_digits(u, d, k):
+    """The k base-d digits of int(u * d**k), most significant first."""
+    i, digits = int(u * d**k), []
+    for _ in range(k):
+        i, digit = divmod(i, d)
+        digits.insert(0, digit)
+    return digits
+
+
+@pytest.mark.parametrize("schedule, d", [(_chain, 2), (_chain, 3), (_chain, 5), (_chain, 6),
+                                         (_hub, 2), (_hub, 3), (_network14, 2), (_network14, 3)],
+                         ids=["chain-2", "chain-3", "chain-5", "chain-6", "hub-2", "hub-3",
+                              "network14-2", "network14-3"])
+def test_network_schedule_draws_floor_u_d_k(monkeypatch, schedule, d):
+    # one uniform per step, in step order; k readouts per step, coins then pos
+    sched = schedule(d)
+    ref, want = np.random.default_rng(d), []
+    for shape in step_shapes(sched):
+        _, coins, pos, _, _ = network._step_circuit(*shape)
+        want.append(_floor_digits(ref.random(), d, len(coins) + (pos is not None)))
+    result, state = _made_generator(
+        monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
+    assert [o["outcome"] for o in result.outcomes] == want
+    assert state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("schedule", [_chain, _hub, _network14],
                          ids=["chain", "hub", "network14"])
 def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
     sched = schedule(d)
     ref, want = np.random.default_rng(d), []
-    live = {rid: res.parties for rid, res in sched.initial.items()}
-    for step in sched.steps:
-        law = network._step_law(d, *network._shape(step, live))
+    for shape in step_shapes(sched):
+        law = dense_law(d, shape)
         (values,) = _choice_draws(law, ref, 1)
         want.append((list(values), law.rows[values][0].label))
-        for rid in step.inputs:
-            del live[rid]
-        live[step.output_id] = step.output_parties
     result, state = _made_generator(
         monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
     assert [(o["outcome"], o["correction"]) for o in result.outcomes] == want
     assert state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 5), (3, 1), (3, 2), (4, 2), (5, 1), (5, 3),
+                                  (6, 2), (7, 1)])
+def test_uniform_digits_are_the_digits_of_floor_u_d_k(d, k):
+    rng = np.random.default_rng(d * 10 + k)
+    edges = [np.nextafter(i / d**k, side) for i in range(d**k + 1) for side in (0.0, 1.0)]
+    for u in rng.random(500).tolist() + [u for u in edges if 0 <= u < 1]:
+        assert list(uniform_digits(u, d, k)) == _floor_digits(u, d, k)
+    assert uniform_digits(np.nextafter(1.0, 0.0), d, k) == (d - 1,) * k
+
+
+@pytest.mark.parametrize("d, k, boundaries", [(2, 3, 0), (4, 2, 0), (3, 1, 0), (3, 2, 6),
+                                              (5, 1, 1), (6, 1, 5), (7, 1, 5)])
+def test_floor_and_choice_differ_only_next_to_a_boundary(d, k, boundaries):
+    # the uniform choice over d^k outcomes locates u among cumsum(1/d^k) / sum,
+    # whose boundaries can miss i / d^k by a few ulps when d is not a power of two
+    n = d**k
+    cdf = np.cumsum(np.full(n, 1 / n))
+    cdf /= cdf[-1]
+
+    def differ(u):
+        return int(u * n) != int(np.searchsorted(cdf, u, side="right"))
+
+    near = set()
+    for i in range(1, n + 1):
+        u = i / n
+        for _ in range(4):
+            u = np.nextafter(u, 0.0)
+        for _ in range(9):
+            if u < 1 and differ(u):
+                near.add(i)
+            u = np.nextafter(u, 1.0)
+    assert not any(map(differ, np.random.default_rng(n).random(2000).tolist()))
+    assert len(near) == boundaries
 
 
 def _uniform_choices(rng, d, count):
@@ -187,6 +254,8 @@ def test_shared_ghz_draws_equal_scalar_choice(monkeypatch, d, m):
             monkeypatch, lambda: mqss.generate_shared_ghz(d, m, seed=seed))
         assert (got_coins, got_u0) == (coins, u0)
         assert state == ref.bit_generator.state
+        floor = [int(u * d) for u in np.random.default_rng(seed).random(m + 1).tolist()]
+        assert floor == coins + [u0]
 
 
 @pytest.mark.parametrize("d, m", SESSION_SHAPES)

@@ -14,8 +14,10 @@ import pytest
 
 from walknet import network, protocols
 from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
-from walknet.protocols import ProtocolKind, ProtocolSpec, run_stages, star_merge_stage
+from walknet.protocols import ProtocolKind, ProtocolSpec, run_stages
 from walknet.qudit import QuditState, apply, fourier_inv_op, measure_all_branches, tensor
+
+from test_compiled_laws import dense_step, step_shapes
 
 TOL = 1e-12
 
@@ -57,25 +59,14 @@ def test_from_bells(d, bells):
     _assert_folded_gate_matches(stage, outputs[-1])
 
 
-def _star_merges(monkeypatch, d, edges, terminals):
-    """(local role, star_merge_stage arguments) of every star merge that the
-    schedule's step laws build."""
+def _star_merges(d, edges, terminals):
+    """(local role, one-stage dense circuit, far) of every star merge that
+    the schedule reaches, built on canonical inputs (``dense_step``)."""
     net = ResourceNetwork(d, {v: f"n{v}" for v in range(1 + max(map(max, edges)))},
                           [Resource("bell", e) for e in edges])
     schedule = plan_distribution(steiner_tree(net, terminals), net)
-    built = []
-    monkeypatch.setattr(network, "star_merge_stage",
-                        lambda *args: built.append(args) or star_merge_stage(*args))
-    live = {rid: res.parties for rid, res in schedule.initial.items()}
-    roles = []
-    for step in schedule.steps:
-        key = network._shape(step, live)
-        live[step.output_id] = step.output_parties
-        if step.action == "star-merge":
-            network._step_law.__wrapped__(d, *key)  # uncached: the spy sees it
-            roles.append(step.local_role)
-    assert len(built) == len(roles)
-    return list(zip(roles, built))
+    return [(shape[1], dense_step(d, shape)[0][0], network._step_circuit(*shape)[3])
+            for shape in step_shapes(schedule) if shape[0] == "star-merge"]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -87,8 +78,8 @@ def _star_merges(monkeypatch, d, edges, terminals):
     # a plain hub: the position is one of the inputs
     ([(0, 1), (0, 2), (0, 3)], [1, 2, 3], None),
 ])
-def test_network_star_merges(monkeypatch, d, edges, terminals, role):
-    merges = _star_merges(monkeypatch, d, edges, terminals)
-    assert role in [r for r, _ in merges]
-    for _, (dd, coins, pos, far, add) in merges:
-        _assert_folded_gate_matches(star_merge_stage(dd, coins, pos, far, add), far)
+def test_network_star_merges(d, edges, terminals, role):
+    merges = _star_merges(d, edges, terminals)
+    assert role in [r for r, _, _ in merges]
+    for _, stage, far in merges:
+        _assert_folded_gate_matches(stage, far)

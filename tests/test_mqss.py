@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walknet import mqss, protocols, qudit
+from walknet import mqss
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
@@ -30,8 +30,6 @@ from walknet.qudit import (
     fidelity,
     fourier_op,
 )
-
-from test_fourier_frame import ghz_circuit  # the GHZ step's dense circuit
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -248,7 +246,7 @@ BAD_CALLS = [
 def test_channel_check_and_ghz_generation_refuse_bad_inputs_before_any_work(
         monkeypatch, call, args, kw, refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    for name in ("_pair_law", "_uniform_law", "run_stages"):
+    for name in ("_pair_law", "uniform_digits", "run_stages"):
         monkeypatch.setattr(mqss, name, lambda *a, _n=name: pytest.fail(f"ran {_n}"))
     with pytest.raises(ValueError, match=refusal):
         getattr(mqss, call)(*args, **kw)
@@ -391,73 +389,11 @@ def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
     assert h.hexdigest() == digest
 
 
-def _run_split_circuit(d, m):
-    """Run the GHZ step's split circuit (``ghz_circuit``) exhaustively: its
-    last sub-stage, pos's readout, runs once per (q~_1, ..., q~_M)."""
-    _, stages, outputs = ghz_circuit(d, m)
-    assert sum(1 for _ in protocols.run_stages(stages, outputs)) == d ** (m + 1)
-
-
-def test_later_joins_lead_the_register(monkeypatch):
-    # each participant's Bell pair after the first joins in front of the live
-    # register, its coin first: every walk from pos onto a coin spans at most
-    # M + 1 sites and every later coin sits on site 0 (appended at the end,
-    # the walks of M = 4 would span 4, 5, 6 and 7 sites).  Coin k walks once
-    # per outcome of the coins before it: (d^M - 1) / (d - 1) walks
-    calls = []
-
-    def spy(state, op, sites):
-        calls.append((op, sites))
-        return apply(state, op, sites)
-
-    monkeypatch.setattr(protocols, "apply", spy)
-    for d, m in [(3, 4), (7, 3)]:
-        calls.clear()
-        _run_split_circuit(d, m)
-        walks = [sites for _, sites in calls if len(sites) == 2]  # [pos, coin]
-        spans = [abs(pos - coin) + 1 for pos, coin in walks]
-        coins = [coin for _, coin in walks]
-        assert len(spans) == len(coins) == (d**m - 1) // (d - 1) and max(spans) <= m + 1
-        assert all(site == 0 for site in coins[1:])
-
-
-@pytest.mark.parametrize("m, d", [(m, d) for d in (2, 3, 7) for m in range(1, 5)
-                                  if d ** (2 * m + 2) <= 2**23])
-def test_one_fourier_readout_per_session(monkeypatch, d, m):
-    # in the position's Fourier frame the only dense passes are F on pos and
-    # the inverse Fourier on the dealer, both on the 4-site first sub-stage
-    # (run once), and pos's Fourier readout on the M + 2 unread sites (run
-    # once per q~_1..q~_M): three matrix products on each path, not 2M + 1.
-    # (At d = 7, M = 4 the exhaustive run reads pos 7^4 times on 7^6
-    # amplitudes, which takes 10 s, so that shape is left out.)
-    dense, products = [], []
-
-    def spy(state, op, sites):
-        if op.monomial is None:
-            dense.append(state.n)
-        return apply(state, op, sites)
-
-    def spy_matmul(mat, view):
-        products.append(view.size)
-        return matmul_axis(mat, view)
-
-    matmul_axis = qudit._matmul_axis
-    monkeypatch.setattr(protocols, "apply", spy)
-    monkeypatch.setattr(qudit, "_matmul_axis", spy_matmul)
-    _run_split_circuit(d, m)
-    assert dense == [4, 4]
-    assert products == [d**4, d**4] + [d ** (m + 2)] * d**m
-
-
 @pytest.mark.parametrize("m", range(1, 7))
-def test_register_cap_counts_the_split_circuits_peak(m):
-    # _check_register_cap refuses in O(1); its M + 3 must be the live count
-    # that the split circuit the closed-form law is checked against peaks at
-    _, stages, _ = ghz_circuit(2, m)
-    peak = protocols._peak(stages)
-    assert peak == m + 3
+def test_register_cap_refuses_past_m_plus_3_sites(m):
+    # _check_register_cap refuses in O(1), at the first d with d^(M+3) over the cap
     d = 2
-    while d**peak <= SIZE_CAP:
+    while d ** (m + 3) <= SIZE_CAP:
         d += 1
     with pytest.raises(SizeCapError):
         mqss._check_register_cap(d, m)

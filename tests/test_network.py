@@ -268,13 +268,12 @@ def _arms_schedule(arms: int, d: int):
 
 
 def _spy_on_draws(monkeypatch) -> list:
-    """Record every step-law draw, one entry per drawn row of a block;
-    returns the list the draws go into."""
+    """Record every step's draw, one entry (its uniform) per step; returns
+    the list the draws go into."""
     calls = []
-    draw = network.StepLaw.draw
-    monkeypatch.setattr(network.StepLaw, "draw",
-                        lambda law, uniforms: calls.extend([law] * len(uniforms))
-                        or draw(law, uniforms))
+    draw = network.uniform_digits
+    monkeypatch.setattr(network, "uniform_digits",
+                        lambda u, d, k: calls.append(u) or draw(u, d, k))
     return calls
 
 

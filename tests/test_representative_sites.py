@@ -35,6 +35,8 @@ from walknet.qudit import (
     tensor,
 )
 
+from test_compiled_laws import dense_step, step_shapes
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
@@ -158,7 +160,8 @@ def test_nine_site_d5_merges(spec):
 # ---------------------------------------------------------------------------
 
 def _network14_stages(d):
-    """The stages of every step-law shape the 14-node network reaches."""
+    """The one-stage dense circuit (``dense_step``) of every step shape the
+    14-node network reaches under the cap."""
     net = load_network(bundled_network_path())
     rng = np.random.default_rng(d)
     nodes = sorted(net.nodes)
@@ -166,37 +169,16 @@ def _network14_stages(d):
         sorted(int(v) for v in rng.choice(nodes, size=k, replace=False))
         for k in (2, 3, 4, 5, 6, 8, 10, 14) for _ in range(3)]
     seen = {}
-
-    def shape(*key):
-        codes, local_role = key[-1], key[2]
-        sites = sum(map(len, codes)) + 2 * (local_role is not None)
-        if d**sites <= SIZE_CAP:   # a schedule with a larger step is refused
-            seen[key] = None
-
     for terminals in terminal_sets:
         try:
             schedule = network.plan_distribution(network.steiner_tree(net, terminals), net)
         except NetworkError:
             continue
-        parties = {rid: res.parties for rid, res in schedule.initial.items()}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(network, "_step_law", shape)
-            for step in schedule.steps:
-                network._step_law(d, *network._shape(step, parties))
-                for rid in step.inputs:
-                    del parties[rid]
-                parties[step.output_id] = step.output_parties
-    stages = []
-
-    def record(steps, outputs):
-        stages.append(tuple(steps))
-        return protocols.compile_law(steps, outputs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(network, "compile_law", record)
-        for key in seen:
-            network._step_law.__wrapped__(*key)
-    return stages
+        for shape in step_shapes(schedule):
+            inputs = network._step_circuit(*shape)[0]
+            if d ** sum(map(len, inputs)) <= SIZE_CAP:   # a schedule with a larger step is refused
+                seen[shape] = None
+    return [dense_step(d, shape)[0] for shape in seen]
 
 
 @pytest.mark.parametrize("d", [2, 3])
