@@ -157,7 +157,7 @@ def test_an_index_whose_copies_disagree_reads_zero():
 
 
 # ---------------------------------------------------------------------------
-# compiled laws on the network shapes
+# compiled laws of the network step circuits
 # ---------------------------------------------------------------------------
 
 def _net(d, edges):

@@ -164,7 +164,7 @@ def _initial_states(schedule, d):
 
 def _compare_step(step, states, d):
     """The step's exhaustive dense law on its inherited amplitudes against
-    the compiled law of its shape; returns the dense stage."""
+    the law of its shape; returns the dense stage."""
     stage, outputs = _dense_stage(step, states, d)
     dense = [(values, prob, derive_ghz_correction(post))
              for values, prob, post in run_stages([stage], outputs)]
@@ -174,7 +174,7 @@ def _compare_step(step, states, d):
 
 
 def _dense_execute(schedule, d, seed):
-    """Dense run of a schedule, every step compared with its compiled law:
+    """Dense run of a schedule, every step compared with the law of its shape:
     (outcomes with corrections, generator state)."""
     rng = np.random.default_rng(seed)
     states = _initial_states(schedule, d)

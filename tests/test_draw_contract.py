@@ -41,7 +41,7 @@ from walknet.qudit import SIZE_CAP
 from test_compiled_laws import dense_law, step_shapes
 
 
-def _only_step_shape(d, net, terminals):
+def _only_step_shape(net, terminals):
     (shape,) = step_shapes(plan_distribution(steiner_tree(net, terminals), net))
     return shape
 
@@ -50,14 +50,14 @@ def _network_step_law(d):
     """The dense law of the star merge that joins a terminal root's two arms."""
     net = ResourceNetwork(d, {v: f"n{v}" for v in range(3)},
                           [Resource("bell", (0, 1)), Resource("bell", (0, 2))])
-    return dense_law(d, _only_step_shape(d, net, [0, 1, 2]))
+    return dense_law(d, _only_step_shape(net, [0, 1, 2]))
 
 
 def _star_merge_law(d):
     """The dense law of a 3-coin star merge: the hub of four leaves."""
     net = ResourceNetwork(d, {v: f"n{v}" for v in range(5)},
                           [Resource("bell", (0, v)) for v in range(1, 5)])
-    shape = _only_step_shape(d, net, [1, 2, 3, 4])
+    shape = _only_step_shape(net, [1, 2, 3, 4])
     assert shape[3] == 3
     return dense_law(d, shape)
 
