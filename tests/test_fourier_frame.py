@@ -3,7 +3,8 @@
 Per coin, F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p, so in the
 position's Fourier frame the star merge is identity-coin walks from ``pos``
 onto each coin, computational coin readouts and one Fourier readout of
-``pos``: a qudit Clifford circuit.  The secret-sharing GHZ step draws from its
+``pos``: a qudit Clifford circuit.  That identity is checked here on the
+walk that ``walk_step`` runs.  The secret-sharing GHZ step draws from its
 closed-form law (``mqss.generate_shared_ghz``): every (q~_1, ..., q~_M, u0) in
 product order, each at probability d^-(M+1), with residual
 ``shared_ghz_closed_form``.  The paper circuit, built here as the session's
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from walknet import mqss
-from walknet.protocols import run_stages, star_merge_stage
-from walknet.qudit import canonical_bell
+from walknet.protocols import run_stages, star_merge_stage, walk_step
+from walknet.qudit import QuditState, apply, canonical_bell, fourier_op, identity_op
 
 TOL = 1e-12
 
@@ -46,3 +47,17 @@ def test_mqss_circuit(d, m):
         assert abs(p - d ** -(m + 1)) <= TOL
         closed = mqss.shared_ghz_closed_form(d, coins, u0)
         assert np.abs(post.amps - closed.amps).max() <= TOL
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_a_fourier_coin_walk_is_the_swapped_walk_in_the_fourier_frame(d):
+    # F_c^dag S(c -> p) F_c = F_p^dag S(p -> c) F_p on (c, p) = sites (0, 1),
+    # S(x -> y) the walk's y -= x: on every basis state and a random state
+    f = fourier_op(d)
+    rng = np.random.default_rng(d)
+    amps = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    states = [QuditState(d, 2, row.astype(complex)) for row in np.eye(d * d)]
+    for state in states + [QuditState(d, 2, amps / np.linalg.norm(amps))]:
+        coin_walk = apply(walk_step(state, 0, 1, f), f.dagger(), [0])
+        framed = apply(walk_step(apply(state, f, [1]), 1, 0, identity_op(d)), f.dagger(), [1])
+        assert np.abs(coin_walk.amps - framed.amps).max() <= TOL

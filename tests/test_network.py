@@ -289,6 +289,31 @@ def test_over_cap_step_refused_before_any_sampling(monkeypatch):
     assert not res.ledger
 
 
+@pytest.mark.parametrize("d, arms", [(2, 10), (3, 5), (5, 3)])
+def test_a_correction_is_built_only_for_a_drawn_outcome(monkeypatch, d, arms):
+    # the hub's star merge has d^(arms + 1) outcomes; a run builds one
+    # correction per (shape, outcome) it draws, and a repeated draw builds none
+    sched = _arms_schedule(arms, d)
+    live = {rid: res.parties for rid, res in sched.initial.items()}
+    shapes = []
+    for step in sched.steps:
+        shapes.append(network._shape(step, live))
+        live[step.output_id] = step.output_parties
+    calls = []
+    build = network.affine_ghz_correction
+    monkeypatch.setattr(network, "affine_ghz_correction",
+                        lambda *args: calls.append(args) or build(*args))
+    network._step_law.cache_clear()
+    drawn = set()
+    for seed in range(5):
+        res = execute_schedule(sched, "simulated", d=d, seed=seed)
+        drawn |= {(shape, tuple(o["outcome"])) for shape, o in zip(shapes, res.outcomes)}
+        assert len(calls) == len(drawn)
+    calls.clear()
+    execute_schedule(sched, "simulated", d=d, seed=0)
+    assert calls == []
+
+
 def test_unfinished_schedule_refused_before_any_sampling(monkeypatch):
     # one pair merge on a 4-node chain leaves (0, 2) and (2, 3), not a single
     # resource over the terminals; nothing may be sampled before the refusal

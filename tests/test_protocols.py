@@ -557,3 +557,32 @@ def test_merge_method_corrections_are_the_table_rows():
                 site_ops, sign = row(m, n, k, b.outcome)[1:3]
                 assert [(s, name) for s, name, _ in b.correction.ops] == site_ops
                 assert b.correction.global_phase == sign
+
+
+def _affine_ghz(d, offsets, x):
+    """(1/sqrt d) sum_r w^(-x r) |r + a_0, ..., r + a_(P-1)>, built densely."""
+    n, w = len(offsets), np.exp(2j * np.pi / d)
+    amps = np.zeros(d**n, dtype=complex)
+    for r in range(d):
+        amps[sum((r + a) % d * d ** (n - 1 - j) for j, a in enumerate(offsets))] = w ** (-x * r)
+    return QuditState(d, n, amps / np.sqrt(d))
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_affine_ghz_correction_is_the_derived_normal_form(d):
+    # read off the offsets, the correction is derive_ghz_correction's answer
+    # on the amplitudes: equal labels and global phases, and it restores the
+    # canonical GHZ amplitude for amplitude
+    rng = np.random.default_rng(d)
+    for n in (2, 3, 4):
+        every = d**n <= 64
+        cases = (itertools.product(range(d), repeat=n) if every
+                 else (tuple(int(a) for a in rng.integers(0, d, n)) for _ in range(24)))
+        for offsets in cases:
+            for x in range(d):
+                state = _affine_ghz(d, offsets, x)
+                corr = protocols.affine_ghz_correction(d, offsets, x)
+                ref = derive_ghz_correction(state)
+                assert corr.label == ref.label
+                assert abs(corr.global_phase - ref.global_phase) <= 1e-12
+                assert np.abs(corr.apply_to(state).amps - canonical_ghz(d, n).amps).max() <= 1e-12

@@ -4,20 +4,39 @@
 equally likely outcomes and one correction per outcome, built for the
 outcomes that are drawn.  No register is built, so even every outcome of the
 10-leaf qubit hub, a star merge of 20 input sites, stays within a small
-traced peak.
+traced peak.  A hub that is itself a terminal star-merges its leaves with a
+local coin pair: that rule is checked against the dense step at every width
+under the cap, and past it simulated mode refuses before any draw.
 """
 
 import tracemalloc
 from itertools import product
 
+import numpy as np
+import pytest
+
 from walknet import network
-from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
+from walknet.network import (
+    NetworkError,
+    Resource,
+    ResourceNetwork,
+    execute_schedule,
+    plan_distribution,
+    steiner_tree,
+)
+from walknet.qudit import SIZE_CAP
+
+from test_compiled_laws import dense_law, step_shapes  # the dense reference
+
+
+def _hub(d, leaves):
+    return ResourceNetwork(d, {v: f"n{v}" for v in range(leaves + 1)},
+                           [Resource("bell", (0, v)) for v in range(1, leaves + 1)])
 
 
 def test_hub_law_compiles_within_a_small_traced_peak():
     # the 10-leaf qubit hub: one star merge of 20 input sites, 10 readouts
-    net = ResourceNetwork(2, {v: f"n{v}" for v in range(11)},
-                          [Resource("bell", (0, v)) for v in range(1, 11)])
+    net = _hub(2, 10)
     schedule = plan_distribution(steiner_tree(net, list(range(1, 11))), net)
     (step,) = schedule.steps
     key = network._shape(step, {rid: res.parties for rid, res in schedule.initial.items()})
@@ -30,3 +49,29 @@ def test_hub_law_compiles_within_a_small_traced_peak():
         tracemalloc.stop()
     assert k == 10 and len(corrections) == 2**10
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("d, leaves", [(2, k) for k in range(1, 12)]
+                         + [(3, k) for k in range(1, 7)])
+def test_hubs(d, leaves):
+    # the hub and its leaves as terminals: one star merge of the leaves' Bell
+    # pairs and a local coin pair, 2 * leaves + 2 input sites and leaves + 1
+    # readouts (a lone leaf needs no step)
+    net = _hub(d, leaves)
+    schedule = plan_distribution(steiner_tree(net, list(range(leaves + 1))), net)
+    assert [(s.action, s.local_role) for s in schedule.steps] == (
+        [("star-merge", "coin")] if leaves >= 2 else [])
+    for shape in step_shapes(schedule):
+        k, correction = network._step_law(d, *shape)
+        assert k == leaves + 1
+        if d ** (2 * leaves + 2) > SIZE_CAP:
+            with pytest.raises(NetworkError, match="over the dense cap"):
+                execute_schedule(schedule, "simulated", d=d)
+            continue
+        law = dense_law(d, shape)
+        assert law.outcomes == tuple(product(range(d), repeat=k))
+        assert np.abs(law.probs - d**-k).max() <= 1e-12
+        for values in law.outcomes:
+            ref = law.rows[values][0]
+            assert correction(values).label == ref.label
+            assert abs(correction(values).global_phase - ref.global_phase) <= 1e-9
