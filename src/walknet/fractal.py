@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocols import StepLaw, compile_law, triangle_merge_stages
+from .protocols import triangle_merge_rule
 from .qudit import QuditState, as_int, as_seed, canonical_ghz
 
 Vertex = tuple[int, int]
@@ -118,38 +118,40 @@ class MergeRunResult:
 
 
 @lru_cache(maxsize=None)
-def _merge_law(d: int) -> StepLaw:
-    """The triangle merge's compiled law on three canonical GHZ triples."""
-    return compile_law(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2),
-                       ("a", "b", "c"))
+def _merge_label(d: int, index: int) -> str:
+    """The correction label of the merge outcome whose free readouts are the
+    base-d digits of ``index``, most significant first."""
+    k, correction = triangle_merge_rule(d, d == 2)
+    return correction(tuple(index // d**j % d for j in range(k - 1, -1, -1))).label
 
 
 def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     """Sample the whole composition, one branch per merge.
 
-    Each merge is a local nine-site event over three GHZ triples, run as the
-    triangle-merge stages of ``protocols``: coin-X walks across each shared
-    corner at d = 2, the two-stage identity-coin merge at d > 2.  Every input
-    triple is the canonical GHZ that the previous correction restored, so all
-    merges share one law, compiled once per d.  Each merge draws once, as the
-    dense sampler does on the merge's one-stage circuit: one
-    ``rng.random(merges)`` block holds every merge's uniform, in schedule
-    order; ``StepLaw.draw`` maps the block to outcomes, and each merge's
-    correction is looked up.  ``fidelity`` is the last merge's
-    compile-time fidelity and ``final_state`` the canonical apex GHZ.
+    Each merge is a local nine-site event over three GHZ triples, the
+    triangle merge of ``protocols``: coin-X walks across each shared corner
+    at d = 2, the two-stage identity-coin merge at d > 2.  Every input triple
+    is the canonical GHZ that the previous correction restored, so all
+    merges share one law, read off the circuit (``triangle_merge_rule``): its
+    k free readouts are uniform, and the circuit over the size cap is refused
+    before any draw.  One ``rng.random(merges)`` block holds every merge's
+    uniform u, in schedule order; a merge's free readouts are the k base-d
+    digits of floor(u d^k), as ``uniform_digits`` takes them, and its
+    correction is the law's.  The correction restores the canonical GHZ
+    exactly, so ``fidelity`` is 1.0 and ``final_state`` is the apex GHZ.
     """
     n, d, seed = as_int(n, "n"), as_int(d, "d"), as_seed(seed)
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
-    law = _merge_law(d)
+    k, _ = triangle_merge_rule(d, d == 2)
     count = (3**n - 1) // 2   # the length of merge_schedule(n)
-    rows = [law.rows[values] for values in law.draw(np.random.default_rng(seed).random(count))]
+    at = (np.random.default_rng(seed).random(count) * d**k).astype(np.int64).tolist()
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
-        fidelity=rows[-1][1], final_state=canonical_ghz(d, 3),
-        corrections=[corr.label for corr, _ in rows])
+        fidelity=1.0, final_state=canonical_ghz(d, 3),
+        corrections=[_merge_label(d, i) for i in at])
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,8 @@ def reconstruct(public_value: Fraction, coin_results: list[int],
 def _build_repeater_pair(d: int) -> float:
     """Stock one dealer-participant Bell pair over a two-hop repeater path.
 
-    Every participant's link is the same repeater, and its compiled step law
-    checks the fidelity of every outcome, so it is planned and run once per d.
+    Every participant's link is the same repeater, and its step law is read
+    off its circuit (``network``), so it is planned and run once per d.
     """
     net = ResourceNetwork(d, {0: "dealer", 1: "relay", 2: "participant"},
                           [Resource("bell", (0, 1)), Resource("bell", (1, 2))])

@@ -62,15 +62,13 @@ derived from the residual).  ``run_stages(stages, outputs)`` checks the size
 cap and that ``outputs`` are exactly the unread particles before the first
 resource is added, then runs the stages exhaustively and yields each
 branch's residual over ``outputs``, in that order.  One loop corrects every
-branch and scores a last stage's branches as one block, for
-``run_protocol`` and for ``compile_law``, whose ``StepLaw`` table the gasket
-merges sample instead of amplitudes: one uniform per merge, located in the
-law as ``rng.choice`` locates it, a whole schedule from one block of
-uniforms (``StepLaw.draw``).  A network step and the secret-sharing GHZ step
-are qudit Clifford circuits on canonical inputs, so their laws are read off
-the circuit (``network``, ``mqss``): d^k equally likely outcomes, drawn as
-the digits of floor(u d^k) (``uniform_digits``), and a residual in an affine
-GHZ frame (a network step's correction is ``affine_ghz_correction``).  The
+branch and scores a last stage's branches as one block, for ``run_protocol``.
+A network step, the secret-sharing GHZ step and the triangle merge are qudit
+Clifford circuits on canonical inputs, so their laws are read off the circuit
+(``network``, ``mqss``, ``triangle_merge_rule``): d^k equally likely outcomes,
+drawn as the digits of floor(u d^k) (``uniform_digits``), and a residual in
+an affine GHZ frame (a network step's correction is ``affine_ghz_correction``).
+The gasket merges in ``fractal`` draw from the triangle merge's law.  The
 catalog runs keep the paper's circuits and reported bases;
 ``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
 merges.
@@ -453,6 +451,38 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
                   targets=(("q4", f), ("q5", f), ("q6", c), ("q3", c))))
 
 
+@lru_cache(maxsize=None)
+def triangle_merge_rule(d: int, qubit: bool) -> tuple:
+    """The triangle merge's law on three canonical GHZ triples, read off its
+    circuit: (k, correction), refused as the circuit is when its peak live
+    register is over the size cap.
+
+    The merge is a qudit Clifford circuit on canonical inputs, so its first
+    k = 5 readouts are free: all d^5 of their values are kept, each at
+    probability d^-5, in product order, and they fix the sixth.  The qudit
+    merge's outcome (p1, u1, p2, p3, u2, u3) has u3 = u1 + u2 (mod d); its
+    correction shifts b by u1 and c by -u2, with clock power p1 + p2 + p3 on
+    a.  The qubit merge's (p1, p3, p5, u2, u4, u6) has u6 = 1 + u2 + u4
+    (mod 2); its correction is X on b iff u2 = 0, X on c iff u2 + u4 is odd
+    and Z on a iff p1 + p3 + p5 is odd, with the residual's quadratic sign
+    (-1)^(p1 + p5 + p3 u2 + p5 u2 + p5 u4).  ``correction(v)`` reads the
+    first five values of v.
+    """
+    if qubit and d != 2:
+        raise ValueError("the qubit triangle merge is defined for d=2 only")
+    check_cap(d, _peak(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit)))
+
+    def correction(values) -> CorrectionOp:
+        if qubit:
+            p1, p3, p5, u2, u4 = values[:5]
+            sign = (-1) ** (p1 + p5 + (p3 + p5) * u2 + p5 * u4)
+            return _shift_phase_correction(2, ((1, 1 - u2), (2, u2 ^ u4)), p1 ^ p3 ^ p5,
+                                           global_phase=complex(sign))
+        p1, u1, p2, p3, u2 = values[:5]
+        return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
+    return 5, correction
+
+
 # ---------------------------------------------------------------------------
 # Generic correction derivation
 # ---------------------------------------------------------------------------
@@ -515,57 +545,18 @@ def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
 
 
 # ---------------------------------------------------------------------------
-# Draws and compiled step laws
+# Draws and block scoring
 # ---------------------------------------------------------------------------
 
 def uniform_digits(u: float, d: int, k: int) -> tuple[int, ...]:
     """The outcome of k uniform base-d readouts drawn from one uniform u in
     [0, 1): the k digits of floor(u d^k), most significant first.  It is
     ``rng.choice(d**k, p=np.full(d**k, d**-k))`` on the same u, except for a
-    u within about one ulp of a boundary i / d^k when d is not a power of two."""
+    u within a few ulps of some boundaries i / d^k when d is not a power of two."""
     i, digits = int(u * d**k), [0] * k
     for j in range(k - 1, -1, -1):
         i, digits[j] = divmod(i, d)
     return tuple(digits)
-
-
-# what ``Generator.choice`` allows a probability array's sum to miss 1 by
-CHOICE_SUM_TOL = math.sqrt(np.finfo(np.float64).eps)
-
-
-@dataclass(frozen=True)
-class StepLaw:
-    """A walk circuit's outcome law and corrections, compiled once: the
-    gasket merge's (``fractal``).
-
-    ``outcomes`` lists every kept outcome in outcome order and ``probs``
-    their normalized probabilities; ``rows`` maps each outcome to its GHZ
-    correction and the corrected state's fidelity.  The probabilities are
-    checked here, once, as ``Generator.choice`` checks them on every call,
-    and ``cdf`` is their cumulative table, ``cumsum(p) / cumsum(p)[-1]`` as
-    ``choice`` builds it.
-    """
-
-    outcomes: tuple
-    probs: np.ndarray
-    rows: dict
-    cdf: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if not np.isfinite(p).all() or (p < 0).any() or abs(math.fsum(p) - 1) > CHOICE_SUM_TOL:
-            raise ValueError("probabilities are not finite, non-negative and summing to 1")
-        cdf = np.cumsum(p)
-        object.__setattr__(self, "cdf", cdf / cdf[-1])
-
-    def draw(self, uniforms: np.ndarray) -> list[tuple[int, ...]]:
-        """The kept outcome of each of a block of uniforms, located in ``cdf``
-        with ``searchsorted(..., side="right")``.  That is how
-        ``rng.choice(len(p), p=p)`` locates its one ``rng.random()``, so
-        ``rng.random(count)`` lands where ``count`` ``choice`` calls land and
-        leaves the generator where they leave it."""
-        at = np.searchsorted(self.cdf, uniforms, side="right").tolist()
-        return [self.outcomes[i] for i in at]
 
 
 def _corrected(stages, outputs, closed=None):
@@ -614,26 +605,6 @@ def _support_map(d: int, n: int, ops) -> tuple[np.ndarray, np.ndarray]:
         phase *= 1 if ph is None else ph[digits[:, site]]
         digits[:, site] = src[digits[:, site]]
     return digits @ d ** np.arange(n - 1, -1, -1), phase
-
-
-def compile_law(stages, outputs) -> StepLaw:
-    """Run ``stages`` exhaustively once and tabulate every kept outcome with
-    its probability, the product of its stages'; each leaf's derived
-    correction must restore the canonical GHZ over ``outputs`` at fidelity
-    >= 1 - FIDELITY_TOL.  By deferred measurement this is the law of the one
-    stage that runs every stage's adds, gates and targets in order, so the
-    ``StepLaw`` draws once per run; the stages only bound the live register
-    while compiling.  The gasket merge's law is compiled so; a network step's
-    is read off its circuit instead (``network._step_law``)."""
-    probs, rows = [], {}
-    for outcomes, block_probs, _, _, corrs, fids in _corrected(stages, outputs):
-        for values, corr, fid in zip(outcomes, corrs, fids):
-            if fid < 1 - FIDELITY_TOL:
-                raise CorrectionError(f"outcome {values} recovers the GHZ at fidelity {fid}")
-            rows[values] = (corr, fid)
-        probs += block_probs
-    p = np.array(probs)
-    return StepLaw(tuple(rows), p / p.sum(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +768,9 @@ def _circuit(spec: ProtocolSpec):
             _shift_phase_correction(d, tuple(enumerate(o[:M])), o[M], phase_site=M))
 
     if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
-        def closed(o):  # u1 + u2 = u3 (mod d) on every kept branch
-            p1, u1, p2, p3, u2, u3 = o
-            return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
         qubit = kd is K.TRIANGLE_MERGE_2D
         return (triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=qubit),
-                ("a", "b", "c"), None if qubit else closed)
+                ("a", "b", "c"), triangle_merge_rule(d, qubit)[1])
 
     raise ValueError(f"unknown protocol kind {kd}")
 

@@ -6,8 +6,9 @@ through the copy map.  The reference is a test-local copy of the per-leaf
 loop: every branch's register expanded to a dense residual over the outputs,
 its correction's support gathered and dotted one leaf at a time.  Both must
 give the same outcomes in the same order, bitwise-equal probabilities and
-residuals, equal corrections and fidelities within 1e-12; ``compile_law``
-must give equal outcomes, probabilities and rows.  ``qudit.apply`` runs
+residuals, equal corrections and fidelities within 1e-12; the dense law of
+a network step (``test_compiled_laws.dense_compile``) must give equal
+outcomes, probabilities and rows.  ``qudit.apply`` runs
 one-site ops on a (before, site, after) view and several-site ops on one axis
 per op site and gap; the reference there is a tensordot with the dense
 ``op.mat``.
@@ -30,7 +31,7 @@ from walknet.network import (
     steiner_tree,
 )
 from walknet.protocols import ProtocolKind as K
-from walknet.protocols import ProtocolSpec, compile_law, derive_ghz_correction, run_stages
+from walknet.protocols import ProtocolSpec, derive_ghz_correction, run_stages
 from walknet.qudit import (
     Basis,
     Branches,
@@ -49,7 +50,7 @@ from walknet.qudit import (
     shift_op,
 )
 
-from test_compiled_laws import dense_step, step_shapes
+from test_compiled_laws import dense_compile, dense_step, step_shapes
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -195,7 +196,7 @@ def test_compiled_laws_match_the_per_leaf_loop():
     circuits = _circuits()
     assert len(circuits) >= 10
     for stages, outputs in circuits:
-        law = compile_law(stages, outputs)
+        law = dense_compile(stages, outputs)
         leaves = list(per_leaf(stages, outputs))
         rows = {values: (corr, fid) for values, _, _, corr, fid in leaves}
         p = np.array([prob for _, prob, *_ in leaves])

@@ -4,17 +4,24 @@ The reference here is the dense executor: every step runs its stage on the
 amplitudes it inherits from earlier steps, samples one branch, derives that
 branch's correction and carries the corrected state on.  For every step
 shape that the pinned workloads reach, the network step's closed rule
-(``network._step_law``, enumerated in product order) and the gasket's
-compiled law must list the dense step's kept outcomes in the same order,
-with equal probabilities, correction labels and global phases; and a seeded
-run must leave the generator where the dense run leaves it, with the same
-outcomes and corrections.  A merge draws once, so the dense gasket merge
-runs its two qudit stages as one.  At d = 4, 5 and 6 the rule is also checked
-against ``dense_step``, the one-stage circuit of its shape on canonical
-inputs, on shapes small enough to run densely.
+(``network._step_law``, enumerated in product order) must list the dense
+step's kept outcomes in the same order, with equal probabilities, correction
+labels and global phases; and a seeded run must leave the generator where
+the dense run leaves it, with the same outcomes and corrections.  A merge
+draws once, so the dense gasket merge runs its two qudit stages as one, and
+every gasket merge on inherited triangles has the law of the merge on
+canonical ones (``dense_triangle_law``).  The triangle merge's closed rule
+(``protocols.triangle_merge_rule``) must keep every outcome of that law with
+its probability and label, and at d = 2 its global phase.  At d = 4, 5 and
+6 the network rule is also checked against ``dense_step``, the one-stage
+circuit of its shape on canonical inputs, on shapes small enough to run
+densely.  ``dense_compile`` is the dense law of a circuit: every kept branch
+of its exhaustive run with the correction derived from its residual.
 """
 
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,9 +38,9 @@ from walknet.network import (
     steiner_tree,
 )
 from walknet.protocols import (
+    ProtocolKind,
+    ProtocolSpec,
     Stage,
-    StepLaw,
-    compile_law,
     derive_ghz_correction,
     run_stages,
     star_merge_stage,
@@ -44,11 +51,34 @@ from walknet.qudit import Basis, canonical_bell, canonical_ghz, fidelity, identi
 TOL = 1e-9
 
 
+class DenseLaw(NamedTuple):
+    """A circuit's dense law: every kept outcome in outcome order, their
+    normalized probabilities and each outcome's (correction, fidelity)."""
+
+    outcomes: tuple
+    probs: np.ndarray
+    rows: dict
+
+
+def dense_compile(stages, outputs) -> DenseLaw:
+    """Run ``stages`` exhaustively and derive every leaf's correction from its
+    residual over ``outputs``; each must restore the canonical GHZ."""
+    probs, rows = [], {}
+    for values, prob, post in run_stages(stages, outputs):
+        corr = derive_ghz_correction(post)
+        fid = fidelity(corr.apply_to(post), canonical_ghz(post.d, post.n))
+        assert fid >= 1 - TOL, (values, fid)
+        rows[values] = (corr, fid)
+        probs.append(prob)
+    p = np.array(probs)
+    return DenseLaw(tuple(rows), p / p.sum(), rows)
+
+
 def _leaves(law):
     """(outcome, probability, correction) of every kept outcome, in draw
-    order: a compiled ``StepLaw``'s table, or a network step's closed rule
+    order: a ``DenseLaw``'s table, or a network step's closed rule
     (``network._step_law``'s (k, correction) at d) enumerated in product order."""
-    if isinstance(law, StepLaw):
+    if isinstance(law, DenseLaw):
         return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
     d, (k, correction) = law
     return [(values, d**-k, correction(values)) for values in product(range(d), repeat=k)]
@@ -142,8 +172,8 @@ def dense_step(d, shape):
 
 
 def dense_law(d, shape):
-    """The compiled law of ``dense_step``: the dense reference of a step's rule."""
-    return compile_law(*dense_step(d, shape))
+    """The dense law of ``dense_step``: the dense reference of a step's rule."""
+    return dense_compile(*dense_step(d, shape))
 
 
 def step_shapes(schedule):
@@ -269,6 +299,13 @@ def test_terminal_root_and_local_pair(monkeypatch, d):
 # gasket: the dense triangle merge
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def dense_triangle_law(d):
+    """The dense law of the gasket's triangle merge on canonical GHZ triples."""
+    return dense_compile(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2),
+                         ("a", "b", "c"))
+
+
 def _one_stage_triangle(d, triples):
     """The triangle merge as one stage: every stage's adds, gates and targets,
     in order, the circuit a merge's one draw samples."""
@@ -289,7 +326,7 @@ def _dense_gasket(n, d, seed):
         if step.level >= 2:
             dense = [(values, prob, derive_ghz_correction(post))
                      for values, prob, post in run_stages(stages, ("a", "b", "c"))]
-            _assert_same_law(fractal._merge_law(d), dense)
+            _assert_same_law(dense_triangle_law(d), dense)
         _, _, post = _sampled(stages, ("a", "b", "c"), rng)
         corr = derive_ghz_correction(post)
         states[step.output] = corr.apply_to(post)
@@ -310,13 +347,43 @@ def test_gasket(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gasket_law_is_the_one_stage_triangle_law(d):
-    # at d >= 3 the law compiles from two stages but draws once, as the dense
+    # at d >= 3 the law runs in two stages but draws once, as the dense
     # sampler draws on the one stage that runs both
     (stage,) = _one_stage_triangle(d, [canonical_ghz(d, 3)] * 3)
     assert len(stage.targets) == 6
     dense = [(values, prob, derive_ghz_correction(post))
              for values, prob, post in run_stages([stage], ("a", "b", "c"))]
-    _assert_same_law(fractal._merge_law(d), dense)
+    _assert_same_law(dense_triangle_law(d), dense)
+
+
+def sixth_readout(d, free):
+    """The triangle merge's last position readout, fixed by its five free
+    ones: u3 = u1 + u2 (mod d), or at d = 2 u6 = 1 + u2 + u4 (mod 2)."""
+    return 1 ^ free[3] ^ free[4] if d == 2 else (free[1] + free[4]) % d
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_triangle_rule_is_the_dense_law(d):
+    # every d^5 outcome of the free readouts, in product order, completed by
+    # its sixth, at probability d^-5 and with the dense law's label
+    k, correction = protocols.triangle_merge_rule(d, d == 2)
+    law = dense_triangle_law(d)
+    free = list(product(range(d), repeat=k))
+    assert law.outcomes == tuple(v + (sixth_readout(d, v),) for v in free)
+    assert np.abs(law.probs - d**-k).max() <= 1e-12
+    assert [correction(v).label for v in free] == [law.rows[v][0].label for v in law.outcomes]
+
+
+def test_qubit_triangle_rule_matches_the_derived_corrections():
+    stages, outputs, closed = protocols._circuit(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D))
+    branches = list(run_stages(stages, outputs))
+    assert len(branches) == 32
+    for values, _, post in branches:
+        corr, ref = closed(values), derive_ghz_correction(post)
+        assert corr.label == ref.label
+        assert abs(corr.global_phase - ref.global_phase) <= 1e-12
+    with pytest.raises(ValueError, match="d=2 only"):
+        protocols.triangle_merge_rule(3, True)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +407,9 @@ def test_compiled_corrections_follow_the_named_output_order(d):
     outputs = ("c", "a", "b")
     dense = [(values, prob, derive_ghz_correction(post))
              for values, prob, post in run_stages(stages, outputs)]
-    _assert_same_law(compile_law(stages, outputs), dense)
+    _assert_same_law(dense_compile(stages, outputs), dense)
     # the order is not a relabeling the corrections ignore
-    natural = _leaves(fractal._merge_law(d))
+    natural = _leaves(dense_triangle_law(d))
     assert [c.label for _, _, c in dense] != [c.label for _, _, c in natural]
 
 

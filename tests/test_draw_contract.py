@@ -2,22 +2,22 @@
 
 A dense sampler draws one kept branch with ``rng.choice(len(p), p=p)``.  On
 numpy 2.4 that call takes one ``rng.random()`` and locates it in the
-normalized cumulative sum of ``p``.  ``StepLaw.draw`` (the gasket merges)
-does the same without ``choice``: it maps a block of uniforms, taken in one
-``rng.random`` call, to kept outcomes, so a schedule's draws must land where
-one ``choice`` per merge lands and leave the generator in the same state.
+normalized cumulative sum of ``p``.
 
-A network step and the secret-sharing session's uniform draws (the GHZ
-step's coins and position value, and step 4's readout) have d^k equally
-likely outcomes, so each takes the k base-d digits of floor(u d^k) from its
-one uniform (``protocols.uniform_digits``).  That is pinned here against a
-scalar ``int(u * d**k)`` reference.  It is not the same function as a
+A network step, a gasket merge and the secret-sharing session's uniform
+draws (the GHZ step's coins and position value, and step 4's readout) have
+d^k equally likely outcomes, so each takes the k base-d digits of
+floor(u d^k) from its one uniform (``protocols.uniform_digits``).  A gasket
+merge's k = 5 free readouts fix its sixth, and a schedule takes every
+merge's uniform from one ``rng.random`` block.  Both are pinned here against
+a scalar ``int(u * d**k)`` reference.  It is not the same function as a
 uniform ``choice``: for d not a power of two the two differ on uniforms
 within a few ulps of some boundaries i / d^k.  So the draws are also
 cross-checked against a scalar ``choice`` reference written here, on the
-dense compiled law of each network step (``test_compiled_laws.dense_law``)
-and on the seeds below, where no uniform falls that close to a boundary.  A
-numpy release that changes ``choice`` fails here rather than silently moving
+dense law of each network step and of the triangle merge
+(``test_compiled_laws.dense_law`` and ``dense_triangle_law``) and on the
+seeds below, where no uniform falls that close to a boundary.  A numpy
+release that changes ``choice`` fails here rather than silently moving
 seeded outcomes.
 """
 
@@ -35,10 +35,10 @@ from walknet.network import (
     plan_distribution,
     steiner_tree,
 )
-from walknet.protocols import StepLaw, uniform_digits
+from walknet.protocols import uniform_digits
 from walknet.qudit import SIZE_CAP
 
-from test_compiled_laws import dense_law, step_shapes
+from test_compiled_laws import dense_law, dense_triangle_law, sixth_readout, step_shapes
 
 
 def _only_step_shape(net, terminals):
@@ -79,7 +79,7 @@ def _made_generator(monkeypatch, run):
 
 
 LAWS = {
-    "gasket-merge": lambda: fractal._merge_law(3),
+    "gasket-merge": lambda: dense_triangle_law(3),
     "network-step": lambda: _network_step_law(3),
     "star-merge-d2": lambda: _star_merge_law(2),
     "star-merge-d3": lambda: _star_merge_law(3),
@@ -99,46 +99,39 @@ def test_choice_is_one_uniform_located_in_the_cumulative_sum(name):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("name", sorted(LAWS))
-def test_batched_draws_equal_scalar_choice(name):
-    law = LAWS[name]()
-    for seed, count in [(0, 1), (1, 7), (2, 200), (3, 0)]:
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert law.draw(rng.random(count)) == _choice_draws(law, ref, count)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def test_one_outcome_draw_point_consumes_one_uniform():
-    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    assert rng.choice(1, p=[1.0]) == 0
-    ref.random()
-    assert rng.bit_generator.state == ref.bit_generator.state
-    # the batched sampler takes that uniform too, once per draw
-    law = StepLaw(((4, 0),), np.array([1.0]), {(4, 0): None})
-    assert law.draw(rng.random(9)) == _choice_draws(law, ref, 9) == [(4, 0)] * 9
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
-@pytest.mark.parametrize("p", [[0.5, np.nan], [1.5, -0.5], [0.5, np.inf], [0.5, 0.4]],
-                         ids=["nan", "negative", "infinite", "short-sum"])
-def test_laws_refuse_what_choice_refuses(p):
-    with pytest.raises(ValueError):
-        np.random.default_rng(0).choice(2, p=p)
-    with pytest.raises(ValueError, match="not finite, non-negative and summing to 1"):
-        StepLaw(((0,), (1,)), np.array(p), {})
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gasket_schedule_equals_scalar_choice(monkeypatch, d):
     count = (3**6 - 1) // 2
     ref = np.random.default_rng(d)
-    law = fractal._merge_law(d)
+    law = dense_triangle_law(d)
     want = [law.rows[values][0].label for values in _choice_draws(law, ref, count)]
     result, state = _made_generator(
         monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=d))
     assert result.merge_count == count
     assert result.corrections == want
     assert state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_gasket_schedule_draws_floor_u_d_5(monkeypatch, d):
+    # one uniform per merge, in schedule order: the five free readouts are the
+    # digits of int(u * d**5), and with the sixth they are a kept outcome of
+    # the dense law, whose correction the merge reports
+    law, count = dense_triangle_law(d), (3**6 - 1) // 2
+    label = fractal._merge_label
+    for seed in range(10):
+        ref, want = np.random.default_rng(seed), []
+        for u in ref.random(count).tolist():
+            free = tuple(_floor_digits(u, d, 5))
+            want.append((int(u * d**5), law.rows[free + (sixth_readout(d, free),)][0].label))
+        drawn = []
+        monkeypatch.setattr(fractal, "_merge_label",
+                            lambda d, i: drawn.append(i) or label(d, i))
+        result, state = _made_generator(
+            monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=seed))
+        assert list(zip(drawn, result.corrections)) == want
+        assert state == ref.bit_generator.state
+        assert result.fidelity == 1.0
 
 
 def _chain(d):

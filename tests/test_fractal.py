@@ -110,7 +110,7 @@ def test_execute_merge_schedule_range_check(n):
 def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch, n, d, seed,
                                                                      refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    monkeypatch.setattr(fractal, "_merge_law", lambda *a: pytest.fail("compiled"))
+    monkeypatch.setattr(fractal, "_merge_label", lambda *a: pytest.fail("drew"))
     with pytest.raises(ValueError, match=refusal):
         execute_merge_schedule(n, d=d, seed=seed)
     monkeypatch.undo()

@@ -16,7 +16,6 @@ from walknet.protocols import (
     ProtocolKind,
     ProtocolSpec,
     Stage,
-    compile_law,
     correction_for,
     derive_ghz_correction,
     outcome_parity,
@@ -39,6 +38,8 @@ from walknet.qudit import (
     pauli_x,
     tensor,
 )
+
+from test_compiled_laws import dense_compile  # the dense law of a circuit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -284,7 +285,7 @@ def test_correction_for_table_kinds():
 
 
 def test_correction_for_derived_kind():
-    spec = ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D)
+    spec = ProtocolSpec(ProtocolKind.MERGE_COMBINED, m=4, n=4, k=3, l=2)
     res = run_protocol(spec)
     b = res.branches[3]
     corr = correction_for(spec.kind, 2, b.outcome, spec)
@@ -445,7 +446,7 @@ def test_run_stages_exhaustive_branches_and_after_ops():
                                      ("a", "b", "b")], ids=["missing", "extra", "measured",
                                                             "repeated"])
 @pytest.mark.parametrize("run", [lambda stages, outputs: list(run_stages(stages, outputs)),
-                                 compile_law], ids=["exhaustive", "compiled"])
+                                 dense_compile], ids=["exhaustive", "compiled"])
 def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, outputs):
     stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
     for name in ("tensor", "apply", "measure_all_branches"):
@@ -485,8 +486,7 @@ def test_no_module_imports_a_private_name_from_another():
 
 
 def test_correction_for_runs_each_spec_once(monkeypatch):
-    specs = [ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D),
-             ProtocolSpec(ProtocolKind.MERGE_COMBINED, m=4, n=3, k=3, l=2),
+    specs = [ProtocolSpec(ProtocolKind.MERGE_COMBINED, m=4, n=3, k=3, l=2),
              ProtocolSpec(ProtocolKind.MERGE_METHOD_1, m=3, n=2, k=2, retain_coins=True)]
     expected = [{b.outcome: b.correction for b in run_protocol(spec).branches}
                 for spec in specs]
@@ -496,7 +496,7 @@ def test_correction_for_runs_each_spec_once(monkeypatch):
     monkeypatch.setattr(protocols, "derive_ghz_correction",
                         lambda state, **kw: calls.append(state) or real(state, **kw))
     with pytest.raises(ValueError, match="zero probability"):
-        correction_for(ProtocolKind.TRIANGLE_MERGE_2D, 2, (0,) * 6)
+        correction_for(ProtocolKind.MERGE_COMBINED, 2, (0, 0, 0, 0, 1), specs[0])
     assert len(calls) == len(expected[0])   # the refusal built the table
     for spec, branches in zip(specs, expected):
         counts = []

@@ -1,9 +1,9 @@
 """Golden outputs of the Born-sampled paths.
 
-Every sampled path draws one branch per draw with the same ``rng.choice``
-over the same probability array: a network step or a gasket merge draws
-once, over its one-stage circuit's law.  These seeded outcomes must stay
-byte-identical when the sampler's internals change.
+Every sampled path draws one branch per draw: a network step or a gasket
+merge takes the base-d digits of floor(u d^k) from one uniform, where
+``rng.choice`` over its one-stage circuit's law lands on these seeds.  These
+seeded outcomes must stay byte-identical when the sampler's internals change.
 """
 
 import hashlib
