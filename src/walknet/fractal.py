@@ -53,7 +53,7 @@ class SierpinskiGasket:
 
 def build_gasket(n: int) -> SierpinskiGasket:
     """G(n): 3^n elementary triangles with shared corners deduplicated."""
-    if not 0 <= n <= MAX_ITERATION:
+    if not 0 <= (n := as_int(n, "n")) <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [0, {MAX_ITERATION}]")
     triangles = tuple(sorted(_corners(p, 1) for p in _composite_positions(n, 0)))
     vertices = tuple(sorted({v for tri in triangles for v in tri}))
@@ -81,7 +81,7 @@ class TriangleMergeStep:
 
 def merge_schedule(n: int) -> list[TriangleMergeStep]:
     """Bottom-up composition plan for G(n): exactly (3^n - 1)/2 merges."""
-    if not 1 <= n <= MAX_ITERATION:
+    if not 1 <= (n := as_int(n, "n")) <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
     steps = []
     for level in range(1, n + 1):
@@ -197,7 +197,7 @@ class FractalNetwork:
 
 def build_quantum_network(t: int) -> FractalNetwork:
     """F(t): gasket vertices plus one tripartite channel per composable triangle."""
-    if not 0 <= t <= MAX_ITERATION:
+    if not 0 <= (t := as_int(t, "t")) <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [0, {MAX_ITERATION}]")
     channels: list[Triangle] = []
     for s in range(t + 1):
@@ -315,7 +315,7 @@ def analytics(t: int) -> AnalyticsRecord:
     Valid for 1 <= t <= 30 (graph construction itself stops at t = 10; above
     that only the closed forms are meaningful, so only t <= BRUTE_FORCE_MAX_T
     carries the brute-force block)."""
-    if not 1 <= t <= 30:
+    if not 1 <= (t := as_int(t, "t")) <= 30:
         raise ValueError("t must be in [1, 30]")
     degree_classes = []
     for t_i in range(1, t + 1):

@@ -8,7 +8,10 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    dealer's qudit, inverse Fourier on the participant's), then measure in a
    dealer-announced random basis and compare.  An untouched pair gives equal
    results every time; an intercept-resend attacker shows up as a nonzero
-   error rate, and the run aborts above the configured threshold.
+   error rate, and the run aborts above the configured threshold.  The check
+   is a qudit Clifford circuit on the canonical pair, so its law is read off
+   the circuit (``_pair_law``): the twirl leaves the pair as it is, and a
+   shared basis that matches the attacker's leaves both readouts uniform.
 3. Merge the M working pairs and one dealer-local pair into an (M+1)-party
    GHZ via the multi-coin Bell-merge walk.  Only the dealer learns the coin
    results q~_k and the position value u0.  The merge is a qudit Clifford
@@ -46,20 +49,8 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import FIDELITY_TOL, Stage, run_stages, uniform_digits
-from .qudit import (
-    SIZE_CAP,
-    Basis,
-    QuditState,
-    SizeCapError,
-    apply,
-    as_int,
-    as_seed,
-    basis_state,
-    canonical_bell,
-    fourier_inv_op,
-    fourier_op,
-)
+from .protocols import FIDELITY_TOL, uniform_digits
+from .qudit import SIZE_CAP, QuditState, SizeCapError, as_int, as_seed
 
 INTERCEPT_RESEND = "intercept-resend"
 
@@ -81,8 +72,7 @@ class MqssConfig:
         for name in names:
             as_int(getattr(self, name), name)
         as_seed(self.seed)
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        _as_dim(self.d)
         if self.participants < 2:
             raise ValueError("need at least 2 participants")
         if self.detect_pairs < 1:
@@ -92,6 +82,12 @@ class MqssConfig:
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
         _check_register_cap(self.d, self.participants)
+
+
+def _as_dim(d) -> int:
+    if (d := as_int(d, "d")) < 2:
+        raise ValueError("d must be >= 2")
+    return d
 
 
 def _as_threshold(value):
@@ -162,34 +158,27 @@ def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of one detecting pair: (leaf probabilities, disagree flags).
 
     A leaf is one (attacker basis, attacker outcome, shared basis, readout)
-    combination, every basis choice fair, and each readout is a stage circuit
-    run exhaustively by ``run_stages``.  The attacker reads the participant's
-    particle b; the residual and the resent particle are the next circuit's
-    resources.  Per shared basis both ends twirl the pair (Fourier on the
-    dealer's a, inverse Fourier on b) and read it; b's Fourier readout uses
-    the conjugate family (apply F, then read computationally).
+    combination, every basis choice fair; bases run computational, then
+    Fourier, and a readout is (x, y), the dealer's a then the participant's
+    b.  The check is a qudit Clifford circuit on the canonical pair, so the
+    law is read off it.  F is symmetric, so the twirl (F on a, F^dag on b)
+    leaves the pair as it is: with no attacker, each shared basis gives d
+    leaves x = y.  A computational read of v on b leaves |v, v>, which the
+    twirl maps to F|v> (x) F^dag|v>; a Fourier read of v leaves F|-v> on a
+    and the resent F|v> on b, which the twirl maps to |v> (x) |v>.  So under
+    attack the shared basis that matches the attacker's gives d^2 equally
+    likely leaves, disagreeing iff x != y, and the other basis one leaf
+    x = y = v: the error rate is (1 - 1/d) / 2.
     """
-    f, bell = fourier_op(d), ((canonical_bell(d, 0, 0), ("a", "b")),)
-    inputs = [(1.0, bell)]
     if eavesdrop:
-        inputs = []
-        for basis in (Basis.COMPUTATIONAL, Basis.FOURIER):
-            for (v,), p, rest in run_stages([Stage(add=bell, targets=(("b", basis),))], ("a",)):
-                resent = basis_state(d, [v])
-                resent = apply(resent, f, [0]) if basis is Basis.FOURIER else resent
-                inputs.append((0.5 * p, ((rest, ("a",)), (resent, ("b",)))))
-    probs, disagree = [], []
-    for weight, add in inputs:
-        for shared in (Basis.COMPUTATIONAL, Basis.FOURIER):
-            gates = (("a", f), ("b", fourier_inv_op(d)))
-            gates += (("b", f),) if shared is Basis.FOURIER else ()
-            check = Stage(add=add, gates=gates,
-                          targets=(("a", shared), ("b", Basis.COMPUTATIONAL)))
-            for (x, y), p, _ in run_stages([check], ()):
-                probs.append(0.5 * weight * p)
-                disagree.append(x != y)
-    law = np.array(probs) / sum(probs)
-    flags = np.array(disagree)
+        x, y = np.divmod(np.arange(d * d), d)
+        block = (np.full(d * d, d ** -2.0), x != y)
+        single = (np.ones(1), np.zeros(1, dtype=bool))
+        leaves = [block, single] * d + [single, block] * d
+    else:
+        leaves = [(np.ones(2 * d), np.zeros(2 * d, dtype=bool))]
+    probs, flags = (np.concatenate(column) for column in zip(*leaves))
+    law = probs / probs.sum()
     law.flags.writeable = flags.flags.writeable = False
     return law, flags
 
@@ -199,7 +188,7 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
     """Sampled error rate over ``pairs`` detecting pairs, and the abort flag.
 
     All pairs are drawn at once from the exact per-pair law."""
-    d, pairs, seed = as_int(d, "d"), as_int(pairs, "pairs"), as_seed(seed)
+    d, pairs, seed = _as_dim(d), as_int(pairs, "pairs"), as_seed(seed)
     threshold = _as_threshold(threshold)
     if pairs < 1:
         raise ValueError("need at least one detecting pair")
@@ -213,8 +202,8 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
 
 def intercept_resend_error_rate(d: int) -> float:
     """Exact per-pair error probability of the intercept-resend attack: the
-    disagreeing mass of the enumerated pair law; no sampling involved."""
-    law, disagree = _pair_law(d, True)
+    disagreeing mass of the pair law, (1 - 1/d) / 2; no sampling involved."""
+    law, disagree = _pair_law(_as_dim(d), True)
     return float(law[disagree].sum())
 
 
@@ -233,7 +222,7 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     uniform digits, coins first, then the position, one per uniform of one
     ``rng.random(M + 1)`` block (``uniform_digits``).
     """
-    d, participants, seed = as_int(d, "d"), as_int(participants, "participants"), as_seed(seed)
+    d, participants, seed = _as_dim(d), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
     _check_register_cap(d, participants)

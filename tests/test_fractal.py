@@ -241,6 +241,16 @@ def test_analytics_range_checks():
     assert rec.brute is None
 
 
+@pytest.mark.parametrize("build, name", [(build_gasket, "n"), (merge_schedule, "n"),
+                                         (build_quantum_network, "t"), (analytics, "t")])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_iteration_inputs_refuse_non_integers(build, name, bad):
+    with pytest.raises(ValueError, match=f"{name} {bad!r} is not an integer"):
+        build(bad)
+    # numpy integers are iterations
+    assert build(np.int64(2)) == build(2)
+
+
 def test_exports():
     net = build_quantum_network(1)
     blob = net.to_adjacency_json()
