@@ -133,25 +133,26 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     at d = 2, the two-stage identity-coin merge at d > 2.  Every input triple
     is the canonical GHZ that the previous correction restored, so all
     merges share one law, read off the circuit (``triangle_merge_rule``): its
-    k free readouts are uniform, and the circuit over the size cap is refused
-    before any draw.  One ``rng.random(merges)`` block holds every merge's
-    uniform u, in schedule order; a merge's free readouts are the k base-d
-    digits of floor(u d^k), as ``uniform_digits`` takes them, and its
-    correction is the law's.  The correction restores the canonical GHZ
-    exactly, so ``fidelity`` is 1.0 and ``final_state`` is the apex GHZ.
+    k free readouts are uniform, at every d.  One ``rng.random(merges)``
+    block holds every merge's uniform u, in schedule order; a merge's free
+    readouts are the k base-d digits of floor(u d^k), as ``uniform_digits``
+    takes them, and its correction is the law's.  The correction restores
+    the canonical GHZ exactly, so ``fidelity`` is 1.0 and ``final_state`` is
+    the apex GHZ, the one state built: it is refused by the size cap (d^3)
+    before any draw.
     """
     n, d, seed = as_int(n, "n"), as_int(d, "d"), as_seed(seed)
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
+    apex = canonical_ghz(d, 3)
     k, _ = triangle_merge_rule(d, d == 2)
     count = (3**n - 1) // 2   # the length of merge_schedule(n)
     at = (np.random.default_rng(seed).random(count) * d**k).astype(np.int64).tolist()
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
-        fidelity=1.0, final_state=canonical_ghz(d, 3),
-        corrections=[_merge_label(d, i) for i in at])
+        fidelity=1.0, final_state=apex, corrections=[_merge_label(d, i) for i in at])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ def clustering_formula(t: int) -> Fraction:
     4e/(k(k-1)), plus the three outer corners' term
     6/(3^{t+1}+3) * (3t+1)/((t+1)(2t+1)).
     """
-    if t < 1:
+    if (t := as_int(t, "t")) < 1:
         raise ValueError("t must be >= 1")
     denom = 3 ** (t + 1) + 3
     total = Fraction(0)

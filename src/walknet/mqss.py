@@ -21,12 +21,14 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    walk c_k -= pos followed by a computational readout of c_k gives a
    uniform q~_k, and the Fourier readout of the position gives a uniform u0.
    So the M + 1 results are independent uniform digits and the residual is
-   exactly ``shared_ghz_closed_form(d, q~, u0)``; the step draws the digits
-   and builds the residual, d^(M+1) amplitudes.  The dense circuit is kept
+   exactly ``shared_ghz_closed_form(d, q~, u0)``.  A session draws the
+   digits and builds no state; ``generate_shared_ghz`` also builds the
+   residual, d^(M+1) amplitudes, for its callers.  The dense circuit is kept
    in the tests, which check this law against it.
 4. Everyone measures their GHZ particle; the dealer's value is r0 and
    participant k holds r0 + q~_k.  The residual's d support entries are
-   equally likely, so one uniform digit picks the readout.  The dealer
+   equally likely, so one uniform digit i picks the readout, read off the
+   frame: entry i, in index order, has r0 = (i - q~_1) mod d.  The dealer
    publishes p = (S - sum(q~_k) - M*r0) / M as an exact rational.
 5. Participant shares are p plus their measured value; the shares add up to
    M*p + sum(q~_k) + M*r0 = S exactly.
@@ -50,7 +52,7 @@ import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
 from .protocols import FIDELITY_TOL, uniform_digits
-from .qudit import SIZE_CAP, QuditState, SizeCapError, as_int, as_seed
+from .qudit import QuditState, as_int, as_seed, check_cap
 
 INTERCEPT_RESEND = "intercept-resend"
 
@@ -81,7 +83,6 @@ class MqssConfig:
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
-        _check_register_cap(self.d, self.participants)
 
 
 def _as_dim(d) -> int:
@@ -96,16 +97,6 @@ def _as_threshold(value):
     if not 0 < value < 1:  # also refuses NaN, which no error rate exceeds
         raise ValueError(f"threshold {value!r} must lie in (0, 1)")
     return value
-
-
-def _check_register_cap(d: int, participants: int) -> None:
-    """Refuse up front a session with d^(M+3) over the size cap.  M + 3 is
-    the peak live count of the GHZ step run coin by coin on a dense register;
-    the closed form holds only d^(M+1) amplitudes, so the bound is
-    conservative, and it stays, with its message, until a change lifts it."""
-    if d ** (participants + 3) > SIZE_CAP:
-        raise SizeCapError(f"{participants} participants at d={d} need a register of "
-                           f"{participants + 3} sites, over the size cap")
 
 
 @dataclass
@@ -218,17 +209,22 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     Returns (state, coin results q~_1..q~_M, position value u0); the state is
     ordered (participant 1, ..., participant M, dealer) and equals
     (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r>.  The merge's law is
-    the module docstring's closed form: the M + 1 results are independent
-    uniform digits, coins first, then the position, one per uniform of one
-    ``rng.random(M + 1)`` block (``uniform_digits``).
-    """
+    the module docstring's closed form (``_ghz_outcome``).  The state, d^(M+1)
+    amplitudes, is refused by the size cap before any draw."""
     d, participants, seed = _as_dim(d), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
-    _check_register_cap(d, participants)
-    rng = np.random.default_rng(seed)
-    *coins, u0 = (uniform_digits(u, d, 1)[0] for u in rng.random(participants + 1).tolist())
+    check_cap(d, participants + 1)
+    coins, u0 = _ghz_outcome(d, participants, seed)
     return shared_ghz_closed_form(d, coins, u0), coins, u0
+
+
+def _ghz_outcome(d: int, participants: int, seed: int) -> tuple[list[int], int]:
+    """Step 3's M + 1 uniform digits, the coins, then u0: one per uniform of
+    one ``rng.random(M + 1)`` block (``uniform_digits``)."""
+    *coins, u0 = (uniform_digits(u, d, 1)[0]
+                  for u in np.random.default_rng(seed).random(participants + 1).tolist())
+    return coins, u0
 
 
 def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditState:
@@ -249,17 +245,27 @@ def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditSta
 # Classical encoding (steps 4 and 5)
 # ---------------------------------------------------------------------------
 
+def _as_counts(coin_results, dealer_result, participants) -> tuple[list[int], int, int]:
+    coins = [as_int(q, "coin result") for q in coin_results]
+    if (participants := as_int(participants, "participants")) < 1:
+        raise ValueError("need at least one participant")
+    return coins, as_int(dealer_result, "dealer result"), participants
+
+
 def encode_public(secret: int, coin_results: list[int], dealer_result: int,
                   participants: int) -> Fraction:
     """p = (S - sum(q~_k) - M*r0) / M, carried exactly."""
-    return Fraction(secret - sum(coin_results) - participants * dealer_result,
-                    participants)
+    secret = as_int(secret, "secret")
+    coins, r0, m = _as_counts(coin_results, dealer_result, participants)
+    return Fraction(secret - sum(coins) - m * r0, m)
 
 
 def reconstruct(public_value: Fraction, coin_results: list[int],
                 dealer_result: int, participants: int) -> int:
-    total = (participants * public_value + sum(coin_results)
-             + participants * dealer_result)
+    if not isinstance(public_value, Fraction):
+        public_value = as_int(public_value, "public value")
+    coins, r0, m = _as_counts(coin_results, dealer_result, participants)
+    total = m * public_value + sum(coins) + m * r0
     if total.denominator != 1:
         raise ValueError("reconstruction did not produce an integer")
     return int(total)
@@ -314,8 +320,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                             f"{config.threshold}")
             return t
 
-    state, coins, u0 = generate_shared_ghz(config.d, config.participants,
-                                           seed=int(rng.integers(2**31)))
+    coins, u0 = _ghz_outcome(t.d, t.participants, int(rng.integers(2**31)))
     t.coin_results = coins
     t.position_result = u0
     t.events.append(f"step3: ({config.participants + 1})-party GHZ generated, "
@@ -323,15 +328,10 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
 
     # every party reads computationally: the d support entries, in index
     # order, are equally likely, and entry i has r0 = (i - q~_1) mod d
-    (i,) = uniform_digits(rng.random(), state.d, 1)
-    index = int(np.flatnonzero(state.amps)[i])
-    *t.participant_results, t.dealer_result = [
-        index // state.d ** (state.n - 1 - site) % state.d for site in range(state.n)]
+    (i,) = uniform_digits(rng.random(), t.d, 1)
+    t.dealer_result = (i - coins[0]) % t.d
+    t.participant_results = [(t.dealer_result + q) % t.d for q in coins]
     t.events.append("step4: all parties measured their GHZ particle")
-    for k, v in enumerate(t.participant_results, start=1):
-        if v != (t.dealer_result + coins[k - 1]) % config.d:
-            raise AssertionError(f"participant {k} result {v} does not match "
-                                 f"the dealer's {t.dealer_result} + q~_{k}")
 
     t.secret = int(config.secret)
     p = encode_public(config.secret, coins, t.dealer_result, config.participants)

@@ -454,8 +454,7 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
 @lru_cache(maxsize=None)
 def triangle_merge_rule(d: int, qubit: bool) -> tuple:
     """The triangle merge's law on three canonical GHZ triples, read off its
-    circuit: (k, correction), refused as the circuit is when its peak live
-    register is over the size cap.
+    circuit: (k, correction), for every d; no register is built.
 
     The merge is a qudit Clifford circuit on canonical inputs, so its first
     k = 5 readouts are free: all d^5 of their values are kept, each at
@@ -470,7 +469,6 @@ def triangle_merge_rule(d: int, qubit: bool) -> tuple:
     """
     if qubit and d != 2:
         raise ValueError("the qubit triangle merge is defined for d=2 only")
-    check_cap(d, _peak(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit)))
 
     def correction(values) -> CorrectionOp:
         if qubit:

@@ -233,6 +233,8 @@ def _uniform_choices(rng, d, count):
     return [int(rng.choice(d, p=np.full(d, 1 / d))) for _ in range(count)]
 
 
+# the shapes the old session cap served (d^(M+3) within the size cap), which
+# the transcript pins cover
 MQSS_SHAPES = [(d, m) for d in range(2, 8) for m in range(1, 5) if d ** (m + 3) <= SIZE_CAP]
 SESSION_SHAPES = [(d, m) for d, m in MQSS_SHAPES if m >= 2]  # a session has two or more
 

@@ -24,6 +24,8 @@ from walknet.fractal import (
     neighbor_link_count,
     vertex_count,
 )
+from walknet.protocols import triangle_merge_rule, uniform_digits
+from walknet.qudit import canonical_ghz, fidelity
 
 
 def test_gasket_base_case():
@@ -117,6 +119,19 @@ def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch
     # numpy integers are counts
     got = execute_merge_schedule(np.int64(2), d=np.int32(3), seed=4)
     assert got.corrections == execute_merge_schedule(2, d=3, seed=4).corrections
+
+
+@pytest.mark.parametrize("d", [9, 10, 12])
+def test_gaskets_past_the_old_circuit_cap(d):
+    # the merge's law holds at every d: each label is the rule's correction
+    # of the five digits of floor(u d^5)
+    res = execute_merge_schedule(6, d=d, seed=d)
+    assert res.fidelity == 1.0 and res.merge_count == 364
+    assert fidelity(res.final_state, canonical_ghz(d, 3)) == pytest.approx(1.0, abs=1e-12)
+    k, correction = triangle_merge_rule(d, False)
+    uniforms = np.random.default_rng(d).random(364).tolist()
+    assert k == 5
+    assert res.corrections == [correction(uniform_digits(u, d, k)).label for u in uniforms]
 
 
 def test_merge_execution_seeded_determinism():
@@ -242,7 +257,8 @@ def test_analytics_range_checks():
 
 
 @pytest.mark.parametrize("build, name", [(build_gasket, "n"), (merge_schedule, "n"),
-                                         (build_quantum_network, "t"), (analytics, "t")])
+                                         (build_quantum_network, "t"), (analytics, "t"),
+                                         (clustering_formula, "t")])
 @pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
 def test_iteration_inputs_refuse_non_integers(build, name, bad):
     with pytest.raises(ValueError, match=f"{name} {bad!r} is not an integer"):

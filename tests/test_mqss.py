@@ -20,7 +20,7 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
-from walknet.protocols import Stage, run_stages
+from walknet.protocols import Stage, run_stages, uniform_digits
 from walknet.qudit import (
     SIZE_CAP,
     Basis,
@@ -136,6 +136,33 @@ def test_encode_trivial_cases():
     assert encode_public(6, [0, 0], 0, 2) == Fraction(3)
     assert encode_public(0, [0, 0], 0, 2) == 0
     assert reconstruct(Fraction(3), [0, 0], 0, 2) == 6
+
+
+BAD_ENCODINGS = [
+    ("encode_public", (5.5, [1, 2], 0, 2), "secret 5.5 is not an integer"),
+    ("encode_public", (True, [1, 2], 0, 2), "secret True is not an integer"),
+    ("encode_public", (5, [1, 2.0], 0, 2), "coin result 2.0 is not an integer"),
+    ("encode_public", (5, [1, 2], "0", 2), "dealer result '0' is not an integer"),
+    ("encode_public", (5, [1, 2], 0, 0), "need at least one participant"),
+    ("encode_public", (5, [1, 2], 0, 2.0), "participants 2.0 is not an integer"),
+    ("reconstruct", (1.5, [1], 0, 1), "public value 1.5 is not an integer"),
+    ("reconstruct", ("3", [1], 0, 1), "public value '3' is not an integer"),
+    ("reconstruct", (Fraction(1, 2), [True], 0, 2), "coin result True is not an integer"),
+    ("reconstruct", (Fraction(1, 2), [1], 0.0, 2), "dealer result 0.0 is not an integer"),
+    ("reconstruct", (Fraction(1, 2), [1], 0, -1), "need at least one participant"),
+]
+
+
+@pytest.mark.parametrize("call, args, refusal", BAD_ENCODINGS,
+                         ids=[f"{call}: {refusal}" for call, _, refusal in BAD_ENCODINGS])
+def test_encoding_refuses_non_integers(call, args, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        getattr(mqss, call)(*args)
+    # numpy integers are secrets, results and counts, and an integer is a public value
+    p = encode_public(np.int64(5), [np.int32(1), np.int64(3)], np.int64(2), np.int64(2))
+    assert p == encode_public(5, [1, 3], 2, 2) == Fraction(-3, 2)
+    assert reconstruct(p, [np.int64(1), 3], np.int32(2), np.int64(2)) == 5
+    assert reconstruct(np.int64(3), [0, 0], 0, 2) == reconstruct(3, [0, 0], 0, 2) == 6
 
 
 def test_classical_round_trip_randomized():
@@ -273,23 +300,55 @@ def test_run_mqss_wrong_reconstruction_raises(monkeypatch):
         run_mqss(MqssConfig(d=2, participants=2, secret=1, detect_pairs=3, seed=9))
 
 
-def test_over_cap_session_refused_before_any_work(monkeypatch):
-    # step 3's register peaks at M+3 sites: 7**8 is over the cap, 7**7 is not
+def test_over_cap_ghz_state_refused_before_any_draw(monkeypatch):
+    # a session builds no state, so 5 participants at d=7 are served; the
+    # residual generate_shared_ghz builds has M+1 sites: 7**8 is over the cap
     mqss._build_repeater_pair.cache_clear()
     calls = []
     real = mqss.distribute
     monkeypatch.setattr(mqss, "distribute", lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    with pytest.raises(SizeCapError, match="5 participants at d=7"):
-        run_mqss(MqssConfig(d=7, participants=5, secret=1))
-    assert calls == []
-    with pytest.raises(SizeCapError):
-        MqssConfig(d=5, participants=7, secret=1).validate()
+    t = run_mqss(MqssConfig(d=7, participants=5, secret=1))
+    assert t.reconstructed == 1 and len(calls) == 1
+    MqssConfig(d=5, participants=7, secret=1).validate()
     with monkeypatch.context() as mp:
         mp.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-        with pytest.raises(SizeCapError):
-            generate_shared_ghz(7, 5)
-    t = run_mqss(MqssConfig(d=7, participants=4, secret=1))
-    assert t.reconstructed == 1 and len(calls) == 1
+        with pytest.raises(SizeCapError, match="8 sites at d=7"):
+            generate_shared_ghz(7, 7)
+
+
+def test_run_mqss_builds_no_state(monkeypatch):
+    monkeypatch.setattr(mqss, "shared_ghz_closed_form", lambda *a: pytest.fail("built"))
+    t = run_mqss(MqssConfig(d=7, participants=4, secret=-9, detect_pairs=3, seed=5))
+    assert t.reconstructed == -9
+
+
+@pytest.mark.parametrize("d, m", [(2, 40), (7, 200)])
+def test_sessions_past_the_dense_cap_reconstruct_the_secret(d, m):
+    t = run_mqss(MqssConfig(d=d, participants=m, secret=123, detect_pairs=3, seed=m))
+    assert not t.aborted and t.reconstructed == 123
+    assert len(t.coin_results) == len(t.participant_results) == m
+    assert t.participant_results == [(t.dealer_result + q) % d for q in t.coin_results]
+
+
+# every session shape (M >= 2) whose residual has at most 2^16 amplitudes
+DENSE_READ_SHAPES = [(d, m) for m in range(2, 16) for d in range(2, 41) if d ** (m + 1) <= 2**16]
+
+
+@pytest.mark.parametrize("d, m", DENSE_READ_SHAPES)
+def test_step4_reads_the_dense_support(d, m):
+    # the dense read: draw digit i, take the residual's support entry i in
+    # index order and read each party's digit off the index
+    for seed in range(10):
+        t = run_mqss(MqssConfig(d=d, participants=m, secret=seed, detect_pairs=1, seed=seed))
+        rng = np.random.default_rng(seed)
+        for _ in range(2 * m):  # one per link and channel check
+            rng.integers(2**31)
+        state, coins, u0 = generate_shared_ghz(d, m, seed=int(rng.integers(2**31)))
+        assert (t.coin_results, t.position_result) == (coins, u0)
+        (i,) = uniform_digits(rng.random(), d, 1)
+        index = int(np.flatnonzero(state.amps)[i])
+        *values, r0 = [index // d ** (m - site) % d for site in range(m + 1)]
+        assert (t.participant_results, t.dealer_result) == (values, r0)
 
 
 def dense_pair_law(d, eavesdrop):
@@ -431,11 +490,14 @@ def test_shared_ghz_is_pinned_bit_for_bit(d, m, digest):
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_register_cap_refuses_past_m_plus_3_sites(m):
-    # _check_register_cap refuses in O(1), at the first d with d^(M+3) over the cap
+def test_shared_ghz_state_is_capped_at_m_plus_1_sites(monkeypatch, m):
+    # refused in O(1), at the first d with d^(M+1) over the cap
     d = 2
-    while d ** (m + 3) <= SIZE_CAP:
+    while d ** (m + 1) <= SIZE_CAP:
         d += 1
-    with pytest.raises(SizeCapError):
-        mqss._check_register_cap(d, m)
-    mqss._check_register_cap(d - 1, m)
+    monkeypatch.setattr(mqss, "shared_ghz_closed_form", lambda *a: "built")
+    with monkeypatch.context() as mp:
+        mp.setattr(mqss, "_ghz_outcome", lambda *a: pytest.fail("drew"))
+        with pytest.raises(SizeCapError, match=f"{m + 1} sites at d={d}"):
+            generate_shared_ghz(d, m)
+    assert generate_shared_ghz(d - 1, m)[0] == "built"

@@ -455,15 +455,19 @@ def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, ou
         run(stages, outputs)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)),
-    lambda: fractal.execute_merge_schedule(1, d=9)], ids=["protocol", "gasket"])
-def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run):
+@pytest.mark.parametrize("run, refusal", [
+    (lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)), "7 sites at d=9"),
+    (lambda: fractal.execute_merge_schedule(1, d=162), "3 sites at d=162"),
+], ids=["protocol", "gasket"])
+def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, refusal):
     # stage 1 of the qudit triangle merge fits at d=9 (6 sites), stage 2 peaks
-    # at 7: the whole circuit is refused before its first resource is added
+    # at 7: the whole circuit is refused before its first resource is added.
+    # A gasket runs no circuit: the one state it builds is the apex GHZ, and
+    # 162^3 is over the cap, refused before any draw
     for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
-    with pytest.raises(SizeCapError, match="7 sites at d=9"):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    with pytest.raises(SizeCapError, match=refusal):
         run()
 
 
