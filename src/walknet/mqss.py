@@ -10,8 +10,10 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    results every time; an intercept-resend attacker shows up as a nonzero
    error rate, and the run aborts above the configured threshold.  The check
    is a qudit Clifford circuit on the canonical pair, so its law is read off
-   the circuit (``_pair_law``): the twirl leaves the pair as it is, and a
-   shared basis that matches the attacker's leaves both readouts uniform.
+   the circuit (``channel_check``): the twirl leaves the pair as it is, so a
+   clean channel draws nothing, and a shared basis that matches the
+   attacker's leaves both readouts uniform.  Each attacked pair reads its
+   leaf off the digits of floor(u 4d^3) from one uniform.
 3. Merge the M working pairs and one dealer-local pair into an (M+1)-party
    GHZ via the multi-coin Bell-merge walk.  Only the dealer learns the coin
    results q~_k and the position value u0.  The merge is a qudit Clifford
@@ -144,58 +146,52 @@ class MqssTranscript:
 # Channel checking
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pair_law(d: int, eavesdrop: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Exact law of one detecting pair: (leaf probabilities, disagree flags).
-
-    A leaf is one (attacker basis, attacker outcome, shared basis, readout)
-    combination, every basis choice fair; bases run computational, then
-    Fourier, and a readout is (x, y), the dealer's a then the participant's
-    b.  The check is a qudit Clifford circuit on the canonical pair, so the
-    law is read off it.  F is symmetric, so the twirl (F on a, F^dag on b)
-    leaves the pair as it is: with no attacker, each shared basis gives d
-    leaves x = y.  A computational read of v on b leaves |v, v>, which the
-    twirl maps to F|v> (x) F^dag|v>; a Fourier read of v leaves F|-v> on a
-    and the resent F|v> on b, which the twirl maps to |v> (x) |v>.  So under
-    attack the shared basis that matches the attacker's gives d^2 equally
-    likely leaves, disagreeing iff x != y, and the other basis one leaf
-    x = y = v: the error rate is (1 - 1/d) / 2.
-    """
-    if eavesdrop:
-        x, y = np.divmod(np.arange(d * d), d)
-        block = (np.full(d * d, d ** -2.0), x != y)
-        single = (np.ones(1), np.zeros(1, dtype=bool))
-        leaves = [block, single] * d + [single, block] * d
-    else:
-        leaves = [(np.ones(2 * d), np.zeros(2 * d, dtype=bool))]
-    probs, flags = (np.concatenate(column) for column in zip(*leaves))
-    law = probs / probs.sum()
-    law.flags.writeable = flags.flags.writeable = False
-    return law, flags
-
-
 def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
                   seed: int = 0, threshold: float = 0.05) -> tuple[float, bool]:
     """Sampled error rate over ``pairs`` detecting pairs, and the abort flag.
 
-    All pairs are drawn at once from the exact per-pair law."""
+    A pair's law is read off the check's qudit Clifford circuit on the
+    canonical pair.  F is symmetric, so the twirl (F on a, F^dag on b) leaves
+    the pair as it is: with no attacker each shared basis reads x = y, so a
+    clean channel's rate is exactly 0 and nothing is drawn.  A computational
+    read of v on b leaves |v, v>, which the twirl maps to F|v> (x) F^dag|v>;
+    a Fourier read of v leaves F|-v> on a and the resent F|v> on b, which the
+    twirl maps to |v> (x) |v>.  So under attack, with every basis choice fair
+    (computational, then Fourier), each (attacker basis, outcome v, shared
+    basis) group has mass 1/(4d): the shared basis that matches the
+    attacker's gives d^2 equally likely readouts (x, y), disagreeing iff
+    x != y, and the other one leaf x = y = v.  Each attacked pair draws one
+    uniform u and reads sub-leaf i = floor(u 4d^3), d^2 per group: group
+    g = i // d^2 = (attacker basis, v, shared basis) in digit order, so its
+    bases match iff (g even) == (g < 2d), and (x, y) = divmod(i mod d^2, d).
+    Past 4d^3 = 2^53 (d > 2^17) floor(u 4d^3) misses sub-leaves, so such a
+    d is refused before any draw."""
     d, pairs, seed = _as_dim(d), as_int(pairs, "pairs"), as_seed(seed)
     threshold = _as_threshold(threshold)
     if pairs < 1:
         raise ValueError("need at least one detecting pair")
     if eavesdropper not in (None, INTERCEPT_RESEND):
         raise ValueError(f"unknown eavesdropper model {eavesdropper!r}")
-    law, disagree = _pair_law(d, eavesdropper is not None)
-    leaves = np.random.default_rng(seed).choice(len(law), size=pairs, p=law)
-    rate = int(np.count_nonzero(disagree[leaves])) / pairs
+    if eavesdropper is None:
+        return 0.0, False
+    if 4 * d**3 > 2**53:
+        raise ValueError(f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
+    i = (np.random.default_rng(seed).random(pairs) * (4 * d**3)).astype(np.int64)
+    rate = int(np.count_nonzero(_disagrees(i, d))) / pairs
     return rate, bool(rate > threshold)
 
 
+def _disagrees(i: np.ndarray, d: int) -> np.ndarray:
+    """Whether attacked sub-leaf i reads x != y (``channel_check``)."""
+    group, (x, y) = i // d**2, np.divmod(i % d**2, d)
+    return ((group % 2 == 0) == (group < 2 * d)) & (x != y)
+
+
 def intercept_resend_error_rate(d: int) -> float:
-    """Exact per-pair error probability of the intercept-resend attack: the
-    disagreeing mass of the pair law, (1 - 1/d) / 2; no sampling involved."""
-    law, disagree = _pair_law(_as_dim(d), True)
-    return float(law[disagree].sum())
+    """Exact per-pair error probability of the intercept-resend attack,
+    (d - 1) / (2d) (``channel_check``); no sampling involved."""
+    d = _as_dim(d)
+    return (d - 1) / (2 * d)
 
 
 # ---------------------------------------------------------------------------

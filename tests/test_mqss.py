@@ -11,7 +11,7 @@ from walknet import mqss
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
-    _pair_law,
+    _disagrees,
     channel_check,
     encode_public,
     generate_shared_ghz,
@@ -20,6 +20,7 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
+from walknet.network import NetworkError
 from walknet.protocols import Stage, run_stages, uniform_digits
 from walknet.qudit import (
     SIZE_CAP,
@@ -57,19 +58,37 @@ def test_intercept_resend_oracle_closed_form(d):
     assert intercept_resend_error_rate(d) == pytest.approx((1 - 1 / d) / 2, abs=1e-12)
 
 
+def digit_rule_law(d):
+    """The attacked check's digit rule expanded over its 4d^3 sub-leaves into
+    the leaves of the ``[block, single] * d + [single, block] * d`` table (a
+    block is d^2 readouts (x, y), a single one): (the leaf of each sub-leaf,
+    leaf masses, leaf flags).  Every sub-leaf of a leaf carries its flag."""
+    blocks = np.array([True, False] * d + [False, True] * d)
+    sizes = np.where(blocks, d * d, 1)
+    i = np.arange(4 * d**3)
+    group = i // d**2
+    leaf = (np.cumsum(sizes) - sizes)[group] + np.where(blocks[group], i % d**2, 0)
+    counts = np.bincount(leaf)
+    flagged = np.bincount(leaf, weights=_disagrees(i, d))
+    assert np.all((flagged == 0) | (flagged == counts))
+    return leaf, counts / (4 * d**3), flagged > 0
+
+
 @pytest.mark.parametrize("d", range(2, 8))
-@pytest.mark.parametrize("eavesdrop", [False, True])
-def test_pair_law_is_a_distribution(d, eavesdrop):
-    law, disagree = _pair_law(d, eavesdrop)
+def test_pair_law_is_a_distribution(d):
+    _, law, disagree = digit_rule_law(d)
     assert law.shape == disagree.shape
     assert np.all(law > 0)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-def test_clean_law_puts_no_mass_on_disagreement(d):
-    law, disagree = _pair_law(d, False)
+def test_clean_law_puts_no_mass_on_disagreement(monkeypatch, d):
+    # the clean check's dense law has no disagreeing leaf, so it draws nothing
+    law, disagree = dense_pair_law(d, False)
+    assert np.all(law > 0) and law.sum() == pytest.approx(1.0, abs=1e-12)
     assert not disagree.any()
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     assert channel_check(d, pairs=100_000, seed=d) == (0.0, False)
 
 
@@ -273,6 +292,8 @@ BAD_CALLS = [
     ("channel_check", (1, 5), {}, "d must be >= 2"),
     ("intercept_resend_error_rate", (2.5,), {}, "d 2.5 is not an integer"),
     ("intercept_resend_error_rate", (1,), {}, "d must be >= 2"),
+    ("channel_check", (2**17 + 1, 5, INTERCEPT_RESEND), {},
+     r"attacked check at d=131073 has 4d\^3 > 2\^53 sub-leaves"),
 ]
 
 
@@ -281,8 +302,7 @@ BAD_CALLS = [
 def test_channel_check_and_ghz_generation_refuse_bad_inputs_before_any_work(
         monkeypatch, call, args, kw, refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    for name in ("_pair_law", "uniform_digits"):
-        monkeypatch.setattr(mqss, name, lambda *a, _n=name: pytest.fail(f"ran {_n}"))
+    monkeypatch.setattr(mqss, "uniform_digits", lambda *a: pytest.fail("ran uniform_digits"))
     with pytest.raises(ValueError, match=refusal):
         getattr(mqss, call)(*args, **kw)
     monkeypatch.undo()
@@ -328,6 +348,15 @@ def test_sessions_past_the_dense_cap_reconstruct_the_secret(d, m):
     assert not t.aborted and t.reconstructed == 123
     assert len(t.coin_results) == len(t.participant_results) == m
     assert t.participant_results == [(t.dealer_result + q) % d for q in t.coin_results]
+
+
+def test_sessions_past_d_45_are_refused_by_the_repeater_step_cap():
+    # the repeater link runs simulated through execute_schedule's per-step
+    # cap, which counts its relay's 4 input sites though no step builds a
+    # register; the refusal goes when that cap does
+    assert run_mqss(MqssConfig(d=45, participants=2, secret=5)).reconstructed == 5
+    with pytest.raises(NetworkError, match="4 live sites at d=46; over the dense cap"):
+        run_mqss(MqssConfig(d=46, participants=2, secret=5))
 
 
 # every session shape (M >= 2) whose residual has at most 2^16 amplitudes
@@ -379,52 +408,48 @@ def dense_pair_law(d, eavesdrop):
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-@pytest.mark.parametrize("eavesdrop", [False, True])
-def test_pair_law_is_the_dense_law(d, eavesdrop):
-    law, flags = _pair_law(d, eavesdrop)
-    ref, ref_flags = dense_pair_law(d, eavesdrop)
+def test_pair_law_is_the_dense_law(d):
+    _, law, flags = digit_rule_law(d)
+    ref, ref_flags = dense_pair_law(d, True)
     assert law.shape == ref.shape and np.array_equal(flags, ref_flags)
     assert np.abs(law - ref).max() <= 1e-15
 
 
-def test_pair_law_draws_are_pinned():
-    # 200 pairs per seed 0-1999 at every d = 2-7, clean and attacked: the
-    # dense law drew the same leaves, to this digest
+def test_pair_law_draws_are_pinned(monkeypatch):
+    # 200 attacked pairs per seed 0-1999 at every d = 2-7, each drawn
+    # sub-leaf mapped to its leaf: rng.choice on the leaf table drew the same
+    # leaves, to this digest.  It was recorded over the clean draws too
+    # (b0d7d006...); a clean check draws nothing now, so it covers the
+    # attacked draws only
+    drawn = []
+    monkeypatch.setattr(mqss, "_disagrees", lambda i, d: drawn.append(i) or _disagrees(i, d))
     h = hashlib.sha256()
     for d in range(2, 8):
-        for eavesdrop in (False, True):
-            law, _ = _pair_law(d, eavesdrop)
-            for seed in range(2000):
-                h.update(np.random.default_rng(seed).choice(len(law), 200, p=law).tobytes())
-    assert h.hexdigest() == "b0d7d006e1f42154ee8961ce8d92765ee1babc989b4190dab94f4f526e419e68"
+        leaf, _, _ = digit_rule_law(d)
+        for seed in range(2000):
+            channel_check(d, 200, INTERCEPT_RESEND, seed=seed, threshold=0.9)
+            h.update(leaf[drawn.pop()].tobytes())
+    assert h.hexdigest() == "df7472eba09ff2535e73a327cc931eb88b23428e820e82cf4ff3797e634070a4"
 
 
-# sha256 over law.tobytes() + flags.tobytes(), recorded before the channel
-# check's readouts became stage circuits.  Every line but (4, False) was
-# re-recorded when the law began to be read off the check's circuit: the
-# closed weights move probabilities by at most 5.2e-16 from the dense
-# readouts (test_pair_law_is_the_dense_law), and no leaf, flag or seeded draw
-# moved.  The law must not move by a bit
-PAIR_LAW_SHA256 = [
-    (2, False, "0deb0aefe570133234d19c8d91d3b8a6346ed17c24bdb0ebedbe63b0365982b7"),
-    (2, True, "989365f09101fa18c423693f7720b00b9bb7fb82f9186275bdfbc4b69de328d4"),
-    (3, False, "96ed5761c306eb08e34622646921fcc1402a86a8ef2dc3def7e727ef1532e59e"),
-    (3, True, "c8fda55e3ee7dd23087142b4e43be14436b96dec10feae70430ff677ac3e23b5"),
-    (4, False, "45e00fd06cf5d96f062e9e89c4126d86eddafb10112e155746ff0dd01a2fe02c"),
-    (4, True, "4172d8fd4fa0cf5dc8a1731b5905d9c565340a72a3a42f1669cf30f9362b510f"),
-    (5, False, "49db58e13b8e03e39168160ceacfa39d5e6cd466bae7024a37dc95abf86f40ca"),
-    (5, True, "c6e0dce138b9e8d2afdb477c34667e8d5f2a819ef7a00df5bcc9b908208fafb4"),
-    (6, False, "e868e1da5302af6031f7fff27a7a158193cfce6da3f54ac4f711bdd64ced8f54"),
-    (6, True, "5532b6d8b40667e5502900b7e680ed8f4fbc4f1d48e5f0d11962afd3140236a9"),
-    (7, False, "542d533160e92a29118c33df4f0c3e1e40ffca9ba871fafecc43b78cfc1a0dd0"),
-    (7, True, "d039c476e2518197ca2b46b80d5101a6c43c99cc4d0ec84e773b83ee0bf6866e"),
-]
+def test_attacked_check_serves_d_up_to_2_17():
+    # 4d^3 = 2^53 at d = 2^17, so floor(u 4d^3) reaches every sub-leaf; one
+    # past it is refused before any draw (BAD_CALLS), and a clean check draws
+    # nothing at any d
+    d = 2**17
+    rate, _ = channel_check(d, 2000, INTERCEPT_RESEND, seed=4, threshold=0.9)
+    p = intercept_resend_error_rate(d)
+    assert abs(rate - p) <= 3 * np.sqrt(p * (1 - p) / 2000)
+    assert channel_check(d + 1, 5) == (0.0, False)
+    # the last sub-leaf, (Fourier, d - 1, Fourier) with x = y = d - 1, agrees
+    assert list(_disagrees(np.array([4 * d**3 - 1, 4 * d**3 - 2]), d)) == [False, True]
 
 
-@pytest.mark.parametrize("d, eavesdrop, digest", PAIR_LAW_SHA256)
-def test_pair_law_is_pinned_bit_for_bit(d, eavesdrop, digest):
-    law, flags = _pair_law(d, eavesdrop)
-    assert hashlib.sha256(law.tobytes() + flags.tobytes()).hexdigest() == digest
+def test_channel_check_builds_no_leaf_table():
+    # both failed to allocate their 2d(d^2 + 1)-leaf tables at d = 3000
+    assert intercept_resend_error_rate(3000) == 2999 / 6000
+    rate, abort = channel_check(3000, 2000, INTERCEPT_RESEND, seed=4)
+    assert 0 < rate < 1 and abort
 
 
 def test_only_protocols_enumerates_branches():
