@@ -74,9 +74,21 @@ def digit_rule_law(d):
     return leaf, counts / (4 * d**3), flagged > 0
 
 
+def check_law(d, eavesdrop):
+    """One detecting pair's law as ``channel_check`` reads it: (leaf masses,
+    leaf flags).  Attacked, the digit rule's leaves (``digit_rule_law``).
+    Clean, each shared basis reads x = y = v for a uniform v: 2d agreeing
+    leaves of mass 1/(2d), whose disagreeing mass, 0, the check returns
+    without a draw."""
+    if eavesdrop:
+        return digit_rule_law(d)[1:]
+    return np.full(2 * d, 1 / (2 * d)), np.zeros(2 * d, dtype=bool)
+
+
 @pytest.mark.parametrize("d", range(2, 8))
-def test_pair_law_is_a_distribution(d):
-    _, law, disagree = digit_rule_law(d)
+@pytest.mark.parametrize("eavesdrop", [False, True])
+def test_pair_law_is_a_distribution(d, eavesdrop):
+    law, disagree = check_law(d, eavesdrop)
     assert law.shape == disagree.shape
     assert np.all(law > 0)
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
@@ -87,7 +99,7 @@ def test_clean_law_puts_no_mass_on_disagreement(monkeypatch, d):
     # the clean check's dense law has no disagreeing leaf, so it draws nothing
     law, disagree = dense_pair_law(d, False)
     assert np.all(law > 0) and law.sum() == pytest.approx(1.0, abs=1e-12)
-    assert not disagree.any()
+    assert not disagree.any() and not check_law(d, False)[1].any()
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     assert channel_check(d, pairs=100_000, seed=d) == (0.0, False)
 
@@ -408,9 +420,10 @@ def dense_pair_law(d, eavesdrop):
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-def test_pair_law_is_the_dense_law(d):
-    _, law, flags = digit_rule_law(d)
-    ref, ref_flags = dense_pair_law(d, True)
+@pytest.mark.parametrize("eavesdrop", [False, True])
+def test_pair_law_is_the_dense_law(d, eavesdrop):
+    law, flags = check_law(d, eavesdrop)
+    ref, ref_flags = dense_pair_law(d, eavesdrop)
     assert law.shape == ref.shape and np.array_equal(flags, ref_flags)
     assert np.abs(law - ref).max() <= 1e-15
 
@@ -430,6 +443,34 @@ def test_pair_law_draws_are_pinned(monkeypatch):
             channel_check(d, 200, INTERCEPT_RESEND, seed=seed, threshold=0.9)
             h.update(leaf[drawn.pop()].tobytes())
     assert h.hexdigest() == "df7472eba09ff2535e73a327cc931eb88b23428e820e82cf4ff3797e634070a4"
+
+
+# sha256 over law.tobytes() + flags.tobytes() of ``check_law``, recorded
+# over the leaf table the check drew from with ``rng.choice`` before it read
+# the digit rule.  The rule's masses are exact, 1/(4d) and 1/(4d^3); the
+# table's were divided by its float sum, which at d = 6 moved every attacked
+# mass by at most 2.1e-17, so (6, True) was re-recorded.  No leaf, flag or
+# seeded draw moved.  The law must not move by a bit
+PAIR_LAW_SHA256 = [
+    (2, False, "0deb0aefe570133234d19c8d91d3b8a6346ed17c24bdb0ebedbe63b0365982b7"),
+    (2, True, "989365f09101fa18c423693f7720b00b9bb7fb82f9186275bdfbc4b69de328d4"),
+    (3, False, "96ed5761c306eb08e34622646921fcc1402a86a8ef2dc3def7e727ef1532e59e"),
+    (3, True, "c8fda55e3ee7dd23087142b4e43be14436b96dec10feae70430ff677ac3e23b5"),
+    (4, False, "45e00fd06cf5d96f062e9e89c4126d86eddafb10112e155746ff0dd01a2fe02c"),
+    (4, True, "4172d8fd4fa0cf5dc8a1731b5905d9c565340a72a3a42f1669cf30f9362b510f"),
+    (5, False, "49db58e13b8e03e39168160ceacfa39d5e6cd466bae7024a37dc95abf86f40ca"),
+    (5, True, "c6e0dce138b9e8d2afdb477c34667e8d5f2a819ef7a00df5bcc9b908208fafb4"),
+    (6, False, "e868e1da5302af6031f7fff27a7a158193cfce6da3f54ac4f711bdd64ced8f54"),
+    (6, True, "a810fa85419810c6e44657a0ee1113e442654a1b02bea7c9efebce4b182588fa"),
+    (7, False, "542d533160e92a29118c33df4f0c3e1e40ffca9ba871fafecc43b78cfc1a0dd0"),
+    (7, True, "d039c476e2518197ca2b46b80d5101a6c43c99cc4d0ec84e773b83ee0bf6866e"),
+]
+
+
+@pytest.mark.parametrize("d, eavesdrop, digest", PAIR_LAW_SHA256)
+def test_pair_law_is_pinned_bit_for_bit(d, eavesdrop, digest):
+    law, flags = check_law(d, eavesdrop)
+    assert hashlib.sha256(law.tobytes() + flags.tobytes()).hexdigest() == digest
 
 
 def test_attacked_check_serves_d_up_to_2_17():
