@@ -2,8 +2,9 @@
 
 A dealer (Alice) shares an integer secret S with M participants in five steps:
 
-1. Build a repeater link to every participant and stock it with Bell pairs
-   (one working pair per participant plus detecting pairs).
+1. Plan a repeater link to every participant and check the plan, drawing
+   nothing: its step law restores the canonical Bell pair exactly, so each
+   link stocks a working pair plus detecting pairs.
 2. Check each channel: both ends twirl a detecting pair (Fourier on the
    dealer's qudit, inverse Fourier on the participant's), then measure in a
    dealer-announced random basis and compare.  An untouched pair gives equal
@@ -45,7 +46,6 @@ exact rather than statistical.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,8 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import FIDELITY_TOL, uniform_digits
-from .qudit import QuditState, as_int, as_seed, check_cap
+from .protocols import uniform_digits
+from .qudit import QuditState, as_int, as_real, as_seed, check_cap
 
 INTERCEPT_RESEND = "intercept-resend"
 
@@ -85,6 +85,10 @@ class MqssConfig:
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
+        if self.d > 2**53:  # steps 3 and 4 read base-d digits of a float uniform
+            raise ValueError(f"a session at d={self.d} has d > 2^53 values per digit")
+        if self.eavesdrop_channel is not None:
+            _check_attacked(self.d)
 
 
 def _as_dim(d) -> int:
@@ -94,9 +98,7 @@ def _as_dim(d) -> int:
 
 
 def _as_threshold(value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"threshold {value!r} is not a real number")
-    if not 0 < value < 1:  # also refuses NaN, which no error rate exceeds
+    if not 0 < as_real(value, "threshold") < 1:  # also NaN, which no rate exceeds
         raise ValueError(f"threshold {value!r} must lie in (0, 1)")
     return value
 
@@ -174,11 +176,15 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
         raise ValueError(f"unknown eavesdropper model {eavesdropper!r}")
     if eavesdropper is None:
         return 0.0, False
-    if 4 * d**3 > 2**53:
-        raise ValueError(f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
+    _check_attacked(d)
     i = (np.random.default_rng(seed).random(pairs) * (4 * d**3)).astype(np.int64)
     rate = int(np.count_nonzero(_disagrees(i, d))) / pairs
     return rate, bool(rate > threshold)
+
+
+def _check_attacked(d: int) -> None:
+    if 4 * d**3 > 2**53:  # floor(u 4d^3) would miss sub-leaves (channel_check)
+        raise ValueError(f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
 
 
 def _disagrees(i: np.ndarray, d: int) -> np.ndarray:
@@ -272,20 +278,19 @@ def reconstruct(public_value: Fraction, coin_results: list[int],
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _build_repeater_pair(d: int) -> float:
-    """Stock one dealer-participant Bell pair over a two-hop repeater path.
-
-    Every participant's link is the same repeater, and its step law is read
-    off its circuit (``network``), so it is planned and run once per d.
-    """
+def _build_repeater_pair(d: int) -> None:
+    """Plan and check one dealer-participant Bell pair over a two-hop repeater
+    path, once per d: every participant's link is the same repeater.  The
+    symbolic ledger draws and builds nothing; the link's step law restores
+    the canonical pair exactly (``network._step_law``)."""
     net = ResourceNetwork(d, {0: "dealer", 1: "relay", 2: "participant"},
                           [Resource("bell", (0, 1)), Resource("bell", (1, 2))])
-    _, _, result = distribute(net, [0, 2], mode="simulated", d=d, seed=0)
-    return result.fidelity
+    distribute(net, [0, 2], mode="symbolic", d=d)
 
 
 def run_mqss(config: MqssConfig) -> MqssTranscript:
-    """All five steps; aborted runs stop after the channel checks.
+    """All five steps; aborted runs stop after the channel checks.  Each
+    repeater link is planned and checked, not sampled (``_build_repeater_pair``).
 
     The secret enters the computation only at the encoding step -- the event
     log records the first read so the independence is auditable.
@@ -296,10 +301,8 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
 
     for k in range(1, config.participants + 1):
         rng.integers(2**31)  # one draw per link: a session's later seeds depend on it
-        fid = _build_repeater_pair(config.d)
-        if fid < 1 - FIDELITY_TOL:
-            raise AssertionError("repeater pair generation failed")
-        t.events.append(f"step1: channel {k} working pair ready (fidelity {fid:.3f})")
+        _build_repeater_pair(config.d)
+        t.events.append(f"step1: channel {k} working pair ready (fidelity 1.000)")
 
     for k in range(1, config.participants + 1):
         eav = INTERCEPT_RESEND if config.eavesdrop_channel == k else None

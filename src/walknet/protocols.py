@@ -550,7 +550,10 @@ def uniform_digits(u: float, d: int, k: int) -> tuple[int, ...]:
     """The outcome of k uniform base-d readouts drawn from one uniform u in
     [0, 1): the k digits of floor(u d^k), most significant first.  It is
     ``rng.choice(d**k, p=np.full(d**k, d**-k))`` on the same u, except for a
-    u within a few ulps of some boundaries i / d^k when d is not a power of two."""
+    u within a few ulps of some boundaries i / d^k when d is not a power of two.
+    It is exact for d^k <= 2^53, that rounding aside: u is a multiple of 2^-53,
+    so each outcome takes the floor or the ceiling of 2^53 / d^k of them.  Past
+    2^53 some outcomes are never drawn, so callers refuse such a d^k first."""
     i, digits = int(u * d**k), [0] * k
     for j in range(k - 1, -1, -1):
         i, digits[j] = divmod(i, d)

@@ -13,6 +13,7 @@ shared freely across parallel workers.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -56,11 +57,26 @@ def as_int(value, name: str, error: type[Exception] = ValueError) -> int:
     return int(value)
 
 
+def as_real(value, name: str, error: type[Exception] = ValueError):
+    """``value`` if it is a Python or numpy real number, not a bool; else ``error``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} {value!r} is not a real number")
+    return value
+
+
 def as_seed(value, error: type[Exception] = ValueError) -> int:
     """``value`` as a non-negative integer seed (``as_int``); else ``error``."""
     if (seed := as_int(value, "seed", error)) < 0:
         raise error(f"seed {seed} is negative")
     return seed
+
+
+def _norm_error(amps: np.ndarray) -> float:
+    """Largest |norm - 1| over the rows (last axis) of amplitudes in any
+    layout, as one float dot per row: no BLAS call, which can stall on
+    mid-sized vectors under threaded OpenBLAS."""
+    flat = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+    return float(np.abs(np.sqrt(np.einsum("...i,...i->...", flat, flat)) - 1.0).max())
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,8 @@ class QuditState:
         check_cap(self.d, self.n)
         if self.amps.shape != (self.d**self.n,):
             raise ValueError("amplitude vector has wrong length")
-        nrm = float(np.linalg.norm(self.amps))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized (|norm-1| = {abs(nrm - 1.0):.3e})")
+        if (err := _norm_error(self.amps)) > NORM_TOL:
+            raise ValueError(f"state is not normalized (|norm-1| = {err:.3e})")
 
     @classmethod
     def unchecked(cls, d: int, n: int, amps: np.ndarray) -> "QuditState":
@@ -157,6 +172,7 @@ class Branches:
 
 def basis_state(d: int, values: list[int]) -> QuditState:
     """Product state |v0 v1 ... v_{n-1}>."""
+    d, values = as_int(d, "d"), [as_int(v, "site value") for v in values]
     n = len(values)
     if n == 0:
         raise ValueError("need at least one site")
@@ -422,9 +438,7 @@ def measure_all_branches(state: QuditState, targets: list[tuple[int, Basis]]) ->
     else:
         posts = rows[kept]
         posts /= np.sqrt(probs[kept])[:, None]
-    flat = posts.view(np.float64)
-    err = float(np.abs(np.sqrt(np.einsum("ij,ij->i", flat, flat)) - 1.0).max())
-    if err > NORM_TOL:
+    if (err := _norm_error(posts)) > NORM_TOL:
         raise ValueError(f"post-state is not normalized (|norm-1| = {err:.3e})")
     values = kept[:, None] // d ** np.arange(t - 1, -1, -1) % d
     return Branches(d, n - t, values, probs[kept], posts if n > t else None)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .qudit import QuditState
+from .qudit import QuditState, as_int, as_real, as_seed
 
 SYMMETRIC = "symmetric"
 STOCHASTIC = "stochastic"
@@ -42,7 +42,7 @@ class TransferMatrix:
     mode: str = SYMMETRIC
 
     def __post_init__(self):
-        if not (0.5 < self.f0 <= 1 and 0.5 < self.f1 <= 1):
+        if not (0.5 < as_real(self.f0, "f0") <= 1 and 0.5 < as_real(self.f1, "f1") <= 1):
             raise ValueError("readout fidelities must lie in (0.5, 1]")
         if self.mode not in (SYMMETRIC, STOCHASTIC):
             raise ValueError(f"unknown transfer-matrix mode {self.mode!r}")
@@ -80,6 +80,7 @@ class CountVector:
     counts: np.ndarray
 
     def __post_init__(self):
+        self.n_qubits = as_int(self.n_qubits, "n_qubits")
         counts = np.asarray(self.counts)
         if counts.shape != (2**self.n_qubits,):
             raise ValueError("count vector has wrong length")
@@ -215,6 +216,7 @@ def correct_counts(counts: CountVector, matrices: list[TransferMatrix]
 def synthesize_counts(true_probs: np.ndarray, matrices: list[TransferMatrix],
                       shots: int, seed: int = 0) -> CountVector:
     """Multinomial sample of the readout-distorted distribution."""
+    shots, seed = as_int(shots, "shots"), as_seed(seed)
     probs = np.asarray(true_probs, dtype=float)
     n = len(matrices)
     if probs.shape != (2**n,):
@@ -256,7 +258,7 @@ def protocol_fidelity_under_noise(state, matrices: list[TransferMatrix],
         state = branch.correction.apply_to(branch.post)
     if state.d != 2:
         raise ValueError("readout model is qubit-only (d = 2)")
-    if not 0 <= depolarizing_p <= 1:
+    if not 0 <= as_real(depolarizing_p, "depolarizing strength") <= 1:
         raise ValueError("depolarizing strength must lie in [0, 1]")
     target = target if target is not None else state
     if target.d != 2 or target.n != state.n:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walknet import mqss
+from walknet import mqss, network
 from walknet.mqss import (
     INTERCEPT_RESEND,
     MqssConfig,
@@ -20,7 +20,6 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
-from walknet.network import NetworkError
 from walknet.protocols import Stage, run_stages, uniform_digits
 from walknet.qudit import (
     SIZE_CAP,
@@ -306,6 +305,10 @@ BAD_CALLS = [
     ("intercept_resend_error_rate", (1,), {}, "d must be >= 2"),
     ("channel_check", (2**17 + 1, 5, INTERCEPT_RESEND), {},
      r"attacked check at d=131073 has 4d\^3 > 2\^53 sub-leaves"),
+    ("run_mqss", (MqssConfig(d=2**53 + 1, participants=2, secret=5),), {},
+     r"session at d=9007199254740993 has d > 2\^53 values per digit"),
+    ("run_mqss", (MqssConfig(d=2**17 + 1, participants=2, secret=5, eavesdrop_channel=2),),
+     {}, r"attacked check at d=131073 has 4d\^3 > 2\^53 sub-leaves"),
 ]
 
 
@@ -362,13 +365,21 @@ def test_sessions_past_the_dense_cap_reconstruct_the_secret(d, m):
     assert t.participant_results == [(t.dealer_result + q) % d for q in t.coin_results]
 
 
-def test_sessions_past_d_45_are_refused_by_the_repeater_step_cap():
-    # the repeater link runs simulated through execute_schedule's per-step
-    # cap, which counts its relay's 4 input sites though no step builds a
-    # register; the refusal goes when that cap does
+def test_sessions_are_served_up_to_their_draw_limits(monkeypatch):
+    # the repeater link is planned and checked by the symbolic ledger, so no
+    # network step draws or builds a state, and only the draws' limits hold:
+    # d <= 2^53 for a session and 4d^3 <= 2^53 for an attacked one (BAD_CALLS)
+    mqss._build_repeater_pair.cache_clear()
+    monkeypatch.setattr(network, "_step_law", lambda *a: pytest.fail("drew a step"))
+    monkeypatch.setattr(network, "canonical_ghz", lambda *a: pytest.fail("built a state"))
     assert run_mqss(MqssConfig(d=45, participants=2, secret=5)).reconstructed == 5
-    with pytest.raises(NetworkError, match="4 live sites at d=46; over the dense cap"):
-        run_mqss(MqssConfig(d=46, participants=2, secret=5))
+    for d in (46, 10**6, 2**53):
+        t = run_mqss(MqssConfig(d=d, participants=2, secret=5))
+        assert not t.aborted and t.reconstructed == 5
+        assert t.events[0] == "step1: channel 1 working pair ready (fidelity 1.000)"
+        assert t.participant_results == [(t.dealer_result + q) % d for q in t.coin_results]
+    t = run_mqss(MqssConfig(d=2**17, participants=2, secret=5, eavesdrop_channel=1))
+    assert t.aborted and [c["abort"] for c in t.channel_checks] == [True]
 
 
 # every session shape (M >= 2) whose residual has at most 2^16 amplitudes

@@ -416,3 +416,28 @@ def test_measurement_leaves_the_measured_state_unchanged():
             for post in branches.posts:
                 assert abs(np.linalg.norm(post) - 1) < 1e-12
             assert not np.shares_memory(branches.posts, state.amps)
+
+
+@pytest.mark.parametrize("d, values, refusal", [
+    (2, [0, 1.5], "site value 1.5 is not an integer"),
+    (2, [True, 0], "site value True is not an integer"),
+    (2.0, [0, 1], "d 2.0 is not an integer"),
+    (2, ["1"], "site value '1' is not an integer"),
+])
+def test_basis_state_refuses_non_integers(d, values, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        basis_state(d, values)
+    assert np.array_equal(basis_state(np.int64(3), [np.int32(2), 1]).amps,
+                          basis_state(3, [2, 1]).amps)
+
+
+def test_norm_check_reads_strided_amplitudes():
+    # every other entry of a longer vector: the check reads any 1-D layout
+    wide = np.zeros(16, dtype=complex)
+    wide[::2] = canonical_ghz(2, 3).amps
+    state = QuditState(2, 3, wide[::2])
+    assert not state.amps.flags.c_contiguous
+    assert fidelity(state, canonical_ghz(2, 3)) == pytest.approx(1, abs=1e-15)
+    wide *= np.sqrt(2)
+    with pytest.raises(ValueError, match=r"not normalized \(\|norm-1\| = 4.142e-01\)"):
+        QuditState(2, 3, wide[::2])

@@ -294,3 +294,48 @@ def test_count_vectors_beyond_int64_name_the_count(counts, named):
     # no cast wraps 2^63 round to a negative count
     with pytest.raises(ValueError, match=f"beyond the int64 range: {named}"):
         CountVector(1, counts)
+
+
+
+GHZ2 = canonical_ghz(2, 2)
+BELL_PROBS = np.array([0.5, 0, 0, 0.5])
+BAD_READOUT_CALLS = [
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, 2.5),
+     "shots 2.5 is not an integer"),
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, True),
+     "shots True is not an integer"),
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, "5"),
+     "shots '5' is not an integer"),
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, 5, seed=1.5),
+     "seed 1.5 is not an integer"),
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, 5, seed=-1),
+     "seed -1 is negative"),
+    ("protocol_fidelity_under_noise",
+     lambda m: protocol_fidelity_under_noise(GHZ2, m, 0.1, shots=2.5),
+     "shots 2.5 is not an integer"),
+    ("protocol_fidelity_under_noise",
+     lambda m: protocol_fidelity_under_noise(GHZ2, m, "0.1", shots=5),
+     "depolarizing strength '0.1' is not a real number"),
+    ("transfer_matrix", lambda m: transfer_matrix(True, 0.9), "f0 True is not a real number"),
+    ("transfer_matrix", lambda m: transfer_matrix(None, 0.9), "f0 None is not a real number"),
+    ("transfer_matrix", lambda m: transfer_matrix(0.9, "0.9"), "f1 '0.9' is not a real number"),
+    ("CountVector", lambda m: CountVector(2.0, np.array([1, 0, 0, 1])),
+     "n_qubits 2.0 is not an integer"),
+    ("CountVector", lambda m: CountVector(True, np.array([1, 0])),
+     "n_qubits True is not an integer"),
+]
+
+
+@pytest.mark.parametrize("call, refusal", [case[1:] for case in BAD_READOUT_CALLS],
+                         ids=[f"{name}: {refusal}" for name, _, refusal in BAD_READOUT_CALLS])
+def test_malformed_readout_inputs_are_refused_before_any_draw(monkeypatch, call, refusal):
+    mats = q_matrices(2)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+    with pytest.raises(ValueError, match=refusal):
+        call(mats)
+    monkeypatch.undo()
+    # numpy numbers are counts, seeds and fidelities
+    counts = synthesize_counts(BELL_PROBS, mats, np.int64(50), seed=np.int64(3))
+    assert counts.to_dict() == synthesize_counts(BELL_PROBS, mats, 50, seed=3).to_dict()
+    assert CountVector(np.int64(2), counts.counts).to_dict() == counts.to_dict()
+    assert transfer_matrix(np.float64(0.9), np.float32(0.95), STOCHASTIC).f0 == 0.9
