@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocols import triangle_merge_rule
-from .qudit import QuditState, as_int, as_seed, canonical_ghz
+from .protocols import check_draw, shift_phase_label, triangle_merge_rule
+from .qudit import as_int, as_seed
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -113,7 +113,6 @@ class MergeRunResult:
     merge_count: int
     final_corners: Triangle
     fidelity: float
-    final_state: QuditState
     corrections: list[str] = field(default_factory=list)   # per merge, schedule order
 
 
@@ -121,8 +120,8 @@ class MergeRunResult:
 def _merge_label(d: int, index: int) -> str:
     """The correction label of the merge outcome whose free readouts are the
     base-d digits of ``index``, most significant first."""
-    k, correction = triangle_merge_rule(d, d == 2)
-    return correction(tuple(index // d**j % d for j in range(k - 1, -1, -1))).label
+    k, frame = triangle_merge_rule(d, d == 2)
+    return shift_phase_label(d, *frame(tuple(index // d**j % d for j in range(k - 1, -1, -1)))[:2])
 
 
 def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
@@ -136,23 +135,22 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     k free readouts are uniform, at every d.  One ``rng.random(merges)``
     block holds every merge's uniform u, in schedule order; a merge's free
     readouts are the k base-d digits of floor(u d^k), as ``uniform_digits``
-    takes them, and its correction is the law's.  The correction restores
-    the canonical GHZ exactly, so ``fidelity`` is 1.0 and ``final_state`` is
-    the apex GHZ, the one state built: it is refused by the size cap (d^3)
-    before any draw.
+    takes them, and its label is read off the law's frame.  Each correction
+    restores the canonical GHZ exactly, so ``fidelity`` is 1.0; nothing is
+    built, so only the draw bounds d: d^5 <= 2^53, refused before any draw.
     """
     n, d, seed = as_int(n, "n"), as_int(d, "d"), as_seed(seed)
     if d < 2:
         raise ValueError("d must be >= 2")
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
-    apex = canonical_ghz(d, 3)
     k, _ = triangle_merge_rule(d, d == 2)
+    check_draw(d**k, f"a gasket at d={d} has d^{k} > 2^53 merge outcomes")
     count = (3**n - 1) // 2   # the length of merge_schedule(n)
     at = (np.random.default_rng(seed).random(count) * d**k).astype(np.int64).tolist()
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
-        fidelity=1.0, final_state=apex, corrections=[_merge_label(d, i) for i in at])
+        fidelity=1.0, corrections=[_merge_label(d, i) for i in at])
 
 
 # ---------------------------------------------------------------------------

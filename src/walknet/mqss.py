@@ -53,8 +53,8 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import uniform_digits
-from .qudit import QuditState, as_int, as_real, as_seed, check_cap
+from .protocols import check_draw, uniform_digits
+from .qudit import QuditState, as_dim, as_int, as_real, as_seed, check_cap
 
 INTERCEPT_RESEND = "intercept-resend"
 
@@ -76,7 +76,7 @@ class MqssConfig:
         for name in names:
             as_int(getattr(self, name), name)
         as_seed(self.seed)
-        _as_dim(self.d)
+        as_dim(self.d)
         if self.participants < 2:
             raise ValueError("need at least 2 participants")
         if self.detect_pairs < 1:
@@ -85,16 +85,10 @@ class MqssConfig:
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
-        if self.d > 2**53:  # steps 3 and 4 read base-d digits of a float uniform
-            raise ValueError(f"a session at d={self.d} has d > 2^53 values per digit")
+        # steps 3 and 4 read base-d digits of a float uniform
+        check_draw(self.d, f"a session at d={self.d} has d > 2^53 values per digit")
         if self.eavesdrop_channel is not None:
             _check_attacked(self.d)
-
-
-def _as_dim(d) -> int:
-    if (d := as_int(d, "d")) < 2:
-        raise ValueError("d must be >= 2")
-    return d
 
 
 def _as_threshold(value):
@@ -168,7 +162,7 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
     bases match iff (g even) == (g < 2d), and (x, y) = divmod(i mod d^2, d).
     Past 4d^3 = 2^53 (d > 2^17) floor(u 4d^3) misses sub-leaves, so such a
     d is refused before any draw."""
-    d, pairs, seed = _as_dim(d), as_int(pairs, "pairs"), as_seed(seed)
+    d, pairs, seed = as_dim(d), as_int(pairs, "pairs"), as_seed(seed)
     threshold = _as_threshold(threshold)
     if pairs < 1:
         raise ValueError("need at least one detecting pair")
@@ -183,8 +177,8 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
 
 
 def _check_attacked(d: int) -> None:
-    if 4 * d**3 > 2**53:  # floor(u 4d^3) would miss sub-leaves (channel_check)
-        raise ValueError(f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
+    # floor(u 4d^3) would miss sub-leaves (channel_check)
+    check_draw(4 * d**3, f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
 
 
 def _disagrees(i: np.ndarray, d: int) -> np.ndarray:
@@ -196,7 +190,7 @@ def _disagrees(i: np.ndarray, d: int) -> np.ndarray:
 def intercept_resend_error_rate(d: int) -> float:
     """Exact per-pair error probability of the intercept-resend attack,
     (d - 1) / (2d) (``channel_check``); no sampling involved."""
-    d = _as_dim(d)
+    d = as_dim(d)
     return (d - 1) / (2 * d)
 
 
@@ -213,7 +207,7 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     (1/sqrt d) sum_r w^(-r u0) |r+q~_1, ..., r+q~_M, r>.  The merge's law is
     the module docstring's closed form (``_ghz_outcome``).  The state, d^(M+1)
     amplitudes, is refused by the size cap before any draw."""
-    d, participants, seed = _as_dim(d), as_int(participants, "participants"), as_seed(seed)
+    d, participants, seed = as_dim(d), as_int(participants, "participants"), as_seed(seed)
     if participants < 1:
         raise ValueError("need at least one participant")
     check_cap(d, participants + 1)

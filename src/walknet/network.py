@@ -19,8 +19,8 @@ chosen terminal set proceeds in three stages:
                        that pass's ledger of party sets.  Simulated mode then
                        samples the plan: each step is a qudit Clifford
                        circuit, so its outcome is k uniform digits, one per
-                       readout, and its correction is read off its circuit
-                       with the outcome (``_step_law``); no amplitude is built.
+                       readout, and its correction label is read off its
+                       frame (``_step_law``); no amplitude or operator is built.
 
 All planning is deterministic: ties break on node id, and every randomized
 execution path draws from one seeded generator.
@@ -36,8 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .protocols import affine_ghz_correction, uniform_digits
-from .qudit import SIZE_CAP, QuditState, as_int, as_seed, canonical_ghz
+from .protocols import affine_ghz_label, uniform_digits
+from .qudit import SIZE_CAP, as_int, as_seed
 
 
 class NetworkError(ValueError):
@@ -499,7 +499,6 @@ class DistributionResult:
     resources_consumed: int
     final_parties: tuple[int, ...]
     fidelity: float | None = None
-    final_state: QuditState | None = None
     ledger: list[dict] = field(default_factory=list)
     outcomes: list[dict] = field(default_factory=list)
 
@@ -583,7 +582,7 @@ def _step_circuit(action: str, local_role: str | None, node_slot: int, n_coins: 
 def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
               n_coins: int, codes: tuple[tuple[int, ...], ...]) -> tuple:
     """Law of one step shape (``_step_circuit``'s arguments after d), read off
-    its circuit: (k, correction), with k its readouts, the coins then ``pos``.
+    its circuit: (k, frame), with k its readouts, the coins then ``pos``.
 
     Each step is a qudit Clifford circuit on canonical inputs, so all d^k
     outcomes v are kept, each at probability d^-k, in product order, and v
@@ -592,8 +591,8 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     (a local coin pair's partner too) by a = q_k and has x = u0; a pair
     merge's v = (k0, u0) shifts the position resource's particles by u0 and
     has x = k0; a release's v = (k0,) shifts nothing and has x = k0.  Every
-    other a is 0.  ``correction(v)`` is ``affine_ghz_correction`` of those,
-    built on first call and kept for the life of the process."""
+    other a is 0.  ``frame(v)`` is those (a_j, x), the arguments of
+    ``affine_ghz_correction``; no operator is built."""
     _, coins, pos, _, outputs = _step_circuit(action, local_role, node_slot, n_coins, codes)
     k = len(coins) + (pos is not None)
     # the readout that shifts each resource (a label's first entry), and the clock's
@@ -602,12 +601,7 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
     else:
         shifts, clock = {} if pos is None else {pos[0]: 1}, 0
     source = [shifts.get(lab[0]) for lab in outputs]
-
-    @lru_cache(maxsize=None)
-    def correction(values: tuple[int, ...]):
-        return affine_ghz_correction(d, [0 if i is None else values[i] for i in source],
-                                     values[clock])
-    return k, correction
+    return k, lambda v: (tuple(0 if i is None else v[i] for i in source), v[clock])
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
@@ -623,10 +617,9 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     simulated: one sampled branch per step.  One ``rng.random(steps)`` call,
     made after the checks and the cap refusal, holds every step's one draw, in
     step order: a step with k readouts takes the k base-d digits of
-    floor(u d^k) (``uniform_digits``), and its correction is its shape's
-    closed rule (``_step_law``).  The rule's correction restores the canonical
-    GHZ exactly, so ``step_fidelity`` and ``fidelity`` are 1.0, and
-    ``final_state`` is that canonical GHZ.
+    floor(u d^k) (``uniform_digits``), and its label is read off its shape's
+    frame (``_step_law``, ``affine_ghz_label``).  Each correction restores the
+    canonical GHZ exactly, so ``step_fidelity`` and ``fidelity`` are 1.0.
     The cap applies per merge event rather than to the whole network, on the
     step's input sites: a schedule with any step over it is refused before
     the first draw.
@@ -683,14 +676,14 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     uniforms = np.random.default_rng(seed).random(len(shapes)).tolist()  # one per step
     outcomes = []
     for step, shape, u in zip(schedule.steps, shapes, uniforms):
-        k, correction = _step_law(d, *shape)
+        k, frame = _step_law(d, *shape)
         values = uniform_digits(u, d, k)
         outcomes.append({"node": step.node, "action": step.action, "outcome": list(values),
-                         "correction": correction(values).label, "step_fidelity": 1.0})
+                         "correction": affine_ghz_label(d, *frame(values)),
+                         "step_fidelity": 1.0})
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
-        resources_consumed=consumed, final_parties=final_parties, fidelity=1.0,
-        final_state=canonical_ghz(d, len(terminals)) if live else None, outcomes=outcomes)
+        resources_consumed=consumed, final_parties=final_parties, fidelity=1.0, outcomes=outcomes)
 
 
 def distribute(net: ResourceNetwork, terminals, mode: str = "simulated",
@@ -711,8 +704,12 @@ def distribute(net: ResourceNetwork, terminals, mode: str = "simulated",
 def random_tree_instance(seed: int, max_nodes: int = 10, max_terminals: int = 4,
                          d: int = 2) -> tuple[ResourceNetwork, SteinerTree]:
     """Seeded random tree network whose leaves (plus maybe one internal node)
-    form the terminal set; every tree edge carries one Bell resource."""
-    rng = np.random.default_rng(seed)
+    form the terminal set; every tree edge carries one Bell resource.  Every
+    tree has 2 or more leaves, so a max below 2 is refused before any draw."""
+    max_nodes = as_int(max_nodes, "max_nodes", NetworkError)
+    if max_nodes < 2 or as_int(max_terminals, "max_terminals", NetworkError) < 2:
+        raise NetworkError("a random tree needs max_nodes >= 2 and max_terminals >= 2")
+    rng = np.random.default_rng(as_seed(seed, NetworkError))
     while True:
         n = int(rng.integers(2, max_nodes + 1))
         if n == 2:

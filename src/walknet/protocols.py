@@ -67,7 +67,8 @@ A network step, the secret-sharing GHZ step and the triangle merge are qudit
 Clifford circuits on canonical inputs, so their laws are read off the circuit
 (``network``, ``mqss``, ``triangle_merge_rule``): d^k equally likely outcomes,
 drawn as the digits of floor(u d^k) (``uniform_digits``), and a residual in
-an affine GHZ frame (a network step's correction is ``affine_ghz_correction``).
+an affine GHZ frame, whose correction label is read off the frame with no
+operator built (``shift_phase_label``, ``affine_ghz_label``).
 The gasket merges in ``fractal`` draw from the triangle merge's law.  The
 catalog runs keep the paper's circuits and reported bases;
 ``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
@@ -454,7 +455,7 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
 @lru_cache(maxsize=None)
 def triangle_merge_rule(d: int, qubit: bool) -> tuple:
     """The triangle merge's law on three canonical GHZ triples, read off its
-    circuit: (k, correction), for every d; no register is built.
+    circuit: (k, frame), for every d; no register or operator is built.
 
     The merge is a qudit Clifford circuit on canonical inputs, so its first
     k = 5 readouts are free: all d^5 of their values are kept, each at
@@ -464,21 +465,21 @@ def triangle_merge_rule(d: int, qubit: bool) -> tuple:
     a.  The qubit merge's (p1, p3, p5, u2, u4, u6) has u6 = 1 + u2 + u4
     (mod 2); its correction is X on b iff u2 = 0, X on c iff u2 + u4 is odd
     and Z on a iff p1 + p3 + p5 is odd, with the residual's quadratic sign
-    (-1)^(p1 + p5 + p3 u2 + p5 u2 + p5 u4).  ``correction(v)`` reads the
-    first five values of v.
+    (-1)^(p1 + p5 + p3 u2 + p5 u2 + p5 u4).  ``frame(v)`` reads the first
+    five values of v and returns that correction's (shifts, clock power,
+    global phase), the arguments of ``_shift_phase_correction``.
     """
     if qubit and d != 2:
         raise ValueError("the qubit triangle merge is defined for d=2 only")
 
-    def correction(values) -> CorrectionOp:
+    def frame(values) -> tuple:
         if qubit:
             p1, p3, p5, u2, u4 = values[:5]
             sign = (-1) ** (p1 + p5 + (p3 + p5) * u2 + p5 * u4)
-            return _shift_phase_correction(2, ((1, 1 - u2), (2, u2 ^ u4)), p1 ^ p3 ^ p5,
-                                           global_phase=complex(sign))
+            return ((1, 1 - u2), (2, u2 ^ u4)), p1 ^ p3 ^ p5, complex(sign)
         p1, u1, p2, p3, u2 = values[:5]
-        return _shift_phase_correction(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
-    return 5, correction
+        return ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d, 1.0
+    return 5, frame
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +516,7 @@ def derive_ghz_correction(state: QuditState) -> CorrectionOp:
 
     g = coeffs[0] * math.sqrt(d)  # unit-modulus residue; cancel it exactly
     phase = g.conjugate() if abs(abs(g) - 1) < SUPPORT_TOL else 1.0
-    return _shift_phase_correction(d, tuple(enumerate(offsets)), t,
-                                   global_phase=complex(phase))
+    return _shift_phase_correction(d, tuple(enumerate(offsets)), t, complex(phase))
 
 
 def affine_ghz_correction(d: int, offsets, x: int) -> CorrectionOp:
@@ -526,20 +526,44 @@ def affine_ghz_correction(d: int, offsets, x: int) -> CorrectionOp:
     site j, the clock power x on site 0 and the global phase w^(-x a_0)."""
     a0 = offsets[0]
     phase = cmath.exp(-2j * math.pi * (x * a0 % d) / d) if x * a0 % d else 1.0
-    return _shift_phase_correction(d, tuple((j, a - a0) for j, a in enumerate(offsets)), x,
-                                   global_phase=complex(phase))
+    return _shift_phase_correction(d, _relative(offsets), x, complex(phase))
+
+
+@lru_cache(maxsize=None)
+def affine_ghz_label(d: int, offsets: tuple[int, ...], x: int) -> str:
+    """``affine_ghz_correction(d, offsets, x).label``, built with no operator;
+    one shared string per frame."""
+    return shift_phase_label(d, _relative(offsets), x)
+
+
+def _relative(offsets) -> tuple[tuple[int, int], ...]:
+    return tuple((j, a - offsets[0]) for j, a in enumerate(offsets))
+
+
+def _shift_phase_factors(d: int, shifts, t: int, phase_site: int) -> list:
+    """(site, name, m, n) of each factor U[m,n] (``label_shift_op``), in apply
+    order: label shifts per (site, shift) plus one clock power (X, Z at d = 2)."""
+    factors = [(site, "X" if d == 2 else f"U[0,{s % d}]", 0, s % d)
+               for site, s in sorted(shifts) if s % d]
+    if t % d:
+        factors.append((phase_site, "Z" if d == 2 else f"Z^{t % d}", -t % d, 0))
+    return factors
+
+
+def shift_phase_label(d: int, shifts, t: int, phase_site: int = 0) -> str:
+    """The label of ``_shift_phase_correction(d, shifts, t, ...)``, built with no operator."""
+    factors = _shift_phase_factors(d, shifts, t, phase_site)
+    return " ".join(f"{name}@{site}" for site, name, _, _ in factors) or "I"
 
 
 @lru_cache(maxsize=None)
 def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
-                            phase_site: int = 0, global_phase: complex = 1.0) -> CorrectionOp:
+                            global_phase: complex = 1.0, phase_site: int = 0) -> CorrectionOp:
     """Label shifts per (site, shift) plus one clock power (X, Z at d = 2); one shared object."""
-    ops = [(site, "X" if d == 2 else f"U[0,{s % d}]", label_shift_op(d, 0, s % d))
-           for site, s in sorted(shifts) if s % d]
-    if t % d:
-        ops.append((phase_site, "Z" if d == 2 else f"Z^{t % d}", label_shift_op(d, -t % d, 0)))
-    return CorrectionOp(ops=tuple(ops), global_phase=global_phase,
-                        label=" ".join(f"{name}@{site}" for site, name, _ in ops) or "I")
+    ops = tuple((site, name, label_shift_op(d, m, n))
+                for site, name, m, n in _shift_phase_factors(d, shifts, t, phase_site))
+    return CorrectionOp(ops=ops, global_phase=global_phase,
+                        label=shift_phase_label(d, shifts, t, phase_site))
 
 
 # ---------------------------------------------------------------------------
@@ -553,11 +577,19 @@ def uniform_digits(u: float, d: int, k: int) -> tuple[int, ...]:
     u within a few ulps of some boundaries i / d^k when d is not a power of two.
     It is exact for d^k <= 2^53, that rounding aside: u is a multiple of 2^-53,
     so each outcome takes the floor or the ceiling of 2^53 / d^k of them.  Past
-    2^53 some outcomes are never drawn, so callers refuse such a d^k first."""
+    2^53 some outcomes are never drawn, so callers refuse such a d^k first
+    (``check_draw``)."""
     i, digits = int(u * d**k), [0] * k
     for j in range(k - 1, -1, -1):
         i, digits[j] = divmod(i, d)
     return tuple(digits)
+
+
+def check_draw(outcomes: int, message: str) -> None:
+    """Refuse, with ``message``, a law of more equally likely outcomes than
+    one float uniform reaches as floor(u n): more than 2^53."""
+    if outcomes > 2**53:
+        raise ValueError(message)
 
 
 def _corrected(stages, outputs, closed=None):
@@ -770,8 +802,9 @@ def _circuit(spec: ProtocolSpec):
 
     if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
         qubit = kd is K.TRIANGLE_MERGE_2D
+        _, frame = triangle_merge_rule(d, qubit)
         return (triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=qubit),
-                ("a", "b", "c"), triangle_merge_rule(d, qubit)[1])
+                ("a", "b", "c"), lambda o: _shift_phase_correction(d, *frame(o)))
 
     raise ValueError(f"unknown protocol kind {kd}")
 

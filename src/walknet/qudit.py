@@ -64,6 +64,13 @@ def as_real(value, name: str, error: type[Exception] = ValueError):
     return value
 
 
+def as_dim(value) -> int:
+    """``value`` as a dimension: an integer (``as_int``) of at least 2; else ValueError."""
+    if (d := as_int(value, "d")) < 2:
+        raise ValueError("d must be >= 2")
+    return d
+
+
 def as_seed(value, error: type[Exception] = ValueError) -> int:
     """``value`` as a non-negative integer seed (``as_int``); else ``error``."""
     if (seed := as_int(value, "seed", error)) < 0:
@@ -188,13 +195,14 @@ def basis_state(d: int, values: list[int]) -> QuditState:
     return QuditState(d, n, amps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_bell(d: int, m: int, n: int) -> QuditState:
     """Maximally entangled two-site state (1/sqrt d) sum_i w^{mi} |i, i-n>.
 
     Index arithmetic is mod d; (m, n) = (0, 0) gives (1/sqrt d) sum |i, i>.
     Cached and read-only, like ``canonical_ghz``.
     """
+    d, m, n = as_dim(d), as_int(m, "m"), as_int(n, "n")
     if not (0 <= m < d and 0 <= n < d):
         raise ValueError("bell labels out of range")
     w, i = np.exp(2j * np.pi / d), np.arange(d)
@@ -204,10 +212,11 @@ def canonical_bell(d: int, m: int, n: int) -> QuditState:
     return QuditState(d, 2, amps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_ghz(d: int, n_sites: int) -> QuditState:
     """(1/sqrt d) sum_i |i, i, ..., i> over n_sites parties (n_sites >= 2);
     one cached, read-only state per argument pair."""
+    d, n_sites = as_int(d, "d"), as_int(n_sites, "n_sites")
     if n_sites < 2 or d < 2:
         raise ValueError("GHZ state needs d >= 2 and at least 2 sites")
     check_cap(d, n_sites)
@@ -222,18 +231,19 @@ def canonical_ghz(d: int, n_sites: int) -> QuditState:
 # Operator constructors
 # ---------------------------------------------------------------------------
 
-# Operator constructors are cached (their matrices are never mutated).
+# Operator constructors are cached (their matrices are never mutated), by
+# argument type too, so a float or bool argument never hits an int's entry.
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def identity_op(d: int) -> OperatorMatrix:
+    d = as_dim(d)
     return OperatorMatrix(d, 1, np.eye(d, dtype=complex))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fourier_op(d: int) -> OperatorMatrix:
     """d-dimensional Fourier transform, F[k][l] = w^{kl} / sqrt(d)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = as_dim(d)
     w = np.exp(2j * np.pi / d)
     kl = np.outer(np.arange(d), np.arange(d))
     return OperatorMatrix(d, 1, w**kl / np.sqrt(d))
@@ -244,14 +254,13 @@ def fourier_inv_op(d: int) -> OperatorMatrix:
     return fourier_op(d).dagger()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def shift_op(d: int) -> OperatorMatrix:
     """Conditional shift |k>|j> -> |k>|j-k mod d> (coin site first).
 
     A permutation on two sites; for d = 2 this is exactly the CNOT gate.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    d = as_dim(d)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for k in range(d):
         for j in range(d):
@@ -259,15 +268,16 @@ def shift_op(d: int) -> OperatorMatrix:
     return OperatorMatrix(d, 2, mat)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def label_shift_op(d: int, m: int, n: int) -> OperatorMatrix:
     """The single-site unitary sum_i w^{-mi} |i-n><i| (indices mod d).
 
     Applied to the first site, it maps canonical_bell(d, m, n) to
     canonical_bell(d, 0, 0).  Labels are taken mod d.
     """
-    m %= d
-    n %= d
+    d = as_dim(d)
+    m = as_int(m, "m") % d
+    n = as_int(n, "n") % d
     w = np.exp(2j * np.pi / d)
     mat = np.zeros((d, d), dtype=complex)
     for i in range(d):

@@ -30,6 +30,7 @@ from .qudit import QuditState, as_int, as_real, as_seed
 
 SYMMETRIC = "symmetric"
 STOCHASTIC = "stochastic"
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # the largest total a CountVector holds
 
 _SINGULAR_TOL = 1e-12
 _NEAR_SINGULAR = 0.1
@@ -93,7 +94,7 @@ class CountVector:
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         self.counts = counts.astype(np.int64, copy=False)
-        if (total := sum(self.counts.tolist())) > np.iinfo(np.int64).max:  # Python ints
+        if (total := sum(self.counts.tolist())) > MAX_SHOTS:  # Python ints
             raise ValueError(f"total shots {total} is beyond the int64 range")
         if total <= 0:
             raise ValueError("total shots must be positive")
@@ -225,6 +226,8 @@ def synthesize_counts(true_probs: np.ndarray, matrices: list[TransferMatrix],
         raise ValueError("true probabilities must be normalized and non-negative")
     if shots < 1:
         raise ValueError("need at least one shot")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"total shots {shots} is beyond the int64 range")
     noisy = _apply_factors(probs, [m.matrix for m in matrices])
     noisy = np.clip(noisy, 0.0, None)
     noisy /= noisy.sum()   # symmetric-mode matrices are not stochastic

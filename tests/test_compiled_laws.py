@@ -41,6 +41,7 @@ from walknet.protocols import (
     ProtocolKind,
     ProtocolSpec,
     Stage,
+    affine_ghz_correction,
     derive_ghz_correction,
     run_stages,
     star_merge_stage,
@@ -77,11 +78,13 @@ def dense_compile(stages, outputs) -> DenseLaw:
 def _leaves(law):
     """(outcome, probability, correction) of every kept outcome, in draw
     order: a ``DenseLaw``'s table, or a network step's closed rule
-    (``network._step_law``'s (k, correction) at d) enumerated in product order."""
+    (``network._step_law``'s (k, frame) at d) enumerated in product order,
+    each frame built into its correction (``affine_ghz_correction``)."""
     if isinstance(law, DenseLaw):
         return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
-    d, (k, correction) = law
-    return [(values, d**-k, correction(values)) for values in product(range(d), repeat=k)]
+    d, (k, frame) = law
+    return [(values, d**-k, affine_ghz_correction(d, *frame(values)))
+            for values in product(range(d), repeat=k)]
 
 
 def _assert_same_law(law, dense):
@@ -366,12 +369,13 @@ def sixth_readout(d, free):
 def test_triangle_rule_is_the_dense_law(d):
     # every d^5 outcome of the free readouts, in product order, completed by
     # its sixth, at probability d^-5 and with the dense law's label
-    k, correction = protocols.triangle_merge_rule(d, d == 2)
+    k, frame = protocols.triangle_merge_rule(d, d == 2)
     law = dense_triangle_law(d)
     free = list(product(range(d), repeat=k))
     assert law.outcomes == tuple(v + (sixth_readout(d, v),) for v in free)
     assert np.abs(law.probs - d**-k).max() <= 1e-12
-    assert [correction(v).label for v in free] == [law.rows[v][0].label for v in law.outcomes]
+    assert ([protocols.shift_phase_label(d, *frame(v)[:2]) for v in free]
+            == [law.rows[v][0].label for v in law.outcomes])
 
 
 def test_qubit_triangle_rule_matches_the_derived_corrections():

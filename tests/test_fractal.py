@@ -24,8 +24,7 @@ from walknet.fractal import (
     neighbor_link_count,
     vertex_count,
 )
-from walknet.protocols import triangle_merge_rule, uniform_digits
-from walknet.qudit import canonical_ghz, fidelity
+from walknet.protocols import shift_phase_label, triangle_merge_rule, uniform_digits
 
 
 def test_gasket_base_case():
@@ -121,23 +120,25 @@ def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch
     assert got.corrections == execute_merge_schedule(2, d=3, seed=4).corrections
 
 
-@pytest.mark.parametrize("d", [9, 10, 12])
+@pytest.mark.parametrize("d", [9, 10, 12, 161, 162, 1552])
 def test_gaskets_past_the_old_circuit_cap(d):
-    # the merge's law holds at every d: each label is the rule's correction
-    # of the five digits of floor(u d^5)
+    # the merge's law holds at every d and a gasket builds no state, so only
+    # its draw bounds d (d^5 <= 2^53, d <= 1552; d = 162 was refused while the
+    # apex GHZ was built): each label is read off the rule's frame of the five
+    # digits of floor(u d^5)
     res = execute_merge_schedule(6, d=d, seed=d)
     assert res.fidelity == 1.0 and res.merge_count == 364
-    assert fidelity(res.final_state, canonical_ghz(d, 3)) == pytest.approx(1.0, abs=1e-12)
-    k, correction = triangle_merge_rule(d, False)
+    k, frame = triangle_merge_rule(d, False)
     uniforms = np.random.default_rng(d).random(364).tolist()
     assert k == 5
-    assert res.corrections == [correction(uniform_digits(u, d, k)).label for u in uniforms]
+    assert res.corrections == [shift_phase_label(d, *frame(uniform_digits(u, d, k))[:2])
+                               for u in uniforms]
 
 
 def test_merge_execution_seeded_determinism():
     a = execute_merge_schedule(2, d=3, seed=21)
     b = execute_merge_schedule(2, d=3, seed=21)
-    assert (a.final_state.amps == b.final_state.amps).all()
+    assert a.corrections == b.corrections
 
 
 def test_network_base_case():

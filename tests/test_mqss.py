@@ -34,6 +34,8 @@ from walknet.qudit import (
     fourier_op,
 )
 
+from test_seeded_streams import forbid_dense_builds  # fails any built operator or GHZ
+
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_twirl_leaves_reference_bell_invariant(d):
@@ -367,11 +369,12 @@ def test_sessions_past_the_dense_cap_reconstruct_the_secret(d, m):
 
 def test_sessions_are_served_up_to_their_draw_limits(monkeypatch):
     # the repeater link is planned and checked by the symbolic ledger, so no
-    # network step draws or builds a state, and only the draws' limits hold:
-    # d <= 2^53 for a session and 4d^3 <= 2^53 for an attacked one (BAD_CALLS)
+    # network step draws and nothing builds a GHZ or a label operator, and
+    # only the draws' limits hold: d <= 2^53 for a session and 4d^3 <= 2^53
+    # for an attacked one (BAD_CALLS)
     mqss._build_repeater_pair.cache_clear()
     monkeypatch.setattr(network, "_step_law", lambda *a: pytest.fail("drew a step"))
-    monkeypatch.setattr(network, "canonical_ghz", lambda *a: pytest.fail("built a state"))
+    forbid_dense_builds(monkeypatch)
     assert run_mqss(MqssConfig(d=45, participants=2, secret=5)).reconstructed == 5
     for d in (46, 10**6, 2**53):
         t = run_mqss(MqssConfig(d=d, participants=2, secret=5))

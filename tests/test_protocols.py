@@ -455,19 +455,21 @@ def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, ou
         run(stages, outputs)
 
 
-@pytest.mark.parametrize("run, refusal", [
-    (lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)), "7 sites at d=9"),
-    (lambda: fractal.execute_merge_schedule(1, d=162), "3 sites at d=162"),
+@pytest.mark.parametrize("run, error, refusal", [
+    (lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)), SizeCapError,
+     "7 sites at d=9"),
+    (lambda: fractal.execute_merge_schedule(1, d=1553), ValueError,
+     re.escape("a gasket at d=1553 has d^5 > 2^53 merge outcomes")),
 ], ids=["protocol", "gasket"])
-def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, refusal):
+def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, error, refusal):
     # stage 1 of the qudit triangle merge fits at d=9 (6 sites), stage 2 peaks
     # at 7: the whole circuit is refused before its first resource is added.
-    # A gasket runs no circuit: the one state it builds is the apex GHZ, and
-    # 162^3 is over the cap, refused before any draw
+    # A gasket runs no circuit and builds no state: its one limit is its
+    # draw's, 1553^5 > 2^53 merge outcomes, refused before any draw
     for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    with pytest.raises(SizeCapError, match=refusal):
+    with pytest.raises(error, match=refusal):
         run()
 
 

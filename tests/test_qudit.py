@@ -1,6 +1,7 @@
 """Core state/operator behavior, including frozen oracle values."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,8 @@ from walknet.qudit import (
     label_shift_op,
     measure_all_branches,
     pauli_ops,
+    pauli_x,
+    pauli_z,
     shift_op,
     tensor,
 )
@@ -429,6 +432,46 @@ def test_basis_state_refuses_non_integers(d, values, refusal):
         basis_state(d, values)
     assert np.array_equal(basis_state(np.int64(3), [np.int32(2), 1]).amps,
                           basis_state(3, [2, 1]).amps)
+
+
+BAD_CONSTRUCTOR_CALLS = [
+    ("canonical_ghz(2.5, 2)", lambda: canonical_ghz(2.5, 2), "d 2.5 is not an integer"),
+    ("canonical_ghz(2, 2.0)", lambda: canonical_ghz(2, 2.0), "n_sites 2.0 is not an integer"),
+    ("canonical_bell(2.0, 0, 0)", lambda: canonical_bell(2.0, 0, 0), "d 2.0 is not an integer"),
+    ("canonical_bell(3, 0.5, 0)", lambda: canonical_bell(3, 0.5, 0), "m 0.5 is not an integer"),
+    ("canonical_bell(2, True, 0)", lambda: canonical_bell(2, True, 0),
+     "m True is not an integer"),
+    ("canonical_bell(1, 0, 0)", lambda: canonical_bell(1, 0, 0), "d must be >= 2"),
+    ("fourier_op(2.0)", lambda: fourier_op(2.0), "d 2.0 is not an integer"),
+    ("identity_op(2.5)", lambda: identity_op(2.5), "d 2.5 is not an integer"),
+    ("identity_op(1)", lambda: identity_op(1), "d must be >= 2"),
+    ("shift_op(2.0)", lambda: shift_op(2.0), "d 2.0 is not an integer"),
+    ("pauli_z(2.0)", lambda: pauli_z(2.0), "d 2.0 is not an integer"),
+    ("pauli_x(1)", lambda: pauli_x(1), "d must be >= 2"),
+    ("label_shift_op(3, 0.5, 0)", lambda: label_shift_op(3, 0.5, 0), "m 0.5 is not an integer"),
+    ("label_shift_op(3, 0, 0.5)", lambda: label_shift_op(3, 0, 0.5), "n 0.5 is not an integer"),
+    ("label_shift_op(1, 0, 0)", lambda: label_shift_op(1, 0, 0), "d must be >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, refusal", [case[1:] for case in BAD_CONSTRUCTOR_CALLS],
+                         ids=[name for name, _, _ in BAD_CONSTRUCTOR_CALLS])
+def test_constructors_refuse_what_they_would_mangle(call, refusal):
+    # cached by argument type, so a float or bool never reads an int's entry
+    canonical_ghz(2, 2), canonical_bell(2, 1, 0), canonical_bell(3, 0, 0)
+    fourier_op(2), identity_op(2), shift_op(2), label_shift_op(3, 0, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            call()
+
+
+def test_constructors_take_numpy_integers():
+    assert np.array_equal(canonical_bell(np.int64(3), np.int32(1), 2).amps,
+                          canonical_bell(3, 1, 2).amps)
+    assert np.array_equal(canonical_ghz(np.int64(3), np.int64(2)).amps, canonical_ghz(3, 2).amps)
+    assert np.array_equal(label_shift_op(np.int64(3), np.int64(-1), 1).mat,
+                          label_shift_op(3, 2, 1).mat)
+    assert np.array_equal(identity_op(np.int64(2)).mat, identity_op(2).mat)
 
 
 def test_norm_check_reads_strided_amplitudes():

@@ -310,9 +310,14 @@ BAD_READOUT_CALLS = [
      "seed 1.5 is not an integer"),
     ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, 5, seed=-1),
      "seed -1 is negative"),
+    ("synthesize_counts", lambda m: synthesize_counts(BELL_PROBS, m, 2**63),
+     "total shots 9223372036854775808 is beyond the int64 range"),
     ("protocol_fidelity_under_noise",
      lambda m: protocol_fidelity_under_noise(GHZ2, m, 0.1, shots=2.5),
      "shots 2.5 is not an integer"),
+    ("protocol_fidelity_under_noise",
+     lambda m: protocol_fidelity_under_noise(GHZ2, m, 0.1, shots=2**63),
+     "total shots 9223372036854775808 is beyond the int64 range"),
     ("protocol_fidelity_under_noise",
      lambda m: protocol_fidelity_under_noise(GHZ2, m, "0.1", shots=5),
      "depolarizing strength '0.1' is not a real number"),

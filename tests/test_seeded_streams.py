@@ -7,10 +7,12 @@ seeded outcomes must stay byte-identical when the sampler's internals change.
 """
 
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
-from walknet import fractal, mqss
+from walknet import fractal, mqss, network, protocols
 from walknet.network import (
     bundled_network_path,
     distribute,
@@ -58,15 +60,47 @@ def test_gasket_merge_corrections():
                                   "U[0,2]@1 Z^2@0", "U[0,2]@2 Z^2@0"]
 
 
-@pytest.mark.parametrize("d, digest", [
-    (2, "cb795eaf6c50eb1c43256721d902e41e5c81b54d0ef922f98adc3642faecf752"),
-    (3, "a7e203651c60cf0363689cd79f5a22715d4f9df8b312be463dda1bcea9e51a71"),
-    (4, "a551658d4291e77f1dfea0a943567d9c71afb86455599675c257c65ee16719ee"),
-    (5, "27fca0c4f58c4bf92316df4544df6b4678c0308f6957c2261b86f5dc5668b992")])
+GASKET_DIGESTS = {
+    2: "cb795eaf6c50eb1c43256721d902e41e5c81b54d0ef922f98adc3642faecf752",
+    3: "a7e203651c60cf0363689cd79f5a22715d4f9df8b312be463dda1bcea9e51a71",
+    4: "a551658d4291e77f1dfea0a943567d9c71afb86455599675c257c65ee16719ee",
+    5: "27fca0c4f58c4bf92316df4544df6b4678c0308f6957c2261b86f5dc5668b992"}
+
+
+@pytest.mark.parametrize("d, digest", GASKET_DIGESTS.items())
 def test_gasket_schedule_corrections_are_pinned(d, digest):
     # 364 merges, one uniform each; the d = 2 stream predates the one-draw rule
     corrections = fractal.execute_merge_schedule(6, d, seed=d).corrections
     assert hashlib.sha256("\n".join(corrections).encode()).hexdigest() == digest
+
+
+def forbid_dense_builds(monkeypatch):
+    """Make ``label_shift_op`` and ``canonical_ghz`` fail wherever walknet binds them."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "walknet"]:
+        for name in ("label_shift_op", "canonical_ghz"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, _n=name: pytest.fail(f"built {_n}"))
+
+
+def test_network_and_gasket_paths_build_no_operator_or_state(monkeypatch):
+    # labels are read off frames: with every cached law and label dropped, no
+    # path may build a label_shift_op matrix or a GHZ state, and the pins hold
+    for cached in (network._step_law, protocols.triangle_merge_rule, fractal._merge_label,
+                   protocols.affine_ghz_label, protocols._shift_phase_correction):
+        cached.cache_clear()
+    forbid_dense_builds(monkeypatch)
+    net = load_network(bundled_network_path())
+    for d in (2, 3):
+        _, _, result = distribute(net, [1, 2, 5, 12, 13, 14], d=d, seed=11)
+        assert _trace(result) == NETWORK_14[d]
+    corrections = fractal.execute_merge_schedule(6, 3, seed=3).corrections
+    assert hashlib.sha256("\n".join(corrections).encode()).hexdigest() == GASKET_DIGESTS[3]
+    for d in (161, 1552):
+        k, frame = protocols.triangle_merge_rule(d, False)
+        uniforms = np.random.default_rng(d).random(364).tolist()
+        assert fractal.execute_merge_schedule(6, d, seed=d).corrections == [
+            protocols.shift_phase_label(d, *frame(protocols.uniform_digits(u, d, k))[:2])
+            for u in uniforms]
 
 
 @pytest.mark.parametrize("seed, coins, u0", [

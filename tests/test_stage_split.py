@@ -1,12 +1,13 @@
 """A wide star merge's law stays small in memory.
 
 ``network._step_law`` reads a step's law off its circuit: k readouts, d^k
-equally likely outcomes and one correction per outcome, built for the
-outcomes that are drawn.  No register is built, so even every outcome of the
-10-leaf qubit hub, a star merge of 20 input sites, stays within a small
-traced peak.  A hub that is itself a terminal star-merges its leaves with a
-local coin pair: that rule is checked against the dense step at every width
-under the cap, and past it simulated mode refuses before any draw.
+equally likely outcomes and one correction frame per outcome.  No register
+or operator is built, so even every outcome's frame of the 10-leaf qubit hub,
+a star merge of 20 input sites, stays within a small traced peak.  A hub
+that is itself a terminal star-merges its leaves with a local coin pair:
+that rule is checked against the dense step at every width under the cap,
+and past it simulated mode refuses before any draw; with the cap lifted, a
+40-leaf hub is served, since nothing else is built.
 """
 
 import tracemalloc
@@ -20,10 +21,12 @@ from walknet.network import (
     NetworkError,
     Resource,
     ResourceNetwork,
+    distribute,
     execute_schedule,
     plan_distribution,
     steiner_tree,
 )
+from walknet.protocols import affine_ghz_correction, affine_ghz_label
 from walknet.qudit import SIZE_CAP
 
 from test_compiled_laws import dense_law, step_shapes  # the dense reference
@@ -42,13 +45,28 @@ def test_hub_law_compiles_within_a_small_traced_peak():
     key = network._shape(step, {rid: res.parties for rid, res in schedule.initial.items()})
     tracemalloc.start()
     try:
-        k, correction = network._step_law.__wrapped__(2, *key)
-        corrections = [correction(values) for values in product(range(2), repeat=k)]
+        k, frame = network._step_law.__wrapped__(2, *key)
+        frames = [frame(values) for values in product(range(2), repeat=k)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert k == 10 and len(corrections) == 2**10
+    assert k == 10 and len(frames) == 2**10
     assert peak < 12 * 2**20
+
+
+def test_a_wide_hub_builds_nothing_past_the_step_cap(monkeypatch):
+    # 40 leaves at d = 2: one star merge of 80 input sites and 40 readouts.
+    # With the per-step cap lifted nothing else bounds it: it once raised
+    # "state of 40 sites at d=2" from its final GHZ, after its draws
+    monkeypatch.setattr(network, "SIZE_CAP", 2**80)
+    net = _hub(2, 40)
+    _, schedule, res = distribute(net, list(range(1, 41)), d=2, seed=5)
+    assert res.fidelity == 1.0 and sorted(res.final_parties) == list(range(1, 41))
+    (step,), (outcome,) = schedule.steps, res.outcomes
+    k, frame = network._step_law(2, *network._shape(
+        step, {rid: r.parties for rid, r in schedule.initial.items()}))
+    assert k == len(outcome["outcome"]) == 40
+    assert outcome["correction"] == affine_ghz_label(2, *frame(tuple(outcome["outcome"])))
 
 
 @pytest.mark.parametrize("d, leaves", [(2, k) for k in range(1, 12)]
@@ -62,7 +80,7 @@ def test_hubs(d, leaves):
     assert [(s.action, s.local_role) for s in schedule.steps] == (
         [("star-merge", "coin")] if leaves >= 2 else [])
     for shape in step_shapes(schedule):
-        k, correction = network._step_law(d, *shape)
+        k, frame = network._step_law(d, *shape)
         assert k == leaves + 1
         if d ** (2 * leaves + 2) > SIZE_CAP:
             with pytest.raises(NetworkError, match="over the dense cap"):
@@ -72,6 +90,6 @@ def test_hubs(d, leaves):
         assert law.outcomes == tuple(product(range(d), repeat=k))
         assert np.abs(law.probs - d**-k).max() <= 1e-12
         for values in law.outcomes:
-            ref = law.rows[values][0]
-            assert correction(values).label == ref.label
-            assert abs(correction(values).global_phase - ref.global_phase) <= 1e-9
+            ref, corr = law.rows[values][0], affine_ghz_correction(d, *frame(values))
+            assert corr.label == ref.label
+            assert abs(corr.global_phase - ref.global_phase) <= 1e-9
