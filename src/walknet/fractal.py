@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .protocols import check_draw, shift_phase_label, triangle_merge_rule
-from .qudit import as_int, as_seed
+from .qudit import as_dim, as_int, as_seed
 
 Vertex = tuple[int, int]
 Triangle = tuple[Vertex, Vertex, Vertex]
@@ -139,9 +139,7 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     restores the canonical GHZ exactly, so ``fidelity`` is 1.0; nothing is
     built, so only the draw bounds d: d^5 <= 2^53, refused before any draw.
     """
-    n, d, seed = as_int(n, "n"), as_int(d, "d"), as_seed(seed)
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    n, d, seed = as_int(n, "n"), as_dim(d), as_seed(seed)
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
     k, _ = triangle_merge_rule(d, d == 2)
@@ -378,7 +376,6 @@ def brute_force_stats(net: FractalNetwork) -> dict:
         "clustering": clustering_total / n,
         "corner_degree": sorted({degs[v] for v in corner_set}),
         "cumulative": cumulative,
-        "neighbor_links_by_vertex": None,  # too large to embed; see helpers
         "max_neighbor_link_error": max(
             abs(neighbor_links[v] - expected[degs[v]])
             for v in net.vertices if v not in corner_set) if t >= 1 else 0.0,

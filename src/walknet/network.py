@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .protocols import affine_ghz_label, uniform_digits
-from .qudit import SIZE_CAP, as_int, as_seed
+from .qudit import SIZE_CAP, as_dim, as_int, as_seed
 
 
 class NetworkError(ValueError):
@@ -69,8 +69,7 @@ class ResourceNetwork:
     def validate(self) -> None:
         if not self.nodes:
             raise NetworkError("network has no nodes")
-        if self.local_dim < 2:
-            raise NetworkError("local_dim must be >= 2")
+        as_dim(self.local_dim, "local_dim", NetworkError)
         for res in self.resources:
             for p in res.parties:
                 if p not in self.nodes:
@@ -626,9 +625,7 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     """
     if mode not in ("symbolic", "simulated"):
         raise NetworkError(f"unknown mode {mode!r}")
-    d, seed = as_int(d, "d", NetworkError), as_seed(seed, NetworkError)
-    if d < 2:
-        raise NetworkError("d must be >= 2")
+    d, seed = as_dim(d, "d", NetworkError), as_seed(seed, NetworkError)
     terminals = schedule.terminals
     consumed = len(schedule.initial) + sum(s.local_role is not None for s in schedule.steps)
     live = {rid: res.parties for rid, res in schedule.initial.items()}
@@ -706,7 +703,7 @@ def random_tree_instance(seed: int, max_nodes: int = 10, max_terminals: int = 4,
     """Seeded random tree network whose leaves (plus maybe one internal node)
     form the terminal set; every tree edge carries one Bell resource.  Every
     tree has 2 or more leaves, so a max below 2 is refused before any draw."""
-    max_nodes = as_int(max_nodes, "max_nodes", NetworkError)
+    max_nodes, d = as_int(max_nodes, "max_nodes", NetworkError), as_dim(d, "d", NetworkError)
     if max_nodes < 2 or as_int(max_terminals, "max_terminals", NetworkError) < 2:
         raise NetworkError("a random tree needs max_nodes >= 2 and max_terminals >= 2")
     rng = np.random.default_rng(as_seed(seed, NetworkError))

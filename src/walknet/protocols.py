@@ -58,10 +58,10 @@ A circuit is a tuple of ``Stage`` records (resources to add, walks and
 single-site gates, measurement targets) plus its output particles, which the
 caller names up front.  ``_circuit(spec)`` writes each catalog kind once:
 its stages, outputs and correction rule (None where each correction is
-derived from the residual).  ``run_stages(stages, outputs)`` checks the size
-cap and that ``outputs`` are exactly the unread particles before the first
-resource is added, then runs the stages exhaustively and yields each
-branch's residual over ``outputs``, in that order.  One loop corrects every
+derived from the residual).  ``run_stages(stages, outputs)`` plans it before
+adding a resource (``outputs`` are the unread particles; the size cap counts
+the compacted register and residual), then runs it exhaustively and yields
+each branch's residual over ``outputs``, in that order.  One loop corrects every
 branch and scores a last stage's branches as one block, for ``run_protocol``.
 A network step, the secret-sharing GHZ step and the triangle merge are qudit
 Clifford circuits on canonical inputs, so their laws are read off the circuit
@@ -92,6 +92,7 @@ from .qudit import (
     OperatorMatrix,
     QuditState,
     apply,
+    as_dim,
     as_int,
     canonical_bell,
     canonical_ghz,
@@ -153,11 +154,10 @@ class ProtocolSpec:
             raise ValueError(f"bell_labels {self.bell_labels!r} are not four integers")
         if not isinstance(self.retain_coins, (bool, np.bool_)):
             raise ValueError(f"retain_coins {self.retain_coins!r} is not a bool")
-        counts = [(name, getattr(self, name)) for name in ("d", "m", "n", "k", "l", "bells")]
+        as_dim(self.d)
+        counts = [(name, getattr(self, name)) for name in ("m", "n", "k", "l", "bells")]
         for name, value in counts + [("bell label", x) for x in self.bell_labels]:
             as_int(value, name)
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
         if self.d != 2 and kd in (K.BELL_SWAP_2D, K.GHZ_SWAP_2D, K.MERGE_METHOD_1,
                                   K.MERGE_METHOD_2, K.MERGE_COMBINED, K.TRIANGLE_MERGE_2D):
             raise ValueError(f"{kd.value} is defined for d=2 only")
@@ -356,12 +356,11 @@ def run_stages(stages, outputs):
     stages' targets in order and the probability is their product.
 
     The circuit names its outputs: the residual is the ``QuditState`` over
-    ``outputs``, in that order, or None when every particle is read.  The size
-    cap (on the circuit's peak live parties) and ``outputs`` (the
-    unread particles) are checked before the first resource is added.
-    An added ``canonical_ghz`` with two or more parties that no walk, gate or
-    target touches enters as the GHZ over its touched parties plus one site
-    standing for these idle ones, so gates and measurements never sweep them.
+    ``outputs``, in that order, or None when every particle is read.  It is
+    planned and checked (``_plan``) before any resource is added.  An added
+    ``canonical_ghz`` with two or more parties that no walk, gate or target
+    touches enters as its touched parties plus one site standing for the idle
+    ones, which no gate or measurement sweeps and the cap counts only in the residual.
     """
     outputs = tuple(outputs)
     for values, prob, block, sites, copies in _blocks(stages, outputs):
@@ -370,52 +369,61 @@ def run_stages(stages, outputs):
                 block.d, block.posts, sites, outputs, copies, i)
 
 
-def _peak(stages) -> int:
-    """A circuit's peak live count: each stage's sites after its adds, less
-    the targets read by earlier stages."""
-    live = peak = 0
-    for stage in stages:
-        live += sum(len(labels) for _, labels in stage.add)
-        peak, live = max(peak, live), live - len(stage.targets)
-    return peak
-
-
-def _blocks(stages, outputs):
-    """Per last stage: (values, probability, ``Branches`` block, compact sites, copies)."""
+def _plan(stages, outputs):
+    """(plan, d, sites, copies): each stage's compacted resources, gates and targets by
+    site index, and the last stage's layout, planned before anything is built.  The cap
+    counts what is built past the inputs: the register at its peak and the residual."""
     stages = tuple(stages)
-    if stages:
-        check_cap(stages[0].add[0][0].d, _peak(stages))
+    dims = {resource.d for stage in stages for resource, _ in stage.add}
+    if len(dims) != 1:
+        raise ValueError(f"a circuit needs resources of one local dimension, not {sorted(dims)}")
+    names = [lab for stage in stages for _, labels in stage.add for lab in labels]
+    if len(set(names)) != len(names) or any(
+            len(labels) != resource.n for stage in stages for resource, labels in stage.add):
+        raise ValueError(f"labels {names} do not name each added site once")
     read = {lab for stage in stages for lab, _ in stage.targets}
-    unread = tuple(lab for stage in stages for _, labels in stage.add
-                   for lab in labels if lab not in read)
+    unread = tuple(lab for lab in names if lab not in read)
     if len(outputs) != len(unread) or set(outputs) != set(unread):
         raise ValueError(f"outputs {outputs} are not the circuit's unread particles {unread}")
     touched = read | {lab for stage in stages for gate in stage.gates for lab in gate[:-1]}
-    return _run(stages, (), 1.0, None, (), {}, touched)
+    plan, sites, copies, peak = [], (), {}, 0
+    for i, stage in enumerate(stages, 1):
+        parts = [_compact(resource, tuple(labels), touched) for resource, labels in stage.add]
+        for _, part_sites, part_copies in parts:
+            sites, copies = sites + part_sites, {**copies, **part_copies}
+        if not sites or not stage.targets:
+            raise ValueError(f"stage {i} has {'no targets' if sites else 'an empty register'}")
+        peak, at = max(peak, len(sites)), sites.index
+        plan.append(([part for part, _, _ in parts],
+                     [(*map(at, gate[:-1]), gate[-1]) for gate in stage.gates],
+                     [(at(lab), basis) for lab, basis in stage.targets]))
+        sites = tuple(lab for lab in sites if lab not in {lab for lab, _ in stage.targets})
+    check_cap(*dims, max(peak, len(outputs)))
+    return plan, *dims, sites, copies
 
 
-def _run(stages, values, prob, state, sites, copies, touched):
-    """Resources join in add order; ``sites`` names the axes."""
-    stage = stages[0]
-    for resource, labels in stage.add:
-        part, part_sites, part_copies = _compact(resource, tuple(labels), touched)
+def _blocks(stages, outputs):
+    """The planned run, per last stage: (values, probability, ``Branches`` block, sites, copies)."""
+    plan, _, sites, copies = _plan(stages, outputs)
+    return ((*run, sites, copies) for run in _run(plan))
+
+
+def _run(plan, values=(), prob=1.0, state=None):
+    """Run the planned stages; per last stage, (values, probability, block)."""
+    parts, gates, targets = plan[0]
+    for part in parts:
         state = part if state is None else tensor(state, part)
-        sites, copies = sites + part_sites, {**copies, **part_copies}
-    for gate in stage.gates:
-        state = (walk_step(state, sites.index(gate[0]), sites.index(gate[1]), gate[2])
-                 if len(gate) == 3 else apply(state, gate[1], [sites.index(gate[0])]))
-    targets = [(sites.index(lab), basis) for lab, basis in stage.targets]
+    for gate in gates:
+        state = walk_step(state, *gate) if len(gate) == 3 else apply(state, gate[1], gate[:1])
     block = measure_all_branches(state, targets)
     del state
-    read = {lab for lab, _ in stage.targets}
-    sites = tuple(lab for lab in sites if lab not in read)
-    if len(stages) == 1:
-        yield values, prob, block, sites, copies
+    if len(plan) == 1:
+        yield values, prob, block
         return
     posts = [None] * len(block) if block.posts is None else [
         QuditState.unchecked(block.d, block.n, row) for row in block.posts]
     for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
-        yield from _run(stages[1:], values + tuple(v), prob * p, post, sites, copies, touched)
+        yield from _run(plan[1:], values + tuple(v), prob * p, post)
 
 
 def star_merge_stage(d: int, coins, pos, far, add) -> Stage:
@@ -601,18 +609,17 @@ def _corrected(stages, outputs, closed=None):
     scored against the canonical GHZ on the d residual amplitudes the
     correction maps onto its support, read off the compact rows: V maps each
     support index to its row entry, and one outside V's image reads 0."""
-    outputs, spread = tuple(outputs), None
-    for prefix, prob, block, sites, copies in _blocks(stages, outputs):
-        d, n, rows = block.d, len(outputs), block.posts
+    outputs = tuple(outputs)
+    plan, d, sites, copies = _plan(stages, outputs)
+    spread = _spread(np.arange(1, d ** len(sites) + 1), d, sites, outputs, copies) - 1
+    for prefix, prob, block in _run(plan):
+        n, rows = len(outputs), block.posts
         residual = partial(_residual, d, rows, sites, outputs, copies)
         values = [prefix + tuple(v) for v in block.values.tolist()]
         corrs = ([closed(v) for v in values] if closed else
                  [derive_ghz_correction(residual(i)) for i in range(len(values))])
         src, phase = map(np.array, zip(*[_support_map(d, n, c.ops) for c in corrs]))
-        if sites != outputs:  # each support index's row entry, or -1 outside V's image
-            if spread is None:  # the last stage's layout is the same for every prefix
-                spread = _spread(np.arange(1, rows.shape[1] + 1), d, sites, outputs, copies) - 1
-            src = spread[src]
+        src = spread[src]
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
         fids = np.abs(np.conj(phase * amps) @ np.full(d, 1 / np.sqrt(d))) ** 2

@@ -64,10 +64,10 @@ def as_real(value, name: str, error: type[Exception] = ValueError):
     return value
 
 
-def as_dim(value) -> int:
-    """``value`` as a dimension: an integer (``as_int``) of at least 2; else ValueError."""
-    if (d := as_int(value, "d")) < 2:
-        raise ValueError("d must be >= 2")
+def as_dim(value, name: str = "d", error: type[Exception] = ValueError) -> int:
+    """``value`` as a dimension: an integer (``as_int``) of at least 2; else ``error``."""
+    if (d := as_int(value, name, error)) < 2:
+        raise error(f"{name} must be >= 2")
     return d
 
 

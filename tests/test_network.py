@@ -239,8 +239,11 @@ def test_random_trees_sound():
     ({"max_terminals": True}, "max_terminals True is not an integer"),
     ({"seed": 1.5}, "seed 1.5 is not an integer"),
     ({"seed": -1}, "seed -1 is negative"),
+    ({"d": 2.5}, "d 2.5 is not an integer"),
+    ({"d": "3"}, "d '3' is not an integer"),
+    ({"d": 1}, "d must be >= 2"),
 ], ids=["max_terminals=1", "max_nodes=1", "max_nodes=2.5", "max_terminals=True",
-        "seed=1.5", "seed=-1"])
+        "seed=1.5", "seed=-1", "d=2.5", "d='3'", "d=1"])
 def test_random_tree_instance_refuses_before_any_draw(monkeypatch, kwargs, refusal):
     # every tree of 2 or more nodes has 2 or more leaves: max_terminals=1 looped forever
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
@@ -250,6 +253,25 @@ def test_random_tree_instance_refuses_before_any_draw(monkeypatch, kwargs, refus
     # numpy integers are counts and seeds, and draw as Python ints do
     got = random_tree_instance(np.int64(3), max_nodes=np.int32(10), max_terminals=np.int64(4))
     assert got == random_tree_instance(3, max_nodes=10, max_terminals=4)
+
+
+@pytest.mark.parametrize("local_dim, refusal", [
+    (2.5, "local_dim 2.5 is not an integer"), ("3", "local_dim '3' is not an integer"),
+    (None, "local_dim None is not an integer"), (True, "local_dim True is not an integer"),
+    (1, "local_dim must be >= 2"),
+], ids=["2.5", "'3'", "None", "True", "1"])
+def test_network_dimension_refused_before_any_plan(monkeypatch, local_dim, refusal):
+    net = ResourceNetwork(local_dim, {0: "n0", 1: "n1"}, [Resource("bell", (0, 1))])
+    with pytest.raises(NetworkError, match=re.escape(refusal)):
+        net.validate()
+    monkeypatch.setattr(network, "plan_distribution", lambda *a: pytest.fail("planned"))
+    for mode in ("symbolic", "simulated"):
+        with pytest.raises(NetworkError, match=re.escape(refusal)):
+            distribute(net, [0, 1], mode=mode)
+    monkeypatch.undo()
+    # numpy integers are dimensions
+    net = ResourceNetwork(np.int64(3), {0: "n0", 1: "n1"}, [Resource("bell", (0, 1))])
+    assert distribute(net, [0, 1])[2].fidelity == 1.0
 
 
 def test_schedule_serialization(net14):

@@ -358,8 +358,10 @@ def test_spec_validation_errors():
      "retain_coins 'no' is not a bool"),
     (ProtocolSpec(ProtocolKind.MERGE_METHOD_2, m=3, n=3, k=1, retain_coins=0.0),
      "retain_coins 0.0 is not a bool"),
+    (ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d="3"), "d '3' is not an integer"),
+    (ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=1), "d must be >= 2"),
 ], ids=["d", "m", "bells", "bell-label", "two-labels", "five-labels", "int-labels",
-        "retain-str", "retain-float"])
+        "retain-str", "retain-float", "d-str", "d=1"])
 def test_spec_refuses_non_integer_counts_before_any_stage(monkeypatch, spec, refusal):
     for name in ("tensor", "apply", "measure_all_branches"):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
@@ -458,12 +460,16 @@ def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, ou
 @pytest.mark.parametrize("run, error, refusal", [
     (lambda: run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=9)), SizeCapError,
      "7 sites at d=9"),
+    (lambda: run_protocol(ProtocolSpec(ProtocolKind.GHZ_PARALLEL_D, d=5, m=6, n=6, k=1)),
+     SizeCapError, "10 sites at d=5"),
     (lambda: fractal.execute_merge_schedule(1, d=1553), ValueError,
      re.escape("a gasket at d=1553 has d^5 > 2^53 merge outcomes")),
-], ids=["protocol", "gasket"])
+], ids=["protocol", "residual", "gasket"])
 def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, error, refusal):
     # stage 1 of the qudit triangle merge fits at d=9 (6 sites), stage 2 peaks
     # at 7: the whole circuit is refused before its first resource is added.
+    # The d=5 parallel merge's compact register peaks at 4 sites, but its
+    # residual over the 10 outputs would hold 5^10 amplitudes.
     # A gasket runs no circuit and builds no state: its one limit is its
     # draw's, 1553^5 > 2^53 merge outcomes, refused before any draw
     for name in ("tensor", "apply", "measure_all_branches"):
@@ -471,6 +477,45 @@ def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, error,
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     with pytest.raises(error, match=refusal):
         run()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_each_resource_is_compacted_once(monkeypatch, d):
+    # the plan compacts the three triples once each, not once per stage-2 branch
+    calls = []
+    compact = protocols._compact
+    monkeypatch.setattr(protocols, "_compact", lambda *a: calls.append(a) or compact(*a))
+    result = run_protocol(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_D, d=d))
+    assert len(calls) == 3 and result.all_recovered()
+
+
+def _bell(d=2):
+    return canonical_bell(d, 0, 0)
+
+
+@pytest.mark.parametrize("stages, outputs, refusal", [
+    ((), (), "resources of one local dimension, not []"),
+    ((Stage(), Stage(add=((_bell(), ("a", "b")),), targets=(("a", Basis.COMPUTATIONAL),))),
+     ("b",), "stage 1 has an empty register"),
+    ((Stage(add=((_bell(), ("a", "b")),)),), ("a", "b"), "stage 1 has no targets"),
+    ((Stage(add=((_bell(), ("a", "b")),), targets=(("a", Basis.COMPUTATIONAL),)),
+      Stage(add=((_bell(3), ("c", "d")),), targets=(("c", Basis.COMPUTATIONAL),))),
+     ("b", "d"), "resources of one local dimension, not [2, 3]"),
+    ((Stage(add=((_bell(), ("a", "b")), (_bell(), ("a", "c"))),
+            targets=(("a", Basis.COMPUTATIONAL),)),),
+     ("b", "c"), "labels ['a', 'b', 'a', 'c'] do not name each added site once"),
+    ((Stage(add=((_bell(), ("a",)),), targets=(("a", Basis.COMPUTATIONAL),)),),
+     (), "labels ['a'] do not name each added site once"),
+    ((Stage(add=((_bell(), ("a", "b", "c")),), targets=(("a", Basis.COMPUTATIONAL),)),),
+     ("b", "c"), "labels ['a', 'b', 'c'] do not name each added site once"),
+], ids=["no-stages", "first-stage-adds-nothing", "no-targets", "mixed-d", "repeated-label",
+        "too-few-labels", "too-many-labels"])
+def test_malformed_circuit_refused_before_any_resource_is_added(monkeypatch, stages, outputs,
+                                                                refusal):
+    for name in ("tensor", "apply", "measure_all_branches"):
+        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        list(run_stages(stages, outputs))
 
 
 def test_qubit_swap_tables_are_the_correction_source():

@@ -246,11 +246,26 @@ def test_after_ops_touch_their_party():
     assert all(len(sites) == 2 and copies == {"a3": ("a3", "a4")} for _, sites, copies in runs)
 
 
-def test_the_size_cap_counts_every_party():
-    # 5^10 amplitudes are over the cap, though the compact register holds 5^7
-    with pytest.raises(SizeCapError, match="10 sites at d=5"):
-        list(run_stages(*protocols._circuit(
-            ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5))[:2]))
+@pytest.mark.parametrize("spec, branches", [
+    (ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5), 25),
+    (ProtocolSpec(K.GHZ_MULTI_COIN_D, d=7, m=4, n=4), 49),
+    (ProtocolSpec(K.MERGE_METHOD_1, m=12, n=12, k=1), 4),
+    (ProtocolSpec(K.GHZ_MULTI_COIN_D, d=2, m=3, n=21), 4),
+], ids=["multicoin-d5-5x5", "multicoin-d7-4x4", "merge1-12x12", "multicoin-d2-3x21"])
+def test_the_size_cap_counts_the_built_register(spec, branches):
+    # counting every party, each is over the cap (5^10, 7^8, 2^24 and 2^24
+    # amplitudes); what is built fits: the compact register peaks at 5^7, 7^6,
+    # 2^4 and 2^5 amplitudes, the residual over the outputs at 5^5, 7^4, 2^22 and 2^21
+    result = protocols.run_protocol(spec)
+    assert len(result.branches) == branches
+    assert abs(result.total_probability - 1) <= 1e-9
+    for b in result.branches:
+        assert b.fidelity >= 1 - 1e-9
+        # post's overlap with canonical_ghz once corrected, read off its d
+        # support indices; built afresh, so no branch keeps its 2^22 amplitudes
+        corrected = b.correction.apply_to(b.residual())
+        support = np.arange(spec.d) * ((spec.d**corrected.n - 1) // (spec.d - 1))
+        assert abs(corrected.amps[support].sum()) ** 2 / spec.d >= 1 - 1e-9
 
 
 def test_a_fresh_copy_of_the_canonical_ghz_collapses_too():
