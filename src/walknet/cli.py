@@ -46,8 +46,9 @@ def _emit(args, payload: dict, csv_lines: list[str] | None = None) -> None:
         return
     if args.output == "csv" and csv_lines is not None:
         print("\n".join(csv_lines))
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:  # streamed: the text of a 7^5-branch swap is never held whole
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        print()
 
 
 def _parse_int_list(text: str) -> list[int]:

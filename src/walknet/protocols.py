@@ -57,20 +57,23 @@ Circuits as data
 A circuit is a tuple of ``Stage`` records (resources to add, walks and
 single-site gates, measurement targets) plus its output particles, which the
 caller names up front.  ``_circuit(spec)`` writes each catalog kind once:
-its stages, outputs and correction rule (None where each correction is
-derived from the residual).  ``run_stages(stages, outputs)`` plans it before
-adding a resource (``outputs`` are the unread particles; the size cap counts
-the compacted register and residual), then runs it exhaustively and yields
-each branch's residual over ``outputs``, in that order.  One loop corrects every
-branch and scores a last stage's branches as one block, for ``run_protocol``.
-A network step, the secret-sharing GHZ step and the triangle merge are qudit
-Clifford circuits on canonical inputs, so their laws are read off the circuit
-(``network``, ``mqss``, ``triangle_merge_rule``): d^k equally likely outcomes,
-drawn as the digits of floor(u d^k) (``uniform_digits``), and a residual in
-an affine GHZ frame, whose correction label is read off the frame with no
-operator built (``shift_phase_label``, ``affine_ghz_label``).
-The gasket merges in ``fractal`` draw from the triangle merge's law.  The
-catalog runs keep the paper's circuits and reported bases;
+its stages, outputs, correction rule (None where each correction is derived
+from the residual) and law (None where it runs densely).
+``run_stages(stages, outputs)`` plans it before adding a resource (``outputs``
+are the unread particles; the size cap counts the compacted register and
+residual), then runs it exhaustively and yields each branch's residual over
+``outputs``, in that order.  A network step, the secret-sharing GHZ step and
+seven catalog kinds (the qudit swaps and merges, GHZ-from-Bell-pairs and both
+triangle merges) are qudit Clifford circuits on canonical inputs, so their
+laws are read off the circuit (``network``, ``mqss``, ``_circuit``): d^k
+equally likely outcomes, drawn as the digits of floor(u d^k)
+(``uniform_digits``) or enumerated in product order, and a residual in an
+affine GHZ frame, whose correction label is read off the frame with no
+operator built (``shift_phase_label``, ``affine_ghz_label``).  ``run_protocol``
+plans those seven and builds no register; it runs the five qubit-table and
+derived kinds densely and scores a last stage's branches as one block.  The
+gasket merges in ``fractal`` draw from the triangle merge's law
+(``triangle_merge_rule``).  The circuits keep the paper's reported bases;
 ``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
 merges.
 """
@@ -78,6 +81,7 @@ merges.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -393,11 +397,17 @@ def _plan(stages, outputs):
             sites, copies = sites + part_sites, {**copies, **part_copies}
         if not sites or not stage.targets:
             raise ValueError(f"stage {i} has {'no targets' if sites else 'an empty register'}")
-        peak, at = max(peak, len(sites)), sites.index
+        at, reads = {lab: s for s, lab in enumerate(sites)}, [lab for lab, _ in stage.targets]
+        for lab in [lab for gate in stage.gates for lab in gate[:-1]] + reads:
+            if lab not in at:
+                raise ValueError(f"stage {i} names {lab!r}, which is not in its register")
+            if reads.count(lab) > 1:
+                raise ValueError(f"stage {i} reads {lab!r} twice")
+        peak = max(peak, len(sites))
         plan.append(([part for part, _, _ in parts],
-                     [(*map(at, gate[:-1]), gate[-1]) for gate in stage.gates],
-                     [(at(lab), basis) for lab, basis in stage.targets]))
-        sites = tuple(lab for lab in sites if lab not in {lab for lab, _ in stage.targets})
+                     [(*(at[lab] for lab in gate[:-1]), gate[-1]) for gate in stage.gates],
+                     [(at[lab], basis) for lab, basis in stage.targets]))
+        sites = tuple(lab for lab in sites if lab not in reads)
     check_cap(*dims, max(peak, len(outputs)))
     return plan, *dims, sites, copies
 
@@ -602,13 +612,13 @@ def check_draw(outcomes: int, message: str) -> None:
 
 def _corrected(stages, outputs, closed=None):
     """Yield, per last stage, its exhaustive branches as one block: (values,
-    probabilities, rows, residual, corrections, fidelities), with ``rows`` the
-    compact rows and ``residual(i)`` branch i's residual over ``outputs``,
-    built on call.  Each branch's correction is ``closed(values)``, or with no
-    ``closed`` derived from its residual, the only one built here.  All are
-    scored against the canonical GHZ on the d residual amplitudes the
-    correction maps onto its support, read off the compact rows: V maps each
-    support index to its row entry, and one outside V's image reads 0."""
+    probabilities, residual, corrections, fidelities), with ``residual(i)``
+    branch i's residual over ``outputs``, built on call.  Each branch's
+    correction is ``closed(values)``, or with no ``closed`` derived from its
+    residual, the only one built here.  All are scored against the canonical
+    GHZ on the d residual amplitudes the correction maps onto its support,
+    read off the compact rows: V maps each support index to its row entry,
+    and one outside V's image reads 0."""
     outputs = tuple(outputs)
     plan, d, sites, copies = _plan(stages, outputs)
     spread = _spread(np.arange(1, d ** len(sites) + 1), d, sites, outputs, copies) - 1
@@ -623,7 +633,7 @@ def _corrected(stages, outputs, closed=None):
         amps = np.where(src >= 0, np.take_along_axis(rows, src, 1), 0)
         phase *= np.array([corr.global_phase for corr in corrs])[:, None]
         fids = np.abs(np.conj(phase * amps) @ np.full(d, 1 / np.sqrt(d))) ** 2
-        yield values, (prob * block.probs).tolist(), rows, residual, corrs, fids.tolist()
+        yield values, (prob * block.probs).tolist(), residual, corrs, fids.tolist()
 
 
 def _residual(d: int, rows, sites, outputs, copies, i: int) -> QuditState:
@@ -739,22 +749,28 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
 
 
 def _circuit(spec: ProtocolSpec):
-    """The protocol's stages, the labels of its output particles and its
-    correction rule: outcome -> ``CorrectionOp`` in closed form, or None
-    where each correction is derived from its residual."""
-    d, kd, K = spec.d, spec.kind, ProtocolKind
+    """The protocol's stages, the labels of its output particles, its
+    correction rule (outcome -> ``CorrectionOp`` in closed form, or None where
+    each correction is derived from its residual) and its law, or None where
+    it is run densely.  A law (j, rule) is read off the circuit: the outcomes
+    are d^j equally likely, ``rule(z)`` = (outcome, a) for each z in Z_d^j in
+    product order, and the correction maps the residual to w^a times the
+    canonical GHZ."""
+    d, kd, K = int(spec.d), spec.kind, ProtocolKind
     fb, cb = Basis.FOURIER, Basis.COMPUTATIONAL
     x2 = pauli_x(2)
 
     if kd in (K.BELL_SWAP_2D, K.BELL_SWAP_D):
-        bm, bn, bp, bq = spec.bell_labels if kd is K.BELL_SWAP_D else (0, 0, 0, 0)
+        bm, bn, bp, bq = map(int, spec.bell_labels) if kd is K.BELL_SWAP_D else (0, 0, 0, 0)
         coin = x2 if kd is K.BELL_SWAP_2D else identity_op(d)
         stage = Stage(add=((canonical_bell(d, bm, bn), ("1", "2")),
                            (canonical_bell(d, bp, bq), ("3", "4"))),
                       gates=(("2", "3", coin),), targets=(("2", fb), ("3", cb)))
-        return (stage,), ("1", "4"), (
-            (lambda o: qubit_correction(*TABLE_1[o][1:3])) if kd is K.BELL_SWAP_2D
-            else lambda o: _label_correction(d, *_bell_label(spec, o)))
+        if kd is K.BELL_SWAP_2D:
+            return (stage,), ("1", "4"), lambda o: qubit_correction(*TABLE_1[o][1:3]), None
+        # (k0, u0) leaves U[m+p-k0, n+q-u0] times w^(p(u0 - n) + k0 n) on the Bell state
+        return (stage,), ("1", "4"), lambda o: _label_correction(d, *_bell_label(spec, o)), (
+            2, lambda z: (z, (bp * (z[1] - bn) + z[0] * bn) % d))
 
     if kd in (K.GHZ_SWAP_2D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D):
         # coins a2..am walk onto b1; the qudit kinds are the star merge with far = a1,
@@ -763,18 +779,20 @@ def _circuit(spec: ProtocolSpec):
                 else (("1", "2", "3"), ("4", "5", "6")))
         add = ((canonical_ghz(d, len(a)), a), (canonical_ghz(d, len(b)), b))
         if kd is not K.GHZ_SWAP_2D:
+            # the coins' Fourier results coincide: (q, ..., q, u0)
             return (star_merge_stage(d, a[1:], b[0], a[0], add),), a[:1] + b[1:], lambda o: (
-                _shift_phase_correction(d, tuple((s, o[-1]) for s in range(1, len(b))), o[0]))
+                _shift_phase_correction(d, tuple((s, o[-1]) for s in range(1, len(b))), o[0])), (
+                2, lambda z: (z[:1] * (len(a) - 1) + z[1:], 0))
         stage = Stage(add, gates=((a[1], b[0], x2), (a[2], b[0], fourier_op(2))),
                       targets=((a[1], fb), (a[2], cb), (b[0], cb)))
-        return (stage,), a[:1] + b[1:], lambda o: qubit_correction(*TABLE_2[o][1:3])
+        return (stage,), a[:1] + b[1:], lambda o: qubit_correction(*TABLE_2[o][1:3]), None
 
     if kd in (K.MERGE_METHOD_1, K.MERGE_COMBINED,
               K.MERGE_METHOD_2, K.GHZ_PARALLEL_D):
         # a_i walks onto b_i for i = 1..l (coin X; I for ghz-parallel-d), then
         # coins H a_{l+1}..a_k walk onto b_l: method 1 is l = 1, the parallel
         # merges l = k.  a_1..a_l are read in the Fourier basis unless retained.
-        a, b, k = _labels("a", spec.m), _labels("b", spec.n), spec.k
+        a, b, k = _labels("a", spec.m), _labels("b", spec.n), int(spec.k)
         l = {K.MERGE_METHOD_1: 1, K.MERGE_COMBINED: spec.l}.get(kd, k)
         coin = identity_op(d) if kd is K.GHZ_PARALLEL_D else x2
         gates = (tuple((a[i], b[i], coin) for i in range(l))
@@ -792,36 +810,41 @@ def _circuit(spec: ProtocolSpec):
         table = {K.MERGE_METHOD_1: table3_row, K.MERGE_METHOD_2: table4_row}.get(kd)
         closed = None if retained or not table else (
             lambda o: qubit_correction(*table(spec.m, spec.n, k, o)[1:3]))
-        if kd is K.GHZ_PARALLEL_D:
-            closed = lambda o: _shift_phase_correction(
-                d, tuple((s, o[-k]) for s in range(len(outputs))[k - spec.n:]), sum(o[:-k]) % d)
-        return (stage,), outputs, closed
+        if kd is not K.GHZ_PARALLEL_D:
+            return (stage,), outputs, closed, None
+        # the Fourier results are free and the k positions all read u0
+        return (stage,), outputs, lambda o: _shift_phase_correction(
+            d, tuple((s, o[-k]) for s in range(len(outputs))[k - spec.n:]), sum(o[:-k]) % d), (
+            1 + k - len(retained), lambda z: (z[:-1] + z[-1:] * k, 0))
 
     if kd is K.GHZ_FROM_BELLS_D:
         # coin j's Fourier result shifts output j back; pos's value is far's clock power
-        M = spec.bells
+        M = int(spec.bells)
         pairs = [(str(2 * j - 1), str(2 * j)) for j in range(1, M + 2)]
         (pos, far) = pairs[-1]
         stage = star_merge_stage(d, [coin for _, coin in pairs[:-1]], pos, far,
                                  [(canonical_bell(d, 0, 0), p) for p in pairs])
         return (stage,), tuple(p for p, _ in pairs[:-1]) + (far,), lambda o: (
-            _shift_phase_correction(d, tuple(enumerate(o[:M])), o[M], phase_site=M))
+            _shift_phase_correction(d, tuple(enumerate(o[:M])), o[M], phase_site=M)), (
+            M + 1, lambda z: (z, 0))
 
     if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
+        # the five free readouts fix the sixth; the qudit residual carries w^((p2 + p3) u2)
         qubit = kd is K.TRIANGLE_MERGE_2D
-        _, frame = triangle_merge_rule(d, qubit)
+        k, frame = triangle_merge_rule(d, qubit)
         return (triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=qubit),
-                ("a", "b", "c"), lambda o: _shift_phase_correction(d, *frame(o)))
+                ("a", "b", "c"), lambda o: _shift_phase_correction(d, *frame(o)), (
+                    k, (lambda z: (z + ((1 + z[3] + z[4]) % 2,), 0)) if qubit
+                    else lambda z: (z + ((z[1] + z[4]) % d,), (z[2] + z[3]) * z[4] % d)))
 
     raise ValueError(f"unknown protocol kind {kd}")
 
 
-def _bell_label(spec: ProtocolSpec, outcome):
-    """The Bell label bell-swap-d leaves on (1,4) after outcome (k0, u0); for
-    a (2, B) array of outcomes, the (2, B) labels."""
-    bm, bn, bp, bq = spec.bell_labels
+def _bell_label(spec: ProtocolSpec, outcome) -> tuple[int, int]:
+    """The Bell label bell-swap-d leaves on (1,4) after outcome (k0, u0)."""
+    bm, bn, bp, bq = map(int, spec.bell_labels)
     k0, u0 = outcome
-    return (bm + bp - k0) % spec.d, (bn + bq - u0) % spec.d
+    return (bm + bp - k0) % int(spec.d), (bn + bq - u0) % int(spec.d)
 
 
 @lru_cache(maxsize=None)
@@ -872,20 +895,34 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     closed-form rule from ``_circuit``, or derived from ``post``), and the
     corrected state's fidelity against the canonical GHZ target (the labeled
     Bell state check for bell-swap-d is reported through bell_label /
-    label_fidelity).
+    label_fidelity).  A kind with a law (``_circuit``) is planned, then enumerated
+    at probability d^-j and fidelity 1; the others run densely (``_corrected``).
     """
     spec.validate()
-    stages, outputs, closed = _circuit(spec)
+    stages, outputs, closed, law = _circuit(spec)
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)
-    for values, probs, rows, residual, corrs, fids in _corrected(stages, outputs, closed):
-        labelled = [()] * len(values)
-        if spec.kind is ProtocolKind.BELL_SWAP_D:  # compact sites = outputs: rows are residuals
-            labels = np.transpose(_bell_label(spec, np.array(values).T))
-            bells = np.array([canonical_bell(spec.d, *lab).amps for lab in labels.tolist()])
-            labelled = zip(map(tuple, labels.tolist()),
-                           (np.abs(np.einsum("ij,ij->i", rows.conj(), bells)) ** 2).tolist())
-        result.branches += [BranchResult(v, p, partial(residual, i), c, f, *extra) for i, (
-            v, p, c, f, extra) in enumerate(zip(values, probs, corrs, fids, labelled))]
+    if law is None:
+        for values, probs, residual, corrs, fids in _corrected(stages, outputs, closed):
+            result.branches += [BranchResult(v, p, partial(residual, i), c, f) for i, (
+                v, p, c, f) in enumerate(zip(values, probs, corrs, fids))]
+        return result
+    _plan(stages, outputs)
+    (j, rule), d, bell = law, int(spec.d), spec.kind is ProtocolKind.BELL_SWAP_D
+    for z in itertools.product(range(d), repeat=j):
+        outcome, a = rule(z)
+        corr = closed(outcome)
+        result.branches.append(BranchResult(
+            outcome, d**-j, partial(_frame_residual, d, len(outputs), corr, a), corr, 1.0,
+            *((_bell_label(spec, outcome), 1.0) if bell else ())))
     return result
+
+
+def _frame_residual(d: int, n: int, corr: CorrectionOp, a: int) -> QuditState:
+    """The residual over n sites that ``corr`` maps to w^a times the canonical
+    GHZ: its d support amplitudes, each walked back through the correction."""
+    src, phase = _support_map(d, n, corr.ops)
+    amps = np.zeros(d**n, dtype=complex)
+    amps[src] = cmath.exp(2j * math.pi * a / d) / (math.sqrt(d) * corr.global_phase * phase)
+    return QuditState.unchecked(d, n, amps)

@@ -39,7 +39,7 @@ def _dense_fidelity(corr, state):
 
 def leaves(*args):
     """``protocols._corrected``'s blocks as per-leaf tuples, residuals built."""
-    for values, probs, _, residual, corrs, fids in protocols._corrected(*args):
+    for values, probs, residual, corrs, fids in protocols._corrected(*args):
         for i, leaf in enumerate(zip(values, probs, corrs, fids)):
             yield (*leaf[:2], residual(i), *leaf[2:])
 
@@ -78,7 +78,7 @@ def test_support_map_composes_ops_in_list_order():
     p = _monomial(d, [1, 0, 2], [1, 1j, -1])
     q = _monomial(d, [0, 2, 1], [1j, 1, np.exp(0.3j)])
     corr = CorrectionOp(ops=((0, "P", p), (0, "Q", q), (1, "P", p)), global_phase=1j)
-    stages, outputs, _ = protocols._circuit(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=d))
+    stages, outputs, _, _ = protocols._circuit(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=d))
     fids = []
     for _, _, state, _, fid in leaves(stages, outputs, lambda v: corr):
         assert abs(fid - _dense_fidelity(corr, state)) <= TOL

@@ -1,0 +1,157 @@
+"""The catalog kinds whose laws are read off their circuits, against the dense run.
+
+bell-swap-d, the qudit GHZ swap, multi-coin and parallel merges,
+GHZ-from-Bell-pairs and both triangle merges are qudit Clifford circuits on
+canonical inputs.  ``protocols._circuit`` writes each one's law next to its
+circuit, and ``run_protocol`` enumerates it and builds no register: d^j
+outcomes in product order, each at probability d^-j and fidelity 1, with
+``post`` built on read from the d amplitudes of the law's GHZ frame.
+
+The reference is the dense scorer, ``protocols._corrected``, whose branches
+and residuals are ``run_stages``' bit for bit (``test_block_scoring``).  Every
+law spec of the benchmark grid and the d = 4, 6 and 7 specs under the cap must
+give the same outcomes in the same order, equal correction labels and global
+phases, probabilities exactly d^-j and within 1e-12 of the dense ones, and
+residuals within 1e-12.
+"""
+
+import itertools
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from walknet import protocols
+from walknet.protocols import ProtocolKind as K
+from walknet.protocols import ProtocolSpec, correction_for, run_protocol
+from walknet.qudit import SizeCapError, canonical_bell, fidelity
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
+
+TOL = 1e-12
+LAW_KINDS = {K.BELL_SWAP_D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D, K.GHZ_PARALLEL_D,
+             K.GHZ_FROM_BELLS_D, K.TRIANGLE_MERGE_D, K.TRIANGLE_MERGE_2D}
+
+
+def _has_law(spec) -> bool:
+    return protocols._circuit(spec)[3] is not None
+
+
+def composite_specs():
+    """The law kinds at d = 4, 6 and 7: eight random Bell labels each, and
+    the GHZ sizes of the benchmark grid whose every party fits under the cap
+    (``workloads._fits``), as the grid itself picks them."""
+    specs, fits = [], workloads._fits
+    for d in (4, 6, 7):
+        rng = np.random.default_rng(d)
+        specs += [ProtocolSpec(K.BELL_SWAP_D, d=d, bell_labels=tuple(rng.integers(d, size=4)))
+                  for _ in range(8)]
+        specs += [ProtocolSpec(K.GHZ_SWAP_D, d=d), ProtocolSpec(K.TRIANGLE_MERGE_D, d=d)]
+        for m, n in itertools.product(range(2, 6), range(2, 6)):
+            if fits(d, m + n):
+                specs.append(ProtocolSpec(K.GHZ_MULTI_COIN_D, d=d, m=m, n=n))
+                specs += [ProtocolSpec(K.GHZ_PARALLEL_D, d=d, m=m, n=n, k=k, retain_coins=retain)
+                          for k in range(1, min(m, n)) for retain in (False, True)]
+        specs += [ProtocolSpec(K.GHZ_FROM_BELLS_D, d=d, bells=b)
+                  for b in range(1, 9) if fits(d, 2 * (b + 1))]
+    return specs
+
+
+GRID = [spec for spec in workloads.protocol_grid(small=False) if _has_law(spec)]
+COMPOSITE = composite_specs()
+
+
+def test_the_law_kinds_are_the_seven():
+    assert len(GRID) == 964 and {spec.kind for spec in GRID} == LAW_KINDS
+    assert {spec.kind for spec in COMPOSITE} == LAW_KINDS - {K.TRIANGLE_MERGE_2D}
+    assert {spec.d for spec in COMPOSITE} == {4, 6, 7}
+    assert not any(_has_law(spec) for spec in workloads.protocol_grid(small=False)
+                   if spec.kind not in LAW_KINDS)
+
+
+def assert_law_is_the_dense_run(spec):
+    stages, outputs, closed, (j, _) = protocols._circuit(spec)
+    result = run_protocol(spec)
+    want = [(values, p, residual(i), corr, fid)
+            for values, probs, residual, corrs, fids in protocols._corrected(
+                stages, outputs, closed)
+            for i, (values, p, corr, fid) in enumerate(zip(values, probs, corrs, fids))]
+    assert [b.outcome for b in result.branches] == [leaf[0] for leaf in want]
+    for b, (values, p, state, corr, fid) in zip(result.branches, want):
+        assert b.correction.label == corr.label
+        assert b.correction.global_phase == corr.global_phase
+        assert b.probability == spec.d ** -j and abs(b.probability - p) <= TOL
+        assert b.fidelity == 1.0 and abs(fid - 1) <= TOL
+        assert "post" not in vars(b)
+        assert b.post.n == state.n and np.abs(b.post.amps - state.amps).max() <= TOL
+        if spec.kind is not K.BELL_SWAP_D:
+            assert b.bell_label is None and b.label_fidelity is None
+            continue
+        label = protocols._bell_label(spec, values)
+        assert b.bell_label == label and all(type(x) is int for x in label)
+        assert b.label_fidelity == 1.0
+        assert abs(b.label_fidelity - fidelity(state, canonical_bell(spec.d, *label))) <= TOL
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_grid_laws_are_the_dense_run(block):
+    for spec in GRID[block::8]:
+        assert_law_is_the_dense_run(spec)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_composite_d_laws_are_the_dense_run(block):
+    assert len(COMPOSITE) == 204
+    for spec in COMPOSITE[block::4]:
+        assert_law_is_the_dense_run(spec)
+
+
+@pytest.mark.parametrize("kind, params", [
+    (K.GHZ_PARALLEL_D, {"d": 3, "m": 3, "n": 4, "k": 2}),
+    (K.GHZ_FROM_BELLS_D, {"d": 3, "bells": 2}),
+    (K.GHZ_MULTI_COIN_D, {"d": 3, "m": 3, "n": 2}),
+], ids=["parallel", "from-bells", "multi-coin"])
+def test_numpy_counts_give_the_same_law(kind, params):
+    # a law's j comes from the spec's counts, which may be numpy integers
+    want = run_protocol(ProtocolSpec(kind, **params)).to_json()
+    typed = {name: np.int64(v) for name, v in params.items()}
+    assert run_protocol(ProtocolSpec(kind, **typed)).to_json() == want
+
+
+def _no_register(monkeypatch):
+    for name in ("tensor", "apply", "measure_all_branches"):
+        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+
+
+@pytest.mark.parametrize("spec", [
+    ProtocolSpec(K.BELL_SWAP_D, d=5, bell_labels=(4, 3, 2, 1)),
+    ProtocolSpec(K.GHZ_SWAP_D, d=5),
+    ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5),
+    ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=3, n=4, k=2),
+    ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=3, n=4, k=2, retain_coins=True),
+    ProtocolSpec(K.GHZ_FROM_BELLS_D, d=2, bells=8),
+    ProtocolSpec(K.TRIANGLE_MERGE_D, d=7),
+    ProtocolSpec(K.TRIANGLE_MERGE_2D),
+], ids=lambda spec: spec.kind.value + ("-retained" if spec.retain_coins else ""))
+def test_law_kinds_build_no_register(monkeypatch, spec):
+    _no_register(monkeypatch)
+    protocols._corrections.cache_clear()
+    result = run_protocol(spec)
+    assert result.all_recovered() and result.branches[-1].post.n == len(result.output_labels)
+    for b in result.branches[::7]:
+        assert correction_for(spec.kind, spec.d, b.outcome, spec) is b.correction
+
+
+@pytest.mark.parametrize("spec, refusal", [
+    (ProtocolSpec(K.TRIANGLE_MERGE_D, d=9), "state of 7 sites at d=9 exceeds the size cap"),
+    (ProtocolSpec(K.GHZ_FROM_BELLS_D, d=3, bells=8),
+     "state of 18 sites at d=3 exceeds the size cap"),
+], ids=["triangle-d9", "from-bells-d3-8"])
+def test_over_cap_law_kinds_are_still_refused(monkeypatch, spec, refusal):
+    # the law path plans the circuit first, so the dense run's cap still applies
+    _no_register(monkeypatch)
+    with pytest.raises(SizeCapError, match=re.escape(refusal)):
+        run_protocol(spec)

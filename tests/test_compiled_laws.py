@@ -379,7 +379,7 @@ def test_triangle_rule_is_the_dense_law(d):
 
 
 def test_qubit_triangle_rule_matches_the_derived_corrections():
-    stages, outputs, closed = protocols._circuit(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D))
+    stages, outputs, closed, _ = protocols._circuit(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D))
     branches = list(run_stages(stages, outputs))
     assert len(branches) == 32
     for values, _, post in branches:

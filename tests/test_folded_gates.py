@@ -54,7 +54,7 @@ def _assert_folded_gate_matches(stage, far):
 @pytest.mark.parametrize("d, bells", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                       (5, 1), (5, 2)])
 def test_from_bells(d, bells):
-    (stage,), outputs, _ = protocols._circuit(
+    (stage,), outputs, _, _ = protocols._circuit(
         ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=d, bells=bells))
     _assert_folded_gate_matches(stage, outputs[-1])
 

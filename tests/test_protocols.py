@@ -508,8 +508,14 @@ def _bell(d=2):
      (), "labels ['a'] do not name each added site once"),
     ((Stage(add=((_bell(), ("a", "b", "c")),), targets=(("a", Basis.COMPUTATIONAL),)),),
      ("b", "c"), "labels ['a', 'b', 'c'] do not name each added site once"),
+    ((Stage(add=((_bell(), ("a", "b")),),
+            targets=(("a", Basis.COMPUTATIONAL), ("a", Basis.FOURIER))),),
+     ("b",), "stage 1 reads 'a' twice"),
+    ((Stage(add=((_bell(), ("a", "b")),), gates=(("a", "x", identity_op(2)),),
+            targets=(("a", Basis.COMPUTATIONAL),)),),
+     ("b",), "stage 1 names 'x', which is not in its register"),
 ], ids=["no-stages", "first-stage-adds-nothing", "no-targets", "mixed-d", "repeated-label",
-        "too-few-labels", "too-many-labels"])
+        "too-few-labels", "too-many-labels", "repeated-target", "unknown-gate-label"])
 def test_malformed_circuit_refused_before_any_resource_is_added(monkeypatch, stages, outputs,
                                                                 refusal):
     for name in ("tensor", "apply", "measure_all_branches"):
@@ -563,7 +569,7 @@ def test_correction_for_runs_each_spec_once(monkeypatch):
 
 def _support_cases():
     for spec in workloads.protocol_grid(small=True):
-        stages, _, _ = protocols._circuit(spec)
+        stages, _, _, _ = protocols._circuit(spec)
         length = sum(len(stage.targets) for stage in stages)
         if spec.d ** length <= 4096:
             yield spec, length
