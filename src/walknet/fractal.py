@@ -21,11 +21,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
-
-from .protocols import check_draw, shift_phase_label, triangle_merge_rule
+from .protocols import draw, triangle_merge_rule
 from .qudit import as_dim, as_int, as_seed
 
 Vertex = tuple[int, int]
@@ -116,14 +113,6 @@ class MergeRunResult:
     corrections: list[str] = field(default_factory=list)   # per merge, schedule order
 
 
-@lru_cache(maxsize=None)
-def _merge_label(d: int, index: int) -> str:
-    """The correction label of the merge outcome whose free readouts are the
-    base-d digits of ``index``, most significant first."""
-    k, frame = triangle_merge_rule(d, d == 2)
-    return shift_phase_label(d, *frame(tuple(index // d**j % d for j in range(k - 1, -1, -1)))[:2])
-
-
 def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     """Sample the whole composition, one branch per merge.
 
@@ -132,23 +121,21 @@ def execute_merge_schedule(n: int, d: int = 2, seed: int = 0) -> MergeRunResult:
     at d = 2, the two-stage identity-coin merge at d > 2.  Every input triple
     is the canonical GHZ that the previous correction restored, so all
     merges share one law, read off the circuit (``triangle_merge_rule``): its
-    k free readouts are uniform, at every d.  One ``rng.random(merges)``
-    block holds every merge's uniform u, in schedule order; a merge's free
-    readouts are the k base-d digits of floor(u d^k), as ``uniform_digits``
-    takes them, and its label is read off the law's frame.  Each correction
-    restores the canonical GHZ exactly, so ``fidelity`` is 1.0; nothing is
-    built, so only the draw bounds d: d^5 <= 2^53, refused before any draw.
+    k free readouts are uniform, at every d: the digits of each merge's index
+    from one ``protocols.draw`` block, in schedule order, with its label read
+    off the law's ``Frame``.  Each correction restores the canonical GHZ
+    exactly, so ``fidelity`` is 1.0; nothing is built, so only the draw
+    bounds d: d^5 <= 2^53, refused before any draw.
     """
     n, d, seed = as_int(n, "n"), as_dim(d), as_seed(seed)
     if not 1 <= n <= MAX_ITERATION:
         raise ValueError(f"iteration must be in [1, {MAX_ITERATION}]")
-    k, _ = triangle_merge_rule(d, d == 2)
-    check_draw(d**k, f"a gasket at d={d} has d^{k} > 2^53 merge outcomes")
-    count = (3**n - 1) // 2   # the length of merge_schedule(n)
-    at = (np.random.default_rng(seed).random(count) * d**k).astype(np.int64).tolist()
+    law = triangle_merge_rule(d, d == 2)
+    k, count = law.k, (3**n - 1) // 2   # the length of merge_schedule(n)
+    drawn = draw(seed, d**k, count, f"a gasket at d={d} has d^{k} > 2^53 merge outcomes")
     return MergeRunResult(
         iteration=n, d=d, merge_count=count, final_corners=_corners((0, 0), 2**n),
-        fidelity=1.0, corrections=[_merge_label(d, i) for i in at])
+        fidelity=1.0, corrections=list(map(law.label, drawn)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    the circuit (``channel_check``): the twirl leaves the pair as it is, so a
    clean channel draws nothing, and a shared basis that matches the
    attacker's leaves both readouts uniform.  Each attacked pair reads its
-   leaf off the digits of floor(u 4d^3) from one uniform.
+   leaf off the digits of one drawn index floor(u 4d^3).
 3. Merge the M working pairs and one dealer-local pair into an (M+1)-party
    GHZ via the multi-coin Bell-merge walk.  Only the dealer learns the coin
    results q~_k and the position value u0.  The merge is a qudit Clifford
@@ -25,12 +25,13 @@ A dealer (Alice) shares an integer secret S with M participants in five steps:
    uniform q~_k, and the Fourier readout of the position gives a uniform u0.
    So the M + 1 results are independent uniform digits and the residual is
    exactly ``shared_ghz_closed_form(d, q~, u0)``.  A session draws the
-   digits and builds no state; ``generate_shared_ghz`` also builds the
-   residual, d^(M+1) amplitudes, for its callers.  The dense circuit is kept
-   in the tests, which check this law against it.
+   digits, floor(u d) each (``protocols.draw``), and builds no state;
+   ``generate_shared_ghz`` also builds the residual, d^(M+1) amplitudes,
+   for its callers.  The dense circuit is kept in the tests, which check
+   this law against it.
 4. Everyone measures their GHZ particle; the dealer's value is r0 and
    participant k holds r0 + q~_k.  The residual's d support entries are
-   equally likely, so one uniform digit i picks the readout, read off the
+   equally likely, so one more drawn digit i picks the readout, read off the
    frame: entry i, in index order, has r0 = (i - q~_1) mod d.  The dealer
    publishes p = (S - sum(q~_k) - M*r0) / M as an exact rational.
 5. Participant shares are p plus their measured value; the shares add up to
@@ -53,10 +54,12 @@ from functools import lru_cache
 import numpy as np
 
 from .network import Resource, ResourceNetwork, distribute
-from .protocols import check_draw, uniform_digits
+from .protocols import check_draw, draw
 from .qudit import QuditState, as_dim, as_int, as_real, as_seed, check_cap
 
 INTERCEPT_RESEND = "intercept-resend"
+DIGIT_LIMIT = "a session at d={} has d > 2^53 values per digit"
+ATTACK_LIMIT = "an attacked check at d={} has 4d^3 > 2^53 sub-leaves"
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,10 @@ class MqssConfig:
         if self.eavesdrop_channel is not None and not (
                 1 <= self.eavesdrop_channel <= self.participants):
             raise ValueError("eavesdropped channel out of range")
-        # steps 3 and 4 read base-d digits of a float uniform
-        check_draw(self.d, f"a session at d={self.d} has d > 2^53 values per digit")
+        # the draws' limits, refused before the session's first draw
+        check_draw(self.d, DIGIT_LIMIT.format(self.d))
         if self.eavesdrop_channel is not None:
-            _check_attacked(self.d)
+            check_draw(4 * self.d**3, ATTACK_LIMIT.format(self.d))
 
 
 def _as_threshold(value):
@@ -157,11 +160,10 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
     basis) group has mass 1/(4d): the shared basis that matches the
     attacker's gives d^2 equally likely readouts (x, y), disagreeing iff
     x != y, and the other one leaf x = y = v.  Each attacked pair draws one
-    uniform u and reads sub-leaf i = floor(u 4d^3), d^2 per group: group
-    g = i // d^2 = (attacker basis, v, shared basis) in digit order, so its
-    bases match iff (g even) == (g < 2d), and (x, y) = divmod(i mod d^2, d).
-    Past 4d^3 = 2^53 (d > 2^17) floor(u 4d^3) misses sub-leaves, so such a
-    d is refused before any draw."""
+    sub-leaf i = floor(u 4d^3) (``protocols.draw``, which refuses d > 2^17),
+    d^2 per group: group g = i // d^2 = (attacker basis, v, shared basis) in
+    digit order, so its bases match iff (g even) == (g < 2d), and
+    (x, y) = divmod(i mod d^2, d)."""
     d, pairs, seed = as_dim(d), as_int(pairs, "pairs"), as_seed(seed)
     threshold = _as_threshold(threshold)
     if pairs < 1:
@@ -170,15 +172,9 @@ def channel_check(d: int, pairs: int, eavesdropper: str | None = None,
         raise ValueError(f"unknown eavesdropper model {eavesdropper!r}")
     if eavesdropper is None:
         return 0.0, False
-    _check_attacked(d)
-    i = (np.random.default_rng(seed).random(pairs) * (4 * d**3)).astype(np.int64)
+    i = np.array(draw(seed, 4 * d**3, pairs, ATTACK_LIMIT.format(d)))
     rate = int(np.count_nonzero(_disagrees(i, d))) / pairs
     return rate, bool(rate > threshold)
-
-
-def _check_attacked(d: int) -> None:
-    # floor(u 4d^3) would miss sub-leaves (channel_check)
-    check_draw(4 * d**3, f"an attacked check at d={d} has 4d^3 > 2^53 sub-leaves")
 
 
 def _disagrees(i: np.ndarray, d: int) -> np.ndarray:
@@ -211,16 +207,13 @@ def generate_shared_ghz(d: int, participants: int, seed: int = 0
     if participants < 1:
         raise ValueError("need at least one participant")
     check_cap(d, participants + 1)
-    coins, u0 = _ghz_outcome(d, participants, seed)
+    *coins, u0 = _ghz_outcome(d, participants, seed)
     return shared_ghz_closed_form(d, coins, u0), coins, u0
 
 
-def _ghz_outcome(d: int, participants: int, seed: int) -> tuple[list[int], int]:
-    """Step 3's M + 1 uniform digits, the coins, then u0: one per uniform of
-    one ``rng.random(M + 1)`` block (``uniform_digits``)."""
-    *coins, u0 = (uniform_digits(u, d, 1)[0]
-                  for u in np.random.default_rng(seed).random(participants + 1).tolist())
-    return coins, u0
+def _ghz_outcome(d: int, participants: int, seed: int) -> list[int]:
+    """Step 3's M + 1 uniform digits floor(u d), the coins, then u0."""
+    return draw(seed, d, participants + 1, DIGIT_LIMIT.format(d))
 
 
 def shared_ghz_closed_form(d: int, coin_results: list[int], u0: int) -> QuditState:
@@ -313,7 +306,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
                             f"{config.threshold}")
             return t
 
-    coins, u0 = _ghz_outcome(t.d, t.participants, int(rng.integers(2**31)))
+    *coins, u0 = _ghz_outcome(t.d, t.participants, int(rng.integers(2**31)))
     t.coin_results = coins
     t.position_result = u0
     t.events.append(f"step3: ({config.participants + 1})-party GHZ generated, "
@@ -321,7 +314,7 @@ def run_mqss(config: MqssConfig) -> MqssTranscript:
 
     # every party reads computationally: the d support entries, in index
     # order, are equally likely, and entry i has r0 = (i - q~_1) mod d
-    (i,) = uniform_digits(rng.random(), t.d, 1)
+    (i,) = draw(rng, t.d, 1, DIGIT_LIMIT.format(t.d))
     t.dealer_result = (i - coins[0]) % t.d
     t.participant_results = [(t.dealer_result + q) % t.d for q in coins]
     t.events.append("step4: all parties measured their GHZ particle")

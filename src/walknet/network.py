@@ -28,15 +28,17 @@ execution path draws from one seeded generator.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .protocols import affine_ghz_label, uniform_digits
+from .protocols import Frame, Law, draw
 from .qudit import SIZE_CAP, as_dim, as_int, as_seed
 
 
@@ -579,19 +581,17 @@ def _step_circuit(action: str, local_role: str | None, node_slot: int, n_coins: 
 
 @lru_cache(maxsize=None)
 def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
-              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> tuple:
+              n_coins: int, codes: tuple[tuple[int, ...], ...]) -> Law:
     """Law of one step shape (``_step_circuit``'s arguments after d), read off
-    its circuit: (k, frame), with k its readouts, the coins then ``pos``.
-
-    Each step is a qudit Clifford circuit on canonical inputs, so all d^k
-    outcomes v are kept, each at probability d^-k, in product order, and v
-    leaves sum_r w^(-x r) |..., r + a_j, ...> over the outputs.  A star
+    its circuit, with k readouts, the coins then ``pos``.  Each step is a qudit
+    Clifford circuit on canonical inputs, so all d^k outcomes v are kept, each
+    at probability d^-k, in product order, and v leaves
+    sum_r w^(-x r) |..., r + a_j, ...> over the outputs.  A star
     merge's v = (q_1 .. q_K, u0) shifts every particle of coin k's resource
     (a local coin pair's partner too) by a = q_k and has x = u0; a pair
     merge's v = (k0, u0) shifts the position resource's particles by u0 and
     has x = k0; a release's v = (k0,) shifts nothing and has x = k0.  Every
-    other a is 0.  ``frame(v)`` is those (a_j, x), the arguments of
-    ``affine_ghz_correction``; no operator is built."""
+    other a is 0.  ``frame(v)`` is its ``Frame``; no operator is built."""
     _, coins, pos, _, outputs = _step_circuit(action, local_role, node_slot, n_coins, codes)
     k = len(coins) + (pos is not None)
     # the readout that shifts each resource (a label's first entry), and the clock's
@@ -599,8 +599,17 @@ def _step_law(d: int, action: str, local_role: str | None, node_slot: int,
         shifts, clock = {lab[0]: i for i, lab in enumerate(coins)}, k - 1
     else:
         shifts, clock = {} if pos is None else {pos[0]: 1}, 0
-    source = [shifts.get(lab[0]) for lab in outputs]
-    return k, lambda v: (tuple(0 if i is None else v[i] for i in source), v[clock])
+    return _affine_law(d, k, tuple(shifts.get(lab[0]) for lab in outputs), clock)
+
+
+@lru_cache(maxsize=None)
+def _affine_law(d: int, k: int, source: tuple, clock: int) -> Law:
+    """The one law of every step shape with a_j = v[source[j]] (0 for None), x = v[clock]."""
+    def frame(v) -> Frame:
+        a, x = [0 if i is None else v[i] for i in source], v[clock]
+        phase = cmath.exp(-2j * math.pi * (x * a[0] % d) / d) if x * a[0] % d else 1.0
+        return Frame(d, tuple((j, s - a[0]) for j, s in enumerate(a)), x, global_phase=phase)
+    return Law(d, k, frame)
 
 
 def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
@@ -613,12 +622,10 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
     resource over the terminals (none for a lone terminal).  A bad schedule is
     refused there in either mode, before anything is sampled.
     symbolic: returns the ledger of that pass.
-    simulated: one sampled branch per step.  One ``rng.random(steps)`` call,
-    made after the checks and the cap refusal, holds every step's one draw, in
-    step order: a step with k readouts takes the k base-d digits of
-    floor(u d^k) (``uniform_digits``), and its label is read off its shape's
-    frame (``_step_law``, ``affine_ghz_label``).  Each correction restores the
-    canonical GHZ exactly, so ``step_fidelity`` and ``fidelity`` are 1.0.
+    simulated: one sampled branch per step, its digits and label read off one
+    index of one ``protocols.draw`` block (``_step_law``, ``Law``), made after the
+    checks and the cap refusal, which refuses a step past 2^53 outcomes.  Each
+    correction restores the canonical GHZ, so every fidelity is 1.0.
     The cap applies per merge event rather than to the whole network, on the
     step's input sites: a schedule with any step over it is refused before
     the first draw.
@@ -670,14 +677,13 @@ def execute_schedule(schedule: SwapSchedule, mode: str = "simulated",
             raise NetworkError(
                 f"step at node {entry['node']} needs {entry['sites_in']} live sites at "
                 f"d={d}; over the dense cap -- use symbolic mode")
-    uniforms = np.random.default_rng(seed).random(len(shapes)).tolist()  # one per step
-    outcomes = []
-    for step, shape, u in zip(schedule.steps, shapes, uniforms):
-        k, frame = _step_law(d, *shape)
-        values = uniform_digits(u, d, k)
-        outcomes.append({"node": step.node, "action": step.action, "outcome": list(values),
-                         "correction": affine_ghz_label(d, *frame(values)),
-                         "step_fidelity": 1.0})
+    laws = [_step_law(d, *shape) for shape in shapes]
+    drawn = draw(seed, [d**law.k for law in laws], len(laws),
+                 f"a step at d={d} has more than 2^53 outcomes", NetworkError)
+    outcomes = [{"node": step.node, "action": step.action,
+                 "outcome": list(law.outcome(i)), "correction": law.label(i),
+                 "step_fidelity": 1.0}
+                for step, law, i in zip(schedule.steps, laws, drawn)]
     return DistributionResult(
         mode="simulated", terminals=terminals, step_count=len(schedule.steps),
         resources_consumed=consumed, final_parties=final_parties, fidelity=1.0, outcomes=outcomes)

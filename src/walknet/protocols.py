@@ -66,16 +66,14 @@ residual), then runs it exhaustively and yields each branch's residual over
 seven catalog kinds (the qudit swaps and merges, GHZ-from-Bell-pairs and both
 triangle merges) are qudit Clifford circuits on canonical inputs, so their
 laws are read off the circuit (``network``, ``mqss``, ``_circuit``): d^k
-equally likely outcomes, drawn as the digits of floor(u d^k)
-(``uniform_digits``) or enumerated in product order, and a residual in an
-affine GHZ frame, whose correction label is read off the frame with no
-operator built (``shift_phase_label``, ``affine_ghz_label``).  ``run_protocol``
-plans those seven and builds no register; it runs the five qubit-table and
-derived kinds densely and scores a last stage's branches as one block.  The
-gasket merges in ``fractal`` draw from the triangle merge's law
-(``triangle_merge_rule``).  The circuits keep the paper's reported bases;
-``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
-merges.
+equally likely outcomes, drawn as digits of floor(u d^k) (``draw``) or
+enumerated in product order, and a Weyl correction, a ``Frame`` whose label is
+read with no operator built.  ``run_protocol`` plans those seven and builds no
+register; it runs the five qubit-table and derived kinds densely and scores
+a last stage's branches as one block.  The gasket merges in ``fractal`` draw
+from the triangle merge's law (``triangle_merge_rule``).  The circuits keep
+the paper's reported bases; ``star_merge_stage`` writes the qudit swap,
+multi-coin and from-bells star merges.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -213,6 +211,63 @@ class CorrectionOp:
             state = apply(state, op, [site])
         amps = state.amps if self.global_phase == 1.0 else self.global_phase * state.amps
         return QuditState(state.d, state.n, amps)
+
+
+class Frame(NamedTuple):
+    """A Weyl correction: a label shift U[0,s] per (site, s) of ``shifts``, the
+    clock power Z^clock on ``phase_site`` (X, Z at d = 2), then ``global_phase``."""
+
+    d: int
+    shifts: tuple[tuple[int, int], ...]
+    clock: int
+    phase_site: int = 0
+    global_phase: complex = 1.0
+
+    def _factors(self) -> list:
+        """(site, name, m, n) of each factor U[m,n] (``label_shift_op``), in apply order."""
+        d, t = self.d, self.clock % self.d
+        factors = [(site, "X" if d == 2 else f"U[0,{s % d}]", 0, s % d)
+                   for site, s in sorted(self.shifts) if s % d]
+        if t:
+            factors.append((self.phase_site, "Z" if d == 2 else f"Z^{t}", -t % d, 0))
+        return factors
+
+    @property
+    def label(self) -> str:
+        """The correction's label, built with no operator."""
+        return " ".join(f"{name}@{site}" for site, name, _, _ in self._factors()) or "I"
+
+    @lru_cache(maxsize=None)
+    def correction(self) -> CorrectionOp:
+        """The correction's operators; one shared object per frame."""
+        ops = tuple((site, name, label_shift_op(self.d, m, n))
+                    for site, name, m, n in self._factors())
+        return CorrectionOp(ops=ops, global_phase=self.global_phase, label=self.label)
+
+
+@dataclass(frozen=True, eq=False)
+class Law:
+    """d^k equally likely outcomes, k base-d digits each in product order, and
+    ``frame(outcome)``, each one's ``Frame``; hashed by identity, unpacked as (k, frame)."""
+
+    d: int
+    k: int
+    frame: Callable[[tuple], Frame]
+
+    def __iter__(self):
+        return iter((self.k, self.frame))
+
+    def outcome(self, index: int) -> tuple[int, ...]:
+        """Drawn outcome ``index``: its k base-d digits, most significant first."""
+        digits = [0] * self.k
+        for j in range(self.k - 1, -1, -1):
+            index, digits[j] = divmod(index, self.d)
+        return tuple(digits)
+
+    @lru_cache(maxsize=2**14)   # a fixed bound: one cache for every drawn label
+    def label(self, index: int) -> str:
+        """The correction label of drawn outcome ``index``."""
+        return self.frame(self.outcome(index)).label
 
 
 class CorrectionError(ValueError):
@@ -471,9 +526,9 @@ def triangle_merge_stages(d: int, triples, qubit: bool) -> tuple[Stage, ...]:
 
 
 @lru_cache(maxsize=None)
-def triangle_merge_rule(d: int, qubit: bool) -> tuple:
-    """The triangle merge's law on three canonical GHZ triples, read off its
-    circuit: (k, frame), for every d; no register or operator is built.
+def triangle_merge_rule(d: int, qubit: bool) -> Law:
+    """The triangle merge's ``Law`` on three canonical GHZ triples, read off
+    its circuit, for every d; no register or operator is built.
 
     The merge is a qudit Clifford circuit on canonical inputs, so its first
     k = 5 readouts are free: all d^5 of their values are kept, each at
@@ -484,20 +539,19 @@ def triangle_merge_rule(d: int, qubit: bool) -> tuple:
     (mod 2); its correction is X on b iff u2 = 0, X on c iff u2 + u4 is odd
     and Z on a iff p1 + p3 + p5 is odd, with the residual's quadratic sign
     (-1)^(p1 + p5 + p3 u2 + p5 u2 + p5 u4).  ``frame(v)`` reads the first
-    five values of v and returns that correction's (shifts, clock power,
-    global phase), the arguments of ``_shift_phase_correction``.
+    five values of v and returns that correction's ``Frame``.
     """
     if qubit and d != 2:
         raise ValueError("the qubit triangle merge is defined for d=2 only")
 
-    def frame(values) -> tuple:
+    def frame(values) -> Frame:
         if qubit:
             p1, p3, p5, u2, u4 = values[:5]
             sign = (-1) ** (p1 + p5 + (p3 + p5) * u2 + p5 * u4)
-            return ((1, 1 - u2), (2, u2 ^ u4)), p1 ^ p3 ^ p5, complex(sign)
+            return Frame(2, ((1, 1 - u2), (2, u2 ^ u4)), p1 ^ p3 ^ p5, global_phase=complex(sign))
         p1, u1, p2, p3, u2 = values[:5]
-        return ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d, 1.0
-    return 5, frame
+        return Frame(d, ((1, u1), (2, -u2 % d)), (p1 + p2 + p3) % d)
+    return Law(d, 5, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -534,80 +588,30 @@ def derive_ghz_correction(state: QuditState) -> CorrectionOp:
 
     g = coeffs[0] * math.sqrt(d)  # unit-modulus residue; cancel it exactly
     phase = g.conjugate() if abs(abs(g) - 1) < SUPPORT_TOL else 1.0
-    return _shift_phase_correction(d, tuple(enumerate(offsets)), t, complex(phase))
-
-
-def affine_ghz_correction(d: int, offsets, x: int) -> CorrectionOp:
-    """``derive_ghz_correction``'s answer for the residual
-    (1/sqrt d) sum_r w^(-x r) |r + a_0, ..., r + a_(P-1)> with ``offsets`` the
-    a_j, read off the a_j instead of the amplitudes: a shift of a_j - a_0 on
-    site j, the clock power x on site 0 and the global phase w^(-x a_0)."""
-    a0 = offsets[0]
-    phase = cmath.exp(-2j * math.pi * (x * a0 % d) / d) if x * a0 % d else 1.0
-    return _shift_phase_correction(d, _relative(offsets), x, complex(phase))
-
-
-@lru_cache(maxsize=None)
-def affine_ghz_label(d: int, offsets: tuple[int, ...], x: int) -> str:
-    """``affine_ghz_correction(d, offsets, x).label``, built with no operator;
-    one shared string per frame."""
-    return shift_phase_label(d, _relative(offsets), x)
-
-
-def _relative(offsets) -> tuple[tuple[int, int], ...]:
-    return tuple((j, a - offsets[0]) for j, a in enumerate(offsets))
-
-
-def _shift_phase_factors(d: int, shifts, t: int, phase_site: int) -> list:
-    """(site, name, m, n) of each factor U[m,n] (``label_shift_op``), in apply
-    order: label shifts per (site, shift) plus one clock power (X, Z at d = 2)."""
-    factors = [(site, "X" if d == 2 else f"U[0,{s % d}]", 0, s % d)
-               for site, s in sorted(shifts) if s % d]
-    if t % d:
-        factors.append((phase_site, "Z" if d == 2 else f"Z^{t % d}", -t % d, 0))
-    return factors
-
-
-def shift_phase_label(d: int, shifts, t: int, phase_site: int = 0) -> str:
-    """The label of ``_shift_phase_correction(d, shifts, t, ...)``, built with no operator."""
-    factors = _shift_phase_factors(d, shifts, t, phase_site)
-    return " ".join(f"{name}@{site}" for site, name, _, _ in factors) or "I"
-
-
-@lru_cache(maxsize=None)
-def _shift_phase_correction(d: int, shifts: tuple[tuple[int, int], ...], t: int,
-                            global_phase: complex = 1.0, phase_site: int = 0) -> CorrectionOp:
-    """Label shifts per (site, shift) plus one clock power (X, Z at d = 2); one shared object."""
-    ops = tuple((site, name, label_shift_op(d, m, n))
-                for site, name, m, n in _shift_phase_factors(d, shifts, t, phase_site))
-    return CorrectionOp(ops=ops, global_phase=global_phase,
-                        label=shift_phase_label(d, shifts, t, phase_site))
+    return Frame(d, tuple(enumerate(offsets)), t, global_phase=complex(phase)).correction()
 
 
 # ---------------------------------------------------------------------------
 # Draws and block scoring
 # ---------------------------------------------------------------------------
 
-def uniform_digits(u: float, d: int, k: int) -> tuple[int, ...]:
-    """The outcome of k uniform base-d readouts drawn from one uniform u in
-    [0, 1): the k digits of floor(u d^k), most significant first.  It is
-    ``rng.choice(d**k, p=np.full(d**k, d**-k))`` on the same u, except for a
-    u within a few ulps of some boundaries i / d^k when d is not a power of two.
-    It is exact for d^k <= 2^53, that rounding aside: u is a multiple of 2^-53,
-    so each outcome takes the floor or the ceiling of 2^53 / d^k of them.  Past
-    2^53 some outcomes are never drawn, so callers refuse such a d^k first
-    (``check_draw``)."""
-    i, digits = int(u * d**k), [0] * k
-    for j in range(k - 1, -1, -1):
-        i, digits[j] = divmod(i, d)
-    return tuple(digits)
-
-
-def check_draw(outcomes: int, message: str) -> None:
-    """Refuse, with ``message``, a law of more equally likely outcomes than
-    one float uniform reaches as floor(u n): more than 2^53."""
+def check_draw(outcomes: int, message: str, error=ValueError) -> None:
+    """Refuse, with ``error(message)``, a law of more equally likely outcomes
+    than one float uniform reaches as floor(u n): more than 2^53."""
     if outcomes > 2**53:
-        raise ValueError(message)
+        raise error(message)
+
+
+def draw(seed, outcomes, count: int, message: str, error=ValueError) -> list[int]:
+    """Every sampled law's draw: ``count`` indices floor(u n) from one ``rng.random(count)``
+    block of a seed or a passed ``Generator``, n ``outcomes`` (an int, or one per draw).
+    u is a multiple of 2^-53, so ``check_draw`` first refuses n > 2^53."""
+    many = isinstance(outcomes, list)
+    check_draw(max(outcomes, default=1) if many else outcomes, message, error)
+    u = np.random.default_rng(seed).random(count)
+    if many:   # a few draws of varying n, a schedule's steps: scalar floors cost less
+        return [int(x * n) for x, n in zip(u.tolist(), outcomes)]
+    return (u * outcomes).astype(np.int64).tolist()
 
 
 def _corrected(stages, outputs, closed=None):
@@ -781,7 +785,7 @@ def _circuit(spec: ProtocolSpec):
         if kd is not K.GHZ_SWAP_2D:
             # the coins' Fourier results coincide: (q, ..., q, u0)
             return (star_merge_stage(d, a[1:], b[0], a[0], add),), a[:1] + b[1:], lambda o: (
-                _shift_phase_correction(d, tuple((s, o[-1]) for s in range(1, len(b))), o[0])), (
+                Frame(d, tuple((s, o[-1]) for s in range(1, len(b))), o[0]).correction()), (
                 2, lambda z: (z[:1] * (len(a) - 1) + z[1:], 0))
         stage = Stage(add, gates=((a[1], b[0], x2), (a[2], b[0], fourier_op(2))),
                       targets=((a[1], fb), (a[2], cb), (b[0], cb)))
@@ -813,8 +817,9 @@ def _circuit(spec: ProtocolSpec):
         if kd is not K.GHZ_PARALLEL_D:
             return (stage,), outputs, closed, None
         # the Fourier results are free and the k positions all read u0
-        return (stage,), outputs, lambda o: _shift_phase_correction(
-            d, tuple((s, o[-k]) for s in range(len(outputs))[k - spec.n:]), sum(o[:-k]) % d), (
+        return (stage,), outputs, lambda o: Frame(
+            d, tuple((s, o[-k]) for s in range(len(outputs))[k - spec.n:]),
+            sum(o[:-k]) % d).correction(), (
             1 + k - len(retained), lambda z: (z[:-1] + z[-1:] * k, 0))
 
     if kd is K.GHZ_FROM_BELLS_D:
@@ -825,7 +830,7 @@ def _circuit(spec: ProtocolSpec):
         stage = star_merge_stage(d, [coin for _, coin in pairs[:-1]], pos, far,
                                  [(canonical_bell(d, 0, 0), p) for p in pairs])
         return (stage,), tuple(p for p, _ in pairs[:-1]) + (far,), lambda o: (
-            _shift_phase_correction(d, tuple(enumerate(o[:M])), o[M], phase_site=M)), (
+            Frame(d, tuple(enumerate(o[:M])), o[M], phase_site=M).correction()), (
             M + 1, lambda z: (z, 0))
 
     if kd in (K.TRIANGLE_MERGE_2D, K.TRIANGLE_MERGE_D):
@@ -833,7 +838,7 @@ def _circuit(spec: ProtocolSpec):
         qubit = kd is K.TRIANGLE_MERGE_2D
         k, frame = triangle_merge_rule(d, qubit)
         return (triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=qubit),
-                ("a", "b", "c"), lambda o: _shift_phase_correction(d, *frame(o)), (
+                ("a", "b", "c"), lambda o: frame(o).correction(), (
                     k, (lambda z: (z + ((1 + z[3] + z[4]) % 2,), 0)) if qubit
                     else lambda z: (z + ((z[1] + z[4]) % d,), (z[2] + z[3]) * z[4] % d)))
 
@@ -863,24 +868,31 @@ def _corrections(spec: ProtocolSpec) -> dict:
 def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
                    spec: ProtocolSpec | None = None) -> CorrectionOp:
     """Correction for one protocol outcome: the one ``run_protocol`` applies
-    to that branch, by the kind's closed-form rule (``_circuit``) where it has
-    one and otherwise derived from the residual state.
-
-    The first lookup of a spec runs the protocol once and keeps every
-    branch's correction; later lookups read that table.  An outcome outside
-    the support (wrong length, digit out of range, zero probability) raises
-    ValueError.
+    to that branch.  A kind with a law (``_circuit``) runs nothing: ``rule(z)``
+    of the outcome's free readouts z must give it back.  A dense kind runs once
+    per spec into a kept table.  An outcome outside the support (wrong length,
+    digit out of range, zero probability) raises ValueError.
     """
     spec = spec or ProtocolSpec(kind=kind, d=d)
     if spec.kind is not kind or spec.d != d:
         raise ValueError("spec disagrees with kind/d arguments")
     spec.validate()
-    # the table is keyed by spec, so list-valued labels become a tuple
-    table = _corrections(replace(spec, bell_labels=tuple(spec.bell_labels)))
     outcome = tuple(outcome)
-    if outcome not in table:
-        raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
-    return table[outcome]
+    _, _, closed, law = _circuit(spec)
+    if law is None:
+        # the table is keyed by spec, so list-valued labels become a tuple
+        table = _corrections(replace(spec, bell_labels=tuple(spec.bell_labels)))
+        if outcome in table:
+            return table[outcome]
+    else:
+        j, rule = law
+        triangle = kind in (ProtocolKind.TRIANGLE_MERGE_2D, ProtocolKind.TRIANGLE_MERGE_D)
+        free = outcome[:j] if triangle else outcome[:j - 1] + outcome[-1:]
+        if len(free) == j and all(v in range(d) for v in free):
+            values, _ = rule(tuple(map(int, free)))
+            if values == outcome:
+                return closed(values)
+    raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
 
 
 # ---------------------------------------------------------------------------

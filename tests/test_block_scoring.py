@@ -141,7 +141,7 @@ def test_an_index_whose_copies_disagree_reads_zero():
     # a correction that lands the support where the idle copies disagree
     spec = ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)
     stages, outputs, _, _ = protocols._circuit(spec)
-    skew = protocols._shift_phase_correction(3, ((2, 1),), 0)
+    skew = protocols.Frame(3, ((2, 1),), 0).correction()
     got = list(leaves(stages, outputs, lambda v: skew))
     want = list(per_leaf(stages, outputs, lambda v: skew))
     assert_same_leaves(got, want)

@@ -126,7 +126,7 @@ def _no_register(monkeypatch):
         monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
 
 
-@pytest.mark.parametrize("spec", [
+ONE_SPEC_PER_LAW = [
     ProtocolSpec(K.BELL_SWAP_D, d=5, bell_labels=(4, 3, 2, 1)),
     ProtocolSpec(K.GHZ_SWAP_D, d=5),
     ProtocolSpec(K.GHZ_MULTI_COIN_D, d=5, m=5, n=5),
@@ -135,7 +135,14 @@ def _no_register(monkeypatch):
     ProtocolSpec(K.GHZ_FROM_BELLS_D, d=2, bells=8),
     ProtocolSpec(K.TRIANGLE_MERGE_D, d=7),
     ProtocolSpec(K.TRIANGLE_MERGE_2D),
-], ids=lambda spec: spec.kind.value + ("-retained" if spec.retain_coins else ""))
+]
+
+
+def _law_id(spec):
+    return spec.kind.value + ("-retained" if spec.retain_coins else "")
+
+
+@pytest.mark.parametrize("spec", ONE_SPEC_PER_LAW, ids=_law_id)
 def test_law_kinds_build_no_register(monkeypatch, spec):
     _no_register(monkeypatch)
     protocols._corrections.cache_clear()
@@ -143,6 +150,20 @@ def test_law_kinds_build_no_register(monkeypatch, spec):
     assert result.all_recovered() and result.branches[-1].post.n == len(result.output_labels)
     for b in result.branches[::7]:
         assert correction_for(spec.kind, spec.d, b.outcome, spec) is b.correction
+
+
+@pytest.mark.parametrize("spec", ONE_SPEC_PER_LAW, ids=_law_id)
+def test_a_law_kind_lookup_runs_nothing(monkeypatch, spec):
+    # the lookup reads the law: the outcome's free readouts give it back, and
+    # the closed rule's correction is the one run_protocol applies; no run, and
+    # no per-spec table is kept
+    branches = run_protocol(spec).branches
+    protocols._corrections.cache_clear()
+    monkeypatch.setattr(protocols, "run_protocol", lambda *a: pytest.fail("ran the protocol"))
+    _no_register(monkeypatch)
+    for b in branches[::5]:
+        assert correction_for(spec.kind, spec.d, b.outcome, spec) is b.correction
+    assert protocols._corrections.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("spec, refusal", [

@@ -41,7 +41,6 @@ from walknet.protocols import (
     ProtocolKind,
     ProtocolSpec,
     Stage,
-    affine_ghz_correction,
     derive_ghz_correction,
     run_stages,
     star_merge_stage,
@@ -79,11 +78,11 @@ def _leaves(law):
     """(outcome, probability, correction) of every kept outcome, in draw
     order: a ``DenseLaw``'s table, or a network step's closed rule
     (``network._step_law``'s (k, frame) at d) enumerated in product order,
-    each frame built into its correction (``affine_ghz_correction``)."""
+    each ``Frame`` built into its correction."""
     if isinstance(law, DenseLaw):
         return [(values, p, law.rows[values][0]) for values, p in zip(law.outcomes, law.probs)]
     d, (k, frame) = law
-    return [(values, d**-k, affine_ghz_correction(d, *frame(values)))
+    return [(values, d**-k, frame(values).correction())
             for values in product(range(d), repeat=k)]
 
 
@@ -374,7 +373,7 @@ def test_triangle_rule_is_the_dense_law(d):
     free = list(product(range(d), repeat=k))
     assert law.outcomes == tuple(v + (sixth_readout(d, v),) for v in free)
     assert np.abs(law.probs - d**-k).max() <= 1e-12
-    assert ([protocols.shift_phase_label(d, *frame(v)[:2]) for v in free]
+    assert ([frame(v).label for v in free]
             == [law.rows[v][0].label for v in law.outcomes])
 
 

@@ -7,10 +7,10 @@ normalized cumulative sum of ``p``.
 A network step, a gasket merge and the secret-sharing session's uniform
 draws (the GHZ step's coins and position value, and step 4's readout) have
 d^k equally likely outcomes, so each takes the k base-d digits of
-floor(u d^k) from its one uniform (``protocols.uniform_digits``).  A gasket
-merge's k = 5 free readouts fix its sixth, and a schedule takes every
-merge's uniform from one ``rng.random`` block.  Both are pinned here against
-a scalar ``int(u * d**k)`` reference.  It is not the same function as a
+floor(u d^k) from its one uniform (``protocols.Law.outcome``).  One draw site
+makes every such draw, one ``rng.random`` block per call (``protocols.draw``).
+A gasket merge's k = 5 free readouts fix its sixth.  Both are pinned here
+against a scalar ``int(u * d**k)`` reference.  It is not the same function as a
 uniform ``choice``: for d not a power of two the two differ on uniforms
 within a few ulps of some boundaries i / d^k.  So the draws are also
 cross-checked against a scalar ``choice`` reference written here, on the
@@ -21,11 +21,14 @@ release that changes ``choice`` fails here rather than silently moving
 seeded outcomes.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walknet
 from walknet import fractal, mqss, network
 from walknet.network import (
     Resource,
@@ -35,7 +38,7 @@ from walknet.network import (
     plan_distribution,
     steiner_tree,
 )
-from walknet.protocols import uniform_digits
+from walknet.protocols import Law, draw
 from walknet.qudit import SIZE_CAP
 
 from test_compiled_laws import dense_law, dense_triangle_law, sixth_readout, step_shapes
@@ -118,15 +121,14 @@ def test_gasket_schedule_draws_floor_u_d_5(monkeypatch, d):
     # digits of int(u * d**5), and with the sixth they are a kept outcome of
     # the dense law, whose correction the merge reports
     law, count = dense_triangle_law(d), (3**6 - 1) // 2
-    label = fractal._merge_label
+    label = Law.label
     for seed in range(10):
         ref, want = np.random.default_rng(seed), []
         for u in ref.random(count).tolist():
             free = tuple(_floor_digits(u, d, 5))
             want.append((int(u * d**5), law.rows[free + (sixth_readout(d, free),)][0].label))
         drawn = []
-        monkeypatch.setattr(fractal, "_merge_label",
-                            lambda d, i: drawn.append(i) or label(d, i))
+        monkeypatch.setattr(Law, "label", lambda self, i: drawn.append(i) or label(self, i))
         result, state = _made_generator(
             monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=seed))
         assert list(zip(drawn, result.corrections)) == want
@@ -193,14 +195,87 @@ def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
     assert state == ref.bit_generator.state
 
 
+def _drawn(monkeypatch, uniforms, n):
+    """``draw``'s indices for an outcome count n when its block holds ``uniforms``."""
+    class Block:
+        def random(self, count):
+            assert count == len(uniforms)
+            return np.array(uniforms, dtype=float)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: Block())
+        return draw(0, n, len(uniforms), "unused")
+
+
 @pytest.mark.parametrize("d, k", [(2, 1), (2, 5), (3, 1), (3, 2), (4, 2), (5, 1), (5, 3),
                                   (6, 2), (7, 1)])
-def test_uniform_digits_are_the_digits_of_floor_u_d_k(d, k):
+def test_drawn_digits_are_the_digits_of_floor_u_d_k(monkeypatch, d, k):
     rng = np.random.default_rng(d * 10 + k)
     edges = [np.nextafter(i / d**k, side) for i in range(d**k + 1) for side in (0.0, 1.0)]
-    for u in rng.random(500).tolist() + [u for u in edges if 0 <= u < 1]:
-        assert list(uniform_digits(u, d, k)) == _floor_digits(u, d, k)
-    assert uniform_digits(np.nextafter(1.0, 0.0), d, k) == (d - 1,) * k
+    uniforms = rng.random(500).tolist() + [u for u in edges if 0 <= u < 1]
+    drawn = _drawn(monkeypatch, uniforms + [np.nextafter(1.0, 0.0)], d**k)
+    for u, i in zip(uniforms, drawn):
+        assert list(Law(d, k, None).outcome(i)) == _floor_digits(u, d, k)
+    assert Law(d, k, None).outcome(drawn[-1]) == (d - 1,) * k
+
+
+@pytest.mark.parametrize("n", [2**3, 4**2, 3, 3**2, 5, 6, 7, 4 * 7**3, 2**53])
+def test_vector_and_scalar_floors_agree_on_boundary_uniforms(monkeypatch, n):
+    # the uniforms next to each boundary i / n that the choice scan below
+    # visits (the first 64 at n = 2^53), and the last uniform below 1
+    uniforms = []
+    for i in range(1, min(n, 64) + 1):
+        u = i / n
+        for _ in range(4):
+            u = np.nextafter(u, 0.0)
+        for _ in range(9):
+            uniforms += [u] if u < 1 else []
+            u = np.nextafter(u, 1.0)
+    uniforms.append(np.nextafter(1.0, 0.0))
+    drawn = _drawn(monkeypatch, uniforms, n)
+    assert drawn == [int(u * n) for u in uniforms]
+    assert drawn[-1] == n - 1
+
+
+def test_draw_refuses_past_2_53_before_making_a_generator(monkeypatch):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda *a: pytest.fail("made a generator"))
+        for seed in (0, rng):
+            for outcomes in (2**53 + 1, [4, 2**53 + 1, 2]):
+                with pytest.raises(ValueError, match="^too many$"):
+                    draw(seed, outcomes, 3, "too many")
+    assert rng.bit_generator.state == state
+    # a passed generator is drawn on in place: one draw is its next rng.random()
+    ref = np.random.default_rng(3)
+    assert draw(rng, 2**53, 1, "unused") == [int(ref.random() * 2**53)]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _calls(node, names, scope):
+    """(name, scope) of each call of one of ``names`` under ``node``; scope is
+    the dotted name of the innermost enclosing functions and classes."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            name = getattr(child.func, "attr", getattr(child.func, "id", None))
+            if name in names:
+                yield name, scope
+        yield from _calls(child, names, inner)
+
+
+def test_one_draw_site():
+    # every .random( call of the library is protocols.draw's block or the random
+    # tree generator, and check_draw is called by draw and the session's up-front checks
+    found = {"random": set(), "check_draw": set()}
+    for path in sorted(Path(walknet.__file__).parent.glob("*.py")):
+        for name, scope in _calls(ast.parse(path.read_text()), found, path.stem):
+            found[name].add(scope)
+    assert found["random"] == {"protocols.draw", "network.random_tree_instance"}
+    assert found["check_draw"] == {"protocols.draw", "mqss.MqssConfig.validate"}
 
 
 @pytest.mark.parametrize("d, k, boundaries", [(2, 3, 0), (4, 2, 0), (3, 1, 0), (3, 2, 6),

@@ -24,7 +24,7 @@ from walknet.fractal import (
     neighbor_link_count,
     vertex_count,
 )
-from walknet.protocols import shift_phase_label, triangle_merge_rule, uniform_digits
+from walknet.protocols import Law, triangle_merge_rule
 
 
 def test_gasket_base_case():
@@ -111,7 +111,7 @@ def test_execute_merge_schedule_range_check(n):
 def test_execute_merge_schedule_refuses_non_integers_before_any_draw(monkeypatch, n, d, seed,
                                                                      refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    monkeypatch.setattr(fractal, "_merge_label", lambda *a: pytest.fail("drew"))
+    monkeypatch.setattr(Law, "label", lambda *a: pytest.fail("drew"))
     with pytest.raises(ValueError, match=refusal):
         execute_merge_schedule(n, d=d, seed=seed)
     monkeypatch.undo()
@@ -128,10 +128,11 @@ def test_gaskets_past_the_old_circuit_cap(d):
     # digits of floor(u d^5)
     res = execute_merge_schedule(6, d=d, seed=d)
     assert res.fidelity == 1.0 and res.merge_count == 364
-    k, frame = triangle_merge_rule(d, False)
+    law = triangle_merge_rule(d, False)
+    k, frame = law
     uniforms = np.random.default_rng(d).random(364).tolist()
     assert k == 5
-    assert res.corrections == [shift_phase_label(d, *frame(uniform_digits(u, d, k))[:2])
+    assert res.corrections == [frame(law.outcome(int(u * d**k))).label
                                for u in uniforms]
 
 

@@ -20,7 +20,7 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
-from walknet.protocols import Stage, run_stages, uniform_digits
+from walknet.protocols import Stage, run_stages
 from walknet.qudit import (
     SIZE_CAP,
     Basis,
@@ -319,7 +319,6 @@ BAD_CALLS = [
 def test_channel_check_and_ghz_generation_refuse_bad_inputs_before_any_work(
         monkeypatch, call, args, kw, refusal):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
-    monkeypatch.setattr(mqss, "uniform_digits", lambda *a: pytest.fail("ran uniform_digits"))
     with pytest.raises(ValueError, match=refusal):
         getattr(mqss, call)(*args, **kw)
     monkeypatch.undo()
@@ -400,7 +399,7 @@ def test_step4_reads_the_dense_support(d, m):
             rng.integers(2**31)
         state, coins, u0 = generate_shared_ghz(d, m, seed=int(rng.integers(2**31)))
         assert (t.coin_results, t.position_result) == (coins, u0)
-        (i,) = uniform_digits(rng.random(), d, 1)
+        i = int(rng.random() * d)
         index = int(np.flatnonzero(state.amps)[i])
         *values, r0 = [index // d ** (m - site) % d for site in range(m + 1)]
         assert (t.participant_results, t.dealer_result) == (values, r0)

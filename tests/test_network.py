@@ -307,12 +307,15 @@ def _arms_schedule(arms: int, d: int):
 
 
 def _spy_on_draws(monkeypatch) -> list:
-    """Record every step's draw, one entry (its uniform) per step; returns
+    """Record every step's draw, one entry (its index) per step; returns
     the list the draws go into."""
     calls = []
-    draw = network.uniform_digits
-    monkeypatch.setattr(network, "uniform_digits",
-                        lambda u, d, k: calls.append(u) or draw(u, d, k))
+    draw = network.draw
+
+    def spy(*args):
+        calls.extend(drawn := draw(*args))
+        return drawn
+    monkeypatch.setattr(network, "draw", spy)
     return calls
 
 
@@ -339,14 +342,14 @@ def test_a_correction_is_built_only_for_a_drawn_outcome(monkeypatch, d, arms):
         shapes.append(network._shape(step, live))
         live[step.output_id] = step.output_parties
     calls = []
-    build = protocols.shift_phase_label
-    monkeypatch.setattr(protocols, "shift_phase_label",
-                        lambda *args: calls.append(args) or build(*args))
-    protocols.affine_ghz_label.cache_clear()
+    build = protocols.Frame.label
+    monkeypatch.setattr(protocols.Frame, "label",
+                        property(lambda frame: calls.append(frame) or build.fget(frame)))
+    protocols.Law.label.cache_clear()
     drawn = set()
     for seed in range(5):
         res = execute_schedule(sched, "simulated", d=d, seed=seed)
-        drawn |= {network._step_law(d, *shape)[1](tuple(o["outcome"]))
+        drawn |= {network._step_law(d, *shape).frame(tuple(o["outcome"]))
                   for shape, o in zip(shapes, res.outcomes)}
         assert len(calls) == len(drawn)
     calls.clear()

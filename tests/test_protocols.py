@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import walknet
-from walknet import fractal, protocols, tables
+from walknet import fractal, network, protocols, tables
 from walknet.protocols import (
     CorrectionError,
     ProtocolKind,
@@ -626,19 +626,21 @@ def _affine_ghz(d, offsets, x):
 
 
 @pytest.mark.parametrize("d", range(2, 8))
-def test_affine_ghz_correction_is_the_derived_normal_form(d):
+def test_affine_frame_is_the_derived_normal_form(d):
     # read off the offsets, the correction is derive_ghz_correction's answer
     # on the amplitudes: equal labels and global phases, and it restores the
-    # canonical GHZ amplitude for amplitude
+    # canonical GHZ amplitude for amplitude.  The law whose readouts are the
+    # offsets, then x, is the network steps' affine frame
     rng = np.random.default_rng(d)
     for n in (2, 3, 4):
+        _, frame = network._affine_law(d, n + 1, tuple(range(n)), n)
         every = d**n <= 64
         cases = (itertools.product(range(d), repeat=n) if every
                  else (tuple(int(a) for a in rng.integers(0, d, n)) for _ in range(24)))
         for offsets in cases:
             for x in range(d):
                 state = _affine_ghz(d, offsets, x)
-                corr = protocols.affine_ghz_correction(d, offsets, x)
+                corr = frame(offsets + (x,)).correction()
                 ref = derive_ghz_correction(state)
                 assert corr.label == ref.label
                 assert abs(corr.global_phase - ref.global_phase) <= 1e-12

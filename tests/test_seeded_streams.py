@@ -85,8 +85,8 @@ def forbid_dense_builds(monkeypatch):
 def test_network_and_gasket_paths_build_no_operator_or_state(monkeypatch):
     # labels are read off frames: with every cached law and label dropped, no
     # path may build a label_shift_op matrix or a GHZ state, and the pins hold
-    for cached in (network._step_law, protocols.triangle_merge_rule, fractal._merge_label,
-                   protocols.affine_ghz_label, protocols._shift_phase_correction):
+    for cached in (network._step_law, network._affine_law, protocols.triangle_merge_rule,
+                   protocols.Law.label, protocols.Frame.correction):
         cached.cache_clear()
     forbid_dense_builds(monkeypatch)
     net = load_network(bundled_network_path())
@@ -96,10 +96,11 @@ def test_network_and_gasket_paths_build_no_operator_or_state(monkeypatch):
     corrections = fractal.execute_merge_schedule(6, 3, seed=3).corrections
     assert hashlib.sha256("\n".join(corrections).encode()).hexdigest() == GASKET_DIGESTS[3]
     for d in (161, 1552):
-        k, frame = protocols.triangle_merge_rule(d, False)
+        law = protocols.triangle_merge_rule(d, False)
+        k, frame = law
         uniforms = np.random.default_rng(d).random(364).tolist()
         assert fractal.execute_merge_schedule(6, d, seed=d).corrections == [
-            protocols.shift_phase_label(d, *frame(protocols.uniform_digits(u, d, k))[:2])
+            frame(law.outcome(int(u * d**k))).label
             for u in uniforms]
 
 

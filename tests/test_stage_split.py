@@ -7,9 +7,11 @@ a star merge of 20 input sites, stays within a small traced peak.  A hub
 that is itself a terminal star-merges its leaves with a local coin pair:
 that rule is checked against the dense step at every width under the cap,
 and past it simulated mode refuses before any draw; with the cap lifted, a
-40-leaf hub is served, since nothing else is built.
+40-leaf hub is served, since nothing else is built, and so is a 53-leaf hub,
+whose 2^53 outcomes are the most one draw reaches.
 """
 
+import re
 import tracemalloc
 from itertools import product
 
@@ -26,7 +28,6 @@ from walknet.network import (
     plan_distribution,
     steiner_tree,
 )
-from walknet.protocols import affine_ghz_correction, affine_ghz_label
 from walknet.qudit import SIZE_CAP
 
 from test_compiled_laws import dense_law, step_shapes  # the dense reference
@@ -66,7 +67,27 @@ def test_a_wide_hub_builds_nothing_past_the_step_cap(monkeypatch):
     k, frame = network._step_law(2, *network._shape(
         step, {rid: r.parties for rid, r in schedule.initial.items()}))
     assert k == len(outcome["outcome"]) == 40
-    assert outcome["correction"] == affine_ghz_label(2, *frame(tuple(outcome["outcome"])))
+    assert outcome["correction"] == frame(tuple(outcome["outcome"])).label
+
+
+@pytest.mark.parametrize("leaves", [53, 54])
+def test_a_hub_is_served_up_to_2_53_outcomes(monkeypatch, leaves):
+    # with the per-step cap lifted, the 53-leaf d = 2 hub's star merge (53
+    # readouts, 2^53 outcomes) is served; the 54-leaf hub's 2^54 outcomes are
+    # more than floor(u 2^54) reaches (it is always even, so the position would
+    # never read 1), and the draw refuses them before it makes a generator
+    monkeypatch.setattr(network, "SIZE_CAP", 2**200)
+    net = _hub(2, leaves)
+    schedule = plan_distribution(steiner_tree(net, list(range(1, leaves + 1))), net)
+    if leaves == 53:
+        res = execute_schedule(schedule, "simulated", d=2, seed=5)
+        (outcome,) = res.outcomes
+        assert len(outcome["outcome"]) == 53 and res.fidelity == 1.0
+        return
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("made a generator"))
+    with pytest.raises(NetworkError, match=re.escape(
+            "a step at d=2 has more than 2^53 outcomes")):
+        execute_schedule(schedule, "simulated", d=2, seed=5)
 
 
 @pytest.mark.parametrize("d, leaves", [(2, k) for k in range(1, 12)]
@@ -90,6 +111,6 @@ def test_hubs(d, leaves):
         assert law.outcomes == tuple(product(range(d), repeat=k))
         assert np.abs(law.probs - d**-k).max() <= 1e-12
         for values in law.outcomes:
-            ref, corr = law.rows[values][0], affine_ghz_correction(d, *frame(values))
+            ref, corr = law.rows[values][0], frame(values).correction()
             assert corr.label == ref.label
             assert abs(corr.global_phase - ref.global_phase) <= 1e-9
