@@ -56,7 +56,7 @@ Circuits as data
 ----------------
 A circuit is a tuple of ``Stage`` records (resources to add, walks and
 single-site gates, measurement targets) plus its output particles, which the
-caller names up front.  ``_circuit(spec)`` writes each catalog kind once:
+caller names up front.  ``circuit(spec)`` writes each catalog kind once:
 its stages, outputs, correction rule (None where each correction is derived
 from the residual) and law (None where it runs densely).
 ``run_stages(stages, outputs)`` plans it before adding a resource (``outputs``
@@ -65,7 +65,7 @@ residual), then runs it exhaustively and yields each branch's residual over
 ``outputs``, in that order.  A network step, the secret-sharing GHZ step and
 seven catalog kinds (the qudit swaps and merges, GHZ-from-Bell-pairs and both
 triangle merges) are qudit Clifford circuits on canonical inputs, so their
-laws are read off the circuit (``network``, ``mqss``, ``_circuit``): d^k
+laws are read off the circuit (``network``, ``mqss``, ``circuit``): d^k
 equally likely outcomes, drawn as digits of floor(u d^k) (``draw``) or
 enumerated in product order, and a Weyl correction, a ``Frame`` whose label is
 read with no operator built.  ``run_protocol`` plans those seven and builds no
@@ -705,23 +705,12 @@ TABLE_2 = {
 def table3_row(m: int, n: int, k: int, outcome: tuple[int, ...]):
     """Table 3 (merge-method-1) row for outcome = (a1, x2..xk, b1), symbolic in
     the parity y of the x's: (residual terms, [(site, op)...], sign, label)."""
-    a1, xs, b1 = outcome[0], outcome[1:-1], outcome[-1]
-    y = outcome_parity(xs)
-    sgn_y = -1 if y else 1
-    flip_block = "0" * (m - k) + "1" * (n - 1)
-    same_block = "0" * (m - k) + "0" * (n - 1)
-    flips = [(j, "X") for j in range(m - k)]  # output sites of a_{k+1}..a_m
-    zy = [(0, "Z")] if y else []
-    zy1 = [(0, "Z")] if (y + 1) % 2 else []
-    if a1 == 0 and b1 == y:
-        return ([(1, flip_block), (sgn_y, _invert(flip_block))], flips + zy, +1,
-                "X(k+1..m)Z^y")
-    if a1 == 0 and b1 != y:
-        return ([(1, same_block), (sgn_y, _invert(same_block))], zy, +1, "Z^y")
-    if a1 == 1 and b1 == y:
-        return ([(-1, flip_block), (sgn_y, _invert(flip_block))], flips + zy1, -1,
-                "-X(k+1..m)Z^(y+1)")
-    return ([(-1, same_block), (sgn_y, _invert(same_block))], zy1, -1, "-Z^(y+1)")
+    a1, b1, y = outcome[0], outcome[-1], outcome_parity(outcome[1:-1])
+    sign, flip = -1 if a1 else 1, b1 == y   # flip: X on a_{k+1}..a_m, output sites 0..m-k-1
+    block = "0" * (m - k) + ("1" if flip else "0") * (n - 1)
+    ops = [(j, "X") for j in range(m - k) if flip] + [(0, "Z")] * ((a1 + y) % 2)
+    label = ("-" if a1 else "") + ("X(k+1..m)" if flip else "") + ("Z^(y+1)" if a1 else "Z^y")
+    return [(sign, block), (-1 if y else 1, _invert(block))], ops, sign, label
 
 
 def _invert(bits: str) -> str:
@@ -752,7 +741,7 @@ def _labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def _circuit(spec: ProtocolSpec):
+def circuit(spec: ProtocolSpec):
     """The protocol's stages, the labels of its output particles, its
     correction rule (outcome -> ``CorrectionOp`` in closed form, or None where
     each correction is derived from its residual) and its law, or None where
@@ -865,10 +854,16 @@ def _corrections(spec: ProtocolSpec) -> dict:
     return {b.outcome: b.correction for b in run_protocol(spec).branches}
 
 
+@lru_cache(maxsize=256)   # a fixed bound: the looked-up specs' rules and laws
+def _lookup(spec: ProtocolSpec):
+    """What ``correction_for`` reads of a spec's circuit: (closed rule, law)."""
+    return circuit(spec)[2:]
+
+
 def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
                    spec: ProtocolSpec | None = None) -> CorrectionOp:
     """Correction for one protocol outcome: the one ``run_protocol`` applies
-    to that branch.  A kind with a law (``_circuit``) runs nothing: ``rule(z)``
+    to that branch.  A kind with a law (``circuit``) runs nothing: ``rule(z)``
     of the outcome's free readouts z must give it back.  A dense kind runs once
     per spec into a kept table.  An outcome outside the support (wrong length,
     digit out of range, zero probability) raises ValueError.
@@ -878,10 +873,12 @@ def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
         raise ValueError("spec disagrees with kind/d arguments")
     spec.validate()
     outcome = tuple(outcome)
-    _, _, closed, law = _circuit(spec)
+    if not isinstance(spec.bell_labels, tuple):
+        # the caches are keyed by spec, so list-valued labels become a tuple
+        spec = replace(spec, bell_labels=tuple(spec.bell_labels))
+    closed, law = _lookup(spec)
     if law is None:
-        # the table is keyed by spec, so list-valued labels become a tuple
-        table = _corrections(replace(spec, bell_labels=tuple(spec.bell_labels)))
+        table = _corrections(spec)
         if outcome in table:
             return table[outcome]
     else:
@@ -904,14 +901,14 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
 
     Each branch record carries the pre-correction residual over the output
     particles (``post``, built on first read), the correction (the kind's
-    closed-form rule from ``_circuit``, or derived from ``post``), and the
+    closed-form rule from ``circuit``, or derived from ``post``), and the
     corrected state's fidelity against the canonical GHZ target (the labeled
     Bell state check for bell-swap-d is reported through bell_label /
-    label_fidelity).  A kind with a law (``_circuit``) is planned, then enumerated
+    label_fidelity).  A kind with a law (``circuit``) is planned, then enumerated
     at probability d^-j and fidelity 1; the others run densely (``_corrected``).
     """
     spec.validate()
-    stages, outputs, closed, law = _circuit(spec)
+    stages, outputs, closed, law = circuit(spec)
     result = ProtocolResult(
         spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
         output_labels=outputs)

@@ -21,9 +21,10 @@ can take a |0..01..1>-type state to the GHZ target).  The fixture stores both
 pairings; verify_table checks the one the residual states force and reports
 the transposition in its notes instead of failing.
 
-verify_table simulates the owning protocol and checks every row twice: the
-pre-correction residual against the listed state, and the listed correction
-against the canonical target, both by phase-invariant fidelity.
+verify_table runs the owning protocol's circuit through ``run_stages`` and
+checks every row twice: the pre-correction residual against the listed
+state, and the listed correction against the canonical target, both by
+phase-invariant fidelity.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .protocols import (
     TABLE_2,
     ProtocolKind,
     ProtocolSpec,
+    circuit,
     qubit_correction,
-    run_protocol,
     run_stages,
     star_merge_stage,
     table3_row,
@@ -183,8 +184,7 @@ def verify_table(table_id: int) -> TableReport:
     report = TableReport(table_id)
     if table_id in LISTED_TABLES:
         kind, rows = LISTED_TABLES[table_id]
-        branches = run_protocol(ProtocolSpec(kind)).branches
-        _check_rows(report, [(b.outcome, b.probability, b.post) for b in branches], rows)
+        _check_rows(report, list(run_stages(*circuit(ProtocolSpec(kind))[:2])), rows)
     elif table_id in SYMBOLIC_TABLES:
         if table_id == 4:
             report.notes.append(
@@ -192,9 +192,8 @@ def verify_table(table_id: int) -> TableReport:
                 "transposed relative to the conventional layout (see module docstring)")
         kind, param_sets, row = SYMBOLIC_TABLES[table_id]
         for m, n, k in param_sets:
-            branches = run_protocol(ProtocolSpec(kind, m=m, n=n, k=k)).branches
-            _check_rows(report, [(b.outcome, b.probability, b.post) for b in branches],
-                        {b.outcome: row(m, n, k, b.outcome) for b in branches},
+            branches = list(run_stages(*circuit(ProtocolSpec(kind, m=m, n=n, k=k))[:2]))
+            _check_rows(report, branches, {v: row(m, n, k, v) for v, _, _ in branches},
                         params={"m": m, "n": n, "k": k})
     else:
         # table 6, the q0..q5 row: coins q1 and q4 walk onto q2, then q3 is

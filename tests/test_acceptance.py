@@ -6,7 +6,6 @@ Every tolerance and runtime budget is pinned in the test body.
 
 import itertools
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +35,13 @@ from walknet.readout import (
     CountVector,
     correct_counts,
     kron_matrix,
-    load_device_records,
-    bundled_device_path,
     protocol_fidelity_under_noise,
     synthesize_counts,
     transfer_matrix,
 )
 from walknet.tables import TABLE_IDS, verify_table
+
+from dense_reference import q_matrices
 
 TOL = 1e-9
 
@@ -63,13 +62,6 @@ class Budget:
                 f"{self.label} took {elapsed:.1f}s, budget {self.seconds}s")
             print(f"ACCEPTANCE {self.label} PASS ({elapsed:.2f}s)")
         return False
-
-
-def _q_matrices(n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [r.to_transfer_matrix()
-                for r in load_device_records(bundled_device_path())[:n]]
 
 
 def test_criterion_1_table_verification():
@@ -213,7 +205,7 @@ def test_criterion_7_mqss():
 
 def test_criterion_8_readout_round_trip():
     with Budget(30, "8 (readout correction round trip)"):
-        mats = _q_matrices(4)
+        mats = q_matrices(4)
         truth = np.full(16, 0.5 / 16)
         truth[0] += 0.25
         truth[15] += 0.25

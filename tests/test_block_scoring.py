@@ -7,28 +7,22 @@ loop: every branch's register expanded to a dense residual over the outputs,
 its correction's support gathered and dotted one leaf at a time.  Both must
 give the same outcomes in the same order, bitwise-equal probabilities and
 residuals, equal corrections and fidelities within 1e-12; the dense law of
-a network step (``test_compiled_laws.dense_compile``) must give equal
-outcomes, probabilities and rows.  ``qudit.apply`` runs
+a network step (``dense_reference.dense_law``) must give equal outcomes,
+probabilities and rows.  ``qudit.apply`` runs
 one-site ops on a (before, site, after) view and several-site ops on one axis
 per op site and gap; the reference there is a tensordot with the dense
 ``op.mat``.
 """
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from walknet import protocols
 from walknet.network import (
-    Resource,
-    ResourceNetwork,
     bundled_network_path,
     load_network,
     plan_distribution,
     random_tree_instance,
-    steiner_tree,
 )
 from walknet.protocols import ProtocolKind as K
 from walknet.protocols import ProtocolSpec, derive_ghz_correction, run_stages
@@ -48,10 +42,20 @@ from walknet.qudit import (
     shift_op,
 )
 
-from test_compiled_laws import dense_compile, dense_step, step_shapes
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
+from dense_reference import (
+    bell_net,
+    chain_net,
+    dense_apply,
+    dense_law,
+    dense_step,
+    hub_net,
+    leaves,
+    plan,
+    random_monomial,
+    random_unitary,
+    step_shapes,
+    workloads,
+)
 
 TOL = 1e-12
 
@@ -67,13 +71,6 @@ def per_leaf(stages, outputs, closed=None):
         ghz = np.full(state.d, 1 / np.sqrt(state.d))
         yield (values, prob, state, corr,
                float(abs(np.vdot(corr.global_phase * phase * state.amps[src], ghz)) ** 2))
-
-
-def leaves(*args):
-    """``protocols._corrected``'s blocks as per-leaf tuples, residuals built."""
-    for values, probs, residual, corrs, fids in protocols._corrected(*args):
-        for i, leaf in enumerate(zip(values, probs, corrs, fids)):
-            yield (*leaf[:2], residual(i), *leaf[2:])
 
 
 def assert_same_leaves(got, want):
@@ -97,7 +94,7 @@ def test_protocols_score_as_the_per_leaf_loop(block):
     # the dense scorer on every kind, the kinds with a law included; the
     # law's branches and bell labels are checked in test_catalog_laws
     for spec in SPECS[block::4]:
-        stages, outputs, closed, _ = protocols._circuit(spec)
+        stages, outputs, closed, _ = protocols.circuit(spec)
         want = list(per_leaf(stages, outputs, closed))
         assert_same_leaves(list(leaves(stages, outputs, closed)), want)
 
@@ -121,7 +118,7 @@ def test_residuals_are_built_on_read(monkeypatch):
 def test_the_specs_carry_idle_parties_through_the_copy_map():
     # with no copies the gather reads the rows as they are; these specs have some
     def has_copies(spec):
-        stages, outputs, _, _ = protocols._circuit(spec)
+        stages, outputs, _, _ = protocols.circuit(spec)
         return any(copies for *_, copies in protocols._blocks(stages, outputs))
 
     kinds = {spec.kind for spec in SPECS if has_copies(spec)}
@@ -133,14 +130,14 @@ def test_derived_corrections_score_as_the_per_leaf_loop():
     for spec in (ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=4, n=3, k=2),
                  ProtocolSpec(K.MERGE_METHOD_1, m=4, n=3, k=2, retain_coins=True),
                  ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)):
-        stages, outputs, _, _ = protocols._circuit(spec)
+        stages, outputs, _, _ = protocols.circuit(spec)
         assert_same_leaves(list(leaves(stages, outputs)), list(per_leaf(stages, outputs)))
 
 
 def test_an_index_whose_copies_disagree_reads_zero():
     # a correction that lands the support where the idle copies disagree
     spec = ProtocolSpec(K.GHZ_MULTI_COIN_D, d=3, m=3, n=4)
-    stages, outputs, _, _ = protocols._circuit(spec)
+    stages, outputs, _, _ = protocols.circuit(spec)
     skew = protocols.Frame(3, ((2, 1),), 0).correction()
     got = list(leaves(stages, outputs, lambda v: skew))
     want = list(per_leaf(stages, outputs, lambda v: skew))
@@ -152,43 +149,28 @@ def test_an_index_whose_copies_disagree_reads_zero():
 # compiled laws of the network step circuits
 # ---------------------------------------------------------------------------
 
-def _net(d, edges):
-    n = 1 + max(max(e) for e in edges)
-    return ResourceNetwork(d, {v: f"n{v}" for v in range(n)},
-                           [Resource("bell", e) for e in edges])
-
-
 def _schedules():
     net14 = load_network(bundled_network_path())
     for d in (2, 3):
-        yield d, plan_distribution(steiner_tree(net14, [1, 2, 5, 12, 13, 14]), net14)
+        yield d, plan(net14, [1, 2, 5, 12, 13, 14])
         for seed in range(0, 40, 4):
             net, tree = random_tree_instance(seed, max_nodes=10, max_terminals=4, d=d)
             yield d, plan_distribution(tree, net)
-        chain = _net(d, [(v, v + 1) for v in range(5)])
-        yield d, plan_distribution(steiner_tree(chain, [0, 5]), chain)
-        for leaves in range(1, 7):
-            hub = _net(d, [(0, v) for v in range(1, leaves + 1)])
-            yield d, plan_distribution(steiner_tree(hub, list(range(1, leaves + 1))), hub)
-        arms = _net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-        yield d, plan_distribution(steiner_tree(arms, [1, 2, 3, 4, 5, 6]), arms)
-        path = _net(d, [(0, 1), (1, 2), (2, 3)])
-        yield d, plan_distribution(steiner_tree(path, [0, 1, 3]), path)
-
-
-def _circuits():
-    """(stages, outputs) of every step shape the schedules reach, as its
-    one-stage dense circuit (``dense_step``)."""
-    keys = {(d, *shape): None for d, schedule in _schedules() for shape in step_shapes(schedule)}
-    return [dense_step(key[0], key[1:]) for key in keys]
+        yield d, plan(chain_net(d, 6), [0, 5])
+        for count in range(1, 7):
+            yield d, plan(hub_net(d, count), list(range(1, count + 1)))
+        yield d, plan(bell_net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),
+                      [1, 2, 3, 4, 5, 6])
+        yield d, plan(bell_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3])
 
 
 def test_compiled_laws_match_the_per_leaf_loop():
-    circuits = _circuits()
-    assert len(circuits) >= 10
-    for stages, outputs in circuits:
-        law = dense_compile(stages, outputs)
-        leaves = list(per_leaf(stages, outputs))
+    # every (d, step shape) the schedules reach, once each
+    shapes = {(d, shape): None for d, schedule in _schedules() for shape in step_shapes(schedule)}
+    assert len(shapes) >= 10
+    for d, shape in shapes:
+        law = dense_law(d, shape)
+        leaves = list(per_leaf(*dense_step(d, shape)))
         rows = {values: (corr, fid) for values, _, _, corr, fid in leaves}
         p = np.array([prob for _, prob, *_ in leaves])
         assert law.outcomes == tuple(rows)
@@ -229,26 +211,6 @@ def test_measure_all_branches_is_one_block():
 # the view kernel
 # ---------------------------------------------------------------------------
 
-def dense_apply(state, op, sites):
-    """op.mat contracted with the sites' axes of the n-axis tensor."""
-    d, n, k = state.d, state.n, len(sites)
-    mat = op.mat.reshape([d] * (2 * k))
-    out = np.tensordot(mat, state.amps.reshape([d] * n), axes=(list(range(k, 2 * k)), sites))
-    return np.moveaxis(out, list(range(k)), sites).reshape(-1)
-
-
-def _random_unitary(dim, rng):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / abs(np.diag(r)))
-
-
-def _random_monomial(d, k, rng):
-    """A permutation with phases on k sites: (op @ v)[i] = phase[i] v[perm[i]]."""
-    mat = np.zeros((d**k, d**k), dtype=complex)
-    mat[np.arange(d**k), rng.permutation(d**k)] = np.exp(2j * np.pi * rng.random(d**k))
-    return OperatorMatrix(d, k, mat)
-
-
 @pytest.mark.parametrize("d, n", [(2, 8), (3, 6), (5, 5), (7, 4)])
 def test_apply_matches_the_dense_matrix(d, n):
     rng = np.random.default_rng(d)
@@ -256,22 +218,22 @@ def test_apply_matches_the_dense_matrix(d, n):
     state = QuditState(d, n, amps / np.linalg.norm(amps))
     one = [fourier_op(d), fourier_inv_op(d), pauli_x(d), pauli_z(d),
            label_shift_op(d, 1, d - 1), label_shift_op(d, d - 1, 2 % d),
-           OperatorMatrix(d, 1, _random_unitary(d, rng)), _random_monomial(d, 1, rng)]
+           OperatorMatrix(d, 1, random_unitary(d, rng)), random_monomial(d, 1, rng)]
     for op in one:
         for s in range(n):
             got = apply(state, op, [s])
             assert np.abs(got.amps - dense_apply(state, op, [s])).max() <= 1e-13
             assert got.amps.flags.c_contiguous
-    two = [shift_op(d), OperatorMatrix(d, 2, _random_unitary(d * d, rng)),
-           _random_monomial(d, 2, rng)]
+    two = [shift_op(d), OperatorMatrix(d, 2, random_unitary(d * d, rng)),
+           random_monomial(d, 2, rng)]
     for op in two:
         for s in range(n):
             for t in range(n):
                 if s != t:
                     got = apply(state, op, [s, t])
                     assert np.abs(got.amps - dense_apply(state, op, [s, t])).max() <= 1e-13
-    three = [_random_monomial(d, 3, rng)] + ([OperatorMatrix(d, 3, _random_unitary(d**3, rng))]
-                                             if d < 5 else [])
+    three = [random_monomial(d, 3, rng)] + ([OperatorMatrix(d, 3, random_unitary(d**3, rng))]
+                                            if d < 5 else [])
     for op in three:
         for sites in ([0, 2, 1], [n - 1, 0, 2], [1, 2, 3]):
             got = apply(state, op, sites)

@@ -3,17 +3,14 @@
 ``protocols._corrected`` scores a branch by reading the d residual
 amplitudes that its correction maps onto the canonical GHZ support.  The
 reference is the dense path it replaced: apply the correction to the whole
-residual, then take the fidelity with ``canonical_ghz``.
+residual, then take the fidelity with ``canonical_ghz``, or for a network
+step read it off the step's dense law (``dense_reference.dense_law``).
 """
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from walknet import protocols
-from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
 from walknet.protocols import CorrectionOp, ProtocolKind, ProtocolSpec, run_protocol
 from walknet.qudit import (
     Basis,
@@ -25,23 +22,21 @@ from walknet.qudit import (
     pauli_x,
 )
 
-from test_compiled_laws import dense_step, step_shapes
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
+from dense_reference import (
+    dense_law,
+    dense_step,
+    hub_net,
+    leaves,
+    plan,
+    step_shapes,
+    workloads,
+)
 
 TOL = 1e-12
 
 
 def _dense_fidelity(corr, state):
     return fidelity(corr.apply_to(state), canonical_ghz(state.d, state.n))
-
-
-def leaves(*args):
-    """``protocols._corrected``'s blocks as per-leaf tuples, residuals built."""
-    for values, probs, residual, corrs, fids in protocols._corrected(*args):
-        for i, leaf in enumerate(zip(values, probs, corrs, fids)):
-            yield (*leaf[:2], residual(i), *leaf[2:])
 
 
 def test_every_small_grid_branch_scores_as_the_dense_path():
@@ -54,13 +49,15 @@ def test_every_small_grid_branch_scores_as_the_dense_path():
 
 
 def test_hub_law_scores_as_the_dense_path():
-    # the 11-leaf qubit hub: one star merge, 2,048 derived corrections
-    net = ResourceNetwork(2, {v: f"n{v}" for v in range(12)},
-                          [Resource("bell", (0, v)) for v in range(1, 12)])
-    (shape,) = step_shapes(plan_distribution(steiner_tree(net, list(range(1, 12))), net))
+    # the 11-leaf qubit hub: one star merge, 2,048 derived corrections, each
+    # leaf's dense fidelity read off the shape's dense law
+    (shape,) = step_shapes(plan(hub_net(2, 11), list(range(1, 12))))
+    rows = dense_law(2, shape).rows
     scored = []
-    for values, _, state, corr, fid in leaves(*dense_step(2, shape)):
-        assert abs(fid - _dense_fidelity(corr, state)) <= TOL
+    for values, _, _, corr, fid in leaves(*dense_step(2, shape)):
+        ref, ref_fid = rows[values]
+        assert corr.label == ref.label
+        assert abs(fid - ref_fid) <= TOL
         scored.append(values)
     assert len(scored) == 2048
 
@@ -78,7 +75,7 @@ def test_support_map_composes_ops_in_list_order():
     p = _monomial(d, [1, 0, 2], [1, 1j, -1])
     q = _monomial(d, [0, 2, 1], [1j, 1, np.exp(0.3j)])
     corr = CorrectionOp(ops=((0, "P", p), (0, "Q", q), (1, "P", p)), global_phase=1j)
-    stages, outputs, _, _ = protocols._circuit(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=d))
+    stages, outputs, _, _ = protocols.circuit(ProtocolSpec(ProtocolKind.GHZ_SWAP_D, d=d))
     fids = []
     for _, _, state, _, fid in leaves(stages, outputs, lambda v: corr):
         assert abs(fid - _dense_fidelity(corr, state)) <= TOL

@@ -2,7 +2,7 @@
 
 bell-swap-d, the qudit GHZ swap, multi-coin and parallel merges,
 GHZ-from-Bell-pairs and both triangle merges are qudit Clifford circuits on
-canonical inputs.  ``protocols._circuit`` writes each one's law next to its
+canonical inputs.  ``protocols.circuit`` writes each one's law next to its
 circuit, and ``run_protocol`` enumerates it and builds no register: d^j
 outcomes in product order, each at probability d^-j and fidelity 1, with
 ``post`` built on read from the d amplitudes of the law's GHZ frame.
@@ -17,8 +17,6 @@ residuals within 1e-12.
 
 import itertools
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +26,7 @@ from walknet.protocols import ProtocolKind as K
 from walknet.protocols import ProtocolSpec, correction_for, run_protocol
 from walknet.qudit import SizeCapError, canonical_bell, fidelity
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
+from dense_reference import forbid_register, leaves, workloads
 
 TOL = 1e-12
 LAW_KINDS = {K.BELL_SWAP_D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D, K.GHZ_PARALLEL_D,
@@ -37,7 +34,7 @@ LAW_KINDS = {K.BELL_SWAP_D, K.GHZ_SWAP_D, K.GHZ_MULTI_COIN_D, K.GHZ_PARALLEL_D,
 
 
 def _has_law(spec) -> bool:
-    return protocols._circuit(spec)[3] is not None
+    return protocols.circuit(spec)[3] is not None
 
 
 def composite_specs():
@@ -73,12 +70,9 @@ def test_the_law_kinds_are_the_seven():
 
 
 def assert_law_is_the_dense_run(spec):
-    stages, outputs, closed, (j, _) = protocols._circuit(spec)
+    stages, outputs, closed, (j, _) = protocols.circuit(spec)
     result = run_protocol(spec)
-    want = [(values, p, residual(i), corr, fid)
-            for values, probs, residual, corrs, fids in protocols._corrected(
-                stages, outputs, closed)
-            for i, (values, p, corr, fid) in enumerate(zip(values, probs, corrs, fids))]
+    want = list(leaves(stages, outputs, closed))
     assert [b.outcome for b in result.branches] == [leaf[0] for leaf in want]
     for b, (values, p, state, corr, fid) in zip(result.branches, want):
         assert b.correction.label == corr.label
@@ -121,11 +115,6 @@ def test_numpy_counts_give_the_same_law(kind, params):
     assert run_protocol(ProtocolSpec(kind, **typed)).to_json() == want
 
 
-def _no_register(monkeypatch):
-    for name in ("tensor", "apply", "measure_all_branches"):
-        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
-
-
 ONE_SPEC_PER_LAW = [
     ProtocolSpec(K.BELL_SWAP_D, d=5, bell_labels=(4, 3, 2, 1)),
     ProtocolSpec(K.GHZ_SWAP_D, d=5),
@@ -144,7 +133,7 @@ def _law_id(spec):
 
 @pytest.mark.parametrize("spec", ONE_SPEC_PER_LAW, ids=_law_id)
 def test_law_kinds_build_no_register(monkeypatch, spec):
-    _no_register(monkeypatch)
+    forbid_register(monkeypatch)
     protocols._corrections.cache_clear()
     result = run_protocol(spec)
     assert result.all_recovered() and result.branches[-1].post.n == len(result.output_labels)
@@ -160,10 +149,22 @@ def test_a_law_kind_lookup_runs_nothing(monkeypatch, spec):
     branches = run_protocol(spec).branches
     protocols._corrections.cache_clear()
     monkeypatch.setattr(protocols, "run_protocol", lambda *a: pytest.fail("ran the protocol"))
-    _no_register(monkeypatch)
+    forbid_register(monkeypatch)
     for b in branches[::5]:
         assert correction_for(spec.kind, spec.d, b.outcome, spec) is b.correction
     assert protocols._corrections.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("spec", workloads.LOOKUP_SPECS, ids=lambda spec: spec.kind.value)
+def test_a_warm_lookup_builds_no_circuit(monkeypatch, spec):
+    # the benchmark's lookups, one spec per kind: a second lookup reads the first's
+    # rule and law, or kept table, so it builds no stage and still refuses a wrong outcome
+    outcome = run_protocol(spec).branches[-1].outcome
+    first = correction_for(spec.kind, spec.d, outcome, spec)
+    monkeypatch.setattr(protocols, "Stage", lambda *a, **kw: pytest.fail("built a stage"))
+    assert correction_for(spec.kind, spec.d, outcome, spec) is first
+    with pytest.raises(ValueError, match="zero probability"):
+        correction_for(spec.kind, spec.d, outcome + (0,), spec)
 
 
 @pytest.mark.parametrize("spec, refusal", [
@@ -173,6 +174,6 @@ def test_a_law_kind_lookup_runs_nothing(monkeypatch, spec):
 ], ids=["triangle-d9", "from-bells-d3-8"])
 def test_over_cap_law_kinds_are_still_refused(monkeypatch, spec, refusal):
     # the law path plans the circuit first, so the dense run's cap still applies
-    _no_register(monkeypatch)
+    forbid_register(monkeypatch)
     with pytest.raises(SizeCapError, match=re.escape(refusal)):
         run_protocol(spec)

@@ -13,15 +13,13 @@ every gasket merge on inherited triangles has the law of the merge on
 canonical ones (``dense_triangle_law``).  The triangle merge's closed rule
 (``protocols.triangle_merge_rule``) must keep every outcome of that law with
 its probability and label, and at d = 2 its global phase.  At d = 4, 5 and
-6 the network rule is also checked against ``dense_step``, the one-stage
-circuit of its shape on canonical inputs, on shapes small enough to run
-densely.  ``dense_compile`` is the dense law of a circuit: every kept branch
-of its exhaustive run with the correction derived from its residual.
+6 the network rule is also checked against ``dense_law``, the law of the
+one-stage circuit of its shape on canonical inputs, on shapes small enough
+to run densely.  The references live in ``dense_reference``, each law
+computed once per shape and returned read-only.
 """
 
-from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,49 +27,39 @@ import pytest
 from walknet import fractal, network, protocols
 from walknet.network import (
     NetworkError,
-    Resource,
-    ResourceNetwork,
     bundled_network_path,
     load_network,
     plan_distribution,
     random_tree_instance,
-    steiner_tree,
 )
 from walknet.protocols import (
     ProtocolKind,
     ProtocolSpec,
-    Stage,
     derive_ghz_correction,
     run_stages,
-    star_merge_stage,
     triangle_merge_stages,
 )
-from walknet.qudit import Basis, canonical_bell, canonical_ghz, fidelity, identity_op
+from walknet.qudit import canonical_ghz
 
-TOL = 1e-9
-
-
-class DenseLaw(NamedTuple):
-    """A circuit's dense law: every kept outcome in outcome order, their
-    normalized probabilities and each outcome's (correction, fidelity)."""
-
-    outcomes: tuple
-    probs: np.ndarray
-    rows: dict
-
-
-def dense_compile(stages, outputs) -> DenseLaw:
-    """Run ``stages`` exhaustively and derive every leaf's correction from its
-    residual over ``outputs``; each must restore the canonical GHZ."""
-    probs, rows = [], {}
-    for values, prob, post in run_stages(stages, outputs):
-        corr = derive_ghz_correction(post)
-        fid = fidelity(corr.apply_to(post), canonical_ghz(post.d, post.n))
-        assert fid >= 1 - TOL, (values, fid)
-        rows[values] = (corr, fid)
-        probs.append(prob)
-    p = np.array(probs)
-    return DenseLaw(tuple(rows), p / p.sum(), rows)
+from dense_reference import (
+    TOL,
+    DenseLaw,
+    bell_net,
+    chain_net,
+    correction_leaves,
+    dense_compile,
+    dense_execute,
+    dense_gasket,
+    dense_law,
+    dense_pair_law,
+    dense_triangle_law,
+    hub_net,
+    one_stage_triangle,
+    plan,
+    sampled_generator,
+    sixth_readout,
+    step_shapes,
+)
 
 
 def _leaves(law):
@@ -96,158 +84,26 @@ def _assert_same_law(law, dense):
         assert abs(corr.global_phase - ref.global_phase) <= TOL
 
 
-def _sampled(stages, outputs, rng):
-    """The dense sampler: one ``rng.choice`` over the kept branches of a
-    one-stage circuit's exhaustive run, with their Born probabilities."""
-    branches = list(run_stages(stages, outputs))
-    p = np.array([prob for _, prob, _ in branches])
-    return branches[rng.choice(len(branches), p=p / p.sum())]
-
-
-def _sampled_generator(monkeypatch, run):
-    """``run()``'s result and the state of the one generator it made."""
-    made = []
-    real = np.random.default_rng
-    with monkeypatch.context() as mp:
-        mp.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
-        result = run()
-    (rng,) = made
-    return result, rng.bit_generator.state
-
-
 # ---------------------------------------------------------------------------
 # network: the dense merge step
 # ---------------------------------------------------------------------------
 
-def _dense_stage(step, states, d):
-    """The step's stage on its inherited states; particles are (resource, slot)."""
-    node_of = {(rid, i): p for rid in step.inputs for i, p in enumerate(states[rid][0])}
-    add = [(states[rid][1], tuple((rid, i) for i in range(len(states[rid][0]))))
-           for rid in step.inputs]
-    local = step.local_pair
-    if local is not None:
-        add.append((canonical_bell(d, 0, 0), ((local, 0), (local, 1))))
-        node_of[(local, 0)] = node_of[(local, 1)] = step.node
-
-    def particle(rid):
-        return (rid, states[rid][0].index(step.node))
-
-    if step.action == "pair-merge":
-        coin, pos = particle(step.coin_inputs[0]), particle(step.position_input)
-        stage = Stage(tuple(add), gates=((coin, pos, identity_op(d)),),
-                      targets=((coin, Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
-    elif step.action == "star-merge":
-        coins = [particle(rid) for rid in step.coin_inputs]
-        if step.local_role == "position":
-            pos, far = (local, 0), (local, 1)
-        else:
-            pos = particle(step.position_input)
-            far = (step.position_input, 1 - pos[1])
-        if step.local_role == "coin":
-            coins.append((local, 0))
-        stage = star_merge_stage(d, coins, pos, far, add)
-    else:
-        stage = Stage(tuple(add), targets=((particle(step.coin_inputs[0]), Basis.FOURIER),))
-
-    read = {lab for lab, _ in stage.targets}
-    want, remaining = [], [lab for _, labs in stage.add for lab in labs if lab not in read]
-    for party in step.output_parties:
-        lab = next(lab for lab in remaining if node_of[lab] == party)
-        remaining.remove(lab)
-        want.append(lab)
-    return stage, tuple(want)
-
-
-def dense_step(d, shape):
-    """A step shape's circuit on canonical inputs, as ``network._step_circuit``
-    describes it, run densely as one stage: (stages, outputs)."""
-    inputs, coins, pos, far, outputs = network._step_circuit(*shape)
-    add = tuple((canonical_ghz(d, len(labels)), labels) for labels in inputs)
-    if shape[0] == "star-merge":
-        stage = star_merge_stage(d, coins, pos, far, add)
-    elif shape[0] == "pair-merge":
-        stage = Stage(add, gates=((coins[0], pos, identity_op(d)),),
-                      targets=((coins[0], Basis.FOURIER), (pos, Basis.COMPUTATIONAL)))
-    else:
-        stage = Stage(add, targets=((coins[0], Basis.FOURIER),))
-    return [stage], outputs
-
-
-def dense_law(d, shape):
-    """The dense law of ``dense_step``: the dense reference of a step's rule."""
-    return dense_compile(*dense_step(d, shape))
-
-
-def step_shapes(schedule):
-    """``network._shape`` of every step of a schedule, in step order."""
-    live = {rid: res.parties for rid, res in schedule.initial.items()}
-    for step in schedule.steps:
-        yield network._shape(step, live)
-        for rid in step.inputs:
-            del live[rid]
-        live[step.output_id] = step.output_parties
-
-
-def _initial_states(schedule, d):
-    return {rid: (res.parties, canonical_bell(d, 0, 0) if res.kind == "bell"
-                  else canonical_ghz(d, len(res.parties)))
-            for rid, res in schedule.initial.items()}
-
-
-def _compare_step(step, states, d):
-    """The step's exhaustive dense law on its inherited amplitudes against
-    the law of its shape; returns the dense stage."""
-    stage, outputs = _dense_stage(step, states, d)
-    dense = [(values, prob, derive_ghz_correction(post))
-             for values, prob, post in run_stages([stage], outputs)]
-    parties = {rid: st[0] for rid, st in states.items()}
-    _assert_same_law((d, network._step_law(d, *network._shape(step, parties))), dense)
-    return stage, outputs
-
-
-def _dense_execute(schedule, d, seed):
-    """Dense run of a schedule, every step compared with the law of its shape:
-    (outcomes with corrections, generator state)."""
-    rng = np.random.default_rng(seed)
-    states = _initial_states(schedule, d)
-    trace = []
-    for step in schedule.steps:
-        stage, outputs = _compare_step(step, states, d)
-        values, _, state = _sampled([stage], outputs, rng)
-        corr = derive_ghz_correction(state)
-        corrected = corr.apply_to(state)
-        assert fidelity(corrected, canonical_ghz(d, state.n)) >= 1 - TOL
-        for rid in step.inputs:
-            del states[rid]
-        states[step.output_id] = (step.output_parties, corrected)
-        trace.append(([int(v) for v in values], corr.label))
-    return trace, rng.bit_generator.state
-
-
 def _check_schedule(monkeypatch, schedule, d, seed):
-    trace, state = _dense_execute(schedule, d, seed)
-    result, compiled_state = _sampled_generator(
+    trace, state, laws = dense_execute(schedule, d, seed)
+    for shape, dense in laws:
+        _assert_same_law((d, network._step_law(d, *shape)), dense)
+    result, compiled_state = sampled_generator(
         monkeypatch, lambda: network.execute_schedule(schedule, d=d, seed=seed))
     assert [(o["outcome"], o["correction"]) for o in result.outcomes] == trace
     assert compiled_state == state
     assert all(o["step_fidelity"] >= 1 - TOL for o in result.outcomes)
 
 
-def _net(d, edges):
-    n = 1 + max(max(e) for e in edges)
-    return ResourceNetwork(d, {v: f"n{v}" for v in range(n)},
-                           [Resource("bell", e) for e in edges])
-
-
-def _schedule(net, terminals):
-    return plan_distribution(steiner_tree(net, terminals), net)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("seed", [11, 20])
 def test_network14(monkeypatch, d, seed):
     net = load_network(bundled_network_path())
-    _check_schedule(monkeypatch, _schedule(net, [1, 2, 5, 12, 13, 14]), d, seed)
+    _check_schedule(monkeypatch, plan(net, [1, 2, 5, 12, 13, 14]), d, seed)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -260,87 +116,52 @@ def test_random_trees(monkeypatch, block):
 
 @pytest.mark.parametrize("d, length", [(2, 5), (2, 25), (3, 12), (2, 200)])
 def test_chains(monkeypatch, d, length):
-    net = _net(d, [(v, v + 1) for v in range(length - 1)])
-    _check_schedule(monkeypatch, _schedule(net, [0, length - 1]), d, length)
+    net = chain_net(d, length)
+    _check_schedule(monkeypatch, plan(net, [0, length - 1]), d, length)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_repeater_pairs(monkeypatch, d):
     # the two-hop link behind every secret-sharing channel
-    _check_schedule(monkeypatch, _schedule(_net(d, [(0, 1), (1, 2)]), [0, 2]), d, d)
+    _check_schedule(monkeypatch, plan(bell_net(d, [(0, 1), (1, 2)]), [0, 2]), d, d)
 
 
 @pytest.mark.parametrize("d, leaves", [(2, k) for k in range(1, 12)]
                          + [(3, k) for k in range(1, 7)])
 def test_hubs(monkeypatch, d, leaves):
-    net = _net(d, [(0, v) for v in range(1, leaves + 1)])
-    schedule = _schedule(net, list(range(1, leaves + 1)))
+    schedule = plan(hub_net(d, leaves), list(range(1, leaves + 1)))
     if leaves <= 8:
         _check_schedule(monkeypatch, schedule, d, leaves)
     else:
-        # one star merge of 2 * leaves sites: its exhaustive dense law is a
-        # dense compile of its own, so the dense sampled run is left out
-        (step,) = schedule.steps
-        _compare_step(step, _initial_states(schedule, d), d)
+        # one star merge of 2 * leaves sites on canonical Bell pairs: its
+        # exhaustive dense law is the shape's, so the dense sampled run is left out
+        (shape,) = step_shapes(schedule)
+        _assert_same_law((d, network._step_law(d, *shape)), _leaves(dense_law(d, shape)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_terminal_root_and_local_pair(monkeypatch, d):
     # a terminal root star-merges with a local coin pair ...
-    _check_schedule(monkeypatch, _schedule(_net(d, [(0, 1), (0, 2)]), [0, 1, 2]), d, 3)
+    _check_schedule(monkeypatch, plan(bell_net(d, [(0, 1), (0, 2)]), [0, 1, 2]), d, 3)
     # ... and GHZ-only children force a local position pair and a release
-    arms = _net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    schedule = _schedule(arms, [1, 2, 3, 4, 5, 6])
+    arms = bell_net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    schedule = plan(arms, [1, 2, 3, 4, 5, 6])
     assert ("star-merge", "position") in [(s.action, s.local_role) for s in schedule.steps]
     _check_schedule(monkeypatch, schedule, d, 9)
     # an internal terminal on a path
-    _check_schedule(monkeypatch, _schedule(_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3]), d, 5)
+    _check_schedule(monkeypatch, plan(bell_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3]), d, 5)
 
 
 # ---------------------------------------------------------------------------
 # gasket: the dense triangle merge
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def dense_triangle_law(d):
-    """The dense law of the gasket's triangle merge on canonical GHZ triples."""
-    return dense_compile(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2),
-                         ("a", "b", "c"))
-
-
-def _one_stage_triangle(d, triples):
-    """The triangle merge as one stage: every stage's adds, gates and targets,
-    in order, the circuit a merge's one draw samples."""
-    stages = triangle_merge_stages(d, triples, qubit=d == 2)
-    return [Stage(*(sum((getattr(stage, name) for stage in stages), ())
-                    for name in ("add", "gates", "targets")))]
-
-
-def _dense_gasket(n, d, seed):
-    """Dense merge schedule, one draw per merge on its one-stage circuit:
-    (corrections, generator state).  Each merge on inherited triangles
-    (level >= 2) is also checked exhaustively."""
-    rng = np.random.default_rng(seed)
-    states = {tri: canonical_ghz(d, 3) for tri in fractal.build_gasket(n).triangles}
-    labels = []
-    for step in fractal.merge_schedule(n):
-        stages = _one_stage_triangle(d, [states.pop(t) for t in step.inputs])
-        if step.level >= 2:
-            dense = [(values, prob, derive_ghz_correction(post))
-                     for values, prob, post in run_stages(stages, ("a", "b", "c"))]
-            _assert_same_law(dense_triangle_law(d), dense)
-        _, _, post = _sampled(stages, ("a", "b", "c"), rng)
-        corr = derive_ghz_correction(post)
-        states[step.output] = corr.apply_to(post)
-        assert fidelity(states[step.output], canonical_ghz(d, 3)) >= 1 - TOL
-        labels.append(corr.label)
-    return labels, rng.bit_generator.state
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gasket(monkeypatch, d):
-    labels, state = _dense_gasket(2, d, seed=d)
-    result, compiled_state = _sampled_generator(
+    labels, state, laws = dense_gasket(2, d, seed=d)
+    for dense in laws:
+        _assert_same_law(dense_triangle_law(d), dense)
+    result, compiled_state = sampled_generator(
         monkeypatch, lambda: fractal.execute_merge_schedule(2, d=d, seed=d))
     assert result.corrections == labels
     assert compiled_state == state
@@ -351,17 +172,10 @@ def test_gasket(monkeypatch, d):
 def test_gasket_law_is_the_one_stage_triangle_law(d):
     # at d >= 3 the law runs in two stages but draws once, as the dense
     # sampler draws on the one stage that runs both
-    (stage,) = _one_stage_triangle(d, [canonical_ghz(d, 3)] * 3)
+    (stage,) = one_stage_triangle(d, [canonical_ghz(d, 3)] * 3)
     assert len(stage.targets) == 6
-    dense = [(values, prob, derive_ghz_correction(post))
-             for values, prob, post in run_stages([stage], ("a", "b", "c"))]
-    _assert_same_law(dense_triangle_law(d), dense)
-
-
-def sixth_readout(d, free):
-    """The triangle merge's last position readout, fixed by its five free
-    ones: u3 = u1 + u2 (mod d), or at d = 2 u6 = 1 + u2 + u4 (mod 2)."""
-    return 1 ^ free[3] ^ free[4] if d == 2 else (free[1] + free[4]) % d
+    _assert_same_law(dense_triangle_law(d),
+                     correction_leaves(run_stages([stage], ("a", "b", "c"))))
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -378,7 +192,7 @@ def test_triangle_rule_is_the_dense_law(d):
 
 
 def test_qubit_triangle_rule_matches_the_derived_corrections():
-    stages, outputs, closed, _ = protocols._circuit(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D))
+    stages, outputs, closed, _ = protocols.circuit(ProtocolSpec(ProtocolKind.TRIANGLE_MERGE_2D))
     branches = list(run_stages(stages, outputs))
     assert len(branches) == 32
     for values, _, post in branches:
@@ -408,8 +222,7 @@ def test_unmatched_outputs_are_refused_before_any_dense_work(monkeypatch):
 def test_compiled_corrections_follow_the_named_output_order(d):
     stages = triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2)
     outputs = ("c", "a", "b")
-    dense = [(values, prob, derive_ghz_correction(post))
-             for values, prob, post in run_stages(stages, outputs)]
+    dense = correction_leaves(run_stages(stages, outputs))
     _assert_same_law(dense_compile(stages, outputs), dense)
     # the order is not a relabeling the corrections ignore
     natural = _leaves(dense_triangle_law(d))
@@ -423,13 +236,13 @@ def test_compiled_corrections_follow_the_named_output_order(d):
 def _small_shapes(d):
     """Every step shape of a few small schedules whose dense step stays
     within 6^8 amplitudes at d."""
-    nets = [(_net(d, [(0, 1), (0, 2)]), [0, 1, 2]),
-            (_net(d, [(0, 1), (1, 2), (0, 3), (3, 4)]), [0, 1, 2, 3, 4]),
-            (_net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), [1, 2, 3, 4, 5, 6]),
-            (_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3]),
-            (_net(d, [(0, 1), (0, 2), (0, 3)]), [1, 2, 3]),
-            (_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 3])]
-    schedules = [_schedule(net, terminals) for net, terminals in nets] + [
+    nets = [(bell_net(d, [(0, 1), (0, 2)]), [0, 1, 2]),
+            (bell_net(d, [(0, 1), (1, 2), (0, 3), (3, 4)]), [0, 1, 2, 3, 4]),
+            (bell_net(d, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), [1, 2, 3, 4, 5, 6]),
+            (bell_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 1, 3]),
+            (bell_net(d, [(0, 1), (0, 2), (0, 3)]), [1, 2, 3]),
+            (bell_net(d, [(0, 1), (1, 2), (2, 3)]), [0, 3])]
+    schedules = [plan(net, terminals) for net, terminals in nets] + [
         plan_distribution(*reversed(random_tree_instance(seed, max_nodes=6, d=d)))
         for seed in range(10)]
     shapes = {}
@@ -448,3 +261,20 @@ def test_rules_match_the_dense_step_at_larger_d(d):
         ("star-merge", None), ("star-merge", "coin"), ("star-merge", "position")}
     for shape in shapes:
         _assert_same_law((d, network._step_law(d, *shape)), _leaves(dense_law(d, shape)))
+
+
+def test_a_dense_law_is_computed_once_and_read_only(monkeypatch):
+    (shape,) = step_shapes(plan(hub_net(3, 2), [0, 1, 2]))
+    law, triangle, pair = dense_law(3, shape), dense_triangle_law(2), dense_pair_law(3, True)
+    assert dense_law(3, shape) is law and dense_triangle_law(2) is triangle
+    assert dense_pair_law(3, True) is pair
+    for cached in (law, triangle):
+        with pytest.raises(ValueError, match="read-only"):
+            cached.probs[0] = 0
+        with pytest.raises(TypeError):
+            cached.rows[cached.outcomes[0]] = None
+    assert not any(array.flags.writeable for array in pair)
+    # a law is filled through the module's own run_stages binding
+    monkeypatch.setattr(protocols, "run_stages", lambda *a: pytest.fail("ran the patched binding"))
+    fresh = dense_law.__wrapped__(3, shape)
+    assert fresh.outcomes == law.outcomes and np.array_equal(fresh.probs, law.probs)

@@ -15,7 +15,7 @@ uniform ``choice``: for d not a power of two the two differ on uniforms
 within a few ulps of some boundaries i / d^k.  So the draws are also
 cross-checked against a scalar ``choice`` reference written here, on the
 dense law of each network step and of the triangle merge
-(``test_compiled_laws.dense_law`` and ``dense_triangle_law``) and on the
+(``dense_reference.dense_law`` and ``dense_triangle_law``) and on the
 seeds below, where no uniform falls that close to a boundary.  A numpy
 release that changes ``choice`` fails here rather than silently moving
 seeded outcomes.
@@ -30,37 +30,31 @@ import pytest
 
 import walknet
 from walknet import fractal, mqss, network
-from walknet.network import (
-    Resource,
-    ResourceNetwork,
-    bundled_network_path,
-    load_network,
-    plan_distribution,
-    steiner_tree,
-)
+from walknet.network import bundled_network_path, load_network
 from walknet.protocols import Law, draw
 from walknet.qudit import SIZE_CAP
 
-from test_compiled_laws import dense_law, dense_triangle_law, sixth_readout, step_shapes
-
-
-def _only_step_shape(net, terminals):
-    (shape,) = step_shapes(plan_distribution(steiner_tree(net, terminals), net))
-    return shape
+from dense_reference import (
+    chain_net,
+    dense_law,
+    dense_triangle_law,
+    hub_net,
+    plan,
+    sampled_generator,
+    sixth_readout,
+    step_shapes,
+)
 
 
 def _network_step_law(d):
     """The dense law of the star merge that joins a terminal root's two arms."""
-    net = ResourceNetwork(d, {v: f"n{v}" for v in range(3)},
-                          [Resource("bell", (0, 1)), Resource("bell", (0, 2))])
-    return dense_law(d, _only_step_shape(net, [0, 1, 2]))
+    (shape,) = step_shapes(plan(hub_net(d, 2), [0, 1, 2]))
+    return dense_law(d, shape)
 
 
 def _star_merge_law(d):
     """The dense law of a 3-coin star merge: the hub of four leaves."""
-    net = ResourceNetwork(d, {v: f"n{v}" for v in range(5)},
-                          [Resource("bell", (0, v)) for v in range(1, 5)])
-    shape = _only_step_shape(net, [1, 2, 3, 4])
+    (shape,) = step_shapes(plan(hub_net(d, 4), [1, 2, 3, 4]))
     assert shape[3] == 3
     return dense_law(d, shape)
 
@@ -68,17 +62,6 @@ def _star_merge_law(d):
 def _choice_draws(law, rng, count):
     """``count`` kept outcomes drawn the scalar way: one ``rng.choice`` each."""
     return [law.outcomes[rng.choice(len(law.outcomes), p=law.probs)] for _ in range(count)]
-
-
-def _made_generator(monkeypatch, run):
-    """``run()``'s result and the state of the one generator it made."""
-    made = []
-    real = np.random.default_rng
-    with monkeypatch.context() as mp:
-        mp.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
-        result = run()
-    (rng,) = made
-    return result, rng.bit_generator.state
 
 
 LAWS = {
@@ -108,7 +91,7 @@ def test_gasket_schedule_equals_scalar_choice(monkeypatch, d):
     ref = np.random.default_rng(d)
     law = dense_triangle_law(d)
     want = [law.rows[values][0].label for values in _choice_draws(law, ref, count)]
-    result, state = _made_generator(
+    result, state = sampled_generator(
         monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=d))
     assert result.merge_count == count
     assert result.corrections == want
@@ -129,28 +112,23 @@ def test_gasket_schedule_draws_floor_u_d_5(monkeypatch, d):
             want.append((int(u * d**5), law.rows[free + (sixth_readout(d, free),)][0].label))
         drawn = []
         monkeypatch.setattr(Law, "label", lambda self, i: drawn.append(i) or label(self, i))
-        result, state = _made_generator(
+        result, state = sampled_generator(
             monkeypatch, lambda: fractal.execute_merge_schedule(6, d=d, seed=seed))
         assert list(zip(drawn, result.corrections)) == want
         assert state == ref.bit_generator.state
         assert result.fidelity == 1.0
 
 
-def _chain(d):
-    net = ResourceNetwork(d, {v: f"n{v}" for v in range(12)},
-                          [Resource("bell", (v, v + 1)) for v in range(11)])
-    return plan_distribution(steiner_tree(net, [0, 11]), net)
+def _chain_plan(d):
+    return plan(chain_net(d, 12), [0, 11])
 
 
-def _hub(d):
-    net = ResourceNetwork(d, {v: f"n{v}" for v in range(7)},
-                          [Resource("bell", (0, v)) for v in range(1, 7)])
-    return plan_distribution(steiner_tree(net, list(range(1, 7))), net)
+def _hub_plan(d):
+    return plan(hub_net(d, 6), list(range(1, 7)))
 
 
-def _network14(d):
-    net = load_network(bundled_network_path())
-    return plan_distribution(steiner_tree(net, [1, 2, 5, 12, 13, 14]), net)
+def _network14_plan(d):
+    return plan(load_network(bundled_network_path()), [1, 2, 5, 12, 13, 14])
 
 
 def _floor_digits(u, d, k):
@@ -162,8 +140,9 @@ def _floor_digits(u, d, k):
     return digits
 
 
-@pytest.mark.parametrize("schedule, d", [(_chain, 2), (_chain, 3), (_chain, 5), (_chain, 6),
-                                         (_hub, 2), (_hub, 3), (_network14, 2), (_network14, 3)],
+@pytest.mark.parametrize("schedule, d", [(_chain_plan, 2), (_chain_plan, 3), (_chain_plan, 5),
+                                         (_chain_plan, 6), (_hub_plan, 2), (_hub_plan, 3),
+                                         (_network14_plan, 2), (_network14_plan, 3)],
                          ids=["chain-2", "chain-3", "chain-5", "chain-6", "hub-2", "hub-3",
                               "network14-2", "network14-3"])
 def test_network_schedule_draws_floor_u_d_k(monkeypatch, schedule, d):
@@ -173,14 +152,14 @@ def test_network_schedule_draws_floor_u_d_k(monkeypatch, schedule, d):
     for shape in step_shapes(sched):
         _, coins, pos, _, _ = network._step_circuit(*shape)
         want.append(_floor_digits(ref.random(), d, len(coins) + (pos is not None)))
-    result, state = _made_generator(
+    result, state = sampled_generator(
         monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
     assert [o["outcome"] for o in result.outcomes] == want
     assert state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("schedule", [_chain, _hub, _network14],
+@pytest.mark.parametrize("schedule", [_chain_plan, _hub_plan, _network14_plan],
                          ids=["chain", "hub", "network14"])
 def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
     sched = schedule(d)
@@ -189,7 +168,7 @@ def test_network_schedule_equals_scalar_choice(monkeypatch, schedule, d):
         law = dense_law(d, shape)
         (values,) = _choice_draws(law, ref, 1)
         want.append((list(values), law.rows[values][0].label))
-    result, state = _made_generator(
+    result, state = sampled_generator(
         monkeypatch, lambda: network.execute_schedule(sched, d=d, seed=d))
     assert [(o["outcome"], o["correction"]) for o in result.outcomes] == want
     assert state == ref.bit_generator.state
@@ -320,7 +299,7 @@ def test_shared_ghz_draws_equal_scalar_choice(monkeypatch, d, m):
     for seed in range(20):
         ref = np.random.default_rng(seed)
         *coins, u0 = _uniform_choices(ref, d, m + 1)
-        (_, got_coins, got_u0), state = _made_generator(
+        (_, got_coins, got_u0), state = sampled_generator(
             monkeypatch, lambda: mqss.generate_shared_ghz(d, m, seed=seed))
         assert (got_coins, got_u0) == (coins, u0)
         assert state == ref.bit_generator.state

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from walknet import network, protocols
-from walknet.network import Resource, ResourceNetwork, plan_distribution, steiner_tree
 from walknet.protocols import ProtocolKind, ProtocolSpec, run_stages
 from walknet.qudit import QuditState, apply, fourier_inv_op, measure_all_branches, tensor
 
-from test_compiled_laws import dense_step, step_shapes
+from dense_reference import bell_net, dense_step, plan, step_shapes
 
 TOL = 1e-12
 
@@ -54,7 +53,7 @@ def _assert_folded_gate_matches(stage, far):
 @pytest.mark.parametrize("d, bells", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
                                       (5, 1), (5, 2)])
 def test_from_bells(d, bells):
-    (stage,), outputs, _, _ = protocols._circuit(
+    (stage,), outputs, _, _ = protocols.circuit(
         ProtocolSpec(ProtocolKind.GHZ_FROM_BELLS_D, d=d, bells=bells))
     _assert_folded_gate_matches(stage, outputs[-1])
 
@@ -62,11 +61,9 @@ def test_from_bells(d, bells):
 def _star_merges(d, edges, terminals):
     """(local role, one-stage dense circuit, far) of every star merge that
     the schedule reaches, built on canonical inputs (``dense_step``)."""
-    net = ResourceNetwork(d, {v: f"n{v}" for v in range(1 + max(map(max, edges)))},
-                          [Resource("bell", e) for e in edges])
-    schedule = plan_distribution(steiner_tree(net, terminals), net)
     return [(shape[1], dense_step(d, shape)[0][0], network._step_circuit(*shape)[3])
-            for shape in step_shapes(schedule) if shape[0] == "star-merge"]
+            for shape in step_shapes(plan(bell_net(d, edges), terminals))
+            if shape[0] == "star-merge"]
 
 
 @pytest.mark.parametrize("d", [2, 3])

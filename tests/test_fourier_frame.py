@@ -7,10 +7,10 @@ onto each coin, computational coin readouts and one Fourier readout of
 walk that ``walk_step`` runs.  The secret-sharing GHZ step draws from its
 closed-form law (``mqss.generate_shared_ghz``): every (q~_1, ..., q~_M, u0) in
 product order, each at probability d^-(M+1), with residual
-``shared_ghz_closed_form``.  The paper circuit, built here as the session's
-step 3 and run by ``run_stages`` as one stage, is the reference that law is
-checked against: the same values in the same order, probabilities and
-residual amplitudes within 1e-12.
+``shared_ghz_closed_form``.  The paper circuit, the session's step 3 as one
+stage (``dense_reference.mqss_ghz_circuit``) run by ``run_stages``, is the
+reference that law is checked against: the same values in the same order,
+probabilities and residual amplitudes within 1e-12.
 """
 
 from itertools import product
@@ -19,20 +19,12 @@ import numpy as np
 import pytest
 
 from walknet import mqss
-from walknet.protocols import run_stages, star_merge_stage, walk_step
-from walknet.qudit import QuditState, apply, canonical_bell, fourier_op, identity_op
+from walknet.protocols import run_stages, walk_step
+from walknet.qudit import QuditState, apply, fourier_op, identity_op
+
+from dense_reference import mqss_ghz_circuit
 
 TOL = 1e-12
-
-
-def ghz_circuit(d, m):
-    """The secret-sharing GHZ step as a dense circuit: the star merge of the
-    dealer's position pair (pos, dealer) with one Bell pair (p_k, coin_k) per
-    participant.  (one-stage star merge, outputs)."""
-    bell, ks = canonical_bell(d, 0, 0), range(1, m + 1)
-    add = [(bell, ("pos", "dealer"))] + [(bell, (f"p{k}", f"coin{k}")) for k in ks]
-    stage = star_merge_stage(d, [f"coin{k}" for k in ks], "pos", "dealer", add)
-    return stage, tuple(f"p{k}" for k in ks) + ("dealer",)
 
 
 MQSS_SHAPES = [(d, m) for d in range(2, 17) for m in range(1, 8) if d ** (2 * m + 2) <= 2**16]
@@ -40,7 +32,7 @@ MQSS_SHAPES = [(d, m) for d in range(2, 17) for m in range(1, 8) if d ** (2 * m 
 
 @pytest.mark.parametrize("d, m", MQSS_SHAPES)
 def test_mqss_circuit(d, m):
-    stage, outputs = ghz_circuit(d, m)
+    stage, outputs = mqss_ghz_circuit(d, m)
     dense = list(run_stages([stage], outputs))
     assert [v for v, _, _ in dense] == list(product(range(d), repeat=m + 1))
     for (*coins, u0), p, post in dense:

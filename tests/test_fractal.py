@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from walknet import fractal
 from walknet.fractal import (
     CLUSTERING_LIMIT,
     analytics,
@@ -21,7 +20,6 @@ from walknet.fractal import (
     edge_count,
     execute_merge_schedule,
     merge_schedule,
-    neighbor_link_count,
     vertex_count,
 )
 from walknet.protocols import Law, triangle_merge_rule

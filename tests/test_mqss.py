@@ -20,21 +20,17 @@ from walknet.mqss import (
     run_mqss,
     shared_ghz_closed_form,
 )
-from walknet.protocols import Stage, run_stages
 from walknet.qudit import (
     SIZE_CAP,
-    Basis,
     SizeCapError,
     apply,
-    basis_state,
     canonical_bell,
     canonical_ghz,
     fidelity,
-    fourier_inv_op,
     fourier_op,
 )
 
-from test_seeded_streams import forbid_dense_builds  # fails any built operator or GHZ
+from dense_reference import dense_pair_law, forbid_dense_builds
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -403,33 +399,6 @@ def test_step4_reads_the_dense_support(d, m):
         index = int(np.flatnonzero(state.amps)[i])
         *values, r0 = [index // d ** (m - site) % d for site in range(m + 1)]
         assert (t.participant_results, t.dealer_result) == (values, r0)
-
-
-def dense_pair_law(d, eavesdrop):
-    """The channel check run as stage circuits, each readout exhaustively:
-    the attacker reads b, the residual and the resent particle are the next
-    circuit's resources, then each shared basis twirls the pair and reads it
-    (b's Fourier readout is F, then a computational read)."""
-    f, bell = fourier_op(d), ((canonical_bell(d, 0, 0), ("a", "b")),)
-    inputs = [(1.0, bell)]
-    if eavesdrop:
-        inputs = []
-        for basis in (Basis.COMPUTATIONAL, Basis.FOURIER):
-            for (v,), p, rest in run_stages([Stage(add=bell, targets=(("b", basis),))], ("a",)):
-                resent = basis_state(d, [v])
-                resent = apply(resent, f, [0]) if basis is Basis.FOURIER else resent
-                inputs.append((0.5 * p, ((rest, ("a",)), (resent, ("b",)))))
-    probs, disagree = [], []
-    for weight, add in inputs:
-        for shared in (Basis.COMPUTATIONAL, Basis.FOURIER):
-            gates = (("a", f), ("b", fourier_inv_op(d)))
-            gates += (("b", f),) if shared is Basis.FOURIER else ()
-            check = Stage(add=add, gates=gates,
-                          targets=(("a", shared), ("b", Basis.COMPUTATIONAL)))
-            for (x, y), p, _ in run_stages([check], ()):
-                probs.append(0.5 * weight * p)
-                disagree.append(x != y)
-    return np.array(probs) / sum(probs), np.array(disagree)
 
 
 @pytest.mark.parametrize("d", range(2, 8))

@@ -24,6 +24,8 @@ from walknet.network import (
     steiner_tree,
 )
 
+from dense_reference import bell_net, chain_net, hub_net, plan
+
 TERMINALS = [1, 2, 5, 12, 13, 14]
 
 
@@ -109,8 +111,7 @@ def test_steiner_deterministic(net14):
 
 
 def test_plan_matches_narrated_order(net14):
-    tree = steiner_tree(net14, TERMINALS)
-    sched = plan_distribution(tree, net14)
+    sched = plan(net14, TERMINALS)
     assert sched.acting_nodes[:3] == [6, 9, 8]
     assert set(sched.acting_nodes[3:]) == {3, 11}
 
@@ -122,10 +123,7 @@ def test_plan_missing_edge_resource(net14):
 
 
 def test_repeater_chain_single_swap():
-    net = ResourceNetwork(2, {0: "A", 1: "C1", 2: "B"},
-                          [Resource("bell", (0, 1)), Resource("bell", (1, 2))])
-    tree = steiner_tree(net, [0, 2])
-    sched = plan_distribution(tree, net)
+    sched = plan(chain_net(2, 3), [0, 2])
     assert len(sched.steps) == 1
     assert sched.steps[0].node == 1
     assert sched.steps[0].action == "pair-merge"
@@ -135,10 +133,7 @@ def test_repeater_chain_single_swap():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_star_merge_with_terminal_root(d):
-    net = ResourceNetwork(d, {0: "r", 1: "x", 2: "y"},
-                          [Resource("bell", (0, 1)), Resource("bell", (0, 2))])
-    tree = steiner_tree(net, [0, 1, 2])
-    sched = plan_distribution(tree, net)
+    sched = plan(hub_net(d, 2), [0, 1, 2])
     assert len(sched.steps) == 1
     res = execute_schedule(sched, "simulated", d=d, seed=3)
     assert res.fidelity >= 1 - 1e-9
@@ -161,8 +156,7 @@ def test_symbolic_mode_ledger_conservation(net14):
 
 
 def test_empty_schedule_trivial_success(net14):
-    tree = steiner_tree(net14, [5])
-    sched = plan_distribution(tree, net14)
+    sched = plan(net14, [5])
     assert sched.steps == []
     res = execute_schedule(sched, "simulated", d=2, seed=0)
     assert res.fidelity == 1.0
@@ -171,8 +165,7 @@ def test_empty_schedule_trivial_success(net14):
 
 
 def test_two_terminal_adjacent_noop(net14):
-    tree = steiner_tree(net14, [1, 3])
-    sched = plan_distribution(tree, net14)
+    sched = plan(net14, [1, 3])
     assert sched.steps == []
     res = execute_schedule(sched, "simulated", d=2, seed=0)
     assert res.fidelity >= 1 - 1e-9
@@ -180,11 +173,7 @@ def test_two_terminal_adjacent_noop(net14):
 
 def test_internal_terminal_path():
     # terminals at both ends and in the middle of a 4-node path
-    net = ResourceNetwork(2, {i: str(i) for i in range(4)},
-                          [Resource("bell", (0, 1)), Resource("bell", (1, 2)),
-                           Resource("bell", (2, 3))])
-    tree = steiner_tree(net, [0, 1, 3])
-    sched = plan_distribution(tree, net)
+    sched = plan(chain_net(2, 4), [0, 1, 3])
     res = execute_schedule(sched, "simulated", d=2, seed=5)
     assert res.fidelity >= 1 - 1e-9
     assert set(res.final_parties) == {0, 1, 3}
@@ -193,14 +182,8 @@ def test_internal_terminal_path():
 def test_all_ghz_children_root_uses_local_pair_and_release():
     # three branches of two edges each meeting at node 0: every child resource
     # arriving at the root is a 3-party GHZ, forcing the local-position path
-    nodes = {i: str(i) for i in range(7)}
-    resources = [Resource("bell", (0, 1)), Resource("bell", (1, 2)),
-                 Resource("bell", (0, 3)), Resource("bell", (3, 4)),
-                 Resource("bell", (0, 5)), Resource("bell", (5, 6))]
-    net = ResourceNetwork(2, nodes, resources)
     terminals = [1, 2, 3, 4, 5, 6]
-    tree = steiner_tree(net, terminals)
-    sched = plan_distribution(tree, net)
+    sched = plan(bell_net(2, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]), terminals)
     actions = [(s.action, s.local_role) for s in sched.steps]
     assert ("star-merge", "position") in actions
     assert actions[-1][0] == "release"
@@ -284,11 +267,7 @@ def test_schedule_serialization(net14):
 def test_cap_guard_suggests_symbolic():
     # a 12-ary star needs 13 live sites at d=5 in one merge: over the cap
     n = 13
-    nodes = {i: str(i) for i in range(n)}
-    resources = [Resource("bell", (0, i)) for i in range(1, n)]
-    net = ResourceNetwork(5, nodes, resources)
-    tree = steiner_tree(net, list(range(n)))
-    sched = plan_distribution(tree, net)
+    sched = plan(hub_net(5, n - 1), list(range(n)))
     with pytest.raises(NetworkError, match="symbolic"):
         execute_schedule(sched, "simulated", d=5, seed=0)
     res = execute_schedule(sched, "symbolic", d=5)
@@ -297,11 +276,8 @@ def test_cap_guard_suggests_symbolic():
 
 def _arms_schedule(arms: int, d: int):
     """Leaf-relay-hub arms: one relay swap per arm, then the hub's star merge."""
-    nodes = {i: str(i) for i in range(2 * arms + 1)}
-    resources = ([Resource("bell", (0, r)) for r in range(1, arms + 1)]
-                 + [Resource("bell", (r, r + arms)) for r in range(1, arms + 1)])
-    net = ResourceNetwork(d, nodes, resources)
-    sched = plan_distribution(steiner_tree(net, range(arms + 1, 2 * arms + 1)), net)
+    edges = [(0, r) for r in range(1, arms + 1)] + [(r, r + arms) for r in range(1, arms + 1)]
+    sched = plan(bell_net(d, edges), range(arms + 1, 2 * arms + 1))
     assert [s.action for s in sched.steps] == ["pair-merge"] * arms + ["star-merge"]
     return sched
 
@@ -400,9 +376,7 @@ def test_step_with_a_foreign_output_party_refused_before_any_sampling(
 def test_local_pair_and_role_must_agree_before_any_sampling(monkeypatch, mode, field):
     # the planner's star merge on the chain 0-1-2 prepares a local coin pair;
     # a step that names a role without a pair id, or the reverse, is refused
-    net = ResourceNetwork(2, {v: str(v) for v in range(3)},
-                          [Resource("bell", (0, 1)), Resource("bell", (1, 2))])
-    sched = plan_distribution(steiner_tree(net, [0, 1, 2]), net)
+    sched = plan(chain_net(2, 3), [0, 1, 2])
     (step,) = sched.steps
     assert (step.action, step.local_role) == ("star-merge", "coin") and step.local_pair
     bad = dataclasses.replace(sched, steps=[dataclasses.replace(step, **{field: None})])

@@ -27,6 +27,8 @@ from walknet.network import (
     steiner_tree,
 )
 
+from dense_reference import chain_net, hub_net
+
 PLANNER_SHA256 = "427 sha256:044b7e7178b9d82abc9e33506bb85867c8deafe043949b86ded695fec343338e"
 
 
@@ -39,16 +41,6 @@ def _line(tag, net, tree=None, terminals=None, exact=False) -> str:
     except NetworkError as exc:
         blob = {"error": str(exc)}
     return f"{tag} {json.dumps(blob, sort_keys=True)}"
-
-
-def _chain(n: int) -> ResourceNetwork:
-    return ResourceNetwork(2, {i: str(i) for i in range(n)},
-                           [Resource("bell", (i, i + 1)) for i in range(n - 1)])
-
-
-def _hub(leaves: int) -> ResourceNetwork:
-    return ResourceNetwork(2, {i: str(i) for i in range(leaves + 1)},
-                           [Resource("bell", (0, i)) for i in range(1, leaves + 1)])
 
 
 def _planner_lines() -> list[str]:
@@ -66,11 +58,11 @@ def _planner_lines() -> list[str]:
         net, tree = random_tree_instance(seed)
         lines.append(_line(f"tree {seed}", net, tree=tree))
     for n in list(range(2, 41)) + [200]:
-        net = _chain(n)
+        net = chain_net(2, n)
         lines.append(_line(f"chain {n}", net, terminals=[0, n - 1]))
         lines.append(_line(f"chain {n} mid", net, terminals=sorted({0, n // 2, n - 1})))
     for leaves in range(1, 14):
-        net = _hub(leaves)
+        net = hub_net(2, leaves)
         lines.append(_line(f"hub {leaves}", net, terminals=range(1, leaves + 1)))
         lines.append(_line(f"hub {leaves} centre", net, terminals=range(leaves + 1)))
     ghz = ResourceNetwork(2, {i: str(i) for i in range(4)},

@@ -3,7 +3,6 @@
 import ast
 import itertools
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +38,7 @@ from walknet.qudit import (
     tensor,
 )
 
-from test_compiled_laws import dense_compile  # the dense law of a circuit
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
+from dense_reference import dense_compile, forbid_register, workloads
 
 TOL = 1e-9
 
@@ -363,8 +359,7 @@ def test_spec_validation_errors():
 ], ids=["d", "m", "bells", "bell-label", "two-labels", "five-labels", "int-labels",
         "retain-str", "retain-float", "d-str", "d=1"])
 def test_spec_refuses_non_integer_counts_before_any_stage(monkeypatch, spec, refusal):
-    for name in ("tensor", "apply", "measure_all_branches"):
-        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    forbid_register(monkeypatch)
     for run in (spec.validate, lambda: run_protocol(spec)):
         with pytest.raises(ValueError, match=re.escape(refusal)):
             run()
@@ -451,8 +446,7 @@ def test_run_stages_exhaustive_branches_and_after_ops():
                                  dense_compile], ids=["exhaustive", "compiled"])
 def test_wrong_outputs_refused_before_any_resource_is_added(monkeypatch, run, outputs):
     stages = triangle_merge_stages(3, [canonical_ghz(3, 3)] * 3, qubit=False)
-    for name in ("tensor", "apply", "measure_all_branches"):
-        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    forbid_register(monkeypatch)
     with pytest.raises(ValueError, match="are not the circuit's unread particles"):
         run(stages, outputs)
 
@@ -472,8 +466,7 @@ def test_over_cap_circuit_refused_before_any_stage_runs(monkeypatch, run, error,
     # residual over the 10 outputs would hold 5^10 amplitudes.
     # A gasket runs no circuit and builds no state: its one limit is its
     # draw's, 1553^5 > 2^53 merge outcomes, refused before any draw
-    for name in ("tensor", "apply", "measure_all_branches"):
-        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    forbid_register(monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
     with pytest.raises(error, match=refusal):
         run()
@@ -518,8 +511,7 @@ def _bell(d=2):
         "too-few-labels", "too-many-labels", "repeated-target", "unknown-gate-label"])
 def test_malformed_circuit_refused_before_any_resource_is_added(monkeypatch, stages, outputs,
                                                                 refusal):
-    for name in ("tensor", "apply", "measure_all_branches"):
-        monkeypatch.setattr(protocols, name, lambda *a, _n=name, **kw: pytest.fail(f"ran {_n}"))
+    forbid_register(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(refusal)):
         list(run_stages(stages, outputs))
 
@@ -540,6 +532,20 @@ def test_no_module_imports_a_private_name_from_another():
             if isinstance(node, ast.ImportFrom) and node.level:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{path.name} imports {private}"
+
+
+def test_no_test_module_imports_another():
+    here = Path(__file__).parent
+    modules = {path.stem for path in here.glob("test_*.py")}
+    for path in sorted(here.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            assert not names & modules, f"{path.name} imports {sorted(names & modules)}"
 
 
 def test_correction_for_runs_each_spec_once(monkeypatch):
@@ -569,7 +575,7 @@ def test_correction_for_runs_each_spec_once(monkeypatch):
 
 def _support_cases():
     for spec in workloads.protocol_grid(small=True):
-        stages, _, _, _ = protocols._circuit(spec)
+        stages, _, _, _ = protocols.circuit(spec)
         length = sum(len(stage.targets) for stage in stages)
         if spec.d ** length <= 4096:
             yield spec, length

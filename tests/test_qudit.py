@@ -29,6 +29,8 @@ from walknet.qudit import (
     tensor,
 )
 
+from dense_reference import dense_apply, random_monomial, random_unitary
+
 
 def test_basis_state_index_encoding():
     s = basis_state(2, [0, 0])
@@ -159,24 +161,6 @@ def test_apply_then_dagger_roundtrip():
         assert np.allclose(back.amps, s.amps, atol=1e-10)
 
 
-def _dense_apply(state, op, sites):
-    """``op.mat`` on ``sites`` as one full matrix: the op's sites moved to
-    the front, op.mat ⊗ I, and the sites moved back."""
-    d, n = state.d, state.n
-    perm = list(sites) + [s for s in range(n) if s not in sites]
-    full = np.kron(op.mat, np.eye(d ** (n - len(sites))))
-    out = full @ state.tensor_view().transpose(perm).reshape(-1)
-    return out.reshape([d] * n).transpose(np.argsort(perm)).reshape(-1)
-
-
-def _random_permutation(d, k, rng, phased):
-    """A permutation with phases on k sites: (op @ v)[i] = phase[i] v[perm[i]]."""
-    mat = np.zeros((d**k, d**k), dtype=complex)
-    phases = np.exp(2j * np.pi * rng.random(d**k)) if phased else 1
-    mat[np.arange(d**k), rng.permutation(d**k)] = phases
-    return OperatorMatrix(d, k, mat)
-
-
 # op sites on a 4-site state: in and out of order, adjacent and apart, first and last
 SITES = {1: [[2], [0], [3]],
          2: [[3, 1], [0, 2], [2, 0], [0, 3], [1, 2]],
@@ -186,7 +170,7 @@ SITES = {1: [[2], [0], [3]],
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_monomial_ops_gather_as_the_dense_matrix_multiplies(d):
     rng = np.random.default_rng(d)
-    randoms = [_random_permutation(d, k, rng, phased) for k in (1, 2, 3) for phased in (0, 1)]
+    randoms = [random_monomial(d, k, rng, phased) for k in (1, 2, 3) for phased in (0, 1)]
     for op in (identity_op(d), *pauli_ops(d), label_shift_op(d, 1, d - 1),
                label_shift_op(d, d - 1, 1), shift_op(d), *randoms):
         assert op.monomial is not None
@@ -194,19 +178,18 @@ def test_monomial_ops_gather_as_the_dense_matrix_multiplies(d):
             amps = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
             s = QuditState(d, 4, amps / np.linalg.norm(amps))
             got = apply(s, op, sites).amps
-            assert np.abs(got - _dense_apply(s, op, sites)).max() <= 1e-15
+            assert np.abs(got - dense_apply(s, op, sites)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_a_two_site_op_that_is_no_permutation_multiplies_as_the_dense_matrix(d):
     rng = np.random.default_rng(d)
-    q, r = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
-    op = OperatorMatrix(d, 2, q * (np.diag(r) / abs(np.diag(r))))
+    op = OperatorMatrix(d, 2, random_unitary(d * d, rng))
     assert op.monomial is None
     amps = rng.normal(size=d**4) + 1j * rng.normal(size=d**4)
     s = QuditState(d, 4, amps / np.linalg.norm(amps))
     for sites in SITES[2]:
-        assert np.abs(apply(s, op, sites).amps - _dense_apply(s, op, sites)).max() <= 1e-13
+        assert np.abs(apply(s, op, sites).amps - dense_apply(s, op, sites)).max() <= 1e-13
 
 
 def test_the_shift_allocates_one_state_and_its_index_table():

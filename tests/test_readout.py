@@ -9,7 +9,6 @@ from walknet.protocols import ProtocolKind, ProtocolSpec, run_protocol
 from walknet.qudit import canonical_ghz
 from walknet.readout import (
     STOCHASTIC,
-    SYMMETRIC,
     CountVector,
     bundled_device_path,
     correct_counts,
@@ -21,12 +20,7 @@ from walknet.readout import (
     transfer_matrix,
 )
 
-
-def q_matrices(n, mode=SYMMETRIC):
-    recs = load_device_records(bundled_device_path())[:n]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [r.to_transfer_matrix(mode) for r in recs]
+from dense_reference import q_matrices
 
 
 def ident_matrices(n):

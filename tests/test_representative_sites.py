@@ -2,15 +2,12 @@
 
 ``run_stages`` carries the idle parties of each canonical GHZ input as one
 representative site and expands them through the copy isometry only in the
-residuals it yields over the named outputs.  The reference here is a
-test-local copy of the dense interpreter, which carries every particle as a
-site: for each circuit both runs must yield the same values in the same
-order, probabilities and post amplitudes within 1e-12, and the same output
-labels in the same order.
+residuals it yields over the named outputs.  The reference is a test-local
+copy of the dense interpreter, which carries every particle as a site
+(``dense_reference.dense_run``): for each circuit both runs must yield the
+same values in the same order, probabilities and post amplitudes within
+1e-12, and the same output labels in the same order.
 """
-
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,74 +20,23 @@ from walknet.qudit import (
     Basis,
     SIZE_CAP,
     QuditState,
-    SizeCapError,
     apply,
     canonical_bell,
     canonical_ghz,
     fourier_inv_op,
     fourier_op,
     label_shift_op,
-    measure_all_branches,
     pauli_x,
-    tensor,
 )
 
-from test_compiled_laws import dense_step, step_shapes
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402
+from dense_reference import dense_run, dense_step, step_shapes, workloads
 
 TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# the dense reference: every particle is a site
+# the two interpreters
 # ---------------------------------------------------------------------------
-
-class DenseRegister:
-    def __init__(self, state, labels):
-        assert state.n == len(labels)
-        self.state, self.labels = state, tuple(labels)
-
-    def idx(self, label):
-        return self.labels.index(label)
-
-    def add(self, state, labels):
-        return DenseRegister(tensor(self.state, state), self.labels + tuple(labels))
-
-    def apply(self, op, labels):
-        return DenseRegister(apply(self.state, op, [self.idx(x) for x in labels]),
-                             self.labels)
-
-    def walk(self, coin, pos, coin_op):
-        return DenseRegister(protocols.walk_step(self.state, self.idx(coin),
-                                                 self.idx(pos), coin_op), self.labels)
-
-    def measure(self, targets):
-        site_targets = [(self.idx(lab), basis) for lab, basis in targets]
-        kept = tuple(lab for lab in self.labels if lab not in {t[0] for t in targets})
-        block = measure_all_branches(self.state, site_targets)
-        posts = [None] * len(block) if block.posts is None else block.posts
-        for v, p, post in zip(block.values.tolist(), block.probs.tolist(), posts):
-            yield tuple(v), p, (None if post is None
-                                else DenseRegister(QuditState(block.d, block.n, post), kept))
-
-
-def dense_run(stages):
-    def run(stages, values, prob, reg):
-        if not stages:
-            yield values, prob, reg
-            return
-        stage = stages[0]
-        for state, labels in stage.add:
-            reg = DenseRegister(state, labels) if reg is None else reg.add(state, labels)
-        for gate in stage.gates:
-            reg = reg.walk(*gate) if len(gate) == 3 else reg.apply(gate[1], [gate[0]])
-        for vals, p, post in reg.measure(stage.targets):
-            yield from run(stages[1:], values + vals, prob * p, post)
-
-    yield from run(tuple(stages), (), 1.0, None)
-
 
 def unread(stages):
     """The particles no target reads, in the dense run's order."""
@@ -127,7 +73,7 @@ def collapsed(runs) -> bool:
 # ---------------------------------------------------------------------------
 
 def _stages(spec):
-    return protocols._circuit(spec)[0]
+    return protocols.circuit(spec)[0]
 
 
 GRID = workloads.protocol_grid(small=True)

@@ -7,7 +7,6 @@ seeded outcomes must stay byte-identical when the sampler's internals change.
 """
 
 import hashlib
-import sys
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from walknet.network import (
     plan_distribution,
     random_tree_instance,
 )
+
+from dense_reference import forbid_dense_builds
 
 NETWORK_14 = {
     2: [([0, 0], "I"), ([0, 1], "X@1"), ([1, 0], "Z@0"), ([0, 0, 0, 0], "I"),
@@ -72,14 +73,6 @@ def test_gasket_schedule_corrections_are_pinned(d, digest):
     # 364 merges, one uniform each; the d = 2 stream predates the one-draw rule
     corrections = fractal.execute_merge_schedule(6, d, seed=d).corrections
     assert hashlib.sha256("\n".join(corrections).encode()).hexdigest() == digest
-
-
-def forbid_dense_builds(monkeypatch):
-    """Make ``label_shift_op`` and ``canonical_ghz`` fail wherever walknet binds them."""
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "walknet"]:
-        for name in ("label_shift_op", "canonical_ghz"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *a, _n=name: pytest.fail(f"built {_n}"))
 
 
 def test_network_and_gasket_paths_build_no_operator_or_state(monkeypatch):

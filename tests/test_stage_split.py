@@ -19,31 +19,15 @@ import numpy as np
 import pytest
 
 from walknet import network
-from walknet.network import (
-    NetworkError,
-    Resource,
-    ResourceNetwork,
-    distribute,
-    execute_schedule,
-    plan_distribution,
-    steiner_tree,
-)
+from walknet.network import NetworkError, distribute, execute_schedule
 from walknet.qudit import SIZE_CAP
 
-from test_compiled_laws import dense_law, step_shapes  # the dense reference
-
-
-def _hub(d, leaves):
-    return ResourceNetwork(d, {v: f"n{v}" for v in range(leaves + 1)},
-                           [Resource("bell", (0, v)) for v in range(1, leaves + 1)])
+from dense_reference import dense_law, hub_net, plan, step_shapes
 
 
 def test_hub_law_compiles_within_a_small_traced_peak():
     # the 10-leaf qubit hub: one star merge of 20 input sites, 10 readouts
-    net = _hub(2, 10)
-    schedule = plan_distribution(steiner_tree(net, list(range(1, 11))), net)
-    (step,) = schedule.steps
-    key = network._shape(step, {rid: res.parties for rid, res in schedule.initial.items()})
+    (key,) = step_shapes(plan(hub_net(2, 10), list(range(1, 11))))
     tracemalloc.start()
     try:
         k, frame = network._step_law.__wrapped__(2, *key)
@@ -60,12 +44,10 @@ def test_a_wide_hub_builds_nothing_past_the_step_cap(monkeypatch):
     # With the per-step cap lifted nothing else bounds it: it once raised
     # "state of 40 sites at d=2" from its final GHZ, after its draws
     monkeypatch.setattr(network, "SIZE_CAP", 2**80)
-    net = _hub(2, 40)
-    _, schedule, res = distribute(net, list(range(1, 41)), d=2, seed=5)
+    _, schedule, res = distribute(hub_net(2, 40), list(range(1, 41)), d=2, seed=5)
     assert res.fidelity == 1.0 and sorted(res.final_parties) == list(range(1, 41))
-    (step,), (outcome,) = schedule.steps, res.outcomes
-    k, frame = network._step_law(2, *network._shape(
-        step, {rid: r.parties for rid, r in schedule.initial.items()}))
+    (shape,), (outcome,) = step_shapes(schedule), res.outcomes
+    k, frame = network._step_law(2, *shape)
     assert k == len(outcome["outcome"]) == 40
     assert outcome["correction"] == frame(tuple(outcome["outcome"])).label
 
@@ -77,8 +59,8 @@ def test_a_hub_is_served_up_to_2_53_outcomes(monkeypatch, leaves):
     # more than floor(u 2^54) reaches (it is always even, so the position would
     # never read 1), and the draw refuses them before it makes a generator
     monkeypatch.setattr(network, "SIZE_CAP", 2**200)
-    net = _hub(2, leaves)
-    schedule = plan_distribution(steiner_tree(net, list(range(1, leaves + 1))), net)
+    net = hub_net(2, leaves)
+    schedule = plan(net, list(range(1, leaves + 1)))
     if leaves == 53:
         res = execute_schedule(schedule, "simulated", d=2, seed=5)
         (outcome,) = res.outcomes
@@ -96,8 +78,8 @@ def test_hubs(d, leaves):
     # the hub and its leaves as terminals: one star merge of the leaves' Bell
     # pairs and a local coin pair, 2 * leaves + 2 input sites and leaves + 1
     # readouts (a lone leaf needs no step)
-    net = _hub(d, leaves)
-    schedule = plan_distribution(steiner_tree(net, list(range(leaves + 1))), net)
+    net = hub_net(d, leaves)
+    schedule = plan(net, list(range(leaves + 1)))
     assert [(s.action, s.local_role) for s in schedule.steps] == (
         [("star-merge", "coin")] if leaves >= 2 else [])
     for shape in step_shapes(schedule):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from walknet import protocols
 from walknet.protocols import ProtocolKind, ProtocolSpec, run_protocol
 from walknet.tables import TABLE_IDS, verify_all_tables, verify_table
 
@@ -36,6 +37,14 @@ def test_table5_unequal_coin_outcomes_never_occur():
     outcomes = {r.outcome for r in report.rows}
     assert outcomes == {(0, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)}
     assert not report.notes  # no unlisted branches survived pruning
+
+
+def test_table5_runs_its_circuit(monkeypatch):
+    # run_protocol builds ghz-swap-d's residuals from its law's corrections; the
+    # table reads the residuals its circuit leaves
+    monkeypatch.setattr(protocols, "_frame_residual", lambda *a: pytest.fail("read the law"))
+    report = verify_table(5)
+    assert report.all_ok and len(report.rows) == 4
 
 
 def test_table6_probabilities_uniform():
