@@ -68,12 +68,18 @@ triangle merges) are qudit Clifford circuits on canonical inputs, so their
 laws are read off the circuit (``network``, ``mqss``, ``circuit``): d^k
 equally likely outcomes, drawn as digits of floor(u d^k) (``draw``) or
 enumerated in product order, and a Weyl correction, a ``Frame`` whose label is
-read with no operator built.  ``run_protocol`` plans those seven and builds no
-register; it runs the five qubit-table and derived kinds densely and scores
-a last stage's branches as one block.  The gasket merges in ``fractal`` draw
-from the triangle merge's law (``triangle_merge_rule``).  The circuits keep
-the paper's reported bases; ``star_merge_stage`` writes the qudit swap,
-multi-coin and from-bells star merges.
+read with no operator built.  Those seven are compiled once per circuit
+shape, the spec with its Bell labels zeroed, into a ``LawTable`` kept in one
+bounded cache: the circuit planned once (a refused shape is not kept), its
+readouts and outputs, and each outcome, in product order, with its index into
+the distinct corrections and its residual phase.  ``run_protocol`` reads the
+table and builds no register; a Bell label moves only bell-swap-d's
+correction and residual phase.  It runs the five qubit-table and derived
+kinds densely and scores a last stage's branches as one block.  The gasket
+merges in ``fractal`` draw from the triangle merge's law
+(``triangle_merge_rule``).  The circuits keep the paper's reported bases;
+``star_merge_stage`` writes the qudit swap, multi-coin and from-bells star
+merges.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -290,6 +297,17 @@ class BranchResult:
     @cached_property
     def post(self) -> QuditState:
         return self.residual()
+
+
+def _branch(outcome, probability, residual, correction, fidelity,
+            bell_label=None, label_fidelity=None) -> BranchResult:
+    """A ``BranchResult`` with its fields written into its ``__dict__`` at
+    once, not by the frozen ``__init__``'s one ``object.__setattr__`` each."""
+    b = object.__new__(BranchResult)
+    b.__dict__.update(outcome=outcome, probability=probability, residual=residual,
+                      correction=correction, fidelity=fidelity, bell_label=bell_label,
+                      label_fidelity=label_fidelity)
+    return b
 
 
 @dataclass
@@ -849,22 +867,80 @@ def _label_correction(d: int, mm: int, nn: int) -> CorrectionOp:
 
 
 @lru_cache(maxsize=None)
+def _label_corrections(d: int) -> tuple:
+    """((mm, nn), ``_label_correction(d, mm, nn)``) at index mm d + nn, for
+    all d^2 labels: every bell-swap-d spec at d reaches each one."""
+    return tuple(((mm, nn), _label_correction(d, mm, nn))
+                 for mm in range(d) for nn in range(d))
+
+
+def _bell_leaf(d: int, labels: tuple, outcome) -> tuple:
+    """(Bell label, correction, residual phase a) of bell-swap-d's outcome
+    (k0, u0) under Bell labels (m, n, p, q): U[m+p-k0, n+q-u0] leaves w^a,
+    a = p(u0 - n) + k0 n, on the Bell state (``circuit``'s law)."""
+    bm, bn, bp, bq = labels
+    k0, u0 = outcome
+    bell, corr = _label_corrections(d)[(bm + bp - k0) % d * d + (bn + bq - u0) % d]
+    return bell, corr, (bp * (u0 - bn) + k0 * bn) % d
+
+
+# each law kind's shape: the fields its circuit reads but the Bell labels
+_SHAPE_FIELDS = {kind: tuple(name for name in SPEC_FIELDS[kind] if name != "bell_labels")
+                 for kind in (ProtocolKind.BELL_SWAP_D, ProtocolKind.GHZ_SWAP_D,
+                              ProtocolKind.GHZ_MULTI_COIN_D, ProtocolKind.GHZ_PARALLEL_D,
+                              ProtocolKind.GHZ_FROM_BELLS_D, ProtocolKind.TRIANGLE_MERGE_2D,
+                              ProtocolKind.TRIANGLE_MERGE_D)}
+
+
+def _shape(spec: ProtocolSpec) -> tuple:
+    """A law kind's ``_law_table`` key: its kind, d and shape fields."""
+    return (spec.kind, spec.d, *[getattr(spec, name) for name in _SHAPE_FIELDS[spec.kind]])
+
+
+@dataclass(frozen=True, eq=False)
+class LawTable:
+    """A law kind's circuit compiled for one shape: its readouts and outputs,
+    and ``leaves``, each of the d^j outcomes in product order with (index into
+    ``corrections``, residual phase a): the correction maps the residual to
+    w^a times the canonical GHZ (at zeroed Bell labels for bell-swap-d)."""
+
+    d: int
+    probability: float
+    measured: tuple
+    outputs: tuple
+    corrections: tuple
+    leaves: MappingProxyType
+
+
+@lru_cache(maxsize=512)   # a fixed bound over the catalog grid's 245 law shapes
+def _law_table(kind: ProtocolKind, d: int, *params) -> LawTable:
+    """The ``LawTable`` of one shape (``_shape``), planned first: a refusal
+    (``_plan``, the size cap) raises and keeps nothing."""
+    spec = ProtocolSpec(kind, d, **dict(zip(_SHAPE_FIELDS[kind], params)))
+    stages, outputs, closed, (j, rule) = circuit(spec)
+    _plan(stages, outputs)
+    d, corrections, slot, pairs, leaves = int(d), [], {}, {}, {}
+    for z in itertools.product(range(d), repeat=j):
+        outcome, a = rule(z)
+        corr = closed(outcome)
+        if (i := slot.setdefault(id(corr), len(corrections))) == len(corrections):
+            corrections.append(corr)
+        leaves[outcome] = pairs.setdefault((i, a), (i, a))   # one tuple per distinct pair
+    return LawTable(d, d**-j, tuple(t for stage in stages for t in stage.targets), outputs,
+                    tuple(corrections), MappingProxyType(leaves))
+
+
+@lru_cache(maxsize=256)   # a fixed bound: the looked-up dense specs' tables
 def _corrections(spec: ProtocolSpec) -> dict:
     """{outcome: correction} over every branch of one exhaustive run."""
     return {b.outcome: b.correction for b in run_protocol(spec).branches}
 
 
-@lru_cache(maxsize=256)   # a fixed bound: the looked-up specs' rules and laws
-def _lookup(spec: ProtocolSpec):
-    """What ``correction_for`` reads of a spec's circuit: (closed rule, law)."""
-    return circuit(spec)[2:]
-
-
 def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
                    spec: ProtocolSpec | None = None) -> CorrectionOp:
     """Correction for one protocol outcome: the one ``run_protocol`` applies
-    to that branch.  A kind with a law (``circuit``) runs nothing: ``rule(z)``
-    of the outcome's free readouts z must give it back.  A dense kind runs once
+    to that branch.  A kind with a law (``circuit``) runs nothing: the
+    outcome is read off its shape's ``LawTable``.  A dense kind runs once
     per spec into a kept table.  An outcome outside the support (wrong length,
     digit out of range, zero probability) raises ValueError.
     """
@@ -873,22 +949,19 @@ def correction_for(kind: ProtocolKind, d: int, outcome: tuple[int, ...],
         raise ValueError("spec disagrees with kind/d arguments")
     spec.validate()
     outcome = tuple(outcome)
-    if not isinstance(spec.bell_labels, tuple):
-        # the caches are keyed by spec, so list-valued labels become a tuple
-        spec = replace(spec, bell_labels=tuple(spec.bell_labels))
-    closed, law = _lookup(spec)
-    if law is None:
+    if kind in _SHAPE_FIELDS:
+        table = _law_table(*_shape(spec))
+        if outcome in table.leaves:
+            if kind is ProtocolKind.BELL_SWAP_D:
+                return _bell_leaf(table.d, tuple(map(int, spec.bell_labels)), outcome)[1]
+            return table.corrections[table.leaves[outcome][0]]
+    else:
+        if not isinstance(spec.bell_labels, tuple):
+            # the table is keyed by spec, so list-valued labels become a tuple
+            spec = replace(spec, bell_labels=tuple(spec.bell_labels))
         table = _corrections(spec)
         if outcome in table:
             return table[outcome]
-    else:
-        j, rule = law
-        triangle = kind in (ProtocolKind.TRIANGLE_MERGE_2D, ProtocolKind.TRIANGLE_MERGE_D)
-        free = outcome[:j] if triangle else outcome[:j - 1] + outcome[-1:]
-        if len(free) == j and all(v in range(d) for v in free):
-            values, _ = rule(tuple(map(int, free)))
-            if values == outcome:
-                return closed(values)
     raise ValueError(f"outcome {outcome} has zero probability for {kind.value}")
 
 
@@ -904,28 +977,33 @@ def run_protocol(spec: ProtocolSpec) -> ProtocolResult:
     closed-form rule from ``circuit``, or derived from ``post``), and the
     corrected state's fidelity against the canonical GHZ target (the labeled
     Bell state check for bell-swap-d is reported through bell_label /
-    label_fidelity).  A kind with a law (``circuit``) is planned, then enumerated
-    at probability d^-j and fidelity 1; the others run densely (``_corrected``).
+    label_fidelity).  A kind with a law (``circuit``) reads its shape's
+    ``LawTable``, at probability d^-j and fidelity 1; the others run densely
+    (``_corrected``).  Every call builds its own records and residuals.
     """
     spec.validate()
-    stages, outputs, closed, law = circuit(spec)
-    result = ProtocolResult(
-        spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
-        output_labels=outputs)
-    if law is None:
+    if spec.kind not in _SHAPE_FIELDS:
+        stages, outputs, closed, _ = circuit(spec)
+        result = ProtocolResult(
+            spec=spec, measured=tuple(t for stage in stages for t in stage.targets),
+            output_labels=outputs)
         for values, probs, residual, corrs, fids in _corrected(stages, outputs, closed):
-            result.branches += [BranchResult(v, p, partial(residual, i), c, f) for i, (
+            result.branches += [_branch(v, p, partial(residual, i), c, f) for i, (
                 v, p, c, f) in enumerate(zip(values, probs, corrs, fids))]
         return result
-    _plan(stages, outputs)
-    (j, rule), d, bell = law, int(spec.d), spec.kind is ProtocolKind.BELL_SWAP_D
-    for z in itertools.product(range(d), repeat=j):
-        outcome, a = rule(z)
-        corr = closed(outcome)
-        result.branches.append(BranchResult(
-            outcome, d**-j, partial(_frame_residual, d, len(outputs), corr, a), corr, 1.0,
-            *((_bell_label(spec, outcome), 1.0) if bell else ())))
-    return result
+    table = _law_table(*_shape(spec))
+    d, n, p, corrs = table.d, len(table.outputs), table.probability, table.corrections
+    if spec.kind is ProtocolKind.BELL_SWAP_D:
+        labels, branches = tuple(map(int, spec.bell_labels)), []
+        for outcome in table.leaves:
+            bell, corr, a = _bell_leaf(d, labels, outcome)
+            branches.append(_branch(outcome, p, partial(_frame_residual, d, n, corr, a), corr,
+                                    1.0, bell, 1.0))
+    else:
+        branches = [_branch(outcome, p, partial(_frame_residual, d, n, corrs[i], a),
+                            corrs[i], 1.0)
+                    for outcome, (i, a) in table.leaves.items()]
+    return ProtocolResult(spec, table.measured, table.outputs, branches)
 
 
 def _frame_residual(d: int, n: int, corr: CorrectionOp, a: int) -> QuditState:

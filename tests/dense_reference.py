@@ -3,11 +3,12 @@
 Each reference runs the paper's circuit densely, through ``run_stages`` or
 ``DenseRegister`` (a copy of the interpreter that carries every particle as a
 site), never through the library rule a test checks against it.
-``dense_law``, ``dense_triangle_law`` and ``dense_pair_law`` are computed once
-per argument and returned read-only (arrays not writeable, rows a
-``MappingProxyType``), only through the bindings this module takes at import,
-so a test that monkeypatches ``protocols.run_stages`` cannot leave a wrong law
-here.  ``bench/`` is put on ``sys.path`` here, for the benchmark grid.
+``dense_law``, ``dense_triangle_law``, ``canonical_triangle_branches`` and
+``dense_pair_law`` are computed once per argument and returned read-only
+(arrays not writeable, rows a ``MappingProxyType``), only through the
+bindings this module takes at import, so a test that monkeypatches
+``protocols.run_stages`` cannot leave a wrong law here.  ``bench/`` is put
+on ``sys.path`` here, for the benchmark grid.
 """
 
 import sys
@@ -203,6 +204,18 @@ def one_stage_triangle(d, triples):
 
 
 @lru_cache(maxsize=None)
+def canonical_triangle_branches(d) -> tuple:
+    """``run_stages`` of ``one_stage_triangle`` on canonical GHZ triples, the
+    circuit of every gasket merge on unit triangles: (values, probability,
+    residual) per kept branch, each residual's amplitudes read-only."""
+    branches = tuple(run_stages(one_stage_triangle(d, [canonical_ghz(d, 3)] * 3),
+                                ("a", "b", "c")))
+    for _, _, post in branches:
+        post.amps.flags.writeable = False
+    return branches
+
+
+@lru_cache(maxsize=None)
 def dense_triangle_law(d) -> DenseLaw:
     """The dense law of the gasket's triangle merge on canonical GHZ triples."""
     return dense_compile(triangle_merge_stages(d, [canonical_ghz(d, 3)] * 3, qubit=d == 2),
@@ -292,12 +305,13 @@ def dense_gasket(n, d, seed):
     """Dense merge schedule, one draw per merge on its one-stage circuit.
     Returns (correction labels, generator state, laws), where laws holds the
     ``correction_leaves`` of each merge on inherited triangles (level >= 2)."""
-    rng = np.random.default_rng(seed)
-    states = {tri: canonical_ghz(d, 3) for tri in fractal.build_gasket(n).triangles}
+    rng, unit = np.random.default_rng(seed), canonical_ghz(d, 3)
+    states = dict.fromkeys(fractal.build_gasket(n).triangles, unit)
     labels, laws = [], []
     for step in fractal.merge_schedule(n):
-        stages = one_stage_triangle(d, [states.pop(t) for t in step.inputs])
-        branches = list(run_stages(stages, ("a", "b", "c")))
+        triples = [states.pop(t) for t in step.inputs]
+        branches = (canonical_triangle_branches(d) if all(t is unit for t in triples)
+                    else list(run_stages(one_stage_triangle(d, triples), ("a", "b", "c"))))
         if step.level >= 2:
             laws.append(correction_leaves(branches))
         _, _, post = sampled(branches, rng)

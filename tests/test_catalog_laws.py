@@ -13,17 +13,32 @@ law spec of the benchmark grid and the d = 4, 6 and 7 specs under the cap must
 give the same outcomes in the same order, equal correction labels and global
 phases, probabilities exactly d^-j and within 1e-12 of the dense ones, and
 residuals within 1e-12.
+
+``run_protocol`` reads each law from a table compiled once per circuit shape
+(``protocols._law_table``).  Against the per-leaf loop it replaced, the
+circuit's rule and closed correction run on every outcome (``rule_path``),
+the same specs must give the same outcomes, correction objects, Bell labels,
+residual bytes and JSON, with the shape cache cleared before each run and
+with it warm; and no two runs may share a record or a residual.
 """
 
+import dataclasses
 import itertools
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from walknet import protocols
 from walknet.protocols import ProtocolKind as K
-from walknet.protocols import ProtocolSpec, correction_for, run_protocol
+from walknet.protocols import (
+    BranchResult,
+    ProtocolResult,
+    ProtocolSpec,
+    correction_for,
+    run_protocol,
+)
 from walknet.qudit import SizeCapError, canonical_bell, fidelity
 
 from dense_reference import forbid_register, leaves, workloads
@@ -175,5 +190,101 @@ def test_a_warm_lookup_builds_no_circuit(monkeypatch, spec):
 def test_over_cap_law_kinds_are_still_refused(monkeypatch, spec, refusal):
     # the law path plans the circuit first, so the dense run's cap still applies
     forbid_register(monkeypatch)
-    with pytest.raises(SizeCapError, match=re.escape(refusal)):
+    for _ in range(2):   # a refused shape is not kept: the second run is refused again
+        with pytest.raises(SizeCapError, match=re.escape(refusal)):
+            run_protocol(spec)
+
+
+def rule_path(spec) -> ProtocolResult:
+    """The per-leaf reference: ``circuit``'s rule and closed correction run
+    on each z in Z_d^j, in product order, each record built by its ``__init__``."""
+    stages, outputs, closed, (j, rule) = protocols.circuit(spec)
+    d, n = int(spec.d), len(outputs)
+    result = ProtocolResult(spec, tuple(t for stage in stages for t in stage.targets), outputs)
+    for z in itertools.product(range(d), repeat=j):
+        outcome, a = rule(z)
+        corr = closed(outcome)
+        bell = (protocols._bell_label(spec, outcome), 1.0) if spec.kind is K.BELL_SWAP_D else ()
+        result.branches.append(BranchResult(
+            outcome, d**-j, partial(protocols._frame_residual, d, n, corr, a), corr, 1.0, *bell))
+    return result
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_the_shape_table_is_the_per_leaf_rule(block):
+    # each spec runs with its shape's table cleared (cold), then kept (warm)
+    for spec in (GRID + COMPOSITE)[block::4]:
+        want = rule_path(spec)
+        protocols._law_table.cache_clear()
+        for got in (run_protocol(spec), run_protocol(spec)):
+            assert (got.measured, got.output_labels) == (want.measured, want.output_labels)
+            assert [b.outcome for b in got.branches] == [b.outcome for b in want.branches]
+            assert all(b == w and b.correction is w.correction
+                       for b, w in zip(got.branches, want.branches))
+            assert [b.bell_label for b in got.branches] == [b.bell_label for b in want.branches]
+            # one residual function on equal arguments gives equal bytes; read every 5th
+            assert all(b.residual.func is w.residual.func and b.residual.args == w.residual.args
+                       for b, w in zip(got.branches, want.branches))
+            assert all(b.post.amps.tobytes() == w.post.amps.tobytes()
+                       for b, w in zip(got.branches[::5], want.branches[::5]))
+            assert got.to_json() == want.to_json()
+        assert protocols._law_table.cache_info()[:2] == (1, 1)   # (hits, misses)
+
+
+def test_the_d5_bell_swaps_share_one_table():
+    # a Bell label moves only the correction and the residual phase
+    specs = [spec for spec in GRID if spec.kind is K.BELL_SWAP_D and spec.d == 5]
+    assert len(specs) == 625
+    protocols._law_table.cache_clear()
+    for spec in specs:
         run_protocol(spec)
+    info = protocols._law_table.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 624)
+
+
+@pytest.mark.parametrize("spec", ONE_SPEC_PER_LAW, ids=_law_id)
+def test_two_runs_share_no_record(spec):
+    first, second = run_protocol(spec), run_protocol(spec)
+    assert first.branches is not second.branches
+    for a, b in zip(first.branches, second.branches):
+        assert a == b and a is not b and a.residual is not b.residual
+    for a, b in zip(first.branches[::50], second.branches[::50]):
+        assert a.post is not b.post and a.post.amps is not b.post.amps
+    want = second.branches[-1].post.amps.copy()
+    first.branches[-1].post.amps[:] = 7
+    assert second.branches[-1].post.amps.tobytes() == want.tobytes()
+    assert run_protocol(spec).branches[-1].post.amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [ONE_SPEC_PER_LAW[0], ONE_SPEC_PER_LAW[6],
+                                  ProtocolSpec(K.MERGE_COMBINED, m=4, n=3, k=3, l=2)],
+                         ids=_law_id)
+def test_a_record_is_a_frozen_dataclass(spec):
+    b = run_protocol(spec).branches[5]
+    fields = [f.name for f in dataclasses.fields(BranchResult)]
+    assert list(vars(b)) == fields
+    assert b == BranchResult(**{name: getattr(b, name) for name in fields})
+    c = dataclasses.replace(b, fidelity=0.5)
+    assert c.fidelity == 0.5 and c.fidelity != b.fidelity
+    assert (c.outcome, c.correction, c.bell_label) == (b.outcome, b.correction, b.bell_label)
+    assert c.post.amps.tobytes() == b.post.amps.tobytes()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.fidelity = 0.5
+
+
+def test_list_labels_and_numpy_fields_are_accepted():
+    # the shape cache's key holds neither the Bell labels nor a list
+    spec = ProtocolSpec(K.BELL_SWAP_D, d=5, bell_labels=(4, 3, 2, 1))
+    want = run_protocol(spec)
+    for other in (dataclasses.replace(spec, bell_labels=[4, 3, 2, 1]),
+                  dataclasses.replace(spec, d=np.int64(5),
+                                      bell_labels=[np.int64(x) for x in (4, 3, 2, 1)])):
+        got = run_protocol(other)
+        assert got.to_json() == want.to_json()
+        assert [b.bell_label for b in got.branches] == [b.bell_label for b in want.branches]
+        assert all(type(x) is int for b in got.branches for x in b.bell_label)
+        assert correction_for(K.BELL_SWAP_D, other.d, (1, 2), other) is want.branches[7].correction
+    spec = ProtocolSpec(K.GHZ_PARALLEL_D, d=3, m=3, n=4, k=2, retain_coins=True)
+    typed = ProtocolSpec(K.GHZ_PARALLEL_D, d=np.int64(3), m=np.int64(3), n=np.int64(4),
+                         k=np.int32(2), bell_labels=[0, 0, 0, 0], retain_coins=np.bool_(True))
+    assert run_protocol(typed).to_json() == run_protocol(spec).to_json()
